@@ -1,193 +1,30 @@
 package splitft
 
-// One testing.B benchmark per table and figure of the paper's evaluation.
-// Each runs the corresponding internal/bench experiment at QuickScale and
-// reports the headline metric; cmd/splitft-bench runs the full-scale
-// versions and prints complete paper-style tables.
+// One testing.B benchmark over the experiment registry: every table, figure
+// and sweep of internal/bench runs at QuickScale as a sub-benchmark (`go
+// test -bench Benchmark/fig8`); cmd/splitft-bench runs the full-scale
+// versions and prints the complete tables.
 
 import (
 	"testing"
-	"time"
 
 	"splitft/internal/bench"
 	"splitft/internal/modelcheck"
 )
 
-func quick() bench.Scale { return bench.QuickScale() }
-
-// BenchmarkTable1 — cost of strong guarantees (weak vs strong DFT).
-func BenchmarkTable1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.Table1(quick(), 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Rows[0].KOps, "weak-kops/s")
-		b.ReportMetric(res.Rows[1].KOps, "strong-kops/s")
-		b.ReportMetric(float64(res.Rows[1].AvgLat.Microseconds()), "strong-lat-us")
-	}
-}
-
-// BenchmarkTable2 — the write-classification table (rendering only).
-func BenchmarkTable2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if bench.Table2() == "" {
-			b.Fatal("empty")
-		}
-	}
-}
-
-// BenchmarkFig1 — IO-size CDFs of log vs background writes (kvstore).
-func BenchmarkFig1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.Fig1("kvstore", quick(), 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.LogCDF.Quantile(0.5)), "log-p50-bytes")
-		b.ReportMetric(float64(res.BgCDF.Quantile(0.5)), "bg-p50-bytes")
-	}
-}
-
-// BenchmarkFig1d — dfs sequential sync-write throughput vs IO size.
-func BenchmarkFig1d(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.Fig1d(quick(), 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Points[0].MBps, "512B-MBps")
-		b.ReportMetric(res.Points[len(res.Points)-1].MBps, "64MB-MBps")
-	}
-}
-
-// BenchmarkFig8 — write latency microbenchmark (NCL vs weak vs strong).
-func BenchmarkFig8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.Fig8(quick(), 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, pt := range res.Points {
-			if pt.Size == 128 && pt.Variant == "NCL" {
-				b.ReportMetric(float64(pt.AvgLat.Nanoseconds())/1000, "ncl-128B-us")
-			}
-		}
-	}
-}
-
-// BenchmarkFig9 — latency vs throughput, write-only (litedb: one point per
-// config; cmd/splitft-bench sweeps all apps and client counts).
-func BenchmarkFig9(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.Fig9("litedb", quick(), 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Series[bench.CfgSplitFT][0].KOps, "splitft-kops/s")
-		b.ReportMetric(res.Series[bench.CfgStrong][0].KOps, "strong-kops/s")
-	}
-}
-
-// BenchmarkFig10 — YCSB throughput (kvstore).
-func BenchmarkFig10(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.Fig10("kvstore", quick(), 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.KOps[bench.CfgSplitFT]["a"], "splitft-a-kops/s")
-		b.ReportMetric(res.KOps[bench.CfgWeak]["a"], "weak-a-kops/s")
-		b.ReportMetric(res.KOps[bench.CfgStrong]["a"], "strong-a-kops/s")
-	}
-}
-
-// BenchmarkFig11a — recovery read latency (NCL prefetch vs dfs).
-func BenchmarkFig11a(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.Fig11a(quick(), 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, pt := range res.Points {
-			if pt.Size == 128 {
-				switch pt.Variant {
-				case "NCL":
-					b.ReportMetric(float64(pt.AvgLat.Nanoseconds())/1000, "ncl-128B-us")
-				case "DFS":
-					b.ReportMetric(float64(pt.AvgLat.Nanoseconds())/1000, "dfs-128B-us")
+func Benchmark(b *testing.B) {
+	for _, e := range bench.Experiments {
+		b.Run(e.Name, func(b *testing.B) {
+			rows := 0
+			for i := 0; i < b.N; i++ {
+				rep, err := e.Run(bench.QuickScale(), 1)
+				if err != nil {
+					b.Fatal(err)
 				}
+				rows = len(rep.Rows)
 			}
-		}
-	}
-}
-
-// BenchmarkFig11b — application recovery time.
-func BenchmarkFig11b(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.Fig11b(quick(), 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range res.Rows {
-			if row.App == "kvstore" && row.Variant == "SplitFT" {
-				b.ReportMetric(row.Total.Seconds()*1000, "kv-splitft-ms")
-			}
-			if row.App == "kvstore" && row.Variant == "DFT" {
-				b.ReportMetric(row.Total.Seconds()*1000, "kv-dft-ms")
-			}
-		}
-	}
-}
-
-// BenchmarkTable3 — peer replacement latency breakdown.
-func BenchmarkTable3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.Table3(quick(), 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Total().Seconds()*1000, "total-ms")
-		b.ReportMetric(res.Connect.Seconds()*1000, "connect-ms")
-	}
-}
-
-// BenchmarkFig12 — throughput under peer failures.
-func BenchmarkFig12(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sc := quick()
-		sc.RunDur = 500 * time.Millisecond
-		res, err := bench.Fig12(sc, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		total := sc.Warmup + 3*sc.RunDur
-		b.ReportMetric(res.MeanDuring(sc.Warmup, total*4/10)/1000, "healthy-kops/s")
-		b.ReportMetric(res.MinDuring(total*4/10, total*4/10+200*time.Millisecond)/1000, "crash-min-kops/s")
-	}
-}
-
-// BenchmarkAblateReplication — NCL vs consensus replication (§6).
-func BenchmarkAblateReplication(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.AblateReplication(quick(), 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.NCLLatency.Nanoseconds())/1000, "ncl-us")
-		b.ReportMetric(float64(res.RaftLatency.Nanoseconds())/1000, "consensus-us")
-	}
-}
-
-// BenchmarkAblateSplit — fine-granular write splitting (§6).
-func BenchmarkAblateSplit(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.AblateSplit(quick(), 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.SmallLat["split (threshold)"].Nanoseconds())/1000, "split-small-us")
-		b.ReportMetric(float64(res.SmallLat["dfs (sync)"].Nanoseconds())/1000, "dfs-small-us")
+			b.ReportMetric(float64(rows), "rows")
+		})
 	}
 }
 

@@ -1,27 +1,33 @@
 // Command splitft-bench regenerates the paper's tables and figures on the
-// simulated testbed. Each experiment prints rows shaped like the paper's;
-// EXPERIMENTS.md records the paper-vs-measured comparison.
+// simulated testbed. It is flag parsing plus a loop over the experiment
+// registry (internal/bench.Experiments): every experiment returns rows in
+// the one result schema (experiment, cell, metric, value, unit, clock — see
+// DESIGN.md §12), printed as one cell x metric table; EXPERIMENTS.md records
+// the paper-vs-measured comparison.
 //
 // Usage:
 //
 //	splitft-bench [flags] <experiment> [<experiment>...]
-//	splitft-bench all
-//	splitft-bench calibrate            # calibration gate for the selected profile
-//	splitft-bench sweep                # fig8-style micro across all named profiles
+//	splitft-bench all                  # every experiment, registry order
 //	splitft-bench trace <experiment>   # run + print the per-phase span aggregation
+//	splitft-bench -out rows.json fig8  # also write the rows as JSON
 //	splitft-bench -trace out.json fig8 # also write a Chrome trace-event JSON
 //	splitft-bench -profile CX6RoCE100 fig8
 //	splitft-bench -profile my-hw.json fig8
-//	splitft-bench perf                 # simulator wall-clock suite -> BENCH_simnet.json
 //	splitft-bench -cpuprofile cpu.pb.gz perf
 //
-// Experiments: table1 table2 fig1 fig1d fig8 fig9 fig10 fig11a fig11b
-// table3 fig12 ablate-repl ablate-split ablate-nolog calibrate sweep perf
-// scale dfs repl
+// Running with no arguments lists the experiments. Nothing is written
+// unless -out names a file; the committed baselines are regenerated with
+//
+//	splitft-bench -quick -out BENCH_simnet.json perf
+//	splitft-bench -out BENCH_dfs.json dfs      (likewise repl, chaos, scale)
+//
+// and internal/bench's TestBaselines diffs fresh runs against them.
+// calibrate exits 1 when a probe lands outside its band.
 //
 // The -replicate flag overrides the NCL replication policy for every
 // experiment (mirror, mirror:F, ec:K,M, quorum); the repl experiment sweeps
-// all policies across all named profiles and writes BENCH_repl.json.
+// all policies across all named profiles.
 //
 // The -profile flag selects the hardware cost model: a built-in name (see
 // internal/model: CX4RoCE25 is the paper-faithful baseline, CX6RoCE100 a
@@ -44,10 +50,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
+	"strings"
 	"time"
 
 	"splitft/internal/bench"
@@ -56,68 +63,52 @@ import (
 	"splitft/internal/trace"
 )
 
-var experimentOrder = []string{
-	"table1", "table2", "fig1", "fig1d", "fig8", "fig9", "fig10",
-	"fig11a", "fig11b", "table3", "fig12", "ablate-repl", "ablate-split", "ablate-nolog",
-	"calibrate", "sweep", "perf", "scale", "dfs", "repl", "chaos",
-}
-
-func usage() {
-	fmt.Fprintf(os.Stderr, "usage: splitft-bench [flags] [trace] <experiment...|all>\n")
-	fmt.Fprintf(os.Stderr, "experiments: %v\n", experimentOrder)
-	fmt.Fprintf(os.Stderr, "  calibrate  runs the cost-model calibration gate for the selected profile\n")
-	fmt.Fprintf(os.Stderr, "  sweep      reruns the fig8 micro across all named profiles\n")
-	fmt.Fprintf(os.Stderr, "  perf       runs the simulator wall-clock suite and writes -perfout\n")
-	fmt.Fprintf(os.Stderr, "  scale      sweeps open-loop clients across controller shard counts, writes -scaleout\n")
-	fmt.Fprintf(os.Stderr, "  dfs        sweeps the extent data path (flat vs chain, IO sizes, chain shapes), writes -dfsout\n")
-	fmt.Fprintf(os.Stderr, "  repl       sweeps NCL replication policies x profiles (memory, write latency, recovery), writes -replout\n")
-	fmt.Fprintf(os.Stderr, "  chaos      sweeps fault schedules x policies x seeds with per-event durability audits, writes -chaosout\n")
-	fmt.Fprintf(os.Stderr, "  trace      runs the experiments with tracing on and prints the span aggregation\n")
-	fmt.Fprintf(os.Stderr, "profiles (-profile): %v, or a path to a JSON profile file\n", model.Names())
-	flag.PrintDefaults()
-}
-
-func main() { os.Exit(realMain()) }
+func main() { os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // realMain carries the exit code back through a normal return so deferred
 // cleanups (CPU profile flush) run before the process exits.
-func realMain() int {
+func realMain(argv []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("splitft-bench", flag.ContinueOnError)
+	fl.SetOutput(stderr)
 	var (
-		quick      = flag.Bool("quick", false, "use the reduced QuickScale (seconds per experiment)")
-		keys       = flag.Int64("keys", 0, "override row count for kvstore/redstore loads")
-		dur        = flag.Duration("dur", 0, "override measured window per data point")
-		clients    = flag.Int("clients", 0, "override client count for fixed-client experiments")
-		logMB      = flag.Int("logmb", 0, "override recovery-log size in MiB (paper: 60)")
-		seed       = flag.Int64("seed", 1, "simulation seed (also seeds the YCSB workload generators)")
-		apps       = flag.String("apps", "kvstore,redstore,litedb", "comma-separated app list for fig1/fig9/fig10")
-		profile    = flag.String("profile", "", "hardware profile: a built-in name or a JSON file path (default: CX4RoCE25)")
-		traceOut   = flag.String("trace", "", "record spans and write a Chrome trace-event JSON to this file")
-		perfOut    = flag.String("perfout", "BENCH_simnet.json", "output path for the perf subcommand's JSON report")
-		scaleOut   = flag.String("scaleout", "BENCH_scale.json", "output path for the scale subcommand's JSON report")
-		dfsOut     = flag.String("dfsout", "BENCH_dfs.json", "output path for the dfs subcommand's JSON report")
-		replOut    = flag.String("replout", "BENCH_repl.json", "output path for the repl subcommand's JSON report")
-		chaosOut   = flag.String("chaosout", "BENCH_chaos.json", "output path for the chaos subcommand's JSON report")
-		replicate  = flag.String("replicate", "", "NCL replication policy for all experiments: mirror|mirror:F|ec:K,M|quorum")
-		scaleCli   = flag.String("scaleclients", "", "comma-separated client counts for the scale sweep (default 10,100,250,500,1000)")
-		scaleShard = flag.String("scaleshards", "", "comma-separated shard counts for the scale sweep (default 1,8)")
-		cpuprofile = flag.String("cpuprofile", "", "write a runtime/pprof CPU profile of the run to this file")
-		memprofile = flag.String("memprofile", "", "write a runtime/pprof heap profile at exit to this file")
+		quick      = fl.Bool("quick", false, "use the reduced QuickScale (seconds per experiment)")
+		keys       = fl.Int64("keys", 0, "override row count for kvstore/redstore loads")
+		dur        = fl.Duration("dur", 0, "override measured window per data point")
+		clients    = fl.Int("clients", 0, "override client count for fixed-client experiments")
+		logMB      = fl.Int("logmb", 0, "override recovery-log size in MiB (paper: 60)")
+		seed       = fl.Int64("seed", 1, "simulation seed (also seeds the YCSB workload generators)")
+		apps       = fl.String("apps", "", "comma-separated app list for fig1/fig9/fig10 (default kvstore,redstore,litedb)")
+		profile    = fl.String("profile", "", "hardware profile: a built-in name or a JSON file path (default: CX4RoCE25)")
+		traceOut   = fl.String("trace", "", "record spans and write a Chrome trace-event JSON to this file")
+		out        = fl.String("out", "", "write every row of the run to this file as JSON (nothing is written without it)")
+		replicate  = fl.String("replicate", "", "NCL replication policy for all experiments: mirror|mirror:F|ec:K,M|quorum")
+		cpuprofile = fl.String("cpuprofile", "", "write a runtime/pprof CPU profile of the run to this file")
+		memprofile = fl.String("memprofile", "", "write a runtime/pprof heap profile at exit to this file")
 	)
-	flag.Usage = usage
-	flag.Parse()
-	if flag.NArg() == 0 {
-		usage()
+	fl.Usage = func() {
+		fmt.Fprintf(stderr, "usage: splitft-bench [flags] [trace] <experiment...|all>\nexperiments:\n")
+		for _, e := range bench.Experiments {
+			fmt.Fprintf(stderr, "  %-13s %s\n", e.Name, e.Help)
+		}
+		fmt.Fprintf(stderr, "  %-13s %s\n", "trace", "runs the experiments that follow with tracing on and prints the span aggregation")
+		fmt.Fprintf(stderr, "profiles (-profile): %v, or a path to a JSON profile file\n", model.Names())
+		fl.PrintDefaults()
+	}
+	if err := fl.Parse(argv); err != nil {
 		return 2
 	}
-	args := flag.Args()
-	aggregate := false
-	if args[0] == "trace" {
-		aggregate = true
+	args := fl.Args()
+	aggregate := len(args) > 0 && args[0] == "trace"
+	if aggregate {
 		args = args[1:]
-		if len(args) == 0 {
-			usage()
-			return 2
-		}
+	}
+	if len(args) == 0 {
+		fl.Usage()
+		return 2
+	}
+	fail := func(code int, format string, a ...any) int {
+		fmt.Fprintf(stderr, "splitft-bench: "+format+"\n", a...)
+		return code
 	}
 
 	sc := bench.DefaultScale()
@@ -136,21 +127,20 @@ func realMain() int {
 	if *logMB > 0 {
 		sc.LogSizeMB = *logMB
 	}
+	if *apps != "" {
+		sc.Apps = strings.FieldsFunc(*apps, func(r rune) bool { return r == ',' })
+	}
+	sc.Profile = model.Baseline()
 	if *profile != "" {
 		prof, err := model.Resolve(*profile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "splitft-bench: %v\n", err)
-			return 2
+			return fail(2, "%v", err)
 		}
 		sc.Profile = prof
 	}
 	if *replicate != "" {
 		if _, err := ncl.ParsePolicy(*replicate); err != nil {
-			fmt.Fprintf(os.Stderr, "splitft-bench: -replicate: %v\n", err)
-			return 2
-		}
-		if sc.Profile == nil {
-			sc.Profile = model.Baseline()
+			return fail(2, "-replicate: %v", err)
 		}
 		sc.Profile.NCL.Replication = *replicate
 	}
@@ -161,308 +151,86 @@ func realMain() int {
 		sc.Trace = col
 	}
 
-	appList := splitComma(*apps)
-
-	scaleCfg := bench.DefaultScaleConfig()
-	if *quick {
-		scaleCfg = bench.SmokeScaleConfig()
-	}
-	if *scaleCli != "" {
-		v, err := parseIntList(*scaleCli)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "splitft-bench: -scaleclients: %v\n", err)
-			return 2
-		}
-		scaleCfg.Clients = v
-	}
-	if *scaleShard != "" {
-		v, err := parseIntList(*scaleShard)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "splitft-bench: -scaleshards: %v\n", err)
-			return 2
-		}
-		scaleCfg.Shards = v
-	}
-
 	// Validate experiment names up front so a typo fails before hours of
 	// simulation, not after.
-	known := map[string]bool{}
-	for _, e := range experimentOrder {
-		known[e] = true
-	}
 	want := map[string]bool{}
 	for _, arg := range args {
-		if arg == "all" {
-			for _, e := range experimentOrder {
-				want[e] = true
+		known := arg == "all"
+		for _, e := range bench.Experiments {
+			if arg == "all" || arg == e.Name {
+				want[e.Name] = true
+				known = true
 			}
-			continue
 		}
-		if !known[arg] {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (known: %v)\n", arg, experimentOrder)
-			return 2
+		if !known {
+			return fail(2, "unknown experiment %q (run without arguments to list them)", arg)
 		}
-		want[arg] = true
 	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "splitft-bench: %v\n", err)
-			return 2
+			return fail(2, "%v", err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "splitft-bench: %v\n", err)
-			return 2
+			return fail(2, "%v", err)
 		}
 		defer func() {
 			pprof.StopCPUProfile()
 			f.Close()
-			fmt.Printf("[cpu profile written to %s]\n", *cpuprofile)
+			fmt.Fprintf(stdout, "[cpu profile written to %s]\n", *cpuprofile)
 		}()
 	}
 	if *memprofile != "" {
 		defer func() {
 			f, err := os.Create(*memprofile)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "splitft-bench: %v\n", err)
+				fail(1, "%v", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC() // up-to-date heap statistics
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "splitft-bench: %v\n", err)
+				fail(1, "%v", err)
 				return
 			}
-			fmt.Printf("[heap profile written to %s]\n", *memprofile)
+			fmt.Fprintf(stdout, "[heap profile written to %s]\n", *memprofile)
 		}()
 	}
 
 	start := time.Now()
-	for _, exp := range experimentOrder {
-		if !want[exp] {
+	var rows []bench.Row
+	for _, e := range bench.Experiments {
+		if !want[e.Name] {
 			continue
 		}
-		if err := run(exp, sc, *seed, appList, *perfOut, *scaleOut, *dfsOut, *replOut, *chaosOut, scaleCfg); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", exp, err)
+		fmt.Fprintf(stdout, "==== %s ====\n", e.Name)
+		rep, err := e.Run(sc, *seed)
+		if err == nil || len(rep.Rows) > 0 {
+			fmt.Fprintln(stdout, rep.Render())
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "%s: %v\n", e.Name, err)
 			return 1
 		}
+		rows = append(rows, rep.Rows...)
+	}
+	if *out != "" {
+		if err := bench.WriteJSON(*out, sc.Profile.Name, *seed, rows); err != nil {
+			return fail(1, "%v", err)
+		}
+		fmt.Fprintf(stdout, "[%d rows written to %s]\n", len(rows), *out)
 	}
 	if aggregate {
-		banner("trace aggregation")
-		fmt.Print(trace.RenderAggregate(trace.Aggregate(col.Spans())))
+		fmt.Fprintf(stdout, "==== trace aggregation ====\n")
+		fmt.Fprint(stdout, trace.RenderAggregate(trace.Aggregate(col.Spans())))
 	}
 	if *traceOut != "" {
 		if err := trace.WriteChromeFile(*traceOut, col.Spans()); err != nil {
-			fmt.Fprintf(os.Stderr, "splitft-bench: write trace: %v\n", err)
-			return 1
+			return fail(1, "write trace: %v", err)
 		}
-		fmt.Printf("\n[trace: %d spans written to %s]\n", col.Len(), *traceOut)
+		fmt.Fprintf(stdout, "\n[trace: %d spans written to %s]\n", col.Len(), *traceOut)
 	}
-	fmt.Printf("\n[done in %v wall-clock]\n", time.Since(start).Round(time.Second))
+	fmt.Fprintf(stdout, "\n[done in %v wall-clock]\n", time.Since(start).Round(time.Second))
 	return 0
-}
-
-func run(exp string, sc bench.Scale, seed int64, apps []string, perfOut, scaleOut, dfsOut, replOut, chaosOut string, scaleCfg bench.ScaleConfig) error {
-	banner(exp)
-	switch exp {
-	case "table1":
-		res, err := bench.Table1(sc, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-	case "table2":
-		fmt.Println(bench.Table2())
-	case "fig1":
-		for _, app := range apps {
-			res, err := bench.Fig1(app, sc, seed)
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Render())
-		}
-	case "fig1d":
-		res, err := bench.Fig1d(sc, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-	case "fig8":
-		res, err := bench.Fig8(sc, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-	case "fig9":
-		for _, app := range apps {
-			res, err := bench.Fig9(app, sc, seed)
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Render())
-		}
-	case "fig10":
-		for _, app := range apps {
-			res, err := bench.Fig10(app, sc, seed)
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Render())
-		}
-	case "fig11a":
-		res, err := bench.Fig11a(sc, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-	case "fig11b":
-		res, err := bench.Fig11b(sc, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-	case "table3":
-		res, err := bench.Table3(sc, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-	case "fig12":
-		res, err := bench.Fig12(sc, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-	case "ablate-repl":
-		res, err := bench.AblateReplication(sc, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-	case "ablate-split":
-		res, err := bench.AblateSplit(sc, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-	case "ablate-nolog":
-		res, err := bench.AblateNoLog(sc, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-	case "calibrate":
-		rep, err := bench.Calibrate(sc, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(rep.Render())
-		if !rep.Pass() {
-			return fmt.Errorf("calibration failed")
-		}
-	case "sweep":
-		res, err := bench.Sweep(sc, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-	case "perf":
-		rep, err := bench.Perf(sc, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(rep.Render())
-		if perfOut != "" {
-			if err := rep.WriteJSON(perfOut); err != nil {
-				return err
-			}
-			fmt.Printf("[perf report written to %s]\n", perfOut)
-		}
-	case "scale":
-		rep, err := bench.ScaleRun(scaleCfg, sc, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(rep.Render())
-		if scaleOut != "" {
-			if err := rep.WriteJSON(scaleOut); err != nil {
-				return err
-			}
-			fmt.Printf("[scale report written to %s]\n", scaleOut)
-		}
-	case "dfs":
-		rep, err := bench.RunDfs(sc, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(rep.Render())
-		if dfsOut != "" {
-			if err := rep.WriteJSON(dfsOut); err != nil {
-				return err
-			}
-			fmt.Printf("[dfs report written to %s]\n", dfsOut)
-		}
-	case "repl":
-		rep, err := bench.RunRepl(sc, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(rep.Render())
-		if replOut != "" {
-			if err := rep.WriteJSON(replOut); err != nil {
-				return err
-			}
-			fmt.Printf("[repl report written to %s]\n", replOut)
-		}
-	case "chaos":
-		rep, err := bench.RunChaos(sc, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(rep.Render())
-		if chaosOut != "" {
-			if err := rep.WriteJSON(chaosOut); err != nil {
-				return err
-			}
-			fmt.Printf("[chaos report written to %s]\n", chaosOut)
-		}
-	default:
-		return fmt.Errorf("unknown experiment")
-	}
-	return nil
-}
-
-func banner(exp string) {
-	fmt.Printf("==== %s ====\n", exp)
-}
-
-func parseIntList(s string) ([]int, error) {
-	parts := splitComma(s)
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("empty list")
-	}
-	out := make([]int, len(parts))
-	for i, p := range parts {
-		n, err := strconv.Atoi(p)
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad count %q", p)
-		}
-		out[i] = n
-	}
-	return out, nil
-}
-
-func splitComma(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	return out
 }

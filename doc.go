@@ -17,7 +17,12 @@
 // layer with the O_NCL flag (internal/core), three ported applications
 // (internal/apps/...), a YCSB generator (internal/ycsb), a protocol model
 // checker (internal/modelcheck), and the benchmark harness regenerating
-// every table and figure of the paper (internal/bench, cmd/splitft-bench).
+// every table and figure of the paper (internal/bench, cmd/splitft-bench):
+// one ordered registry of experiments, each returning rows in one schema
+// (experiment, cell, metric, value, unit, clock — DESIGN.md §12), printed
+// as one table and written as JSON only when `-out FILE` asks; one test,
+// bench.TestBaselines, diffs fresh runs against the committed
+// BENCH_*.json.
 //
 // Every layer emits deterministic spans on the virtual clock into
 // internal/trace; the figures' breakdowns (Fig 1, Fig 11b, Table 3) are

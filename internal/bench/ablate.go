@@ -25,33 +25,13 @@ import (
 //   - No-log applications: a KVell-style store with NCL as a random-write
 //     absorber tier versus per-put dfs fsyncs and unsafe buffering.
 
-// AblateReplResult compares NCL against consensus-based replication.
-type AblateReplResult struct {
-	NCLLatency   time.Duration
-	RaftLatency  time.Duration
-	NCLKOps      float64
-	RaftKOps     float64
-	NCLCPUNodes  int // nodes running application logic
-	RaftCPUNodes int
-}
-
-// Render prints the comparison.
-func (r AblateReplResult) Render() string {
-	rows := [][]string{
-		{"NCL (passive peers)", fmtUS(r.NCLLatency), fmt.Sprintf("%.1f", r.NCLKOps), fmt.Sprint(r.NCLCPUNodes)},
-		{"Consensus (full replicas)", fmtUS(r.RaftLatency), fmt.Sprintf("%.1f", r.RaftKOps), fmt.Sprint(r.RaftCPUNodes)},
-	}
-	return "Ablation: replication protocol for small writes (128B, 12 writers)\n" +
-		metrics.Table([]string{"protocol", "mean latency (us)", "KOps/s", "active CPUs"}, rows)
-}
-
-// AblateReplication measures replicating 128-byte log writes via NCL versus
-// via a consensus group whose replicas each run the full logging service
-// (the paper's argument for a custom protocol, §6).
-func AblateReplication(sc Scale, seed int64) (AblateReplResult, error) {
-	res := AblateReplResult{NCLCPUNodes: 1, RaftCPUNodes: 3}
-	const writers = 12
-	window := sc.RunDur
+// ablateRepl measures replicating 128-byte log writes via NCL versus via a
+// consensus group whose replicas each run the full logging service (the
+// paper's argument for a custom protocol, §6). active_cpus counts the nodes
+// running application logic.
+func ablateRepl(sc Scale, seed int64) (Report, error) {
+	rep := Report{Title: "Ablation: replication protocol for small writes (128B, 12 writers)"}
+	const nclCell, raftCell = "NCL (passive peers)", "Consensus (full replicas)"
 
 	// NCL side.
 	c := newCluster(sc, seed)
@@ -64,32 +44,16 @@ func AblateReplication(sc Scale, seed int64) (AblateReplResult, error) {
 		if err != nil {
 			return err
 		}
-		var hist metrics.Histogram
-		count := int64(0)
-		end := p.Now() + window
-		var wg simnet.WaitGroup
-		wg.Add(writers)
-		for i := 0; i < writers; i++ {
-			p.GoOn(c.AppNode, fmt.Sprintf("w%d", i), func(wp *simnet.Proc) {
-				defer wg.Done(wp)
-				buf := make([]byte, 128)
-				for wp.Now() < end {
-					t0 := wp.Now()
-					if _, err := f.Write(wp, buf); err != nil {
-						return
-					}
-					hist.Record(wp.Now() - t0)
-					count++
-				}
-			})
-		}
-		wg.Wait(p)
-		res.NCLLatency = hist.Mean()
-		res.NCLKOps = float64(count) / window.Seconds() / 1000
+		buf := make([]byte, 128)
+		replWriters(p, &rep, nclCell, c.AppNode, sc.RunDur, false, func(wp *simnet.Proc) error {
+			_, err := f.Write(wp, buf)
+			return err
+		})
+		rep.add(nclCell, "active_cpus", 1, "count")
 		return nil
 	})
 	if err != nil {
-		return res, err
+		return rep, err
 	}
 
 	// Consensus side: a 3-replica Raft group logging the same records.
@@ -109,31 +73,48 @@ func AblateReplication(sc Scale, seed int64) (AblateReplResult, error) {
 		client := raft.NewClient(cl, c2.AppNode)
 		client.Propose(p, wire.Msg{Code: codeRaftRec}) //nolint:errcheck
 
-		var hist metrics.Histogram
-		count := int64(0)
-		end := p.Now() + window
-		var wg simnet.WaitGroup
-		wg.Add(writers)
-		for i := 0; i < writers; i++ {
-			p.GoOn(c2.AppNode, fmt.Sprintf("w%d", i), func(wp *simnet.Proc) {
-				defer wg.Done(wp)
-				rec := wire.Msg{Code: codeRaftRec, B: make([]byte, 128)}
-				for wp.Now() < end {
-					t0 := wp.Now()
-					if _, err := client.Propose(wp, rec); err != nil {
-						continue
-					}
-					hist.Record(wp.Now() - t0)
-					count++
-				}
-			})
-		}
-		wg.Wait(p)
-		res.RaftLatency = hist.Mean()
-		res.RaftKOps = float64(count) / window.Seconds() / 1000
+		rec := wire.Msg{Code: codeRaftRec, B: make([]byte, 128)}
+		replWriters(p, &rep, raftCell, c2.AppNode, sc.RunDur, true, func(wp *simnet.Proc) error {
+			_, err := client.Propose(wp, rec)
+			return err
+		})
+		rep.add(raftCell, "active_cpus", float64(len(ids)), "count")
 		return nil
 	})
-	return res, err
+	return rep, err
+}
+
+// replWriters drives 12 closed-loop writers on node for the window and
+// records their mean latency and throughput in cell. A failed write either
+// is retried or ends that writer.
+func replWriters(p *simnet.Proc, rep *Report, cell string, node *simnet.Node, window time.Duration,
+	retry bool, write func(wp *simnet.Proc) error) {
+
+	const writers = 12
+	var hist metrics.Histogram
+	count := int64(0)
+	end := p.Now() + window
+	var wg simnet.WaitGroup
+	wg.Add(writers)
+	for i := 0; i < writers; i++ {
+		p.GoOn(node, fmt.Sprintf("w%d", i), func(wp *simnet.Proc) {
+			defer wg.Done(wp)
+			for wp.Now() < end {
+				t0 := wp.Now()
+				if err := write(wp); err != nil {
+					if retry {
+						continue
+					}
+					return
+				}
+				hist.Record(wp.Now() - t0)
+				count++
+			}
+		})
+	}
+	wg.Wait(p)
+	rep.dur(cell, "mean_lat", hist.Mean())
+	rep.add(cell, "kops", float64(count)/window.Seconds()/1000, "KOps/s")
 }
 
 // appendSM is the trivial replicated log used by the consensus baseline.
@@ -146,40 +127,15 @@ func (m *appendSM) Apply(cmd wire.Msg) wire.Msg {
 	return r
 }
 
-// AblateSplitResult compares strategies for a mixed small/large write file.
-type AblateSplitResult struct {
-	SmallLat map[string]time.Duration // strategy -> mean small-write latency
-	LargeLat map[string]time.Duration
-	KOps     map[string]float64
-}
-
-// SplitStrategies in presentation order.
-var SplitStrategies = []string{"dfs (sync)", "all NCL", "split (threshold)"}
-
-// Render prints per-strategy latencies.
-func (r AblateSplitResult) Render() string {
-	var rows [][]string
-	for _, s := range SplitStrategies {
-		rows = append(rows, []string{s, fmtUS(r.SmallLat[s]), fmtUS(r.LargeLat[s]),
-			fmt.Sprintf("%.1f", r.KOps[s])})
-	}
-	return "Ablation: fine-granular write splitting (95% 128B, 5% 128KB pwrites)\n" +
-		metrics.Table([]string{"strategy", "small lat (us)", "large lat (us)", "KOps/s"}, rows)
-}
-
-// AblateSplit exercises the §6 extension: one file receiving mostly small
-// writes with occasional large ones, under three strategies.
-func AblateSplit(sc Scale, seed int64) (AblateSplitResult, error) {
-	res := AblateSplitResult{
-		SmallLat: map[string]time.Duration{},
-		LargeLat: map[string]time.Duration{},
-		KOps:     map[string]float64{},
-	}
+// ablateSplit exercises the §6 extension: one file receiving mostly small
+// writes with occasional large ones, under three strategies (one cell each).
+func ablateSplit(sc Scale, seed int64) (Report, error) {
+	rep := Report{Title: "Ablation: fine-granular write splitting (95% 128B, 5% 128KB pwrites)"}
 	const ops = 4000
 	small := make([]byte, 128)
 	large := make([]byte, 128<<10)
 
-	run := func(strategy string, write func(p *simnet.Proc, data []byte, off int64) error,
+	run := func(strategy string,
 		setup func(p *simnet.Proc, fs *core.FS) (func(p *simnet.Proc, data []byte, off int64) error, error)) error {
 		c := newCluster(sc, seed)
 		return c.Run(func(p *simnet.Proc) error {
@@ -210,15 +166,15 @@ func AblateSplit(sc Scale, seed int64) (AblateSplitResult, error) {
 				}
 				off += int64(len(data))
 			}
-			res.SmallLat[strategy] = smallH.Mean()
-			res.LargeLat[strategy] = largeH.Mean()
-			res.KOps[strategy] = float64(ops) / (p.Now() - start).Seconds() / 1000
+			rep.dur(strategy, "small_lat", smallH.Mean())
+			rep.dur(strategy, "large_lat", largeH.Mean())
+			rep.add(strategy, "kops", float64(ops)/(p.Now()-start).Seconds()/1000, "KOps/s")
 			return nil
 		})
 	}
 
 	// Strategy 1: everything to the dfs with a sync per write.
-	if err := run("dfs (sync)", nil, func(p *simnet.Proc, fs *core.FS) (func(*simnet.Proc, []byte, int64) error, error) {
+	if err := run("dfs (sync)", func(p *simnet.Proc, fs *core.FS) (func(*simnet.Proc, []byte, int64) error, error) {
 		f, err := fs.OpenFile(p, "/mixed", core.O_CREATE, 0)
 		if err != nil {
 			return nil, err
@@ -230,12 +186,12 @@ func AblateSplit(sc Scale, seed int64) (AblateSplitResult, error) {
 			return f.Sync(p)
 		}, nil
 	}); err != nil {
-		return res, err
+		return rep, err
 	}
 
 	// Strategy 2: everything through NCL (large writes hog the log region
 	// and the replication path).
-	if err := run("all NCL", nil, func(p *simnet.Proc, fs *core.FS) (func(*simnet.Proc, []byte, int64) error, error) {
+	if err := run("all NCL", func(p *simnet.Proc, fs *core.FS) (func(*simnet.Proc, []byte, int64) error, error) {
 		f, err := fs.OpenFile(p, "mixed-ncl", core.O_NCL|core.O_CREATE, 8<<20)
 		if err != nil {
 			return nil, err
@@ -245,11 +201,11 @@ func AblateSplit(sc Scale, seed int64) (AblateSplitResult, error) {
 			return err
 		}, nil
 	}); err != nil {
-		return res, err
+		return rep, err
 	}
 
 	// Strategy 3: the SplitFile threshold router.
-	if err := run("split (threshold)", nil, func(p *simnet.Proc, fs *core.FS) (func(*simnet.Proc, []byte, int64) error, error) {
+	if err := run("split (threshold)", func(p *simnet.Proc, fs *core.FS) (func(*simnet.Proc, []byte, int64) error, error) {
 		sf, err := fs.OpenSplit(p, "/mixed-split", 4096, 8<<20)
 		if err != nil {
 			return nil, err
@@ -266,49 +222,19 @@ func AblateSplit(sc Scale, seed int64) (AblateSplitResult, error) {
 			return err
 		}, nil
 	}); err != nil {
-		return res, err
+		return rep, err
 	}
-	return res, nil
+	return rep, nil
 }
 
-// AblateNoLogResult compares persistence strategies for a no-log,
-// random-write store (§6 "Supporting Non-Log Files and Applications").
-type AblateNoLogResult struct {
-	KOps    map[string]float64
-	MeanLat map[string]time.Duration
-	// Lossy notes which strategies can lose acknowledged puts.
-	Lossy map[string]bool
-}
-
-// NoLogModes in presentation order.
-var NoLogModes = []kvell.Mode{kvell.DFTSync, kvell.DFTAsync, kvell.NCLTier}
-
-// Render prints the comparison.
-func (r AblateNoLogResult) Render() string {
-	var rows [][]string
-	for _, m := range NoLogModes {
-		loss := "no"
-		if r.Lossy[m.String()] {
-			loss = "YES"
-		}
-		rows = append(rows, []string{m.String(), fmt.Sprintf("%.1f", r.KOps[m.String()]),
-			fmtUS(r.MeanLat[m.String()]), loss})
-	}
-	return "Ablation: no-log store (KVell-style), uniform random puts\n" +
-		metrics.Table([]string{"mode", "KOps/s", "mean put latency (us)", "can lose acked data"}, rows)
-}
-
-// AblateNoLog runs a random-write workload against the KVell-style store in
-// its three modes: NCL as an absorber tier should approach the unsafe
-// buffered mode while keeping per-put durability.
-func AblateNoLog(sc Scale, seed int64) (AblateNoLogResult, error) {
-	res := AblateNoLogResult{
-		KOps:    map[string]float64{},
-		MeanLat: map[string]time.Duration{},
-		Lossy:   map[string]bool{kvell.DFTAsync.String(): true},
-	}
-	for _, m := range NoLogModes {
-		m := m
+// ablateNoLog runs a uniform random-put workload against the KVell-style
+// no-log store (§6 "Supporting Non-Log Files and Applications") in its three
+// modes: NCL as an absorber tier should approach the unsafe buffered mode
+// while keeping per-put durability. can_lose_acked marks the modes that can
+// lose acknowledged puts.
+func ablateNoLog(sc Scale, seed int64) (Report, error) {
+	rep := Report{Title: "Ablation: no-log store (KVell-style), uniform random puts"}
+	for _, m := range []kvell.Mode{kvell.DFTSync, kvell.DFTAsync, kvell.NCLTier} {
 		c := newCluster(sc, seed)
 		err := c.Run(func(p *simnet.Proc) error {
 			fs, err := c.NewFS(p, "kvell-bench", 0)
@@ -335,13 +261,18 @@ func AblateNoLog(sc Scale, seed int64) (AblateNoLogResult, error) {
 				hist.Record(p.Now() - t0)
 				count++
 			}
-			res.KOps[m.String()] = float64(count) / sc.RunDur.Seconds() / 1000
-			res.MeanLat[m.String()] = hist.Mean()
+			rep.add(m.String(), "kops", float64(count)/sc.RunDur.Seconds()/1000, "KOps/s")
+			rep.dur(m.String(), "mean_lat", hist.Mean())
+			lossy := 0.0
+			if m == kvell.DFTAsync {
+				lossy = 1
+			}
+			rep.add(m.String(), "can_lose_acked", lossy, "bool")
 			return nil
 		})
 		if err != nil {
-			return res, fmt.Errorf("ablate-nolog %s: %w", m, err)
+			return rep, fmt.Errorf("ablate-nolog %s: %w", m, err)
 		}
 	}
-	return res, nil
+	return rep, nil
 }

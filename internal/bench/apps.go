@@ -7,7 +7,6 @@ import (
 	"splitft/internal/apps/kvstore"
 	"splitft/internal/apps/litedb"
 	"splitft/internal/apps/redstore"
-	"splitft/internal/core"
 	"splitft/internal/harness"
 	"splitft/internal/metrics"
 	"splitft/internal/ncl"
@@ -17,32 +16,73 @@ import (
 
 // ---- Application adapters ----
 
-// kvApp adapts the RocksDB-like store.
-type kvApp struct {
-	c  *harness.Cluster
-	fs *core.FS
-	db *kvstore.DB
+// ycsbApp adapts one ported store to the YCSB driver. The three ports
+// differ only in their get/put calls and in how they are loaded.
+type ycsbApp struct {
+	name string
+	get  func(p *simnet.Proc, key string) ([]byte, bool, error)
+	put  func(p *simnet.Proc, key string, val []byte) error
+	load func(p *simnet.Proc, keys int64) error
 }
 
-func kvDurability(cfg string) kvstore.Durability {
-	switch cfg {
-	case CfgWeak:
-		return kvstore.Weak
-	case CfgStrong:
-		return kvstore.Strong
+func (a *ycsbApp) do(p *simnet.Proc, op ycsb.Op, val []byte) error {
+	switch op.Type {
+	case ycsb.Read:
+		_, _, err := a.get(p, op.Key)
+		return err
+	case ycsb.ReadModifyWrite:
+		if _, _, err := a.get(p, op.Key); err != nil {
+			return err
+		}
+		return a.put(p, op.Key, val)
 	default:
-		return kvstore.SplitFT
+		return a.put(p, op.Key, val)
 	}
 }
 
-func newKVApp(c *harness.Cluster, p *simnet.Proc, cfg string, keys, fencing int64) (*kvApp, error) {
-	fs, err := c.NewFS(p, "kvapp", fencing)
+// durability maps a configuration under comparison onto one port's
+// Durability constants.
+func durability[D any](cfg string, weak, strong, splitft D) D {
+	switch cfg {
+	case CfgWeak:
+		return weak
+	case CfgStrong:
+		return strong
+	default:
+		return splitft
+	}
+}
+
+// kvConfig, redConfig and liteConfig are the ports' default configurations
+// under the cluster's cost profile and the given durability configuration.
+func kvConfig(c *harness.Cluster, cfg string) kvstore.Config {
+	dbCfg := kvstore.DefaultConfig()
+	dbCfg.KVStoreCosts = c.Profile.Apps.KVStore
+	dbCfg.Durability = durability(cfg, kvstore.Weak, kvstore.Strong, kvstore.SplitFT)
+	return dbCfg
+}
+
+func redConfig(c *harness.Cluster, cfg string) redstore.Config {
+	sCfg := redstore.DefaultConfig()
+	sCfg.RedStoreCosts = c.Profile.Apps.RedStore
+	sCfg.Durability = durability(cfg, redstore.Weak, redstore.Strong, redstore.SplitFT)
+	return sCfg
+}
+
+func liteConfig(c *harness.Cluster, cfg string) litedb.Config {
+	dbCfg := litedb.DefaultConfig()
+	dbCfg.LiteDBCosts = c.Profile.Apps.LiteDB
+	dbCfg.Durability = durability(cfg, litedb.Weak, litedb.Strong, litedb.SplitFT)
+	return dbCfg
+}
+
+// openKV opens the RocksDB-like store. keys > 0 sizes it for that dataset.
+func openKV(c *harness.Cluster, p *simnet.Proc, cfg string, keys int64) (*kvstore.DB, error) {
+	fs, err := c.NewFS(p, "kvapp", 0)
 	if err != nil {
 		return nil, err
 	}
-	dbCfg := kvstore.DefaultConfig()
-	dbCfg.KVStoreCosts = c.Profile.Apps.KVStore
-	dbCfg.Durability = kvDurability(cfg)
+	dbCfg := kvConfig(c, cfg)
 	if keys > 0 {
 		// Keep the memtable well below the dataset so reads exercise the
 		// sstable + cache path, as at the paper's 100M-row scale.
@@ -56,62 +96,24 @@ func newKVApp(c *harness.Cluster, p *simnet.Proc, cfg string, keys, fencing int6
 		dbCfg.MemtableBytes = mt
 		dbCfg.WALRegion = 2*mt + 1<<20
 	}
-	db, err := kvstore.Open(p, fs, dbCfg)
+	return kvstore.Open(p, fs, dbCfg)
+}
+
+// kvApp adapts an open kvstore, loaded by 16 parallel loaders on the
+// application node (the paper's load phase).
+func kvApp(c *harness.Cluster, db *kvstore.DB) *ycsbApp {
+	return &ycsbApp{name: "kvstore", get: db.Get, put: db.Put, load: func(p *simnet.Proc, keys int64) error {
+		return parallelLoad(c.AppNode, p, keys, 16, db.Put)
+	}}
+}
+
+// openRed opens and adapts the Redis-like store, loaded like kvstore.
+func openRed(c *harness.Cluster, p *simnet.Proc, cfg string, keys int64) (*ycsbApp, error) {
+	fs, err := c.NewFS(p, "redapp", 0)
 	if err != nil {
 		return nil, err
 	}
-	return &kvApp{c: c, fs: fs, db: db}, nil
-}
-
-func (a *kvApp) Name() string { return "kvstore" }
-
-func (a *kvApp) Load(p *simnet.Proc, keys int64) error {
-	return parallelLoad(a.c.AppNode, p, keys, 16, func(lp *simnet.Proc, key string, val []byte) error {
-		return a.db.Put(lp, key, val)
-	})
-}
-
-func (a *kvApp) Do(p *simnet.Proc, op ycsb.Op, val []byte) error {
-	switch op.Type {
-	case ycsb.Read:
-		_, _, err := a.db.Get(p, op.Key)
-		return err
-	case ycsb.ReadModifyWrite:
-		if _, _, err := a.db.Get(p, op.Key); err != nil {
-			return err
-		}
-		return a.db.Put(p, op.Key, val)
-	default:
-		return a.db.Put(p, op.Key, val)
-	}
-}
-
-// redApp adapts the Redis-like store.
-type redApp struct {
-	c     *harness.Cluster
-	fs    *core.FS
-	store *redstore.Store
-}
-
-func redDurability(cfg string) redstore.Durability {
-	switch cfg {
-	case CfgWeak:
-		return redstore.Weak
-	case CfgStrong:
-		return redstore.Strong
-	default:
-		return redstore.SplitFT
-	}
-}
-
-func newRedApp(c *harness.Cluster, p *simnet.Proc, cfg string, keys, fencing int64) (*redApp, error) {
-	fs, err := c.NewFS(p, "redapp", fencing)
-	if err != nil {
-		return nil, err
-	}
-	sCfg := redstore.DefaultConfig()
-	sCfg.RedStoreCosts = c.Profile.Apps.RedStore
-	sCfg.Durability = redDurability(cfg)
+	sCfg := redConfig(c, cfg)
 	if keys > 0 {
 		// Scale the AOF-rewrite trigger with the dataset so background
 		// snapshots occur at simulation scale, as they would at 100M rows.
@@ -129,104 +131,49 @@ func newRedApp(c *harness.Cluster, p *simnet.Proc, cfg string, keys, fencing int
 	if err != nil {
 		return nil, err
 	}
-	return &redApp{c: c, fs: fs, store: st}, nil
+	return &ycsbApp{name: "redstore", get: st.Get, put: st.Set, load: func(p *simnet.Proc, keys int64) error {
+		return parallelLoad(c.AppNode, p, keys, 16, st.Set)
+	}}, nil
 }
 
-func (a *redApp) Name() string { return "redstore" }
-
-func (a *redApp) Load(p *simnet.Proc, keys int64) error {
-	return parallelLoad(a.c.AppNode, p, keys, 16, func(lp *simnet.Proc, key string, val []byte) error {
-		return a.store.Set(lp, key, val)
-	})
-}
-
-func (a *redApp) Do(p *simnet.Proc, op ycsb.Op, val []byte) error {
-	switch op.Type {
-	case ycsb.Read:
-		_, _, err := a.store.Get(p, op.Key)
-		return err
-	case ycsb.ReadModifyWrite:
-		if _, _, err := a.store.Get(p, op.Key); err != nil {
-			return err
-		}
-		return a.store.Set(p, op.Key, val)
-	default:
-		return a.store.Set(p, op.Key, val)
-	}
-}
-
-// liteApp adapts the SQLite-like store.
-type liteApp struct {
-	c  *harness.Cluster
-	fs *core.FS
-	db *litedb.DB
-}
-
-func liteDurability(cfg string) litedb.Durability {
-	switch cfg {
-	case CfgWeak:
-		return litedb.Weak
-	case CfgStrong:
-		return litedb.Strong
-	default:
-		return litedb.SplitFT
-	}
-}
-
-func newLiteApp(c *harness.Cluster, p *simnet.Proc, cfg string, keys int64, fencing int64) (*liteApp, error) {
-	fs, err := c.NewFS(p, "liteapp", fencing)
+// openLite opens and adapts the SQLite-like store: a single connection in
+// exclusive mode, so the load is sequential.
+func openLite(c *harness.Cluster, p *simnet.Proc, cfg string, keys int64) (*ycsbApp, error) {
+	fs, err := c.NewFS(p, "liteapp", 0)
 	if err != nil {
 		return nil, err
 	}
-	dbCfg := litedb.DefaultConfig()
-	dbCfg.LiteDBCosts = c.Profile.Apps.LiteDB
-	dbCfg.Durability = liteDurability(cfg)
+	dbCfg := liteConfig(c, cfg)
 	// Size the page table for ~2KB average occupancy per 4KB page.
 	dbCfg.NPages = int(keys*int64(ycsb.KeySize+ycsb.ValueSize+4)/2048 + 64)
 	db, err := litedb.Open(p, fs, dbCfg)
 	if err != nil {
 		return nil, err
 	}
-	return &liteApp{c: c, fs: fs, db: db}, nil
-}
-
-func (a *liteApp) Name() string { return "litedb" }
-
-func (a *liteApp) Load(p *simnet.Proc, keys int64) error {
-	// Single connection, exclusive mode: sequential load.
-	val := make([]byte, ycsb.ValueSize)
-	for i := int64(0); i < keys; i++ {
-		if err := a.db.Set(p, ycsb.Key(i), val); err != nil {
-			return err
+	return &ycsbApp{name: "litedb", get: db.Get, put: db.Set, load: func(p *simnet.Proc, keys int64) error {
+		val := make([]byte, ycsb.ValueSize)
+		for i := int64(0); i < keys; i++ {
+			if err := db.Set(p, ycsb.Key(i), val); err != nil {
+				return err
+			}
 		}
-	}
-	return nil
+		return nil
+	}}, nil
 }
 
-func (a *liteApp) Do(p *simnet.Proc, op ycsb.Op, val []byte) error {
-	switch op.Type {
-	case ycsb.Read:
-		_, _, err := a.db.Get(p, op.Key)
-		return err
-	case ycsb.ReadModifyWrite:
-		if _, _, err := a.db.Get(p, op.Key); err != nil {
-			return err
-		}
-		return a.db.Set(p, op.Key, val)
-	default:
-		return a.db.Set(p, op.Key, val)
-	}
-}
-
-// newApp builds an adapter by name ("kvstore", "redstore", "litedb").
-func newApp(c *harness.Cluster, p *simnet.Proc, name, cfg string, keys int64) (app, error) {
+// newApp opens and adapts a store by name, sized for keys rows.
+func newApp(c *harness.Cluster, p *simnet.Proc, name, cfg string, keys int64) (*ycsbApp, error) {
 	switch name {
 	case "kvstore":
-		return newKVApp(c, p, cfg, keys, 0)
+		db, err := openKV(c, p, cfg, keys)
+		if err != nil {
+			return nil, err
+		}
+		return kvApp(c, db), nil
 	case "redstore":
-		return newRedApp(c, p, cfg, keys, 0)
+		return openRed(c, p, cfg, keys)
 	case "litedb":
-		return newLiteApp(c, p, cfg, keys, 0)
+		return openLite(c, p, cfg, keys)
 	default:
 		return nil, fmt.Errorf("bench: unknown app %q", name)
 	}
@@ -241,192 +188,98 @@ func appLoadKeys(name string, sc Scale) int64 {
 	return sc.LoadKeys
 }
 
+// ycsbRun is one closed-loop YCSB measurement: a fresh cluster with its
+// cache sized for the dataset, the named store opened under cfg and loaded
+// with keys rows, then served at addr to `clients` client threads.
+type ycsbRun struct {
+	app, cfg, addr string
+	keys           int64
+	spec           ycsb.Spec
+	clients        int
+}
+
+// run returns the measured point and the simulation it ran on (the perf
+// suite reads its event counter).
+func (r ycsbRun) run(sc Scale, seed int64) (*point, *simnet.Sim, error) {
+	c := newClusterSized(sc, seed, datasetBytes(r.keys))
+	var pt *point
+	err := c.Run(func(p *simnet.Proc) error {
+		a, err := newApp(c, p, r.app, r.cfg, r.keys)
+		if err != nil {
+			return err
+		}
+		if err := a.load(p, r.keys); err != nil {
+			return err
+		}
+		startServer(c, r.addr, a)
+		pt = runWorkload(c, p, r.addr, r.spec, r.keys, r.clients, sc, nil)
+		return nil
+	})
+	return pt, c.Sim, err
+}
+
 // ---- Fig 9: latency vs throughput, write-only ----
 
-// Fig9Point is one (clients, throughput, latency) sample.
-type Fig9Point struct {
-	Clients int
-	KOps    float64
-	MeanLat time.Duration
-}
-
-// Fig9Result holds one application's curves.
-type Fig9Result struct {
-	App    string
-	Series map[string][]Fig9Point // config -> points
-}
-
-// Render formats the curves as aligned columns.
-func (r Fig9Result) Render() string {
-	out := fmt.Sprintf("Fig 9 (%s): latency vs throughput, write-only\n", r.App)
-	var rows [][]string
-	for _, cfg := range AllConfigs {
-		for _, pt := range r.Series[cfg] {
-			rows = append(rows, []string{cfg, fmt.Sprint(pt.Clients),
-				fmt.Sprintf("%.1f", pt.KOps), fmtUS(pt.MeanLat)})
-		}
-	}
-	return out + metrics.Table([]string{"config", "clients", "KOps/s", "mean latency (us)"}, rows)
-}
-
-// Fig9 sweeps client counts for one application in all three configs.
+// fig9 sweeps client counts for each application in all three configs.
 // litedb is measured single-threaded (as in the paper).
-func Fig9(appName string, sc Scale, seed int64) (Fig9Result, error) {
-	res := Fig9Result{App: appName, Series: make(map[string][]Fig9Point)}
-	clientCounts := []int{1, 2, 4, 8, 12, 20, 32}
-	if appName == "litedb" {
-		clientCounts = []int{1}
-	}
-	for _, cfg := range AllConfigs {
-		for _, nc := range clientCounts {
-			keys := appLoadKeys(appName, sc) / 2
-			c := newClusterSized(sc, seed, datasetBytes(keys))
-			var pt *point
-			err := c.Run(func(p *simnet.Proc) error {
-				a, err := newApp(c, p, appName, cfg, keys)
+func fig9(sc Scale, seed int64) (Report, error) {
+	rep := Report{Title: "Fig 9: latency vs throughput, write-only"}
+	for _, appName := range sc.Apps {
+		clientCounts := []int{1, 2, 4, 8, 12, 20, 32}
+		if appName == "litedb" {
+			clientCounts = []int{1}
+		}
+		for _, cfg := range AllConfigs {
+			for _, nc := range clientCounts {
+				cell := fmt.Sprintf("%s/%s/%dc", appName, cfg, nc)
+				pt, _, err := ycsbRun{appName, cfg, "app", appLoadKeys(appName, sc) / 2, writeOnly, nc}.run(sc, seed)
 				if err != nil {
-					return err
+					return rep, fmt.Errorf("fig9 %s: %w", cell, err)
 				}
-				if err := loadApp(c, p, a, keys); err != nil {
-					return err
-				}
-				startServer(c, "app", a)
-				spec := ycsb.Spec{Name: "write-only", UpdateProp: 1.0, Dist: ycsb.Zipfian}
-				pt = runWorkload(c, p, "app", spec, keys, nc, sc, nil)
-				return nil
-			})
-			if err != nil {
-				return res, fmt.Errorf("fig9 %s/%s/%d: %w", appName, cfg, nc, err)
+				rep.add(cell, "kops", pt.kops(), "KOps/s")
+				rep.dur(cell, "mean_lat", pt.hist.Mean())
 			}
-			res.Series[cfg] = append(res.Series[cfg], Fig9Point{Clients: nc, KOps: pt.kops(), MeanLat: pt.hist.Mean()})
 		}
 	}
-	return res, nil
+	return rep, nil
 }
 
 // ---- Fig 10: YCSB ----
 
-// Fig10Result holds one application's YCSB throughput matrix.
-type Fig10Result struct {
-	App       string
-	Workloads []string
-	KOps      map[string]map[string]float64 // config -> workload -> kops
-}
-
-// Render formats like the paper's grouped bars.
-func (r Fig10Result) Render() string {
-	header := append([]string{"config"}, r.Workloads...)
-	var rows [][]string
-	for _, cfg := range AllConfigs {
-		row := []string{cfg}
-		for _, w := range r.Workloads {
-			row = append(row, fmt.Sprintf("%.1f", r.KOps[cfg][w]))
-		}
-		rows = append(rows, row)
-	}
-	return fmt.Sprintf("Fig 10 (%s): YCSB throughput (KOps/s)\n", r.App) + metrics.Table(header, rows)
-}
-
-// Fig10 runs YCSB A/B/C/D/F for one application in all three configs. Each
+// fig10 runs YCSB A/B/C/D/F for each application in all three configs. Each
 // (config, workload) point gets a freshly loaded store so every
 // configuration sees identical state — in particular, the read-only
 // workload C must measure the same store regardless of log durability.
-func Fig10(appName string, sc Scale, seed int64) (Fig10Result, error) {
-	workloads := []string{"a", "b", "c", "d", "f"}
-	res := Fig10Result{App: appName, Workloads: workloads, KOps: make(map[string]map[string]float64)}
-	clients := 20
-	if appName == "litedb" {
-		clients = 1
-	}
-	for _, cfg := range AllConfigs {
-		res.KOps[cfg] = make(map[string]float64)
-		for _, w := range workloads {
-			w := w
-			keys := appLoadKeys(appName, sc)
-			c := newClusterSized(sc, seed, datasetBytes(keys))
-			err := c.Run(func(p *simnet.Proc) error {
-				a, err := newApp(c, p, appName, cfg, keys)
+func fig10(sc Scale, seed int64) (Report, error) {
+	rep := Report{Title: "Fig 10: YCSB throughput"}
+	for _, appName := range sc.Apps {
+		clients := 20
+		if appName == "litedb" {
+			clients = 1
+		}
+		for _, cfg := range AllConfigs {
+			for _, w := range []string{"a", "b", "c", "d", "f"} {
+				pt, _, err := ycsbRun{appName, cfg, "app", appLoadKeys(appName, sc), ycsb.Workloads[w], clients}.run(sc, seed)
 				if err != nil {
-					return err
+					return rep, fmt.Errorf("fig10 %s/%s/%s: %w", appName, cfg, w, err)
 				}
-				if err := loadApp(c, p, a, keys); err != nil {
-					return err
-				}
-				startServer(c, "app", a)
-				pt := runWorkload(c, p, "app", ycsb.Workloads[w], keys, clients, sc, nil)
-				res.KOps[cfg][w] = pt.kops()
-				return nil
-			})
-			if err != nil {
-				return res, fmt.Errorf("fig10 %s/%s/%s: %w", appName, cfg, w, err)
+				rep.add(appName+"/"+cfg, w, pt.kops(), "KOps/s")
 			}
 		}
 	}
-	return res, nil
+	return rep, nil
 }
 
 // ---- Fig 12: application performance under peer failures ----
 
-// Fig12Result is the sampled throughput timeline with the injected events.
-type Fig12Result struct {
-	Series []metrics.ThroughputPoint
-	Events []string
-}
-
-// Render prints a sparse timeline (one row per 100ms, annotated).
-func (r Fig12Result) Render() string {
-	out := "Fig 12: kvstore/SplitFT throughput under peer failures (10ms samples, 100ms rows)\n"
-	for _, e := range r.Events {
-		out += "  event: " + e + "\n"
-	}
-	var rows [][]string
-	for i := 0; i < len(r.Series); i += 10 {
-		sum, n := 0.0, 0
-		for j := i; j < i+10 && j < len(r.Series); j++ {
-			sum += r.Series[j].OpsPerSec
-			n++
-		}
-		rows = append(rows, []string{fmt.Sprintf("%.1fs", r.Series[i].At.Seconds()),
-			fmt.Sprintf("%.1f", sum/float64(n)/1000)})
-	}
-	return out + metrics.Table([]string{"time", "KOps/s"}, rows)
-}
-
-// MinDuring returns the lowest 10ms sample rate within [from, to) — used by
-// tests to verify the stall and the recovery.
-func (r Fig12Result) MinDuring(from, to time.Duration) float64 {
-	min := -1.0
-	for _, pt := range r.Series {
-		if pt.At >= from && pt.At < to {
-			if min < 0 || pt.OpsPerSec < min {
-				min = pt.OpsPerSec
-			}
-		}
-	}
-	return min
-}
-
-// MeanDuring averages the sample rate within [from, to).
-func (r Fig12Result) MeanDuring(from, to time.Duration) float64 {
-	sum, n := 0.0, 0
-	for _, pt := range r.Series {
-		if pt.At >= from && pt.At < to {
-			sum += pt.OpsPerSec
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// Fig12 runs the write-only workload on kvstore/SplitFT, crashes two of the
+// fig12 runs the write-only workload on kvstore/SplitFT, crashes two of the
 // WAL's log peers simultaneously mid-run (writes must stall until a
 // replacement catches up, ~100ms) and a third one later (no availability
-// impact), sampling real-time throughput every 10ms.
-func Fig12(sc Scale, seed int64) (Fig12Result, error) {
-	res := Fig12Result{}
+// impact), sampling real-time throughput every 10ms. Each 100ms row
+// reports the mean rate and the lowest 10ms sample inside it, so the brief
+// stall stays visible; the injected events are the notes.
+func fig12(sc Scale, seed int64) (Report, error) {
+	rep := Report{Title: "Fig 12: kvstore/SplitFT throughput under peer failures (10ms samples, 100ms rows)"}
 	c := newCluster(sc, seed)
 	sampler := metrics.NewThroughputSampler(10 * time.Millisecond)
 	total := sc.Warmup + sc.RunDur*3
@@ -434,11 +287,12 @@ func Fig12(sc Scale, seed int64) (Fig12Result, error) {
 		keys := sc.LoadKeys / 4
 		// Default (4 MiB) memtable: the dataset is update-heavy and small,
 		// and the figure is about peer failures, not compaction stalls.
-		a, err := newKVApp(c, p, CfgSplitFT, 0, 0)
+		db, err := openKV(c, p, CfgSplitFT, 0)
 		if err != nil {
 			return err
 		}
-		if err := loadApp(c, p, a, keys); err != nil {
+		a := kvApp(c, db)
+		if err := a.load(p, keys); err != nil {
 			return err
 		}
 		startServer(c, "kv", a)
@@ -447,8 +301,7 @@ func Fig12(sc Scale, seed int64) (Fig12Result, error) {
 		p.Go("injector", func(ip *simnet.Proc) {
 			start := ip.Now()
 			walPeers := func() []string {
-				type hasLog interface{ Log() *ncl.Log }
-				if hl, ok := a.db.WAL().(hasLog); ok {
+				if hl, ok := db.WAL().(hasLog); ok {
 					return hl.Log().LivePeers()
 				}
 				return nil
@@ -458,27 +311,42 @@ func Fig12(sc Scale, seed int64) (Fig12Result, error) {
 			if len(peers) >= 2 {
 				c.Sim.Node(peers[0]).Crash()
 				c.Sim.Node(peers[1]).Crash()
-				res.Events = append(res.Events, fmt.Sprintf("%.2fs: peers %s and %s crashed (2 > f)",
+				rep.Notes = append(rep.Notes, fmt.Sprintf("event: %.2fs: peers %s and %s crashed (2 > f)",
 					(ip.Now()-start).Seconds(), peers[0], peers[1]))
 			}
 			ip.Sleep(total * 35 / 100)
 			peers = walPeers()
 			if len(peers) >= 1 {
 				c.Sim.Node(peers[0]).Crash()
-				res.Events = append(res.Events, fmt.Sprintf("%.2fs: peer %s crashed (1 <= f)",
+				rep.Notes = append(rep.Notes, fmt.Sprintf("event: %.2fs: peer %s crashed (1 <= f)",
 					(ip.Now()-start).Seconds(), peers[0]))
 			}
 		})
 
 		longScale := sc
 		longScale.RunDur = total - sc.Warmup
-		spec := ycsb.Spec{Name: "write-only", UpdateProp: 1.0, Dist: ycsb.Zipfian}
-		runWorkload(c, p, "kv", spec, keys, sc.Clients, longScale, sampler)
+		runWorkload(c, p, "kv", writeOnly, keys, sc.Clients, longScale, sampler)
 		return nil
 	})
 	if err != nil {
-		return res, err
+		return rep, err
 	}
-	res.Series = sampler.Series()
-	return res, nil
+	series := sampler.Series()
+	for i := 0; i < len(series); i += 10 {
+		sum, min, n := 0.0, series[i].OpsPerSec, 0
+		for j := i; j < i+10 && j < len(series); j++ {
+			sum += series[j].OpsPerSec
+			if series[j].OpsPerSec < min {
+				min = series[j].OpsPerSec
+			}
+			n++
+		}
+		cell := fmt.Sprintf("%.1fs", series[i].At.Seconds())
+		rep.add(cell, "kops", sum/float64(n)/1000, "KOps/s")
+		rep.add(cell, "min_kops", min/1000, "KOps/s")
+	}
+	return rep, nil
 }
+
+// hasLog is satisfied by the core file handles that wrap an NCL log.
+type hasLog interface{ Log() *ncl.Log }

@@ -13,8 +13,10 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
+	"splitft/internal/dfs"
 	"splitft/internal/harness"
 	"splitft/internal/metrics"
 	"splitft/internal/model"
@@ -33,6 +35,11 @@ type Scale struct {
 	Warmup    time.Duration
 	Clients   int // client threads for throughput experiments
 	LogSizeMB int // recovery-experiment log size (paper: 60MB)
+	// Apps lists the applications fig1/fig9/fig10 run, in order.
+	Apps []string
+	// Smoke makes the scale experiment run its one CI-sized point instead
+	// of the full clients x shards sweep.
+	Smoke bool
 	// Profile is the hardware cost model every experiment cluster is built
 	// with. Nil means model.Baseline().
 	Profile *model.Profile
@@ -51,12 +58,14 @@ func (sc Scale) profile() *model.Profile {
 
 // DefaultScale suits the CLI harness (minutes for the full suite).
 func DefaultScale() Scale {
-	return Scale{LoadKeys: 200000, RunDur: 2 * time.Second, Warmup: 300 * time.Millisecond, Clients: 12, LogSizeMB: 60}
+	return Scale{LoadKeys: 200000, RunDur: 2 * time.Second, Warmup: 300 * time.Millisecond, Clients: 12, LogSizeMB: 60,
+		Apps: []string{"kvstore", "redstore", "litedb"}}
 }
 
 // QuickScale suits go test -bench (seconds per experiment).
 func QuickScale() Scale {
-	return Scale{LoadKeys: 30000, RunDur: 250 * time.Millisecond, Warmup: 100 * time.Millisecond, Clients: 12, LogSizeMB: 16}
+	return Scale{LoadKeys: 30000, RunDur: 250 * time.Millisecond, Warmup: 100 * time.Millisecond, Clients: 12, LogSizeMB: 16,
+		Apps: []string{"kvstore", "redstore", "litedb"}, Smoke: true}
 }
 
 // Configs under comparison.
@@ -69,33 +78,84 @@ const (
 // AllConfigs in presentation order.
 var AllConfigs = []string{CfgStrong, CfgWeak, CfgSplitFT}
 
+// Experiment is one entry of the registry: a name the CLI accepts, a line
+// of help, and the function that runs it.
+type Experiment struct {
+	Name string
+	Help string
+	run  func(sc Scale, seed int64) (Report, error)
+}
+
+// Run runs the experiment and stamps its name on every row. A report that
+// comes back with an error still carries the rows measured before it (the
+// calibration gate fails with its probe table filled in).
+func (e Experiment) Run(sc Scale, seed int64) (Report, error) {
+	rep, err := e.run(sc, seed)
+	for i := range rep.Rows {
+		rep.Rows[i].Experiment = e.Name
+	}
+	return rep, err
+}
+
+// Experiments is the registry, in the order `splitft-bench all` runs them.
+// It is the only list of experiment names: the CLI, the registry test and
+// the root benchmark all iterate it.
+var Experiments = []Experiment{
+	{"table1", "cost of strong guarantees: weak vs strong DFT, write-only (Table 1)", table1},
+	{"table2", "writes in storage-centric applications (Table 2, qualitative)", table2},
+	{"fig1", "durable write-size CDFs, log vs background, per app (Fig 1a-c)", fig1},
+	{"fig1d", "dfs sequential sync-write throughput vs IO size (Fig 1d)", fig1d},
+	{"fig8", "write latency, embedded mode: strong / weak / NCL (Fig 8)", fig8},
+	{"fig9", "latency vs throughput, write-only, per app (Fig 9)", fig9},
+	{"fig10", "YCSB A/B/C/D/F throughput per app and configuration (Fig 10)", fig10},
+	{"fig11a", "sequential read latency during recovery (Fig 11a)", fig11a},
+	{"fig11b", "application recovery time with the NCL phase breakdown (Fig 11b)", fig11b},
+	{"table3", "peer replacement latency breakdown (Table 3)", table3},
+	{"fig12", "kvstore throughput under peer failures (Fig 12)", fig12},
+	{"ablate-repl", "NCL vs consensus replication for small writes (§6)", ablateRepl},
+	{"ablate-split", "fine-granular write splitting (§6)", ablateSplit},
+	{"ablate-nolog", "no-log KVell-style store with NCL as absorber tier (§6)", ablateNoLog},
+	{"calibrate", "cost-model calibration gate for the selected profile (fails outside the bands)", calibrate},
+	{"sweep", "fig8 128 B latencies across all named profiles", sweep},
+	{"perf", "simulator wall-clock and allocation suite (BENCH_simnet.json)", perf},
+	{"scale", "open-loop clients x controller shards sweep (BENCH_scale.json)", scale},
+	{"dfs", "extent data path: flat vs chain, IO sizes, chain shapes, 1M-row load (BENCH_dfs.json)", dfsSweep},
+	{"repl", "NCL replication policies x profiles: memory, write latency, recovery (BENCH_repl.json)", repl},
+	{"chaos", "fault schedules x policies x seeds with per-event durability audits (BENCH_chaos.json)", chaos},
+}
+
 // newCluster builds the standard testbed for one experiment run under the
 // scale's cost-model profile.
-func newCluster(sc Scale, seed int64) *harness.Cluster { return newClusterSized(sc, seed, 0) }
+func newCluster(sc Scale, seed int64) *harness.Cluster { return newClusterDFS(sc, seed, nil) }
 
 // newClusterSized additionally sizes the application server's block cache
 // to 30% of the dataset, the paper's cache configuration for the key-value
 // stores and the database (§5 "Application Configuration").
 func newClusterSized(sc Scale, seed int64, dataset int64) *harness.Cluster {
-	prof := sc.profile()
-	opts := harness.Options{
+	if dataset <= 0 {
+		return newCluster(sc, seed)
+	}
+	params := sc.profile().DFS
+	params.CacheCapacity = dataset * 30 / 100
+	if params.CacheCapacity < 1<<20 {
+		params.CacheCapacity = 1 << 20
+	}
+	return newClusterDFS(sc, seed, &params)
+}
+
+// newClusterDFS builds the testbed with the profile's dfs parameters
+// overridden (nil keeps them).
+func newClusterDFS(sc Scale, seed int64, params *dfs.Params) *harness.Cluster {
+	return harness.New(harness.Options{
 		Seed:        seed,
 		NumPeers:    6,
 		PeerMem:     1 << 30,
 		AppCores:    10,
 		WithLocalFS: true,
-		Profile:     prof,
+		Profile:     sc.profile(),
 		Trace:       sc.Trace,
-	}
-	if dataset > 0 {
-		params := prof.DFS
-		params.CacheCapacity = dataset * 30 / 100
-		if params.CacheCapacity < 1<<20 {
-			params.CacheCapacity = 1 << 20
-		}
-		opts.DFSParams = &params
-	}
-	return harness.New(opts)
+		DFSParams:   params,
+	})
 }
 
 // datasetBytes estimates the stored size of a YCSB row set.
@@ -130,39 +190,26 @@ func opMsg(op ycsb.Op, val []byte) simnet.Msg {
 	return m
 }
 
-// server wraps an application behind the simulated network with a bounded
-// worker pool (the paper's 20 application-server threads).
-type server struct {
-	app app
-	sem *simnet.Semaphore
-	// ops holds precomputed "<app>.<optype>" span names so the per-request
-	// path does no string concatenation.
-	ops [4]string
-}
-
-// app is the minimal surface the harness drives.
-type app interface {
-	Name() string
-	Load(p *simnet.Proc, keys int64) error
-	Do(p *simnet.Proc, op ycsb.Op, val []byte) error
-}
-
 const serverThreads = 20
 
-func startServer(c *harness.Cluster, addr string, a app) *server {
-	srv := &server{app: a, sem: simnet.NewSemaphore(serverThreads)}
+// startServer puts an application behind the simulated network with a
+// bounded worker pool (the paper's 20 application-server threads).
+func startServer(c *harness.Cluster, addr string, a *ycsbApp) {
+	sem := simnet.NewSemaphore(serverThreads)
+	// Precomputed "<app>.<optype>" span names keep string concatenation off
+	// the per-request path.
+	var ops [4]string
 	for _, t := range []ycsb.OpType{ycsb.Read, ycsb.Update, ycsb.Insert, ycsb.ReadModifyWrite} {
-		srv.ops[t] = a.Name() + "." + t.String()
+		ops[t] = a.name + "." + t.String()
 	}
 	c.Sim.Net().Register(addr, c.AppNode, func(p *simnet.Proc, req simnet.Msg) (simnet.Msg, error) {
 		op := ycsb.Op{Type: ycsb.OpType(req.U[0]), Key: req.S[0]}
-		srv.sem.Acquire(p)
-		defer srv.sem.Release(p)
-		sp := p.StartSpan("app", srv.ops[op.Type])
+		sem.Acquire(p)
+		defer sem.Release(p)
+		sp := p.StartSpan("app", ops[op.Type])
 		defer p.EndSpan(sp)
-		return simnet.Msg{Code: wire.CodeAck}, srv.app.Do(p, op, req.B)
+		return simnet.Msg{Code: wire.CodeAck}, a.do(p, op, req.B)
 	})
-	return srv
 }
 
 // runWorkload drives `clients` closed-loop clients against addr for the
@@ -178,7 +225,6 @@ func runWorkload(c *harness.Cluster, p *simnet.Proc, addr string, spec ycsb.Spec
 	var wg simnet.WaitGroup
 	wg.Add(clients)
 	for i := 0; i < clients; i++ {
-		i := i
 		// Per-client generator seeds derive from the cluster seed so -seed
 		// varies the workload; at the default seed 1 the formula reduces to
 		// the historical i*7919+1, keeping published numbers unchanged.
@@ -210,12 +256,6 @@ func runWorkload(c *harness.Cluster, p *simnet.Proc, addr string, spec ycsb.Spec
 	return pt
 }
 
-// loadApp populates an application with the YCSB row set using parallel
-// loaders on the application node (the paper's load phase).
-func loadApp(c *harness.Cluster, p *simnet.Proc, a app, keys int64) error {
-	return a.Load(p, keys)
-}
-
 // parallelLoad is the shared loader used by the app adapters.
 func parallelLoad(node *simnet.Node, p *simnet.Proc, keys int64, loaders int,
 	put func(lp *simnet.Proc, key string, val []byte) error) error {
@@ -224,7 +264,6 @@ func parallelLoad(node *simnet.Node, p *simnet.Proc, keys int64, loaders int,
 	wg.Add(loaders)
 	var firstErr error
 	for i := 0; i < loaders; i++ {
-		i := i
 		p.GoOn(node, fmt.Sprintf("loader%d", i), func(lp *simnet.Proc) {
 			defer wg.Done(lp)
 			val := make([]byte, ycsb.ValueSize)
@@ -242,76 +281,37 @@ func parallelLoad(node *simnet.Node, p *simnet.Proc, keys int64, loaders int,
 	return firstErr
 }
 
-// fmtUS formats a duration in microseconds, paper-style.
-func fmtUS(d time.Duration) string {
-	return fmt.Sprintf("%.1f", float64(d.Nanoseconds())/1000)
-}
-
 // ---- Table 1: cost of strong guarantees ----
 
-// Table1Row is one configuration's result.
-type Table1Row struct {
-	Config string
-	KOps   float64
-	AvgLat time.Duration
-}
-
-// Table1Result reproduces Table 1 (RocksDB-like store, write-only, 12
-// clients, weak vs strong on the dfs).
-type Table1Result struct {
-	Rows []Table1Row
-}
-
-// Render formats the result like the paper's table.
-func (r Table1Result) Render() string {
-	var rows [][]string
-	base := r.Rows[0]
-	for i, row := range r.Rows {
-		drop := ""
-		if i > 0 && row.KOps > 0 {
-			drop = fmt.Sprintf(" (%.0fx lower, %.0fx higher lat)",
-				base.KOps/row.KOps, float64(row.AvgLat)/float64(base.AvgLat))
-		}
-		rows = append(rows, []string{row.Config, fmt.Sprintf("%.0f", row.KOps), fmtUS(row.AvgLat) + drop})
-	}
-	return "Table 1. Cost of Strong Guarantees (write-only, 12 clients)\n" +
-		metrics.Table([]string{"Configuration", "Throughput (KOps/s)", "Avg. Latency (us)"}, rows)
-}
-
-// Table1 runs the experiment.
-func Table1(sc Scale, seed int64) (Table1Result, error) {
-	var res Table1Result
+// table1 reproduces Table 1 (RocksDB-like store, write-only, 12 clients,
+// weak vs strong on the dfs).
+func table1(sc Scale, seed int64) (Report, error) {
+	rep := Report{Title: "Table 1. Cost of Strong Guarantees (write-only, 12 clients)"}
+	keys := sc.LoadKeys / 4
 	for _, cfgName := range []string{CfgWeak, CfgStrong} {
-		cfgName := cfgName
-		c := newClusterSized(sc, seed, datasetBytes(sc.LoadKeys/4))
-		err := c.Run(func(p *simnet.Proc) error {
-			a, err := newKVApp(c, p, cfgName, sc.LoadKeys/4, 0)
-			if err != nil {
-				return err
-			}
-			if err := loadApp(c, p, a, sc.LoadKeys/4); err != nil {
-				return err
-			}
-			startServer(c, "kv", a)
-			spec := ycsb.Spec{Name: "write-only", UpdateProp: 1.0, Dist: ycsb.Zipfian}
-			pt := runWorkload(c, p, "kv", spec, sc.LoadKeys/4, sc.Clients, sc, nil)
-			res.Rows = append(res.Rows, Table1Row{Config: cfgName, KOps: pt.kops(), AvgLat: pt.hist.Mean()})
-			return nil
-		})
+		pt, _, err := ycsbRun{"kvstore", cfgName, "kv", keys, writeOnly, sc.Clients}.run(sc, seed)
 		if err != nil {
-			return res, fmt.Errorf("table1 %s: %w", cfgName, err)
+			return rep, fmt.Errorf("table1 %s: %w", cfgName, err)
 		}
+		rep.add(cfgName, "kops", pt.kops(), "KOps/s")
+		rep.dur(cfgName, "avg_lat", pt.hist.Mean())
 	}
-	return res, nil
+	return rep, nil
 }
+
+// writeOnly is the update-only zipfian workload of Table 1, Fig 1, 9 and 12.
+var writeOnly = ycsb.Spec{Name: "write-only", UpdateProp: 1.0, Dist: ycsb.Zipfian}
 
 // ---- Table 2: writes in storage-centric applications ----
 
-// Table2 reproduces the paper's qualitative analysis table. The first three
-// rows are the applications implemented in this repository (their file
-// naming follows the packages); the rest cite the paper's analysis of
-// systems not re-implemented here.
-func Table2() string {
+// table2 reproduces the paper's qualitative analysis table as notes. The
+// first three lines are the applications implemented in this repository
+// (their file naming follows the packages); the rest cite the paper's
+// analysis of systems not re-implemented here. The one machine-readable
+// column — whether the large file is reclaimed by overwrite (circular) or
+// by delete — is also a row per application.
+func table2(Scale, int64) (Report, error) {
+	rep := Report{Title: "Table 2. Writes in Storage-Centric Applications (*: from the paper's analysis)"}
 	rows := [][]string{
 		{"kvstore (RocksDB)", "write-ahead log (wal-*.log)", "sorted-string tables (L*.sst)", "delete"},
 		{"redstore (Redis)", "append-only file (appendonly-*.aof)", "snapshot (dump-*.rdb)", "delete"},
@@ -322,6 +322,14 @@ func Table2() string {
 		{"MariaDB*", "redo log (ib_logfile)", "tablespace file (ibd)", "overwrite"},
 		{"MongoDB*", "journal (WiredTigerLog)", "WiredTiger store (wt)", "delete"},
 	}
-	return "Table 2. Writes in Storage-Centric Applications (*: from the paper's analysis)\n" +
-		metrics.Table([]string{"App", "Small, sync writes", "Large, bg writes", "Reclaim"}, rows)
+	table := metrics.Table([]string{"App", "Small, sync writes", "Large, bg writes", "Reclaim"}, rows)
+	rep.Notes = strings.Split(strings.TrimRight(table, "\n"), "\n")
+	for _, row := range rows {
+		overwrite := 0.0
+		if row[3] == "overwrite" {
+			overwrite = 1
+		}
+		rep.add(row[0], "reclaim_by_overwrite", overwrite, "bool")
+	}
+	return rep, nil
 }

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"errors"
+
 	"splitft/internal/controller"
 	"splitft/internal/core"
 	"splitft/internal/model"
@@ -129,12 +131,32 @@ func Probes(sc Scale, seed int64) ([]model.Measurement, error) {
 	return meas, err
 }
 
-// Calibrate runs the probes and judges them against the profile's targets.
-func Calibrate(sc Scale, seed int64) (model.Report, error) {
+// calibrate runs the probes and judges them against the profile's targets:
+// one cell per probe with its measurement and band, a verdict note, and an
+// error when any probe lands outside its band.
+func calibrate(sc Scale, seed int64) (Report, error) {
 	prof := sc.profile()
+	rep := Report{Title: "Calibration: profile " + prof.Name}
 	meas, err := Probes(sc, seed)
 	if err != nil {
-		return model.Report{Profile: prof.Name}, err
+		return rep, err
 	}
-	return model.Calibrate(prof, meas), nil
+	verdict := model.Calibrate(prof, meas)
+	for _, res := range verdict.Results {
+		rep.dur(res.Probe, "measured", res.Measured)
+		rep.dur(res.Probe, "expected", res.Target.Expect)
+		rep.dur(res.Probe, "lo", res.Target.Lo)
+		rep.dur(res.Probe, "hi", res.Target.Hi)
+		pass := 0.0
+		if res.Pass {
+			pass = 1
+		}
+		rep.add(res.Probe, "ok", pass, "bool")
+	}
+	if !verdict.Pass() {
+		rep.Notes = []string{"FAIL: cost model drifted from calibration targets"}
+		return rep, errors.New("calibration failed")
+	}
+	rep.Notes = []string{"PASS: all probes within tolerance"}
+	return rep, nil
 }

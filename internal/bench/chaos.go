@@ -2,15 +2,12 @@ package bench
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"splitft/internal/apps/kvstore"
 	"splitft/internal/core"
 	"splitft/internal/harness"
-	"splitft/internal/metrics"
 	"splitft/internal/model"
 	"splitft/internal/modelcheck"
 	"splitft/internal/ncl"
@@ -30,65 +27,11 @@ import (
 // ack-before-quorum mutation (ncl.Config.UnsafeAckQuorum) to prove the
 // checker produces counterexamples when the commit rule is actually broken.
 // Everything runs on the virtual clock, so the committed BENCH_chaos.json
-// is deterministic and TestChaosPerfGate diffs it at ±2%.
+// is deterministic and TestBaselines diffs it at ±2%.
 
-// ChaosRow is one (scenario, policy, seed) cell.
-type ChaosRow struct {
-	Scenario      string `json:"scenario"`
-	Policy        string `json:"policy"`
-	Seed          int64  `json:"seed"`
-	Events        int    `json:"events"`     // injected fault events
-	AckedOps      int64  `json:"acked_ops"`  // client writes acked durable
-	Recoveries    int    `json:"recoveries"` // post-event crash+recover audits
-	MaxRecoveryNS int64  `json:"max_recovery_ns"`
-	MaxUnavailNS  int64  `json:"max_unavail_ns"` // longest gap between acks
-	Violations    int    `json:"violations"`
-}
-
-// ChaosReport is the whole sweep, JSON-shaped for BENCH_chaos.json.
-type ChaosReport struct {
-	Rows []ChaosRow `json:"rows"`
-}
-
-// Row returns the (scenario, policy, seed) cell, or nil.
-func (r ChaosReport) Row(scenario, policy string, seed int64) *ChaosRow {
-	for i := range r.Rows {
-		if r.Rows[i].Scenario == scenario && r.Rows[i].Policy == policy && r.Rows[i].Seed == seed {
-			return &r.Rows[i]
-		}
-	}
-	return nil
-}
-
-// Render formats the report as a table.
-func (r ChaosReport) Render() string {
-	var rows [][]string
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.Scenario, row.Policy, fmt.Sprint(row.Seed),
-			fmt.Sprint(row.Events), fmt.Sprint(row.AckedOps), fmt.Sprint(row.Recoveries),
-			fmt.Sprintf("%.1f", time.Duration(row.MaxRecoveryNS).Seconds()*1000),
-			fmt.Sprintf("%.1f", time.Duration(row.MaxUnavailNS).Seconds()*1000),
-			fmt.Sprint(row.Violations),
-		})
-	}
-	return "Chaos sweep: durability of the acked prefix under fault schedules (virtual time)\n" +
-		metrics.Table([]string{"Scenario", "Policy", "Seed", "Events", "Acked ops",
-			"Recoveries", "Max recovery (ms)", "Max unavail (ms)", "Violations"}, rows)
-}
-
-// WriteJSON writes the report to path (BENCH_chaos.json).
-func (r ChaosReport) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ChaosSeeds is the sweep's seed axis: every scenario's fault schedule and
+// chaosSeeds is the sweep's seed axis: every scenario's fault schedule and
 // workload interleaving replays byte-identically per seed.
-var ChaosSeeds = []int64{1, 2}
+var chaosSeeds = []int64{1, 2}
 
 const (
 	codeChaosPut wire.Code = 0x42 // client->server versioned put
@@ -102,13 +45,15 @@ const (
 	chaosMutantPolicy  = "mirror+unsafe-ack:1"
 )
 
-// RunChaos runs the scenario x policy x seed sweep plus the two mutation
-// rows and returns the report. Each policy is first model-checked offline
-// (bounded BFS) so a protocol-level ack-rule bug fails fast, before any
-// simulated hardware is involved.
-func RunChaos(sc Scale, seed int64) (ChaosReport, error) {
-	var rep ChaosReport
-	for _, pol := range ReplPolicies {
+// chaos runs the scenario x policy x seed sweep plus the two mutation
+// cells, one cell per (scenario, policy, seed): injected fault events,
+// client writes acked durable, post-event crash+recover audits, the slowest
+// recovery, the longest gap between acks, and history violations. Each
+// policy is first model-checked offline (bounded BFS) so a protocol-level
+// ack-rule bug fails fast, before any simulated hardware is involved.
+func chaos(sc Scale, seed int64) (Report, error) {
+	rep := Report{Title: "Chaos sweep: durability of the acked prefix under fault schedules (virtual time)"}
+	for _, pol := range replPolicies {
 		spec, err := ncl.ParsePolicy(pol)
 		if err != nil {
 			return rep, err
@@ -118,22 +63,15 @@ func RunChaos(sc Scale, seed int64) (ChaosReport, error) {
 		}
 	}
 	for _, scenario := range harness.ChaosScenarios {
-		for _, pol := range ReplPolicies {
-			for _, off := range ChaosSeeds {
-				row, err := chaosOnce(sc, seed+off-1, scenario, pol, 0)
-				if err != nil {
+		for _, pol := range replPolicies {
+			for _, off := range chaosSeeds {
+				if err := chaosOnce(&rep, sc, seed+off-1, scenario, pol); err != nil {
 					return rep, fmt.Errorf("chaos %s/%s/seed%d: %w", scenario, pol, seed+off-1, err)
 				}
-				rep.Rows = append(rep.Rows, row)
 			}
 		}
 	}
-	clean, mutated, err := RunChaosMutation(sc, seed)
-	if err != nil {
-		return rep, err
-	}
-	rep.Rows = append(rep.Rows, clean, mutated)
-	return rep, nil
+	return rep, chaosMutation(&rep, sc, seed)
 }
 
 // chaosCell is the shared live-workload machinery of one cell: a kvstore
@@ -157,9 +95,7 @@ type chaosCell struct {
 }
 
 func newChaosCell(c *harness.Cluster, unsafeQuorum int) *chaosCell {
-	dbCfg := kvstore.DefaultConfig()
-	dbCfg.KVStoreCosts = c.Profile.Apps.KVStore
-	dbCfg.Durability = kvstore.SplitFT
+	dbCfg := kvConfig(c, CfgSplitFT)
 	dbCfg.MemtableBytes = 32 << 20 // paced writes never rotate mid-cell
 	dbCfg.WALRegion = 8 << 20
 	return &chaosCell{c: c, hist: modelcheck.NewHistory(), dbCfg: dbCfg, unsafeQuorum: unsafeQuorum}
@@ -171,13 +107,20 @@ func (ce *chaosCell) fsOpts(fence int64) core.Options {
 	return o
 }
 
-// open creates the generation-zero store.
-func (ce *chaosCell) open(p *simnet.Proc) (*kvstore.DB, error) {
+// start creates the generation-zero store, serves it and launches the
+// paced writers.
+func (ce *chaosCell) start(p *simnet.Proc) (*kvstore.DB, error) {
 	fs, err := core.NewFS(p, ce.fsOpts(ce.fence))
 	if err != nil {
 		return nil, err
 	}
-	return kvstore.Open(p, fs, ce.dbCfg)
+	db, err := kvstore.Open(p, fs, ce.dbCfg)
+	if err != nil {
+		return nil, err
+	}
+	ce.serve(db)
+	ce.startClients(p)
+	return db, nil
 }
 
 // serve (re-)registers the RPC server wrapping db on the app node. The
@@ -200,7 +143,6 @@ func (ce *chaosCell) serve(db *kvstore.DB) {
 func (ce *chaosCell) startClients(p *simnet.Proc) {
 	ce.wg.Add(chaosClients)
 	for i := 0; i < chaosClients; i++ {
-		i := i
 		p.GoOn(ce.c.ClientNode, fmt.Sprintf("chaos-client%d", i), func(cp *simnet.Proc) {
 			defer ce.wg.Done(cp)
 			var ver int64
@@ -278,33 +220,34 @@ func (ce *chaosCell) audit(p *simnet.Proc, what string) error {
 	return nil
 }
 
-// fill copies the cell's measurements into a row.
-func (ce *chaosCell) fill(row *ChaosRow, events int) {
-	row.Events = events
-	row.AckedOps = ce.hist.Acks
-	row.Recoveries = ce.recoveries
-	row.MaxRecoveryNS = int64(ce.maxRecover)
-	row.MaxUnavailNS = int64(ce.maxGap)
-	row.Violations = len(ce.hist.Violations())
+// fill records the cell's measurements.
+func (ce *chaosCell) fill(rep *Report, cell string, events int) {
+	rep.add(cell, "events", float64(events), "count")
+	rep.add(cell, "acked_ops", float64(ce.hist.Acks), "count")
+	rep.add(cell, "recoveries", float64(ce.recoveries), "count")
+	rep.dur(cell, "max_recovery_ns", ce.maxRecover)
+	rep.dur(cell, "max_unavail_ns", ce.maxGap)
+	rep.add(cell, "violations", float64(len(ce.hist.Violations())), "count")
+}
+
+// chaosCellName is the (scenario, policy, seed) coordinate.
+func chaosCellName(scenario, policy string, seed int64) string {
+	return fmt.Sprintf("%s/%s/seed%d", scenario, policy, seed)
 }
 
 // chaosOnce measures one (scenario, policy, seed) cell on a fresh cluster.
-func chaosOnce(sc Scale, seed int64, scenario, policy string, unsafeQuorum int) (ChaosRow, error) {
-	row := ChaosRow{Scenario: scenario, Policy: policy, Seed: seed}
+func chaosOnce(rep *Report, sc Scale, seed int64, scenario, policy string) error {
 	prof := model.Baseline()
 	prof.NCL.Replication = policy
 	c := harness.New(harness.Options{
 		Seed: seed, NumPeers: 8, PeerMem: 512 << 20, AppCores: 10,
 		PeerDomainCount: 4, Profile: prof, Trace: sc.Trace,
 	})
-	ce := newChaosCell(c, unsafeQuorum)
-	err := c.Run(func(p *simnet.Proc) error {
-		db, err := ce.open(p)
-		if err != nil {
+	ce := newChaosCell(c, 0)
+	return c.Run(func(p *simnet.Proc) error {
+		if _, err := ce.start(p); err != nil {
 			return err
 		}
-		ce.serve(db)
-		ce.startClients(p)
 		p.Sleep(200 * time.Millisecond) // steady state before the first fault
 		in := harness.NewInjector(c, seed)
 		in.OnEvent = ce.audit
@@ -313,13 +256,12 @@ func chaosOnce(sc Scale, seed int64, scenario, policy string, unsafeQuorum int) 
 		}
 		p.Sleep(200 * time.Millisecond) // post-heal acks close the last gap
 		ce.stopClients(p)
-		ce.fill(&row, len(in.Events))
+		ce.fill(rep, chaosCellName(scenario, policy, seed), len(in.Events))
 		return nil
 	})
-	return row, err
 }
 
-// RunChaosMutation runs the correlated gray-members-plus-crash schedule
+// chaosMutation runs the correlated gray-members-plus-crash schedule
 // twice — under the correct commit rule (zero violations expected) and
 // under the seeded ack-before-quorum mutation (counterexamples expected).
 // Two of the three mirror members are made gray, so their in-order RDMA
@@ -328,21 +270,17 @@ func chaosOnce(sc Scale, seed int64, scenario, policy string, unsafeQuorum int) 
 // rule every acked record also lives on a gray member and recovery finds
 // it; with UnsafeAckQuorum=1 the acked prefix dies with the fast member
 // and the history checker reports lost-acked-write.
-func RunChaosMutation(sc Scale, seed int64) (clean, mutated ChaosRow, err error) {
-	if clean, err = chaosMutationOnce(sc, seed, 0); err != nil {
-		return clean, mutated, fmt.Errorf("chaos gray-crash/clean: %w", err)
+func chaosMutation(rep *Report, sc Scale, seed int64) error {
+	if err := chaosMutationOnce(rep, sc, seed, "mirror", 0); err != nil {
+		return fmt.Errorf("chaos gray-crash/clean: %w", err)
 	}
-	if mutated, err = chaosMutationOnce(sc, seed, 1); err != nil {
-		return clean, mutated, fmt.Errorf("chaos gray-crash/mutated: %w", err)
+	if err := chaosMutationOnce(rep, sc, seed, chaosMutantPolicy, 1); err != nil {
+		return fmt.Errorf("chaos gray-crash/mutated: %w", err)
 	}
-	return clean, mutated, nil
+	return nil
 }
 
-func chaosMutationOnce(sc Scale, seed int64, unsafeQuorum int) (ChaosRow, error) {
-	row := ChaosRow{Scenario: "gray-crash", Policy: "mirror", Seed: seed}
-	if unsafeQuorum > 0 {
-		row.Policy = chaosMutantPolicy
-	}
+func chaosMutationOnce(rep *Report, sc Scale, seed int64, policy string, unsafeQuorum int) error {
 	prof := model.Baseline()
 	prof.NCL.Replication = "mirror"
 	c := harness.New(harness.Options{
@@ -350,18 +288,15 @@ func chaosMutationOnce(sc Scale, seed int64, unsafeQuorum int) (ChaosRow, error)
 		PeerDomainCount: 0, Profile: prof, Trace: sc.Trace,
 	})
 	ce := newChaosCell(c, unsafeQuorum)
-	err := c.Run(func(p *simnet.Proc) error {
-		db, err := ce.open(p)
+	return c.Run(func(p *simnet.Proc) error {
+		db, err := ce.start(p)
 		if err != nil {
 			return err
 		}
-		ce.serve(db)
-		ce.startClients(p)
 		p.Sleep(100 * time.Millisecond)
 
 		// Identify the WAL's member peers and gray two of the three: +5 ms
 		// per WR on an in-order queue pair is an ever-growing backlog.
-		type hasLog interface{ Log() *ncl.Log }
 		members := db.WAL().(hasLog).Log().LivePeers()
 		if len(members) != 3 {
 			return fmt.Errorf("bench: mirror WAL has %d members, want 3", len(members))
@@ -386,8 +321,7 @@ func chaosMutationOnce(sc Scale, seed int64, unsafeQuorum int) (ChaosRow, error)
 		}
 		p.Sleep(100 * time.Millisecond)
 		ce.stopClients(p)
-		ce.fill(&row, events)
+		ce.fill(rep, chaosCellName("gray-crash", policy, seed), events)
 		return nil
 	})
-	return row, err
 }

@@ -1,14 +1,11 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"splitft/internal/core"
-	"splitft/internal/harness"
-	"splitft/internal/metrics"
+	"splitft/internal/dfs"
 	"splitft/internal/simnet"
 )
 
@@ -20,73 +17,13 @@ import (
 // is deterministic for a given profile and seed — BENCH_dfs.json keeps it
 // pinned in CI and a silent cost-model shift fails the diff loudly.
 
-// DfsRow is one measured data-path configuration.
-type DfsRow struct {
-	Name      string  `json:"name"`
-	Bytes     int64   `json:"bytes,omitempty"`
-	VirtualNS int64   `json:"virtual_ns"`
-	MBPerSec  float64 `json:"mb_per_sec,omitempty"`
-}
-
-// DfsReport is the whole sweep, JSON-shaped for BENCH_dfs.json.
-type DfsReport struct {
-	Profile string   `json:"profile"`
-	Rows    []DfsRow `json:"rows"`
-}
-
-// Row returns the named row, or nil.
-func (r DfsReport) Row(name string) *DfsRow {
-	for i := range r.Rows {
-		if r.Rows[i].Name == name {
-			return &r.Rows[i]
-		}
-	}
-	return nil
-}
-
-// Render formats the report as a table.
-func (r DfsReport) Render() string {
-	var rows [][]string
-	for _, row := range r.Rows {
-		mb := "-"
-		if row.MBPerSec > 0 {
-			mb = fmt.Sprintf("%.0f", row.MBPerSec)
-		}
-		rows = append(rows, []string{
-			row.Name,
-			fmt.Sprintf("%d", row.Bytes),
-			fmt.Sprintf("%.3f", float64(row.VirtualNS)/1e6),
-			mb,
-		})
-	}
-	return fmt.Sprintf("DFS data path (virtual time, profile %s)\n", r.Profile) +
-		metrics.Table([]string{"Workload", "Bytes", "Virtual (ms)", "MB/s"}, rows)
-}
-
-// WriteJSON writes the report to path (BENCH_dfs.json).
-func (r DfsReport) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // dfsSyncDur measures the virtual duration of one synced write of n bytes
-// on a fresh cluster built with mut applied to the profile's DFS params
-// (nil mut keeps the profile). Extent-backed when ext is true. A small
-// warm-up append primes the extent-ID lease so the measured sync sees the
-// steady state, not the first allocation round trip.
-func dfsSyncDur(sc Scale, seed int64, n int64, ext bool, mut func(*harness.Options)) (time.Duration, error) {
-	prof := sc.profile()
-	opts := harness.Options{
-		Seed: seed, NumPeers: 6, PeerMem: 1 << 30, AppCores: 10,
-		WithLocalFS: true, Profile: prof, Trace: sc.Trace,
-	}
-	if mut != nil {
-		mut(&opts)
-	}
-	c := harness.New(opts)
+// on a fresh cluster, with the profile's DFS params overridden by params
+// unless nil. Extent-backed when ext is true. A small warm-up append primes
+// the extent-ID lease so the measured sync sees the steady state, not the
+// first allocation round trip.
+func dfsSyncDur(sc Scale, seed int64, n int64, ext bool, params *dfs.Params) (time.Duration, error) {
+	c := newClusterDFS(sc, seed, params)
 	var dur time.Duration
 	err := c.Run(func(p *simnet.Proc) error {
 		fs, err := c.NewFS(p, "dfsbench", 0)
@@ -122,14 +59,12 @@ func dfsSyncDur(sc Scale, seed int64, n int64, ext bool, mut func(*harness.Optio
 	return dur, err
 }
 
-// dfsRow wraps a measurement into a report row with MB/s derived from
-// virtual time.
-func dfsRow(name string, n int64, dur time.Duration) DfsRow {
-	row := DfsRow{Name: name, Bytes: n, VirtualNS: dur.Nanoseconds()}
-	if dur > 0 {
-		row.MBPerSec = float64(n) / dur.Seconds() / 1e6
-	}
-	return row
+// dfsRow records a measurement as one cell, with MB/s derived from virtual
+// time.
+func dfsRow(rep *Report, name string, n int64, dur time.Duration) {
+	rep.add(name, "bytes", float64(n), "bytes")
+	rep.dur(name, "virtual_ns", dur)
+	rep.add(name, "mb_per_sec", float64(n)/dur.Seconds()/1e6, "MB/s")
 }
 
 // dfsHeadlineBytes is the large-IO size of the headline flat-vs-chain
@@ -140,33 +75,27 @@ const dfsHeadlineBytes = 64 << 20
 // flush and compaction riding the extent chains.
 const dfsKvloadKeys = 1_000_000
 
-// RunDfs runs the data-path sweep and returns the report.
-func RunDfs(sc Scale, seed int64) (DfsReport, error) {
-	rep := DfsReport{Profile: sc.profile().Name}
+// dfsSweep runs the data-path sweep.
+func dfsSweep(sc Scale, seed int64) (Report, error) {
+	rep := Report{Title: fmt.Sprintf("DFS data path (virtual time, profile %s)", sc.profile().Name)}
 
-	// Headline: flat primary-copy sync vs chained append, same bytes.
-	flat, err := dfsSyncDur(sc, seed, dfsHeadlineBytes, false, nil)
-	if err != nil {
-		return rep, err
-	}
-	rep.Rows = append(rep.Rows, dfsRow("flat-sync-64MB", dfsHeadlineBytes, flat))
-	chain, err := dfsSyncDur(sc, seed, dfsHeadlineBytes, true, nil)
-	if err != nil {
-		return rep, err
-	}
-	rep.Rows = append(rep.Rows, dfsRow("chain-append-64MB", dfsHeadlineBytes, chain))
-
-	// IO-size sweep down the chain: small appends are fixed-cost bound,
+	// Headline: flat primary-copy sync vs chained append, same bytes. Then
+	// the IO-size sweep down the chain: small appends are fixed-cost bound,
 	// large ones pipeline at link bandwidth.
-	for _, sz := range []struct {
-		label string
-		n     int64
-	}{{"512B", 512}, {"64KB", 64 << 10}, {"1MB", 1 << 20}, {"8MB", 8 << 20}} {
-		d, err := dfsSyncDur(sc, seed, sz.n, true, nil)
+	for _, row := range []struct {
+		name string
+		n    int64
+		ext  bool
+	}{
+		{"flat-sync-64MB", dfsHeadlineBytes, false}, {"chain-append-64MB", dfsHeadlineBytes, true},
+		{"chain-append-512B", 512, true}, {"chain-append-64KB", 64 << 10, true},
+		{"chain-append-1MB", 1 << 20, true}, {"chain-append-8MB", 8 << 20, true},
+	} {
+		d, err := dfsSyncDur(sc, seed, row.n, row.ext, nil)
 		if err != nil {
 			return rep, err
 		}
-		rep.Rows = append(rep.Rows, dfsRow("chain-append-"+sz.label, sz.n, d))
+		dfsRow(&rep, row.name, row.n, d)
 	}
 
 	// Extent-size x chain-length grid at the headline size: extent size
@@ -174,18 +103,14 @@ func RunDfs(sc Scale, seed int64) (DfsReport, error) {
 	// nodes), chain length sets the replication depth each frame pays.
 	for _, extMB := range []int64{1, 4, 16} {
 		for _, k := range []int{2, 3, 5} {
-			extMB, k := extMB, k
-			d, err := dfsSyncDur(sc, seed, dfsHeadlineBytes, true, func(o *harness.Options) {
-				params := sc.profile().DFS
-				params.ExtentSize = extMB << 20
-				params.ChainLength = k
-				o.DFSParams = &params
-			})
+			params := sc.profile().DFS
+			params.ExtentSize = extMB << 20
+			params.ChainLength = k
+			d, err := dfsSyncDur(sc, seed, dfsHeadlineBytes, true, &params)
 			if err != nil {
 				return rep, err
 			}
-			rep.Rows = append(rep.Rows,
-				dfsRow(fmt.Sprintf("chain-64MB-ext%dMB-k%d", extMB, k), dfsHeadlineBytes, d))
+			dfsRow(&rep, fmt.Sprintf("chain-64MB-ext%dMB-k%d", extMB, k), dfsHeadlineBytes, d)
 		}
 	}
 
@@ -196,24 +121,18 @@ func RunDfs(sc Scale, seed int64) (DfsReport, error) {
 	lsc := sc
 	lsc.LoadKeys = dfsKvloadKeys
 	c := newClusterSized(lsc, seed, datasetBytes(lsc.LoadKeys))
-	var loadDur time.Duration
-	err = c.Run(func(p *simnet.Proc) error {
+	err := c.Run(func(p *simnet.Proc) error {
 		a, err := newApp(c, p, "kvstore", CfgSplitFT, lsc.LoadKeys)
 		if err != nil {
 			return err
 		}
 		start := p.Now()
-		if err := loadApp(c, p, a, lsc.LoadKeys); err != nil {
+		if err := a.load(p, lsc.LoadKeys); err != nil {
 			return err
 		}
-		loadDur = p.Now() - start
+		rep.add("kvload-1M", "bytes", float64(datasetBytes(lsc.LoadKeys)), "bytes")
+		rep.dur("kvload-1M", "virtual_ns", p.Now()-start)
 		return nil
 	})
-	if err != nil {
-		return rep, err
-	}
-	rep.Rows = append(rep.Rows, DfsRow{
-		Name: "kvload-1M", Bytes: datasetBytes(lsc.LoadKeys), VirtualNS: loadDur.Nanoseconds(),
-	})
-	return rep, nil
+	return rep, err
 }

@@ -14,53 +14,12 @@ import (
 
 // ---- Fig 8: write latency microbenchmark (embedded mode) ----
 
-// Fig8Point is one (size, variant) latency.
-type Fig8Point struct {
-	Size    int
-	Variant string
-	AvgLat  time.Duration
-}
-
-// Fig8Result holds the three curves.
-type Fig8Result struct {
-	Points []Fig8Point
-}
-
-// Fig8Variants in presentation order.
-var Fig8Variants = []string{"strong-bench DFS", "weak-bench DFS", "NCL"}
-
-// Render prints size x variant average latencies.
-func (r Fig8Result) Render() string {
-	bySize := map[int]map[string]time.Duration{}
-	var sizes []int
-	for _, pt := range r.Points {
-		if bySize[pt.Size] == nil {
-			bySize[pt.Size] = map[string]time.Duration{}
-			sizes = append(sizes, pt.Size)
-		}
-		bySize[pt.Size][pt.Variant] = pt.AvgLat
-	}
-	var rows [][]string
-	for _, s := range sizes {
-		row := []string{metrics.HumanBytes(int64(s))}
-		for _, v := range Fig8Variants {
-			row = append(row, fmtUS(bySize[s][v]))
-		}
-		rows = append(rows, row)
-	}
-	return "Fig 8. Write latency, embedded mode (us)\n" +
-		metrics.Table(append([]string{"size"}, Fig8Variants...), rows)
-}
-
-// Fig8Sizes are the paper's write sizes (128B to 8KB).
-var Fig8Sizes = []int{128, 256, 512, 1024, 2048, 4096, 8192}
-
-// Fig8 measures sequential write latency in embedded mode (the benchmark
+// fig8 measures sequential write latency in embedded mode (the benchmark
 // process links ncl-lib directly; no request network hop): every write is
 // fdatasynced in "strong", buffered in "weak", and synchronously replicated
-// by NCL.
-func Fig8(sc Scale, seed int64) (Fig8Result, error) {
-	var res Fig8Result
+// by NCL. One cell per size, one metric per variant.
+func fig8(sc Scale, seed int64) (Report, error) {
+	rep := Report{Title: "Fig 8. Write latency, embedded mode"}
 	c := newCluster(sc, seed)
 	const perSize = 400
 	err := c.Run(func(p *simnet.Proc) error {
@@ -68,7 +27,8 @@ func Fig8(sc Scale, seed int64) (Fig8Result, error) {
 		if err != nil {
 			return err
 		}
-		for _, size := range Fig8Sizes {
+		for _, size := range []int{128, 256, 512, 1024, 2048, 4096, 8192} { // the paper's write sizes
+			cell := metrics.HumanBytes(int64(size))
 			buf := make([]byte, size)
 			// strong: write + fdatasync to the dfs.
 			f, err := fs.OpenFile(p, fmt.Sprintf("/micro/strong-%d", size), core.O_CREATE, 0)
@@ -80,8 +40,7 @@ func Fig8(sc Scale, seed int64) (Fig8Result, error) {
 				f.Write(p, buf)
 				f.Sync(p)
 			}
-			res.Points = append(res.Points, Fig8Point{Size: size, Variant: "strong-bench DFS",
-				AvgLat: (p.Now() - start) / (perSize / 8)})
+			rep.dur(cell, "strong-bench DFS", (p.Now()-start)/(perSize/8))
 			f.Close(p)
 
 			// weak: buffered writes, never synced.
@@ -93,8 +52,7 @@ func Fig8(sc Scale, seed int64) (Fig8Result, error) {
 			for i := 0; i < perSize; i++ {
 				f.Write(p, buf)
 			}
-			res.Points = append(res.Points, Fig8Point{Size: size, Variant: "weak-bench DFS",
-				AvgLat: (p.Now() - start) / perSize})
+			rep.dur(cell, "weak-bench DFS", (p.Now()-start)/perSize)
 			f.Close(p)
 
 			// NCL: every write synchronously replicated to the log peers.
@@ -130,45 +88,22 @@ func Fig8(sc Scale, seed int64) (Fig8Result, error) {
 				}
 				nclLat += p.Now() - t0
 			}
-			res.Points = append(res.Points, Fig8Point{Size: size, Variant: "NCL",
-				AvgLat: nclLat / perSize})
+			rep.dur(cell, "NCL", nclLat/perSize)
 			fs.Unlink(p, name) //nolint:errcheck
 		}
 		return nil
 	})
-	return res, err
+	return rep, err
 }
 
 // ---- Fig 1(d): dfs sequential write throughput vs IO size ----
 
-// Fig1dPoint is one block size's sync-write throughput.
-type Fig1dPoint struct {
-	BlockSize int64
-	MBps      float64
-}
-
-// Fig1dResult holds the sweep.
-type Fig1dResult struct {
-	Points []Fig1dPoint
-}
-
-// Render prints the paper's three bars (plus intermediate sizes).
-func (r Fig1dResult) Render() string {
-	var rows [][]string
-	for _, pt := range r.Points {
-		rows = append(rows, []string{metrics.HumanBytes(pt.BlockSize), fmt.Sprintf("%.2f", pt.MBps)})
-	}
-	return "Fig 1(d). dfs sequential sync-write throughput\n" +
-		metrics.Table([]string{"block size", "MB/s"}, rows)
-}
-
-// Fig1d measures sequential write+fsync throughput on the dfs at the
-// paper's block sizes.
-func Fig1d(sc Scale, seed int64) (Fig1dResult, error) {
-	var res Fig1dResult
+// fig1d measures sequential write+fsync throughput on the dfs at the
+// paper's block sizes (plus intermediate ones).
+func fig1d(sc Scale, seed int64) (Report, error) {
+	rep := Report{Title: "Fig 1(d). dfs sequential sync-write throughput"}
 	sizes := []int64{512, 8 << 10, 1 << 20, 64 << 20}
 	for _, bs := range sizes {
-		bs := bs
 		c := newCluster(sc, seed)
 		err := c.Run(func(p *simnet.Proc) error {
 			fs, err := c.NewFS(p, "fig1d", 0)
@@ -193,63 +128,24 @@ func Fig1d(sc Scale, seed int64) (Fig1dResult, error) {
 				}
 				total += bs
 			}
-			res.Points = append(res.Points, Fig1dPoint{BlockSize: bs,
-				MBps: float64(total) / 1e6 / (p.Now() - start).Seconds()})
+			rep.add(metrics.HumanBytes(bs), "throughput", float64(total)/1e6/(p.Now()-start).Seconds(), "MB/s")
 			return nil
 		})
 		if err != nil {
-			return res, err
+			return rep, err
 		}
 	}
-	return res, nil
+	return rep, nil
 }
 
 // ---- Fig 11(a): read latency microbenchmark ----
 
-// Fig11aPoint is one (size, variant) read latency.
-type Fig11aPoint struct {
-	Size    int
-	Variant string
-	AvgLat  time.Duration
-}
-
-// Fig11aResult holds the four curves.
-type Fig11aResult struct {
-	Points []Fig11aPoint
-}
-
-// Fig11aVariants in presentation order.
-var Fig11aVariants = []string{"DFS", "NCL", "NCL no prefetch", "DFS direct IO"}
-
-// Render prints size x variant latencies.
-func (r Fig11aResult) Render() string {
-	bySize := map[int]map[string]time.Duration{}
-	var sizes []int
-	for _, pt := range r.Points {
-		if bySize[pt.Size] == nil {
-			bySize[pt.Size] = map[string]time.Duration{}
-			sizes = append(sizes, pt.Size)
-		}
-		bySize[pt.Size][pt.Variant] = pt.AvgLat
-	}
-	var rows [][]string
-	for _, s := range sizes {
-		row := []string{metrics.HumanBytes(int64(s))}
-		for _, v := range Fig11aVariants {
-			row = append(row, fmtUS(bySize[s][v]))
-		}
-		rows = append(rows, row)
-	}
-	return "Fig 11(a). Sequential read latency during recovery (us)\n" +
-		metrics.Table(append([]string{"size"}, Fig11aVariants...), rows)
-}
-
-// Fig11a measures sequentially reading a recovered log at different read
+// fig11a measures sequentially reading a recovered log at different read
 // sizes: through NCL (recovery prefetched the region — the amortized cost
 // is included), through NCL without prefetching (per-read RDMA), from the
 // dfs with readahead, and from the dfs with direct IO.
-func Fig11a(sc Scale, seed int64) (Fig11aResult, error) {
-	var res Fig11aResult
+func fig11a(sc Scale, seed int64) (Report, error) {
+	rep := Report{Title: "Fig 11(a). Sequential read latency during recovery"}
 	fileSize := int64(sc.LogSizeMB) << 20 / 4 // reads are slow; scale down
 	sizes := []int{128, 512, 2048, 8192}
 	if sc.Trace == nil {
@@ -302,10 +198,10 @@ func Fig11a(sc Scale, seed int64) (Fig11aResult, error) {
 		// recovery (controller, connects, peer sync) happens regardless of
 		// how reads are served afterwards.
 		prefetch := trace.Sum(col.Since(mark), "ncl", "recover.rdmaread")
-		type hasLog interface{ Log() *ncl.Log }
 		lg := nf.(hasLog).Log()
 
 		for _, size := range sizes {
+			cell := metrics.HumanBytes(int64(size))
 			buf := make([]byte, size)
 			reads := int(fileSize / int64(size))
 			if reads > 20000 {
@@ -317,16 +213,14 @@ func Fig11a(sc Scale, seed int64) (Fig11aResult, error) {
 				nf.Pread(p, buf, int64(i*size)) //nolint:errcheck
 			}
 			amortized := prefetch / time.Duration(fileSize/int64(size))
-			res.Points = append(res.Points, Fig11aPoint{Size: size, Variant: "NCL",
-				AvgLat: (p.Now()-start)/time.Duration(reads) + amortized})
+			rep.dur(cell, "NCL", (p.Now()-start)/time.Duration(reads)+amortized)
 
 			// NCL without prefetch: every read is a remote RDMA read.
 			start = p.Now()
 			for i := 0; i < reads/4; i++ {
 				lg.RemoteReadAt(p, buf, int64(i*size)) //nolint:errcheck
 			}
-			res.Points = append(res.Points, Fig11aPoint{Size: size, Variant: "NCL no prefetch",
-				AvgLat: (p.Now() - start) / time.Duration(reads/4)})
+			rep.dur(cell, "NCL no prefetch", (p.Now()-start)/time.Duration(reads/4))
 
 			// DFS with readahead (fresh mount per size for a cold cache).
 			dcl := c.DFS.Mount(c.AppNode)
@@ -338,8 +232,7 @@ func Fig11a(sc Scale, seed int64) (Fig11aResult, error) {
 			for i := 0; i < reads; i++ {
 				df.Pread(p, buf, int64(i*size)) //nolint:errcheck
 			}
-			res.Points = append(res.Points, Fig11aPoint{Size: size, Variant: "DFS",
-				AvgLat: (p.Now() - start) / time.Duration(reads)})
+			rep.dur(cell, "DFS", (p.Now()-start)/time.Duration(reads))
 			df.Close(p)
 
 			// DFS direct IO.
@@ -353,11 +246,10 @@ func Fig11a(sc Scale, seed int64) (Fig11aResult, error) {
 			for i := 0; i < reads/8; i++ {
 				df2.Pread(p, buf, int64(i*size)) //nolint:errcheck
 			}
-			res.Points = append(res.Points, Fig11aPoint{Size: size, Variant: "DFS direct IO",
-				AvgLat: (p.Now() - start) / time.Duration(reads/8)})
+			rep.dur(cell, "DFS direct IO", (p.Now()-start)/time.Duration(reads/8))
 			df2.Close(p)
 		}
 		return nil
 	})
-	return res, err
+	return rep, err
 }

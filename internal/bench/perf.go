@@ -1,109 +1,70 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"time"
 
-	"splitft/internal/metrics"
 	"splitft/internal/simnet"
 	"splitft/internal/ycsb"
 )
 
-// Perf is the simulator wall-clock performance suite behind
+// perf is the simulator wall-clock performance suite behind
 // `splitft-bench perf`. It mirrors the internal/simnet testing.B benchmarks
 // (event churn, yield and chan ping-pong, mutex convoy, RPC echo) and adds a
 // 12-client YCSB-A slice on the full SplitFT stack, reporting events
-// dispatched, wall-clock time, ns/event, events/sec and heap allocations per
-// event. The numbers are host-dependent — they gate nothing by themselves —
+// dispatched (virtual: a pure function of the seed), wall-clock time,
+// ns/event, events/sec and heap allocations per event (host). The host
+// numbers depend on the machine — only allocs_per_event is gated, loosely —
 // but BENCH_simnet.json keeps the trajectory visible in CI artifacts, and
 // the allocation columns should stay near zero for the pure scheduler rows.
-
-// PerfRow is one workload's measurement.
-type PerfRow struct {
-	Name           string  `json:"name"`
-	Events         uint64  `json:"events"`
-	WallNS         int64   `json:"wall_ns"`
-	NSPerEvent     float64 `json:"ns_per_event"`
-	EventsPerSec   float64 `json:"events_per_sec"`
-	Allocs         uint64  `json:"allocs"`
-	AllocsPerEvent float64 `json:"allocs_per_event"`
-}
-
-// PerfReport is the whole suite's result, JSON-shaped for BENCH_simnet.json.
-type PerfReport struct {
-	GoVersion string    `json:"go_version"`
-	GOOS      string    `json:"goos"`
-	GOARCH    string    `json:"goarch"`
-	CPUs      int       `json:"cpus"`
-	Profile   string    `json:"profile"`
-	Rows      []PerfRow `json:"rows"`
-}
-
-// Render formats the report as a table.
-func (r PerfReport) Render() string {
-	var rows [][]string
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.Name,
-			fmt.Sprintf("%d", row.Events),
-			fmt.Sprintf("%.1f", float64(row.WallNS)/1e6),
-			fmt.Sprintf("%.1f", row.NSPerEvent),
-			fmt.Sprintf("%.2f", row.EventsPerSec/1e6),
-			fmt.Sprintf("%.4f", row.AllocsPerEvent),
-		})
+func perf(sc Scale, seed int64) (Report, error) {
+	rep := Report{Title: fmt.Sprintf("Simulator performance (%s %s/%s, %d CPUs, profile %s)",
+		runtime.Version(), runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), sc.profile().Name)}
+	ysc := perfScale(sc)
+	for _, w := range []struct {
+		name string
+		run  func() (*simnet.Sim, error)
+	}{
+		{"event-churn", func() (*simnet.Sim, error) { return perfEventChurn(seed) }},
+		{"event-churn-fanout", func() (*simnet.Sim, error) { return perfEventChurnFanout(seed) }},
+		{"yield-pingpong", func() (*simnet.Sim, error) { return perfYieldPingPong(seed) }},
+		{"chan-pingpong", func() (*simnet.Sim, error) { return perfChanPingPong(seed) }},
+		{"mutex-convoy", func() (*simnet.Sim, error) { return perfMutexConvoy(seed) }},
+		{"rpc-echo", func() (*simnet.Sim, error) { return perfRPCEcho(seed) }},
+		{"ycsb-a-12c", func() (*simnet.Sim, error) { return perfYCSBSlice(ysc, seed) }},
+		{"scale-64c-4s", func() (*simnet.Sim, error) { return perfScaleSmoke(sc, seed) }},
+	} {
+		if err := measure(&rep, w.name, w.run); err != nil {
+			return rep, err
+		}
 	}
-	return fmt.Sprintf("Simulator performance (%s %s/%s, %d CPUs, profile %s)\n",
-		r.GoVersion, r.GOOS, r.GOARCH, r.CPUs, r.Profile) +
-		metrics.Table([]string{"Workload", "Events", "Wall (ms)", "ns/event", "Mevents/s", "allocs/event"}, rows)
+	return rep, nil
 }
 
-// WriteJSON writes the report to path (BENCH_simnet.json).
-func (r PerfReport) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// perfWorkload builds and runs one measured simulation. The returned Sim is
-// only read for its event counter.
-type perfWorkload struct {
-	name string
-	run  func() (*simnet.Sim, error)
-}
-
-// measure runs one workload with the allocation counters bracketing the
+// measure runs one workload — it builds and runs a simulation, returned
+// only for its event counter — with the allocation counters bracketing the
 // whole run (construction included: it is amortised over millions of events
 // and hiding it would overstate the steady state).
-func measure(w perfWorkload) (PerfRow, error) {
+func measure(rep *Report, name string, run func() (*simnet.Sim, error)) error {
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	t0 := time.Now()
-	s, err := w.run()
+	s, err := run()
 	wall := time.Since(t0)
 	runtime.ReadMemStats(&m1)
 	if err != nil {
-		return PerfRow{}, fmt.Errorf("%s: %w", w.name, err)
+		return fmt.Errorf("%s: %w", name, err)
 	}
-	row := PerfRow{
-		Name:   w.name,
-		Events: s.Events(),
-		WallNS: wall.Nanoseconds(),
-		Allocs: m1.Mallocs - m0.Mallocs,
-	}
-	if row.Events > 0 {
-		row.NSPerEvent = float64(row.WallNS) / float64(row.Events)
-		row.AllocsPerEvent = float64(row.Allocs) / float64(row.Events)
-	}
-	if wall > 0 {
-		row.EventsPerSec = float64(row.Events) / wall.Seconds()
-	}
-	return row, nil
+	events, allocs := float64(s.Events()), float64(m1.Mallocs-m0.Mallocs)
+	rep.add(name, "events", events, "count")
+	rep.host(name, "wall_ns", float64(wall.Nanoseconds()), "ns")
+	rep.host(name, "ns_per_event", float64(wall.Nanoseconds())/events, "ns")
+	rep.host(name, "events_per_sec", events/wall.Seconds(), "1/s")
+	rep.host(name, "allocs", allocs, "count")
+	rep.host(name, "allocs_per_event", allocs/events, "count")
+	return nil
 }
 
 // Suite sizes: large enough that per-event costs dominate setup, small
@@ -137,36 +98,6 @@ func perfScale(sc Scale) Scale {
 	return out
 }
 
-// Perf runs the suite and returns the report.
-func Perf(sc Scale, seed int64) (PerfReport, error) {
-	rep := PerfReport{
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		CPUs:      runtime.NumCPU(),
-		Profile:   sc.profile().Name,
-	}
-	ysc := perfScale(sc)
-	workloads := []perfWorkload{
-		{"event-churn", func() (*simnet.Sim, error) { return perfEventChurn(seed) }},
-		{"event-churn-fanout", func() (*simnet.Sim, error) { return perfEventChurnFanout(seed) }},
-		{"yield-pingpong", func() (*simnet.Sim, error) { return perfYieldPingPong(seed) }},
-		{"chan-pingpong", func() (*simnet.Sim, error) { return perfChanPingPong(seed) }},
-		{"mutex-convoy", func() (*simnet.Sim, error) { return perfMutexConvoy(seed) }},
-		{"rpc-echo", func() (*simnet.Sim, error) { return perfRPCEcho(seed) }},
-		{"ycsb-a-12c", func() (*simnet.Sim, error) { return perfYCSBSlice(ysc, seed) }},
-		{"scale-64c-4s", func() (*simnet.Sim, error) { return perfScaleSmoke(sc, seed) }},
-	}
-	for _, w := range workloads {
-		row, err := measure(w)
-		if err != nil {
-			return rep, err
-		}
-		rep.Rows = append(rep.Rows, row)
-	}
-	return rep, nil
-}
-
 func perfEventChurn(seed int64) (*simnet.Sim, error) {
 	s := simnet.New(seed)
 	s.Go("churn", func(p *simnet.Proc) {
@@ -180,7 +111,6 @@ func perfEventChurn(seed int64) (*simnet.Sim, error) {
 func perfEventChurnFanout(seed int64) (*simnet.Sim, error) {
 	s := simnet.New(seed)
 	for i := 0; i < perfFanoutProcs; i++ {
-		i := i
 		s.Go(fmt.Sprintf("churn%d", i), func(p *simnet.Proc) {
 			p.Sleep(time.Duration(i) * time.Nanosecond)
 			for j := 0; j < perfFanoutPer; j++ {
@@ -262,27 +192,15 @@ func perfRPCEcho(seed int64) (*simnet.Sim, error) {
 // multi-group Raft endpoint, the sharded znode tree and the pooled NCL
 // allocation path, which the YCSB row's single-app cluster barely touches.
 func perfScaleSmoke(sc Scale, seed int64) (*simnet.Sim, error) {
-	cfg := SmokeScaleConfig()
-	_, s, err := runScalePointSim(cfg, sc, seed, cfg.Shards[0], cfg.Clients[0])
-	return s, err
+	cfg := smokeScaleConfig()
+	var rep Report
+	return runScalePoint(&rep, cfg, sc, seed, cfg.Shards[0], cfg.Clients[0])
 }
 
 // perfYCSBSlice is the end-to-end row: the full SplitFT stack (controllers,
 // peers, dfs, kvstore) under 12 closed-loop YCSB-A clients for a short
 // measured window. It exercises every layer the other rows skip.
 func perfYCSBSlice(sc Scale, seed int64) (*simnet.Sim, error) {
-	c := newClusterSized(sc, seed, datasetBytes(sc.LoadKeys))
-	err := c.Run(func(p *simnet.Proc) error {
-		a, err := newApp(c, p, "kvstore", CfgSplitFT, sc.LoadKeys)
-		if err != nil {
-			return err
-		}
-		if err := loadApp(c, p, a, sc.LoadKeys); err != nil {
-			return err
-		}
-		startServer(c, "kv", a)
-		runWorkload(c, p, "kv", ycsb.WorkloadA, sc.LoadKeys, sc.Clients, sc, nil)
-		return nil
-	})
-	return c.Sim, err
+	_, s, err := ycsbRun{"kvstore", CfgSplitFT, "kv", sc.LoadKeys, ycsb.WorkloadA, sc.Clients}.run(sc, seed)
+	return s, err
 }

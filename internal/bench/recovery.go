@@ -8,10 +8,8 @@ import (
 	"splitft/internal/apps/litedb"
 	"splitft/internal/apps/redstore"
 	"splitft/internal/core"
-	"splitft/internal/dfs"
 	"splitft/internal/harness"
 	"splitft/internal/metrics"
-	"splitft/internal/ncl"
 	"splitft/internal/simnet"
 	"splitft/internal/trace"
 	"splitft/internal/ycsb"
@@ -19,69 +17,30 @@ import (
 
 // ---- Fig 11(b): application recovery time ----
 
-// Fig11bRow is one (app, variant) recovery measurement with the NCL phase
-// breakdown (zero for the DFT and local-ext4 variants). The phases come from
-// the "ncl"/"recover.*" trace spans emitted during the recovering open.
-type Fig11bRow struct {
-	App     string
-	Variant string // "SplitFT", "DFT", "local ext4"
-	Total   time.Duration
-	// SplitFT only: time in each NCL recovery phase (Fig 11b's stacking).
-	GetPeer  time.Duration // controller ap-map fetch
-	Connect  time.Duration // peer lookups + QP connects
-	RdmaRead time.Duration // header quorum reads + region prefetch
-	SyncPeer time.Duration // catch-up of lagging peers + replacements
-	Parse    time.Duration // application-level read + parse + rebuild
-}
-
-// Fig11bResult holds all rows.
-type Fig11bResult struct {
-	Rows []Fig11bRow
-}
-
-// Render prints recovery time and the SplitFT breakdown.
-func (r Fig11bResult) Render() string {
-	var rows [][]string
-	for _, row := range r.Rows {
-		breakdown := "-"
-		if row.Variant == "SplitFT" {
-			breakdown = fmt.Sprintf("get peer %.1fms, connect %.1fms, rdma read %.1fms, sync peer %.1fms",
-				row.GetPeer.Seconds()*1000, row.Connect.Seconds()*1000,
-				row.RdmaRead.Seconds()*1000, row.SyncPeer.Seconds()*1000)
-		}
-		rows = append(rows, []string{row.App, row.Variant,
-			fmt.Sprintf("%.0fms", row.Total.Seconds()*1000),
-			fmt.Sprintf("%.0fms", row.Parse.Seconds()*1000), breakdown})
-	}
-	return "Fig 11(b). Recovery time for a " + fmt.Sprint(cap11bMB) + "MB log\n" +
-		metrics.Table([]string{"app", "variant", "total", "parse", "ncl breakdown"}, rows)
-}
-
-var cap11bMB = 60
-
-// Fig11b measures how long each application takes to recover a log of
+// fig11b measures how long each application takes to recover a log of
 // sc.LogSizeMB from NCL peers (SplitFT), from the dfs (DFT — weak and
 // strong recover identically), and from a local ext4 disk (unrealistic
-// comparison point, as in the paper).
-func Fig11b(sc Scale, seed int64) (Fig11bResult, error) {
-	cap11bMB = sc.LogSizeMB
-	var res Fig11bResult
+// comparison point, as in the paper). SplitFT cells also carry the NCL
+// phase breakdown (Fig 11b's stacking), queried from the "ncl"/"recover.*"
+// trace spans of the recovering open; parse is the application-level read +
+// parse + rebuild that remains.
+func fig11b(sc Scale, seed int64) (Report, error) {
+	rep := Report{Title: fmt.Sprintf("Fig 11(b). Recovery time for a %dMB log", sc.LogSizeMB)}
 	for _, appName := range []string{"kvstore", "redstore", "litedb"} {
 		for _, variant := range []string{"SplitFT", "DFT", "local ext4"} {
-			row, err := recoverOnce(sc, seed, appName, variant)
-			if err != nil {
-				return res, fmt.Errorf("fig11b %s/%s: %w", appName, variant, err)
+			if err := recoverOnce(&rep, sc, seed, appName, variant); err != nil {
+				return rep, fmt.Errorf("fig11b %s/%s: %w", appName, variant, err)
 			}
-			res.Rows = append(res.Rows, row)
 		}
 	}
-	return res, nil
+	return rep, nil
 }
 
 // recoverOnce builds a log of the target size, crashes the app, and times
-// recovery. The NCL phase breakdown is a span query over the recovery window.
-func recoverOnce(sc Scale, seed int64, appName, variant string) (Fig11bRow, error) {
-	row := Fig11bRow{App: appName, Variant: variant}
+// recovery into rep's appName/variant cell. The NCL phase breakdown is a
+// span query over the recovery window.
+func recoverOnce(rep *Report, sc Scale, seed int64, appName, variant string) error {
+	cell := appName + "/" + variant
 	if sc.Trace == nil {
 		sc.Trace = trace.New() // breakdown needs spans even without -trace
 	}
@@ -94,11 +53,11 @@ func recoverOnce(sc Scale, seed int64, appName, variant string) (Fig11bRow, erro
 	if variant != "SplitFT" {
 		cfg = CfgStrong // DFT recovers from the dfs regardless of weak/strong
 	}
-	err := c.Run(func(p *simnet.Proc) error {
+	return c.Run(func(p *simnet.Proc) error {
 		fsOpts := func(fencing int64) core.Options {
 			o := c.FSOptions(appName, fencing)
 			if variant == "local ext4" {
-				o.DFS = localClusterFor(c)
+				o.DFS = c.LocalFS
 			}
 			return o
 		}
@@ -132,20 +91,18 @@ func recoverOnce(sc Scale, seed int64, appName, variant string) (Fig11bRow, erro
 		if err := recoverApp(p, c, fs2, appName, cfg); err != nil {
 			return err
 		}
-		row.Total = p.Now() - start
+		total := p.Now() - start
 		spans := col.Since(mark)
-		row.GetPeer = trace.Sum(spans, "ncl", "recover.getpeer")
-		row.Connect = trace.Sum(spans, "ncl", "recover.connect")
-		row.RdmaRead = trace.Sum(spans, "ncl", "recover.rdmaread")
-		row.SyncPeer = trace.Sum(spans, "ncl", "recover.syncpeer")
-		row.Parse = row.Total - trace.Sum(spans, "ncl", "recover.")
+		rep.dur(cell, "total", total)
+		rep.dur(cell, "parse", total-trace.Sum(spans, "ncl", "recover."))
+		if variant == "SplitFT" {
+			for _, phase := range []string{"getpeer", "connect", "rdmaread", "syncpeer"} {
+				rep.dur(cell, phase, trace.Sum(spans, "ncl", "recover."+phase))
+			}
+		}
 		return nil
 	})
-	return row, err
 }
-
-// localClusterFor returns the harness's local-ext4 cluster.
-func localClusterFor(c *harness.Cluster) *dfs.Cluster { return c.LocalFS }
 
 // fillLog writes application data until the active log reaches target
 // bytes, with settings that prevent rotation/checkpointing first.
@@ -153,9 +110,7 @@ func fillLog(p *simnet.Proc, c *harness.Cluster, fs *core.FS, appName, cfg strin
 	val := make([]byte, ycsb.ValueSize)
 	switch appName {
 	case "kvstore":
-		dbCfg := kvstore.DefaultConfig()
-		dbCfg.KVStoreCosts = c.Profile.Apps.KVStore
-		dbCfg.Durability = kvDurability(cfg)
+		dbCfg := kvConfig(c, cfg)
 		dbCfg.MemtableBytes = target * 2 // never rotate
 		dbCfg.WALRegion = target + target/4
 		db, err := kvstore.Open(p, fs, dbCfg)
@@ -168,9 +123,7 @@ func fillLog(p *simnet.Proc, c *harness.Cluster, fs *core.FS, appName, cfg strin
 			}
 		}
 	case "redstore":
-		sCfg := redstore.DefaultConfig()
-		sCfg.RedStoreCosts = c.Profile.Apps.RedStore
-		sCfg.Durability = redDurability(cfg)
+		sCfg := redConfig(c, cfg)
 		sCfg.AOFRewriteBytes = target * 2
 		sCfg.AOFRegion = target + target/4
 		st, err := redstore.Open(p, fs, sCfg)
@@ -183,9 +136,7 @@ func fillLog(p *simnet.Proc, c *harness.Cluster, fs *core.FS, appName, cfg strin
 			}
 		}
 	case "litedb":
-		dbCfg := litedb.DefaultConfig()
-		dbCfg.LiteDBCosts = c.Profile.Apps.LiteDB
-		dbCfg.Durability = liteDurability(cfg)
+		dbCfg := liteConfig(c, cfg)
 		dbCfg.WALBytes = target + target/8 // one generation fills the target
 		dbCfg.NPages = int(target / 4096 * 2)
 		db, err := litedb.Open(p, fs, dbCfg)
@@ -208,24 +159,18 @@ func fillLog(p *simnet.Proc, c *harness.Cluster, fs *core.FS, appName, cfg strin
 func recoverApp(p *simnet.Proc, c *harness.Cluster, fs *core.FS, appName, cfg string) error {
 	switch appName {
 	case "kvstore":
-		dbCfg := kvstore.DefaultConfig()
-		dbCfg.KVStoreCosts = c.Profile.Apps.KVStore
-		dbCfg.Durability = kvDurability(cfg)
+		dbCfg := kvConfig(c, cfg)
 		dbCfg.MemtableBytes = 1 << 40 // recovery only; avoid rotation
 		dbCfg.WALRegion = 64 << 20    // fresh active WAL after replay
 		_, err := kvstore.Recover(p, fs, dbCfg)
 		return err
 	case "redstore":
-		sCfg := redstore.DefaultConfig()
-		sCfg.RedStoreCosts = c.Profile.Apps.RedStore
-		sCfg.Durability = redDurability(cfg)
+		sCfg := redConfig(c, cfg)
 		sCfg.AOFRegion = 64 << 20
 		_, err := redstore.Recover(p, fs, sCfg)
 		return err
 	case "litedb":
-		dbCfg := litedb.DefaultConfig()
-		dbCfg.LiteDBCosts = c.Profile.Apps.LiteDB
-		dbCfg.Durability = liteDurability(cfg)
+		dbCfg := liteConfig(c, cfg)
 		dbCfg.WALBytes = 64 << 20
 		dbCfg.NPages = 1 << 15
 		_, err := litedb.Recover(p, fs, dbCfg)
@@ -236,38 +181,13 @@ func recoverApp(p *simnet.Proc, c *harness.Cluster, fs *core.FS, appName, cfg st
 
 // ---- Table 3: peer replacement latency breakdown ----
 
-// Table3Result is the breakdown of replacing a failed peer that held a
-// sc.LogSizeMB region, queried from the "ncl"/"replace.*" trace spans of one
-// replacement.
-type Table3Result struct {
-	GetPeer time.Duration // controller peer query
-	Connect time.Duration // region setup + MR registration + QP connect
-	CatchUp time.Duration // bulk transfer from the writer's local buffer
-	ApMap   time.Duration // ap-map CAS on the controller
-}
-
-// Total sums the replacement steps.
-func (r Table3Result) Total() time.Duration {
-	return r.GetPeer + r.Connect + r.CatchUp + r.ApMap
-}
-
-// Render formats the paper-style step table.
-func (r Table3Result) Render() string {
-	rows := [][]string{
-		{"Get new peer from controller", fmtUS(r.GetPeer)},
-		{"Connect to new peer and set up MR", fmtUS(r.Connect)},
-		{"Catch up new peer", fmtUS(r.CatchUp)},
-		{"Update ap-map on controller", fmtUS(r.ApMap)},
-		{"Total", fmtUS(r.Total())},
-	}
-	return "Table 3. Peer recovery latency breakdown\n" +
-		metrics.Table([]string{"Step", "Time (us)"}, rows)
-}
-
-// Table3 opens a log, fills it to the target size, crashes one member peer
-// and reports the replacement breakdown.
-func Table3(sc Scale, seed int64) (Table3Result, error) {
-	var res Table3Result
+// table3 opens a log, fills it to sc.LogSizeMB, crashes one member peer and
+// reports the replacement's steps, queried from the "ncl"/"replace.*" trace
+// spans: the controller peer query, region setup + MR registration + QP
+// connect, the bulk transfer from the writer's local buffer, and the
+// ap-map CAS.
+func table3(sc Scale, seed int64) (Report, error) {
+	rep := Report{Title: "Table 3. Peer recovery latency breakdown"}
 	if sc.Trace == nil {
 		sc.Trace = trace.New()
 	}
@@ -289,7 +209,6 @@ func Table3(sc Scale, seed int64) (Table3Result, error) {
 				return err
 			}
 		}
-		type hasLog interface{ Log() *ncl.Log }
 		lg := nf.(hasLog).Log()
 		victim := lg.LivePeers()[0]
 		mark := col.Len()
@@ -302,43 +221,36 @@ func Table3(sc Scale, seed int64) (Table3Result, error) {
 			p.Sleep(5 * time.Millisecond)
 		}
 		spans := col.Since(mark)
-		res.GetPeer = trace.Sum(spans, "ncl", "replace.getpeer")
-		res.Connect = trace.Sum(spans, "ncl", "replace.connect")
-		res.CatchUp = trace.Sum(spans, "ncl", "replace.catchup")
-		res.ApMap = trace.Sum(spans, "ncl", "replace.apmap")
+		var total time.Duration
+		for _, step := range []string{"getpeer", "connect", "catchup", "apmap"} {
+			d := trace.Sum(spans, "ncl", "replace."+step)
+			rep.dur(step, "time", d)
+			total += d
+		}
+		rep.dur("total", "time", total)
 		return nil
 	})
-	return res, err
+	return rep, err
 }
 
 // ---- Fig 1(a)-(c): IO size distributions ----
 
-// Fig1Result holds, per application, the CDFs of durable write sizes by
-// file class (log vs background), collected under a strong write-only run.
-type Fig1Result struct {
-	App    string
-	LogCDF *metrics.SizeCDF
-	BgCDF  *metrics.SizeCDF
-}
-
-// Render prints quantiles of both distributions.
-func (r Fig1Result) Render() string {
-	q := []float64{0.1, 0.5, 0.9, 0.99, 1.0}
-	var rows [][]string
-	for _, f := range q {
-		rows = append(rows, []string{fmt.Sprintf("p%02.0f", f*100),
-			metrics.HumanBytes(r.LogCDF.Quantile(f)), metrics.HumanBytes(r.BgCDF.Quantile(f))})
+// fig1 traces durable write sizes for each application under a
+// strong-mode write-only workload, classifying the "core"/"write.*" spans
+// by file name into log vs background writes (the paper's Fig 1a-c): the
+// sample counts per app, then the quantiles of both size distributions.
+func fig1(sc Scale, seed int64) (Report, error) {
+	rep := Report{Title: "Fig 1: durable write sizes, log vs background"}
+	for _, appName := range sc.Apps {
+		if err := fig1App(&rep, appName, sc, seed); err != nil {
+			return rep, fmt.Errorf("fig1 %s: %w", appName, err)
+		}
 	}
-	return fmt.Sprintf("Fig 1 (%s): durable write sizes — log (n=%d) vs background (n=%d)\n",
-		r.App, r.LogCDF.Count(), r.BgCDF.Count()) +
-		metrics.Table([]string{"quantile", "log writes", "background writes"}, rows)
+	return rep, nil
 }
 
-// Fig1 traces durable write sizes for one application under a strong-mode
-// write-only workload, classifying the "core"/"write.*" spans by file name
-// (the paper's Fig 1a-c).
-func Fig1(appName string, sc Scale, seed int64) (Fig1Result, error) {
-	res := Fig1Result{App: appName, LogCDF: &metrics.SizeCDF{}, BgCDF: &metrics.SizeCDF{}}
+func fig1App(rep *Report, appName string, sc Scale, seed int64) error {
+	var logCDF, bgCDF metrics.SizeCDF
 	if sc.Trace == nil {
 		sc.Trace = trace.New()
 	}
@@ -351,7 +263,7 @@ func Fig1(appName string, sc Scale, seed int64) (Fig1Result, error) {
 			return err
 		}
 		// Mark after load so only workload IO is counted.
-		if err := loadApp(c, p, a, keys); err != nil {
+		if err := a.load(p, keys); err != nil {
 			return err
 		}
 		mark := col.Len()
@@ -360,22 +272,31 @@ func Fig1(appName string, sc Scale, seed int64) (Fig1Result, error) {
 		if appName == "litedb" {
 			clients = 1
 		}
-		spec := ycsb.Spec{Name: "write-only", UpdateProp: 1.0, Dist: ycsb.Zipfian}
-		runWorkload(c, p, "app", spec, keys, clients, sc, nil)
+		runWorkload(c, p, "app", writeOnly, keys, clients, sc, nil)
 		for _, sp := range trace.Filter(col.Since(mark), "core", "write.") {
 			n := sp.IntAttr("bytes")
 			if n == 0 {
 				continue // clean dfs sync: nothing hit storage
 			}
 			if isLogPath(sp.StrAttr("path")) {
-				res.LogCDF.Add(n)
+				logCDF.Add(n)
 			} else {
-				res.BgCDF.Add(n)
+				bgCDF.Add(n)
 			}
 		}
 		return nil
 	})
-	return res, err
+	if err != nil {
+		return err
+	}
+	rep.add(appName, "log_writes", float64(logCDF.Count()), "count")
+	rep.add(appName, "bg_writes", float64(bgCDF.Count()), "count")
+	for _, q := range []float64{0.1, 0.5, 0.9, 0.99, 1.0} {
+		cell := fmt.Sprintf("%s/p%02.0f", appName, q*100)
+		rep.add(cell, "log_write", float64(logCDF.Quantile(q)), "bytes")
+		rep.add(cell, "bg_write", float64(bgCDF.Quantile(q)), "bytes")
+	}
+	return nil
 }
 
 // isLogPath classifies traced paths into the log class (Table 2's second

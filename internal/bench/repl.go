@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"splitft/internal/core"
@@ -23,62 +21,12 @@ import (
 // single-WR ack vs mirror's data+header pair vs ec's encode+all-cells ack),
 // and recovery time (mirror's prefetch vs reconstruction/read-repair).
 // Virtual time keeps every number deterministic; BENCH_repl.json pins the
-// sweep in CI and TestReplPerfGate fails loudly on silent drift.
+// sweep in CI and TestBaselines fails loudly on silent drift.
 
-// ReplRow is one measured (policy, profile) cell.
-type ReplRow struct {
-	Policy     string  `json:"policy"`
-	Profile    string  `json:"profile"`
-	MemFactor  float64 `json:"mem_factor"` // remote bytes per byte of log capacity
-	WriteP50NS int64   `json:"write_p50_ns"`
-	WriteP99NS int64   `json:"write_p99_ns"`
-	RecoveryNS int64   `json:"recovery_ns"`
-}
-
-// ReplReport is the whole sweep, JSON-shaped for BENCH_repl.json.
-type ReplReport struct {
-	Rows []ReplRow `json:"rows"`
-}
-
-// Row returns the (policy, profile) cell, or nil.
-func (r ReplReport) Row(policy, profile string) *ReplRow {
-	for i := range r.Rows {
-		if r.Rows[i].Policy == policy && r.Rows[i].Profile == profile {
-			return &r.Rows[i]
-		}
-	}
-	return nil
-}
-
-// Render formats the report as a table.
-func (r ReplReport) Render() string {
-	var rows [][]string
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.Policy, row.Profile,
-			fmt.Sprintf("%.2fx", row.MemFactor),
-			fmtUS(time.Duration(row.WriteP50NS)),
-			fmtUS(time.Duration(row.WriteP99NS)),
-			fmt.Sprintf("%.2f", time.Duration(row.RecoveryNS).Seconds()*1000),
-		})
-	}
-	return fmt.Sprintf("NCL replication policies (%d x 4 KiB records, virtual time)\n", replRecords) +
-		metrics.Table([]string{"Policy", "Profile", "Memory", "Write p50 (us)", "Write p99 (us)", "Recovery (ms)"}, rows)
-}
-
-// WriteJSON writes the report to path (BENCH_repl.json).
-func (r ReplReport) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ReplPolicies is the sweep's policy axis: the paper's mirror protocol as
+// replPolicies is the sweep's policy axis: the paper's mirror protocol as
 // the anchor, the erasure-coded layout at the canonical 4+2 shape, and the
 // one-RTT quorum variant.
-var ReplPolicies = []string{"mirror", "ec:4,2", "quorum"}
+var replPolicies = []string{"mirror", "ec:4,2", "quorum"}
 
 const (
 	// replRecords x replRecBytes fills ~1 MiB of log — large enough that
@@ -93,34 +41,33 @@ const (
 	replPeerMem = 512 << 20
 )
 
-// RunRepl runs the policy x profile sweep and returns the report.
-func RunRepl(sc Scale, seed int64) (ReplReport, error) {
-	var rep ReplReport
-	for _, pol := range ReplPolicies {
+// repl runs the policy x profile sweep: one cell per (policy, profile) with
+// mem_factor in remote bytes per byte of log capacity.
+func repl(sc Scale, seed int64) (Report, error) {
+	rep := Report{Title: fmt.Sprintf("NCL replication policies (%d x 4 KiB records, virtual time)", replRecords)}
+	for _, pol := range replPolicies {
 		for _, profName := range model.Names() {
-			row, err := replOnce(sc, seed, pol, profName)
-			if err != nil {
+			if err := replOnce(&rep, sc, seed, pol, profName); err != nil {
 				return rep, fmt.Errorf("repl %s/%s: %w", pol, profName, err)
 			}
-			rep.Rows = append(rep.Rows, row)
 		}
 	}
 	return rep, nil
 }
 
 // replOnce measures one (policy, profile) cell on a fresh cluster.
-func replOnce(sc Scale, seed int64, policy, profName string) (ReplRow, error) {
-	row := ReplRow{Policy: policy, Profile: profName}
+func replOnce(rep *Report, sc Scale, seed int64, policy, profName string) error {
+	cell := policy + "/" + profName
 	prof, err := model.Resolve(profName)
 	if err != nil {
-		return row, err
+		return err
 	}
 	prof.NCL.Replication = policy
 	c := harness.New(harness.Options{
 		Seed: seed, NumPeers: 8, PeerMem: replPeerMem, AppCores: 10,
 		WithLocalFS: true, Profile: prof, Trace: sc.Trace,
 	})
-	err = c.Run(func(p *simnet.Proc) error {
+	return c.Run(func(p *simnet.Proc) error {
 		var hist metrics.Histogram
 		filled := make(chan struct{}, 1)
 		c.AppNode.Go("app-v1", func(wp *simnet.Proc) {
@@ -146,8 +93,6 @@ func replOnce(sc Scale, seed int64, policy, profName string) (ReplRow, error) {
 		for len(filled) == 0 {
 			p.Sleep(10 * time.Millisecond)
 		}
-		row.WriteP50NS = hist.Percentile(0.50).Nanoseconds()
-		row.WriteP99NS = hist.Percentile(0.99).Nanoseconds()
 
 		// The registry's bill for this log: every byte the peers stopped
 		// lending. The policy's MemoryFactor promises exactly this number.
@@ -155,7 +100,9 @@ func replOnce(sc Scale, seed int64, policy, profName string) (ReplRow, error) {
 		for _, pr := range c.Peers {
 			reserved += replPeerMem - pr.Avail()
 		}
-		row.MemFactor = float64(reserved) / float64(replCapacity)
+		rep.add(cell, "mem_factor", float64(reserved)/float64(replCapacity), "x")
+		rep.dur(cell, "write_p50_ns", hist.Percentile(0.50))
+		rep.dur(cell, "write_p99_ns", hist.Percentile(0.99))
 
 		c.CrashApp()
 		p.Sleep(10 * time.Millisecond)
@@ -169,19 +116,17 @@ func replOnce(sc Scale, seed int64, policy, profName string) (ReplRow, error) {
 		if err != nil {
 			return err
 		}
-		row.RecoveryNS = (p.Now() - start).Nanoseconds()
+		rep.dur(cell, "recovery_ns", p.Now()-start)
 		if nf2.Size() != int64(replRecords*replRecBytes) {
 			return fmt.Errorf("recovered %d bytes, want %d", nf2.Size(), replRecords*replRecBytes)
 		}
 		// Recovered under the policy it was written with, regardless of the
 		// recovering process's own defaults.
-		type hasLog interface{ Log() *ncl.Log }
 		if got := nf2.(hasLog).Log().Policy().String(); got != policySpecString(policy) {
 			return fmt.Errorf("recovered under %s, want %s", got, policy)
 		}
 		return nil
 	})
-	return row, err
 }
 
 // policySpecString canonicalizes a policy string through the parser.

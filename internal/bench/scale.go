@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"time"
@@ -13,7 +12,7 @@ import (
 	"splitft/internal/ycsb"
 )
 
-// ScaleRun is the control-plane scaling experiment behind
+// scale is the control-plane scaling experiment behind
 // `splitft-bench scale`: N independent applications, each an open-loop
 // Poisson client appending to its own replicated WAL and rotating it every
 // RotateEvery records, all sharing one controller. Every client holds a
@@ -30,8 +29,8 @@ import (
 // queueing delay appears in the latency columns instead of silently
 // throttling offered load.
 
-// ScaleConfig sizes the sweep.
-type ScaleConfig struct {
+// scaleConfig sizes the sweep.
+type scaleConfig struct {
 	Clients []int // client counts to sweep
 	Shards  []int // controller data-shard counts to compare
 
@@ -50,13 +49,13 @@ type ScaleConfig struct {
 	BootDeadline time.Duration
 }
 
-// DefaultScaleConfig is the full sweep (10 .. 1000 clients, 1 vs 8 shards).
+// defaultScaleConfig is the full sweep (10 .. 1000 clients, 1 vs 8 shards).
 // At 1000 clients the control-plane load (ap-map rotations plus session
 // keepalives) passes a single group's apply-path capacity, so the 1-shard
 // column saturates while the 8-shard column stays flat — the knee the
 // experiment exists to show.
-func DefaultScaleConfig() ScaleConfig {
-	return ScaleConfig{
+func defaultScaleConfig() scaleConfig {
+	return scaleConfig{
 		Clients:     []int{10, 50, 100, 250, 500, 1000},
 		Shards:      []int{1, 8},
 		Rate:        20,
@@ -74,9 +73,9 @@ func DefaultScaleConfig() ScaleConfig {
 	}
 }
 
-// SmokeScaleConfig is the CI-sized single point (64 clients, 4 shards).
-func SmokeScaleConfig() ScaleConfig {
-	return ScaleConfig{
+// smokeScaleConfig is the CI-sized single point (64 clients, 4 shards).
+func smokeScaleConfig() scaleConfig {
+	return scaleConfig{
 		Clients:      []int{64},
 		Shards:       []int{4},
 		Rate:         20,
@@ -90,74 +89,22 @@ func SmokeScaleConfig() ScaleConfig {
 	}
 }
 
-// ScalePoint is one (shards, clients) measurement.
-type ScalePoint struct {
-	Shards  int `json:"shards"`
-	Clients int `json:"clients"`
-	// Booted counts clients that completed boot before the deadline; only
-	// their operations contribute to the other columns.
-	Booted      int     `json:"booted"`
-	OfferedKOps float64 `json:"offered_kops"`
-	KOps        float64 `json:"kops"`
-	P50         float64 `json:"p50_us"`
-	P99         float64 `json:"p99_us"`
-	Mean        float64 `json:"mean_us"`
-	// Errs counts failed operations in the window: rotations or appends that
-	// lost to session expiry, ap-map update timeouts, or a full region after
-	// repeated rotation failures.
-	Errs   int64  `json:"errs"`
-	Events uint64 `json:"sim_events"`
-}
-
-// ScaleReport is the whole sweep, JSON-shaped for BENCH_scale.json.
-type ScaleReport struct {
-	Profile string       `json:"profile"`
-	Seed    int64        `json:"seed"`
-	Points  []ScalePoint `json:"points"`
-}
-
-// Render formats the report as a table.
-func (r ScaleReport) Render() string {
-	var rows [][]string
-	for _, pt := range r.Points {
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", pt.Shards),
-			fmt.Sprintf("%d", pt.Clients),
-			fmt.Sprintf("%d", pt.Booted),
-			fmt.Sprintf("%.2f", pt.OfferedKOps),
-			fmt.Sprintf("%.2f", pt.KOps),
-			fmt.Sprintf("%.0f", pt.P50),
-			fmt.Sprintf("%.0f", pt.P99),
-			fmt.Sprintf("%d", pt.Errs),
-		})
-	}
-	return fmt.Sprintf("Control-plane scaling (profile %s, open-loop Poisson clients)\n", r.Profile) +
-		metrics.Table([]string{"Shards", "Clients", "Booted", "Offered (KOps/s)", "Done (KOps/s)", "P50 (us)", "P99 (us)", "Errs"}, rows)
-}
-
-// WriteJSON writes the report to path (BENCH_scale.json).
-func (r ScaleReport) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ScaleRun executes the sweep. Points can take minutes of wall clock at the
+// scale executes the sweep (the smoke point under Scale.Smoke), one cell
+// per (shards, clients) point. Points can take minutes of wall clock at the
 // saturated end, so progress goes to stderr as each one lands.
-func ScaleRun(cfg ScaleConfig, sc Scale, seed int64) (ScaleReport, error) {
-	rep := ScaleReport{Profile: sc.profile().Name, Seed: seed}
+func scale(sc Scale, seed int64) (Report, error) {
+	rep := Report{Title: fmt.Sprintf("Control-plane scaling (profile %s, open-loop Poisson clients)", sc.profile().Name)}
+	cfg := defaultScaleConfig()
+	if sc.Smoke {
+		cfg = smokeScaleConfig()
+	}
 	for _, shards := range cfg.Shards {
 		for _, clients := range cfg.Clients {
 			t0 := time.Now()
-			pt, err := runScalePoint(cfg, sc, seed, shards, clients)
-			if err != nil {
+			if _, err := runScalePoint(&rep, cfg, sc, seed, shards, clients); err != nil {
 				return rep, fmt.Errorf("scale %d shards %d clients: %w", shards, clients, err)
 			}
-			fmt.Fprintf(os.Stderr, "[scale] shards=%d clients=%d booted=%d done=%.2f KOps/s errs=%d (%.1fs wall)\n",
-				pt.Shards, pt.Clients, pt.Booted, pt.KOps, pt.Errs, time.Since(t0).Seconds())
-			rep.Points = append(rep.Points, pt)
+			fmt.Fprintf(os.Stderr, "[scale] shards=%d clients=%d done (%.1fs wall)\n", shards, clients, time.Since(t0).Seconds())
 		}
 	}
 	return rep, nil
@@ -180,14 +127,13 @@ type scaleClient struct {
 	hist    metrics.Histogram
 }
 
-func runScalePoint(cfg ScaleConfig, sc Scale, seed int64, shards, clients int) (ScalePoint, error) {
-	pt, _, err := runScalePointSim(cfg, sc, seed, shards, clients)
-	return pt, err
-}
-
-// runScalePointSim additionally returns the simulation (the perf suite reads
-// its event counter).
-func runScalePointSim(cfg ScaleConfig, sc Scale, seed int64, shards, clients int) (ScalePoint, *simnet.Sim, error) {
+// runScalePoint measures one (shards, clients) point into rep and returns
+// the simulation (the perf suite reads its event counter). booted counts
+// clients that completed boot before the deadline — only their operations
+// contribute to the other columns; errs counts operations that failed in
+// the window: rotations or appends that lost to session expiry, ap-map
+// update timeouts, or a full region after repeated rotation failures.
+func runScalePoint(rep *Report, cfg scaleConfig, sc Scale, seed int64, shards, clients int) (*simnet.Sim, error) {
 	prof := *sc.profile()
 	// The pooled-controller configuration under test: sharded znode tree,
 	// TTL-cached peer registry with rendezvous placement, coalesced peer
@@ -221,25 +167,9 @@ func runScalePointSim(cfg ScaleConfig, sc Scale, seed int64, shards, clients int
 		startWG.Add(1)
 		doneWG.Add(clients)
 		for i := 0; i < clients; i++ {
-			i := i
 			p.GoOn(nodes[i], fmt.Sprintf("scale-client%d", i), func(cp *simnet.Proc) {
 				defer doneWG.Done(cp)
 				runScaleClient(cp, c, cfg, res[i], &win, &bootWG, &startWG, i)
-			})
-		}
-		if os.Getenv("SCALE_HEARTBEAT") != "" {
-			p.Go("scale-heartbeat", func(hp *simnet.Proc) {
-				for {
-					hp.Sleep(5 * time.Second)
-					booted := 0
-					for _, r := range res {
-						if r.booted {
-							booted++
-						}
-					}
-					fmt.Fprintf(os.Stderr, "[scale] t=%.0fs booted=%d/%d events=%d\n",
-						hp.Now().Seconds(), booted, clients, c.Sim.Events())
-				}
 			})
 		}
 		bootWG.Wait(p)
@@ -250,28 +180,31 @@ func runScalePointSim(cfg ScaleConfig, sc Scale, seed int64, shards, clients int
 		return nil
 	})
 	if err != nil {
-		return ScalePoint{}, c.Sim, err
+		return c.Sim, err
 	}
 
-	pt := ScalePoint{Shards: shards, Clients: clients, Events: c.Sim.Events()}
 	var hist metrics.Histogram
-	var offered, done int64
+	var booted, offered, done, errs int64
 	for _, r := range res {
 		if r.booted {
-			pt.Booted++
+			booted++
 		}
 		offered += r.offered
 		done += r.done
-		pt.Errs += r.errs
+		errs += r.errs
 		hist.Merge(&r.hist)
 	}
+	cell := fmt.Sprintf("%ds/%dc", shards, clients)
 	secs := cfg.Window.Seconds()
-	pt.OfferedKOps = float64(offered) / secs / 1000
-	pt.KOps = float64(done) / secs / 1000
-	pt.P50 = float64(hist.Percentile(0.50).Nanoseconds()) / 1000
-	pt.P99 = float64(hist.Percentile(0.99).Nanoseconds()) / 1000
-	pt.Mean = float64(hist.Mean().Nanoseconds()) / 1000
-	return pt, c.Sim, nil
+	rep.add(cell, "booted", float64(booted), "count")
+	rep.add(cell, "offered_kops", float64(offered)/secs/1000, "KOps/s")
+	rep.add(cell, "kops", float64(done)/secs/1000, "KOps/s")
+	rep.add(cell, "p50_us", float64(hist.Percentile(0.50).Nanoseconds())/1000, "us")
+	rep.add(cell, "p99_us", float64(hist.Percentile(0.99).Nanoseconds())/1000, "us")
+	rep.add(cell, "mean_us", float64(hist.Mean().Nanoseconds())/1000, "us")
+	rep.add(cell, "errs", float64(errs), "count")
+	rep.add(cell, "sim_events", float64(c.Sim.Events()), "count")
+	return c.Sim, nil
 }
 
 // runScaleClient boots one application (session, instance lock, first WAL)
@@ -280,7 +213,7 @@ func runScalePointSim(cfg ScaleConfig, sc Scale, seed int64, shards, clients int
 // RotateEvery records. Latency is measured from the scheduled arrival time,
 // so an operation that queued behind a slow predecessor — or behind a
 // saturated controller during rotation — pays for the wait.
-func runScaleClient(cp *simnet.Proc, c *harness.Cluster, cfg ScaleConfig,
+func runScaleClient(cp *simnet.Proc, c *harness.Cluster, cfg scaleConfig,
 	r *scaleClient, win **scaleWindow, bootWG, startWG *simnet.WaitGroup, i int) {
 
 	app := cp.Node().Name()

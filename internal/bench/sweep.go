@@ -2,79 +2,32 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
-	"splitft/internal/metrics"
 	"splitft/internal/model"
 )
 
-// ---- Profile sweep: fig8-style micro across every named profile ----
-
-// SweepRow is one profile's headline micro-latencies (128 B writes).
-type SweepRow struct {
-	Profile string
-	NCL     time.Duration // 128 B synchronous NCL record
-	Strong  time.Duration // 128 B dfs write + fdatasync
-	Weak    time.Duration // 128 B buffered dfs write
-}
-
-// SweepResult holds one row per named profile.
-type SweepResult struct {
-	Rows []SweepRow
-}
-
-// Render prints the comparison table.
-func (r SweepResult) Render() string {
-	var rows [][]string
-	for _, row := range r.Rows {
-		rows = append(rows, []string{row.Profile, fmtUS(row.NCL),
-			fmtUS(row.Strong), fmtUS(row.Weak)})
-	}
-	return "Profile sweep: 128B write latency (us) per hardware profile\n" +
-		metrics.Table([]string{"profile", "NCL", "strong DFS", "weak DFS"}, rows)
-}
-
-// Sweep reruns the Fig 8 microbenchmark under every named profile so the
-// fabric and storage axes are directly comparable (e.g. CX6RoCE100 must
-// beat the baseline on NCL latency, FastDFS on the strong-DFS column).
-func Sweep(sc Scale, seed int64) (SweepResult, error) {
-	var res SweepResult
+// sweep reruns the Fig 8 microbenchmark under every named profile and
+// reports the 128 B latencies (a synchronous NCL record, a dfs write +
+// fdatasync, a buffered dfs write), so the fabric and storage axes are
+// directly comparable: CX6RoCE100 must beat the baseline on NCL latency,
+// FastDFS on the strong-DFS column.
+func sweep(sc Scale, seed int64) (Report, error) {
+	rep := Report{Title: "Profile sweep: 128B write latency per hardware profile"}
 	for _, name := range model.Names() {
 		prof, ok := model.ByName(name)
 		if !ok {
-			return res, fmt.Errorf("sweep: unknown profile %q", name)
+			return rep, fmt.Errorf("sweep: unknown profile %q", name)
 		}
 		psc := sc
 		psc.Profile = prof
-		fig8, err := Fig8(psc, seed)
+		micro, err := fig8(psc, seed)
 		if err != nil {
-			return res, fmt.Errorf("sweep %s: %w", name, err)
+			return rep, fmt.Errorf("sweep %s: %w", name, err)
 		}
-		row := SweepRow{Profile: name}
-		for _, pt := range fig8.Points {
-			if pt.Size != 128 {
-				continue
-			}
-			switch pt.Variant {
-			case "NCL":
-				row.NCL = pt.AvgLat
-			case "strong-bench DFS":
-				row.Strong = pt.AvgLat
-			case "weak-bench DFS":
-				row.Weak = pt.AvgLat
-			}
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
-}
-
-// Latency returns the named profile's row, or false if the sweep lacks it.
-func (r SweepResult) Latency(profile string) (SweepRow, bool) {
-	for _, row := range r.Rows {
-		if row.Profile == profile {
-			return row, true
+		for _, variant := range []string{"NCL", "strong-bench DFS", "weak-bench DFS"} {
+			v, _ := micro.Value("128B", variant)
+			rep.add(name, variant, v, "ns")
 		}
 	}
-	return SweepRow{}, false
+	return rep, nil
 }

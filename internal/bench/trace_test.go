@@ -2,8 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
-	"time"
 
 	"splitft/internal/model"
 	"splitft/internal/trace"
@@ -15,27 +15,36 @@ import (
 // the cost model is gated on.
 
 // Two runs with the same profile and seed must produce byte-identical
-// Chrome trace JSON.
+// Chrome trace JSON — on the data path (fig8) and on the sharded control
+// plane (the scale smoke point), where any unordered map iteration feeding a
+// decision in the controller, the shard-aware client or the pooled allocator
+// would diverge.
 func TestTraceDeterministic(t *testing.T) {
-	export := func() []byte {
-		sc := QuickScale()
-		col := trace.New()
-		sc.Trace = col
-		if _, err := Fig8(sc, 1); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		exp  func(Scale, int64) (Report, error)
+		seed int64
+	}{{"fig8", fig8, 1}, {"scale", scale, 7}} {
+		export := func() []byte {
+			sc := QuickScale()
+			col := trace.New()
+			sc.Trace = col
+			if _, err := tc.exp(sc, tc.seed); err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := trace.WriteChrome(&buf, col.Spans()); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
 		}
-		var buf bytes.Buffer
-		if err := trace.WriteChrome(&buf, col.Spans()); err != nil {
-			t.Fatal(err)
+		a, b := export(), export()
+		if len(a) == 0 {
+			t.Fatalf("%s: empty trace export", tc.name)
 		}
-		return buf.Bytes()
-	}
-	a, b := export(), export()
-	if len(a) == 0 {
-		t.Fatal("empty trace export")
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatalf("trace export not deterministic: %d vs %d bytes", len(a), len(b))
+		if !bytes.Equal(a, b) {
+			t.Fatalf("%s: trace export not deterministic: %d vs %d bytes", tc.name, len(a), len(b))
+		}
 	}
 }
 
@@ -45,21 +54,16 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 	bare := QuickScale()
 	traced := QuickScale()
 	traced.Trace = trace.New()
-	r1, err := Fig8(bare, 1)
+	r1, err := fig8(bare, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Fig8(traced, 1)
+	r2, err := fig8(traced, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r1.Points) != len(r2.Points) {
-		t.Fatalf("point counts differ: %d vs %d", len(r1.Points), len(r2.Points))
-	}
-	for i := range r1.Points {
-		if r1.Points[i] != r2.Points[i] {
-			t.Fatalf("point %d differs with tracing on: %+v vs %+v", i, r1.Points[i], r2.Points[i])
-		}
+	if !reflect.DeepEqual(r1.Rows, r2.Rows) {
+		t.Fatalf("rows differ with tracing on:\n  %+v\n  %+v", r1.Rows, r2.Rows)
 	}
 	if traced.Trace.Len() == 0 {
 		t.Fatal("traced run collected no spans")
@@ -80,7 +84,7 @@ func TestTable3WithinCalibrationBands(t *testing.T) {
 		sc := QuickScale()
 		sc.LogSizeMB = 60
 		sc.Profile = prof
-		res, err := Table3(sc, 1)
+		rep, err := table3(sc, 1)
 		if err != nil {
 			t.Fatalf("%s: table3: %v", name, err)
 		}
@@ -88,17 +92,17 @@ func TestTable3WithinCalibrationBands(t *testing.T) {
 		for _, tg := range model.Targets(prof) {
 			targets[tg.Probe] = tg
 		}
-		check := func(step string, got time.Duration, tg model.Target) {
-			if got < tg.Lo || got > tg.Hi {
+		check := func(step string, tg model.Target) {
+			if got := dur(t, rep, step, "time"); got < tg.Lo || got > tg.Hi {
 				t.Errorf("%s: %s = %v outside band [%v, %v] (%s)",
 					name, step, got, tg.Lo, tg.Hi, tg.Formula)
 			}
 		}
 		ctrl := targets[model.ProbeControllerOp]
-		check("get-peer", res.GetPeer, ctrl)
-		check("ap-map", res.ApMap, ctrl)
-		check("connect", res.Connect, targets[model.ProbeMRRegister60MB])
-		if res.CatchUp <= 0 {
+		check("getpeer", ctrl)
+		check("apmap", ctrl)
+		check("connect", targets[model.ProbeMRRegister60MB])
+		if dur(t, rep, "catchup", "time") <= 0 {
 			t.Errorf("%s: catch-up phase span missing", name)
 		}
 	}

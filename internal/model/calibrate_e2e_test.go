@@ -21,10 +21,11 @@ func TestCalibrationGate(t *testing.T) {
 			}
 			sc := bench.QuickScale()
 			sc.Profile = prof
-			rep, err := bench.Calibrate(sc, 1)
+			meas, err := bench.Probes(sc, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
+			rep := model.Calibrate(prof, meas)
 			t.Log("\n" + rep.Render())
 			if !rep.Pass() {
 				t.Errorf("calibration failed for %s", name)

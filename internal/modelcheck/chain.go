@@ -103,8 +103,6 @@ func (s *cstate) canon() {
 	})
 }
 
-func (s *cstate) key() string { return fmt.Sprintf("%+v", *s) }
-
 // durabilityViolation returns the first acked frame no alive node holds,
 // or -1. (In-flight copies don't count: once the ack returns, the client
 // may discard its buffer, so durability must come from the nodes.)
@@ -149,39 +147,15 @@ func CheckChain(cfg ChainConfig) Result {
 	for i := range init.Chain {
 		init.Chain[i] = int8(i)
 	}
-	visited := map[string]struct{}{init.key(): {}}
-	queue := []cbfsNode{{st: init}}
-	states := 0
-
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		states++
-		s := cur.st
-
-		// expand pushes a successor, checking the invariant first; a
-		// violation aborts the search with the trace that produced it.
-		var next []cbfsNode
-		var found *Violation
+	return explore(init, func(s *cstate, emit func(string, *cstate, string)) {
+		// expand canonicalizes a successor and checks the invariant on it.
 		expand := func(action string, c *cstate) {
-			if found != nil {
-				return
-			}
 			c.canon()
-			trace := append(append([]string(nil), cur.trace...), action)
+			violation := ""
 			if f := c.durabilityViolation(); f >= 0 {
-				found = &Violation{
-					Kind:  fmt.Sprintf("acked frame %d held by no alive node", f),
-					Depth: len(trace), Trace: trace, State: c.key(),
-				}
-				return
+				violation = fmt.Sprintf("acked frame %d held by no alive node", f)
 			}
-			k := c.key()
-			if _, seen := visited[k]; seen {
-				return
-			}
-			visited[k] = struct{}{}
-			next = append(next, cbfsNode{st: c, trace: trace})
+			emit(action, c, violation)
 		}
 
 		// 1. Client pumps the next frame to the chain head.
@@ -255,16 +229,5 @@ func CheckChain(cfg ChainConfig) Result {
 			}
 		}
 
-		if found != nil {
-			return Result{States: states, Violation: found}
-		}
-		queue = append(queue, next...)
-	}
-	return Result{States: states}
-}
-
-// cbfsNode pairs a chain state with the action trace that reached it.
-type cbfsNode struct {
-	st    *cstate
-	trace []string
+	})
 }

@@ -16,7 +16,7 @@ func TestChainCorrectProtocolHasNoViolations(t *testing.T) {
 	if res.States < 500 {
 		t.Fatalf("explored only %d states; bounds too tight to mean anything", res.States)
 	}
-	t.Logf("explored %d states, no violations", res.States)
+	pinned(t, res, 999, "")
 }
 
 func TestChainAckEarlyIsCaught(t *testing.T) {
@@ -26,8 +26,7 @@ func TestChainAckEarlyIsCaught(t *testing.T) {
 	}
 	// The minimal counterexample: the head stores and acks frame 0, then
 	// crashes before anyone downstream holds it.
-	t.Logf("caught after %d states at depth %d: %s\ntrace: %v",
-		res.States, res.Violation.Depth, res.Violation.Kind, res.Violation.Trace)
+	pinned(t, res, 8, "send(0) deliver(f0,pos0) crash(sn0)")
 }
 
 func TestChainAckOnSendIsCaught(t *testing.T) {
@@ -35,8 +34,7 @@ func TestChainAckOnSendIsCaught(t *testing.T) {
 	if res.Violation == nil {
 		t.Fatal("ack-on-send bug not caught")
 	}
-	t.Logf("caught after %d states at depth %d: %s\ntrace: %v",
-		res.States, res.Violation.Depth, res.Violation.Kind, res.Violation.Trace)
+	pinned(t, res, 1, "send(0)")
 }
 
 // A crash budget that can wipe the whole chain before a re-form completes
@@ -49,7 +47,7 @@ func TestChainFullWipeIsDetected(t *testing.T) {
 	if res.Violation == nil {
 		t.Fatal("wiping every chain member should strand acked frames")
 	}
-	t.Logf("caught after %d states: %s\ntrace: %v", res.States, res.Violation.Kind, res.Violation.Trace)
+	pinned(t, res, 362, "send(0) deliver(f0,pos0) deliver(f0,pos1) deliver(f0,pos2) crash(sn0) crash(sn1) crash(sn2)")
 }
 
 func TestChainCorrectProtocolLargerBounds(t *testing.T) {
@@ -61,5 +59,5 @@ func TestChainCorrectProtocolLargerBounds(t *testing.T) {
 	if res.Violation != nil {
 		t.Fatalf("violation at larger bounds: %s\ntrace: %v", res.Violation.Kind, res.Violation.Trace)
 	}
-	t.Logf("explored %d states, no violations", res.States)
+	pinned(t, res, 12894, "")
 }

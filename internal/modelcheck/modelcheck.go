@@ -113,8 +113,6 @@ func (s *state) clone() *state {
 	return &c
 }
 
-func (s *state) key() string { return fmt.Sprintf("%+v", *s) }
-
 // eagerAck advances A to the largest write held (header-visible) by a
 // majority of current members. Only a live application acknowledges.
 func (s *state) eagerAck(f int) {
@@ -136,12 +134,11 @@ func (s *state) eagerAck(f int) {
 	}
 }
 
-// Violation describes a detected correctness failure.
+// Violation describes a detected correctness failure: what broke, and the
+// action trace from the initial state that breaks it.
 type Violation struct {
 	Kind  string
-	Depth int
 	Trace []string
-	State string
 }
 
 // Result summarizes a run.
@@ -150,39 +147,63 @@ type Result struct {
 	Violation *Violation
 }
 
-type node struct {
-	st    *state
-	trace []string
+// explore is the breadth-first search every checker shares. next enumerates
+// the transitions out of s in a fixed order, calling emit once per
+// successor; a non-empty violation marks that transition as a
+// counterexample and ends the search once s is expanded. Successors are
+// deduplicated on their printed value, so S must print canonically (no
+// pointers, no maps). Breadth-first order makes traces minimal-ish; the
+// first counterexample in expansion order wins. States counts the states
+// expanded, the violating one included.
+func explore[S any](init *S, next func(s *S, emit func(action string, succ *S, violation string))) Result {
+	type node struct {
+		st     *S
+		parent int
+		action string
+	}
+	key := func(s *S) string { return fmt.Sprintf("%+v", *s) }
+	nodes := []node{{st: init, parent: -1}}
+	visited := map[string]struct{}{key(init): {}}
+	for cur := 0; cur < len(nodes); cur++ {
+		var found *Violation
+		next(nodes[cur].st, func(action string, succ *S, violation string) {
+			switch {
+			case found != nil:
+			case violation != "":
+				trace := []string{action}
+				for i := cur; i > 0; i = nodes[i].parent {
+					trace = append([]string{nodes[i].action}, trace...)
+				}
+				found = &Violation{Kind: violation, Trace: trace}
+			default:
+				k := key(succ)
+				if _, seen := visited[k]; !seen {
+					visited[k] = struct{}{}
+					nodes = append(nodes, node{st: succ, parent: cur, action: action})
+				}
+			}
+		})
+		if found != nil {
+			return Result{States: cur + 1, Violation: found}
+		}
+		nodes[cur].st = nil // expanded; only the trace link is still needed
+	}
+	return Result{States: len(nodes)}
 }
 
 // Check explores the bounded state space and returns the first violation
-// found (breadth-first, so traces are minimal-ish), or nil.
+// found, or nil.
 func Check(cfg Config) Result {
 	n := 2*cfg.F + 1
 	init := &state{AppAlive: true, Peers: make([]peerState, n)}
 	for i := range init.Peers {
 		init.Peers[i] = peerState{Alive: true, MrMap: true}
 	}
-	visited := map[string]struct{}{init.key(): {}}
-	queue := []node{{st: init}}
-	states := 0
-
-	push := func(parent node, action string, st *state, out *[]node) {
-		st.eagerAck(cfg.F)
-		k := st.key()
-		if _, seen := visited[k]; seen {
-			return
+	return explore(init, func(s *state, emit func(string, *state, string)) {
+		push := func(action string, st *state) {
+			st.eagerAck(cfg.F)
+			emit(action, st, "")
 		}
-		visited[k] = struct{}{}
-		*out = append(*out, node{st: st, trace: append(append([]string(nil), parent.trace...), action)})
-	}
-
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		states++
-		var next []node
-		s := cur.st
 
 		// 1. Application issues the next write.
 		if s.AppAlive && s.W < int8(cfg.MaxWrites) {
@@ -197,7 +218,7 @@ func Check(cfg Config) Result {
 					}
 				}
 			}
-			push(cur, fmt.Sprintf("issue(%d)", c.W), c, &next)
+			push(fmt.Sprintf("issue(%d)", c.W), c)
 		}
 
 		// 2. Deliver the head of any peer's queue (SQ order).
@@ -215,7 +236,7 @@ func Check(cfg Config) Result {
 			} else if op.Seq > c.Peers[i].Hdr {
 				c.Peers[i].Hdr = op.Seq
 			}
-			push(cur, fmt.Sprintf("deliver(p%d,%v%d)", i, op.Kind, op.Seq), c, &next)
+			push(fmt.Sprintf("deliver(p%d,%v%d)", i, op.Kind, op.Seq), c)
 		}
 
 		// 3. Peer crash: memory and mr-map lost, queue dropped.
@@ -227,7 +248,7 @@ func Check(cfg Config) Result {
 				c := s.clone()
 				c.Peers[i] = peerState{Alive: false}
 				c.PeerCr++
-				push(cur, fmt.Sprintf("crash(p%d)", i), c, &next)
+				push(fmt.Sprintf("crash(p%d)", i), c)
 			}
 		}
 
@@ -238,7 +259,7 @@ func Check(cfg Config) Result {
 			}
 			c := s.clone()
 			c.Peers[i].Alive = true
-			push(cur, fmt.Sprintf("restart(p%d)", i), c, &next)
+			push(fmt.Sprintf("restart(p%d)", i), c)
 		}
 
 		// 5. Replacement of a failed member by the live application
@@ -258,7 +279,7 @@ func Check(cfg Config) Result {
 				}
 				c.Epoch++
 				c.Repl++
-				push(cur, fmt.Sprintf("replace(p%d)", i), c, &next)
+				push(fmt.Sprintf("replace(p%d)", i), c)
 			}
 		}
 
@@ -270,7 +291,7 @@ func Check(cfg Config) Result {
 			for i := range c.Peers {
 				c.Peers[i].Queue = nil
 			}
-			push(cur, "crash(app)", c, &next)
+			push("crash(app)", c)
 		}
 
 		// 7. Application recovery: adversarial choice of the f+1 read
@@ -295,20 +316,16 @@ func Check(cfg Config) Result {
 					}
 					// The §4.6 correctness condition.
 					if maxHdr < s.A {
-						return Result{States: states, Violation: &Violation{
-							Kind:  fmt.Sprintf("acked write %d not recoverable (quorum max seq %d)", s.A, maxHdr),
-							Depth: len(cur.trace), Trace: append(cur.trace, fmt.Sprintf("recover%v", quorum)),
-							State: s.key(),
-						}}
+						emit(fmt.Sprintf("recover%v", quorum), s,
+							fmt.Sprintf("acked write %d not recoverable (quorum max seq %d)", s.A, maxHdr))
+						return
 					}
 					// The recovery peer must actually hold the data its
 					// sequence number advertises.
 					if s.Peers[rp].Data < maxHdr {
-						return Result{States: states, Violation: &Violation{
-							Kind:  fmt.Sprintf("recovery peer p%d advertises seq %d but holds data only to %d", rp, maxHdr, s.Peers[rp].Data),
-							Depth: len(cur.trace), Trace: append(cur.trace, fmt.Sprintf("recover%v", quorum)),
-							State: s.key(),
-						}}
+						emit(fmt.Sprintf("recover%v", quorum), s,
+							fmt.Sprintf("recovery peer p%d advertises seq %d but holds data only to %d", rp, maxHdr, s.Peers[rp].Data))
+						return
 					}
 					c := s.clone()
 					c.AppAlive = true
@@ -347,14 +364,11 @@ func Check(cfg Config) Result {
 							}
 						}
 					}
-					push(cur, fmt.Sprintf("recover%v", quorum), c, &next)
+					push(fmt.Sprintf("recover%v", quorum), c)
 				}
 			}
 		}
-
-		queue = append(queue, next...)
-	}
-	return Result{States: states}
+	})
 }
 
 // subsets returns all k-element subsets of items.

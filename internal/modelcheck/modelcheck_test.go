@@ -2,8 +2,25 @@ package modelcheck
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
+
+// pinned asserts that an exploration is exactly the one recorded before the
+// three checkers moved onto the shared explore: the same number of states
+// expanded and, for a counterexample, the same action trace ("" for none).
+// A deliberate change to a model's transitions or to the search order
+// changes these numbers; anything else must not.
+func pinned(t *testing.T, res Result, states int, trace string) {
+	t.Helper()
+	got := ""
+	if res.Violation != nil {
+		got = strings.Join(res.Violation.Trace, " ")
+	}
+	if res.States != states || got != trace {
+		t.Errorf("explored %d states with trace %q, pinned at %d states with trace %q", res.States, got, states, trace)
+	}
+}
 
 func cfgWith(m Mutation) Config {
 	cfg := DefaultConfig()
@@ -20,7 +37,7 @@ func TestCorrectProtocolHasNoViolations(t *testing.T) {
 	if res.States < 1000 {
 		t.Fatalf("explored only %d states; bounds too tight to mean anything", res.States)
 	}
-	t.Logf("explored %d states, no violations", res.States)
+	pinned(t, res, 27680, "")
 }
 
 func TestSeqBeforeDataIsCaught(t *testing.T) {
@@ -28,7 +45,8 @@ func TestSeqBeforeDataIsCaught(t *testing.T) {
 	if res.Violation == nil {
 		t.Fatal("seq-before-data bug not caught")
 	}
-	t.Logf("caught after %d states: %s\ntrace: %v", res.States, res.Violation.Kind, res.Violation.Trace)
+	t.Logf("caught after %d states: %s", res.States, res.Violation.Kind)
+	pinned(t, res, 39, "issue(1) deliver(p0,11) crash(app) recover[0 1]")
 }
 
 func TestSwapBeforeCatchupIsCaught(t *testing.T) {
@@ -36,7 +54,8 @@ func TestSwapBeforeCatchupIsCaught(t *testing.T) {
 	if res.Violation == nil {
 		t.Fatal("ap-map-before-catch-up bug not caught")
 	}
-	t.Logf("caught after %d states: %s\ntrace: %v", res.States, res.Violation.Kind, res.Violation.Trace)
+	t.Logf("caught after %d states: %s", res.States, res.Violation.Kind)
+	pinned(t, res, 3011, "issue(1) deliver(p0,01) deliver(p0,11) deliver(p1,01) deliver(p1,11) crash(p0) replace(p0) crash(app) recover[0 2]")
 }
 
 func TestNoRecoveryCatchupIsCaught(t *testing.T) {
@@ -44,7 +63,8 @@ func TestNoRecoveryCatchupIsCaught(t *testing.T) {
 	if res.Violation == nil {
 		t.Fatal("no-recovery-catch-up bug not caught")
 	}
-	t.Logf("caught after %d states: %s\ntrace: %v", res.States, res.Violation.Kind, res.Violation.Trace)
+	t.Logf("caught after %d states: %s", res.States, res.Violation.Kind)
+	pinned(t, res, 910, "issue(1) deliver(p0,01) deliver(p0,11) crash(app) recover[0 1] crash(app) recover[1 2]")
 }
 
 func TestCorrectProtocolLargerBounds(t *testing.T) {
@@ -56,7 +76,7 @@ func TestCorrectProtocolLargerBounds(t *testing.T) {
 	if res.Violation != nil {
 		t.Fatalf("violation at larger bounds: %s\ntrace: %v", res.Violation.Kind, res.Violation.Trace)
 	}
-	t.Logf("explored %d states, no violations", res.States)
+	pinned(t, res, 126275, "")
 }
 
 func TestSubsets(t *testing.T) {

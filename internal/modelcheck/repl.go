@@ -93,8 +93,6 @@ func (s *rstate) clone() *rstate {
 	return &c
 }
 
-func (s *rstate) key() string { return fmt.Sprintf("%+v", *s) }
-
 // ackRule returns how many stored copies acknowledge a write under the
 // (possibly mutated) policy.
 func ackRule(spec ncl.PolicySpec, mut ReplMutation) int {
@@ -173,38 +171,15 @@ func CheckReplication(spec ncl.PolicySpec, cfg ReplConfig) Result {
 	for i := range init.Peers {
 		init.Peers[i].Alive = true
 	}
-	visited := map[string]struct{}{init.key(): {}}
-	queue := []rbfsNode{{st: init}}
-	states := 0
-
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		states++
-		s := cur.st
-
-		var next []rbfsNode
-		var found *Violation
+	return explore(init, func(s *rstate, emit func(string, *rstate, string)) {
+		// expand latches acks on a successor and checks the invariant on it.
 		expand := func(action string, c *rstate) {
-			if found != nil {
-				return
-			}
 			c.latchAcks(ackNeed)
-			trace := append(append([]string(nil), cur.trace...), action)
+			violation := ""
 			if w := c.durabilityViolation(spec); w >= 0 {
-				found = &Violation{
-					Kind: fmt.Sprintf("%s: acked write %d unrecoverable under the worst %s read set",
-						spec, w, spec),
-					Depth: len(trace), Trace: trace, State: c.key(),
-				}
-				return
+				violation = fmt.Sprintf("%s: acked write %d unrecoverable under the worst %s read set", spec, w, spec)
 			}
-			k := c.key()
-			if _, seen := visited[k]; seen {
-				return
-			}
-			visited[k] = struct{}{}
-			next = append(next, rbfsNode{st: c, trace: trace})
+			emit(action, c, violation)
 		}
 
 		// 1. The application issues the next write: one WR enqueued per
@@ -244,16 +219,5 @@ func CheckReplication(spec ncl.PolicySpec, cfg ReplConfig) Result {
 			}
 		}
 
-		if found != nil {
-			return Result{States: states, Violation: found}
-		}
-		queue = append(queue, next...)
-	}
-	return Result{States: states}
-}
-
-// rbfsNode pairs a replication state with the action trace that reached it.
-type rbfsNode struct {
-	st    *rstate
-	trace []string
+	})
 }

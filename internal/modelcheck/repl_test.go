@@ -19,12 +19,16 @@ func mustSpec(t *testing.T, s string) ncl.PolicySpec {
 // Every policy's correct ack rule survives its full failure budget, at two
 // bound sizes each.
 func TestReplicationCorrectProtocols(t *testing.T) {
+	states := map[string][2]int{ // explored at writes=3 and writes=4
+		"mirror": {280, 600}, "mirror:2": {6980, 20600}, "ec:2,1": {250, 540},
+		"ec:2,2": {1238, 3093}, "quorum": {280, 600}, "quorum:2": {6980, 20600},
+	}
 	for _, pol := range []string{"mirror", "mirror:2", "ec:2,1", "ec:2,2", "quorum", "quorum:2"} {
 		pol := pol
 		t.Run(pol, func(t *testing.T) {
 			spec := mustSpec(t, pol)
 			small := DefaultReplConfig(spec)
-			for _, cfg := range []ReplConfig{small, {MaxWrites: 4, MaxCrashes: spec.Tolerates()}} {
+			for i, cfg := range []ReplConfig{small, {MaxWrites: 4, MaxCrashes: spec.Tolerates()}} {
 				res := CheckReplication(spec, cfg)
 				if res.Violation != nil {
 					t.Fatalf("correct %s flagged at writes=%d: %s\ntrace: %v",
@@ -33,16 +37,20 @@ func TestReplicationCorrectProtocols(t *testing.T) {
 				if res.States < 100 {
 					t.Fatalf("explored only %d states; bounds too tight to mean anything", res.States)
 				}
-				t.Logf("writes=%d crashes=%d: %d states, no violations",
-					cfg.MaxWrites, cfg.MaxCrashes, res.States)
+				pinned(t, res, states[pol][i], "")
 			}
 		})
 	}
 }
 
 func TestReplicationLostStripeIsCaught(t *testing.T) {
-	for _, pol := range []string{"ec:2,1", "ec:2,2"} {
-		pol := pol
+	for pol, pin := range map[string]struct {
+		states int
+		trace  string
+	}{
+		"ec:2,1": {20, "write(0) deliver(w0,p0) deliver(w0,p1) crash(p0)"},
+		"ec:2,2": {200, "write(0) deliver(w0,p0) deliver(w0,p1) deliver(w0,p2) crash(p0) crash(p1)"},
+	} {
 		t.Run(pol, func(t *testing.T) {
 			spec := mustSpec(t, pol)
 			cfg := DefaultReplConfig(spec)
@@ -56,15 +64,20 @@ func TestReplicationLostStripeIsCaught(t *testing.T) {
 				// stripe below K cells.
 				t.Fatalf("counterexample trace does not end in a crash: %v", res.Violation.Trace)
 			}
-			t.Logf("caught after %d states at depth %d: %s\ntrace: %v",
-				res.States, res.Violation.Depth, res.Violation.Kind, res.Violation.Trace)
+			pinned(t, res, pin.states, pin.trace)
 		})
 	}
 }
 
 func TestReplicationSplitBrainAckIsCaught(t *testing.T) {
-	for _, pol := range []string{"quorum", "quorum:2", "mirror"} {
-		pol := pol
+	for pol, pin := range map[string]struct {
+		states int
+		trace  string
+	}{
+		"quorum":   {2, "write(0) deliver(w0,p0)"},
+		"quorum:2": {9, "write(0) deliver(w0,p0) deliver(w0,p1)"},
+		"mirror":   {2, "write(0) deliver(w0,p0)"},
+	} {
 		t.Run(pol, func(t *testing.T) {
 			spec := mustSpec(t, pol)
 			cfg := DefaultReplConfig(spec)
@@ -73,8 +86,7 @@ func TestReplicationSplitBrainAckIsCaught(t *testing.T) {
 			if res.Violation == nil {
 				t.Fatal("split-brain (minority) ack bug not caught")
 			}
-			t.Logf("caught after %d states at depth %d: %s\ntrace: %v",
-				res.States, res.Violation.Depth, res.Violation.Kind, res.Violation.Trace)
+			pinned(t, res, pin.states, pin.trace)
 		})
 	}
 }
@@ -83,8 +95,14 @@ func TestReplicationSplitBrainAckIsCaught(t *testing.T) {
 // violations even for the correct protocol — otherwise "correct passes"
 // would mean the checker can't see loss at all.
 func TestReplicationOverBudgetIsDetected(t *testing.T) {
-	for _, pol := range []string{"mirror", "ec:2,1", "quorum"} {
-		pol := pol
+	for pol, pin := range map[string]struct {
+		states int
+		trace  string
+	}{
+		"mirror": {57, "write(0) deliver(w0,p0) deliver(w0,p1) crash(p0) crash(p1)"},
+		"ec:2,1": {97, "write(0) deliver(w0,p0) deliver(w0,p1) deliver(w0,p2) crash(p0) crash(p1)"},
+		"quorum": {57, "write(0) deliver(w0,p0) deliver(w0,p1) crash(p0) crash(p1)"},
+	} {
 		t.Run(pol, func(t *testing.T) {
 			spec := mustSpec(t, pol)
 			cfg := DefaultReplConfig(spec)
@@ -93,7 +111,7 @@ func TestReplicationOverBudgetIsDetected(t *testing.T) {
 			if res.Violation == nil {
 				t.Fatalf("%s: exceeding the failure budget should lose acked writes", pol)
 			}
-			t.Logf("caught after %d states: %s", res.States, res.Violation.Kind)
+			pinned(t, res, pin.states, pin.trace)
 		})
 	}
 }

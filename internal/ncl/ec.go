@@ -83,6 +83,7 @@ func (e *ecPolicy) Place(capacity int64) Placement {
 		SlotRegion: ecShardCap(e.spec.K, capacity),
 		AckNeed:    e.spec.K + e.spec.M,
 		MinAlive:   e.spec.K,
+		FrameLog:   true,
 	}
 }
 

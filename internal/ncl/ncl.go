@@ -95,7 +95,7 @@ func DefaultConfig() Config {
 // normalize fills the zero-value defaults.
 func (c *Config) normalize() {
 	if c.Policy == (PolicySpec{}) {
-		c.Policy = PolicySpec{Kind: PolicyMirror, F: 1}
+		c.Policy, _ = ParsePolicy("") // the paper's protocol: mirror, f=1
 	}
 	if c.RegionSize == 0 {
 		c.RegionSize = 64 << 20
@@ -637,13 +637,12 @@ func (lg *Log) Bytes() []byte { return lg.buf[HeaderSize : HeaderSize+lg.length]
 
 // RemoteReadAt reads log content directly from a live peer's region with a
 // 1-sided RDMA read instead of the local buffer — the "NCL no prefetch"
-// variant of Fig 11(a). It exists to show why Recover prefetches. Only the
-// mirror policy keeps full plaintext copies remotely; under ec the regions
-// hold coded fragments and under quorum framed journals, so a raw remote
-// read has nothing file-shaped to return.
+// variant of Fig 11(a). It exists to show why Recover prefetches. It needs
+// regions that hold a plain image of the file; a frame log (coded fragments,
+// framed journals) has nothing file-shaped for a raw remote read to return.
 func (lg *Log) RemoteReadAt(p *simnet.Proc, buf []byte, off int64) (int, error) {
-	if lg.policy.Spec().Kind != PolicyMirror {
-		return 0, fmt.Errorf("ncl: RemoteReadAt requires the mirror policy (log %s uses %s)",
+	if lg.place.FrameLog {
+		return 0, fmt.Errorf("ncl: RemoteReadAt needs plain-image regions (log %s uses %s)",
 			lg.name, lg.policy.Spec())
 	}
 	if off >= lg.length {

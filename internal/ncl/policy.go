@@ -153,6 +153,13 @@ type Placement struct {
 	AckNeed int
 	// MinAlive is how many members recovery must reach to reconstruct.
 	MinAlive int
+	// FrameLog says what a peer region holds: an append-only log of
+	// self-describing frames (ec, quorum) rather than a plain image of the
+	// file (mirror). A frame log has nothing file-shaped for a raw remote
+	// read to return, and every recovery must republish its ap-map entry
+	// under a bumped epoch so post-recovery frames outrank any stale frames
+	// beyond the recovered prefix on generation.
+	FrameLog bool
 }
 
 // ReplicationPolicy is the log-write/recovery strategy of one open log.

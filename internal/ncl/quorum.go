@@ -73,6 +73,7 @@ func (q *quorumPolicy) Place(capacity int64) Placement {
 		SlotRegion: quorumJournalCap(capacity),
 		AckNeed:    q.spec.F + 1,
 		MinAlive:   q.spec.F + 1,
+		FrameLog:   true,
 	}
 }
 

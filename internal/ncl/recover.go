@@ -136,8 +136,8 @@ func (l *Lib) Recover(p *simnet.Proc, name string) (*Log, error) {
 	}
 	p.EndSpan(sp)
 
-	// (4) Sync phase: catch survivors up, then replace the rest. The ec and
-	// quorum policies always republish under a bumped epoch even with a full
+	// (4) Sync phase: catch survivors up, then replace the rest. Frame-log
+	// placements always republish under a bumped epoch even with a full
 	// house — post-recovery frames must outrank any stale frames beyond the
 	// recovered prefix on generation.
 	sp = p.StartSpan("ncl", "recover.syncpeer")
@@ -151,7 +151,7 @@ func (l *Lib) Recover(p *simnet.Proc, name string) (*Log, error) {
 			needReplace++
 		}
 	}
-	if needReplace > 0 || spec.Kind != PolicyMirror {
+	if needReplace > 0 || lg.place.FrameLog {
 		if err := lg.replaceAtRecovery(p, entry.Peers, needReplace); err != nil {
 			p.EndSpan(sp)
 			return nil, err

@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"errors"
-	"runtime"
 	"testing"
 	"time"
 
@@ -153,25 +152,12 @@ func TestRPCEchoSteadyStateZeroAlloc(t *testing.T) {
 			}
 		}
 	})
-	var delta uint64
-	s.Go("monitor", func(p *Proc) {
-		// Warm-up must span one full RPC timeout window: every call parks
-		// with a deadline event that goes stale when the reply wakes it
-		// early, so the event heap only reaches its steady size (one dead
-		// event per call in the last DefaultRPCTimeout) after ~200ms.
-		p.Sleep(DefaultRPCTimeout + 50*time.Millisecond)
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		p.Sleep(100 * time.Millisecond) // ~2000 calls
-		runtime.ReadMemStats(&m1)
-		delta = m1.Mallocs - m0.Mallocs
-		s.Stop()
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if delta != 0 {
-		t.Fatalf("rpc echo allocated %d times in steady state, want 0", delta)
+	// Warm-up must span one full RPC timeout window: every call parks with a
+	// deadline event that goes stale when the reply wakes it early, so the
+	// event heap only reaches its steady size (one dead event per call in
+	// the last DefaultRPCTimeout) after ~200ms. Each window is ~2000 calls.
+	if n := steadyStateMallocs(t, s, DefaultRPCTimeout+50*time.Millisecond, 100*time.Millisecond); n != 0 {
+		t.Fatalf("rpc echo allocated %d times in steady state, want 0", n)
 	}
 }
 
