@@ -224,7 +224,7 @@ func fig11a(sc Scale, seed int64) (Report, error) {
 
 			// DFS with readahead (fresh mount per size for a cold cache).
 			dcl := c.DFS.Mount(c.AppNode)
-			df, err := dcl.Open(p, "/reclog.dfs")
+			df, err := dcl.OpenFile(p, "/reclog.dfs", false, false)
 			if err != nil {
 				return err
 			}
@@ -238,7 +238,7 @@ func fig11a(sc Scale, seed int64) (Report, error) {
 			// DFS direct IO.
 			dcl2 := c.DFS.Mount(c.AppNode)
 			dcl2.DirectIO = true
-			df2, err := dcl2.Open(p, "/reclog.dfs")
+			df2, err := dcl2.OpenFile(p, "/reclog.dfs", false, false)
 			if err != nil {
 				return err
 			}

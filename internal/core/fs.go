@@ -85,8 +85,6 @@ type Options struct {
 	// size), and the hardware cost model. Build it with
 	// ncl.ConfigFromProfile; the zero value means mirror f=1 over 64 MiB.
 	NCL ncl.Config
-	// AcquireLock claims the single-instance znode at start-up.
-	AcquireLock bool
 }
 
 // FS is one application's SplitFT file system instance.
@@ -126,11 +124,6 @@ func NewFS(p *simnet.Proc, opts Options) (*FS, error) {
 		defaultRegionSize: opts.NCL.RegionSize,
 		nclOpen:           make(map[string]*nclFile),
 	}
-	if opts.AcquireLock {
-		if err := lib.AcquireInstanceLock(p); err != nil {
-			return nil, err
-		}
-	}
 	return fs, nil
 }
 
@@ -152,14 +145,14 @@ func (fs *FS) OpenFile(p *simnet.Proc, path string, flags OpenFlag, regionSize i
 	if flags&O_NCL != 0 {
 		return fs.openNCL(p, path, flags, regionSize)
 	}
-	inner, err := fs.dfs.OpenFileExt(p, path, flags&O_CREATE != 0, flags&O_EXTENT != 0)
+	inner, err := fs.dfs.OpenFile(p, path, flags&O_CREATE != 0, flags&O_EXTENT != 0)
 	if err != nil {
 		if errors.Is(err, dfs.ErrNotExist) {
 			return nil, fmt.Errorf("%w: %s", ErrNotExist, path)
 		}
 		return nil, err
 	}
-	return &dfsFile{fs: fs, inner: inner}, nil
+	return dfsFile{inner}, nil
 }
 
 func (fs *FS) openNCL(p *simnet.Proc, path string, flags OpenFlag, regionSize int64) (File, error) {
@@ -252,33 +245,16 @@ func (fs *FS) ListDFS(prefix string) []string { return fs.dfs.List(prefix) }
 
 // ---- dfs-backed file ----
 
-type dfsFile struct {
-	fs *FS
-	// inner is either backend's handle: the flat *dfs.File or an extent
-	// *dfs.ExtentFile, chosen at open time.
-	inner dfs.Handle
-}
+// dfsFile is a dfs handle on either backend (flat or extent, chosen by the
+// dfs at create) with the core layer's durable-write span around Sync.
+type dfsFile struct{ *dfs.File }
 
-func (f *dfsFile) Write(p *simnet.Proc, data []byte) (int, error) { return f.inner.Write(p, data) }
-func (f *dfsFile) Pwrite(p *simnet.Proc, data []byte, off int64) (int, error) {
-	return f.inner.Pwrite(p, data, off)
-}
-func (f *dfsFile) Read(p *simnet.Proc, buf []byte) (int, error) { return f.inner.Read(p, buf) }
-func (f *dfsFile) Pread(p *simnet.Proc, buf []byte, off int64) (int, error) {
-	return f.inner.Pread(p, buf, off)
-}
-
-func (f *dfsFile) Sync(p *simnet.Proc) error {
-	dirty := f.inner.DirtyBytes()
+func (f dfsFile) Sync(p *simnet.Proc) error {
 	sp := p.StartSpan("core", "write.dfs",
-		trace.Str("path", f.inner.Path()), trace.Int("bytes", dirty))
+		trace.Str("path", f.Path()), trace.Int("bytes", f.DirtyBytes()))
 	defer p.EndSpan(sp)
-	return f.inner.Sync(p)
+	return f.File.Sync(p)
 }
-
-func (f *dfsFile) Close(p *simnet.Proc) error { return f.inner.Close(p) }
-func (f *dfsFile) Size() int64                { return f.inner.Size() }
-func (f *dfsFile) Path() string               { return f.inner.Path() }
 
 // ---- ncl-backed file ----
 

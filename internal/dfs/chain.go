@@ -47,31 +47,10 @@ const chainProbation = 2 * time.Second
 // until chainFor starves even though the fabric has recovered.
 const chainReformAmnesty = 3
 
-// localExtentMeta is the controller-less allocator: a counter on the
-// cluster, priced at one metadata op per call.
-type localExtentMeta struct{ es *extentStore }
-
-func (m localExtentMeta) AllocIDs(p *simnet.Proc, n int) (uint64, error) {
-	p.Sleep(m.es.c.params.MetaFixed)
-	first := m.es.nextLocal
-	m.es.nextLocal += uint64(n)
-	return first, nil
-}
-
-func (m localExtentMeta) Seal(p *simnet.Proc, id uint64, nodes []string, length int64) error {
-	p.Sleep(m.es.c.params.MetaFixed)
-	m.es.sealedLocal[id] = length
-	return nil
-}
-
 // extMeta returns (lazily building) this mount's metadata client.
 func (cl *Client) extMeta() ExtentMeta {
 	if cl.meta == nil {
-		if f := cl.cluster.extents.metaFactory; f != nil {
-			cl.meta = f(cl.node)
-		} else {
-			cl.meta = localExtentMeta{es: cl.cluster.extents}
-		}
+		cl.meta = cl.cluster.extents.newMeta(cl.node)
 	}
 	return cl.meta
 }

@@ -17,7 +17,7 @@ func TestGrayMidNodeProbationAndReadmission(t *testing.T) {
 	fx := newExtFixture(6, failParams())
 	payload := pattern(1 << 20) // exactly one 1 MiB extent
 	fx.node.Go("writer", func(p *simnet.Proc) {
-		h, err := fx.client.OpenFileExt(p, "/ext/g", true, true)
+		h, err := fx.client.OpenFile(p, "/ext/g", true, true)
 		if err != nil {
 			t.Errorf("create: %v", err)
 			return

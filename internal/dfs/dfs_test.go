@@ -32,65 +32,10 @@ func run(t *testing.T, s *simnet.Sim) {
 	}
 }
 
-func TestWriteSyncReadBack(t *testing.T) {
-	fx := newFixture(1)
-	fx.node.Go("test", func(p *simnet.Proc) {
-		f, err := fx.client.Create(p, "/data/wal-1")
-		if err != nil {
-			t.Errorf("create: %v", err)
-			return
-		}
-		if _, err := f.Write(p, []byte("hello ")); err != nil {
-			t.Errorf("write: %v", err)
-		}
-		if _, err := f.Write(p, []byte("world")); err != nil {
-			t.Errorf("write: %v", err)
-		}
-		if err := f.Sync(p); err != nil {
-			t.Errorf("sync: %v", err)
-		}
-		buf := make([]byte, 11)
-		n, err := f.Pread(p, buf, 0)
-		if err != nil || n != 11 || string(buf) != "hello world" {
-			t.Errorf("pread = %q, %d, %v", buf[:n], n, err)
-		}
-		got, ok := fx.cluster.DurableBytes("/data/wal-1")
-		if !ok || string(got) != "hello world" {
-			t.Errorf("durable = %q, %v", got, ok)
-		}
-		fx.sim.Stop()
-	})
-	run(t, fx.sim)
-}
-
-func TestUnsyncedDataLostOnCrash(t *testing.T) {
-	fx := newFixture(1)
-	fx.sim.Go("test", func(p *simnet.Proc) {
-		done := make(chan struct{}, 1)
-		fx.node.Go("app", func(ap *simnet.Proc) {
-			f, _ := fx.client.Create(ap, "/log")
-			f.Write(ap, []byte("durable|"))
-			f.Sync(ap)
-			f.Write(ap, []byte("volatile"))
-			done <- struct{}{}
-			ap.Sleep(time.Hour)
-		})
-		p.Sleep(100 * time.Millisecond) // before writeback interval fires
-		<-done
-		fx.node.Crash()
-		got, ok := fx.cluster.DurableBytes("/log")
-		if !ok || string(got) != "durable|" {
-			t.Errorf("durable after crash = %q (ok=%v), want only synced prefix", got, ok)
-		}
-		fx.sim.Stop()
-	})
-	run(t, fx.sim)
-}
-
 func TestBackgroundWritebackEventuallyDurable(t *testing.T) {
 	fx := newFixture(1)
 	fx.node.Go("test", func(p *simnet.Proc) {
-		f, _ := fx.client.Create(p, "/log")
+		f, _ := fx.client.OpenFile(p, "/log", true, false)
 		f.Write(p, []byte("lazily"))
 		// No sync: wait past the writeback interval.
 		p.Sleep(2 * DefaultParams().WritebackInterval)
@@ -107,7 +52,7 @@ func TestSyncCostModel(t *testing.T) {
 	fx := newFixture(1)
 	pm := DefaultParams()
 	fx.node.Go("test", func(p *simnet.Proc) {
-		f, _ := fx.client.Create(p, "/f")
+		f, _ := fx.client.OpenFile(p, "/f", true, false)
 		// Small sync write: dominated by the fixed cost (~2.3ms).
 		f.Write(p, make([]byte, 512))
 		start := p.Now()
@@ -136,7 +81,7 @@ func TestFig1dThroughputShape(t *testing.T) {
 		fx := newFixture(1)
 		var mbps float64
 		fx.node.Go("bench", func(p *simnet.Proc) {
-			f, _ := fx.client.Create(p, "/seq")
+			f, _ := fx.client.OpenFile(p, "/seq", true, false)
 			total := int64(0)
 			target := int64(16 << 20)
 			if ioSize >= 16<<20 {
@@ -170,10 +115,10 @@ func TestFig1dThroughputShape(t *testing.T) {
 func TestMetadataOps(t *testing.T) {
 	fx := newFixture(1)
 	fx.node.Go("test", func(p *simnet.Proc) {
-		if _, err := fx.client.Open(p, "/missing"); !errors.Is(err, ErrNotExist) {
+		if _, err := fx.client.OpenFile(p, "/missing", false, false); !errors.Is(err, ErrNotExist) {
 			t.Errorf("open missing: %v", err)
 		}
-		f, _ := fx.client.Create(p, "/a")
+		f, _ := fx.client.OpenFile(p, "/a", true, false)
 		f.Write(p, []byte("x"))
 		f.Sync(p)
 		f.Close(p)
@@ -200,48 +145,17 @@ func TestMetadataOps(t *testing.T) {
 	run(t, fx.sim)
 }
 
-func TestReopenSeesDurableOnly(t *testing.T) {
-	fx := newFixture(1)
-	fx.sim.Go("test", func(p *simnet.Proc) {
-		fx.node.Go("writer", func(wp *simnet.Proc) {
-			f, _ := fx.client.Create(wp, "/f")
-			f.Write(wp, []byte("synced"))
-			f.Sync(wp)
-			f.Write(wp, []byte("+dirty"))
-		})
-		p.Sleep(50 * time.Millisecond)
-		fx.node.Crash()
-		p.Sleep(time.Millisecond)
-		fx.node.Restart()
-		cl2 := fx.cluster.Mount(fx.node)
-		fx.node.Go("reader", func(rp *simnet.Proc) {
-			f, err := cl2.Open(rp, "/f")
-			if err != nil {
-				t.Errorf("reopen: %v", err)
-				return
-			}
-			buf := make([]byte, 64)
-			n, _ := f.Pread(rp, buf, 0)
-			if string(buf[:n]) != "synced" {
-				t.Errorf("reopened content = %q", buf[:n])
-			}
-			fx.sim.Stop()
-		})
-	})
-	run(t, fx.sim)
-}
-
 func TestDirectIOSlowerThanCached(t *testing.T) {
 	fx := newFixture(1)
 	fx.node.Go("test", func(p *simnet.Proc) {
-		f, _ := fx.client.Create(p, "/f")
+		f, _ := fx.client.OpenFile(p, "/f", true, false)
 		f.Write(p, make([]byte, 8<<20))
 		f.Sync(p)
 		f.Close(p)
 
 		read := func(direct bool) time.Duration {
 			fx.client.DirectIO = direct
-			h, _ := fx.client.Open(p, "/f")
+			h, _ := fx.client.OpenFile(p, "/f", false, false)
 			defer h.Close(p)
 			buf := make([]byte, 4096)
 			start := p.Now()
@@ -273,17 +187,17 @@ func TestReadaheadAmortizesSequentialReads(t *testing.T) {
 	fx := &fixture{sim: s, cluster: cluster, node: node, client: cluster.Mount(node)}
 	var seqLat, randLat time.Duration
 	fx.node.Go("test", func(p *simnet.Proc) {
-		f, _ := fx.client.Create(p, "/f")
+		f, _ := fx.client.OpenFile(p, "/f", true, false)
 		f.Write(p, make([]byte, 16<<20))
 		f.Sync(p)
 		f.Close(p)
 		// Evict everything by filling the cache with another file.
-		g, _ := fx.client.Create(p, "/fill")
+		g, _ := fx.client.OpenFile(p, "/fill", true, false)
 		g.Write(p, make([]byte, 12<<20))
 		g.Sync(p)
 		g.Close(p)
 
-		h, _ := fx.client.Open(p, "/f")
+		h, _ := fx.client.OpenFile(p, "/f", false, false)
 		buf := make([]byte, 512)
 		start := p.Now()
 		reads := 0
@@ -315,7 +229,7 @@ func TestReadaheadAmortizesSequentialReads(t *testing.T) {
 func TestDirtyHighWaterStallsWriter(t *testing.T) {
 	fx := newFixture(1)
 	fx.node.Go("test", func(p *simnet.Proc) {
-		f, _ := fx.client.Create(p, "/log")
+		f, _ := fx.client.OpenFile(p, "/log", true, false)
 		// Write far past the high watermark without syncing.
 		chunk := make([]byte, 1<<20)
 		for i := 0; i < 150; i++ {
@@ -323,24 +237,6 @@ func TestDirtyHighWaterStallsWriter(t *testing.T) {
 		}
 		if fx.client.StallTime == 0 {
 			t.Error("expected writer stalls past the dirty high watermark")
-		}
-		fx.sim.Stop()
-	})
-	run(t, fx.sim)
-}
-
-func TestPwriteOverwriteAndSpans(t *testing.T) {
-	fx := newFixture(1)
-	fx.node.Go("test", func(p *simnet.Proc) {
-		f, _ := fx.client.Create(p, "/f")
-		f.Pwrite(p, []byte("aaaaaaaaaa"), 0)
-		f.Sync(p)
-		f.Pwrite(p, []byte("BB"), 3)
-		f.Pwrite(p, []byte("CC"), 8) // extends nothing, within file
-		f.Sync(p)
-		got, _ := fx.cluster.DurableBytes("/f")
-		if string(got) != "aaaBBaaaCC" {
-			t.Errorf("durable = %q", got)
 		}
 		fx.sim.Stop()
 	})
@@ -428,7 +324,7 @@ func TestRenameDuringWriteback(t *testing.T) {
 	fx := newFixture(3)
 	payload := bytes.Repeat([]byte{0xAB}, 8<<20) // 16ms of writeback at 500 MB/s
 	fx.node.Go("test", func(p *simnet.Proc) {
-		f, err := fx.client.Create(p, "/old")
+		f, err := fx.client.OpenFile(p, "/old", true, false)
 		if err != nil {
 			t.Errorf("create: %v", err)
 			return
@@ -442,7 +338,7 @@ func TestRenameDuringWriteback(t *testing.T) {
 		if err := fx.client.Rename(p, "/old", "/new"); err != nil {
 			t.Errorf("rename: %v", err)
 		}
-		g, err := fx.client.Create(p, "/old")
+		g, err := fx.client.OpenFile(p, "/old", true, false)
 		if err != nil {
 			t.Errorf("recreate: %v", err)
 			return
@@ -485,7 +381,7 @@ func TestQuickPwriteSyncFidelity(t *testing.T) {
 		fx := newFixture(5)
 		ok := true
 		fx.node.Go("t", func(p *simnet.Proc) {
-			file, _ := fx.client.Create(p, "/f")
+			file, _ := fx.client.OpenFile(p, "/f", true, false)
 			shadow := []byte{}
 			for _, o := range ops {
 				if len(o.Data) == 0 {
@@ -532,7 +428,7 @@ func TestQuickCrashDurabilityPrefix(t *testing.T) {
 		client := cluster.Mount(node)
 		var syncedLen int64
 		node.Go("writer", func(p *simnet.Proc) {
-			file, _ := client.Create(p, "/f")
+			file, _ := client.OpenFile(p, "/f", true, false)
 			for i := 0; i < n; i++ {
 				payload := bytes.Repeat([]byte{byte(i + 1)}, 100)
 				file.Write(p, payload)
@@ -580,7 +476,7 @@ func TestLocalExt4Faster(t *testing.T) {
 		cl := c.Mount(n)
 		var lat time.Duration
 		n.Go("t", func(p *simnet.Proc) {
-			f, _ := cl.Create(p, "/f")
+			f, _ := cl.OpenFile(p, "/f", true, false)
 			f.Write(p, make([]byte, 4096))
 			start := p.Now()
 			f.Sync(p)

@@ -94,20 +94,16 @@ func chainHopTimeout(rest int) time.Duration {
 	return time.Duration(rest+1) * simnet.DefaultRPCTimeout
 }
 
-// extentStore is the cluster-side extent plane: the storage nodes and, for
-// the standalone (controller-less) configuration, the local ID counter.
+// extentStore is the cluster-side extent plane: the storage nodes and the
+// constructor of per-mount metadata clients.
 type extentStore struct {
 	c      *Cluster
 	nodes  []*extNode
 	byAddr map[string]*extNode
 
-	// metaFactory builds a per-mount metadata client (controller-backed in
-	// the full stack); nil falls back to localExtentMeta.
-	metaFactory func(*simnet.Node) ExtentMeta
-	// nextLocal feeds localExtentMeta's ID allocation.
-	nextLocal uint64
-	// sealedLocal records localExtentMeta seals (id -> committed length).
-	sealedLocal map[uint64]int64
+	// newMeta builds a mount's metadata client (controller-backed in the
+	// full stack). Mounts call it lazily, on first extent use.
+	newMeta func(*simnet.Node) ExtentMeta
 }
 
 // extNode is one storage node's extent service: replicas in an in-memory
@@ -132,11 +128,13 @@ type extReplica struct {
 }
 
 // EnableExtents attaches the extent plane to the cluster, registering one
-// append/read service per storage node. A node crash wipes its in-memory
-// replicas (the append log is memory-resident; the chain's other members
-// keep the data) and leaves the node unreachable until restarted.
-func (c *Cluster) EnableExtents(nodes []*simnet.Node) {
-	es := &extentStore{c: c, byAddr: make(map[string]*extNode), sealedLocal: make(map[uint64]int64)}
+// append/read service per storage node; newMeta builds the extent-metadata
+// client of a mount on the given node (the harness wires a sessionless
+// controller client). A node crash wipes its in-memory replicas (the append
+// log is memory-resident; the chain's other members keep the data) and
+// leaves the node unreachable until restarted.
+func (c *Cluster) EnableExtents(nodes []*simnet.Node, newMeta func(*simnet.Node) ExtentMeta) {
+	es := &extentStore{c: c, byAddr: make(map[string]*extNode), newMeta: newMeta}
 	for _, n := range nodes {
 		en := &extNode{store: es, node: n, addr: n.Name(), extents: make(map[uint64]*extReplica)}
 		es.nodes = append(es.nodes, en)
@@ -150,30 +148,9 @@ func (c *Cluster) EnableExtents(nodes []*simnet.Node) {
 // ExtentsEnabled reports whether the extent plane is attached.
 func (c *Cluster) ExtentsEnabled() bool { return c.extents != nil }
 
-// SetExtentMetaFactory installs the extent-metadata client constructor
-// (the harness wires a sessionless controller client here). Mounts build
-// their metadata client lazily on first extent use; without a factory they
-// use the cluster-local allocator, which models only the metadata cost.
-func (c *Cluster) SetExtentMetaFactory(f func(*simnet.Node) ExtentMeta) {
-	c.extents.metaFactory = f
-}
-
-// StorageNodeNames returns the extent plane's node addresses in chain-pick
-// order (nil when the plane is disabled).
-func (c *Cluster) StorageNodeNames() []string {
-	if c.extents == nil {
-		return nil
-	}
-	out := make([]string, len(c.extents.nodes))
-	for i, en := range c.extents.nodes {
-		out[i] = en.addr
-	}
-	return out
-}
-
 // reservePipe reserves n bytes on a virtual-time pipe and returns the
-// reservation's completion time (the shared-pipe pattern of
-// Cluster.reserve, one pipe per link).
+// reservation's completion time: crash-safe, deterministic FIFO bandwidth
+// sharing. The cluster's storage pipe and every extent-plane link are one.
 func reservePipe(s *simnet.Sim, busy *time.Duration, n int64, bw float64) time.Duration {
 	start := *busy
 	if now := s.Now(); start < now {

@@ -9,8 +9,31 @@ import (
 	"splitft/internal/simnet"
 )
 
+// localExtentMeta is the controller-less extent allocator the standalone
+// dfs tests run on: a counter and a seal table, priced at one metadata op
+// per call like the controller-backed client the harness wires.
+type localExtentMeta struct {
+	c      *Cluster
+	next   uint64
+	sealed map[uint64]int64
+}
+
+func (m *localExtentMeta) AllocIDs(p *simnet.Proc, n int) (uint64, error) {
+	p.Sleep(m.c.params.MetaFixed)
+	first := m.next
+	m.next += uint64(n)
+	return first, nil
+}
+
+func (m *localExtentMeta) Seal(p *simnet.Proc, id uint64, nodes []string, length int64) error {
+	p.Sleep(m.c.params.MetaFixed)
+	m.sealed[id] = length
+	return nil
+}
+
 // extFixture is a standalone extent-plane testbed: a dfs cluster with
-// storage nodes attached and the cluster-local extent allocator.
+// storage nodes attached and the cluster-local extent allocator (one
+// allocator for every mount, so IDs never collide across mounts).
 type extFixture struct {
 	sim     *simnet.Sim
 	cluster *Cluster
@@ -26,7 +49,8 @@ func newExtFixture(seed int64, params Params) *extFixture {
 	for i := range sns {
 		sns[i] = s.NewNode(fmt.Sprintf("sn%d", i))
 	}
-	c.EnableExtents(sns)
+	meta := &localExtentMeta{c: c, sealed: make(map[uint64]int64)}
+	c.EnableExtents(sns, func(*simnet.Node) ExtentMeta { return meta })
 	n := s.NewNode("appserver")
 	return &extFixture{sim: s, cluster: c, node: n, client: c.Mount(n), sns: sns}
 }
@@ -45,13 +69,13 @@ func TestExtentWriteSyncReadBack(t *testing.T) {
 	fx := newExtFixture(1, DefaultParams())
 	payload := pattern(9 << 20) // 3 extents at the 4 MB default
 	fx.node.Go("test", func(p *simnet.Proc) {
-		h, err := fx.client.OpenFileExt(p, "/ext/f", true, true)
+		h, err := fx.client.OpenFile(p, "/ext/f", true, true)
 		if err != nil {
 			t.Errorf("create: %v", err)
 			return
 		}
-		if _, ok := h.(*ExtentFile); !ok {
-			t.Errorf("created %T, want *ExtentFile", h)
+		if _, ok := h.b.(*extentBackend); !ok {
+			t.Errorf("created on %T, want the extent backend", h.b)
 		}
 		if _, err := h.Write(p, payload); err != nil {
 			t.Errorf("write: %v", err)
@@ -79,7 +103,7 @@ func TestExtentWriteSyncReadBack(t *testing.T) {
 		// A second mount auto-detects the backend and reads through the
 		// manifest, across an extent boundary.
 		cl2 := fx.cluster.Mount(fx.sim.NewNode("reader"))
-		h2, err := cl2.OpenFileExt(p, "/ext/f", false, false)
+		h2, err := cl2.OpenFile(p, "/ext/f", false, false)
 		if err != nil {
 			t.Errorf("reopen: %v", err)
 			return
@@ -104,7 +128,7 @@ func TestExtentWriteSyncReadBack(t *testing.T) {
 func TestExtentOverwriteShadowsOldRange(t *testing.T) {
 	fx := newExtFixture(2, DefaultParams())
 	fx.node.Go("test", func(p *simnet.Proc) {
-		h, err := fx.client.OpenFileExt(p, "/ext/f", true, true)
+		h, err := fx.client.OpenFile(p, "/ext/f", true, true)
 		if err != nil {
 			t.Errorf("create: %v", err)
 			return
@@ -129,7 +153,7 @@ func TestExtentOverwriteShadowsOldRange(t *testing.T) {
 		}
 		// A fresh mount reads the spliced view remotely.
 		cl2 := fx.cluster.Mount(fx.sim.NewNode("reader"))
-		h2, err := cl2.OpenFileExt(p, "/ext/f", false, false)
+		h2, err := cl2.OpenFile(p, "/ext/f", false, false)
 		if err != nil {
 			t.Errorf("reopen: %v", err)
 			return
@@ -151,7 +175,7 @@ func TestChainAppendBeatsFlatSync(t *testing.T) {
 	fx := newExtFixture(3, DefaultParams())
 	payload := make([]byte, 64<<20)
 	fx.node.Go("test", func(p *simnet.Proc) {
-		flat, err := fx.client.Create(p, "/flat")
+		flat, err := fx.client.OpenFile(p, "/flat", true, false)
 		if err != nil {
 			t.Errorf("create flat: %v", err)
 			return
@@ -163,7 +187,7 @@ func TestChainAppendBeatsFlatSync(t *testing.T) {
 		}
 		flatDur := p.Now() - start
 
-		h, err := fx.client.OpenFileExt(p, "/chained", true, true)
+		h, err := fx.client.OpenFile(p, "/chained", true, true)
 		if err != nil {
 			t.Errorf("create extent: %v", err)
 			return
@@ -205,7 +229,7 @@ func crashMidAppend(t *testing.T, idx int) {
 	victim := fx.sns[idx]
 	syncStarted := false
 	fx.node.Go("writer", func(p *simnet.Proc) {
-		h, err := fx.client.OpenFileExt(p, "/ext/f", true, true)
+		h, err := fx.client.OpenFile(p, "/ext/f", true, true)
 		if err != nil {
 			t.Errorf("create: %v", err)
 			return
@@ -246,7 +270,7 @@ func crashMidAppend(t *testing.T, idx int) {
 		// A fresh mount reads the whole file with the victim still dead,
 		// failing over to surviving chain members.
 		cl2 := fx.cluster.Mount(fx.sim.NewNode("reader"))
-		h2, err := cl2.OpenFileExt(p, "/ext/f", false, false)
+		h2, err := cl2.OpenFile(p, "/ext/f", false, false)
 		if err != nil {
 			t.Errorf("reopen: %v", err)
 			return
@@ -274,39 +298,3 @@ func crashMidAppend(t *testing.T, idx int) {
 
 func TestChainHeadCrashMidAppend(t *testing.T) { crashMidAppend(t, 0) }
 func TestChainTailCrashMidAppend(t *testing.T) { crashMidAppend(t, 2) }
-
-// A client crash mid-flush must commit nothing: the inode keeps the old
-// manifest, like an fsync that never returned.
-func TestClientCrashMidFlushKeepsOldManifest(t *testing.T) {
-	fx := newExtFixture(5, failParams())
-	v1 := pattern(1 << 20)
-	syncStarted := false
-	fx.node.Go("writer", func(p *simnet.Proc) {
-		h, err := fx.client.OpenFileExt(p, "/ext/f", true, true)
-		if err != nil {
-			t.Errorf("create: %v", err)
-			return
-		}
-		h.Write(p, v1)
-		if err := h.Sync(p); err != nil {
-			t.Errorf("sync v1: %v", err)
-		}
-		h.Pwrite(p, bytes.Repeat([]byte{0xDD}, 1<<20), 0)
-		syncStarted = true
-		h.Sync(p) // the crash interrupts this; the proc dies inside
-		t.Error("sync returned after client crash")
-	})
-	fx.sim.Go("injector", func(p *simnet.Proc) {
-		for !syncStarted {
-			p.Sleep(100 * time.Microsecond)
-		}
-		// The 1 MB re-write pumps for ~3.3 ms of link time; 2 ms in is
-		// mid-flush, after frames have landed but before the commit.
-		p.Sleep(2 * time.Millisecond)
-		fx.node.Crash()
-	})
-	run(t, fx.sim)
-	if got, ok := fx.cluster.DurableBytes("/ext/f"); !ok || !bytes.Equal(got, v1) {
-		t.Errorf("old manifest not preserved across client crash (ok=%v)", ok)
-	}
-}

@@ -1,34 +1,10 @@
 package dfs
 
 import (
-	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"splitft/internal/simnet"
-	"splitft/internal/trace"
-)
-
-// Handle is the file-handle surface shared by the flat path (*File) and
-// the extent path (*ExtentFile); internal/core programs against it so an
-// application doesn't care which backend a path landed on.
-type Handle interface {
-	Write(p *simnet.Proc, data []byte) (int, error)
-	Pwrite(p *simnet.Proc, data []byte, off int64) (int, error)
-	Read(p *simnet.Proc, buf []byte) (int, error)
-	Pread(p *simnet.Proc, buf []byte, off int64) (int, error)
-	Sync(p *simnet.Proc) error
-	Close(p *simnet.Proc) error
-	Size() int64
-	Path() string
-	DirtyBytes() int64
-	SeekTo(off int64)
-}
-
-var (
-	_ Handle = (*File)(nil)
-	_ Handle = (*ExtentFile)(nil)
 )
 
 // extSeg maps one contiguous logical range of a file onto one extent. The
@@ -89,25 +65,21 @@ func (m *extManifest) splice(sg extSeg) {
 	}
 }
 
-// ExtentFile is an open handle on an extent-backed file. Writes buffer in
-// the client like the flat path; Sync packs the dirty spans into chunks
-// and streams each down its extent's chain concurrently, then commits the
-// manifest. Extent files skip the background writeback plane — they are
-// explicit-sync append streams, the pattern every port uses for SSTables,
-// checkpoints and journal chunks.
-type ExtentFile struct {
-	client *Client
-	path   string
-	df     *durableFile
-
-	view     []byte
+// extentBackend is the extent plane behind a File: Sync packs the dirty
+// spans into chunks and streams each down its extent's chain concurrently,
+// then commits the manifest. Extent files skip the background writeback
+// plane — they are explicit-sync append streams, the pattern every port
+// uses for SSTables, checkpoints and journal chunks — so a buffered write
+// pays the local copy only: durability cost is paid where it belongs, at
+// Sync.
+//
+// Unlike the flat path, a reopened extent file starts with an empty view
+// and load moves real bytes into it, so the backend tracks which ranges of
+// the view are resident. That set is per handle and never evicted: it
+// ignores Params.CacheCapacity (a recorded model gap, see ROADMAP.md).
+type extentBackend struct {
+	f        *File
 	resident []span
-	dirty    []span
-	size     int64
-	offset   int64
-
-	flushing bool
-	closed   bool
 
 	// The append tail: where the next flushed byte lands. Invalidated by a
 	// failed flush (re-forms may have sealed it) so the next flush starts
@@ -118,164 +90,49 @@ type ExtentFile struct {
 	tailNodes []string
 }
 
-// OpenFileExt opens path on whichever backend it lives on, creating it if
-// create is set and it doesn't exist — on the extent plane when extent is
-// set and the plane is attached, on the flat path otherwise. Existing
-// files open as whatever they were created as (the flag only matters at
-// create), so readers need no knowledge of the backend.
-func (cl *Client) OpenFileExt(p *simnet.Proc, path string, create, extent bool) (Handle, error) {
-	if err := cl.checkAlive(); err != nil {
-		return nil, err
-	}
-	df, ok := cl.cluster.files[path]
-	if !ok {
-		if !create {
-			return nil, fmt.Errorf("%w: %s", ErrNotExist, path)
-		}
-		if extent && cl.cluster.ExtentsEnabled() {
-			return cl.createExtentFile(p, path)
-		}
-		return cl.Create(p, path)
-	}
-	if df.ext != nil {
-		return cl.openExtentFile(p, path, df)
-	}
-	return cl.Open(p, path)
-}
-
-func (cl *Client) createExtentFile(p *simnet.Proc, path string) (*ExtentFile, error) {
-	p.Sleep(cl.cluster.params.MetaFixed)
-	df := &durableFile{ext: &extManifest{}}
-	cl.cluster.files[path] = df
-	return &ExtentFile{client: cl, path: path, df: df}, nil
-}
-
-func (cl *Client) openExtentFile(p *simnet.Proc, path string, df *durableFile) (*ExtentFile, error) {
-	p.Sleep(cl.cluster.params.MetaFixed)
-	// The tail is not recovered: appends after reopen start on a fresh
-	// extent (log-structured; the partially filled old tail just stays as
-	// it is, referenced by the manifest).
-	return &ExtentFile{client: cl, path: path, df: df, size: df.ext.size}, nil
-}
-
-// Size returns the file's current (buffered) length.
-func (f *ExtentFile) Size() int64 { return f.size }
-
-// Path returns the file's path.
-func (f *ExtentFile) Path() string { return f.path }
-
-// DirtyBytes reports how much buffered data a Sync would flush right now.
-func (f *ExtentFile) DirtyBytes() int64 { return spanBytes(f.dirty) }
-
-// SeekTo sets the cursor for Write/Read to an absolute offset.
-func (f *ExtentFile) SeekTo(off int64) { f.offset = off }
-
-// Write appends data at the cursor (buffered; durable only after Sync).
-func (f *ExtentFile) Write(p *simnet.Proc, data []byte) (int, error) {
-	n, err := f.Pwrite(p, data, f.offset)
-	f.offset += int64(n)
-	return n, err
-}
-
-// Pwrite buffers data at off. Extent files pay the local copy cost only:
-// they are outside the writeback plane, so there is no dirty throttling —
-// durability cost is paid where it belongs, at Sync.
-func (f *ExtentFile) Pwrite(p *simnet.Proc, data []byte, off int64) (int, error) {
-	if f.closed {
-		return 0, ErrClosed
-	}
-	cl := f.client
-	if err := cl.checkAlive(); err != nil {
-		return 0, err
-	}
-	tsp := p.StartSpan("dfs", "pwrite", trace.Str("path", f.path), trace.Int("bytes", int64(len(data))))
-	defer p.EndSpan(tsp)
-	pm := cl.cluster.params
-	p.Sleep(pm.SyscallFixed + time.Duration(float64(len(data))/pm.MemBandwidth*float64(time.Second)))
-	end := off + int64(len(data))
-	f.view = grow(f.view, end)
-	copy(f.view[off:end], data)
-	f.dirty = addSpan(f.dirty, span{start: off, end: end})
-	f.resident = addSpan(f.resident, span{start: off, end: end})
-	if end > f.size {
-		f.size = end
-	}
-	return len(data), nil
-}
-
-// Sync makes all buffered writes durable through chained appends.
-func (f *ExtentFile) Sync(p *simnet.Proc) error {
-	if f.closed {
-		return ErrClosed
-	}
-	return f.flushExt(p)
+func (b *extentBackend) admit(p *simnet.Proc, off, n int64) {
+	p.Sleep(localCopyCost(b.f.client.cluster.params, n))
+	b.resident = addSpan(b.resident, span{start: off, end: off + n})
 }
 
 // pack cuts the dirty spans into chunks, filling the append tail and
 // allocating fresh extents (from the lease cache) as extents fill. Chunks
 // never cross an extent boundary.
-func (f *ExtentFile) pack(p *simnet.Proc, spans []span) ([]chunk, error) {
-	pm := f.client.cluster.params
+func (b *extentBackend) pack(p *simnet.Proc, spans []span) ([]chunk, error) {
+	cl := b.f.client
+	pm := cl.cluster.params
 	var chunks []chunk
 	for _, s := range spans {
 		cur := s.start
 		for cur < s.end {
-			if !f.tailValid || f.tailOff >= pm.ExtentSize {
-				id, nodes, err := f.client.allocExtent(p)
+			if !b.tailValid || b.tailOff >= pm.ExtentSize {
+				id, nodes, err := cl.allocExtent(p)
 				if err != nil {
 					return nil, err
 				}
-				f.tailValid, f.tailExt, f.tailOff, f.tailNodes = true, id, 0, nodes
+				b.tailValid, b.tailExt, b.tailOff, b.tailNodes = true, id, 0, nodes
 			}
 			take := s.end - cur
-			if room := pm.ExtentSize - f.tailOff; take > room {
+			if room := pm.ExtentSize - b.tailOff; take > room {
 				take = room
 			}
-			chunks = append(chunks, chunk{ext: f.tailExt, extOff: f.tailOff,
-				logStart: cur, data: f.view[cur : cur+take], nodes: f.tailNodes})
-			f.tailOff += take
+			chunks = append(chunks, chunk{ext: b.tailExt, extOff: b.tailOff,
+				logStart: cur, data: b.f.view[cur : cur+take], nodes: b.tailNodes})
+			b.tailOff += take
 			cur += take
 		}
 	}
 	return chunks, nil
 }
 
-// flushExt is the extent fsync: pack dirty spans into chunks, pump every
-// chunk down its chain concurrently, then commit the spliced manifest.
-func (f *ExtentFile) flushExt(p *simnet.Proc) error {
-	cl := f.client
-	if err := cl.checkAlive(); err != nil {
-		return err
-	}
-	tsp := p.StartSpan("dfs", "fsync", trace.Str("path", f.path))
-	defer p.EndSpan(tsp)
+// commit is the extent fsync: pack the spans into chunks, pump every chunk
+// down its chain concurrently, then install the spliced manifest.
+func (b *extentBackend) commit(p *simnet.Proc, spans []span, n int64, _ bool) error {
+	f, cl := b.f, b.f.client
 	pm := cl.cluster.params
-	for f.flushing {
-		p.Sleep(100 * time.Microsecond)
-		if err := cl.checkAlive(); err != nil {
-			return err
-		}
-	}
-	f.flushing = true
-	defer func() { f.flushing = false }()
-	n := spanBytes(f.dirty)
-	tsp.SetAttr(trace.Int("bytes", n))
-	if n == 0 {
-		p.Sleep(pm.SyncCleanFixed)
-		cl.cluster.ExtentSyncs++
-		return nil
-	}
-	spans := f.dirty
-	f.dirty = nil
-	restore := func() {
-		for _, s := range spans {
-			f.dirty = addSpan(f.dirty, s)
-		}
-		f.tailValid = false
-	}
-	chunks, err := f.pack(p, spans)
+	chunks, err := b.pack(p, spans)
 	if err != nil {
-		restore()
+		b.tailValid = false
 		return err
 	}
 	results := make([][]extSeg, len(chunks))
@@ -297,11 +154,11 @@ func (f *ExtentFile) flushExt(p *simnet.Proc) error {
 	}
 	if cl.dead {
 		// Died mid-flush: nothing commits; the inode keeps its old manifest.
-		return errors.New("dfs: client died during flush")
+		return errDiedInFlush
 	}
 	for _, e := range errs {
 		if e != nil {
-			restore()
+			b.tailValid = false
 			return e
 		}
 	}
@@ -315,57 +172,28 @@ func (f *ExtentFile) flushExt(p *simnet.Proc) error {
 	}
 	p.Sleep(pm.MetaFixed)
 	f.df.ext = man
-	cl.cluster.ExtentSyncs++
 	cl.cluster.ExtentBytes += n
 	// The tail continues from the last segment written (a re-form may have
 	// moved it off the extent pack chose).
 	last := results[len(results)-1]
 	sg := last[len(last)-1]
-	f.tailExt = sg.ext
-	f.tailOff = sg.extOff + (sg.logEnd - sg.logStart)
-	f.tailNodes = sg.nodes
-	f.tailValid = f.tailOff < pm.ExtentSize
+	b.tailExt = sg.ext
+	b.tailOff = sg.extOff + (sg.logEnd - sg.logStart)
+	b.tailNodes = sg.nodes
+	b.tailValid = b.tailOff < pm.ExtentSize
 	return nil
 }
 
-// Read reads from the cursor.
-func (f *ExtentFile) Read(p *simnet.Proc, buf []byte) (int, error) {
-	n, err := f.Pread(p, buf, f.offset)
-	f.offset += int64(n)
-	return n, err
-}
-
-// Pread reads len(buf) bytes at off (short at EOF). Locally resident
-// ranges cost a memory copy; the rest is fetched from the extents' chain
-// members through the manifest.
-func (f *ExtentFile) Pread(p *simnet.Proc, buf []byte, off int64) (int, error) {
-	if f.closed {
-		return 0, ErrClosed
-	}
-	cl := f.client
-	if err := cl.checkAlive(); err != nil {
-		return 0, err
-	}
-	if off >= f.size {
-		return 0, nil
-	}
-	tsp := p.StartSpan("dfs", "pread", trace.Str("path", f.path), trace.Int("bytes", int64(len(buf))))
-	defer p.EndSpan(tsp)
-	n := int64(len(buf))
-	if off+n > f.size {
-		n = f.size - off
-	}
-	want := span{start: off, end: off + n}
-	for _, miss := range missingRanges(f.resident, want) {
-		if err := f.fetchRange(p, miss); err != nil {
-			return 0, err
+// load fetches whatever part of [off, off+n) is not yet resident from the
+// extents' chain members through the manifest, then charges the local copy.
+func (b *extentBackend) load(p *simnet.Proc, off, n int64) error {
+	for _, miss := range missingRanges(b.resident, span{start: off, end: off + n}) {
+		if err := b.fetchRange(p, miss); err != nil {
+			return err
 		}
 	}
-	pm := cl.cluster.params
-	p.Sleep(pm.SyscallFixed + time.Duration(float64(n)/pm.MemBandwidth*float64(time.Second)))
-	f.view = grow(f.view, off+n)
-	copy(buf[:n], f.view[off:off+n])
-	return int(n), nil
+	p.Sleep(localCopyCost(b.f.client.cluster.params, n))
+	return nil
 }
 
 // missingRanges returns the parts of want not covered by the sorted,
@@ -395,7 +223,8 @@ func missingRanges(resident []span, want span) []span {
 
 // fetchRange pulls one missing logical range into the view from the
 // extents holding it (manifest holes read as zeros).
-func (f *ExtentFile) fetchRange(p *simnet.Proc, s span) error {
+func (b *extentBackend) fetchRange(p *simnet.Proc, s span) error {
+	f := b.f
 	f.view = grow(f.view, s.end)
 	for _, sg := range f.df.ext.segs {
 		if sg.logEnd <= s.start || sg.logStart >= s.end {
@@ -414,21 +243,6 @@ func (f *ExtentFile) fetchRange(p *simnet.Proc, s span) error {
 		}
 		copy(f.view[lo:hi], data)
 	}
-	f.resident = addSpan(f.resident, s)
-	return nil
-}
-
-// Close flushes remaining dirty data (extent files have no background
-// writeback to hand it to) and releases the handle.
-func (f *ExtentFile) Close(p *simnet.Proc) error {
-	if f.closed {
-		return ErrClosed
-	}
-	if f.DirtyBytes() > 0 && !f.client.dead {
-		if err := f.flushExt(p); err != nil {
-			return err
-		}
-	}
-	f.closed = true
+	b.resident = addSpan(b.resident, s)
 	return nil
 }

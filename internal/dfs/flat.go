@@ -1,0 +1,176 @@
+package dfs
+
+import (
+	"time"
+
+	"splitft/internal/simnet"
+)
+
+// flatBackend is the CephFS-like primary-copy path: writes join the mount's
+// writeback plane (dirty total, stalls, throttle), a flush reserves the
+// cluster's shared storage pipe and lands the bytes inline on the inode,
+// and reads are priced through the mount's block cache with readahead. The
+// view is a full copy of the inode taken at open, so load never moves
+// content — it only charges for it.
+type flatBackend struct {
+	f          *File
+	lastSeqEnd int64 // where the previous cached read ended (readahead)
+}
+
+func (b *flatBackend) admit(p *simnet.Proc, off, n int64) {
+	cl := b.f.client
+	pm := cl.cluster.params
+	// Stall if writeback can't keep up (the weak-mode penalty).
+	for cl.dirty > pm.DirtyHighWater {
+		start := p.Now()
+		cl.flushNow.Send(p, struct{}{})
+		cl.stallMu.Lock(p)
+		cl.stallCond.WaitTimeout(p, 20*time.Millisecond)
+		cl.stallMu.Unlock(p)
+		cl.StallTime += p.Now() - start
+	}
+	cost := localCopyCost(pm, n)
+	if pm.WritebackThrottleMax > 0 && cl.dirty > 0 {
+		ratio := float64(cl.dirty) / float64(pm.DirtyHighWater)
+		if ratio > 1 {
+			ratio = 1
+		}
+		cost += time.Duration(ratio * float64(pm.WritebackThrottleMax))
+	}
+	p.Sleep(cost)
+	cl.dirty += n
+}
+
+// commit pays bandwidth on the storage pipe, plus the replication round
+// trip when it is an fsync, then applies the spans to the inode.
+func (b *flatBackend) commit(p *simnet.Proc, spans []span, n int64, foreground bool) error {
+	f, cl := b.f, b.f.client
+	pm := cl.cluster.params
+	cl.dirty -= n
+	wait := cl.cluster.reserve(n, pm.WriteBandwidth) - p.Now()
+	if foreground {
+		wait += pm.SyncFixed
+	}
+	p.Sleep(wait)
+	if cl.dead {
+		return errDiedInFlush
+	}
+	// Apply the spans durably to this handle's inode (see File.df). The
+	// view may have grown past some spans' snapshot; copy what the view
+	// holds now (writeback semantics). If the file was unlinked while the
+	// flush was in flight the inode is orphaned and the data simply goes
+	// nowhere, like kernel writeback to a deleted inode.
+	df := f.df
+	for _, s := range spans {
+		df.data = grow(df.data, s.end)
+		copy(df.data[s.start:s.end], f.view[s.start:s.end])
+	}
+	cl.cluster.BytesWritten += n
+	if !foreground {
+		cl.FlushedBytes += n
+	}
+	// Recently written data is cache-resident — but only while the path
+	// still names this inode. A file renamed away (or replaced) mid-flush
+	// must not warm cache blocks for whatever now lives at the old path.
+	if cl.cluster.files[f.path] == df {
+		for _, s := range spans {
+			cl.insertBlocks(f.path, s.start, s.end)
+		}
+	}
+	return nil
+}
+
+func (b *flatBackend) load(p *simnet.Proc, off, n int64) error {
+	cl := b.f.client
+	pm := cl.cluster.params
+	if cl.DirectIO {
+		done := cl.cluster.reserve(n, pm.ReadBandwidth)
+		p.Sleep(pm.ReadFixed + (done - p.Now()))
+		cl.cluster.BytesRead += n
+		return nil
+	}
+	// Through the block cache with sequential readahead.
+	bs := int64(pm.CacheBlock)
+	var missBytes int64
+	for blk := off / bs; blk*bs < off+n; blk++ {
+		key := blockKey{path: b.f.path, idx: blk}
+		if ent, ok := cl.cache[key]; ok {
+			cl.cacheLRU++
+			ent.lru = cl.cacheLRU
+			cl.CacheHits++
+			continue
+		}
+		cl.CacheMisses++
+		// Miss: fetch this block, or a whole readahead window if the access
+		// is sequential.
+		fetchEnd := (blk + 1) * bs
+		if pm.ReadaheadWindow > 0 && off == b.lastSeqEnd {
+			fetchEnd = blk*bs + int64(pm.ReadaheadWindow)
+		}
+		if fetchEnd > b.f.size {
+			fetchEnd = b.f.size
+		}
+		fetchStart := blk * bs
+		missBytes += fetchEnd - fetchStart
+		cl.insertBlocks(b.f.path, fetchStart, fetchEnd)
+	}
+	if missBytes > 0 {
+		done := cl.cluster.reserve(missBytes, pm.ReadBandwidth)
+		p.Sleep(pm.ReadFixed + (done - p.Now()))
+		cl.cluster.BytesRead += missBytes
+	}
+	// Cache-hit portion: local memory copy.
+	p.Sleep(localCopyCost(pm, n-missBytes))
+	b.lastSeqEnd = off + n
+	return nil
+}
+
+// The mount's block cache: which CacheBlock-sized blocks of which path are
+// client-resident, for pricing only (handles hold the content).
+type blockKey struct {
+	path string
+	idx  int64
+}
+
+type blockEnt struct {
+	lru  uint64
+	size int64
+}
+
+// insertBlocks marks [start, end) of path cache-resident, evicting LRU
+// blocks if over capacity.
+func (cl *Client) insertBlocks(path string, start, end int64) {
+	pm := cl.cluster.params
+	bs := int64(pm.CacheBlock)
+	for b := start / bs; b*bs < end; b++ {
+		key := blockKey{path: path, idx: b}
+		if _, ok := cl.cache[key]; ok {
+			continue
+		}
+		cl.cacheLRU++
+		cl.cache[key] = &blockEnt{lru: cl.cacheLRU, size: bs}
+		cl.cacheUsed += bs
+	}
+	for cl.cacheUsed > pm.CacheCapacity {
+		var victim blockKey
+		var oldest uint64 = ^uint64(0)
+		for k, e := range cl.cache {
+			if e.lru < oldest {
+				oldest = e.lru
+				victim = k
+			}
+		}
+		cl.cacheUsed -= cl.cache[victim].size
+		delete(cl.cache, victim)
+	}
+}
+
+// dropBlocks evicts every cached block of paths a and b.
+func (cl *Client) dropBlocks(a, b string) {
+	for k, e := range cl.cache {
+		if k.path == a || k.path == b {
+			cl.cacheUsed -= e.size
+			delete(cl.cache, k)
+		}
+	}
+}

@@ -20,7 +20,7 @@ func TestWritebackThrottleGrowsWithDirtyData(t *testing.T) {
 	client := cluster.Mount(node)
 	var clean, dirtyish time.Duration
 	node.Go("t", func(p *simnet.Proc) {
-		f, _ := client.Create(p, "/log")
+		f, _ := client.OpenFile(p, "/log", true, false)
 		buf := make([]byte, 128)
 		start := p.Now()
 		f.Write(p, buf)
@@ -55,7 +55,7 @@ func TestThrottleClearsAfterSync(t *testing.T) {
 	node := s.NewNode("n")
 	client := cluster.Mount(node)
 	node.Go("t", func(p *simnet.Proc) {
-		f, _ := client.Create(p, "/log")
+		f, _ := client.OpenFile(p, "/log", true, false)
 		f.Write(p, make([]byte, 32<<20))
 		f.Sync(p)
 		buf := make([]byte, 128)
@@ -82,7 +82,7 @@ func TestThrottleDisabled(t *testing.T) {
 	node := s.NewNode("n")
 	client := cluster.Mount(node)
 	node.Go("t", func(p *simnet.Proc) {
-		f, _ := client.Create(p, "/log")
+		f, _ := client.OpenFile(p, "/log", true, false)
 		f.Write(p, make([]byte, 48<<20))
 		start := p.Now()
 		f.Write(p, make([]byte, 128))

@@ -29,7 +29,7 @@ type Options struct {
 	Trace *trace.Collector
 	// Profile is the hardware cost model for the whole testbed (fabric,
 	// dfs, controller, peers, net latency). Nil means model.Baseline().
-	// The fine-grained overrides below layer on top of it.
+	// To vary one of its constants, pass a mutated copy.
 	Profile *model.Profile
 	// PeerMem is each peer's lendable memory (default from profile: 1 GiB).
 	PeerMem int64
@@ -40,20 +40,11 @@ type Options struct {
 	DFSParams *dfs.Params
 	// WithLocalFS adds a local-ext4 cluster (Fig 11b baseline).
 	WithLocalFS bool
-	// NetLatency overrides the profile's default one-way latency.
-	NetLatency time.Duration
-	// PeerConfig overrides peer daemon settings (LendableMem is still
-	// taken from PeerMem when set).
-	PeerConfig *peer.Config
 	// PeerDomainCount > 0 assigns each peer a failure domain, round-robin
 	// across that many domains ("dom0".."dom<n-1>"), so placement spreads
 	// a log's group across domains. 0 leaves domains unset (the default —
 	// placement and traces are unchanged).
 	PeerDomainCount int
-	// ControllerShards overrides the profile's Controller.Shards: the
-	// number of data Raft groups the controller's znode tree is split
-	// across (0/1 = the paper's single-group layout).
-	ControllerShards int
 }
 
 // Cluster is a running testbed.
@@ -94,18 +85,11 @@ func New(opts Options) *Cluster {
 	if prof == nil {
 		prof = model.Baseline()
 	}
-	if opts.NetLatency == 0 {
-		opts.NetLatency = prof.NetLatency
-	}
 	s := simnet.New(opts.Seed)
 	if opts.Trace != nil {
 		s.SetTracer(opts.Trace)
 	}
-	s.Net().SetDefaultLatency(opts.NetLatency)
-	ctrlCfg := prof.Controller
-	if opts.ControllerShards != 0 {
-		ctrlCfg.Shards = opts.ControllerShards
-	}
+	s.Net().SetDefaultLatency(prof.NetLatency)
 	ctrlNodes := []*simnet.Node{s.NewNode("ctrl0"), s.NewNode("ctrl1"), s.NewNode("ctrl2")}
 	dfsParams := prof.DFS
 	if opts.DFSParams != nil {
@@ -113,7 +97,7 @@ func New(opts Options) *Cluster {
 	}
 	c := &Cluster{
 		Sim:        s,
-		Controller: controller.Start(s, ctrlNodes, ctrlCfg),
+		Controller: controller.Start(s, ctrlNodes, prof.Controller),
 		Fabric:     rdma.NewFabric(s, prof.RDMA),
 		DFS:        dfs.NewCluster(s, "cephfs", dfsParams),
 		AppNode:    s.NewNode("appserver"),
@@ -126,12 +110,11 @@ func New(opts Options) *Cluster {
 		for i := 0; i < dfsParams.ExtentNodes; i++ {
 			c.StorageNodes = append(c.StorageNodes, s.NewNode(fmt.Sprintf("cephfs-sn%d", i)))
 		}
-		c.DFS.EnableExtents(c.StorageNodes)
 		// Extent metadata lives under /dfs/cephfs/ on the sharded controller.
 		// The per-mount client is sessionless — allocation and seals are not
 		// ephemeral — so it adds no keep-alive traffic.
 		ctrl := c.Controller
-		c.DFS.SetExtentMetaFactory(func(n *simnet.Node) dfs.ExtentMeta {
+		c.DFS.EnableExtents(c.StorageNodes, func(n *simnet.Node) dfs.ExtentMeta {
 			return controller.NewClient(ctrl, n, "dfs-extmeta", 0).ExtentMeta("cephfs")
 		})
 	}
@@ -145,9 +128,6 @@ func New(opts Options) *Cluster {
 	c.AppNode.SetCores(opts.AppCores)
 	c.ClientNode.SetCores(16)
 	c.peerCfg = prof.Peer
-	if opts.PeerConfig != nil {
-		c.peerCfg = *opts.PeerConfig
-	}
 	if opts.PeerMem != 0 {
 		c.peerCfg.LendableMem = opts.PeerMem
 	}

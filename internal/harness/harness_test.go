@@ -92,6 +92,9 @@ func TestProfileOverridePlumbing(t *testing.T) {
 	prof := model.CX6RoCE100()
 	prof.DFS.SyncFixed = 1750 * time.Microsecond
 	prof.NCL.Replication = "mirror:2"
+	prof.NetLatency = 9 * time.Microsecond
+	prof.Controller.Shards = 4
+	prof.Peer.PublishInterval = 70 * time.Millisecond
 	c := New(Options{Seed: 5, Profile: prof})
 	// The fabric, dfs and network must be built from the custom profile,
 	// not the baseline.
@@ -101,8 +104,11 @@ func TestProfileOverridePlumbing(t *testing.T) {
 	if got := c.DFS.Params().SyncFixed; got != 1750*time.Microsecond {
 		t.Errorf("dfs SyncFixed = %v, want the override", got)
 	}
-	if got := c.Sim.Net().Latency(c.AppNode, c.ClientNode); got != prof.NetLatency {
-		t.Errorf("net latency = %v, want %v", got, prof.NetLatency)
+	if got := c.Sim.Net().Latency(c.AppNode, c.ClientNode); got != 9*time.Microsecond {
+		t.Errorf("net latency = %v, want the profile's 9us", got)
+	}
+	if got := c.Controller.Config().Shards; got != 4 {
+		t.Errorf("controller shards = %d, want the profile's 4", got)
 	}
 	if got := c.FSOptions("app", 0).NCL.Policy.F; got != 2 {
 		t.Errorf("FSOptions NCL.Policy.F = %d, want the profile's 2", got)
@@ -117,17 +123,13 @@ func TestExplicitOverridesBeatProfile(t *testing.T) {
 	dfsParams := prof.DFS
 	dfsParams.SyncFixed = 42 * time.Microsecond
 	c := New(Options{
-		Seed:       6,
-		Profile:    prof,
-		DFSParams:  &dfsParams,
-		NetLatency: 9 * time.Microsecond,
-		PeerMem:    64 << 20,
+		Seed:      6,
+		Profile:   prof,
+		DFSParams: &dfsParams,
+		PeerMem:   64 << 20,
 	})
 	if got := c.DFS.Params().SyncFixed; got != 42*time.Microsecond {
 		t.Errorf("DFSParams override lost: %v", got)
-	}
-	if got := c.Sim.Net().Latency(c.AppNode, c.ClientNode); got != 9*time.Microsecond {
-		t.Errorf("NetLatency override lost: %v", got)
 	}
 	if c.peerCfg.LendableMem != 64<<20 {
 		t.Errorf("PeerMem override lost: %v", c.peerCfg.LendableMem)

@@ -89,6 +89,9 @@ func (h *Histogram) Record(d time.Duration) {
 // Count returns the number of recorded samples.
 func (h *Histogram) Count() uint64 { return h.count }
 
+// Sum returns the exact total of recorded samples.
+func (h *Histogram) Sum() time.Duration { return h.sum }
+
 // Mean returns the exact mean of recorded samples.
 func (h *Histogram) Mean() time.Duration {
 	if h.count == 0 {

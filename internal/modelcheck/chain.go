@@ -93,6 +93,21 @@ func (s *cstate) clone() *cstate {
 	return &c
 }
 
+func (s *cstate) appendKey(b []byte) []byte {
+	b = append(b, byte(s.Sent), byte(s.Acked), byte(s.Acked>>8), byte(s.Crashes), byte(s.Reforms),
+		byte(len(s.Nodes)), byte(len(s.Chain)), byte(len(s.Msgs)))
+	for _, n := range s.Nodes {
+		b = append(b, bit(n.Alive), byte(n.Stored), byte(n.Stored>>8))
+	}
+	for _, i := range s.Chain {
+		b = append(b, byte(i))
+	}
+	for _, m := range s.Msgs {
+		b = append(b, byte(m.Frame), byte(m.Pos))
+	}
+	return b
+}
+
 // canon sorts the in-flight set so semantically equal states share a key.
 func (s *cstate) canon() {
 	sort.Slice(s.Msgs, func(i, j int) bool {
@@ -147,7 +162,7 @@ func CheckChain(cfg ChainConfig) Result {
 	for i := range init.Chain {
 		init.Chain[i] = int8(i)
 	}
-	return explore(init, func(s *cstate, emit func(string, *cstate, string)) {
+	return explore(init, (*cstate).appendKey, func(s *cstate, emit func(string, *cstate, string)) {
 		// expand canonicalizes a successor and checks the invariant on it.
 		expand := func(action string, c *cstate) {
 			c.canon()

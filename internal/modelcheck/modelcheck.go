@@ -113,6 +113,26 @@ func (s *state) clone() *state {
 	return &c
 }
 
+// bit is a bool as a key byte.
+func bit(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func (s *state) appendKey(b []byte) []byte {
+	b = append(b, bit(s.AppAlive), byte(s.W), byte(s.A), byte(s.Epoch),
+		byte(s.PeerCr), byte(s.AppCr), byte(s.Repl), byte(len(s.Peers)))
+	for _, p := range s.Peers {
+		b = append(b, bit(p.Alive), bit(p.MrMap), byte(p.Data), byte(p.Hdr), byte(len(p.Queue)))
+		for _, op := range p.Queue {
+			b = append(b, byte(op.Kind), byte(op.Seq))
+		}
+	}
+	return b
+}
+
 // eagerAck advances A to the largest write held (header-visible) by a
 // majority of current members. Only a live application acknowledges.
 func (s *state) eagerAck(f int) {
@@ -151,19 +171,21 @@ type Result struct {
 // the transitions out of s in a fixed order, calling emit once per
 // successor; a non-empty violation marks that transition as a
 // counterexample and ends the search once s is expanded. Successors are
-// deduplicated on their printed value, so S must print canonically (no
-// pointers, no maps). Breadth-first order makes traces minimal-ish; the
-// first counterexample in expansion order wins. States counts the states
+// deduplicated on the bytes appendKey appends for them, which must be equal
+// for exactly the states that are equal field by field (a nil and an empty
+// slice included). Breadth-first order makes traces minimal-ish; the first
+// counterexample in expansion order wins. States counts the states
 // expanded, the violating one included.
-func explore[S any](init *S, next func(s *S, emit func(action string, succ *S, violation string))) Result {
+func explore[S any](init *S, appendKey func(*S, []byte) []byte,
+	next func(s *S, emit func(action string, succ *S, violation string))) Result {
 	type node struct {
 		st     *S
 		parent int
 		action string
 	}
-	key := func(s *S) string { return fmt.Sprintf("%+v", *s) }
 	nodes := []node{{st: init, parent: -1}}
-	visited := map[string]struct{}{key(init): {}}
+	var key []byte
+	visited := map[string]struct{}{string(appendKey(init, nil)): {}}
 	for cur := 0; cur < len(nodes); cur++ {
 		var found *Violation
 		next(nodes[cur].st, func(action string, succ *S, violation string) {
@@ -176,9 +198,9 @@ func explore[S any](init *S, next func(s *S, emit func(action string, succ *S, v
 				}
 				found = &Violation{Kind: violation, Trace: trace}
 			default:
-				k := key(succ)
-				if _, seen := visited[k]; !seen {
-					visited[k] = struct{}{}
+				key = appendKey(succ, key[:0])
+				if _, seen := visited[string(key)]; !seen {
+					visited[string(key)] = struct{}{}
 					nodes = append(nodes, node{st: succ, parent: cur, action: action})
 				}
 			}
@@ -199,7 +221,7 @@ func Check(cfg Config) Result {
 	for i := range init.Peers {
 		init.Peers[i] = peerState{Alive: true, MrMap: true}
 	}
-	return explore(init, func(s *state, emit func(string, *state, string)) {
+	return explore(init, (*state).appendKey, func(s *state, emit func(string, *state, string)) {
 		push := func(action string, st *state) {
 			st.eagerAck(cfg.F)
 			emit(action, st, "")

@@ -93,6 +93,14 @@ func (s *rstate) clone() *rstate {
 	return &c
 }
 
+func (s *rstate) appendKey(b []byte) []byte {
+	b = append(b, byte(s.Writes), byte(s.Acked), byte(s.Crashes), byte(len(s.Peers)))
+	for _, pr := range s.Peers {
+		b = append(b, bit(pr.Alive), byte(pr.Stored), byte(pr.Sent))
+	}
+	return b
+}
+
 // ackRule returns how many stored copies acknowledge a write under the
 // (possibly mutated) policy.
 func ackRule(spec ncl.PolicySpec, mut ReplMutation) int {
@@ -171,7 +179,7 @@ func CheckReplication(spec ncl.PolicySpec, cfg ReplConfig) Result {
 	for i := range init.Peers {
 		init.Peers[i].Alive = true
 	}
-	return explore(init, func(s *rstate, emit func(string, *rstate, string)) {
+	return explore(init, (*rstate).appendKey, func(s *rstate, emit func(string, *rstate, string)) {
 		// expand latches acks on a successor and checks the invariant on it.
 		expand := func(action string, c *rstate) {
 			c.latchAcks(ackNeed)

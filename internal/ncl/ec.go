@@ -150,25 +150,7 @@ func (e *ecPolicy) Append(p *simnet.Proc, lg *Log, off int64, data []byte) error
 // is a prefix of the same global frame stream and frames at equal index
 // agree on metadata.
 func (e *ecPolicy) Recover(p *simnet.Proc, lg *Log, alive []*peerConn) error {
-	type shardScan struct {
-		pc     *peerConn
-		frames []frame
-		last   uint64
-	}
-	scans := make([]shardScan, 0, len(alive))
-	for _, pc := range alive {
-		buf := make([]byte, e.shardCap)
-		if err := lg.readInto(p, pc, 0, buf); err != nil {
-			pc.failed = true
-			continue
-		}
-		fr := scanFrames(buf, e.capacity)
-		var last uint64
-		if len(fr) > 0 {
-			last = fr[len(fr)-1].seq
-		}
-		scans = append(scans, shardScan{pc: pc, frames: fr, last: last})
-	}
+	scans := lg.scanFrameLogs(p, alive, e.shardCap, e.capacity)
 	if len(scans) < e.spec.K {
 		return fmt.Errorf("%w: %d of %d fragments readable (need %d)",
 			ErrUnavailable, len(scans), e.spec.Slots(), e.spec.K)
@@ -273,35 +255,9 @@ func (e *ecPolicy) Resync(p *simnet.Proc, lg *Log, alive []*peerConn) error {
 }
 
 func (e *ecPolicy) Repair(p *simnet.Proc, lg *Log, qp qpLike, rkey uint64, slot int, lock bool) error {
-	id, done := lg.newBulkWaiter()
-	defer delete(lg.bulks, id)
-	if lock {
-		lg.mu.Lock(p)
-	}
-	n := 0
-	if e.shardLen > 0 {
-		qp.PostWrite(p, rkey, 0, e.shards[slot][:e.shardLen], bulkCtx(id))
-		n++
-	}
-	if lock {
-		lg.mu.Unlock(p)
-	}
-	for i := 0; i < n; i++ {
-		err, ok := done.Recv(p)
-		if !ok {
-			return ErrReleased
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return lg.repairFrameLog(p, qp, rkey, e.shards[slot], &e.shardLen, lock)
 }
 
 func (e *ecPolicy) Snapshot(p *simnet.Proc, lg *Log, pc *peerConn) {
-	if e.shardLen == 0 {
-		return
-	}
-	p.Sleep(time.Duration(float64(e.shardLen) / lg.lib.cfg.Model.CatchupCopyCPU * float64(time.Second)))
-	pc.qp.PostWrite(p, pc.rkey, 0, e.shards[pc.slot][:e.shardLen], recCtx(pc, lg.seq, true))
+	lg.snapshotFrameLog(p, pc, e.shards[pc.slot][:e.shardLen])
 }

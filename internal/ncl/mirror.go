@@ -148,7 +148,7 @@ func (m *mirrorPolicy) Resync(p *simnet.Proc, lg *Log, alive []*peerConn) error 
 }
 
 func (m *mirrorPolicy) Repair(p *simnet.Proc, lg *Log, qp qpLike, rkey uint64, slot int, lock bool) error {
-	return lg.bulkTransfer(p, qp, rkey, lock)
+	return lg.bulkTransfer(p, qp, rkey, 0, lock)
 }
 
 // Snapshot posts the current region content and header to pc as ordinary
@@ -178,7 +178,7 @@ func (lg *Log) catchUpViaStaging(p *simnet.Proc, pc *peerConn, epoch int64) erro
 	if err != nil {
 		return err
 	}
-	if err := lg.bulkTransfer(p, pc.qp, stg.RKey, false); err != nil {
+	if err := lg.bulkTransfer(p, pc.qp, stg.RKey, 0, false); err != nil {
 		return err
 	}
 	if _, err := wire.Call[wire.Ack](p, l.sim.Net(), l.node, peer.Addr(pc.name), peer.CommitSwitchReq{
@@ -201,43 +201,23 @@ func (lg *Log) catchUpTail(p *simnet.Proc, pc *peerConn, peerLen int64) error {
 		// its header is corrupt; fall back to the full copy path.
 		return fmt.Errorf("ncl: peer %s advertises %d > recovered %d", pc.name, peerLen, lg.length)
 	}
-	id, done := lg.newBulkWaiter()
-	defer delete(lg.bulks, id)
-	n := 1
-	if peerLen < lg.length {
-		pc.qp.PostWrite(p, pc.rkey, HeaderSize+int(peerLen),
-			lg.buf[HeaderSize+peerLen:HeaderSize+lg.length], bulkCtx(id))
-		n++
-	}
-	var hdr [HeaderSize]byte
-	lg.putHeader(hdr[:])
-	pc.qp.PostWrite(p, pc.rkey, 0, hdr[:], bulkCtx(id))
-	for i := 0; i < n; i++ {
-		err, ok := done.Recv(p)
-		if !ok {
-			return ErrReleased
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return lg.bulkTransfer(p, pc.qp, pc.rkey, peerLen, false)
 }
 
-// bulkTransfer writes the current log snapshot (data then header) to a
-// remote region and waits for both completions. With lock=true the snapshot
-// is cut under lg.mu; PostWrite copies payloads into staging buffers at post
-// time, so only the posting happens under the lock — the transfer itself
-// proceeds unlocked and writes continue meanwhile.
-func (lg *Log) bulkTransfer(p *simnet.Proc, qp qpLike, rkey uint64, lock bool) error {
+// bulkTransfer writes the current log snapshot from content offset from on
+// (data then header) to a remote region and waits for both completions.
+// With lock=true the snapshot is cut under lg.mu; PostWrite copies payloads
+// into staging buffers at post time, so only the posting happens under the
+// lock — the transfer itself proceeds unlocked and writes continue meanwhile.
+func (lg *Log) bulkTransfer(p *simnet.Proc, qp qpLike, rkey uint64, from int64, lock bool) error {
 	id, done := lg.newBulkWaiter()
 	defer delete(lg.bulks, id)
 	if lock {
 		lg.mu.Lock(p)
 	}
 	n := 1
-	if lg.length > 0 {
-		qp.PostWrite(p, rkey, HeaderSize, lg.buf[HeaderSize:HeaderSize+lg.length], bulkCtx(id))
+	if from < lg.length {
+		qp.PostWrite(p, rkey, HeaderSize+int(from), lg.buf[HeaderSize+from:HeaderSize+lg.length], bulkCtx(id))
 		n++
 	}
 	var hdr [HeaderSize]byte
@@ -246,16 +226,7 @@ func (lg *Log) bulkTransfer(p *simnet.Proc, qp qpLike, rkey uint64, lock bool) e
 	if lock {
 		lg.mu.Unlock(p)
 	}
-	for i := 0; i < n; i++ {
-		err, ok := done.Recv(p)
-		if !ok {
-			return ErrReleased
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return awaitBulk(p, done, n)
 }
 
 // qpLike lets bulk writes serve both live QPs and recovery-time QPs.

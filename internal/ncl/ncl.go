@@ -335,6 +335,22 @@ func (lg *Log) newBulkWaiter() (uint64, *simnet.Chan[error]) {
 
 func bulkCtx(id uint64) uint64 { return ctxBulkFlag | id<<1 }
 
+// awaitBulk waits for the n completions of the WRs posted under one bulk id
+// and returns the first error; a channel closed under the wait means the log
+// was released.
+func awaitBulk(p *simnet.Proc, done *simnet.Chan[error], n int) error {
+	for i := 0; i < n; i++ {
+		err, ok := done.Recv(p)
+		if !ok {
+			return ErrReleased
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // LogOptions tunes per-file behaviour.
 type LogOptions struct {
 	// AppendOnly enables the tail-shipping recovery catch-up (§4.5.1).

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"time"
 
 	"splitft/internal/simnet"
 )
@@ -308,4 +309,70 @@ func scanFrames(buf []byte, maxLen int64) []frame {
 		pos += frameHdrSize + cell
 	}
 	return out
+}
+
+// ---- Frame-log catch-up (ec and quorum) ----
+//
+// What recovery reads from a survivor and what a replacement or a lagging
+// member is sent do not depend on the policy, only on the slot's client-side
+// frame log: a buffer and how much of it is in use.
+
+// frameScan is one survivor's region as read and parsed at recovery.
+type frameScan struct {
+	pc     *peerConn
+	frames []frame
+	last   uint64 // sequence number of the last valid frame, 0 if none
+	buf    []byte // the region as read; frames alias it
+}
+
+// scanFrameLogs reads every survivor's whole region (regionCap bytes) and
+// scans its frame log. A peer whose read fails is marked failed and left
+// out; the caller decides how many scans are enough.
+func (lg *Log) scanFrameLogs(p *simnet.Proc, alive []*peerConn, regionCap, capacity int64) []frameScan {
+	scans := make([]frameScan, 0, len(alive))
+	for _, pc := range alive {
+		buf := make([]byte, regionCap)
+		if err := lg.readInto(p, pc, 0, buf); err != nil {
+			pc.failed = true
+			continue
+		}
+		fr := scanFrames(buf, capacity)
+		var last uint64
+		if len(fr) > 0 {
+			last = fr[len(fr)-1].seq
+		}
+		scans = append(scans, frameScan{pc: pc, frames: fr, last: last, buf: buf})
+	}
+	return scans
+}
+
+// repairFrameLog bulk-writes the frame log buf[:*used] to a fresh region and
+// waits for completion. With lock=true the length is read and the WR posted
+// under lg.mu, so the snapshot is cut between two appends.
+func (lg *Log) repairFrameLog(p *simnet.Proc, qp qpLike, rkey uint64, buf []byte, used *int64, lock bool) error {
+	id, done := lg.newBulkWaiter()
+	defer delete(lg.bulks, id)
+	if lock {
+		lg.mu.Lock(p)
+	}
+	n := 0
+	if *used > 0 {
+		qp.PostWrite(p, rkey, 0, buf[:*used], bulkCtx(id))
+		n++
+	}
+	if lock {
+		lg.mu.Unlock(p)
+	}
+	return awaitBulk(p, done, n)
+}
+
+// snapshotFrameLog posts the frame log to pc as one ordinary record WR, so
+// the poller advances pc.completedSeq to lg.seq when it lands. Caller holds
+// lg.mu.
+func (lg *Log) snapshotFrameLog(p *simnet.Proc, pc *peerConn, log []byte) {
+	if len(log) == 0 {
+		return
+	}
+	p.Sleep(time.Duration(float64(len(log)) / lg.lib.cfg.Model.CatchupCopyCPU * float64(time.Second)))
+	pc.qp.PostWrite(p, pc.rkey, 0, log, recCtx(pc, lg.seq, true))
 }

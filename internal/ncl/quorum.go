@@ -27,7 +27,6 @@ package ncl
 
 import (
 	"fmt"
-	"time"
 
 	"splitft/internal/simnet"
 )
@@ -108,26 +107,7 @@ func (q *quorumPolicy) Append(p *simnet.Proc, lg *Log, off int64, data []byte) e
 // so the most advanced one is used whole — recovering at-worst some
 // unacknowledged tail records, exactly as mirror's max-sequence rule does.
 func (q *quorumPolicy) Recover(p *simnet.Proc, lg *Log, alive []*peerConn) error {
-	type jscan struct {
-		pc     *peerConn
-		frames []frame
-		last   uint64
-		buf    []byte
-	}
-	scans := make([]jscan, 0, len(alive))
-	for _, pc := range alive {
-		buf := make([]byte, q.journalCap)
-		if err := lg.readInto(p, pc, 0, buf); err != nil {
-			pc.failed = true
-			continue
-		}
-		fr := scanFrames(buf, q.capacity)
-		var last uint64
-		if len(fr) > 0 {
-			last = fr[len(fr)-1].seq
-		}
-		scans = append(scans, jscan{pc: pc, frames: fr, last: last, buf: buf})
-	}
+	scans := lg.scanFrameLogs(p, alive, q.journalCap, q.capacity)
 	if len(scans) < lg.place.MinAlive {
 		return fmt.Errorf("%w: %d of %d journals readable", ErrUnavailable, len(scans), q.spec.Slots())
 	}
@@ -181,35 +161,9 @@ func (q *quorumPolicy) Resync(p *simnet.Proc, lg *Log, alive []*peerConn) error 
 }
 
 func (q *quorumPolicy) Repair(p *simnet.Proc, lg *Log, qp qpLike, rkey uint64, slot int, lock bool) error {
-	id, done := lg.newBulkWaiter()
-	defer delete(lg.bulks, id)
-	if lock {
-		lg.mu.Lock(p)
-	}
-	n := 0
-	if q.journalLen > 0 {
-		qp.PostWrite(p, rkey, 0, q.journal[:q.journalLen], bulkCtx(id))
-		n++
-	}
-	if lock {
-		lg.mu.Unlock(p)
-	}
-	for i := 0; i < n; i++ {
-		err, ok := done.Recv(p)
-		if !ok {
-			return ErrReleased
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return lg.repairFrameLog(p, qp, rkey, q.journal, &q.journalLen, lock)
 }
 
 func (q *quorumPolicy) Snapshot(p *simnet.Proc, lg *Log, pc *peerConn) {
-	if q.journalLen == 0 {
-		return
-	}
-	p.Sleep(time.Duration(float64(q.journalLen) / lg.lib.cfg.Model.CatchupCopyCPU * float64(time.Second)))
-	pc.qp.PostWrite(p, pc.rkey, 0, q.journal[:q.journalLen], recCtx(pc, lg.seq, true))
+	lg.snapshotFrameLog(p, pc, q.journal[:q.journalLen])
 }

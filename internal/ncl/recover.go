@@ -168,11 +168,7 @@ func (lg *Log) readInto(p *simnet.Proc, pc *peerConn, off int, buf []byte) error
 	id, done := lg.newBulkWaiter()
 	defer delete(lg.bulks, id)
 	pc.qp.PostRead(p, pc.rkey, off, buf, bulkCtx(id))
-	err, ok := done.Recv(p)
-	if !ok {
-		return ErrReleased
-	}
-	return err
+	return awaitBulk(p, done, 1)
 }
 
 // replaceAtRecovery fills the missing membership slots with fresh,

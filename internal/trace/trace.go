@@ -11,8 +11,9 @@
 // simnet.Proc.StartSpan, which returns nil when no collector is attached, and
 // every trace call tolerates nil receivers/spans.
 //
-// The package imports only the standard library so that every other layer
-// (including simnet itself) can depend on it without cycles.
+// The package imports only the standard library and internal/metrics (itself
+// standard-library only) so that every other layer (including simnet itself)
+// can depend on it without cycles.
 package trace
 
 import (
@@ -20,6 +21,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"splitft/internal/metrics"
 )
 
 // SpanID identifies a span within one Collector. IDs are assigned in creation
@@ -269,49 +272,31 @@ func matches(s *Span, layer, op string) bool {
 	}
 }
 
-// AggRow is one line of the per-phase aggregation table: all finished spans
-// of a given (layer, op) pair folded together.
-type AggRow struct {
+// OpStats is one line of the per-phase aggregation table: the durations of
+// all finished spans of a given (layer, op) pair.
+type OpStats struct {
 	Layer string
 	Op    string
-	Count int
-	Total time.Duration
-	Min   time.Duration
-	Max   time.Duration
+	metrics.Histogram
 }
 
-// Mean returns the average span duration for the row.
-func (r AggRow) Mean() time.Duration {
-	if r.Count == 0 {
-		return 0
-	}
-	return r.Total / time.Duration(r.Count)
-}
-
-// Aggregate folds finished spans into per-(layer, op) rows, sorted by layer
-// then op so output is deterministic.
-func Aggregate(spans []*Span) []AggRow {
-	idx := map[[2]string]int{}
-	var rows []AggRow
+// Aggregate folds finished spans into per-(layer, op) histograms, sorted by
+// layer then op so output is deterministic.
+func Aggregate(spans []*Span) []*OpStats {
+	idx := map[[2]string]*OpStats{}
+	var rows []*OpStats
 	for _, s := range spans {
 		if !s.Done() {
 			continue
 		}
 		key := [2]string{s.Layer, s.Op}
-		i, ok := idx[key]
+		r, ok := idx[key]
 		if !ok {
-			i = len(rows)
-			idx[key] = i
-			rows = append(rows, AggRow{Layer: s.Layer, Op: s.Op, Min: s.Dur(), Max: s.Dur()})
+			r = &OpStats{Layer: s.Layer, Op: s.Op}
+			idx[key] = r
+			rows = append(rows, r)
 		}
-		r := &rows[i]
-		r.Count++
-		r.Total += s.Dur()
-		if d := s.Dur(); d < r.Min {
-			r.Min = d
-		} else if d > r.Max {
-			r.Max = d
-		}
+		r.Record(s.Dur())
 	}
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].Layer != rows[j].Layer {
@@ -323,46 +308,16 @@ func Aggregate(spans []*Span) []AggRow {
 }
 
 // RenderAggregate formats aggregation rows as an aligned text table.
-func RenderAggregate(rows []AggRow) string {
-	var b strings.Builder
-	header := []string{"layer", "op", "count", "total", "mean", "min", "max"}
-	cells := make([][]string, 0, len(rows)+1)
-	cells = append(cells, header)
+func RenderAggregate(rows []*OpStats) string {
+	cells := make([][]string, 0, len(rows))
 	for _, r := range rows {
 		cells = append(cells, []string{
-			r.Layer, r.Op, fmt.Sprintf("%d", r.Count),
-			fmtDur(r.Total), fmtDur(r.Mean()), fmtDur(r.Min), fmtDur(r.Max),
+			r.Layer, r.Op, fmt.Sprintf("%d", r.Count()),
+			fmtDur(r.Sum()), fmtDur(r.Mean()), fmtDur(r.Percentile(0.5)), fmtDur(r.Percentile(0.99)),
+			fmtDur(r.Min()), fmtDur(r.Max()),
 		})
 	}
-	width := make([]int, len(header))
-	for _, row := range cells {
-		for i, cell := range row {
-			if len(cell) > width[i] {
-				width[i] = len(cell)
-			}
-		}
-	}
-	for ri, row := range cells {
-		for i, cell := range row {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			b.WriteString(cell)
-			if i < len(row)-1 {
-				b.WriteString(strings.Repeat(" ", width[i]-len(cell)))
-			}
-		}
-		b.WriteString("\n")
-		if ri == 0 {
-			total := 0
-			for _, w := range width {
-				total += w
-			}
-			b.WriteString(strings.Repeat("-", total+2*(len(width)-1)))
-			b.WriteString("\n")
-		}
-	}
-	return b.String()
+	return metrics.Table([]string{"layer", "op", "count", "total", "mean", "p50", "p99", "min", "max"}, cells)
 }
 
 func fmtDur(d time.Duration) string {
