@@ -57,6 +57,7 @@ import (
 	"strings"
 	"time"
 
+	"splitft/internal/apps"
 	"splitft/internal/bench"
 	"splitft/internal/model"
 	"splitft/internal/ncl"
@@ -77,7 +78,7 @@ func realMain(argv []string, stdout, stderr io.Writer) int {
 		clients    = fl.Int("clients", 0, "override client count for fixed-client experiments")
 		logMB      = fl.Int("logmb", 0, "override recovery-log size in MiB (paper: 60)")
 		seed       = fl.Int64("seed", 1, "simulation seed (also seeds the YCSB workload generators)")
-		apps       = fl.String("apps", "", "comma-separated app list for fig1/fig9/fig10 (default kvstore,redstore,litedb)")
+		appList    = fl.String("apps", "", "comma-separated app list for fig1/fig9/fig10/fig11b (default kvstore,redstore,litedb)")
 		profile    = fl.String("profile", "", "hardware profile: a built-in name or a JSON file path (default: CX4RoCE25)")
 		traceOut   = fl.String("trace", "", "record spans and write a Chrome trace-event JSON to this file")
 		out        = fl.String("out", "", "write every row of the run to this file as JSON (nothing is written without it)")
@@ -127,8 +128,15 @@ func realMain(argv []string, stdout, stderr io.Writer) int {
 	if *logMB > 0 {
 		sc.LogSizeMB = *logMB
 	}
-	if *apps != "" {
-		sc.Apps = strings.FieldsFunc(*apps, func(r rune) bool { return r == ',' })
+	if *appList != "" {
+		sc.Apps = nil
+		for _, name := range strings.FieldsFunc(*appList, func(r rune) bool { return r == ',' }) {
+			port, ok := apps.Lookup(name)
+			if !ok {
+				return fail(2, "-apps: unknown app %q", name)
+			}
+			sc.Apps = append(sc.Apps, port)
+		}
 	}
 	sc.Profile = model.Baseline()
 	if *profile != "" {

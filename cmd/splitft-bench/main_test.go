@@ -42,6 +42,7 @@ func TestBadNamesExitBeforeRunning(t *testing.T) {
 		{"-quick", "table2", "fig88"},
 		{"-quick", "-profile", "NoSuchNIC", "table2"},
 		{"-quick", "-replicate", "raid5", "table2"},
+		{"-quick", "-apps", "kvstore,mongodb", "table2"},
 		{"-quick", "trace"},
 		{"-quick"},
 	} {

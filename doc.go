@@ -14,8 +14,10 @@
 // CephFS-like disaggregated file system (internal/dfs), a Raft-replicated
 // ZooKeeper-style controller (internal/raft, internal/controller), log
 // peers (internal/peer), the NCL library (internal/ncl), the SplitFT POSIX
-// layer with the O_NCL flag (internal/core), three ported applications
-// (internal/apps/...), a YCSB generator (internal/ycsb), a protocol model
+// layer with the O_NCL flag (internal/core), the ported applications
+// (internal/apps/...: three from the paper and a §6 no-log store, sharing
+// one log discipline in internal/apps/applog and listed in the one table
+// apps.Ports — DESIGN.md §13), a YCSB generator (internal/ycsb), a protocol model
 // checker (internal/modelcheck), and the benchmark harness regenerating
 // every table and figure of the paper (internal/bench, cmd/splitft-bench):
 // one ordered registry of experiments, each returning rows in one schema

@@ -12,6 +12,7 @@ import (
 	"log"
 	"time"
 
+	"splitft/internal/apps/applog"
 	"splitft/internal/apps/kvstore"
 	"splitft/internal/harness"
 	"splitft/internal/model"
@@ -34,7 +35,7 @@ func main() {
 		col = trace.New()
 	}
 	fmt.Printf("%-10s %12s %16s %16s\n", "config", "YCSB-A KOps/s", "acked pre-crash", "survived crash")
-	for _, d := range []kvstore.Durability{kvstore.Weak, kvstore.Strong, kvstore.SplitFT} {
+	for _, d := range []applog.Durability{applog.Weak, applog.Strong, applog.SplitFT} {
 		kops, acked, survived, err := runConfig(d, col)
 		if err != nil {
 			log.Fatalf("%s: %v", d, err)
@@ -51,7 +52,7 @@ func main() {
 	}
 }
 
-func runConfig(d kvstore.Durability, col *trace.Collector) (kops float64, acked, survived int, err error) {
+func runConfig(d applog.Durability, col *trace.Collector) (kops float64, acked, survived int, err error) {
 	c := harness.New(harness.Options{Seed: 7, NumPeers: 4, Profile: model.Baseline(), Trace: col})
 	err = c.Run(func(p *simnet.Proc) error {
 		var db *kvstore.DB

@@ -5,65 +5,43 @@
 // poorly in the DFT setting, and suggests NCL "can act as a faster tier to
 // absorb the random writes and then write large chunks to dfs".
 //
-// This package implements exactly that extension. Three persistence modes:
+// This package implements exactly that extension. The journal that absorbs
+// puts follows the same applog.Durability discipline as the logged stores:
 //
-//   - DFTSync: every put appends to the open chunk and fsyncs it — durable
-//     but slow (a dfs round trip per put).
-//   - DFTAsync: appends are buffered; acknowledged puts can be lost.
-//   - NCLTier: puts are absorbed into an NCL journal (microsecond
-//     durability); when the journal fills, its live records are written to
-//     the dfs as one large chunk and the journal is released — small random
-//     writes become large sequential ones, with no durability gap.
+//   - Strong ("dft-sync"): every put appends to the open chunk and fsyncs
+//     it — durable but slow (a dfs round trip per put).
+//   - Weak ("dft-async"): appends are buffered; acknowledged puts can be
+//     lost.
+//   - SplitFT ("ncl-tier"): puts are absorbed into an NCL journal
+//     (microsecond durability); when the journal fills, its live records
+//     are written to the dfs as one large chunk and the journal is released
+//     — small random writes become large sequential ones, with no
+//     durability gap.
 //
 // Chunk layout: repeated [4B klen][4B vlen][key][value], then a footer
 // index ([4B count] repeated [4B klen][key][8B off][4B vlen]) and a trailer
 // [8B indexOff][8B magic]. Incomplete chunks (crash mid-write) fail the
 // magic check and are ignored at recovery; their content is still safe —
-// in NCLTier mode it remains in the journal until the chunk is durable.
+// under SplitFT it remains in the journal until the chunk is durable.
 package kvell
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
-	"time"
 
+	"splitft/internal/apps/applog"
 	"splitft/internal/core"
 	"splitft/internal/model"
 	"splitft/internal/simnet"
 )
 
-// Mode selects the persistence strategy.
-type Mode int
-
-const (
-	// DFTSync fsyncs every put to the dfs.
-	DFTSync Mode = iota
-	// DFTAsync buffers puts (weak: acknowledged data can be lost).
-	DFTAsync
-	// NCLTier absorbs puts into a near-compute log and flushes large
-	// chunks to the dfs in the background.
-	NCLTier
-)
-
-func (m Mode) String() string {
-	switch m {
-	case DFTSync:
-		return "dft-sync"
-	case DFTAsync:
-		return "dft-async"
-	default:
-		return "ncl-tier"
-	}
-}
-
 // Config tunes the store.
 type Config struct {
-	Dir  string
-	Mode Mode
-	// JournalBytes triggers a chunk flush (NCLTier) or chunk rotation
-	// (DFT modes).
+	Dir        string
+	Durability applog.Durability
+	// JournalBytes triggers a chunk flush (SplitFT) or chunk rotation
+	// (DFT configurations).
 	JournalBytes int64
 	// JournalRegion is the NCL region capacity.
 	JournalRegion int64
@@ -77,7 +55,7 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Dir:           "/kvell",
-		Mode:          NCLTier,
+		Durability:    applog.SplitFT,
 		JournalBytes:  4 << 20,
 		JournalRegion: 10 << 20,
 		KVellCosts:    model.Baseline().Apps.KVell,
@@ -109,7 +87,7 @@ type Store struct {
 
 	index map[string]location
 
-	// Journal tier (NCLTier) or open chunk buffer (DFT modes).
+	// Journal tier (SplitFT) or open chunk buffer (DFT configurations).
 	journal    core.File
 	journalNum int
 	jPending   map[string][]byte // live records not yet in a durable chunk
@@ -117,18 +95,22 @@ type Store struct {
 	chunks   map[int]core.File
 	chunkSeq int
 
-	flushing bool
+	// flushing holds the records of the journal being written out as a
+	// chunk (nil when idle): the index still calls them journal-resident.
+	flushing map[string][]byte
 
 	// Stats.
 	Puts, Gets, Flushes int64
 }
 
-func (s *Store) journalPath(n int) string { return fmt.Sprintf("%s/journal-%04d", s.cfg.Dir, n) }
+// journalFormat names journal number %d; Recover finds the survivors by it.
+func journalFormat(dir string) string { return dir + "/journal-%04d.jnl" }
+
+func (s *Store) journalPath(n int) string { return fmt.Sprintf(journalFormat(s.cfg.Dir), n) }
 func (s *Store) chunkPath(n int) string   { return fmt.Sprintf("%s/chunk-%06d.kv", s.cfg.Dir, n) }
 
-// Open creates a fresh store.
-func Open(p *simnet.Proc, fs *core.FS, cfg Config) (*Store, error) {
-	s := &Store{
+func newStore(fs *core.FS, cfg Config) *Store {
+	return &Store{
 		fs:       fs,
 		node:     fs.Node(),
 		cfg:      cfg,
@@ -136,21 +118,22 @@ func Open(p *simnet.Proc, fs *core.FS, cfg Config) (*Store, error) {
 		jPending: make(map[string][]byte),
 		chunks:   make(map[int]core.File),
 	}
+}
+
+// Open creates a fresh store.
+func Open(p *simnet.Proc, fs *core.FS, cfg Config) (*Store, error) {
+	s := newStore(fs, cfg)
 	if err := s.openJournal(p); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// openJournal opens the write-absorbing tier: an ncl file in NCLTier mode,
-// a plain dfs file otherwise.
+// openJournal opens the write-absorbing tier: an ncl file under SplitFT (the
+// O_NCL bit LogFlags sets), a plain dfs file otherwise.
 func (s *Store) openJournal(p *simnet.Proc) error {
 	s.journalNum++
-	flags := core.OpenFlag(core.O_CREATE)
-	if s.cfg.Mode == NCLTier {
-		flags |= core.O_NCL | core.O_APPEND
-	}
-	j, err := s.fs.OpenFile(p, s.journalPath(s.journalNum), flags, s.cfg.JournalRegion)
+	j, err := s.fs.OpenFile(p, s.journalPath(s.journalNum), s.cfg.Durability.LogFlags(true), s.cfg.JournalRegion)
 	if err != nil {
 		return err
 	}
@@ -167,28 +150,34 @@ func encodeRecord(key string, value []byte) []byte {
 	return buf
 }
 
-// Put stores key=value. In NCLTier and DFTSync modes the put is durable
-// when Put returns; in DFTAsync it is merely buffered.
+// absorb appends key=value to the journal, durably per the configuration,
+// and points the index at it.
+func (s *Store) absorb(p *simnet.Proc, key string, value []byte) error {
+	off := s.journal.Size()
+	if _, err := s.journal.Write(p, encodeRecord(key, value)); err != nil {
+		return err
+	}
+	if err := s.cfg.Durability.Commit(p, s.journal); err != nil {
+		return err
+	}
+	s.index[key] = location{journal: true, off: off + 8 + int64(len(key)), vlen: len(value)}
+	return nil
+}
+
+// Put stores key=value. Under SplitFT and Strong the put is durable when Put
+// returns; under Weak it is merely buffered.
 func (s *Store) Put(p *simnet.Proc, key string, value []byte) error {
 	s.mu.Lock(p)
 	defer s.mu.Unlock(p)
 	p.Sleep(s.cfg.PutCPU)
-	rec := encodeRecord(key, value)
-	off := s.journal.Size()
-	if _, err := s.journal.Write(p, rec); err != nil {
+	if err := s.absorb(p, key, value); err != nil {
 		return err
-	}
-	if s.cfg.Mode == DFTSync {
-		if err := s.journal.Sync(p); err != nil {
-			return err
-		}
 	}
 	v := make([]byte, len(value))
 	copy(v, value)
 	s.jPending[key] = v
-	s.index[key] = location{journal: true, off: off + 8 + int64(len(key)), vlen: len(value)}
 	s.Puts++
-	if s.journal.Size() >= s.cfg.JournalBytes && !s.flushing {
+	if s.journal.Size() >= s.cfg.JournalBytes && s.flushing == nil {
 		s.startFlush(p)
 	}
 	return nil
@@ -204,7 +193,10 @@ func (s *Store) Get(p *simnet.Proc, key string) ([]byte, bool, error) {
 	}
 	s.Gets++
 	if loc.journal {
-		v := s.jPending[key]
+		v, ok := s.jPending[key]
+		if !ok {
+			v = s.flushing[key]
+		}
 		s.mu.Unlock(p)
 		s.node.CPU().Use(p, s.cfg.GetCPU)
 		return v, true, nil
@@ -223,28 +215,33 @@ func (s *Store) Get(p *simnet.Proc, key string) ([]byte, bool, error) {
 // chunk write. The journal stays intact (and recoverable) until the chunk
 // is durable; only then is it released. Caller holds s.mu.
 func (s *Store) startFlush(p *simnet.Proc) {
-	s.flushing = true
-	snap := s.jPending
-	s.jPending = make(map[string][]byte)
 	oldJournal := s.journal
 	oldPath := s.journalPath(s.journalNum)
 	if err := s.openJournal(p); err != nil {
 		// Keep absorbing into the old journal; retry on the next put.
-		s.jPending = snap
 		s.journal = oldJournal
 		s.journalNum--
-		s.flushing = false
 		return
 	}
+	snap := s.jPending
+	s.flushing, s.jPending = snap, make(map[string][]byte)
 	s.chunkSeq++
 	chunkID := s.chunkSeq
 	p.GoOn(s.node, "kvell-flush", func(fp *simnet.Proc) {
-		defer func() { s.flushing = false }()
+		// The next flush waits until this one has released its journal.
+		defer func() { s.flushing = nil }()
 		f, idx, err := writeChunk(fp, s.fs, s.chunkPath(chunkID), snap)
+		s.mu.Lock(fp)
 		if err != nil {
+			// Still journal-resident (the old journal keeps them durable).
+			for key, v := range snap {
+				if _, superseded := s.jPending[key]; !superseded {
+					s.jPending[key] = v
+				}
+			}
+			s.mu.Unlock(fp)
 			return
 		}
-		s.mu.Lock(fp)
 		s.chunks[chunkID] = f
 		// Repoint index entries that still refer to the flushed values
 		// (a newer put may have superseded them in the new journal).
@@ -276,11 +273,7 @@ type chunkEntry struct {
 // writeChunk serializes records (sorted by key) with a footer index and
 // syncs the file.
 func writeChunk(p *simnet.Proc, fs *core.FS, path string, records map[string][]byte) (core.File, map[string]chunkEntry, error) {
-	keys := make([]string, 0, len(records))
-	for k := range records {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := applog.SortedKeys(records)
 	size := 0
 	for _, k := range keys {
 		size += 8 + len(k) + len(records[k])
@@ -371,19 +364,11 @@ func readChunkIndex(p *simnet.Proc, fs *core.FS, path string) (core.File, map[st
 }
 
 // Recover rebuilds the store: chunk footers rebuild the bulk of the index,
-// then surviving journals are replayed over it (newest last). In NCLTier
-// mode the journals come back from the log peers, so no acknowledged put is
-// lost; in DFTAsync mode whatever the page cache had not written back is
-// gone.
+// then surviving journals are replayed over it (newest last). Under SplitFT
+// the journals come back from the log peers, so no acknowledged put is lost;
+// under Weak whatever the page cache had not written back is gone.
 func Recover(p *simnet.Proc, fs *core.FS, cfg Config) (*Store, error) {
-	s := &Store{
-		fs:       fs,
-		node:     fs.Node(),
-		cfg:      cfg,
-		index:    make(map[string]location),
-		jPending: make(map[string][]byte),
-		chunks:   make(map[int]core.File),
-	}
+	s := newStore(fs, cfg)
 	// Chunks, oldest first so newer values win.
 	for _, path := range fs.ListDFS(cfg.Dir + "/chunk-") {
 		var id int
@@ -403,63 +388,38 @@ func Recover(p *simnet.Proc, fs *core.FS, cfg Config) (*Store, error) {
 		}
 	}
 	// Journals, oldest first.
-	var journals []string
-	if cfg.Mode == NCLTier {
-		names, err := fs.ListNCL(p)
-		if err != nil {
-			return nil, err
-		}
-		journals = names
-	} else {
-		journals = fs.ListDFS(cfg.Dir + "/journal-")
+	journals, err := cfg.Durability.Survivors(p, fs, journalFormat(cfg.Dir))
+	if err != nil {
+		return nil, err
 	}
-	sort.Strings(journals)
-	for _, path := range journals {
-		var n int
-		if _, err := fmt.Sscanf(path[len(cfg.Dir)+1:], "journal-%04d", &n); err == nil && n > s.journalNum {
-			s.journalNum = n
-		}
-		flags := core.OpenFlag(0)
-		if cfg.Mode == NCLTier {
-			flags = core.O_NCL
-		}
-		f, err := fs.OpenFile(p, path, flags, cfg.JournalRegion)
+	for _, j := range journals {
+		data, err := cfg.Durability.ReadSurvivor(p, fs, j.Path)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("kvell: replay %s: %w", j.Path, err)
 		}
-		s.replayJournal(p, f)
-		f.Close(p)
-		fs.Unlink(p, path) //nolint:errcheck
+		s.replayJournal(data)
+		s.journalNum = j.Seq
 	}
 	if err := s.openJournal(p); err != nil {
 		return nil, err
 	}
-	// Re-absorb replayed pending values into the fresh journal so they are
-	// durable under the new instance before anything is acknowledged.
-	for key, v := range s.jPending {
-		rec := encodeRecord(key, v)
-		off := s.journal.Size()
-		if _, err := s.journal.Write(p, rec); err != nil {
+	// Re-absorb the replayed pending values into the fresh journal, in key
+	// order so its bytes are the same run to run, and only then release the
+	// old journals: until here they hold the only durable copy.
+	for _, key := range applog.SortedKeys(s.jPending) {
+		if err := s.absorb(p, key, s.jPending[key]); err != nil {
 			return nil, err
 		}
-		if cfg.Mode == DFTSync {
-			if err := s.journal.Sync(p); err != nil {
-				return nil, err
-			}
-		}
-		s.index[key] = location{journal: true, off: off + 8 + int64(len(key)), vlen: len(v)}
+	}
+	for _, j := range journals {
+		fs.Unlink(p, j.Path) //nolint:errcheck
 	}
 	return s, nil
 }
 
 // replayJournal applies intact records; a torn trailing record (crash
 // mid-write, never acknowledged) stops the replay.
-func (s *Store) replayJournal(p *simnet.Proc, f core.File) {
-	data := make([]byte, f.Size())
-	if _, err := f.Pread(p, data, 0); err != nil {
-		return
-	}
-	p.Sleep(time.Duration(float64(len(data)) / 150e6 * float64(time.Second))) // parse
+func (s *Store) replayJournal(data []byte) {
 	pos := 0
 	for pos+8 <= len(data) {
 		klen := int(binary.LittleEndian.Uint32(data[pos : pos+4]))
@@ -476,8 +436,8 @@ func (s *Store) replayJournal(p *simnet.Proc, f core.File) {
 	}
 }
 
-// Len returns the number of live keys.
-func (s *Store) Len() int { return len(s.index) }
+// Journal returns the active journal file.
+func (s *Store) Journal() core.File { return s.journal }
 
 // Stats snapshot.
 type Stats struct {

@@ -6,19 +6,20 @@ import (
 	"testing"
 	"time"
 
+	"splitft/internal/apps/applog"
 	"splitft/internal/harness"
 	"splitft/internal/simnet"
 )
 
-func testConfig(m Mode) Config {
+func testConfig(d applog.Durability) Config {
 	cfg := DefaultConfig()
-	cfg.Mode = m
+	cfg.Durability = d
 	cfg.JournalBytes = 64 << 10
 	cfg.JournalRegion = 256 << 10
 	return cfg
 }
 
-func withStore(t *testing.T, seed int64, m Mode, fn func(p *simnet.Proc, c *harness.Cluster, s *Store)) {
+func withStore(t *testing.T, seed int64, d applog.Durability, fn func(p *simnet.Proc, c *harness.Cluster, s *Store)) {
 	t.Helper()
 	c := harness.New(harness.Options{Seed: seed, NumPeers: 4})
 	err := c.Run(func(p *simnet.Proc) error {
@@ -26,7 +27,7 @@ func withStore(t *testing.T, seed int64, m Mode, fn func(p *simnet.Proc, c *harn
 		if err != nil {
 			return err
 		}
-		s, err := Open(p, fs, testConfig(m))
+		s, err := Open(p, fs, testConfig(d))
 		if err != nil {
 			return err
 		}
@@ -38,32 +39,8 @@ func withStore(t *testing.T, seed int64, m Mode, fn func(p *simnet.Proc, c *harn
 	}
 }
 
-func TestPutGetAllModes(t *testing.T) {
-	for _, m := range []Mode{DFTSync, DFTAsync, NCLTier} {
-		m := m
-		t.Run(m.String(), func(t *testing.T) {
-			withStore(t, 1, m, func(p *simnet.Proc, c *harness.Cluster, s *Store) {
-				for i := 0; i < 200; i++ {
-					if err := s.Put(p, fmt.Sprintf("k%04d", i), []byte(fmt.Sprintf("v%d", i))); err != nil {
-						t.Fatalf("put: %v", err)
-					}
-				}
-				for i := 0; i < 200; i++ {
-					v, ok, err := s.Get(p, fmt.Sprintf("k%04d", i))
-					if err != nil || !ok || string(v) != fmt.Sprintf("v%d", i) {
-						t.Fatalf("get k%04d = %q %v %v", i, v, ok, err)
-					}
-				}
-				if _, ok, _ := s.Get(p, "nope"); ok {
-					t.Fatal("phantom key")
-				}
-			})
-		})
-	}
-}
-
 func TestFlushConvertsJournalToChunks(t *testing.T) {
-	withStore(t, 2, NCLTier, func(p *simnet.Proc, c *harness.Cluster, s *Store) {
+	withStore(t, 2, applog.SplitFT, func(p *simnet.Proc, c *harness.Cluster, s *Store) {
 		val := bytes.Repeat([]byte("x"), 200)
 		for i := 0; i < 1000; i++ { // ~230KB >> 64KB threshold
 			if err := s.Put(p, fmt.Sprintf("k%05d", i%400), val); err != nil {
@@ -94,9 +71,9 @@ func TestFlushConvertsJournalToChunks(t *testing.T) {
 }
 
 func TestRandomWriteLatencyNCLTierVsDFTSync(t *testing.T) {
-	lat := func(m Mode) time.Duration {
+	lat := func(d applog.Durability) time.Duration {
 		var avg time.Duration
-		withStore(t, 3, m, func(p *simnet.Proc, c *harness.Cluster, s *Store) {
+		withStore(t, 3, d, func(p *simnet.Proc, c *harness.Cluster, s *Store) {
 			val := bytes.Repeat([]byte("r"), 120)
 			start := p.Now()
 			const n = 300
@@ -107,84 +84,10 @@ func TestRandomWriteLatencyNCLTierVsDFTSync(t *testing.T) {
 		})
 		return avg
 	}
-	sync := lat(DFTSync)
-	tier := lat(NCLTier)
+	sync := lat(applog.Strong)
+	tier := lat(applog.SplitFT)
 	if tier*50 > sync {
 		t.Fatalf("NCL tier (%v) should be orders faster than dft-sync (%v) for random writes", tier, sync)
-	}
-}
-
-func crashRecover(t *testing.T, seed int64, m Mode, writes int) (acked, survived int) {
-	t.Helper()
-	c := harness.New(harness.Options{Seed: seed, NumPeers: 4})
-	err := c.Run(func(p *simnet.Proc) error {
-		c.AppNode.Go("app-v1", func(ap *simnet.Proc) {
-			fs, err := c.NewFS(ap, "kvell", 0)
-			if err != nil {
-				return
-			}
-			s, err := Open(ap, fs, testConfig(m))
-			if err != nil {
-				return
-			}
-			for i := 0; i < writes; i++ {
-				if err := s.Put(ap, fmt.Sprintf("k%05d", i), []byte(fmt.Sprintf("v%d", i))); err != nil {
-					return
-				}
-				acked = i + 1
-			}
-			ap.Sleep(time.Hour)
-		})
-		p.Sleep(400 * time.Millisecond)
-		c.CrashApp()
-		p.Sleep(10 * time.Millisecond)
-		c.RestartApp()
-		fs2, err := c.NewFS(p, "kvell", 1)
-		if err != nil {
-			return err
-		}
-		s2, err := Recover(p, fs2, testConfig(m))
-		if err != nil {
-			return err
-		}
-		for i := 0; i < acked; i++ {
-			v, ok, err := s2.Get(p, fmt.Sprintf("k%05d", i))
-			if err != nil {
-				return err
-			}
-			if ok && string(v) == fmt.Sprintf("v%d", i) {
-				survived++
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	return acked, survived
-}
-
-func TestCrashRecoveryNCLTierNoLoss(t *testing.T) {
-	acked, survived := crashRecover(t, 4, NCLTier, 2500) // spans several flushes
-	if acked == 0 || survived != acked {
-		t.Fatalf("acked=%d survived=%d", acked, survived)
-	}
-}
-
-func TestCrashRecoveryDFTSyncNoLoss(t *testing.T) {
-	acked, survived := crashRecover(t, 5, DFTSync, 60)
-	if acked == 0 || survived != acked {
-		t.Fatalf("acked=%d survived=%d", acked, survived)
-	}
-}
-
-func TestCrashRecoveryDFTAsyncLoses(t *testing.T) {
-	acked, survived := crashRecover(t, 6, DFTAsync, 2500)
-	if acked == 0 {
-		t.Fatal("nothing acked")
-	}
-	if survived >= acked {
-		t.Fatalf("async mode lost nothing (%d/%d)", survived, acked)
 	}
 }
 
@@ -196,7 +99,7 @@ func TestRecoveryAfterCrashMidFlush(t *testing.T) {
 		total := 0
 		c.AppNode.Go("app-v1", func(ap *simnet.Proc) {
 			fs, _ := c.NewFS(ap, "kvell", 0)
-			cfg := testConfig(NCLTier)
+			cfg := testConfig(applog.SplitFT)
 			s, err := Open(ap, fs, cfg)
 			if err != nil {
 				return
@@ -207,7 +110,7 @@ func TestRecoveryAfterCrashMidFlush(t *testing.T) {
 					return
 				}
 				total = i + 1
-				if s.flushing { // crash window: flush in flight
+				if s.flushing != nil { // crash window: flush in flight
 					break
 				}
 			}
@@ -218,7 +121,7 @@ func TestRecoveryAfterCrashMidFlush(t *testing.T) {
 		p.Sleep(10 * time.Millisecond)
 		c.RestartApp()
 		fs2, _ := c.NewFS(p, "kvell", 1)
-		s2, err := Recover(p, fs2, testConfig(NCLTier))
+		s2, err := Recover(p, fs2, testConfig(applog.SplitFT))
 		if err != nil {
 			return err
 		}

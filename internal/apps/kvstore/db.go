@@ -15,41 +15,32 @@
 package kvstore
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"sort"
 	"strings"
 	"time"
 
+	"splitft/internal/apps/applog"
 	"splitft/internal/core"
 	"splitft/internal/model"
 	"splitft/internal/simnet"
 )
 
-// Durability selects the evaluation configuration.
-type Durability int
+// Durability selects the evaluation configuration (see applog).
+type Durability = applog.Durability
+
+// SplitFT routes WAL files to near-compute logs via O_NCL.
+const SplitFT = applog.SplitFT
 
 const (
-	// Weak buffers log writes in the dfs client cache (weak-app DFT).
-	Weak Durability = iota
-	// Strong fsyncs every group-commit batch to the dfs (strong-app DFT).
-	Strong
-	// SplitFT routes log files to near-compute logs via O_NCL.
-	SplitFT
+	// l0SlowdownTrigger delays each batch once L0 holds this many tables.
+	l0SlowdownTrigger = 8
+	// l0CompactTrigger starts a compaction when L0 reaches this many tables.
+	l0CompactTrigger = 4
+	// maxImmutables stalls writers when this many unflushed memtables pile up.
+	maxImmutables = 4
 )
-
-func (d Durability) String() string {
-	switch d {
-	case Weak:
-		return "weak"
-	case Strong:
-		return "strong"
-	default:
-		return "splitft"
-	}
-}
 
 // Config tunes the store.
 type Config struct {
@@ -60,11 +51,6 @@ type Config struct {
 	// WALRegion is the ncl region capacity per WAL (>= MemtableBytes plus
 	// framing overhead).
 	WALRegion int64
-	// L0CompactTrigger starts a compaction when L0 reaches this many tables.
-	L0SlowdownTrigger int
-	L0CompactTrigger  int
-	// MaxImmutables stalls writers when this many unflushed memtables pile up.
-	MaxImmutables int
 	// KVStoreCosts is the per-operation CPU cost model; the constants live
 	// in internal/model and the fields promote (cfg.EncodeCPU etc.).
 	model.KVStoreCosts
@@ -74,14 +60,11 @@ type Config struct {
 // simulation-sized datasets; CPU costs come from the baseline profile.
 func DefaultConfig() Config {
 	return Config{
-		Dir:               "/kv",
-		Durability:        SplitFT,
-		MemtableBytes:     4 << 20,
-		WALRegion:         8 << 20,
-		L0SlowdownTrigger: 8,
-		L0CompactTrigger:  4,
-		MaxImmutables:     4,
-		KVStoreCosts:      model.Baseline().Apps.KVStore,
+		Dir:           "/kv",
+		Durability:    SplitFT,
+		MemtableBytes: 4 << 20,
+		WALRegion:     8 << 20,
+		KVStoreCosts:  model.Baseline().Apps.KVStore,
 	}
 }
 
@@ -102,15 +85,11 @@ func (m *memtable) put(e entry) {
 	m.bytes += int64(len(e.key) + len(e.value) + 16)
 }
 
-func (m *memtable) sorted() []entry {
-	keys := make([]string, 0, len(m.data))
-	for k := range m.data {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]entry, len(keys))
-	for i, k := range keys {
-		out[i] = m.data[k]
+// sortedEntries is a memtable's (or a merge's) content in table order.
+func sortedEntries(data map[string]entry) []entry {
+	out := make([]entry, 0, len(data))
+	for _, k := range applog.SortedKeys(data) {
+		out = append(out, data[k])
 	}
 	return out
 }
@@ -150,6 +129,7 @@ type DB struct {
 	nextWAL     core.File
 	nextWALPath string
 	preparing   bool
+	prepared    *simnet.Cond // signalled when preparing clears
 
 	l0 []*ssTable // newest first
 	l1 []*ssTable // sorted, non-overlapping (kept as one run)
@@ -184,6 +164,7 @@ func newDB(fs *core.FS, cfg Config) *DB {
 	db.qCond = simnet.NewCond(&db.mu)
 	db.flush = simnet.NewCond(&db.mu)
 	db.compact = simnet.NewCond(&db.mu)
+	db.prepared = simnet.NewCond(&db.mu)
 	return db
 }
 
@@ -192,19 +173,18 @@ func (db *DB) startBackground(p *simnet.Proc) {
 	p.GoOn(db.node, "kv-compactor", db.compactorLoop)
 }
 
-func (db *DB) walPath(n int) string { return fmt.Sprintf("%s/wal-%06d.log", db.cfg.Dir, n) }
+// walFormat names WAL number %d; Recover finds the survivors by it.
+func walFormat(dir string) string { return dir + "/wal-%06d.log" }
+
+func (db *DB) walPath(n int) string { return fmt.Sprintf(walFormat(db.cfg.Dir), n) }
 func (db *DB) sstPath(level, n int) string {
 	return fmt.Sprintf("%s/L%d-%06d.sst", db.cfg.Dir, level, n)
 }
 
-// walFlags returns the open flags for a WAL file under the configuration:
-// the entire SplitFT port is the O_NCL bit (plus the append-only hint that
-// enables tail catch-up at recovery).
-func (db *DB) walFlags() core.OpenFlag {
-	if db.cfg.Durability == SplitFT {
-		return core.O_NCL | core.O_CREATE | core.O_APPEND
-	}
-	return core.O_CREATE
+// openWAL creates WAL file path: the entire SplitFT port is the O_NCL bit
+// LogFlags sets (plus the append-only hint).
+func (db *DB) openWAL(p *simnet.Proc, path string) (core.File, error) {
+	return db.fs.OpenFile(p, path, db.cfg.Durability.LogFlags(true), db.cfg.WALRegion)
 }
 
 // rotateWAL opens a fresh WAL and memtable; caller must hold no lock or the
@@ -212,7 +192,7 @@ func (db *DB) walFlags() core.OpenFlag {
 func (db *DB) rotateWAL(p *simnet.Proc) error {
 	db.fileSeq++
 	path := db.walPath(db.fileSeq)
-	w, err := db.fs.OpenFile(p, path, db.walFlags(), db.cfg.WALRegion)
+	w, err := db.openWAL(p, path)
 	if err != nil {
 		return err
 	}
@@ -289,47 +269,20 @@ func (db *DB) write(p *simnet.Proc, e entry) error {
 	}
 }
 
-// walRecord layout: [4B payloadLen][4B crc32(payload)][payload], where
-// payload is [4B count] then per op [1B del][4B klen][4B vlen][key][value].
-func encodeBatch(batch []*writeReq) []byte {
-	size := 4
-	for _, w := range batch {
-		size += 9 + len(w.ent.key) + len(w.ent.value)
-	}
-	buf := make([]byte, 8+size)
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(size))
-	payload := buf[8:]
-	binary.LittleEndian.PutUint32(payload[0:4], uint32(len(batch)))
-	pos := 4
-	for _, w := range batch {
-		if w.ent.del {
-			payload[pos] = 1
-		}
-		binary.LittleEndian.PutUint32(payload[pos+1:pos+5], uint32(len(w.ent.key)))
-		binary.LittleEndian.PutUint32(payload[pos+5:pos+9], uint32(len(w.ent.value)))
-		pos += 9
-		copy(payload[pos:], w.ent.key)
-		pos += len(w.ent.key)
-		copy(payload[pos:], w.ent.value)
-		pos += len(w.ent.value)
-	}
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	return buf
-}
-
 func (db *DB) commitBatch(p *simnet.Proc, batch []*writeReq) error {
 	// Serialize (leader CPU).
 	p.Sleep(time.Duration(len(batch)) * db.cfg.EncodeCPU)
-	rec := encodeBatch(batch)
+	rec := applog.Encode(len(batch), func(i int) applog.Op {
+		e := &batch[i].ent
+		return applog.Op{Key: e.key, Value: e.value, Del: e.del}
+	})
 
 	// One log write per batch; durability per configuration.
 	if _, err := db.wal.Write(p, rec); err != nil {
 		return err
 	}
-	if db.cfg.Durability == Strong {
-		if err := db.wal.Sync(p); err != nil {
-			return err
-		}
+	if err := db.cfg.Durability.Commit(p, db.wal); err != nil {
+		return err
 	}
 
 	// Apply to the memtable.
@@ -340,13 +293,13 @@ func (db *DB) commitBatch(p *simnet.Proc, batch []*writeReq) error {
 
 	// Backpressure: slow down when L0 piles up; stall when flushing lags.
 	db.mu.Lock(p)
-	if len(db.l0) >= db.cfg.L0SlowdownTrigger {
+	if len(db.l0) >= l0SlowdownTrigger {
 		db.mu.Unlock(p)
 		p.Sleep(db.cfg.SlowdownDelay)
 		db.SlowdownTime += db.cfg.SlowdownDelay
 		db.mu.Lock(p)
 	}
-	for len(db.imm) >= db.cfg.MaxImmutables && !db.closed {
+	for len(db.imm) >= maxImmutables && !db.closed {
 		start := p.Now()
 		db.flush.WaitTimeout(p, 20*time.Millisecond)
 		db.StallTime += p.Now() - start
@@ -358,9 +311,10 @@ func (db *DB) commitBatch(p *simnet.Proc, batch []*writeReq) error {
 		seq := db.fileSeq
 		p.GoOn(db.node, "kv-wal-prep", func(wp *simnet.Proc) {
 			path := db.walPath(seq)
-			w, err := db.fs.OpenFile(wp, path, db.walFlags(), db.cfg.WALRegion)
+			w, err := db.openWAL(wp, path)
 			db.mu.Lock(wp)
 			db.preparing = false
+			db.prepared.Broadcast(wp)
 			if err == nil {
 				db.nextWAL = w
 				db.nextWALPath = path
@@ -371,6 +325,11 @@ func (db *DB) commitBatch(p *simnet.Proc, batch []*writeReq) error {
 	// Rotate if the memtable is full.
 	var err error
 	if db.mem.bytes >= db.cfg.MemtableBytes {
+		// A WAL still being prepared was numbered before one opened now would
+		// be, and recovery replays in number order: wait for it, never race it.
+		for db.preparing {
+			db.prepared.Wait(p)
+		}
 		db.imm = append(db.imm, db.mem)
 		oldWAL := db.wal
 		if db.nextWAL != nil {
@@ -445,7 +404,7 @@ func (db *DB) flusherLoop(p *simnet.Proc) {
 		path := db.sstPath(0, db.fileSeq)
 		db.mu.Unlock(p)
 
-		t, err := writeSSTable(p, db.fs, path, m.sorted())
+		t, err := writeSSTable(p, db.fs, path, sortedEntries(m.data))
 		if err != nil {
 			p.Sleep(10 * time.Millisecond)
 			continue
@@ -455,7 +414,7 @@ func (db *DB) flusherLoop(p *simnet.Proc) {
 		db.l0 = append([]*ssTable{t}, db.l0...)
 		db.retable()
 		db.Flushes++
-		trigger := len(db.l0) >= db.cfg.L0CompactTrigger
+		trigger := len(db.l0) >= l0CompactTrigger
 		db.flush.Broadcast(p)
 		if trigger {
 			db.compact.Signal(p)
@@ -470,7 +429,7 @@ func (db *DB) flusherLoop(p *simnet.Proc) {
 func (db *DB) compactorLoop(p *simnet.Proc) {
 	for {
 		db.mu.Lock(p)
-		for len(db.l0) < db.cfg.L0CompactTrigger && !db.closed {
+		for len(db.l0) < l0CompactTrigger && !db.closed {
 			db.compact.WaitTimeout(p, 100*time.Millisecond)
 		}
 		if db.closed {
@@ -530,20 +489,12 @@ func (db *DB) mergeTables(p *simnet.Proc, inputsL0, inputsL1 []*ssTable) ([]entr
 			result[e.key] = e
 		}
 	}
-	keys := make([]string, 0, len(result))
-	for k := range result {
-		if result[k].del {
+	for k, e := range result {
+		if e.del {
 			delete(result, k) // full-merge drops tombstones
-			continue
 		}
-		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	out := make([]entry, len(keys))
-	for i, k := range keys {
-		out[i] = result[k]
-	}
-	return out, nil
+	return sortedEntries(result), nil
 }
 
 // Close stops background work (the store remains recoverable).
@@ -605,51 +556,34 @@ func Recover(p *simnet.Proc, fs *core.FS, cfg Config) (*DB, error) {
 	db.l1 = l1
 
 	// WALs: ncl files in SplitFT mode, dfs files otherwise.
-	var wals []string
-	if cfg.Durability == SplitFT {
-		names, err := fs.ListNCL(p)
-		if err != nil {
-			return nil, err
-		}
-		wals = names
-	} else {
-		for _, path := range fs.ListDFS(cfg.Dir + "/") {
-			if strings.HasSuffix(path, ".log") {
-				wals = append(wals, path)
-			}
-		}
+	wals, err := cfg.Durability.Survivors(p, fs, walFormat(cfg.Dir))
+	if err != nil {
+		return nil, err
 	}
-	sort.Strings(wals)
-	for _, w := range wals {
-		var n int
-		if _, err := fmt.Sscanf(w[len(cfg.Dir)+1:], "wal-%06d.log", &n); err == nil && n > maxSeq {
-			maxSeq = n
-		}
+	if n := len(wals); n > 0 && wals[n-1].Seq > maxSeq {
+		maxSeq = wals[n-1].Seq
 	}
 	db.fileSeq = maxSeq
 
 	// Replay WALs oldest-to-newest into fresh memtables, then flush them to
 	// tables and reclaim the logs, ending with one empty memtable + WAL.
-	for _, walName := range wals {
-		flags := db.walFlags() &^ core.O_CREATE
-		f, err := fs.OpenFile(p, walName, flags, cfg.WALRegion)
+	for _, wal := range wals {
+		data, err := cfg.Durability.ReadSurvivor(p, fs, wal.Path)
 		if err != nil {
-			return nil, fmt.Errorf("kvstore: reopen wal %s: %w", walName, err)
+			return nil, fmt.Errorf("kvstore: replay wal %s: %w", wal.Path, err)
 		}
-		mem := newMemtable(walName)
-		if err := replayWAL(p, f, mem); err != nil {
-			return nil, err
-		}
+		mem := newMemtable(wal.Path)
+		applog.Scan(data, func(o applog.Op) { mem.put(entry{key: o.Key, value: o.Value, del: o.Del}) })
 		if len(mem.data) > 0 {
 			db.fileSeq++
-			t, err := writeSSTable(p, fs, db.sstPath(0, db.fileSeq), mem.sorted())
+			t, err := writeSSTable(p, fs, db.sstPath(0, db.fileSeq), sortedEntries(mem.data))
 			if err != nil {
 				return nil, err
 			}
 			db.l0 = append([]*ssTable{t}, db.l0...)
 		}
-		f.Close(p)
-		fs.Unlink(p, walName) //nolint:errcheck
+		// The memtable is durable as a table: only now is its log disposable.
+		fs.Unlink(p, wal.Path) //nolint:errcheck
 	}
 	if err := db.rotateWAL(p); err != nil {
 		return nil, err
@@ -657,47 +591,6 @@ func Recover(p *simnet.Proc, fs *core.FS, cfg Config) (*DB, error) {
 	db.retable()
 	db.startBackground(p)
 	return db, nil
-}
-
-// replayWAL applies every intact batch record; it stops at the first torn
-// or corrupt record (an unacknowledged trailing write, §4.5.1).
-func replayWAL(p *simnet.Proc, f core.File, mem *memtable) error {
-	size := f.Size()
-	data := make([]byte, size)
-	if _, err := f.Pread(p, data, 0); err != nil {
-		return err
-	}
-	// Parsing cost: reading and decoding dominates app-level recovery time
-	// (Fig 11b "parse"); model at ~150 MB/s.
-	p.Sleep(time.Duration(float64(len(data)) / 150e6 * float64(time.Second)))
-	pos := 0
-	for pos+8 <= len(data) {
-		plen := int(binary.LittleEndian.Uint32(data[pos : pos+4]))
-		crc := binary.LittleEndian.Uint32(data[pos+4 : pos+8])
-		if plen == 0 || pos+8+plen > len(data) {
-			return nil
-		}
-		payload := data[pos+8 : pos+8+plen]
-		if crc32.ChecksumIEEE(payload) != crc {
-			return nil // torn batch: stop replay here
-		}
-		count := int(binary.LittleEndian.Uint32(payload[0:4]))
-		q := 4
-		for i := 0; i < count; i++ {
-			del := payload[q] == 1
-			klen := int(binary.LittleEndian.Uint32(payload[q+1 : q+5]))
-			vlen := int(binary.LittleEndian.Uint32(payload[q+5 : q+9]))
-			q += 9
-			key := string(payload[q : q+klen])
-			q += klen
-			val := make([]byte, vlen)
-			copy(val, payload[q:q+vlen])
-			q += vlen
-			mem.put(entry{key: key, value: val, del: del})
-		}
-		pos += 8 + plen
-	}
-	return nil
 }
 
 // Stats snapshot for benches.

@@ -40,32 +40,6 @@ func withDB(t *testing.T, seed int64, d Durability, fn func(p *simnet.Proc, c *h
 	}
 }
 
-func TestPutGetAllDurabilities(t *testing.T) {
-	for _, d := range []Durability{Weak, Strong, SplitFT} {
-		d := d
-		t.Run(d.String(), func(t *testing.T) {
-			withDB(t, 1, d, func(p *simnet.Proc, c *harness.Cluster, db *DB) {
-				for i := 0; i < 100; i++ {
-					key := fmt.Sprintf("user%06d", i)
-					if err := db.Put(p, key, []byte(fmt.Sprintf("value-%d", i))); err != nil {
-						t.Fatalf("put: %v", err)
-					}
-				}
-				for i := 0; i < 100; i++ {
-					key := fmt.Sprintf("user%06d", i)
-					v, ok, err := db.Get(p, key)
-					if err != nil || !ok || string(v) != fmt.Sprintf("value-%d", i) {
-						t.Fatalf("get %s = %q %v %v", key, v, ok, err)
-					}
-				}
-				if _, ok, _ := db.Get(p, "missing"); ok {
-					t.Fatal("phantom key")
-				}
-			})
-		})
-	}
-}
-
 func TestGroupCommitBatches(t *testing.T) {
 	withDB(t, 2, SplitFT, func(p *simnet.Proc, c *harness.Cluster, db *DB) {
 		var wg simnet.WaitGroup
@@ -166,125 +140,6 @@ func TestDeleteTombstones(t *testing.T) {
 			t.Fatal("deleted key resurrected by compaction")
 		}
 	})
-}
-
-func crashRecover(t *testing.T, seed int64, d Durability, writes int) (acked int, survived int) {
-	t.Helper()
-	c := harness.New(harness.Options{Seed: seed, NumPeers: 4})
-	err := c.Run(func(p *simnet.Proc) error {
-		c.AppNode.Go("app-v1", func(ap *simnet.Proc) {
-			fs, err := c.NewFS(ap, "kvapp", 0)
-			if err != nil {
-				return
-			}
-			db, err := Open(ap, fs, testConfig(d))
-			if err != nil {
-				return
-			}
-			for i := 0; i < writes; i++ {
-				if err := db.Put(ap, fmt.Sprintf("user%06d", i), []byte(fmt.Sprintf("val-%d", i))); err != nil {
-					return
-				}
-				acked = i + 1
-			}
-			ap.Sleep(time.Hour)
-		})
-		p.Sleep(400 * time.Millisecond)
-		c.CrashApp()
-		p.Sleep(10 * time.Millisecond)
-		c.RestartApp()
-		fs2, err := c.NewFS(p, "kvapp", 1)
-		if err != nil {
-			return err
-		}
-		db2, err := Recover(p, fs2, testConfig(d))
-		if err != nil {
-			return err
-		}
-		for i := 0; i < acked; i++ {
-			v, ok, err := db2.Get(p, fmt.Sprintf("user%06d", i))
-			if err != nil {
-				return err
-			}
-			if ok && string(v) == fmt.Sprintf("val-%d", i) {
-				survived++
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	return acked, survived
-}
-
-func TestCrashRecoverySplitFTNoLoss(t *testing.T) {
-	acked, survived := crashRecover(t, 6, SplitFT, 2000)
-	if acked == 0 {
-		t.Fatal("nothing acked before crash")
-	}
-	if survived != acked {
-		t.Fatalf("lost data: %d acked, %d survived", acked, survived)
-	}
-}
-
-func TestCrashRecoveryStrongNoLoss(t *testing.T) {
-	acked, survived := crashRecover(t, 7, Strong, 60) // strong is slow; fewer writes
-	if acked == 0 {
-		t.Fatal("nothing acked before crash")
-	}
-	if survived != acked {
-		t.Fatalf("lost data: %d acked, %d survived", acked, survived)
-	}
-}
-
-func TestCrashRecoveryWeakLosesRecentWrites(t *testing.T) {
-	acked, survived := crashRecover(t, 8, Weak, 2000)
-	if acked == 0 {
-		t.Fatal("nothing acked before crash")
-	}
-	if survived >= acked {
-		t.Fatalf("weak mode lost nothing (%d/%d): the data-loss window is the point", survived, acked)
-	}
-}
-
-func TestRecoveryAfterFlushUsesTables(t *testing.T) {
-	// Data that was flushed to sstables must come back from the dfs even
-	// though the WALs were deleted.
-	c := harness.New(harness.Options{Seed: 9, NumPeers: 4})
-	err := c.Run(func(p *simnet.Proc) error {
-		val := bytes.Repeat([]byte("z"), 100)
-		c.AppNode.Go("app-v1", func(ap *simnet.Proc) {
-			fs, _ := c.NewFS(ap, "kvapp", 0)
-			db, err := Open(ap, fs, testConfig(SplitFT))
-			if err != nil {
-				return
-			}
-			for i := 0; i < 4000; i++ {
-				db.Put(ap, fmt.Sprintf("user%06d", i), val)
-			}
-			ap.Sleep(time.Hour)
-		})
-		p.Sleep(2 * time.Second) // writes + flushes done
-		c.CrashApp()
-		p.Sleep(10 * time.Millisecond)
-		c.RestartApp()
-		fs2, _ := c.NewFS(p, "kvapp", 1)
-		db2, err := Recover(p, fs2, testConfig(SplitFT))
-		if err != nil {
-			return err
-		}
-		for _, i := range []int{0, 2000, 3999} {
-			v, ok, err := db2.Get(p, fmt.Sprintf("user%06d", i))
-			if err != nil || !ok || !bytes.Equal(v, val) {
-				return fmt.Errorf("get user%06d after recovery: ok=%v err=%v", i, ok, err)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
 }
 
 // ---- sstable unit tests ----

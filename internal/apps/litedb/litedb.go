@@ -22,43 +22,27 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sort"
-	"time"
 
+	"splitft/internal/apps/applog"
 	"splitft/internal/core"
 	"splitft/internal/model"
 	"splitft/internal/simnet"
 )
 
-// Durability mirrors the other stores' configurations.
-type Durability int
+// Durability selects the evaluation configuration (see applog).
+type Durability = applog.Durability
 
-const (
-	// Weak leaves WAL frames in the dfs client cache (synchronous=off).
-	Weak Durability = iota
-	// Strong fsyncs the WAL after every transaction (synchronous=full).
-	Strong
-	// SplitFT keeps the WAL in near-compute logs.
-	SplitFT
-)
+// SplitFT keeps the WAL in near-compute logs.
+const SplitFT = applog.SplitFT
 
-func (d Durability) String() string {
-	switch d {
-	case Weak:
-		return "weak"
-	case Strong:
-		return "strong"
-	default:
-		return "splitft"
-	}
-}
+// pageSize is the database page (and WAL frame payload) size.
+const pageSize = 4096
 
-// Config tunes the store. NPages and PageSize fix the database geometry and
-// must match between Open and Recover (they are schema, not state).
+// Config tunes the store. NPages fixes the database geometry and must match
+// between Open and Recover (it is schema, not state).
 type Config struct {
 	Path       string
 	Durability Durability
-	PageSize   int
 	NPages     int
 	// WALBytes is the circular WAL capacity (and ncl region size).
 	WALBytes int64
@@ -73,14 +57,16 @@ func DefaultConfig() Config {
 	return Config{
 		Path:        "/lite/data.db",
 		Durability:  SplitFT,
-		PageSize:    4096,
 		NPages:      2048,
 		WALBytes:    4 << 20,
 		LiteDBCosts: model.Baseline().Apps.LiteDB,
 	}
 }
 
-const frameHdrLen = 24 // [8B pageID][8B salt][4B crc][4B reserved]
+const (
+	frameHdrLen = 24 // [8B pageID][8B salt][4B crc][4B reserved]
+	frameSz     = frameHdrLen + pageSize
+)
 
 // ErrPageFull is returned when a page cannot hold its hashed keys; size the
 // database with more pages.
@@ -94,12 +80,11 @@ type DB struct {
 
 	mu simnet.Mutex // exclusive locking mode: one txn at a time
 
-	dbFile  core.File
-	wal     core.File
-	dirty   map[int][]byte // pageID -> current page image (not yet checkpointed)
-	salt    uint64
-	walOff  int64
-	frameSz int64
+	dbFile core.File
+	wal    core.File
+	dirty  map[int][]byte // pageID -> current page image (not yet checkpointed)
+	salt   uint64
+	walOff int64
 
 	// Stats.
 	Txns        int64
@@ -109,27 +94,33 @@ type DB struct {
 
 func (db *DB) walPath() string { return db.cfg.Path + "-wal" }
 
-func (db *DB) walFlags() core.OpenFlag {
-	if db.cfg.Durability == SplitFT {
-		return core.O_NCL | core.O_CREATE
-	}
-	return core.O_CREATE
-}
-
-// Open creates a fresh database.
-func Open(p *simnet.Proc, fs *core.FS, cfg Config) (*DB, error) {
+// newDB opens (creating if absent) the database file.
+func newDB(p *simnet.Proc, fs *core.FS, cfg Config) (*DB, error) {
 	db := &DB{fs: fs, node: fs.Node(), cfg: cfg, dirty: make(map[int][]byte), salt: 1}
-	db.frameSz = int64(frameHdrLen + cfg.PageSize)
 	f, err := fs.OpenFile(p, cfg.Path, core.O_CREATE|core.O_EXTENT, 0)
 	if err != nil {
 		return nil, err
 	}
 	db.dbFile = f
-	w, err := fs.OpenFile(p, db.walPath(), db.walFlags(), cfg.WALBytes)
+	return db, nil
+}
+
+// createWAL creates the circular WAL: the SplitFT port is the O_NCL bit
+// LogFlags sets (no append-only hint — frames are overwritten in place).
+func (db *DB) createWAL(p *simnet.Proc) (err error) {
+	db.wal, err = db.fs.OpenFile(p, db.walPath(), db.cfg.Durability.LogFlags(false), db.cfg.WALBytes)
+	return err
+}
+
+// Open creates a fresh database.
+func Open(p *simnet.Proc, fs *core.FS, cfg Config) (*DB, error) {
+	db, err := newDB(p, fs, cfg)
 	if err != nil {
 		return nil, err
 	}
-	db.wal = w
+	if err := db.createWAL(p); err != nil {
+		return nil, err
+	}
 	return db, nil
 }
 
@@ -143,8 +134,8 @@ func (db *DB) readPage(p *simnet.Proc, id int) ([]byte, error) {
 	if img, ok := db.dirty[id]; ok {
 		return img, nil
 	}
-	img := make([]byte, db.cfg.PageSize)
-	if _, err := db.dbFile.Pread(p, img, int64(id)*int64(db.cfg.PageSize)); err != nil {
+	img := make([]byte, pageSize)
+	if _, err := db.dbFile.Pread(p, img, int64(id)*pageSize); err != nil {
 		return nil, err
 	}
 	return img, nil
@@ -265,12 +256,12 @@ func (db *DB) update(p *simnet.Proc, key string, value []byte) error {
 // appendFrame writes one page image to the circular WAL, checkpointing
 // first if the frame would not fit.
 func (db *DB) appendFrame(p *simnet.Proc, id int, img []byte) error {
-	if db.walOff+db.frameSz > db.cfg.WALBytes {
+	if db.walOff+frameSz > db.cfg.WALBytes {
 		if err := db.checkpointLocked(p); err != nil {
 			return err
 		}
 	}
-	frame := make([]byte, db.frameSz)
+	frame := make([]byte, frameSz)
 	binary.LittleEndian.PutUint64(frame[0:8], uint64(id))
 	binary.LittleEndian.PutUint64(frame[8:16], db.salt)
 	binary.LittleEndian.PutUint32(frame[16:20], crc32.ChecksumIEEE(img))
@@ -278,12 +269,10 @@ func (db *DB) appendFrame(p *simnet.Proc, id int, img []byte) error {
 	if _, err := db.wal.Pwrite(p, frame, db.walOff); err != nil {
 		return err
 	}
-	if db.cfg.Durability == Strong {
-		if err := db.wal.Sync(p); err != nil {
-			return err
-		}
+	if err := db.cfg.Durability.Commit(p, db.wal); err != nil {
+		return err
 	}
-	db.walOff += db.frameSz
+	db.walOff += frameSz
 	return nil
 }
 
@@ -291,13 +280,8 @@ func (db *DB) appendFrame(p *simnet.Proc, id int, img []byte) error {
 // it, and restarts the WAL at offset zero under a new salt — the overwrite
 // reclaim. Caller holds db.mu.
 func (db *DB) checkpointLocked(p *simnet.Proc) error {
-	ids := make([]int, 0, len(db.dirty))
-	for id := range db.dirty {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		if _, err := db.dbFile.Pwrite(p, db.dirty[id], int64(id)*int64(db.cfg.PageSize)); err != nil {
+	for _, id := range applog.SortedKeys(db.dirty) {
+		if _, err := db.dbFile.Pwrite(p, db.dirty[id], int64(id)*pageSize); err != nil {
 			return err
 		}
 	}
@@ -309,13 +293,6 @@ func (db *DB) checkpointLocked(p *simnet.Proc) error {
 	db.walOff = 0
 	db.Checkpoints++
 	return nil
-}
-
-// Checkpoint forces a checkpoint (tests and benches).
-func (db *DB) Checkpoint(p *simnet.Proc) error {
-	db.mu.Lock(p)
-	defer db.mu.Unlock(p)
-	return db.checkpointLocked(p)
 }
 
 // Close releases file handles.
@@ -330,32 +307,23 @@ func (db *DB) Close(p *simnet.Proc) {
 // recover the WAL (from NCL peers in SplitFT mode), replay the newest
 // generation of frames, then checkpoint and restart the WAL cleanly.
 func Recover(p *simnet.Proc, fs *core.FS, cfg Config) (*DB, error) {
-	db := &DB{fs: fs, node: fs.Node(), cfg: cfg, dirty: make(map[int][]byte), salt: 1}
-	db.frameSz = int64(frameHdrLen + cfg.PageSize)
-	f, err := fs.OpenFile(p, cfg.Path, core.O_CREATE|core.O_EXTENT, 0)
+	db, err := newDB(p, fs, cfg)
 	if err != nil {
 		return nil, err
 	}
-	db.dbFile = f
-
 	if fs.Exists(p, db.walPath()) {
 		// Reopen (NCL recovery in SplitFT mode), replay the newest
 		// generation, and keep writing into the same WAL from offset zero
 		// under a fresh salt — old frames are simply overwritten, exactly
 		// the circular reuse the file saw in normal operation.
-		flags := db.walFlags() &^ core.O_CREATE
-		w, err := fs.OpenFile(p, db.walPath(), flags, cfg.WALBytes)
+		w, err := cfg.Durability.Reopen(p, fs, db.walPath())
 		if err != nil {
 			return nil, err
 		}
 		db.salt = db.replayWAL(p, w) + 1
 		db.wal = w
-	} else {
-		w, err := fs.OpenFile(p, db.walPath(), db.walFlags(), cfg.WALBytes)
-		if err != nil {
-			return nil, err
-		}
-		db.wal = w
+	} else if err := db.createWAL(p); err != nil {
+		return nil, err
 	}
 	// Make the replayed state durable so the old generation is disposable.
 	if len(db.dirty) > 0 {
@@ -371,19 +339,14 @@ func Recover(p *simnet.Proc, fs *core.FS, cfg Config) (*DB, error) {
 // are page images, so replay is idempotent. It returns the largest salt
 // seen so the new generation is strictly newer.
 func (db *DB) replayWAL(p *simnet.Proc, w core.File) uint64 {
-	size := w.Size()
-	data := make([]byte, size)
-	if _, err := w.Pread(p, data, 0); err != nil {
-		return db.salt
-	}
-	p.Sleep(time.Duration(float64(len(data)) / 150e6 * float64(time.Second))) // parse
-	if int64(len(data)) < db.frameSz {
+	data, err := applog.ReadLog(p, w)
+	if err != nil || len(data) < frameSz {
 		return db.salt
 	}
 	gen := binary.LittleEndian.Uint64(data[8:16])
 	maxSalt := gen
-	for off := int64(0); off+db.frameSz <= int64(len(data)); off += db.frameSz {
-		fr := data[off : off+db.frameSz]
+	for ; len(data) >= frameSz; data = data[frameSz:] {
+		fr := data[:frameSz]
 		id := int(binary.LittleEndian.Uint64(fr[0:8]))
 		salt := binary.LittleEndian.Uint64(fr[8:16])
 		crc := binary.LittleEndian.Uint32(fr[16:20])
@@ -394,12 +357,12 @@ func (db *DB) replayWAL(p *simnet.Proc, w core.File) uint64 {
 		if salt != gen || crc32.ChecksumIEEE(img) != crc || id < 0 || id >= db.cfg.NPages {
 			break
 		}
-		pg := make([]byte, db.cfg.PageSize)
+		pg := make([]byte, pageSize)
 		copy(pg, img)
 		db.dirty[id] = pg
 	}
 	return maxSalt
 }
 
-// DirtyPages returns the number of uncheckpointed pages (tests).
-func (db *DB) DirtyPages() int { return len(db.dirty) }
+// WAL returns the write-ahead-log file.
+func (db *DB) WAL() core.File { return db.wal }

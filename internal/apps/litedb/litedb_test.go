@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"splitft/internal/harness"
 	"splitft/internal/simnet"
@@ -18,46 +17,6 @@ func testConfig(d Durability) Config {
 	cfg.NPages = 128
 	cfg.WALBytes = 128 << 10 // ~31 frames before wrap
 	return cfg
-}
-
-func TestSetGetAllDurabilities(t *testing.T) {
-	for _, d := range []Durability{Weak, Strong, SplitFT} {
-		d := d
-		t.Run(d.String(), func(t *testing.T) {
-			c := harness.New(harness.Options{Seed: 1, NumPeers: 4})
-			err := c.Run(func(p *simnet.Proc) error {
-				fs, err := c.NewFS(p, "lite", 0)
-				if err != nil {
-					return err
-				}
-				db, err := Open(p, fs, testConfig(d))
-				if err != nil {
-					return err
-				}
-				for i := 0; i < 60; i++ {
-					if err := db.Set(p, fmt.Sprintf("row%04d", i), []byte(fmt.Sprintf("v%d", i))); err != nil {
-						return err
-					}
-				}
-				for i := 0; i < 60; i++ {
-					v, ok, err := db.Get(p, fmt.Sprintf("row%04d", i))
-					if err != nil || !ok || string(v) != fmt.Sprintf("v%d", i) {
-						return fmt.Errorf("get row%04d = %q %v %v", i, v, ok, err)
-					}
-				}
-				if err := db.Delete(p, "row0005"); err != nil {
-					return err
-				}
-				if _, ok, _ := db.Get(p, "row0005"); ok {
-					return errors.New("deleted row still present")
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
 }
 
 func TestCircularWALWrapsAndCheckpoints(t *testing.T) {
@@ -85,130 +44,6 @@ func TestCircularWALWrapsAndCheckpoints(t *testing.T) {
 			if _, ok, _ := db.Get(p, fmt.Sprintf("row%04d", i)); !ok {
 				return fmt.Errorf("row%04d lost after wraps", i)
 			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func crashRecover(t *testing.T, seed int64, d Durability, writes int) (acked, survived int) {
-	t.Helper()
-	c := harness.New(harness.Options{Seed: seed, NumPeers: 4})
-	err := c.Run(func(p *simnet.Proc) error {
-		c.AppNode.Go("app-v1", func(ap *simnet.Proc) {
-			fs, err := c.NewFS(ap, "lite", 0)
-			if err != nil {
-				return
-			}
-			db, err := Open(ap, fs, testConfig(d))
-			if err != nil {
-				return
-			}
-			for i := 0; i < writes; i++ {
-				if err := db.Set(ap, fmt.Sprintf("row%04d", i), []byte(fmt.Sprintf("val%d", i))); err != nil {
-					return
-				}
-				acked = i + 1
-			}
-			ap.Sleep(time.Hour)
-		})
-		p.Sleep(400 * time.Millisecond)
-		c.CrashApp()
-		p.Sleep(10 * time.Millisecond)
-		c.RestartApp()
-		fs2, err := c.NewFS(p, "lite", 1)
-		if err != nil {
-			return err
-		}
-		db2, err := Recover(p, fs2, testConfig(d))
-		if err != nil {
-			return err
-		}
-		for i := 0; i < acked; i++ {
-			v, ok, err := db2.Get(p, fmt.Sprintf("row%04d", i))
-			if err != nil {
-				return err
-			}
-			if ok && string(v) == fmt.Sprintf("val%d", i) {
-				survived++
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return acked, survived
-}
-
-func TestCrashRecoverySplitFTNoLoss(t *testing.T) {
-	acked, survived := crashRecover(t, 3, SplitFT, 120)
-	if acked == 0 || survived != acked {
-		t.Fatalf("acked=%d survived=%d", acked, survived)
-	}
-}
-
-func TestCrashRecoveryStrongNoLoss(t *testing.T) {
-	acked, survived := crashRecover(t, 4, Strong, 50)
-	if acked == 0 || survived != acked {
-		t.Fatalf("acked=%d survived=%d", acked, survived)
-	}
-}
-
-func TestCrashRecoveryWeakLoses(t *testing.T) {
-	acked, survived := crashRecover(t, 5, Weak, 400)
-	if acked == 0 {
-		t.Fatal("nothing acked")
-	}
-	if survived >= acked {
-		t.Fatalf("weak lost nothing (%d/%d)", survived, acked)
-	}
-}
-
-func TestRecoveryAcrossWALWrap(t *testing.T) {
-	// Crash after the WAL wrapped: recovery must merge the checkpointed db
-	// file with the newest WAL generation (the circular case of Fig 7ii).
-	c := harness.New(harness.Options{Seed: 6, NumPeers: 4})
-	err := c.Run(func(p *simnet.Proc) error {
-		total := 0
-		c.AppNode.Go("app-v1", func(ap *simnet.Proc) {
-			fs, _ := c.NewFS(ap, "lite", 0)
-			db, err := Open(ap, fs, testConfig(SplitFT))
-			if err != nil {
-				return
-			}
-			for i := 0; i < 150; i++ { // wraps at least twice
-				if err := db.Set(ap, fmt.Sprintf("row%04d", i), []byte(fmt.Sprintf("val%d", i))); err != nil {
-					return
-				}
-				total = i + 1
-			}
-			ap.Sleep(time.Hour)
-		})
-		p.Sleep(600 * time.Millisecond)
-		c.CrashApp()
-		p.Sleep(10 * time.Millisecond)
-		c.RestartApp()
-		fs2, _ := c.NewFS(p, "lite", 1)
-		db2, err := Recover(p, fs2, testConfig(SplitFT))
-		if err != nil {
-			return err
-		}
-		for i := 0; i < total; i++ {
-			v, ok, _ := db2.Get(p, fmt.Sprintf("row%04d", i))
-			if !ok || string(v) != fmt.Sprintf("val%d", i) {
-				return fmt.Errorf("row%04d lost across wrap (got %q ok=%v)", i, v, ok)
-			}
-		}
-		// And the recovered db keeps working.
-		if err := db2.Set(p, "after", []byte("recovery")); err != nil {
-			return err
-		}
-		v, ok, _ := db2.Get(p, "after")
-		if !ok || string(v) != "recovery" {
-			return errors.New("write after recovery failed")
 		}
 		return nil
 	})

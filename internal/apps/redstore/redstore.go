@@ -17,48 +17,28 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"sort"
 	"time"
 
+	"splitft/internal/apps/applog"
 	"splitft/internal/core"
 	"splitft/internal/model"
 	"splitft/internal/simnet"
 )
 
-// Durability mirrors the kvstore configurations.
-type Durability int
+// batchMax bounds how many pipelined commands one loop iteration takes.
+const batchMax = 32
 
-const (
-	// Weak appends to the AOF without fsync (appendfsync no).
-	Weak Durability = iota
-	// Strong fsyncs the AOF after every batch (appendfsync always).
-	Strong
-	// SplitFT keeps the AOF in near-compute logs.
-	SplitFT
-)
-
-func (d Durability) String() string {
-	switch d {
-	case Weak:
-		return "weak"
-	case Strong:
-		return "strong"
-	default:
-		return "splitft"
-	}
-}
+// rdbParseBW is the rate (bytes/s) at which recovery decodes a snapshot.
+const rdbParseBW = 200e6
 
 // Config tunes the store.
 type Config struct {
 	Dir        string
-	Durability Durability
+	Durability applog.Durability
 	// AOFRewriteBytes triggers an RDB snapshot + AOF swap.
 	AOFRewriteBytes int64
 	// AOFRegion is the ncl region capacity for the AOF.
 	AOFRegion int64
-	// BatchMax bounds how many pipelined commands one loop iteration takes.
-	BatchMax int
 	// RedStoreCosts is the CPU/copy cost model; the constants live in
 	// internal/model and the fields promote (cfg.OpCPU etc.).
 	model.RedStoreCosts
@@ -69,10 +49,9 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Dir:             "/redis",
-		Durability:      SplitFT,
+		Durability:      applog.SplitFT,
 		AOFRewriteBytes: 8 << 20,
 		AOFRegion:       16 << 20,
-		BatchMax:        32,
 		RedStoreCosts:   model.Baseline().Apps.RedStore,
 	}
 }
@@ -108,7 +87,11 @@ type Store struct {
 	reqCh  *simnet.Chan[request]
 	aof    core.File
 	aofNum int
-	closed bool
+	// retired lists the AOFs older than the active one, oldest first. Their
+	// content is durable nowhere else until a snapshot taken after them is:
+	// that snapshot's reclaim unlinks them all.
+	retired []string
+	closed  bool
 
 	snapshotting bool
 
@@ -118,33 +101,44 @@ type Store struct {
 	Snapshots int64
 }
 
-func (s *Store) aofPath(n int) string { return fmt.Sprintf("%s/appendonly-%04d.aof", s.cfg.Dir, n) }
+// aofFormat names AOF number %d; Recover finds the survivors by it.
+func aofFormat(dir string) string { return dir + "/appendonly-%04d.aof" }
+
+func (s *Store) aofPath(n int) string { return fmt.Sprintf(aofFormat(s.cfg.Dir), n) }
 func (s *Store) rdbPath(n int) string { return fmt.Sprintf("%s/dump-%04d.rdb", s.cfg.Dir, n) }
 
-func (s *Store) aofFlags() core.OpenFlag {
-	if s.cfg.Durability == SplitFT {
-		return core.O_NCL | core.O_CREATE | core.O_APPEND
-	}
-	return core.O_CREATE
+// openAOF creates AOF number aofNum; the SplitFT port is the O_NCL bit
+// LogFlags sets.
+func (s *Store) openAOF(p *simnet.Proc) (core.File, error) {
+	return s.fs.OpenFile(p, s.aofPath(s.aofNum), s.cfg.Durability.LogFlags(true), s.cfg.AOFRegion)
 }
 
-// Open starts a fresh store.
-func Open(p *simnet.Proc, fs *core.FS, cfg Config) (*Store, error) {
-	s := &Store{
+func newStore(fs *core.FS, cfg Config) *Store {
+	return &Store{
 		fs:    fs,
 		node:  fs.Node(),
 		cfg:   cfg,
 		data:  make(map[string][]byte),
 		reqCh: simnet.NewChan[request](fs.Node().Sim()),
 	}
-	s.aofNum = 1
-	aof, err := fs.OpenFile(p, s.aofPath(s.aofNum), s.aofFlags(), cfg.AOFRegion)
+}
+
+// start opens AOF number aofNum as the active one and runs the command loop.
+func (s *Store) start(p *simnet.Proc) (*Store, error) {
+	aof, err := s.openAOF(p)
 	if err != nil {
 		return nil, err
 	}
 	s.aof = aof
 	p.GoOn(s.node, "redstore-loop", s.commandLoop)
 	return s, nil
+}
+
+// Open starts a fresh store.
+func Open(p *simnet.Proc, fs *core.FS, cfg Config) (*Store, error) {
+	s := newStore(fs, cfg)
+	s.aofNum = 1
+	return s.start(p)
 }
 
 // Set stores key=value, durably per the configuration, and returns once the
@@ -178,7 +172,7 @@ func (s *Store) do(p *simnet.Proc, r request) response {
 	return resp
 }
 
-// commandLoop is the single thread: it drains up to BatchMax pipelined
+// commandLoop is the single thread: it drains up to batchMax pipelined
 // requests, processes them, persists the write commands as one AOF record,
 // and replies. Reads wait their turn behind writes — by design.
 func (s *Store) commandLoop(p *simnet.Proc) {
@@ -188,7 +182,7 @@ func (s *Store) commandLoop(p *simnet.Proc) {
 			return
 		}
 		batch := []request{first}
-		for len(batch) < s.cfg.BatchMax {
+		for len(batch) < batchMax {
 			r, ok := s.reqCh.TryRecv(p)
 			if !ok {
 				break
@@ -207,11 +201,12 @@ func (s *Store) commandLoop(p *simnet.Proc) {
 		}
 		var err error
 		if len(writes) > 0 {
-			rec := encodeAOF(writes)
-			if _, werr := s.aof.Write(p, rec); werr != nil {
-				err = werr
-			} else if s.cfg.Durability == Strong {
-				err = s.aof.Sync(p)
+			rec := applog.Encode(len(writes), func(i int) applog.Op {
+				w := &writes[i]
+				return applog.Op{Key: w.key, Value: w.value, Del: w.kind == opDel}
+			})
+			if _, err = s.aof.Write(p, rec); err == nil {
+				err = s.cfg.Durability.Commit(p, s.aof)
 			}
 		}
 		// Apply and reply.
@@ -239,37 +234,9 @@ func (s *Store) commandLoop(p *simnet.Proc) {
 	}
 }
 
-// encodeAOF frames a batch: [4B len][4B crc][payload]; payload is
-// [4B count] then per op [1B kind][4B klen][4B vlen][key][value].
-func encodeAOF(writes []request) []byte {
-	size := 4
-	for _, w := range writes {
-		size += 9 + len(w.key) + len(w.value)
-	}
-	buf := make([]byte, 8+size)
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(size))
-	payload := buf[8:]
-	binary.LittleEndian.PutUint32(payload[0:4], uint32(len(writes)))
-	pos := 4
-	for _, w := range writes {
-		if w.kind == opDel {
-			payload[pos] = 1
-		}
-		binary.LittleEndian.PutUint32(payload[pos+1:pos+5], uint32(len(w.key)))
-		binary.LittleEndian.PutUint32(payload[pos+5:pos+9], uint32(len(w.value)))
-		pos += 9
-		copy(payload[pos:], w.key)
-		pos += len(w.key)
-		copy(payload[pos:], w.value)
-		pos += len(w.value)
-	}
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	return buf
-}
-
 // startSnapshot forks the dataset (copy charged to the loop, like fork COW
 // pressure) and writes it to an RDB file in the background; on completion
-// the old AOF is deleted and a fresh one absorbs further updates.
+// every older AOF is deleted; a fresh one absorbs further updates meanwhile.
 func (s *Store) startSnapshot(p *simnet.Proc) {
 	s.snapshotting = true
 	snap := make(map[string][]byte, len(s.data))
@@ -280,24 +247,29 @@ func (s *Store) startSnapshot(p *simnet.Proc) {
 	}
 	p.Sleep(time.Duration(float64(bytes) / s.cfg.SnapshotCopyBW * float64(time.Second)))
 	oldAOF := s.aof
-	oldPath := s.aofPath(s.aofNum)
+	covered := append(s.retired, s.aofPath(s.aofNum))
 	s.aofNum++
-	newAOF, err := s.fs.OpenFile(p, s.aofPath(s.aofNum), s.aofFlags(), s.cfg.AOFRegion)
+	newAOF, err := s.openAOF(p)
 	if err != nil {
 		s.snapshotting = false
 		s.aofNum--
 		return
 	}
 	s.aof = newAOF
+	s.retired = nil
 	rdbNum := s.aofNum
 	p.GoOn(s.node, "redstore-snapshot", func(sp *simnet.Proc) {
 		defer func() { s.snapshotting = false }()
 		if err := s.writeRDB(sp, rdbNum, snap); err != nil {
+			s.retired = covered // still the only durable copy
 			return
 		}
-		// RDB durable: reclaim the old AOF and the previous RDB.
+		// RDB durable: reclaim every AOF it covers, oldest first (so the
+		// survivors of a crash in here are contiguous), and the previous RDB.
 		oldAOF.Close(sp)
-		s.fs.Unlink(sp, oldPath) //nolint:errcheck
+		for _, path := range covered {
+			s.fs.Unlink(sp, path) //nolint:errcheck
+		}
 		if rdbNum > 1 {
 			prev := s.rdbPath(rdbNum - 1)
 			if s.fs.Exists(sp, prev) {
@@ -310,11 +282,7 @@ func (s *Store) startSnapshot(p *simnet.Proc) {
 
 // writeRDB serializes the snapshot to the dfs: one large background write.
 func (s *Store) writeRDB(p *simnet.Proc, num int, snap map[string][]byte) error {
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := applog.SortedKeys(snap)
 	size := 8
 	for _, k := range keys {
 		size += 8 + len(k) + len(snap[k])
@@ -356,135 +324,88 @@ func (s *Store) Close(p *simnet.Proc) {
 
 // Recover rebuilds the store from the newest complete RDB snapshot plus the
 // surviving AOFs — from NCL peers in SplitFT mode, from the dfs otherwise.
+// The replayed AOFs stay where they are (retired): their content is in
+// memory only, so unlinking them here would lose it to a second crash.
 func Recover(p *simnet.Proc, fs *core.FS, cfg Config) (*Store, error) {
-	s := &Store{
-		fs:    fs,
-		node:  fs.Node(),
-		cfg:   cfg,
-		data:  make(map[string][]byte),
-		reqCh: simnet.NewChan[request](fs.Node().Sim()),
-	}
-	// Newest RDB first.
+	s := newStore(fs, cfg)
+	// The newest complete RDB: a crash may have cut a newer one short, and
+	// then the one before it and the AOFs since are all still there.
 	rdbs := fs.ListDFS(cfg.Dir + "/dump-")
-	maxNum := 0
+	for i, complete := len(rdbs)-1, false; i >= 0 && !complete; i-- {
+		var err error
+		if complete, err = s.loadRDB(p, rdbs[i]); err != nil {
+			return nil, err
+		}
+	}
 	if len(rdbs) > 0 {
-		newest := rdbs[len(rdbs)-1]
-		if err := s.loadRDB(p, newest); err != nil {
-			return nil, err
-		}
-		fmt.Sscanf(newest[len(cfg.Dir)+1:], "dump-%04d.rdb", &maxNum) //nolint:errcheck
+		fmt.Sscanf(rdbs[len(rdbs)-1][len(cfg.Dir)+1:], "dump-%04d.rdb", &s.aofNum) //nolint:errcheck
 	}
-	// Replay AOFs newer than the snapshot, oldest first.
-	var aofs []string
-	if cfg.Durability == SplitFT {
-		names, err := fs.ListNCL(p)
-		if err != nil {
-			return nil, err
-		}
-		aofs = names
-	} else {
-		aofs = fs.ListDFS(cfg.Dir + "/appendonly-")
-	}
-	sort.Strings(aofs)
-	for _, path := range aofs {
-		var n int
-		if _, err := fmt.Sscanf(path[len(cfg.Dir)+1:], "appendonly-%04d.aof", &n); err == nil && n > maxNum {
-			maxNum = n
-		}
-		flags := s.aofFlags() &^ core.O_CREATE
-		f, err := fs.OpenFile(p, path, flags, cfg.AOFRegion)
-		if err != nil {
-			return nil, err
-		}
-		s.replayAOF(p, f)
-		f.Close(p)
-		fs.Unlink(p, path) //nolint:errcheck
-	}
-	s.aofNum = maxNum + 1
-	aof, err := fs.OpenFile(p, s.aofPath(s.aofNum), s.aofFlags(), cfg.AOFRegion)
+	// Replay the surviving AOFs, oldest first.
+	aofs, err := cfg.Durability.Survivors(p, fs, aofFormat(cfg.Dir))
 	if err != nil {
 		return nil, err
 	}
-	s.aof = aof
-	p.GoOn(s.node, "redstore-loop", s.commandLoop)
-	return s, nil
+	for _, aof := range aofs {
+		data, err := cfg.Durability.ReadSurvivor(p, fs, aof.Path)
+		if err != nil {
+			return nil, fmt.Errorf("redstore: replay %s: %w", aof.Path, err)
+		}
+		applog.Scan(data, func(o applog.Op) {
+			if o.Del {
+				delete(s.data, o.Key)
+			} else {
+				s.data[o.Key] = o.Value
+			}
+		})
+		s.retired = append(s.retired, aof.Path)
+		if aof.Seq > s.aofNum {
+			s.aofNum = aof.Seq
+		}
+	}
+	s.aofNum++
+	return s.start(p)
 }
 
-func (s *Store) loadRDB(p *simnet.Proc, path string) error {
+// loadRDB loads the snapshot at path and reports whether it was complete
+// (its entries add up to the header's count and the file's length); an
+// incomplete one loads nothing.
+func (s *Store) loadRDB(p *simnet.Proc, path string) (complete bool, err error) {
 	f, err := s.fs.OpenFile(p, path, 0, 0)
 	if err != nil {
-		return err
+		return false, err
 	}
 	defer f.Close(p)
 	buf := make([]byte, f.Size())
 	if _, err := f.Pread(p, buf, 0); err != nil {
-		return err
+		return false, err
 	}
-	p.Sleep(time.Duration(float64(len(buf)) / 200e6 * float64(time.Second))) // parse
+	p.Sleep(time.Duration(float64(len(buf)) / rdbParseBW * float64(time.Second)))
 	if len(buf) < 8 {
-		return nil
+		return false, nil
 	}
-	count := binary.LittleEndian.Uint64(buf[0:8])
+	data := make(map[string][]byte)
 	pos := 8
-	for i := uint64(0); i < count && pos+8 <= len(buf); i++ {
+	for n := binary.LittleEndian.Uint64(buf[0:8]); n > 0; n-- {
+		if pos+8 > len(buf) {
+			return false, nil
+		}
 		klen := int(binary.LittleEndian.Uint32(buf[pos : pos+4]))
 		vlen := int(binary.LittleEndian.Uint32(buf[pos+4 : pos+8]))
 		pos += 8
 		if pos+klen+vlen > len(buf) {
-			break
+			return false, nil
 		}
-		key := string(buf[pos : pos+klen])
-		pos += klen
 		val := make([]byte, vlen)
-		copy(val, buf[pos:pos+vlen])
-		pos += vlen
-		s.data[key] = val
+		copy(val, buf[pos+klen:pos+klen+vlen])
+		data[string(buf[pos:pos+klen])] = val
+		pos += klen + vlen
 	}
-	return nil
+	if pos != len(buf) {
+		return false, nil
+	}
+	s.data = data
+	return true, nil
 }
 
-// replayAOF applies intact batches, stopping at the first torn record.
-func (s *Store) replayAOF(p *simnet.Proc, f core.File) {
-	data := make([]byte, f.Size())
-	if _, err := f.Pread(p, data, 0); err != nil {
-		return
-	}
-	p.Sleep(time.Duration(float64(len(data)) / 150e6 * float64(time.Second))) // parse
-	pos := 0
-	for pos+8 <= len(data) {
-		plen := int(binary.LittleEndian.Uint32(data[pos : pos+4]))
-		crc := binary.LittleEndian.Uint32(data[pos+4 : pos+8])
-		if plen == 0 || pos+8+plen > len(data) {
-			return
-		}
-		payload := data[pos+8 : pos+8+plen]
-		if crc32.ChecksumIEEE(payload) != crc {
-			return
-		}
-		count := int(binary.LittleEndian.Uint32(payload[0:4]))
-		q := 4
-		for i := 0; i < count; i++ {
-			del := payload[q] == 1
-			klen := int(binary.LittleEndian.Uint32(payload[q+1 : q+5]))
-			vlen := int(binary.LittleEndian.Uint32(payload[q+5 : q+9]))
-			q += 9
-			key := string(payload[q : q+klen])
-			q += klen
-			val := make([]byte, vlen)
-			copy(val, payload[q:q+vlen])
-			q += vlen
-			if del {
-				delete(s.data, key)
-			} else {
-				s.data[key] = val
-			}
-		}
-		pos += 8 + plen
-	}
-}
-
-// Len returns the number of keys (tests).
-func (s *Store) Len() int { return len(s.data) }
-
-// AOFSize returns the active append-only file's current size.
-func (s *Store) AOFSize() int64 { return s.aof.Size() }
+// AOF returns the active append-only file (benches size their fill by it).
+func (s *Store) AOF() core.File { return s.aof }

@@ -6,11 +6,12 @@ import (
 	"testing"
 	"time"
 
+	"splitft/internal/apps/applog"
 	"splitft/internal/harness"
 	"splitft/internal/simnet"
 )
 
-func testConfig(d Durability) Config {
+func testConfig(d applog.Durability) Config {
 	cfg := DefaultConfig()
 	cfg.Durability = d
 	cfg.AOFRewriteBytes = 64 << 10
@@ -18,49 +19,11 @@ func testConfig(d Durability) Config {
 	return cfg
 }
 
-func TestSetGetDelAllDurabilities(t *testing.T) {
-	for _, d := range []Durability{Weak, Strong, SplitFT} {
-		d := d
-		t.Run(d.String(), func(t *testing.T) {
-			c := harness.New(harness.Options{Seed: 1, NumPeers: 4})
-			err := c.Run(func(p *simnet.Proc) error {
-				fs, err := c.NewFS(p, "redis", 0)
-				if err != nil {
-					return err
-				}
-				s, err := Open(p, fs, testConfig(d))
-				if err != nil {
-					return err
-				}
-				for i := 0; i < 50; i++ {
-					if err := s.Set(p, fmt.Sprintf("k%03d", i), []byte(fmt.Sprintf("v%d", i))); err != nil {
-						return err
-					}
-				}
-				v, ok, err := s.Get(p, "k007")
-				if err != nil || !ok || string(v) != "v7" {
-					return fmt.Errorf("get = %q %v %v", v, ok, err)
-				}
-				if err := s.Del(p, "k007"); err != nil {
-					return err
-				}
-				if _, ok, _ := s.Get(p, "k007"); ok {
-					return fmt.Errorf("deleted key still present")
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
 func TestPipelinedBatching(t *testing.T) {
 	c := harness.New(harness.Options{Seed: 2, NumPeers: 4})
 	err := c.Run(func(p *simnet.Proc) error {
 		fs, _ := c.NewFS(p, "redis", 0)
-		s, err := Open(p, fs, testConfig(SplitFT))
+		s, err := Open(p, fs, testConfig(applog.SplitFT))
 		if err != nil {
 			return err
 		}
@@ -94,7 +57,7 @@ func TestSnapshotRotatesAOF(t *testing.T) {
 	c := harness.New(harness.Options{Seed: 3, NumPeers: 4})
 	err := c.Run(func(p *simnet.Proc) error {
 		fs, _ := c.NewFS(p, "redis", 0)
-		s, err := Open(p, fs, testConfig(SplitFT))
+		s, err := Open(p, fs, testConfig(applog.SplitFT))
 		if err != nil {
 			return err
 		}
@@ -122,128 +85,13 @@ func TestSnapshotRotatesAOF(t *testing.T) {
 	}
 }
 
-func crashRecover(t *testing.T, seed int64, d Durability, writes int) (acked, survived int) {
-	t.Helper()
-	c := harness.New(harness.Options{Seed: seed, NumPeers: 4})
-	err := c.Run(func(p *simnet.Proc) error {
-		c.AppNode.Go("app-v1", func(ap *simnet.Proc) {
-			fs, err := c.NewFS(ap, "redis", 0)
-			if err != nil {
-				return
-			}
-			s, err := Open(ap, fs, testConfig(d))
-			if err != nil {
-				return
-			}
-			for i := 0; i < writes; i++ {
-				if err := s.Set(ap, fmt.Sprintf("key%05d", i), []byte(fmt.Sprintf("val%d", i))); err != nil {
-					return
-				}
-				acked = i + 1
-			}
-			ap.Sleep(time.Hour)
-		})
-		p.Sleep(400 * time.Millisecond)
-		c.CrashApp()
-		p.Sleep(10 * time.Millisecond)
-		c.RestartApp()
-		fs2, err := c.NewFS(p, "redis", 1)
-		if err != nil {
-			return err
-		}
-		s2, err := Recover(p, fs2, testConfig(d))
-		if err != nil {
-			return err
-		}
-		for i := 0; i < acked; i++ {
-			v, ok, err := s2.Get(p, fmt.Sprintf("key%05d", i))
-			if err != nil {
-				return err
-			}
-			if ok && string(v) == fmt.Sprintf("val%d", i) {
-				survived++
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return acked, survived
-}
-
-func TestCrashRecoverySplitFTNoLoss(t *testing.T) {
-	acked, survived := crashRecover(t, 4, SplitFT, 1200)
-	if acked == 0 || survived != acked {
-		t.Fatalf("acked=%d survived=%d", acked, survived)
-	}
-}
-
-func TestCrashRecoveryStrongNoLoss(t *testing.T) {
-	acked, survived := crashRecover(t, 5, Strong, 60)
-	if acked == 0 || survived != acked {
-		t.Fatalf("acked=%d survived=%d", acked, survived)
-	}
-}
-
-func TestCrashRecoveryWeakLoses(t *testing.T) {
-	acked, survived := crashRecover(t, 6, Weak, 1200)
-	if acked == 0 {
-		t.Fatal("nothing acked")
-	}
-	if survived >= acked {
-		t.Fatalf("weak lost nothing (%d/%d)", survived, acked)
-	}
-}
-
-func TestRecoveryUsesSnapshotPlusAOF(t *testing.T) {
-	// Data must come back from RDB + AOF even when snapshots rotated AOFs.
-	c := harness.New(harness.Options{Seed: 7, NumPeers: 4})
-	err := c.Run(func(p *simnet.Proc) error {
-		val := bytes.Repeat([]byte("y"), 120)
-		c.AppNode.Go("app-v1", func(ap *simnet.Proc) {
-			fs, _ := c.NewFS(ap, "redis", 0)
-			s, err := Open(ap, fs, testConfig(SplitFT))
-			if err != nil {
-				return
-			}
-			for i := 0; i < 2000; i++ {
-				s.Set(ap, fmt.Sprintf("key%05d", i), val)
-			}
-			ap.Sleep(time.Hour)
-		})
-		p.Sleep(3 * time.Second) // writes done + snapshot(s)
-		c.CrashApp()
-		p.Sleep(10 * time.Millisecond)
-		c.RestartApp()
-		fs2, _ := c.NewFS(p, "redis", 1)
-		s2, err := Recover(p, fs2, testConfig(SplitFT))
-		if err != nil {
-			return err
-		}
-		if s2.Len() != 2000 {
-			return fmt.Errorf("recovered %d keys, want 2000", s2.Len())
-		}
-		for _, i := range []int{0, 1000, 1999} {
-			v, ok, _ := s2.Get(p, fmt.Sprintf("key%05d", i))
-			if !ok || !bytes.Equal(v, val) {
-				return fmt.Errorf("key%05d missing after recovery", i)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestHeadOfLineBlocking(t *testing.T) {
 	// In strong mode a read behind a write waits for the write's fsync —
 	// the single-threaded behaviour behind Redis' poor YCSB-B results.
 	c := harness.New(harness.Options{Seed: 8, NumPeers: 4})
 	err := c.Run(func(p *simnet.Proc) error {
 		fs, _ := c.NewFS(p, "redis", 0)
-		s, err := Open(p, fs, testConfig(Strong))
+		s, err := Open(p, fs, testConfig(applog.Strong))
 		if err != nil {
 			return err
 		}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"splitft/internal/apps/kvell"
+	"splitft/internal/apps"
 	"splitft/internal/core"
 	"splitft/internal/metrics"
 	"splitft/internal/raft"
@@ -228,23 +228,20 @@ func ablateSplit(sc Scale, seed int64) (Report, error) {
 }
 
 // ablateNoLog runs a uniform random-put workload against the KVell-style
-// no-log store (§6 "Supporting Non-Log Files and Applications") in its three
-// modes: NCL as an absorber tier should approach the unsafe buffered mode
-// while keeping per-put durability. can_lose_acked marks the modes that can
-// lose acknowledged puts.
+// no-log store (§6 "Supporting Non-Log Files and Applications") in the
+// three configurations, labelled by what they mean for a store without a
+// log: NCL as an absorber tier should approach the unsafe buffered mode
+// while keeping per-put durability. can_lose_acked marks the configuration
+// that can lose acknowledged puts.
 func ablateNoLog(sc Scale, seed int64) (Report, error) {
 	rep := Report{Title: "Ablation: no-log store (KVell-style), uniform random puts"}
-	for _, m := range []kvell.Mode{kvell.DFTSync, kvell.DFTAsync, kvell.NCLTier} {
+	port, _ := apps.Lookup("kvell")
+	labels := map[string]string{CfgStrong: "dft-sync", CfgWeak: "dft-async", CfgSplitFT: "ncl-tier"}
+	for _, cfg := range AllConfigs {
+		cell := labels[cfg]
 		c := newCluster(sc, seed)
 		err := c.Run(func(p *simnet.Proc) error {
-			fs, err := c.NewFS(p, "kvell-bench", 0)
-			if err != nil {
-				return err
-			}
-			cfg := kvell.DefaultConfig()
-			cfg.KVellCosts = c.Profile.Apps.KVell
-			cfg.Mode = m
-			s, err := kvell.Open(p, fs, cfg)
+			s, err := newApp(c, p, port, cfg, 0)
 			if err != nil {
 				return err
 			}
@@ -261,17 +258,17 @@ func ablateNoLog(sc Scale, seed int64) (Report, error) {
 				hist.Record(p.Now() - t0)
 				count++
 			}
-			rep.add(m.String(), "kops", float64(count)/sc.RunDur.Seconds()/1000, "KOps/s")
-			rep.dur(m.String(), "mean_lat", hist.Mean())
+			rep.add(cell, "kops", float64(count)/sc.RunDur.Seconds()/1000, "KOps/s")
+			rep.dur(cell, "mean_lat", hist.Mean())
 			lossy := 0.0
-			if m == kvell.DFTAsync {
+			if cfg == CfgWeak {
 				lossy = 1
 			}
-			rep.add(m.String(), "can_lose_acked", lossy, "bool")
+			rep.add(cell, "can_lose_acked", lossy, "bool")
 			return nil
 		})
 		if err != nil {
-			return rep, fmt.Errorf("ablate-nolog %s: %w", m, err)
+			return rep, fmt.Errorf("ablate-nolog %s: %w", cell, err)
 		}
 	}
 	return rep, nil

@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"splitft/internal/apps/kvstore"
-	"splitft/internal/apps/litedb"
-	"splitft/internal/apps/redstore"
+	"splitft/internal/apps"
+	"splitft/internal/apps/applog"
 	"splitft/internal/harness"
 	"splitft/internal/metrics"
 	"splitft/internal/ncl"
@@ -16,195 +15,97 @@ import (
 
 // ---- Application adapters ----
 
-// ycsbApp adapts one ported store to the YCSB driver. The three ports
-// differ only in their get/put calls and in how they are loaded.
+// ycsbApp is one opened port (apps.Ports) behind the YCSB driver.
 type ycsbApp struct {
-	name string
-	get  func(p *simnet.Proc, key string) ([]byte, bool, error)
-	put  func(p *simnet.Proc, key string, val []byte) error
-	load func(p *simnet.Proc, keys int64) error
+	apps.Port
+	apps.Store
+	node *simnet.Node
 }
 
 func (a *ycsbApp) do(p *simnet.Proc, op ycsb.Op, val []byte) error {
 	switch op.Type {
 	case ycsb.Read:
-		_, _, err := a.get(p, op.Key)
+		_, _, err := a.Get(p, op.Key)
 		return err
 	case ycsb.ReadModifyWrite:
-		if _, _, err := a.get(p, op.Key); err != nil {
+		if _, _, err := a.Get(p, op.Key); err != nil {
 			return err
 		}
-		return a.put(p, op.Key, val)
+		return a.Put(p, op.Key, val)
 	default:
-		return a.put(p, op.Key, val)
+		return a.Put(p, op.Key, val)
 	}
 }
 
-// durability maps a configuration under comparison onto one port's
-// Durability constants.
-func durability[D any](cfg string, weak, strong, splitft D) D {
-	switch cfg {
-	case CfgWeak:
-		return weak
-	case CfgStrong:
-		return strong
-	default:
-		return splitft
-	}
+// load fills the store with keys rows from 16 parallel loaders on the
+// application node (the paper's load phase) — one for a single-connection
+// store.
+func (a *ycsbApp) load(p *simnet.Proc, keys int64) error {
+	return parallelLoad(a.node, p, keys, connsFor(a.Port, 16), a.Put)
 }
 
-// kvConfig, redConfig and liteConfig are the ports' default configurations
-// under the cluster's cost profile and the given durability configuration.
-func kvConfig(c *harness.Cluster, cfg string) kvstore.Config {
-	dbCfg := kvstore.DefaultConfig()
-	dbCfg.KVStoreCosts = c.Profile.Apps.KVStore
-	dbCfg.Durability = durability(cfg, kvstore.Weak, kvstore.Strong, kvstore.SplitFT)
-	return dbCfg
+// durabilityOf maps the configurations under comparison onto applog's.
+var durabilityOf = map[string]applog.Durability{
+	CfgWeak: applog.Weak, CfgStrong: applog.Strong, CfgSplitFT: applog.SplitFT,
 }
 
-func redConfig(c *harness.Cluster, cfg string) redstore.Config {
-	sCfg := redstore.DefaultConfig()
-	sCfg.RedStoreCosts = c.Profile.Apps.RedStore
-	sCfg.Durability = durability(cfg, redstore.Weak, redstore.Strong, redstore.SplitFT)
-	return sCfg
-}
+// kvPort is the port the kvstore-only experiments run.
+var kvPort, _ = apps.Lookup("kvstore")
 
-func liteConfig(c *harness.Cluster, cfg string) litedb.Config {
-	dbCfg := litedb.DefaultConfig()
-	dbCfg.LiteDBCosts = c.Profile.Apps.LiteDB
-	dbCfg.Durability = durability(cfg, litedb.Weak, litedb.Strong, litedb.SplitFT)
-	return dbCfg
-}
-
-// openKV opens the RocksDB-like store. keys > 0 sizes it for that dataset.
-func openKV(c *harness.Cluster, p *simnet.Proc, cfg string, keys int64) (*kvstore.DB, error) {
-	fs, err := c.NewFS(p, "kvapp", 0)
+// newApp opens a port's store under cfg with the cluster's cost profile,
+// sized for keys rows (0 keeps the port's defaults).
+func newApp(c *harness.Cluster, p *simnet.Proc, port apps.Port, cfg string, keys int64) (*ycsbApp, error) {
+	fs, err := c.NewFS(p, port.AppID, 0)
 	if err != nil {
 		return nil, err
 	}
-	dbCfg := kvConfig(c, cfg)
+	var sz apps.Sizing
 	if keys > 0 {
-		// Keep the memtable well below the dataset so reads exercise the
-		// sstable + cache path, as at the paper's 100M-row scale.
-		mt := datasetBytes(keys) / 8
-		if mt < 1<<20 {
-			mt = 1 << 20
-		}
-		if mt > 16<<20 {
-			mt = 16 << 20
-		}
-		dbCfg.MemtableBytes = mt
-		dbCfg.WALRegion = 2*mt + 1<<20
+		sz = port.SizeFor(keys)
 	}
-	return kvstore.Open(p, fs, dbCfg)
-}
-
-// kvApp adapts an open kvstore, loaded by 16 parallel loaders on the
-// application node (the paper's load phase).
-func kvApp(c *harness.Cluster, db *kvstore.DB) *ycsbApp {
-	return &ycsbApp{name: "kvstore", get: db.Get, put: db.Put, load: func(p *simnet.Proc, keys int64) error {
-		return parallelLoad(c.AppNode, p, keys, 16, db.Put)
-	}}
-}
-
-// openRed opens and adapts the Redis-like store, loaded like kvstore.
-func openRed(c *harness.Cluster, p *simnet.Proc, cfg string, keys int64) (*ycsbApp, error) {
-	fs, err := c.NewFS(p, "redapp", 0)
+	st, err := port.Open(p, fs, c.Profile.Apps, durabilityOf[cfg], sz)
 	if err != nil {
 		return nil, err
 	}
-	sCfg := redConfig(c, cfg)
-	if keys > 0 {
-		// Scale the AOF-rewrite trigger with the dataset so background
-		// snapshots occur at simulation scale, as they would at 100M rows.
-		rw := datasetBytes(keys) / 4
-		if rw < 256<<10 {
-			rw = 256 << 10
-		}
-		if rw > 8<<20 {
-			rw = 8 << 20
-		}
-		sCfg.AOFRewriteBytes = rw
-		sCfg.AOFRegion = 2*rw + 1<<20
-	}
-	st, err := redstore.Open(p, fs, sCfg)
-	if err != nil {
-		return nil, err
-	}
-	return &ycsbApp{name: "redstore", get: st.Get, put: st.Set, load: func(p *simnet.Proc, keys int64) error {
-		return parallelLoad(c.AppNode, p, keys, 16, st.Set)
-	}}, nil
+	return &ycsbApp{Port: port, Store: st, node: c.AppNode}, nil
 }
 
-// openLite opens and adapts the SQLite-like store: a single connection in
-// exclusive mode, so the load is sequential.
-func openLite(c *harness.Cluster, p *simnet.Proc, cfg string, keys int64) (*ycsbApp, error) {
-	fs, err := c.NewFS(p, "liteapp", 0)
-	if err != nil {
-		return nil, err
-	}
-	dbCfg := liteConfig(c, cfg)
-	// Size the page table for ~2KB average occupancy per 4KB page.
-	dbCfg.NPages = int(keys*int64(ycsb.KeySize+ycsb.ValueSize+4)/2048 + 64)
-	db, err := litedb.Open(p, fs, dbCfg)
-	if err != nil {
-		return nil, err
-	}
-	return &ycsbApp{name: "litedb", get: db.Get, put: db.Set, load: func(p *simnet.Proc, keys int64) error {
-		val := make([]byte, ycsb.ValueSize)
-		for i := int64(0); i < keys; i++ {
-			if err := db.Set(p, ycsb.Key(i), val); err != nil {
-				return err
-			}
-		}
-		return nil
-	}}, nil
-}
-
-// newApp opens and adapts a store by name, sized for keys rows.
-func newApp(c *harness.Cluster, p *simnet.Proc, name, cfg string, keys int64) (*ycsbApp, error) {
-	switch name {
-	case "kvstore":
-		db, err := openKV(c, p, cfg, keys)
-		if err != nil {
-			return nil, err
-		}
-		return kvApp(c, db), nil
-	case "redstore":
-		return openRed(c, p, cfg, keys)
-	case "litedb":
-		return openLite(c, p, cfg, keys)
-	default:
-		return nil, fmt.Errorf("bench: unknown app %q", name)
-	}
-}
-
-// appLoadKeys scales the row count per application (litedb is page-based
-// and slower to load, as in the paper's 10M-vs-100M split).
-func appLoadKeys(name string, sc Scale) int64 {
-	if name == "litedb" {
+// loadKeys scales the row count per port: a single-connection store loads
+// sequentially, so it gets a quarter (the paper's 10M-vs-100M split).
+func loadKeys(port apps.Port, sc Scale) int64 {
+	if port.SingleConn {
 		return sc.LoadKeys / 4
 	}
 	return sc.LoadKeys
 }
 
+// connsFor caps the concurrent loaders or closed-loop clients a port is
+// driven with: a single-connection store takes one.
+func connsFor(port apps.Port, n int) int {
+	if port.SingleConn {
+		return 1
+	}
+	return n
+}
+
 // ycsbRun is one closed-loop YCSB measurement: a fresh cluster with its
-// cache sized for the dataset, the named store opened under cfg and loaded
+// cache sized for the dataset, the port's store opened under cfg and loaded
 // with keys rows, then served at addr to `clients` client threads.
 type ycsbRun struct {
-	app, cfg, addr string
-	keys           int64
-	spec           ycsb.Spec
-	clients        int
+	port      apps.Port
+	cfg, addr string
+	keys      int64
+	spec      ycsb.Spec
+	clients   int
 }
 
 // run returns the measured point and the simulation it ran on (the perf
 // suite reads its event counter).
 func (r ycsbRun) run(sc Scale, seed int64) (*point, *simnet.Sim, error) {
-	c := newClusterSized(sc, seed, datasetBytes(r.keys))
+	c := newClusterSized(sc, seed, apps.DatasetBytes(r.keys))
 	var pt *point
 	err := c.Run(func(p *simnet.Proc) error {
-		a, err := newApp(c, p, r.app, r.cfg, r.keys)
+		a, err := newApp(c, p, r.port, r.cfg, r.keys)
 		if err != nil {
 			return err
 		}
@@ -221,18 +122,19 @@ func (r ycsbRun) run(sc Scale, seed int64) (*point, *simnet.Sim, error) {
 // ---- Fig 9: latency vs throughput, write-only ----
 
 // fig9 sweeps client counts for each application in all three configs.
-// litedb is measured single-threaded (as in the paper).
+// A single-connection store (litedb) is measured single-threaded, as in the
+// paper.
 func fig9(sc Scale, seed int64) (Report, error) {
 	rep := Report{Title: "Fig 9: latency vs throughput, write-only"}
-	for _, appName := range sc.Apps {
+	for _, port := range sc.Apps {
 		clientCounts := []int{1, 2, 4, 8, 12, 20, 32}
-		if appName == "litedb" {
-			clientCounts = []int{1}
+		if port.SingleConn {
+			clientCounts = clientCounts[:1]
 		}
 		for _, cfg := range AllConfigs {
 			for _, nc := range clientCounts {
-				cell := fmt.Sprintf("%s/%s/%dc", appName, cfg, nc)
-				pt, _, err := ycsbRun{appName, cfg, "app", appLoadKeys(appName, sc) / 2, writeOnly, nc}.run(sc, seed)
+				cell := fmt.Sprintf("%s/%s/%dc", port.Name, cfg, nc)
+				pt, _, err := ycsbRun{port, cfg, "app", loadKeys(port, sc) / 2, writeOnly, nc}.run(sc, seed)
 				if err != nil {
 					return rep, fmt.Errorf("fig9 %s: %w", cell, err)
 				}
@@ -252,18 +154,14 @@ func fig9(sc Scale, seed int64) (Report, error) {
 // workload C must measure the same store regardless of log durability.
 func fig10(sc Scale, seed int64) (Report, error) {
 	rep := Report{Title: "Fig 10: YCSB throughput"}
-	for _, appName := range sc.Apps {
-		clients := 20
-		if appName == "litedb" {
-			clients = 1
-		}
+	for _, port := range sc.Apps {
 		for _, cfg := range AllConfigs {
 			for _, w := range []string{"a", "b", "c", "d", "f"} {
-				pt, _, err := ycsbRun{appName, cfg, "app", appLoadKeys(appName, sc), ycsb.Workloads[w], clients}.run(sc, seed)
+				pt, _, err := ycsbRun{port, cfg, "app", loadKeys(port, sc), ycsb.Workloads[w], connsFor(port, 20)}.run(sc, seed)
 				if err != nil {
-					return rep, fmt.Errorf("fig10 %s/%s/%s: %w", appName, cfg, w, err)
+					return rep, fmt.Errorf("fig10 %s/%s/%s: %w", port.Name, cfg, w, err)
 				}
-				rep.add(appName+"/"+cfg, w, pt.kops(), "KOps/s")
+				rep.add(port.Name+"/"+cfg, w, pt.kops(), "KOps/s")
 			}
 		}
 	}
@@ -287,11 +185,10 @@ func fig12(sc Scale, seed int64) (Report, error) {
 		keys := sc.LoadKeys / 4
 		// Default (4 MiB) memtable: the dataset is update-heavy and small,
 		// and the figure is about peer failures, not compaction stalls.
-		db, err := openKV(c, p, CfgSplitFT, 0)
+		a, err := newApp(c, p, kvPort, CfgSplitFT, 0)
 		if err != nil {
 			return err
 		}
-		a := kvApp(c, db)
 		if err := a.load(p, keys); err != nil {
 			return err
 		}
@@ -301,7 +198,7 @@ func fig12(sc Scale, seed int64) (Report, error) {
 		p.Go("injector", func(ip *simnet.Proc) {
 			start := ip.Now()
 			walPeers := func() []string {
-				if hl, ok := db.WAL().(hasLog); ok {
+				if hl, ok := a.Log().(hasLog); ok {
 					return hl.Log().LivePeers()
 				}
 				return nil

@@ -16,6 +16,7 @@ import (
 	"strings"
 	"time"
 
+	"splitft/internal/apps"
 	"splitft/internal/dfs"
 	"splitft/internal/harness"
 	"splitft/internal/metrics"
@@ -35,8 +36,9 @@ type Scale struct {
 	Warmup    time.Duration
 	Clients   int // client threads for throughput experiments
 	LogSizeMB int // recovery-experiment log size (paper: 60MB)
-	// Apps lists the applications fig1/fig9/fig10 run, in order.
-	Apps []string
+	// Apps lists the applications fig1, fig9, fig10 and fig11b run, in
+	// order.
+	Apps []apps.Port
 	// Smoke makes the scale experiment run its one CI-sized point instead
 	// of the full clients x shards sweep.
 	Smoke bool
@@ -59,13 +61,13 @@ func (sc Scale) profile() *model.Profile {
 // DefaultScale suits the CLI harness (minutes for the full suite).
 func DefaultScale() Scale {
 	return Scale{LoadKeys: 200000, RunDur: 2 * time.Second, Warmup: 300 * time.Millisecond, Clients: 12, LogSizeMB: 60,
-		Apps: []string{"kvstore", "redstore", "litedb"}}
+		Apps: apps.Ports[:3]}
 }
 
 // QuickScale suits go test -bench (seconds per experiment).
 func QuickScale() Scale {
 	return Scale{LoadKeys: 30000, RunDur: 250 * time.Millisecond, Warmup: 100 * time.Millisecond, Clients: 12, LogSizeMB: 16,
-		Apps: []string{"kvstore", "redstore", "litedb"}, Smoke: true}
+		Apps: apps.Ports[:3], Smoke: true}
 }
 
 // Configs under comparison.
@@ -158,11 +160,6 @@ func newClusterDFS(sc Scale, seed int64, params *dfs.Params) *harness.Cluster {
 	})
 }
 
-// datasetBytes estimates the stored size of a YCSB row set.
-func datasetBytes(keys int64) int64 {
-	return keys * int64(ycsb.KeySize+ycsb.ValueSize+16)
-}
-
 // point is one measured latency/throughput sample set.
 type point struct {
 	hist  metrics.Histogram
@@ -200,7 +197,7 @@ func startServer(c *harness.Cluster, addr string, a *ycsbApp) {
 	// the per-request path.
 	var ops [4]string
 	for _, t := range []ycsb.OpType{ycsb.Read, ycsb.Update, ycsb.Insert, ycsb.ReadModifyWrite} {
-		ops[t] = a.name + "." + t.String()
+		ops[t] = a.Name + "." + t.String()
 	}
 	c.Sim.Net().Register(addr, c.AppNode, func(p *simnet.Proc, req simnet.Msg) (simnet.Msg, error) {
 		op := ycsb.Op{Type: ycsb.OpType(req.U[0]), Key: req.S[0]}
@@ -289,7 +286,7 @@ func table1(sc Scale, seed int64) (Report, error) {
 	rep := Report{Title: "Table 1. Cost of Strong Guarantees (write-only, 12 clients)"}
 	keys := sc.LoadKeys / 4
 	for _, cfgName := range []string{CfgWeak, CfgStrong} {
-		pt, _, err := ycsbRun{"kvstore", cfgName, "kv", keys, writeOnly, sc.Clients}.run(sc, seed)
+		pt, _, err := ycsbRun{kvPort, cfgName, "kv", keys, writeOnly, sc.Clients}.run(sc, seed)
 		if err != nil {
 			return rep, fmt.Errorf("table1 %s: %w", cfgName, err)
 		}

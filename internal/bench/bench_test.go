@@ -4,6 +4,8 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"splitft/internal/apps"
 )
 
 // The bench tests validate the *shapes* the paper reports at a reduced
@@ -46,7 +48,8 @@ func dur(t *testing.T, rep Report, cell, metric string) time.Duration {
 
 // only restricts the scale's app list.
 func only(sc Scale, app string) Scale {
-	sc.Apps = []string{app}
+	port, _ := apps.Lookup(app)
+	sc.Apps = []apps.Port{port}
 	return sc
 }
 

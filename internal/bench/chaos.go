@@ -95,7 +95,8 @@ type chaosCell struct {
 }
 
 func newChaosCell(c *harness.Cluster, unsafeQuorum int) *chaosCell {
-	dbCfg := kvConfig(c, CfgSplitFT)
+	dbCfg := kvstore.DefaultConfig() // SplitFT
+	dbCfg.KVStoreCosts = c.Profile.Apps.KVStore
 	dbCfg.MemtableBytes = 32 << 20 // paced writes never rotate mid-cell
 	dbCfg.WALRegion = 8 << 20
 	return &chaosCell{c: c, hist: modelcheck.NewHistory(), dbCfg: dbCfg, unsafeQuorum: unsafeQuorum}

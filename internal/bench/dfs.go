@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"splitft/internal/apps"
 	"splitft/internal/core"
 	"splitft/internal/dfs"
 	"splitft/internal/simnet"
@@ -120,9 +121,9 @@ func dfsSweep(sc Scale, seed int64) (Report, error) {
 	// it bounded and stable.
 	lsc := sc
 	lsc.LoadKeys = dfsKvloadKeys
-	c := newClusterSized(lsc, seed, datasetBytes(lsc.LoadKeys))
+	c := newClusterSized(lsc, seed, apps.DatasetBytes(lsc.LoadKeys))
 	err := c.Run(func(p *simnet.Proc) error {
-		a, err := newApp(c, p, "kvstore", CfgSplitFT, lsc.LoadKeys)
+		a, err := newApp(c, p, kvPort, CfgSplitFT, lsc.LoadKeys)
 		if err != nil {
 			return err
 		}
@@ -130,7 +131,7 @@ func dfsSweep(sc Scale, seed int64) (Report, error) {
 		if err := a.load(p, lsc.LoadKeys); err != nil {
 			return err
 		}
-		rep.add("kvload-1M", "bytes", float64(datasetBytes(lsc.LoadKeys)), "bytes")
+		rep.add("kvload-1M", "bytes", float64(apps.DatasetBytes(lsc.LoadKeys)), "bytes")
 		rep.dur("kvload-1M", "virtual_ns", p.Now()-start)
 		return nil
 	})

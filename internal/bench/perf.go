@@ -201,6 +201,6 @@ func perfScaleSmoke(sc Scale, seed int64) (*simnet.Sim, error) {
 // peers, dfs, kvstore) under 12 closed-loop YCSB-A clients for a short
 // measured window. It exercises every layer the other rows skip.
 func perfYCSBSlice(sc Scale, seed int64) (*simnet.Sim, error) {
-	_, s, err := ycsbRun{"kvstore", CfgSplitFT, "kv", sc.LoadKeys, ycsb.WorkloadA, sc.Clients}.run(sc, seed)
+	_, s, err := ycsbRun{kvPort, CfgSplitFT, "kv", sc.LoadKeys, ycsb.WorkloadA, sc.Clients}.run(sc, seed)
 	return s, err
 }

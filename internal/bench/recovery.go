@@ -2,11 +2,10 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
-	"splitft/internal/apps/kvstore"
-	"splitft/internal/apps/litedb"
-	"splitft/internal/apps/redstore"
+	"splitft/internal/apps"
 	"splitft/internal/core"
 	"splitft/internal/harness"
 	"splitft/internal/metrics"
@@ -26,10 +25,10 @@ import (
 // parse + rebuild that remains.
 func fig11b(sc Scale, seed int64) (Report, error) {
 	rep := Report{Title: fmt.Sprintf("Fig 11(b). Recovery time for a %dMB log", sc.LogSizeMB)}
-	for _, appName := range []string{"kvstore", "redstore", "litedb"} {
+	for _, port := range sc.Apps {
 		for _, variant := range []string{"SplitFT", "DFT", "local ext4"} {
-			if err := recoverOnce(&rep, sc, seed, appName, variant); err != nil {
-				return rep, fmt.Errorf("fig11b %s/%s: %w", appName, variant, err)
+			if err := recoverOnce(&rep, sc, seed, port, variant); err != nil {
+				return rep, fmt.Errorf("fig11b %s/%s: %w", port.Name, variant, err)
 			}
 		}
 	}
@@ -37,10 +36,10 @@ func fig11b(sc Scale, seed int64) (Report, error) {
 }
 
 // recoverOnce builds a log of the target size, crashes the app, and times
-// recovery into rep's appName/variant cell. The NCL phase breakdown is a
-// span query over the recovery window.
-func recoverOnce(rep *Report, sc Scale, seed int64, appName, variant string) error {
-	cell := appName + "/" + variant
+// recovery into rep's port/variant cell. The NCL phase breakdown is a span
+// query over the recovery window.
+func recoverOnce(rep *Report, sc Scale, seed int64, port apps.Port, variant string) error {
+	cell := port.Name + "/" + variant
 	if sc.Trace == nil {
 		sc.Trace = trace.New() // breakdown needs spans even without -trace
 	}
@@ -55,7 +54,7 @@ func recoverOnce(rep *Report, sc Scale, seed int64, appName, variant string) err
 	}
 	return c.Run(func(p *simnet.Proc) error {
 		fsOpts := func(fencing int64) core.Options {
-			o := c.FSOptions(appName, fencing)
+			o := c.FSOptions(port.Name, fencing)
 			if variant == "local ext4" {
 				o.DFS = c.LocalFS
 			}
@@ -68,7 +67,7 @@ func recoverOnce(rep *Report, sc Scale, seed int64, appName, variant string) err
 			if err != nil {
 				return
 			}
-			if err := fillLog(wp, c, fs, appName, cfg, logBytes); err != nil {
+			if err := fillLog(wp, c, fs, port, cfg, logBytes); err != nil {
 				return
 			}
 			written <- struct{}{}
@@ -88,7 +87,9 @@ func recoverOnce(rep *Report, sc Scale, seed int64, appName, variant string) err
 		}
 		mark := col.Len()
 		start := p.Now()
-		if err := recoverApp(p, c, fs2, appName, cfg); err != nil {
+		// A fresh active log after replay, and no reclaim during it.
+		if _, err := port.Recover(p, fs2, c.Profile.Apps, durabilityOf[cfg],
+			apps.Sizing{LogBytes: 1 << 40, Region: 64 << 20, Pages: 1 << 15}); err != nil {
 			return err
 		}
 		total := p.Now() - start
@@ -106,77 +107,26 @@ func recoverOnce(rep *Report, sc Scale, seed int64, appName, variant string) err
 
 // fillLog writes application data until the active log reaches target
 // bytes, with settings that prevent rotation/checkpointing first.
-func fillLog(p *simnet.Proc, c *harness.Cluster, fs *core.FS, appName, cfg string, target int64) error {
+func fillLog(p *simnet.Proc, c *harness.Cluster, fs *core.FS, port apps.Port, cfg string, target int64) error {
+	sz := apps.Sizing{LogBytes: target * 2, Region: target + target/4}
+	if port.Name == "litedb" {
+		// The one port whose log is circular: its region is exactly what
+		// recovery copies back, so it gets less headroom, and the fill is a
+		// whole number of page frames in one WAL generation.
+		sz = apps.Sizing{Region: target + target/8, Pages: int(target / 4096 * 2)}
+		target -= target % (4096 + 24)
+	}
+	st, err := port.Open(p, fs, c.Profile.Apps, durabilityOf[cfg], sz)
+	if err != nil {
+		return err
+	}
 	val := make([]byte, ycsb.ValueSize)
-	switch appName {
-	case "kvstore":
-		dbCfg := kvConfig(c, cfg)
-		dbCfg.MemtableBytes = target * 2 // never rotate
-		dbCfg.WALRegion = target + target/4
-		db, err := kvstore.Open(p, fs, dbCfg)
-		if err != nil {
+	for i := int64(0); st.Log().Size() < target; i++ {
+		if err := st.Put(p, ycsb.Key(i), val); err != nil {
 			return err
 		}
-		for i := int64(0); db.WAL().Size() < target; i++ {
-			if err := db.Put(p, ycsb.Key(i), val); err != nil {
-				return err
-			}
-		}
-	case "redstore":
-		sCfg := redConfig(c, cfg)
-		sCfg.AOFRewriteBytes = target * 2
-		sCfg.AOFRegion = target + target/4
-		st, err := redstore.Open(p, fs, sCfg)
-		if err != nil {
-			return err
-		}
-		for i := int64(0); st.AOFSize() < target; i++ {
-			if err := st.Set(p, ycsb.Key(i%500000), val); err != nil {
-				return err
-			}
-		}
-	case "litedb":
-		dbCfg := liteConfig(c, cfg)
-		dbCfg.WALBytes = target + target/8 // one generation fills the target
-		dbCfg.NPages = int(target / 4096 * 2)
-		db, err := litedb.Open(p, fs, dbCfg)
-		if err != nil {
-			return err
-		}
-		frames := target / (4096 + 24)
-		for i := int64(0); i < frames; i++ {
-			if err := db.Set(p, ycsb.Key(i), val); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("bench: unknown app %q", appName)
 	}
 	return nil
-}
-
-// recoverApp runs the application's recovery path.
-func recoverApp(p *simnet.Proc, c *harness.Cluster, fs *core.FS, appName, cfg string) error {
-	switch appName {
-	case "kvstore":
-		dbCfg := kvConfig(c, cfg)
-		dbCfg.MemtableBytes = 1 << 40 // recovery only; avoid rotation
-		dbCfg.WALRegion = 64 << 20    // fresh active WAL after replay
-		_, err := kvstore.Recover(p, fs, dbCfg)
-		return err
-	case "redstore":
-		sCfg := redConfig(c, cfg)
-		sCfg.AOFRegion = 64 << 20
-		_, err := redstore.Recover(p, fs, sCfg)
-		return err
-	case "litedb":
-		dbCfg := liteConfig(c, cfg)
-		dbCfg.WALBytes = 64 << 20
-		dbCfg.NPages = 1 << 15
-		_, err := litedb.Recover(p, fs, dbCfg)
-		return err
-	}
-	return fmt.Errorf("bench: unknown app %q", appName)
 }
 
 // ---- Table 3: peer replacement latency breakdown ----
@@ -241,15 +191,15 @@ func table3(sc Scale, seed int64) (Report, error) {
 // sample counts per app, then the quantiles of both size distributions.
 func fig1(sc Scale, seed int64) (Report, error) {
 	rep := Report{Title: "Fig 1: durable write sizes, log vs background"}
-	for _, appName := range sc.Apps {
-		if err := fig1App(&rep, appName, sc, seed); err != nil {
-			return rep, fmt.Errorf("fig1 %s: %w", appName, err)
+	for _, port := range sc.Apps {
+		if err := fig1App(&rep, port, sc, seed); err != nil {
+			return rep, fmt.Errorf("fig1 %s: %w", port.Name, err)
 		}
 	}
 	return rep, nil
 }
 
-func fig1App(rep *Report, appName string, sc Scale, seed int64) error {
+func fig1App(rep *Report, port apps.Port, sc Scale, seed int64) error {
 	var logCDF, bgCDF metrics.SizeCDF
 	if sc.Trace == nil {
 		sc.Trace = trace.New()
@@ -257,8 +207,8 @@ func fig1App(rep *Report, appName string, sc Scale, seed int64) error {
 	col := sc.Trace
 	c := newCluster(sc, seed)
 	err := c.Run(func(p *simnet.Proc) error {
-		keys := appLoadKeys(appName, sc) / 2
-		a, err := newApp(c, p, appName, CfgStrong, keys)
+		keys := loadKeys(port, sc) / 2
+		a, err := newApp(c, p, port, CfgStrong, keys)
 		if err != nil {
 			return err
 		}
@@ -268,17 +218,14 @@ func fig1App(rep *Report, appName string, sc Scale, seed int64) error {
 		}
 		mark := col.Len()
 		startServer(c, "app", a)
-		clients := sc.Clients
-		if appName == "litedb" {
-			clients = 1
-		}
-		runWorkload(c, p, "app", writeOnly, keys, clients, sc, nil)
+		runWorkload(c, p, "app", writeOnly, keys, connsFor(port, sc.Clients), sc, nil)
 		for _, sp := range trace.Filter(col.Since(mark), "core", "write.") {
 			n := sp.IntAttr("bytes")
 			if n == 0 {
 				continue // clean dfs sync: nothing hit storage
 			}
-			if isLogPath(sp.StrAttr("path")) {
+			// The port's log class (Table 2's second column) vs background.
+			if strings.HasSuffix(sp.StrAttr("path"), port.LogSuffix) {
 				logCDF.Add(n)
 			} else {
 				bgCDF.Add(n)
@@ -289,23 +236,12 @@ func fig1App(rep *Report, appName string, sc Scale, seed int64) error {
 	if err != nil {
 		return err
 	}
-	rep.add(appName, "log_writes", float64(logCDF.Count()), "count")
-	rep.add(appName, "bg_writes", float64(bgCDF.Count()), "count")
+	rep.add(port.Name, "log_writes", float64(logCDF.Count()), "count")
+	rep.add(port.Name, "bg_writes", float64(bgCDF.Count()), "count")
 	for _, q := range []float64{0.1, 0.5, 0.9, 0.99, 1.0} {
-		cell := fmt.Sprintf("%s/p%02.0f", appName, q*100)
+		cell := fmt.Sprintf("%s/p%02.0f", port.Name, q*100)
 		rep.add(cell, "log_write", float64(logCDF.Quantile(q)), "bytes")
 		rep.add(cell, "bg_write", float64(bgCDF.Quantile(q)), "bytes")
 	}
 	return nil
-}
-
-// isLogPath classifies traced paths into the log class (Table 2's second
-// column) vs the background class.
-func isLogPath(path string) bool {
-	for _, suffix := range []string{".log", ".aof", "-wal"} {
-		if len(path) >= len(suffix) && path[len(path)-len(suffix):] == suffix {
-			return true
-		}
-	}
-	return false
 }
