@@ -95,7 +95,7 @@ func replOnce(rep *Report, sc Scale, seed int64, policy, profName string) error 
 		}
 
 		// The registry's bill for this log: every byte the peers stopped
-		// lending. The policy's MemoryFactor promises exactly this number.
+		// lending: the placement's Slots x SlotRegion.
 		var reserved int64
 		for _, pr := range c.Peers {
 			reserved += replPeerMem - pr.Avail()

@@ -251,7 +251,7 @@ func runScaleClient(cp *simnet.Proc, c *harness.Cluster, cfg scaleConfig,
 			}
 		}
 		if err == nil {
-			if lg, err = lib.OpenWithOptions(cp, "wal-0", cfg.LogBytes, ncl.LogOptions{AppendOnly: true}); err == nil {
+			if lg, err = lib.Open(cp, "wal-0", cfg.LogBytes, true); err == nil {
 				break
 			}
 		}
@@ -314,7 +314,7 @@ func runScaleClient(cp *simnet.Proc, c *harness.Cluster, cfg scaleConfig,
 			// The region eventually hard-fails with ErrRegionFull if
 			// rotations keep losing, which is the honest endpoint.
 			var nlg *ncl.Log
-			nlg, err = lib.OpenWithOptions(cp, fmt.Sprintf("wal-%d", gen+1), cfg.LogBytes, ncl.LogOptions{AppendOnly: true})
+			nlg, err = lib.Open(cp, fmt.Sprintf("wal-%d", gen+1), cfg.LogBytes, true)
 			if err == nil {
 				old := lg
 				lg, gen = nlg, gen+1

@@ -3,7 +3,6 @@ package controller
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"splitft/internal/raft"
 	"splitft/internal/simnet"
@@ -261,54 +260,9 @@ func (c *Client) PublishPeer(p *simnet.Proc, info PeerInfo) error {
 	return err
 }
 
-// UpdatePeerMem republishes a peer's available memory (paper step 4a),
-// reading the current registration and rewriting it with the new value.
-// Peers that track their own registration use the single-proposal
-// PublishPeer instead.
-func (c *Client) UpdatePeerMem(p *simnet.Proc, name string, avail int64) error {
-	res, err := c.run(p, peerPath(name), false, cmdGet{Path: peerPath(name)}.MarshalWire())
-	if err != nil || !res.Found {
-		return ErrNotFound
-	}
-	var info PeerInfo
-	info.UnmarshalWire(res.Data) //nolint:errcheck
-	info.AvailMem = avail
-	return c.PublishPeer(p, info)
-}
-
-// PickPeers returns up to n registered peers with at least minMem available,
-// excluding the given names, most-free first (name tiebreak). The choice is
-// a hint: a returned peer can still reject the allocation (§4.3).
-func (c *Client) PickPeers(p *simnet.Proc, n int, minMem int64, exclude []string) ([]PeerInfo, error) {
-	res, err := c.run(p, "/peers/", false, cmdList{Prefix: "/peers/"}.MarshalWire())
-	if err != nil {
-		return nil, err
-	}
-	skip := make(map[string]bool, len(exclude))
-	for _, e := range exclude {
-		skip[e] = true
-	}
-	var cands []PeerInfo
-	for _, d := range res.Datas {
-		var info PeerInfo
-		info.UnmarshalWire(d) //nolint:errcheck
-		if !skip[info.Name] && info.AvailMem >= minMem {
-			cands = append(cands, info)
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].AvailMem != cands[j].AvailMem {
-			return cands[i].AvailMem > cands[j].AvailMem
-		}
-		return cands[i].Name < cands[j].Name
-	})
-	if len(cands) > n {
-		cands = cands[:n]
-	}
-	return cands, nil
-}
-
-// ListPeers returns every registered peer (the NCL pool refresh path).
+// ListPeers returns every registered peer: the registry ncl-lib filters and
+// ranks allocation candidates from. An entry is a hint — a listed peer can
+// still reject the allocation (§4.3).
 func (c *Client) ListPeers(p *simnet.Proc) ([]PeerInfo, error) {
 	res, err := c.run(p, "/peers/", false, cmdList{Prefix: "/peers/"}.MarshalWire())
 	if err != nil {

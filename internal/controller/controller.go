@@ -613,9 +613,6 @@ func (svc *Service) RestartNode(n *simnet.Node) {
 	svc.startNode(n, n.Name())
 }
 
-// Cluster exposes the root Raft group (for tests and diagnostics).
-func (svc *Service) Cluster() *raft.Cluster { return svc.set.Group(0) }
-
 // Nodes returns the ensemble's nodes in start order.
 func (svc *Service) Nodes() []*simnet.Node { return svc.nodes }
 

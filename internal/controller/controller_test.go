@@ -29,7 +29,7 @@ func (fx *fixture) run(t *testing.T, d time.Duration) {
 	}
 }
 
-func TestPeerRegistrationAndPick(t *testing.T) {
+func TestPeerRegistrationAndList(t *testing.T) {
 	fx := newFixture(1)
 	app := fx.sim.NewNode("app")
 	fx.sim.Go("test", func(p *simnet.Proc) {
@@ -46,22 +46,17 @@ func TestPeerRegistrationAndPick(t *testing.T) {
 			}
 		}
 		ac := NewClient(fx.svc, app, "app1", 0)
-		peers, err := ac.PickPeers(p, 3, 2<<30, nil)
-		if err != nil {
-			t.Errorf("pick: %v", err)
+		// The registry carries every registration whole; which entries are
+		// candidates and in what order is ncl-lib's business.
+		peers, err := ac.ListPeers(p)
+		if err != nil || len(peers) != 4 {
+			t.Fatalf("list = %v, %v; want 4 peers", peers, err)
 		}
-		if len(peers) != 3 {
-			t.Fatalf("picked %d peers, want 3", len(peers))
-		}
-		// Most-free-first: peer3 (4G), peer2 (3G), peer1 (2G); peer0 (1G) excluded.
-		if peers[0].Name != "peer3" || peers[2].Name != "peer1" {
-			t.Errorf("pick order = %v", peers)
-		}
-		// Exclusion works (peer replacement path).
-		peers, _ = ac.PickPeers(p, 3, 0, []string{"peer3", "peer2"})
 		for _, q := range peers {
-			if q.Name == "peer3" || q.Name == "peer2" {
-				t.Errorf("excluded peer returned: %v", q)
+			var i int
+			fmt.Sscanf(q.Name, "peer%d", &i)
+			if q.Addr != q.Name+"/rpc" || q.AvailMem != int64(i+1)<<30 {
+				t.Errorf("registration mangled: %+v", q)
 			}
 		}
 		fx.sim.Stop()
@@ -79,12 +74,12 @@ func TestPeerSessionExpiryRemovesRegistration(t *testing.T) {
 		c.StartSession(p)
 		c.RegisterPeer(p, PeerInfo{Name: "peerX", Addr: "x", AvailMem: 1 << 30})
 		ac := NewClient(fx.svc, app, "app1", 0)
-		if peers, _ := ac.PickPeers(p, 1, 0, nil); len(peers) != 1 {
+		if peers, _ := ac.ListPeers(p); len(peers) != 1 {
 			t.Errorf("peer not visible before crash")
 		}
 		peerNode.Crash() // keepalive proc dies with the node
 		p.Sleep(3 * fx.svc.cfg.SessionTimeout)
-		if peers, _ := ac.PickPeers(p, 1, 0, nil); len(peers) != 0 {
+		if peers, _ := ac.ListPeers(p); len(peers) != 0 {
 			t.Errorf("dead peer still registered: %v", peers)
 		}
 		fx.sim.Stop()
@@ -216,26 +211,6 @@ func TestControllerSurvivesNodeFailure(t *testing.T) {
 	fx.run(t, 2*time.Minute)
 }
 
-func TestUpdatePeerMem(t *testing.T) {
-	fx := newFixture(7)
-	pn := fx.sim.NewNode("peer1")
-	fx.sim.Go("test", func(p *simnet.Proc) {
-		p.Sleep(time.Second)
-		c := NewClient(fx.svc, pn, "peer1", 0)
-		c.StartSession(p)
-		c.RegisterPeer(p, PeerInfo{Name: "peer1", Addr: "a", AvailMem: 100})
-		if err := c.UpdatePeerMem(p, "peer1", 40); err != nil {
-			t.Fatalf("update: %v", err)
-		}
-		info, found, err := c.GetPeer(p, "peer1")
-		if err != nil || !found || info.AvailMem != 40 {
-			t.Fatalf("get = %+v %v %v", info, found, err)
-		}
-		fx.sim.Stop()
-	})
-	fx.run(t, time.Minute)
-}
-
 func TestControllerLeaderPartitionFailover(t *testing.T) {
 	// Partition one controller node from its peers mid-stream: the ensemble
 	// must keep serving (a new leader if the victim led), and heal cleanly.
@@ -290,7 +265,7 @@ func TestSessionSurvivesShortPartitionDiesOnLong(t *testing.T) {
 			fx.sim.Net().Heal(pn, n)
 		}
 		p.Sleep(2 * fx.svc.cfg.KeepAlive)
-		if peers, _ := ac.PickPeers(p, 1, 0, nil); len(peers) != 1 {
+		if peers, _ := ac.ListPeers(p); len(peers) != 1 {
 			t.Errorf("registration lost after short partition")
 		}
 
@@ -301,7 +276,7 @@ func TestSessionSurvivesShortPartitionDiesOnLong(t *testing.T) {
 			fx.sim.Net().Partition(pn, n)
 		}
 		p.Sleep(3 * fx.svc.cfg.SessionTimeout)
-		if peers, _ := ac.PickPeers(p, 1, 0, nil); len(peers) != 0 {
+		if peers, _ := ac.ListPeers(p); len(peers) != 0 {
 			t.Errorf("registration survived expiry: %v", peers)
 		}
 		for _, n := range fx.cNodes {

@@ -130,13 +130,6 @@ func NewFS(p *simnet.Proc, opts Options) (*FS, error) {
 // Node returns the application-server node this FS instance runs on.
 func (fs *FS) Node() *simnet.Node { return fs.node }
 
-// DFSClient exposes the underlying dfs mount (benchmarks and recovery code
-// use it for direct access).
-func (fs *FS) DFSClient() *dfs.Client { return fs.dfs }
-
-// NCLLib exposes the underlying ncl-lib instance.
-func (fs *FS) NCLLib() *ncl.Lib { return fs.lib }
-
 // OpenFile opens path. With O_NCL the file lives in near-compute logs:
 // creation allocates peer regions of regionSize (0 = default), and opening
 // an existing ncl file runs recovery. Without O_NCL the file is a plain dfs
@@ -183,8 +176,7 @@ func (fs *FS) openNCL(p *simnet.Proc, path string, flags OpenFlag, regionSize in
 		if flags&O_CREATE == 0 && !exists {
 			return nil, fmt.Errorf("%w: %s", ErrNotExist, path)
 		}
-		lg, err := fs.lib.OpenWithOptions(p, path, regionSize,
-			ncl.LogOptions{AppendOnly: flags&O_APPEND != 0})
+		lg, err := fs.lib.Open(p, path, regionSize, flags&O_APPEND != 0)
 		if err != nil {
 			return nil, err
 		}

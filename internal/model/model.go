@@ -200,7 +200,7 @@ type NCLConfig struct {
 	//	               survivors reconstruct, at (K+M)/K memory instead of
 	//	               2f+1 full copies (Hydra's memory-tax argument)
 	//	"quorum"       unordered one-RTT writes to 2f+1 peers acked at a
-	//	               majority, f=1 (SWARM-style; also "swarm-quorum")
+	//	               majority, f=1 (SWARM-style)
 	//	"quorum:F"     the same with failure budget F
 	//
 	// Empty means "mirror".
@@ -237,11 +237,12 @@ type NCLConfig struct {
 	// SyncCPU is the cost of Sync on an ncl file: the fsync has left the
 	// critical path, so only the library call itself remains.
 	SyncCPU time.Duration
-	// PoolRefresh enables the pooled server set: ncl-lib caches the
-	// controller's peer registry for this long and spreads allocations over
-	// it with rendezvous hashing, instead of asking the controller to pick
-	// on every slot. 0 disables the pool (every allocation is a controller
-	// PickPeers round trip, the paper's behavior).
+	// PoolRefresh is how long ncl-lib may reuse its cached copy of the
+	// controller's peer registry. At 0 every allocation attempt re-reads it
+	// — one controller round trip per slot, the paper's behavior — and
+	// candidates are tried most-free first; above 0 allocations inside the
+	// interval share one read and candidates are spread over the fleet in
+	// rendezvous order with failure-domain spread.
 	PoolRefresh time.Duration
 }
 

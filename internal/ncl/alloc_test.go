@@ -1,0 +1,223 @@
+package ncl
+
+import (
+	"fmt"
+	"reflect"
+	"sort"
+	"testing"
+	"time"
+
+	"splitft/internal/controller"
+	"splitft/internal/simnet"
+	"splitft/internal/trace"
+)
+
+func peerNames(cands []controller.PeerInfo) []string {
+	names := make([]string, len(cands))
+	for i, c := range cands {
+		names[i] = c.Name
+	}
+	return names
+}
+
+// The filter and the two candidate orders, as pure functions of the registry.
+func TestCandidateRanks(t *testing.T) {
+	registry := []controller.PeerInfo{
+		{Name: "p0", AvailMem: 8, Domain: "a"}, {Name: "p1", AvailMem: 9, Domain: "b"},
+		{Name: "p2", AvailMem: 9, Domain: "a"}, {Name: "p3", AvailMem: 2, Domain: "c"},
+		{Name: "p4", AvailMem: 9, Domain: "c"}, {Name: "p5", AvailMem: 8, Domain: "b"},
+	}
+	// Excluded names and peers below the slot's region size drop out; the
+	// rest keep registry order, and ranking them leaves the registry alone.
+	cands := eligible(registry, []string{"p1", "nobody"}, 8)
+	if got, want := peerNames(cands), []string{"p0", "p2", "p4", "p5"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("eligible = %v, want %v", got, want)
+	}
+	// Most free first, ties by name.
+	rankMostFree(cands)
+	if got, want := peerNames(cands), []string{"p2", "p4", "p0", "p5"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("most-free order = %v, want %v", got, want)
+	}
+	if registry[0].Name != "p0" || registry[5].Name != "p5" {
+		t.Errorf("ranking reordered the registry: %v", peerNames(registry))
+	}
+	// Rendezvous: descending weight for the key, whatever the input order,
+	// and a different order for a different key.
+	const key = "app1/wal-7"
+	byWeight := eligible(registry, nil, 0)
+	sort.Slice(byWeight, func(i, j int) bool { return rdvWeight(byWeight[i].Name, key) > rdvWeight(byWeight[j].Name, key) })
+	for _, occupied := range []map[string]int{nil, {}, {"elsewhere": 3}} {
+		// No member in any candidate's domain: every count is zero and the
+		// order is rendezvous order alone.
+		got := eligible(registry, nil, 0)
+		rankMostFree(got)
+		rankRendezvous(got, key, occupied)
+		if !reflect.DeepEqual(got, byWeight) {
+			t.Errorf("rendezvous order (occupied %v) = %v, want %v", occupied, peerNames(got), peerNames(byWeight))
+		}
+	}
+	other := eligible(registry, nil, 0)
+	rankRendezvous(other, "app2/wal-7", nil)
+	if reflect.DeepEqual(other, byWeight) {
+		t.Errorf("two files rank the fleet identically: %v", peerNames(other))
+	}
+	// Domain spread: least-occupied domains first, rendezvous order within
+	// each tier.
+	spread := eligible(registry, nil, 0)
+	rankRendezvous(spread, key, map[string]int{"a": 1, "c": 2})
+	var want []controller.PeerInfo
+	for _, dom := range []string{"b", "a", "c"} {
+		for _, c := range byWeight {
+			if c.Domain == dom {
+				want = append(want, c)
+			}
+		}
+	}
+	if !reflect.DeepEqual(spread, want) {
+		t.Errorf("spread order = %v, want %v", peerNames(spread), peerNames(want))
+	}
+}
+
+// With a registry TTL, a live replacement takes the same path an open does:
+// it is served from the cached registry — no controller list inside the TTL —
+// in rendezvous order with failure-domain spread, so the newcomer lands in a
+// domain the log does not occupy.
+func TestLiveReplacementUsesCachedRegistry(t *testing.T) {
+	c := newCluster(41, 8, smallPeerCfg())
+	c.domains = 4
+	c.run(t, func(p *simnet.Proc) {
+		libCfg := DefaultConfig()
+		libCfg.Model.PoolRefresh = time.Minute
+		l, err := NewLib(p, c.svc, c.fabric, c.appNode, "app1", 0, libCfg)
+		if err != nil {
+			t.Fatalf("new lib: %v", err)
+		}
+		lg, err := l.Open(p, "wal", 1<<20, false)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		occupied := map[string]bool{}
+		for _, pc := range lg.peers {
+			occupied[pc.domain] = true
+		}
+		if len(occupied) != 3 {
+			t.Fatalf("open put 3 members in %d domains", len(occupied))
+		}
+		col := trace.New()
+		c.sim.SetTracer(col)
+		c.pNodes[lg.LivePeers()[0]].Crash()
+		for i := 0; i < 10; i++ {
+			if _, err := lg.Append(p, []byte("during")); err != nil {
+				t.Fatalf("append: %v", err)
+			}
+		}
+		p.Sleep(time.Second)
+		c.sim.SetTracer(nil)
+		if lg.Replacements != 1 || len(lg.LivePeers()) != 3 {
+			t.Fatalf("replacements = %d, live = %v", lg.Replacements, lg.LivePeers())
+		}
+		if n := trace.Count(col.Spans(), "controller", "list"); n != 0 {
+			t.Errorf("%d controller list RPCs inside the registry TTL, want 0", n)
+		}
+		if n := trace.Count(col.Spans(), "ncl", "replace.getpeer"); n != 1 {
+			t.Errorf("%d replace.getpeer spans, want 1 (Table 3 is a span query)", n)
+		}
+		if dom := lg.peers[0].domain; occupied[dom] {
+			t.Errorf("replacement landed in %s, which the log already occupied (%v)", dom, occupied)
+		}
+	})
+}
+
+// Regression: a peer that dies inside the registry's refresh window must be
+// dropped from the cached registry on the first failed setup, not retried
+// (at a full setup timeout each) by every allocation until the TTL lapses.
+func TestPoolDropsDeadPeerInsideRefreshWindow(t *testing.T) {
+	c := newCluster(31, 5, smallPeerCfg())
+	c.run(t, func(p *simnet.Proc) {
+		libCfg := DefaultConfig()
+		libCfg.Model.PoolRefresh = time.Minute // far longer than the test
+		l, err := NewLib(p, c.svc, c.fabric, c.appNode, "app1", 0, libCfg)
+		if err != nil {
+			t.Fatalf("new lib: %v", err)
+		}
+		lg, err := l.Open(p, "warm", 1<<20, false) // warms the registry cache
+		if err != nil {
+			t.Fatalf("open warm: %v", err)
+		}
+		member := map[string]bool{}
+		for _, n := range lg.LivePeers() {
+			member[n] = true
+		}
+		// Crash a spare (non-member), so no repair traffic interferes and
+		// the only way the death is noticed is a failed allocation.
+		victim := ""
+		names := make([]string, 0, len(c.pNodes))
+		for name := range c.pNodes {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			if !member[name] {
+				victim = name
+				break
+			}
+		}
+		c.pNodes[victim].Crash()
+		fetchedAt := l.reg.fetchedAt
+
+		// File names whose rendezvous ranking puts the dead peer first, so
+		// an allocation must try (and fail against) it.
+		victimRanked := func(from int) string {
+			for i := from; i < from+10000; i++ {
+				cand := fmt.Sprintf("w%d", i)
+				key := "app1/" + cand
+				best, bw := "", uint64(0)
+				for _, pn := range names {
+					if w := rdvWeight(pn, key); w > bw {
+						bw, best = w, pn
+					}
+				}
+				if best == victim {
+					return cand
+				}
+			}
+			t.Fatal("no victim-ranked file name found")
+			return ""
+		}
+
+		first := victimRanked(0)
+		start := p.Now()
+		lg2, err := l.Open(p, first, 1<<20, false)
+		if err != nil {
+			t.Fatalf("open %s: %v", first, err)
+		}
+		firstCost := p.Now() - start
+		if firstCost < 200*time.Millisecond {
+			t.Fatalf("first open took %v; expected it to pay one setup timeout against the dead peer", firstCost)
+		}
+		for _, n := range lg2.LivePeers() {
+			if n == victim {
+				t.Fatalf("dead peer %s became a member", victim)
+			}
+		}
+		for _, info := range l.reg.peers {
+			if info.Name == victim {
+				t.Fatalf("dead peer %s still in the cached registry after a failed setup", victim)
+			}
+		}
+		if l.reg.peers == nil || l.reg.fetchedAt != fetchedAt {
+			t.Fatal("dropping one dead entry must not invalidate or refresh the whole cache")
+		}
+
+		// A later allocation inside the same TTL that would again rank the
+		// dead peer first must not re-pay the setup timeout.
+		second := victimRanked(10000)
+		start = p.Now()
+		if _, err := l.Open(p, second, 1<<20, false); err != nil {
+			t.Fatalf("open %s: %v", second, err)
+		}
+		if cost := p.Now() - start; cost >= 100*time.Millisecond {
+			t.Fatalf("second open took %v; the dead peer was dropped, no timeout should be paid", cost)
+		}
+	})
+}

@@ -1,0 +1,305 @@
+package ncl
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"reflect"
+	"testing"
+	"time"
+
+	"splitft/internal/simnet"
+	"splitft/internal/trace"
+)
+
+// TestPolicyConformance drives every membership path — open, live
+// replacement, recovery replacement, release by recovery — under every
+// replication policy and both registry refresh rules (TTL 0: one controller
+// list per allocation, the paper's protocol; TTL > 0: the cached registry in
+// rendezvous order), and checks each script against the bytes it saw
+// acknowledged. Whatever is specific to one policy's region layout (mirror's
+// header, staging vs tail catch-up, circular overwrite) has its own test.
+
+// conf is one conformance run: a cluster, the configuration under test, and
+// the reference — per log, every byte of every acknowledged append in order.
+type conf struct {
+	t       *testing.T
+	c       *cluster
+	cfg     Config
+	fencing int64
+	acked   map[string][]byte
+}
+
+// lib starts the next application instance.
+func (e *conf) lib(p *simnet.Proc, cfg Config) *Lib {
+	l, err := NewLib(p, e.c.svc, e.c.fabric, e.c.appNode, "app1", e.fencing, cfg)
+	if err != nil {
+		e.t.Fatalf("new lib (fencing %d): %v", e.fencing, err)
+	}
+	e.fencing++
+	return l
+}
+
+func (e *conf) open(p *simnet.Proc, l *Lib, name string) *Log {
+	lg, err := l.Open(p, name, 1<<20, false)
+	if err != nil {
+		e.t.Fatalf("open %s: %v", name, err)
+	}
+	if got := len(lg.LivePeers()); got != lg.place.Slots {
+		e.t.Fatalf("open %s: %d live peers, want %d", name, got, lg.place.Slots)
+	}
+	return lg
+}
+
+// rec is the next record of a log: its content and size depend on how much
+// the log already holds, so a misplaced or repeated record shows.
+func (e *conf) rec(name string) []byte {
+	n := len(e.acked[name])
+	return bytes.Repeat([]byte{byte(n%251 + 1)}, 100+n%13*7)
+}
+
+// append writes n records and counts them acknowledged.
+func (e *conf) append(p *simnet.Proc, lg *Log, n int) {
+	for i := 0; i < n; i++ {
+		rec := e.rec(lg.name)
+		if _, err := lg.Append(p, rec); err != nil {
+			e.t.Fatalf("append to %s after %d acked bytes: %v", lg.name, len(e.acked[lg.name]), err)
+		}
+		e.acked[lg.name] = append(e.acked[lg.name], rec...)
+	}
+}
+
+func (e *conf) crashApp(p *simnet.Proc) {
+	e.c.appNode.Crash()
+	p.Sleep(10 * time.Millisecond)
+	e.c.appNode.Restart()
+}
+
+// recover reopens name in a fresh instance whose own default is mirror — the
+// ap-map entry's policy must win — and checks the content byte for byte:
+// everything acknowledged, then at most the one record (inflight) the crash
+// cut short.
+func (e *conf) recover(p *simnet.Proc, name string, inflight []byte) *Log {
+	cfg := DefaultConfig()
+	cfg.Model.PoolRefresh = e.cfg.Model.PoolRefresh
+	lg, err := e.lib(p, cfg).Recover(p, name)
+	if err != nil {
+		e.t.Fatalf("recover %s: %v", name, err)
+	}
+	want := e.acked[name]
+	got := lg.Bytes()
+	if !bytes.HasPrefix(got, want) {
+		e.t.Fatalf("recover %s: %d bytes do not start with the %d acknowledged", name, len(got), len(want))
+	}
+	if tail := got[len(want):]; len(tail) > 0 && !bytes.Equal(tail, inflight) {
+		e.t.Fatalf("recover %s: %d bytes beyond the acknowledged prefix are not the in-flight record", name, len(tail))
+	}
+	e.acked[name] = append([]byte(nil), got...) // recovered is externalized: it must survive from now on
+	if lg.Policy() != e.cfg.Policy {
+		e.t.Fatalf("recover %s: policy %s, want %s", name, lg.Policy(), e.cfg.Policy)
+	}
+	if got := len(lg.LivePeers()); got != lg.place.Slots {
+		e.t.Fatalf("recover %s: %d live peers, want full membership %d", name, got, lg.place.Slots)
+	}
+	e.append(p, lg, 1)
+	return lg
+}
+
+// crashPeers crashes the named log peers.
+func (e *conf) crashPeers(names ...string) {
+	for _, name := range names {
+		e.c.pNodes[name].Crash()
+	}
+}
+
+// restored waits for background repair and checks the membership is whole,
+// names none of the victims, took one replacement and one epoch per victim,
+// and is what the ap-map records.
+func (e *conf) restored(p *simnet.Proc, l *Lib, lg *Log, epochBefore int64, victims ...string) {
+	p.Sleep(2 * time.Second)
+	live := lg.LivePeers()
+	if len(live) != lg.place.Slots {
+		e.t.Fatalf("membership not restored: %v of %d", live, lg.place.Slots)
+	}
+	for _, pn := range live {
+		for _, v := range victims {
+			if pn == v {
+				e.t.Fatalf("victim %s still a member: %v", v, live)
+			}
+		}
+	}
+	if want := epochBefore + int64(len(victims)); lg.Epoch() != want {
+		e.t.Fatalf("epoch %d after %d replacements from %d, want %d", lg.Epoch(), len(victims), epochBefore, want)
+	}
+	entry, _, found, err := l.ctrl.GetAppFile(p, "app1", lg.name)
+	if err != nil || !found || entry.Epoch != lg.Epoch() || !reflect.DeepEqual(entry.Peers, live) {
+		e.t.Fatalf("ap-map entry %+v (found %v, err %v) != log epoch %d members %v", entry, found, err, lg.Epoch(), live)
+	}
+}
+
+var confScripts = []struct {
+	name string
+	run  func(e *conf, p *simnet.Proc)
+}{
+	{"app crash mid-stream", func(e *conf, p *simnet.Proc) {
+		// §4.6: for any crash point, recovery returns every acknowledged
+		// append in order. The writer runs on the app node so the crash cuts
+		// an append short.
+		var inflight []byte
+		e.c.appNode.Go("app-v1", func(ap *simnet.Proc) {
+			lg := e.open(ap, e.lib(ap, e.cfg), "wal")
+			for {
+				inflight = e.rec("wal")
+				e.append(ap, lg, 1)
+				inflight = nil
+			}
+		})
+		for len(e.acked["wal"]) < 30000 {
+			p.Sleep(100 * time.Microsecond)
+		}
+		e.crashApp(p)
+		col := trace.New()
+		e.c.sim.SetTracer(col)
+		e.recover(p, "wal", inflight)
+		e.c.sim.SetTracer(nil)
+		// Fig 11(b) is a query over these spans.
+		rec, phases := trace.First(col.Spans(), "ncl", "recover"), trace.Filter(col.Spans(), "ncl", "recover.")
+		if !rec.Done() || len(phases) != 4 || trace.Sum(phases, "", "") > rec.Dur() {
+			e.t.Fatalf("recover spans: parent %+v, %d phases", rec, len(phases))
+		}
+	}},
+	{"peer crash under writes", func(e *conf, p *simnet.Proc) {
+		// Mirror and quorum ride the failure out on the surviving majority;
+		// ec stalls until the replacement activates (AckNeed = k+m).
+		l := e.lib(p, e.cfg)
+		lg := e.open(p, l, "wal")
+		e.append(p, lg, 5)
+		victim := lg.LivePeers()[1]
+		e.crashPeers(victim)
+		e.append(p, lg, 10)
+		e.restored(p, l, lg, 1, victim)
+		if lg.Replacements != 1 {
+			e.t.Fatalf("replacements = %d, want 1", lg.Replacements)
+		}
+		e.crashApp(p)
+		e.recover(p, "wal", nil) // the re-replicated state is whole
+	}},
+	{"member dead at recovery", func(e *conf, p *simnet.Proc) {
+		lg := e.open(p, e.lib(p, e.cfg), "wal")
+		e.append(p, lg, 12)
+		e.crashPeers(lg.LivePeers()[0])
+		e.crashApp(p)
+		if lg2 := e.recover(p, "wal", nil); lg2.Epoch() <= lg.Epoch() {
+			e.t.Fatalf("recovery replaced a member under epoch %d, was %d", lg2.Epoch(), lg.Epoch())
+		}
+	}},
+	{"one failure too many", func(e *conf, p *simnet.Proc) {
+		// Never hand back content reconstructed from too few members.
+		lg := e.open(p, e.lib(p, e.cfg), "wal")
+		e.append(p, lg, 8)
+		e.crashPeers(lg.LivePeers()[:lg.Policy().Tolerates()+1]...)
+		e.crashApp(p)
+		if _, err := e.lib(p, e.cfg).Recover(p, "wal"); !errors.Is(err, ErrUnavailable) {
+			e.t.Fatalf("recover beyond the failure budget: %v, want ErrUnavailable", err)
+		}
+	}},
+	{"partition from one peer then heal", func(e *conf, p *simnet.Proc) {
+		l := e.lib(p, e.cfg)
+		lg := e.open(p, l, "wal")
+		victim := lg.LivePeers()[1]
+		e.c.sim.Net().Partition(e.c.appNode, e.c.pNodes[victim])
+		e.append(p, lg, 10)
+		e.restored(p, l, lg, 1, victim)
+		e.c.sim.Net().Heal(e.c.appNode, e.c.pNodes[victim])
+		e.append(p, lg, 1)
+		// The healed peer's region is stale under the epoch rules.
+		p.Sleep(6 * time.Second) // GC interval + grace
+		if e.c.peers[victim].Regions() != 0 {
+			e.t.Fatalf("stale region on healed peer %s not garbage collected", victim)
+		}
+	}},
+	{"two logs", func(e *conf, p *simnet.Proc) {
+		l := e.lib(p, e.cfg)
+		a, b := e.open(p, l, "wal-a"), e.open(p, l, "wal-b")
+		for round := 0; round < 20; round++ {
+			e.append(p, a, 1)
+			e.append(p, b, 2)
+		}
+		// Losing a member of one log repairs that log only.
+		victim := a.LivePeers()[0]
+		for _, pn := range b.LivePeers() {
+			if pn == victim {
+				victim = ""
+			}
+		}
+		if victim != "" {
+			e.crashPeers(victim)
+			e.append(p, a, 1)
+			e.restored(p, l, a, 1, victim)
+			e.restored(p, l, b, 1)
+		}
+		e.crashApp(p)
+		e.recover(p, "wal-a", nil)
+		e.crashApp(p)
+		files, err := e.lib(p, e.cfg).ListFiles(p)
+		if err != nil || !reflect.DeepEqual(files, []string{"wal-a", "wal-b"}) {
+			e.t.Fatalf("files = %v, %v", files, err)
+		}
+		e.recover(p, "wal-b", nil)
+	}},
+	{"recover, crash, recover again", func(e *conf, p *simnet.Proc) {
+		// §4.6 across successive recoveries: what one recovery returned (and
+		// the application may have externalized) every later one returns.
+		e.append(p, e.open(p, e.lib(p, e.cfg), "wal"), 20)
+		e.crashApp(p)
+		e.append(p, e.recover(p, "wal", nil), 3)
+		e.crashApp(p)
+		e.recover(p, "wal", nil)
+	}},
+	{"epochs across replacements", func(e *conf, p *simnet.Proc) {
+		l := e.lib(p, e.cfg)
+		lg := e.open(p, l, "wal")
+		for round := 0; round < 2; round++ {
+			epoch, victim := lg.Epoch(), lg.LivePeers()[0]
+			e.crashPeers(victim)
+			e.append(p, lg, 5)
+			e.restored(p, l, lg, epoch, victim)
+		}
+	}},
+	{"quorum loss stalls then resumes", func(e *conf, p *simnet.Proc) {
+		// More simultaneous failures than the policy tolerates: the write
+		// stalls until replacements are caught up from the client's copy
+		// (Fig 12), then completes; nothing is lost.
+		l := e.lib(p, e.cfg)
+		lg := e.open(p, l, "wal")
+		e.append(p, lg, 1)
+		victims := append([]string(nil), lg.LivePeers()[:lg.Policy().Tolerates()+1]...)
+		e.crashPeers(victims...)
+		start := p.Now()
+		e.append(p, lg, 1)
+		if stall := p.Now() - start; stall < 5*time.Millisecond || stall > 2*time.Second {
+			e.t.Fatalf("stall = %v, want a visible stall that ends with the replacements", stall)
+		}
+		e.restored(p, l, lg, 1, victims...)
+		e.crashApp(p)
+		e.recover(p, "wal", nil)
+	}},
+}
+
+func TestPolicyConformance(t *testing.T) {
+	peerCfg := smallPeerCfg()
+	peerCfg.GCGrace = 3 * time.Second // the partition script waits it out
+	for si, sc := range confScripts {
+		for _, pol := range allPolicies {
+			for _, ttl := range []time.Duration{0, time.Minute} {
+				t.Run(fmt.Sprintf("%s/%s/ttl=%v", sc.name, pol, ttl), func(t *testing.T) {
+					t.Parallel()
+					cfg := policyCfg(t, pol)
+					cfg.Model.PoolRefresh = ttl
+					e := &conf{t: t, c: newCluster(int64(100+si), 10, peerCfg), cfg: cfg, acked: map[string][]byte{}}
+					e.c.run(t, func(p *simnet.Proc) { sc.run(e, p) })
+				})
+			}
+		}
+	}
+}

@@ -29,8 +29,10 @@ package ncl
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
+	"splitft/internal/rdma"
 	"splitft/internal/simnet"
 )
 
@@ -73,22 +75,6 @@ func ecShardCap(k int, capacity int64) int64 {
 		slack = 512
 	}
 	return cell + slack
-}
-
-func (e *ecPolicy) Spec() PolicySpec { return e.spec }
-
-func (e *ecPolicy) Place(capacity int64) Placement {
-	return Placement{
-		Slots:      e.spec.Slots(),
-		SlotRegion: ecShardCap(e.spec.K, capacity),
-		AckNeed:    e.spec.K + e.spec.M,
-		MinAlive:   e.spec.K,
-		FrameLog:   true,
-	}
-}
-
-func (e *ecPolicy) MemoryFactor(capacity int64) float64 {
-	return float64(int64(e.spec.Slots())*ecShardCap(e.spec.K, capacity)) / float64(capacity)
 }
 
 // Append encodes the record into one frame per slot and posts a single WR
@@ -160,11 +146,7 @@ func (e *ecPolicy) Recover(p *simnet.Proc, lg *Log, alive []*peerConn) error {
 	for i, sc := range scans {
 		lasts[i] = sc.last
 	}
-	for i := 1; i < len(lasts); i++ { // small n: insertion sort, descending
-		for j := i; j > 0 && lasts[j] > lasts[j-1]; j-- {
-			lasts[j], lasts[j-1] = lasts[j-1], lasts[j]
-		}
-	}
+	sort.Slice(lasts, func(i, j int) bool { return lasts[i] > lasts[j] })
 	cut := lasts[e.spec.K-1]
 
 	// Reference frame list: any scan reaching the cut, truncated to it.
@@ -254,7 +236,7 @@ func (e *ecPolicy) Resync(p *simnet.Proc, lg *Log, alive []*peerConn) error {
 	return nil
 }
 
-func (e *ecPolicy) Repair(p *simnet.Proc, lg *Log, qp qpLike, rkey uint64, slot int, lock bool) error {
+func (e *ecPolicy) Repair(p *simnet.Proc, lg *Log, qp *rdma.QP, rkey uint64, slot int, lock bool) error {
 	return lg.repairFrameLog(p, qp, rkey, e.shards[slot], &e.shardLen, lock)
 }
 

@@ -16,33 +16,17 @@ import (
 	"time"
 
 	"splitft/internal/peer"
+	"splitft/internal/rdma"
 	"splitft/internal/simnet"
 	"splitft/internal/wire"
 )
 
 type mirrorPolicy struct {
-	spec PolicySpec
-
 	// Recovery state shared between the read and sync phases: each
 	// survivor's advertised header, and the peer whose region was
 	// prefetched.
 	hdrLens      map[*peerConn]int64
 	recoveryPeer *peerConn
-}
-
-func (m *mirrorPolicy) Spec() PolicySpec { return m.spec }
-
-func (m *mirrorPolicy) Place(capacity int64) Placement {
-	return Placement{
-		Slots:      m.spec.Slots(),
-		SlotRegion: HeaderSize + capacity,
-		AckNeed:    m.spec.F + 1,
-		MinAlive:   m.spec.F + 1,
-	}
-}
-
-func (m *mirrorPolicy) MemoryFactor(capacity int64) float64 {
-	return float64(int64(m.spec.Slots())*(HeaderSize+capacity)) / float64(capacity)
 }
 
 // putHeader fills h (HeaderSize bytes) with the current seq/length. Callers
@@ -147,7 +131,7 @@ func (m *mirrorPolicy) Resync(p *simnet.Proc, lg *Log, alive []*peerConn) error 
 	return nil
 }
 
-func (m *mirrorPolicy) Repair(p *simnet.Proc, lg *Log, qp qpLike, rkey uint64, slot int, lock bool) error {
+func (m *mirrorPolicy) Repair(p *simnet.Proc, lg *Log, qp *rdma.QP, rkey uint64, slot int, lock bool) error {
 	return lg.bulkTransfer(p, qp, rkey, 0, lock)
 }
 
@@ -209,7 +193,7 @@ func (lg *Log) catchUpTail(p *simnet.Proc, pc *peerConn, peerLen int64) error {
 // With lock=true the snapshot is cut under lg.mu; PostWrite copies payloads
 // into staging buffers at post time, so only the posting happens under the
 // lock — the transfer itself proceeds unlocked and writes continue meanwhile.
-func (lg *Log) bulkTransfer(p *simnet.Proc, qp qpLike, rkey uint64, from int64, lock bool) error {
+func (lg *Log) bulkTransfer(p *simnet.Proc, qp *rdma.QP, rkey uint64, from int64, lock bool) error {
 	id, done := lg.newBulkWaiter()
 	defer delete(lg.bulks, id)
 	if lock {
@@ -227,9 +211,4 @@ func (lg *Log) bulkTransfer(p *simnet.Proc, qp qpLike, rkey uint64, from int64, 
 		lg.mu.Unlock(p)
 	}
 	return awaitBulk(p, done, n)
-}
-
-// qpLike lets bulk writes serve both live QPs and recovery-time QPs.
-type qpLike interface {
-	PostWrite(p *simnet.Proc, rkey uint64, offset int, data []byte, ctx uint64) uint64
 }

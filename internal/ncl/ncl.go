@@ -27,6 +27,7 @@ package ncl
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"splitft/internal/controller"
@@ -35,7 +36,6 @@ import (
 	"splitft/internal/rdma"
 	"splitft/internal/simnet"
 	"splitft/internal/trace"
-	"splitft/internal/wire"
 )
 
 // HeaderSize is the per-region metadata prefix: sequence number (8 bytes)
@@ -74,11 +74,9 @@ func ConfigFromProfile(prof *model.Profile) (Config, error) {
 	if err != nil {
 		return Config{}, err
 	}
-	size := prof.NCL.DefaultRegionSize
-	if size == 0 {
-		size = 64 << 20
-	}
-	return Config{Policy: spec, RegionSize: size, Model: prof.NCL}, nil
+	cfg := Config{Policy: spec, RegionSize: prof.NCL.DefaultRegionSize, Model: prof.NCL}
+	cfg.normalize()
+	return cfg, nil
 }
 
 // DefaultConfig returns the baseline profile's configuration, used
@@ -114,27 +112,23 @@ var (
 // Lib is one application's ncl-lib instance. It owns the RDMA NIC
 // connection state and the controller session for the application.
 type Lib struct {
-	sim     *simnet.Sim
-	node    *simnet.Node
-	svc     *controller.Service
-	fabric  *rdma.Fabric
-	nic     *rdma.NIC
-	ctrl    *controller.Client
-	appID   string
-	fencing int64
-	cfg     Config
+	sim    *simnet.Sim
+	node   *simnet.Node
+	fabric *rdma.Fabric
+	nic    *rdma.NIC
+	ctrl   *controller.Client
+	appID  string
+	cfg    Config
 
 	logs map[string]*Log
-	dead bool
 
 	// suspects are peers that recently failed a data-path operation; they
 	// are excluded from allocation until the cooldown passes, since the
 	// controller's registry only drops them after session expiry.
 	suspects map[string]time.Duration
 
-	// pool is the cached peer registry used when cfg.PoolRefresh > 0 (see
-	// pool.go).
-	pool serverPool
+	// reg is the cached controller peer list (see alloc.go).
+	reg peerRegistry
 }
 
 func (l *Lib) markSuspect(name string, now time.Duration) {
@@ -150,7 +144,7 @@ func (l *Lib) suspectNames(now time.Duration) []string {
 			delete(l.suspects, name)
 		}
 	}
-	sortStrings(out)
+	sort.Strings(out)
 	return out
 }
 
@@ -161,17 +155,14 @@ func NewLib(p *simnet.Proc, svc *controller.Service, fabric *rdma.Fabric, node *
 	l := &Lib{
 		sim:      node.Sim(),
 		node:     node,
-		svc:      svc,
 		fabric:   fabric,
 		nic:      fabric.AttachNIC(node),
 		appID:    appID,
-		fencing:  fencing,
 		cfg:      cfg,
 		logs:     make(map[string]*Log),
 		suspects: make(map[string]time.Duration),
 	}
 	l.ctrl = controller.NewClient(svc, node, appID, fencing)
-	node.OnCrash(func() { l.dead = true })
 	if err := l.ctrl.StartSession(p); err != nil {
 		return nil, fmt.Errorf("ncl: controller session: %w", err)
 	}
@@ -184,9 +175,6 @@ func NewLib(p *simnet.Proc, svc *controller.Service, fabric *rdma.Fabric, node *
 func (l *Lib) AcquireInstanceLock(p *simnet.Proc) error {
 	return l.ctrl.AcquireServerLock(p, l.appID)
 }
-
-// Controller exposes the controller client (for the SplitFT layer).
-func (l *Lib) Controller() *controller.Client { return l.ctrl }
 
 // OpenLog returns the already-open log of the given name, if any. Callers
 // re-opening a file within the same instance get the live log rather than
@@ -207,16 +195,8 @@ func (l *Lib) ListFiles(p *simnet.Proc) ([]string, error) {
 	for name := range entries {
 		names = append(names, name)
 	}
-	sortStrings(names)
+	sort.Strings(names)
 	return names, nil
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // peerConn is the client-side state for one log peer of one log.
@@ -248,10 +228,11 @@ type Log struct {
 	name     string
 	capacity int64
 
-	// policy is the per-log replication strategy; place is its derived
-	// group shape for this capacity.
-	policy ReplicationPolicy
+	// spec is the replication policy the log was created under, place its
+	// group shape for this capacity, policy the per-log strategy instance.
+	spec   PolicySpec
 	place  Placement
+	policy ReplicationPolicy
 
 	buf    []byte // local buffer: authoritative file content
 	length int64
@@ -292,7 +273,6 @@ type Log struct {
 	// and "replace.*" ops.
 	Records      uint64
 	Replacements int
-	StallTime    time.Duration
 }
 
 // RDMA completion contexts are packed into the 64-bit Ctx word rather than
@@ -351,49 +331,46 @@ func awaitBulk(p *simnet.Proc, done *simnet.Chan[error], n int) error {
 	return nil
 }
 
-// LogOptions tunes per-file behaviour.
-type LogOptions struct {
-	// AppendOnly enables the tail-shipping recovery catch-up (§4.5.1).
-	// Only set it for files that are never overwritten in place.
-	AppendOnly bool
+// newLog assembles a Log — the only place one is built. Open and Recover
+// differ in where the policy, epoch and ap-map version come from, nothing
+// else.
+func (l *Lib) newLog(name string, spec PolicySpec, capacity int64, appendOnly bool, epoch, apVersion int64) *Log {
+	lg := &Log{
+		lib:        l,
+		name:       name,
+		capacity:   capacity,
+		spec:       spec,
+		buf:        make([]byte, HeaderSize+capacity),
+		epoch:      epoch,
+		apVersion:  apVersion,
+		appendOnly: appendOnly,
+		cq:         rdma.NewCQ(l.sim),
+		repairCh:   simnet.NewChan[struct{}](l.sim),
+		bulks:      make(map[uint64]*simnet.Chan[error]),
+	}
+	lg.ackCond = simnet.NewCond(&lg.mu)
+	lg.policy = newPolicy(spec, capacity)
+	lg.place = spec.Place(capacity)
+	return lg
 }
 
 // Open creates a new ncl file of the given capacity: it obtains the
 // policy's peer group from the controller (2f+1 for mirror/quorum, k+m for
 // ec), sets up a memory region on each, and records the allocation — peers,
 // epoch, and policy — in the ap-map (§4.3, Fig 4). The returned Log is
-// empty.
-func (l *Lib) Open(p *simnet.Proc, name string, capacity int64) (*Log, error) {
-	return l.OpenWithOptions(p, name, capacity, LogOptions{})
-}
-
-// OpenWithOptions is Open with per-file options.
-func (l *Lib) OpenWithOptions(p *simnet.Proc, name string, capacity int64, opts LogOptions) (*Log, error) {
+// empty. appendOnly declares that the file is never overwritten in place,
+// which lets recovery catch lagging peers up by shipping only the missing
+// tail (§4.5.1).
+func (l *Lib) Open(p *simnet.Proc, name string, capacity int64, appendOnly bool) (*Log, error) {
 	sp := p.StartSpan("ncl", "open", trace.Str("file", name), trace.Int("bytes", capacity))
 	defer p.EndSpan(sp)
-	lg := &Log{
-		lib:        l,
-		name:       name,
-		capacity:   capacity,
-		buf:        make([]byte, HeaderSize+capacity),
-		epoch:      1,
-		appendOnly: opts.AppendOnly,
-		cq:         rdma.NewCQ(l.sim),
-		repairCh:   simnet.NewChan[struct{}](l.sim),
-		bulks:      make(map[uint64]*simnet.Chan[error]),
-	}
-	lg.ackCond = simnet.NewCond(&lg.mu)
-	lg.policy = newPolicy(l.cfg.Policy, capacity)
-	lg.place = lg.policy.Place(capacity)
-
-	var exclude []string
+	lg := l.newLog(name, l.cfg.Policy, capacity, appendOnly, 1, 0)
 	for len(lg.peers) < lg.place.Slots {
-		pc, err := l.allocatePeer(p, lg, exclude, lg.epoch)
+		pc, err := l.allocate(p, lg, lg.peerNames(), lg.epoch, false)
 		if err != nil {
 			lg.abortOpen(p)
 			return nil, err
 		}
-		exclude = append(exclude, pc.name)
 		pc.active = true
 		pc.slot = len(lg.peers)
 		lg.peers = append(lg.peers, pc)
@@ -410,10 +387,10 @@ func (l *Lib) OpenWithOptions(p *simnet.Proc, name string, capacity int64, opts 
 	return lg, nil
 }
 
-// abortOpen unwinds a failed OpenWithOptions: the QPs are closed so their
-// engine procs exit. Without this, every failed open under a saturated
-// controller leaks its QPs, and a retrying client turns saturation into an
-// unbounded proc pile-up.
+// abortOpen unwinds a failed Open: the QPs are closed so their engine procs
+// exit. Without this, every failed open under a saturated controller leaks
+// its QPs, and a retrying client turns saturation into an unbounded proc
+// pile-up.
 //
 // The allocated regions are deliberately NOT released here. A release RPC
 // fired during abort can outlive its timeout in a busy peer's queue, and a
@@ -423,69 +400,15 @@ func (l *Lib) OpenWithOptions(p *simnet.Proc, name string, capacity int64, opts 
 // are reclaimed by the peers' space-leak GC once the grace period passes.
 func (lg *Log) abortOpen(p *simnet.Proc) {
 	for _, pc := range lg.peers {
-		if pc != nil {
-			pc.qp.Close(p)
-		}
+		pc.qp.Close(p)
 	}
 	lg.peers = nil
 	lg.cq.Close(p)
 	lg.repairCh.Close(p)
 }
 
-// allocatePeer picks a candidate from the controller, sets up a region and
-// connects a QP. The controller's answer is a hint; peers that reject (or
-// died) are skipped and another candidate is requested (§4.3).
-func (l *Lib) allocatePeer(p *simnet.Proc, lg *Log, exclude []string, epoch int64) (*peerConn, error) {
-	tried := append([]string(nil), exclude...)
-	tried = append(tried, l.suspectNames(p.Now())...)
-	if l.cfg.Model.PoolRefresh > 0 {
-		return l.allocateFromPool(p, lg, tried, epoch)
-	}
-	for attempt := 0; attempt < l.cfg.Model.SetupRetries; attempt++ {
-		cands, err := l.ctrl.PickPeers(p, 1, lg.regionSize(), tried)
-		if err != nil {
-			return nil, fmt.Errorf("ncl: pick peers: %w", err)
-		}
-		if len(cands) == 0 {
-			return nil, ErrNoPeers
-		}
-		cand := cands[0]
-		tried = append(tried, cand.Name)
-		pc, err := l.connectPeer(p, lg, cand, epoch)
-		if err != nil {
-			continue // rejected or dead: try the next candidate
-		}
-		return pc, nil
-	}
-	return nil, ErrNoPeers
-}
-
-// connectPeer asks one candidate to set up a region and connects a QP.
-// The setup timeout scales with the region size: registration pins memory
-// at the fabric's registration bandwidth, so large regions legitimately
-// take hundreds of ms — allow 2x the modelled cost plus an RPC base.
-func (l *Lib) connectPeer(p *simnet.Proc, lg *Log, cand controller.PeerInfo, epoch int64) (*peerConn, error) {
-	rp := l.fabric.Params()
-	reg := rp.RegFixed + time.Duration(float64(lg.regionSize())/rp.RegBandwidth*float64(time.Second))
-	timeout := 200*time.Millisecond + 2*reg
-	setup, err := wire.CallTimeout[peer.SetupResp](p, l.sim.Net(), l.node, cand.Addr, peer.SetupReq{
-		App: l.appID, File: lg.name, Size: lg.regionSize(), Epoch: epoch,
-	}, timeout)
-	if err != nil {
-		return nil, err
-	}
-	qp, err := l.nic.Connect(p, cand.Name, lg.cq)
-	if err != nil {
-		return nil, err
-	}
-	pc := &peerConn{name: cand.Name, qp: qp, rkey: setup.RKey, domain: cand.Domain}
-	lg.registerConn(pc)
-	return pc, nil
-}
-
-// regionSize is the per-peer region size the policy derived — what setup
-// requests, placement filters, and free-memory accounting all use, so a
-// policy's MemoryFactor is exactly what the peer registry reserves.
+// regionSize is the per-peer region size the policy spec derived — what
+// setup requests, placement filters, and free-memory accounting all use.
 func (lg *Log) regionSize() int64 { return lg.place.SlotRegion }
 
 func (lg *Log) peerNames() []string {
@@ -506,7 +429,7 @@ func (lg *Log) fileEntry(epoch int64) controller.FileEntry {
 		Epoch:      epoch,
 		RegionSize: lg.regionSize(),
 		AppendOnly: lg.appendOnly,
-		Policy:     lg.policy.Spec().String(),
+		Policy:     lg.spec.String(),
 		Capacity:   lg.capacity,
 	}
 }
@@ -595,7 +518,6 @@ func (lg *Log) Record(p *simnet.Proc, off int64, data []byte) error {
 	}
 	p.Sleep(lg.lib.cfg.Model.RecordCPU)
 	lg.Records++
-	start := p.Now()
 	need := lg.place.AckNeed
 	if u := lg.lib.cfg.UnsafeAckQuorum; u > 0 && u < need {
 		need = u // seeded mutation: ack before the commit rule holds
@@ -609,9 +531,6 @@ func (lg *Log) Record(p *simnet.Proc, off int64, data []byte) error {
 			// already be replacing failed peers).
 			lg.repairCh.Send(p, struct{}{})
 		}
-	}
-	if wait := p.Now() - start; wait > time.Millisecond {
-		lg.StallTime += wait
 	}
 	return nil
 }
@@ -646,7 +565,7 @@ func (lg *Log) Seq() uint64 { return lg.seq }
 func (lg *Log) Epoch() int64 { return lg.epoch }
 
 // Policy returns the log's replication policy spec.
-func (lg *Log) Policy() PolicySpec { return lg.policy.Spec() }
+func (lg *Log) Policy() PolicySpec { return lg.spec }
 
 // Bytes returns the local buffer content (the file view).
 func (lg *Log) Bytes() []byte { return lg.buf[HeaderSize : HeaderSize+lg.length] }
@@ -659,7 +578,7 @@ func (lg *Log) Bytes() []byte { return lg.buf[HeaderSize : HeaderSize+lg.length]
 func (lg *Log) RemoteReadAt(p *simnet.Proc, buf []byte, off int64) (int, error) {
 	if lg.place.FrameLog {
 		return 0, fmt.Errorf("ncl: RemoteReadAt needs plain-image regions (log %s uses %s)",
-			lg.name, lg.policy.Spec())
+			lg.name, lg.spec)
 	}
 	if off >= lg.length {
 		return 0, nil
@@ -717,33 +636,22 @@ func (lg *Log) Release(p *simnet.Proc) error {
 	lg.released = true
 	lg.ackCond.Broadcast(p)
 	peers := append([]*peerConn(nil), lg.peers...)
+	names := lg.peerNames()
 	lg.mu.Unlock(p)
 
-	net := lg.lib.sim.Net()
-	for _, pc := range peers {
-		if pc == nil {
-			continue
-		}
-		// Best-effort: dead peers' allocations are reclaimed by their GC.
-		net.CallTimeout(p, lg.lib.node, peer.Addr(pc.name), peer.ReleaseReq{ //nolint:errcheck
-			App: lg.lib.appID, File: lg.name,
-		}.MarshalWire(), 10*time.Millisecond)
-		pc.qp.Close(p)
-	}
+	err := lg.lib.release(p, lg.name, names)
 	// Local teardown happens regardless of the ap-map outcome: the poller
 	// and repair procs must die and the lib must forget the log even when
 	// the delete proposal times out on a saturated controller, or every
 	// failed release strands a proc pair. A dangling ap-map entry is safe —
 	// ReleaseByName can retry it, and peers already freed their regions.
-	delErr := lg.lib.ctrl.DeleteAppFile(p, lg.lib.appID, lg.name)
+	for _, pc := range peers {
+		pc.qp.Close(p)
+	}
 	delete(lg.lib.logs, lg.name)
-	// Tear down the poller and repair procs.
 	lg.cq.Close(p)
 	lg.repairCh.Close(p)
-	if delErr != nil {
-		return fmt.Errorf("ncl: ap-map delete: %w", delErr)
-	}
-	return nil
+	return err
 }
 
 // ReleaseByName frees an ncl file that is not open (e.g. a log superseded
@@ -756,18 +664,25 @@ func (l *Lib) ReleaseByName(p *simnet.Proc, name string) error {
 		return lg.Release(p)
 	}
 	entry, _, found, err := l.ctrl.GetAppFile(p, l.appID, name)
-	if err != nil {
+	if err != nil || !found {
 		return err
 	}
-	if !found {
-		return nil
-	}
-	for _, pname := range entry.Peers {
+	return l.release(p, name, entry.Peers)
+}
+
+// release frees an ncl file's remote state — the one place that does: the
+// peers holding its regions are told to release them (best effort: a dead
+// peer's allocation is reclaimed by its GC) and the ap-map entry is removed.
+func (l *Lib) release(p *simnet.Proc, name string, peers []string) error {
+	for _, pname := range peers {
 		l.sim.Net().CallTimeout(p, l.node, peer.Addr(pname), peer.ReleaseReq{ //nolint:errcheck
 			App: l.appID, File: name,
 		}.MarshalWire(), 10*time.Millisecond)
 	}
-	return l.ctrl.DeleteAppFile(p, l.appID, name)
+	if err := l.ctrl.DeleteAppFile(p, l.appID, name); err != nil {
+		return fmt.Errorf("ncl: ap-map delete: %w", err)
+	}
+	return nil
 }
 
 // LivePeers returns the names of currently active, healthy peers (tests).

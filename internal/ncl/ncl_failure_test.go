@@ -1,26 +1,23 @@
 package ncl
 
 import (
-	"bytes"
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
 	"splitft/internal/peer"
 	"splitft/internal/simnet"
-	"splitft/internal/trace"
 	"splitft/internal/wire"
 )
 
-// Additional failure-mode coverage: partitions, capacity limits, multiple
-// concurrent logs, and cross-restart epochs.
+// Mirror-specific failure modes: capacity limits and the append-only tail
+// catch-up. Everything policy-agnostic is in TestPolicyConformance.
 
 func TestRecordBeyondCapacity(t *testing.T) {
 	c := newCluster(20, 3, smallPeerCfg())
 	c.run(t, func(p *simnet.Proc) {
 		l := c.newLib(p, t, "app1", 0)
-		lg, err := l.Open(p, "wal", 256)
+		lg, err := l.Open(p, "wal", 256, false)
 		if err != nil {
 			t.Fatalf("open: %v", err)
 		}
@@ -36,237 +33,6 @@ func TestRecordBeyondCapacity(t *testing.T) {
 	})
 }
 
-func TestPartitionFromOnePeerThenHeal(t *testing.T) {
-	cfg := smallPeerCfg()
-	cfg.GCGrace = 3 * time.Second // keep the GC check within the 6 s sleep below
-	c := newCluster(21, 4, cfg)
-	c.run(t, func(p *simnet.Proc) {
-		l := c.newLib(p, t, "app1", 0)
-		lg, err := l.Open(p, "wal", 1<<20)
-		if err != nil {
-			t.Fatalf("open: %v", err)
-		}
-		victim := lg.LivePeers()[1]
-		c.sim.Net().Partition(c.appNode, c.pNodes[victim])
-		// Writes proceed on the majority; the partitioned peer errors out
-		// and is replaced in the background.
-		for i := 0; i < 10; i++ {
-			if _, err := lg.Append(p, []byte("during-partition")); err != nil {
-				t.Fatalf("append during partition: %v", err)
-			}
-		}
-		p.Sleep(500 * time.Millisecond)
-		for _, pn := range lg.LivePeers() {
-			if pn == victim {
-				t.Fatalf("partitioned peer still a member")
-			}
-		}
-		// Heal: the old peer's stale region is eventually GCed via the
-		// epoch rules; the log keeps working.
-		c.sim.Net().Heal(c.appNode, c.pNodes[victim])
-		if _, err := lg.Append(p, []byte("after-heal")); err != nil {
-			t.Fatalf("append after heal: %v", err)
-		}
-		p.Sleep(6 * time.Second) // GC interval + grace
-		if c.peers[victim].Regions() != 0 {
-			t.Errorf("stale region on healed peer not garbage collected")
-		}
-	})
-}
-
-func TestMultipleLogsIndependentPeersAndRecovery(t *testing.T) {
-	c := newCluster(22, 6, smallPeerCfg())
-	c.run(t, func(p *simnet.Proc) {
-		var want [3][]byte
-		c.appNode.Go("app-v1", func(ap *simnet.Proc) {
-			l, err := NewLib(ap, c.svc, c.fabric, c.appNode, "app1", 0, DefaultConfig())
-			if err != nil {
-				return
-			}
-			logs := make([]*Log, 3)
-			for i := range logs {
-				lg, err := l.Open(ap, fmt.Sprintf("wal-%d", i), 1<<20)
-				if err != nil {
-					return
-				}
-				logs[i] = lg
-			}
-			for round := 0; round < 20; round++ {
-				for i, lg := range logs {
-					rec := []byte(fmt.Sprintf("log%d-rec%02d;", i, round))
-					if _, err := lg.Append(ap, rec); err != nil {
-						return
-					}
-					want[i] = append(want[i], rec...)
-				}
-			}
-			ap.Sleep(time.Hour)
-		})
-		p.Sleep(400 * time.Millisecond)
-		c.appNode.Crash()
-		p.Sleep(10 * time.Millisecond)
-		c.appNode.Restart()
-		l2, _ := NewLib(p, c.svc, c.fabric, c.appNode, "app1", 1, DefaultConfig())
-		files, err := l2.ListFiles(p)
-		if err != nil || len(files) != 3 {
-			t.Fatalf("files = %v, %v", files, err)
-		}
-		for i := 0; i < 3; i++ {
-			lg, err := l2.Recover(p, fmt.Sprintf("wal-%d", i))
-			if err != nil {
-				t.Fatalf("recover wal-%d: %v", i, err)
-			}
-			if !bytes.Equal(lg.Bytes(), want[i]) {
-				t.Fatalf("wal-%d content mismatch", i)
-			}
-		}
-	})
-}
-
-func TestRecoverThenCrashThenRecoverAgain(t *testing.T) {
-	// The §4.6 condition across SUCCESSIVE recoveries: data recovered (and
-	// thus externalizable) once must be recovered by every later recovery.
-	c := newCluster(23, 5, smallPeerCfg())
-	c.run(t, func(p *simnet.Proc) {
-		c.appNode.Go("app-v1", func(ap *simnet.Proc) {
-			l, _ := NewLib(ap, c.svc, c.fabric, c.appNode, "app1", 0, DefaultConfig())
-			lg, err := l.Open(ap, "wal", 1<<20)
-			if err != nil {
-				return
-			}
-			for i := 0; i < 20; i++ {
-				lg.Append(ap, bytes.Repeat([]byte{byte(i + 1)}, 32))
-			}
-			ap.Sleep(time.Hour)
-		})
-		p.Sleep(300 * time.Millisecond)
-		c.appNode.Crash()
-		p.Sleep(10 * time.Millisecond)
-		c.appNode.Restart()
-
-		var afterFirst []byte
-		c.appNode.Go("app-v2", func(ap *simnet.Proc) {
-			l2, _ := NewLib(ap, c.svc, c.fabric, c.appNode, "app1", 1, DefaultConfig())
-			lg2, err := l2.Recover(ap, "wal")
-			if err != nil {
-				return
-			}
-			afterFirst = append([]byte(nil), lg2.Bytes()...)
-			// Write a bit more, then get crashed again.
-			lg2.Append(ap, []byte("second-life"))
-			afterFirst = append(afterFirst, []byte("second-life")...)
-			ap.Sleep(time.Hour)
-		})
-		p.Sleep(300 * time.Millisecond)
-		c.appNode.Crash()
-		p.Sleep(10 * time.Millisecond)
-		c.appNode.Restart()
-
-		l3, _ := NewLib(p, c.svc, c.fabric, c.appNode, "app1", 2, DefaultConfig())
-		lg3, err := l3.Recover(p, "wal")
-		if err != nil {
-			t.Fatalf("second recovery: %v", err)
-		}
-		if !bytes.Equal(lg3.Bytes(), afterFirst) {
-			t.Fatalf("second recovery lost data: %d vs %d bytes", lg3.Length(), len(afterFirst))
-		}
-	})
-}
-
-func TestPeerCrashDuringRecoveryHeaderRead(t *testing.T) {
-	// A peer that answers the lookup but dies before serving reads must not
-	// wedge recovery while a quorum remains.
-	c := newCluster(24, 5, smallPeerCfg())
-	c.run(t, func(p *simnet.Proc) {
-		var member string
-		c.appNode.Go("app-v1", func(ap *simnet.Proc) {
-			l, _ := NewLib(ap, c.svc, c.fabric, c.appNode, "app1", 0, DefaultConfig())
-			lg, err := l.Open(ap, "wal", 1<<20)
-			if err != nil {
-				return
-			}
-			for i := 0; i < 10; i++ {
-				lg.Append(ap, []byte("payload"))
-			}
-			member = lg.LivePeers()[0]
-			ap.Sleep(time.Hour)
-		})
-		p.Sleep(300 * time.Millisecond)
-		c.appNode.Crash()
-		c.pNodes[member].Crash() // one of three members dies with the app
-		p.Sleep(10 * time.Millisecond)
-		c.appNode.Restart()
-		l2, _ := NewLib(p, c.svc, c.fabric, c.appNode, "app1", 1, DefaultConfig())
-		col := trace.New()
-		c.sim.SetTracer(col)
-		mark := col.Len()
-		lg2, err := l2.Recover(p, "wal")
-		c.sim.SetTracer(nil)
-		if err != nil {
-			t.Fatalf("recover with one dead member: %v", err)
-		}
-		if lg2.Length() != 70 {
-			t.Fatalf("recovered %d bytes, want 70", lg2.Length())
-		}
-		// The dead member was replaced during recovery to restore f=1.
-		if len(lg2.LivePeers()) != 3 {
-			t.Fatalf("live peers after recovery = %v", lg2.LivePeers())
-		}
-		if trace.Sum(col.Since(mark), "ncl", "recover.syncpeer") <= 0 {
-			t.Errorf("sync-peer phase span missing from recovery trace")
-		}
-		// And the restored membership keeps accepting writes.
-		if _, err := lg2.Append(p, []byte("more")); err != nil {
-			t.Fatalf("append after recovery: %v", err)
-		}
-	})
-}
-
-func TestEpochMonotonicAcrossReplacements(t *testing.T) {
-	c := newCluster(25, 6, smallPeerCfg())
-	c.run(t, func(p *simnet.Proc) {
-		l := c.newLib(p, t, "app1", 0)
-		lg, err := l.Open(p, "wal", 1<<20)
-		if err != nil {
-			t.Fatalf("open: %v", err)
-		}
-		epochs := []int64{lg.Epoch()}
-		for round := 0; round < 2; round++ {
-			victim := lg.LivePeers()[0]
-			c.pNodes[victim].Crash()
-			for i := 0; i < 5; i++ {
-				if _, err := lg.Append(p, []byte("x")); err != nil {
-					t.Fatalf("append: %v", err)
-				}
-			}
-			p.Sleep(time.Second)
-			epochs = append(epochs, lg.Epoch())
-		}
-		for i := 1; i < len(epochs); i++ {
-			if epochs[i] <= epochs[i-1] {
-				t.Fatalf("epochs not strictly increasing: %v", epochs)
-			}
-		}
-		// The ap-map reflects the final membership and epoch.
-		entry, _, found, err := l.ctrl.GetAppFile(p, "app1", "wal")
-		if err != nil || !found {
-			t.Fatalf("ap-map: %v %v", found, err)
-		}
-		if entry.Epoch != lg.Epoch() {
-			t.Errorf("ap-map epoch %d != log epoch %d", entry.Epoch, lg.Epoch())
-		}
-		live := map[string]bool{}
-		for _, pn := range lg.LivePeers() {
-			live[pn] = true
-		}
-		for _, pn := range entry.Peers {
-			if !live[pn] {
-				t.Errorf("ap-map peer %s not live in the log", pn)
-			}
-		}
-	})
-}
-
 func TestAppendOnlyTailCatchup(t *testing.T) {
 	// A lagging peer of an append-only log is caught up by shipping only
 	// the missing tail into its existing region (§4.5.1's optimization):
@@ -277,7 +43,7 @@ func TestAppendOnlyTailCatchup(t *testing.T) {
 		var laggingKeyBefore uint64
 		c.appNode.Go("app-v1", func(ap *simnet.Proc) {
 			l, _ := NewLib(ap, c.svc, c.fabric, c.appNode, "app1", 0, DefaultConfig())
-			lg, err := l.OpenWithOptions(ap, "wal", 1<<20, LogOptions{AppendOnly: true})
+			lg, err := l.Open(ap, "wal", 1<<20, true)
 			if err != nil {
 				return
 			}

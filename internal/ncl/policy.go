@@ -1,9 +1,10 @@
 package ncl
 
-// The replication policy seam. Everything about how a log's bytes are laid
-// out on its peer group — how many peers, how big each region is, what a
-// record posts, what "acknowledged" means, and how recovery reconstructs
-// the log — lives behind ReplicationPolicy. Three implementations:
+// The replication policy seam. A policy is two things: a group shape — how
+// many peers, how big each region is, what "acknowledged" means — that is a
+// pure function of the parsed spec (PolicySpec.Place), and a strategy — what
+// a record posts and how recovery and repair move the log's bytes — that
+// lives behind ReplicationPolicy. Three implementations:
 //
 //   - mirror  (mirror.go): the paper's protocol — full copies on 2f+1
 //     peers, data WR + header WR SQ-ordered, acked at f+1.
@@ -25,6 +26,7 @@ import (
 	"strings"
 	"time"
 
+	"splitft/internal/rdma"
 	"splitft/internal/simnet"
 )
 
@@ -63,33 +65,26 @@ type PolicySpec struct {
 }
 
 // ParsePolicy parses a policy spec string: "mirror" (or ""), "mirror:F",
-// "ec:K,M", "quorum" / "swarm-quorum", "quorum:F".
+// "ec:K,M", "quorum", "quorum:F".
 func ParsePolicy(s string) (PolicySpec, error) {
 	name, arg := s, ""
 	if i := strings.IndexByte(s, ':'); i >= 0 {
 		name, arg = s[:i], s[i+1:]
 	}
 	switch name {
-	case "", "mirror":
-		f := 1
+	case "", "mirror", "quorum":
+		spec := PolicySpec{Kind: PolicyMirror, F: 1}
+		if name == "quorum" {
+			spec.Kind = PolicyQuorum
+		}
 		if arg != "" {
 			v, err := strconv.Atoi(arg)
 			if err != nil || v < 1 || v > 7 {
-				return PolicySpec{}, fmt.Errorf("ncl: bad mirror failure budget %q", arg)
+				return PolicySpec{}, fmt.Errorf("ncl: bad %s failure budget %q", spec.Kind, arg)
 			}
-			f = v
+			spec.F = v
 		}
-		return PolicySpec{Kind: PolicyMirror, F: f}, nil
-	case "quorum", "swarm-quorum":
-		f := 1
-		if arg != "" {
-			v, err := strconv.Atoi(arg)
-			if err != nil || v < 1 || v > 7 {
-				return PolicySpec{}, fmt.Errorf("ncl: bad quorum failure budget %q", arg)
-			}
-			f = v
-		}
-		return PolicySpec{Kind: PolicyQuorum, F: f}, nil
+		return spec, nil
 	case "ec":
 		parts := strings.Split(arg, ",")
 		if len(parts) != 2 {
@@ -141,13 +136,13 @@ func (s PolicySpec) Tolerates() int {
 	return s.F
 }
 
-// Placement is the group shape a policy derives for one log.
+// Placement is the group shape a policy spec derives for one log.
 type Placement struct {
 	// Slots is the number of peer regions.
 	Slots int
 	// SlotRegion is each region's size in bytes; the controller's placement
 	// and the peers' free-memory accounting both work in these units, so
-	// the policy's memory factor is what the registry actually reserves.
+	// Slots x SlotRegion is what the registry actually reserves.
 	SlotRegion int64
 	// AckNeed is how many active peers must complete a record before it is
 	// acknowledged to the application.
@@ -163,17 +158,32 @@ type Placement struct {
 	FrameLog bool
 }
 
-// ReplicationPolicy is the log-write/recovery strategy of one open log.
-// Instances are per-log (ec and quorum hold client-side shard state) and
-// every method is called from ncl-lib with the log's conventions: Append
-// runs under lg.mu with the local buffer already updated and lg.seq already
-// assigned; Recover runs on a freshly connected log before it is returned
-// to the application; Repair and Snapshot are the §4.5.2 catch-up steps.
+// Place returns the group shape for a log of the given capacity.
+func (s PolicySpec) Place(capacity int64) Placement {
+	switch s.Kind {
+	case PolicyEC:
+		// All k+m slots ack (see ec.go); any k reconstruct.
+		return Placement{Slots: s.Slots(), SlotRegion: ecShardCap(s.K, capacity),
+			AckNeed: s.K + s.M, MinAlive: s.K, FrameLog: true}
+	case PolicyQuorum:
+		return Placement{Slots: s.Slots(), SlotRegion: quorumJournalCap(capacity),
+			AckNeed: s.F + 1, MinAlive: s.F + 1, FrameLog: true}
+	default:
+		return Placement{Slots: s.Slots(), SlotRegion: HeaderSize + capacity,
+			AckNeed: s.F + 1, MinAlive: s.F + 1}
+	}
+}
+
+// ReplicationPolicy is the log-write/recovery strategy of one open log: what
+// a record posts, how recovery reads and re-syncs, and what a replacement is
+// sent. The group shape is not behind it — that is a pure function of the
+// spec, PolicySpec.Place. Instances are per-log (ec and quorum hold
+// client-side shard state) and every method is called from ncl-lib with the
+// log's conventions: Append runs under lg.mu with the local buffer already
+// updated and lg.seq already assigned; Recover runs on a freshly connected
+// log before it is returned to the application; Repair and Snapshot are the
+// §4.5.2 catch-up steps.
 type ReplicationPolicy interface {
-	// Spec returns the parsed policy.
-	Spec() PolicySpec
-	// Place returns the group shape for a log of the given capacity.
-	Place(capacity int64) Placement
 	// Append posts the RDMA writes replicating the record just applied at
 	// [off, off+len(data)) as sequence lg.seq. Called under lg.mu. An error
 	// (ec/quorum frame-budget exhaustion) means nothing was posted; the
@@ -181,7 +191,7 @@ type ReplicationPolicy interface {
 	Append(p *simnet.Proc, lg *Log, off int64, data []byte) error
 	// Recover is the read phase of application recovery: rebuild lg's
 	// content (buf, length, seq) from the reachable peers. alive holds the
-	// connected members; len(alive) >= Place().MinAlive is guaranteed.
+	// connected members; len(alive) >= lg.place.MinAlive is guaranteed.
 	// Peers that fail mid-read are marked failed (the caller replaces
 	// them). Runs inside the "recover.rdmaread" span.
 	Recover(p *simnet.Proc, lg *Log, alive []*peerConn) error
@@ -193,13 +203,11 @@ type ReplicationPolicy interface {
 	// Repair bulk-writes slot's current replica content to a fresh region
 	// (a replacement peer, or a staging region) and waits for completion.
 	// With lock=true the snapshot is cut under lg.mu.
-	Repair(p *simnet.Proc, lg *Log, qp qpLike, rkey uint64, slot int, lock bool) error
+	Repair(p *simnet.Proc, lg *Log, qp *rdma.QP, rkey uint64, slot int, lock bool) error
 	// Snapshot posts slot pc's replica content as ordinary record WRs so
 	// the poller advances pc.completedSeq to lg.seq when they land — the
 	// §4.5.2 activation delta. Called under lg.mu.
 	Snapshot(p *simnet.Proc, lg *Log, pc *peerConn)
-	// MemoryFactor is the total remote bytes per byte of log capacity.
-	MemoryFactor(capacity int64) float64
 }
 
 // newPolicy builds the per-log policy instance for a log of the given
@@ -209,9 +217,9 @@ func newPolicy(spec PolicySpec, capacity int64) ReplicationPolicy {
 	case PolicyEC:
 		return newECPolicy(spec, capacity)
 	case PolicyQuorum:
-		return newQuorumPolicy(spec, capacity)
+		return newQuorumPolicy(capacity)
 	default:
-		return &mirrorPolicy{spec: spec}
+		return &mirrorPolicy{}
 	}
 }
 
@@ -349,7 +357,7 @@ func (lg *Log) scanFrameLogs(p *simnet.Proc, alive []*peerConn, regionCap, capac
 // repairFrameLog bulk-writes the frame log buf[:*used] to a fresh region and
 // waits for completion. With lock=true the length is read and the WR posted
 // under lg.mu, so the snapshot is cut between two appends.
-func (lg *Log) repairFrameLog(p *simnet.Proc, qp qpLike, rkey uint64, buf []byte, used *int64, lock bool) error {
+func (lg *Log) repairFrameLog(p *simnet.Proc, qp *rdma.QP, rkey uint64, buf []byte, used *int64, lock bool) error {
 	id, done := lg.newBulkWaiter()
 	defer delete(lg.bulks, id)
 	if lock {

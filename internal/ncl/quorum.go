@@ -28,11 +28,11 @@ package ncl
 import (
 	"fmt"
 
+	"splitft/internal/rdma"
 	"splitft/internal/simnet"
 )
 
 type quorumPolicy struct {
-	spec     PolicySpec
 	capacity int64
 
 	journalCap int64
@@ -44,9 +44,8 @@ type quorumPolicy struct {
 	caughtUp map[*peerConn]bool
 }
 
-func newQuorumPolicy(spec PolicySpec, capacity int64) *quorumPolicy {
+func newQuorumPolicy(capacity int64) *quorumPolicy {
 	q := &quorumPolicy{
-		spec:       spec,
 		capacity:   capacity,
 		journalCap: quorumJournalCap(capacity),
 	}
@@ -62,22 +61,6 @@ func quorumJournalCap(capacity int64) int64 {
 		slack = 4096
 	}
 	return capacity + slack
-}
-
-func (q *quorumPolicy) Spec() PolicySpec { return q.spec }
-
-func (q *quorumPolicy) Place(capacity int64) Placement {
-	return Placement{
-		Slots:      q.spec.Slots(),
-		SlotRegion: quorumJournalCap(capacity),
-		AckNeed:    q.spec.F + 1,
-		MinAlive:   q.spec.F + 1,
-		FrameLog:   true,
-	}
-}
-
-func (q *quorumPolicy) MemoryFactor(capacity int64) float64 {
-	return float64(int64(q.spec.Slots())*quorumJournalCap(capacity)) / float64(capacity)
 }
 
 // Append frames the record into the journal and posts one WR per live
@@ -109,7 +92,7 @@ func (q *quorumPolicy) Append(p *simnet.Proc, lg *Log, off int64, data []byte) e
 func (q *quorumPolicy) Recover(p *simnet.Proc, lg *Log, alive []*peerConn) error {
 	scans := lg.scanFrameLogs(p, alive, q.journalCap, q.capacity)
 	if len(scans) < lg.place.MinAlive {
-		return fmt.Errorf("%w: %d of %d journals readable", ErrUnavailable, len(scans), q.spec.Slots())
+		return fmt.Errorf("%w: %d of %d journals readable", ErrUnavailable, len(scans), lg.place.Slots)
 	}
 	best := 0
 	for i := 1; i < len(scans); i++ {
@@ -160,7 +143,7 @@ func (q *quorumPolicy) Resync(p *simnet.Proc, lg *Log, alive []*peerConn) error 
 	return nil
 }
 
-func (q *quorumPolicy) Repair(p *simnet.Proc, lg *Log, qp qpLike, rkey uint64, slot int, lock bool) error {
+func (q *quorumPolicy) Repair(p *simnet.Proc, lg *Log, qp *rdma.QP, rkey uint64, slot int, lock bool) error {
 	return lg.repairFrameLog(p, qp, rkey, q.journal, &q.journalLen, lock)
 }
 

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"splitft/internal/peer"
-	"splitft/internal/rdma"
 	"splitft/internal/simnet"
 	"splitft/internal/trace"
 	"splitft/internal/wire"
@@ -65,38 +64,11 @@ func (l *Lib) Recover(p *simnet.Proc, name string) (*Log, error) {
 	}
 
 	// The entry's policy is authoritative — not this instance's config.
-	// Entries written before the policy field carry an empty string and a
-	// region-derived capacity: reconstruct mirror with f from the group size.
 	spec, err := ParsePolicy(entry.Policy)
 	if err != nil {
 		return nil, fmt.Errorf("ncl: recover %s: %w", name, err)
 	}
-	if entry.Policy == "" && len(entry.Peers) > 0 {
-		spec.F = (len(entry.Peers) - 1) / 2
-		if spec.F < 1 {
-			spec.F = 1
-		}
-	}
-	capacity := entry.Capacity
-	if capacity == 0 {
-		capacity = entry.RegionSize - HeaderSize
-	}
-
-	lg := &Log{
-		lib:        l,
-		name:       name,
-		capacity:   capacity,
-		buf:        make([]byte, HeaderSize+capacity),
-		epoch:      entry.Epoch,
-		apVersion:  ver,
-		appendOnly: entry.AppendOnly,
-		cq:         rdma.NewCQ(l.sim),
-		repairCh:   simnet.NewChan[struct{}](l.sim),
-		bulks:      make(map[uint64]*simnet.Chan[error]),
-	}
-	lg.ackCond = simnet.NewCond(&lg.mu)
-	lg.policy = newPolicy(spec, capacity)
-	lg.place = lg.policy.Place(capacity)
+	lg := l.newLog(name, spec, entry.Capacity, entry.AppendOnly, entry.Epoch, ver)
 	// The poller runs from here so completion routing works during recovery.
 	lg.start(p)
 
@@ -152,7 +124,7 @@ func (l *Lib) Recover(p *simnet.Proc, name string) (*Log, error) {
 		}
 	}
 	if needReplace > 0 || lg.place.FrameLog {
-		if err := lg.replaceAtRecovery(p, entry.Peers, needReplace); err != nil {
+		if err := lg.replaceAtRecovery(p, entry.Peers); err != nil {
 			p.EndSpan(sp)
 			return nil, err
 		}
@@ -175,7 +147,7 @@ func (lg *Log) readInto(p *simnet.Proc, pc *peerConn, off int, buf []byte) error
 // caught-up peers and publishes the membership under an incremented epoch.
 // Slots are preserved (ec fragment i must land in slot i); with zero
 // replacements this is a pure epoch bump (the ec/quorum generation fence).
-func (lg *Log) replaceAtRecovery(p *simnet.Proc, oldPeers []string, need int) error {
+func (lg *Log) replaceAtRecovery(p *simnet.Proc, oldPeers []string) error {
 	l := lg.lib
 	newEpoch := lg.epoch + 1
 	exclude := append([]string(nil), oldPeers...)
@@ -187,18 +159,12 @@ func (lg *Log) replaceAtRecovery(p *simnet.Proc, oldPeers []string, need int) er
 			pc.qp.Close(p)
 			lg.peers[slot] = nil
 		}
-		npc, err := l.allocatePeer(p, lg, exclude, newEpoch)
+		npc, err := lg.fillSlot(p, slot, exclude, newEpoch, false)
 		if err != nil {
 			return fmt.Errorf("ncl: recovery replacement: %w", err)
 		}
 		exclude = append(exclude, npc.name)
-		npc.slot = slot
-		if err := lg.policy.Repair(p, lg, npc.qp, npc.rkey, slot, false); err != nil {
-			return fmt.Errorf("ncl: recovery catch-up of %s: %w", npc.name, err)
-		}
-		npc.completedSeq = lg.seq
-		npc.active = true
-		lg.peers[slot] = npc
+		lg.activate(p, npc, false)
 	}
 	ver, err := l.ctrl.SetAppFile(p, l.appID, lg.name, lg.fileEntry(newEpoch), lg.apVersion)
 	if err != nil {

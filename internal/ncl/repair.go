@@ -1,6 +1,8 @@
 package ncl
 
 import (
+	"fmt"
+	"slices"
 	"time"
 
 	"splitft/internal/simnet"
@@ -56,12 +58,50 @@ func (lg *Log) repairLoop(p *simnet.Proc) {
 	}
 }
 
+// fillSlot gives a membership slot a fresh peer (§4.5.2 steps 1-2): allocate
+// a region under epoch on a peer outside exclude, then bulk catch-up the new
+// peer with the policy's replica content for that slot ("ncl-lib copies the
+// contents of the ncl file from its local buffer" — for ec, the slot's
+// fragment log; for quorum, the journal). The returned peer is connected and
+// caught up but not yet active. live marks a replacement under running
+// writes: the catch-up snapshot is cut under lg.mu, and the steps are traced
+// as Table 3's "replace.getpeer" / ".connect" / ".catchup".
+func (lg *Log) fillSlot(p *simnet.Proc, slot int, exclude []string, epoch int64, live bool) (*peerConn, error) {
+	pc, err := lg.lib.allocate(p, lg, exclude, epoch, live)
+	if err != nil {
+		return nil, err
+	}
+	pc.slot = slot
+	sp := replaceSpan(p, live, "replace.catchup")
+	err = lg.policy.Repair(p, lg, pc.qp, pc.rkey, slot, live)
+	p.EndSpan(sp)
+	if err != nil {
+		pc.qp.Close(p)
+		return nil, fmt.Errorf("catch-up of %s: %w", pc.name, err)
+	}
+	return pc, nil
+}
+
+// activate installs a caught-up peer in its slot and counts it toward write
+// quorums (§4.5.2 step 4). With no writer running, the catch-up left it
+// holding everything up to lg.seq. Under running writes it is sent the delta
+// accumulated since the catch-up cut as ordinary record WRs, so its
+// completedSeq only advances once the delta lands and it joins quorums
+// exactly when it is caught up; the caller holds lg.mu.
+func (lg *Log) activate(p *simnet.Proc, pc *peerConn, live bool) {
+	if live {
+		lg.policy.Snapshot(p, lg, pc)
+	} else {
+		pc.completedSeq = lg.seq
+	}
+	pc.active = true
+	lg.peers[pc.slot] = pc
+}
+
 // replacePeer substitutes the failed peer at idx with a fresh one. Order
-// matters for safety (§4.5.2): (1) allocate a region under a new epoch,
-// (2) bulk catch-up the new peer with the policy's replica content for that
-// slot, (3) CAS the ap-map with the new membership, (4) activate the peer
-// and send it the delta. Only after (4) does the peer count toward write
-// quorums.
+// matters for safety (§4.5.2): fill the slot (allocate under a new epoch,
+// catch up), CAS the ap-map with the new membership, and only then activate
+// the peer, after which it counts toward write quorums.
 //
 // Each step is a trace span ("ncl"/"replace.getpeer", ".connect",
 // ".catchup", ".apmap" under an "ncl"/"replace" parent) — Table 3's latency
@@ -75,47 +115,16 @@ func (lg *Log) replacePeer(p *simnet.Proc, idx int) bool {
 	}
 	oldPC := lg.peers[idx]
 	newEpoch := lg.epoch + 1
-	exclude := make([]string, 0, len(lg.peers))
-	for _, pc := range lg.peers {
-		if pc != nil {
-			exclude = append(exclude, pc.name)
-		}
-	}
+	members := lg.peerNames()
 	lg.mu.Unlock(p)
 
 	rsp := p.StartSpan("ncl", "replace", trace.Str("file", lg.name))
 	defer p.EndSpan(rsp)
-	// (1) Allocate and connect: the controller query, then region setup +
-	// MR registration + QP connect.
-	sp := p.StartSpan("ncl", "replace.getpeer")
-	cands, err := l.ctrl.PickPeers(p, 1, lg.regionSize(), append(exclude, l.suspectNames(p.Now())...))
-	p.EndSpan(sp)
-	if err != nil || len(cands) == 0 {
-		return false
-	}
-	sp = p.StartSpan("ncl", "replace.connect")
-	pc, err := l.connectPeer(p, lg, cands[0], newEpoch)
+	pc, err := lg.fillSlot(p, idx, members, newEpoch, true)
 	if err != nil {
-		// Fall back to the generic retry path for rejected hints.
-		pc, err = l.allocatePeer(p, lg, append(exclude, cands[0].Name), newEpoch)
-		if err != nil {
-			p.EndSpan(sp)
-			return false
-		}
-	}
-	pc.slot = idx
-	p.EndSpan(sp)
-	// (2) Bulk catch-up from the client-side replica state (§4.5.2: "ncl-lib
-	// copies the contents of the ncl file from its local buffer" — for ec,
-	// the slot's fragment log; for quorum, the journal).
-	sp = p.StartSpan("ncl", "replace.catchup")
-	if err := lg.policy.Repair(p, lg, pc.qp, pc.rkey, idx, true); err != nil {
-		p.EndSpan(sp)
-		pc.qp.Close(p)
 		return false
 	}
-	p.EndSpan(sp)
-	// (3) ap-map switch under CAS; the epoch stamps the new membership.
+	// ap-map switch under CAS; the epoch stamps the new membership.
 	lg.mu.Lock(p)
 	names := lg.peerNames()
 	names[idx] = pc.name
@@ -123,7 +132,7 @@ func (lg *Log) replacePeer(p *simnet.Proc, idx int) bool {
 	entry.Peers = names
 	apVersion := lg.apVersion
 	lg.mu.Unlock(p)
-	sp = p.StartSpan("ncl", "replace.apmap")
+	sp := p.StartSpan("ncl", "replace.apmap")
 	ver, err := l.ctrl.SetAppFile(p, l.appID, lg.name, entry, apVersion)
 	p.EndSpan(sp)
 	if err != nil {
@@ -133,35 +142,18 @@ func (lg *Log) replacePeer(p *simnet.Proc, idx int) bool {
 		// if it already names our membership at our epoch, the first
 		// submission won and this replacement should proceed.
 		rentry, rver, found, gerr := l.ctrl.GetAppFile(p, l.appID, lg.name)
-		if gerr != nil || !found || rentry.Epoch != newEpoch || !sameNames(rentry.Peers, names) {
+		if gerr != nil || !found || rentry.Epoch != newEpoch || !slices.Equal(rentry.Peers, names) {
 			pc.qp.Close(p)
 			return false
 		}
 		ver = rver
 	}
-	// (4) Activate: send the delta accumulated during (2)-(3) and include
-	// the peer in future replication. Its completedSeq only advances once
-	// the delta lands, so it joins quorums exactly when it is caught up.
 	lg.mu.Lock(p)
 	lg.apVersion = ver
 	lg.epoch = newEpoch
-	lg.policy.Snapshot(p, lg, pc)
-	pc.active = true
-	lg.peers[idx] = pc
+	lg.activate(p, pc, true)
 	lg.Replacements++
 	lg.mu.Unlock(p)
 	oldPC.qp.Close(p)
-	return true
-}
-
-func sameNames(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
 	return true
 }

@@ -16,6 +16,7 @@ package raft
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"splitft/internal/model"
@@ -105,15 +106,6 @@ func NewCluster(s *simnet.Sim, name string, cfg Config, ids []string, smFactory 
 
 // Addr returns the RPC address of replica id.
 func (c *Cluster) Addr(id string) string { return c.name + "/raft/" + id }
-
-// Addrs returns all replica addresses (for clients).
-func (c *Cluster) Addrs() []string {
-	out := make([]string, len(c.ids))
-	for i, id := range c.ids {
-		out[i] = c.Addr(id)
-	}
-	return out
-}
 
 type role int
 
@@ -343,8 +335,15 @@ func (r *Replica) stepDown(p *simnet.Proc, term int) {
 	r.leaderID = ""
 	// Parked proposers wait on per-entry conds; losing leadership is the
 	// one event that must wake all of them (their entries may never apply).
-	for _, w := range r.applyWaiters {
-		w.Signal(p)
+	// In log order, not map order: the order they resume in is the order
+	// their RPC handlers reply, which a trace export records.
+	parked := make([]int, 0, len(r.applyWaiters))
+	for idx := range r.applyWaiters {
+		parked = append(parked, idx)
+	}
+	sort.Ints(parked)
+	for _, idx := range parked {
+		r.applyWaiters[idx].Signal(p)
 	}
 	r.persist(p)
 }

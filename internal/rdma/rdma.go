@@ -131,9 +131,6 @@ func (f *Fabric) AttachNIC(node *simnet.Node) *NIC {
 // NIC returns the adapter attached to the named node, or nil.
 func (f *Fabric) NIC(nodeName string) *NIC { return f.nics[nodeName] }
 
-// Up reports whether the NIC (and its node) is operational.
-func (n *NIC) Up() bool { return n.up }
-
 // MR is a registered memory region. The buffer is the region's backing
 // memory; 1-sided operations from remote QPs read and write it directly.
 type MR struct {
@@ -168,9 +165,6 @@ func (mr *MR) RKey() uint64 { return mr.rkey }
 
 // Bytes exposes the region's backing memory (local access by its owner).
 func (mr *MR) Bytes() []byte { return mr.buf }
-
-// Valid reports whether the region is still registered.
-func (mr *MR) Valid() bool { return mr.valid }
 
 // Invalidate revokes the region: later remote accesses fail with a
 // protection error. Peers use this for memory revocation (§4.5.2) and when
@@ -226,14 +220,6 @@ func NewCQ(s *simnet.Sim) *CQ { return &CQ{ch: simnet.NewChan[Completion](s)} }
 
 // Poll blocks until a completion arrives.
 func (cq *CQ) Poll(p *simnet.Proc) (Completion, bool) { return cq.ch.Recv(p) }
-
-// PollTimeout blocks for at most d.
-func (cq *CQ) PollTimeout(p *simnet.Proc, d time.Duration) (c Completion, ok, timedOut bool) {
-	return cq.ch.RecvTimeout(p, d)
-}
-
-// TryPoll returns a completion if one is ready.
-func (cq *CQ) TryPoll(p *simnet.Proc) (Completion, bool) { return cq.ch.TryRecv(p) }
 
 // Close destroys the CQ; blocked pollers return ok=false and completions
 // from still-draining QPs are dropped.
@@ -306,9 +292,6 @@ func (n *NIC) Connect(p *simnet.Proc, remote string, cq *CQ) (*QP, error) {
 	n.node.Go("rdma-qp-engine:"+remote, qp.engine)
 	return qp, nil
 }
-
-// RemoteName returns the remote node's name.
-func (qp *QP) RemoteName() string { return qp.remoteName }
 
 // Errored reports whether the QP is in the error state.
 func (qp *QP) Errored() bool { return qp.errState }

@@ -186,10 +186,6 @@ func (p *Proc) FinishSpan(sp *trace.Span) {
 	p.sim.tracer.End(sp, p.sim.now)
 }
 
-// Span returns the proc's current span (nil when tracing is disabled or no
-// span is open).
-func (p *Proc) Span() *trace.Span { return p.span }
-
 // AdoptSpan makes sp the proc's current span. RPC handler procs use it to
 // nest their work under the remote caller's span.
 func (p *Proc) AdoptSpan(sp *trace.Span) { p.span = sp }
@@ -198,11 +194,6 @@ func (p *Proc) AdoptSpan(sp *trace.Span) { p.span = sp }
 // skip building span attributes (whose vararg slices would otherwise escape)
 // when tracing is off.
 func (p *Proc) Tracing() bool { return p.sim.tracer != nil }
-
-// Killed reports whether the proc has been marked for death (its node
-// crashed). Long-running loops that never block can poll this, though in
-// practice every loop blocks on simulated time.
-func (p *Proc) Killed() bool { return p.killed }
 
 // kill marks the proc dead and wakes it so its next (or current) park
 // unwinds. Safe to call from any simulation context.

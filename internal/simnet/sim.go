@@ -63,10 +63,6 @@ type Sim struct {
 	horizon time.Duration // 0 = run to quiescence
 	fatal   error
 
-	// Debug tracing. When non-nil, Logf writes lines prefixed with the
-	// virtual timestamp.
-	TraceFn func(string)
-
 	// Span tracing. When non-nil, Proc.StartSpan records deterministic
 	// spans on the virtual clock; when nil, tracing costs one pointer
 	// check per call site.
@@ -109,17 +105,6 @@ func (s *Sim) SetTracer(c *trace.Collector) {
 	s.tracer = c
 	if c != nil {
 		s.traceRun = c.AddRun()
-	}
-}
-
-// Tracer returns the attached span collector, or nil when tracing is
-// disabled.
-func (s *Sim) Tracer() *trace.Collector { return s.tracer }
-
-// Logf emits a trace line when tracing is enabled.
-func (s *Sim) Logf(format string, args ...any) {
-	if s.TraceFn != nil {
-		s.TraceFn(fmt.Sprintf("[%12v] ", s.now) + fmt.Sprintf(format, args...))
 	}
 }
 

@@ -58,26 +58,6 @@ func TestCloseWakesBlockedReceiver(t *testing.T) {
 	}
 }
 
-func TestTryLock(t *testing.T) {
-	s := New(1)
-	var mu Mutex
-	s.Go("t", func(p *Proc) {
-		if !mu.TryLock(p) {
-			t.Error("TryLock on free mutex failed")
-		}
-		if mu.TryLock(p) {
-			t.Error("TryLock on held mutex succeeded")
-		}
-		mu.Unlock(p)
-		if !mu.TryLock(p) {
-			t.Error("TryLock after unlock failed")
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestLatencyOverridePerPair(t *testing.T) {
 	s := New(1)
 	a := s.NewNode("a")

@@ -29,15 +29,6 @@ func (m *Mutex) Lock(p *Proc) {
 	// Ownership was handed to us by Unlock; m.held is still true.
 }
 
-// TryLock acquires m if it is free and reports whether it did.
-func (m *Mutex) TryLock(p *Proc) bool {
-	if m.held {
-		return false
-	}
-	m.held = true
-	return true
-}
-
 // Unlock releases m, handing it to the next live waiter if any.
 func (m *Mutex) Unlock(p *Proc) {
 	if !m.held {
