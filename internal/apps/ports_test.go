@@ -34,12 +34,7 @@ func TestPortConformance(t *testing.T) {
 		{"peer crash", durable[1:], (*run).peerCrash},
 		{"reclaim", durable, (*run).acrossReclaim},
 		{"double crash", durable, (*run).doubleCrash},
-		// Strong only: under SplitFT a cut can land inside an NCL unlink,
-		// which releases the peer regions before it deletes the ap-map
-		// entry; the next recovery finds the entry without its regions and
-		// fails with ErrUnavailable. That hole is internal/ncl's (ROADMAP
-		// item 5), not a property of the ports.
-		{"crash mid-recovery", durable[:1], (*run).crashMidRecovery},
+		{"crash mid-recovery", durable, (*run).crashMidRecovery},
 	}
 	// Small capacities, so every port's reclaim cycle (WAL rotation + flush,
 	// AOF rewrite, WAL wrap + checkpoint, journal -> chunk) runs often.

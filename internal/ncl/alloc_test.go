@@ -12,7 +12,7 @@ import (
 	"splitft/internal/trace"
 )
 
-func peerNames(cands []controller.PeerInfo) []string {
+func namesOf(cands []controller.PeerInfo) []string {
 	names := make([]string, len(cands))
 	for i, c := range cands {
 		names[i] = c.Name
@@ -30,16 +30,16 @@ func TestCandidateRanks(t *testing.T) {
 	// Excluded names and peers below the slot's region size drop out; the
 	// rest keep registry order, and ranking them leaves the registry alone.
 	cands := eligible(registry, []string{"p1", "nobody"}, 8)
-	if got, want := peerNames(cands), []string{"p0", "p2", "p4", "p5"}; !reflect.DeepEqual(got, want) {
+	if got, want := namesOf(cands), []string{"p0", "p2", "p4", "p5"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("eligible = %v, want %v", got, want)
 	}
 	// Most free first, ties by name.
 	rankMostFree(cands)
-	if got, want := peerNames(cands), []string{"p2", "p4", "p0", "p5"}; !reflect.DeepEqual(got, want) {
+	if got, want := namesOf(cands), []string{"p2", "p4", "p0", "p5"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("most-free order = %v, want %v", got, want)
 	}
 	if registry[0].Name != "p0" || registry[5].Name != "p5" {
-		t.Errorf("ranking reordered the registry: %v", peerNames(registry))
+		t.Errorf("ranking reordered the registry: %v", namesOf(registry))
 	}
 	// Rendezvous: descending weight for the key, whatever the input order,
 	// and a different order for a different key.
@@ -53,13 +53,13 @@ func TestCandidateRanks(t *testing.T) {
 		rankMostFree(got)
 		rankRendezvous(got, key, occupied)
 		if !reflect.DeepEqual(got, byWeight) {
-			t.Errorf("rendezvous order (occupied %v) = %v, want %v", occupied, peerNames(got), peerNames(byWeight))
+			t.Errorf("rendezvous order (occupied %v) = %v, want %v", occupied, namesOf(got), namesOf(byWeight))
 		}
 	}
 	other := eligible(registry, nil, 0)
 	rankRendezvous(other, "app2/wal-7", nil)
 	if reflect.DeepEqual(other, byWeight) {
-		t.Errorf("two files rank the fleet identically: %v", peerNames(other))
+		t.Errorf("two files rank the fleet identically: %v", namesOf(other))
 	}
 	// Domain spread: least-occupied domains first, rendezvous order within
 	// each tier.
@@ -74,7 +74,7 @@ func TestCandidateRanks(t *testing.T) {
 		}
 	}
 	if !reflect.DeepEqual(spread, want) {
-		t.Errorf("spread order = %v, want %v", peerNames(spread), peerNames(want))
+		t.Errorf("spread order = %v, want %v", namesOf(spread), namesOf(want))
 	}
 }
 

@@ -185,12 +185,17 @@ var confScripts = []struct {
 		e.recover(p, "wal", nil) // the re-replicated state is whole
 	}},
 	{"member dead at recovery", func(e *conf, p *simnet.Proc) {
+		// Twice, so the second recovery leans on the first one's replacement:
+		// a replacement that was published without its content shows here.
 		lg := e.open(p, e.lib(p, e.cfg), "wal")
 		e.append(p, lg, 12)
-		e.crashPeers(lg.LivePeers()[0])
-		e.crashApp(p)
-		if lg2 := e.recover(p, "wal", nil); lg2.Epoch() <= lg.Epoch() {
-			e.t.Fatalf("recovery replaced a member under epoch %d, was %d", lg2.Epoch(), lg.Epoch())
+		for round := 0; round < 2; round++ {
+			epoch := lg.Epoch()
+			e.crashPeers(lg.LivePeers()[round])
+			e.crashApp(p)
+			if lg = e.recover(p, "wal", nil); lg.Epoch() <= epoch {
+				e.t.Fatalf("recovery replaced a member under epoch %d, was %d", lg.Epoch(), epoch)
+			}
 		}
 	}},
 	{"one failure too many", func(e *conf, p *simnet.Proc) {
@@ -256,17 +261,35 @@ var confScripts = []struct {
 		e.crashApp(p)
 		e.recover(p, "wal", nil)
 	}},
-	{"epochs across replacements", func(e *conf, p *simnet.Proc) {
-		l := e.lib(p, e.cfg)
-		lg := e.open(p, l, "wal")
-		for round := 0; round < 2; round++ {
-			epoch, victim := lg.Epoch(), lg.LivePeers()[0]
+	{"every member replaced in turn under writes", func(e *conf, p *simnet.Proc) {
+		// The writer never pauses, so each replacement has a delta between
+		// its catch-up cut and its activation; in the end the log lives on
+		// replacements only, and one epoch per replacement has passed.
+		var l *Lib
+		var lg *Log
+		var inflight []byte
+		e.c.appNode.Go("app-v1", func(ap *simnet.Proc) {
+			l = e.lib(ap, e.cfg)
+			lg = e.open(ap, l, "wal")
+			for {
+				inflight = e.rec("wal")
+				e.append(ap, lg, 1)
+				inflight = nil
+				ap.Sleep(5 * time.Millisecond)
+			}
+		})
+		for lg == nil {
+			p.Sleep(time.Millisecond)
+		}
+		for _, victim := range lg.LivePeers() {
+			epoch := lg.Epoch()
 			e.crashPeers(victim)
-			e.append(p, lg, 5)
 			e.restored(p, l, lg, epoch, victim)
 		}
+		e.crashApp(p)
+		e.recover(p, "wal", inflight)
 	}},
-	{"quorum loss stalls then resumes", func(e *conf, p *simnet.Proc) {
+	{"over-budget loss stalls then resumes", func(e *conf, p *simnet.Proc) {
 		// More simultaneous failures than the policy tolerates: the write
 		// stalls until replacements are caught up from the client's copy
 		// (Fig 12), then completes; nothing is lost.
@@ -284,6 +307,48 @@ var confScripts = []struct {
 		e.crashApp(p)
 		e.recover(p, "wal", nil)
 	}},
+	{"app crash mid-release", func(e *conf, p *simnet.Proc) {
+		// An unlink cut short at any point leaves either no file or a whole
+		// one — never an ap-map entry whose regions are gone, which no later
+		// instance could recover or get past.
+		// The release RPCs take tens of microseconds, the ap-map delete about
+		// a millisecond: cut densely early, sparsely later.
+		for cut := time.Duration(0); cut < 1500*time.Microsecond; cut += 10*time.Microsecond + cut/4 {
+			name := fmt.Sprintf("wal-%d", cut/time.Microsecond)
+			releasing := simnet.NewChan[struct{}](e.c.sim)
+			e.c.appNode.Go("app", func(ap *simnet.Proc) {
+				lg := e.open(ap, e.lib(ap, e.cfg), name)
+				e.append(ap, lg, 3)
+				releasing.Send(ap, struct{}{})
+				lg.Release(ap) //nolint:errcheck
+			})
+			releasing.Recv(p)
+			p.Sleep(cut)
+			e.crashApp(p)
+			l := e.lib(p, e.cfg)
+			files, err := l.ListFiles(p)
+			if err != nil {
+				e.t.Fatalf("cut %v: list: %v", cut, err)
+			}
+			if _, err := l.Recover(p, name); errors.Is(err, ErrNotFound) && len(files) == 0 {
+				continue
+			} else if err != nil {
+				e.t.Fatalf("cut %v: files %v, recover: %v", cut, files, err)
+			}
+			e.crashApp(p)
+			if err := e.recover(p, name, nil).Release(p); err != nil {
+				e.t.Fatalf("cut %v: release after recovery: %v", cut, err)
+			}
+		}
+		// Regions orphaned by a cut after the commit point go to the peers'
+		// epoch GC.
+		p.Sleep(6 * time.Second) // GC interval + grace
+		for name, pr := range e.c.peers {
+			if pr.Regions() != 0 {
+				e.t.Fatalf("peer %s still holds %d regions", name, pr.Regions())
+			}
+		}
+	}},
 }
 
 func TestPolicyConformance(t *testing.T) {
@@ -296,7 +361,7 @@ func TestPolicyConformance(t *testing.T) {
 					t.Parallel()
 					cfg := policyCfg(t, pol)
 					cfg.Model.PoolRefresh = ttl
-					e := &conf{t: t, c: newCluster(int64(100+si), 10, peerCfg), cfg: cfg, acked: map[string][]byte{}}
+					e := &conf{t: t, c: newCluster(int64(100+si), 12, peerCfg), cfg: cfg, acked: map[string][]byte{}}
 					e.c.run(t, func(p *simnet.Proc) { sc.run(e, p) })
 				})
 			}

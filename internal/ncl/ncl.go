@@ -623,7 +623,7 @@ func (lg *Log) ReadAt(buf []byte, off int64) int {
 
 // Release frees the log's resources everywhere: the paper's `release` call,
 // invoked when the application deletes the ncl file after a checkpoint or
-// compaction (§4.3). Peer regions are released, the ap-map entry removed,
+// compaction (§4.3). The ap-map entry is removed, the peer regions released,
 // and the local state reset.
 func (lg *Log) Release(p *simnet.Proc) error {
 	sp := p.StartSpan("ncl", "release", trace.Str("file", lg.name))
@@ -643,8 +643,8 @@ func (lg *Log) Release(p *simnet.Proc) error {
 	// Local teardown happens regardless of the ap-map outcome: the poller
 	// and repair procs must die and the lib must forget the log even when
 	// the delete proposal times out on a saturated controller, or every
-	// failed release strands a proc pair. A dangling ap-map entry is safe —
-	// ReleaseByName can retry it, and peers already freed their regions.
+	// failed release strands a proc pair. The entry left behind still has
+	// its regions: ReleaseByName can retry it, Recover can reopen it.
 	for _, pc := range peers {
 		pc.qp.Close(p)
 	}
@@ -656,9 +656,9 @@ func (lg *Log) Release(p *simnet.Proc) error {
 
 // ReleaseByName frees an ncl file that is not open (e.g. a log superseded
 // by a checkpoint that a recovering application deletes without replaying):
-// peers holding regions are told to release them and the ap-map entry is
-// removed. Unreachable peers reclaim their allocations via the space-leak
-// GC once the entry is gone.
+// the ap-map entry is removed and the peers holding regions are told to
+// release them. Unreachable peers reclaim their allocations via the
+// space-leak GC, the entry being gone.
 func (l *Lib) ReleaseByName(p *simnet.Proc, name string) error {
 	if lg, ok := l.logs[name]; ok {
 		return lg.Release(p)
@@ -670,17 +670,21 @@ func (l *Lib) ReleaseByName(p *simnet.Proc, name string) error {
 	return l.release(p, name, entry.Peers)
 }
 
-// release frees an ncl file's remote state — the one place that does: the
-// peers holding its regions are told to release them (best effort: a dead
-// peer's allocation is reclaimed by its GC) and the ap-map entry is removed.
+// release frees an ncl file's remote state — the one place that does. The
+// ap-map delete is the commit point: only once the entry is gone are the
+// peers holding the regions told to release them (best effort: a dead peer's
+// allocation, or every region if the application crashes right here, goes to
+// the peers' epoch GC). The other order could leave an entry whose regions
+// are gone, which no later instance can recover or get past. If the delete
+// fails, entry and regions both stay and the file remains recoverable.
 func (l *Lib) release(p *simnet.Proc, name string, peers []string) error {
+	if err := l.ctrl.DeleteAppFile(p, l.appID, name); err != nil {
+		return fmt.Errorf("ncl: ap-map delete: %w", err)
+	}
 	for _, pname := range peers {
 		l.sim.Net().CallTimeout(p, l.node, peer.Addr(pname), peer.ReleaseReq{ //nolint:errcheck
 			App: l.appID, File: name,
 		}.MarshalWire(), 10*time.Millisecond)
-	}
-	if err := l.ctrl.DeleteAppFile(p, l.appID, name); err != nil {
-		return fmt.Errorf("ncl: ap-map delete: %w", err)
 	}
 	return nil
 }

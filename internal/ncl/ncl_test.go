@@ -50,9 +50,11 @@ func newCluster(seed int64, nPeers int, peerCfg peer.Config) *cluster {
 }
 
 // run boots peers (after controller election) and executes fn in a detached
-// proc, then stops the simulation.
+// proc, then stops the simulation. A body still blocked when the simulation
+// ends (a write that never gets its quorum back, say) fails the test.
 func (c *cluster) run(t *testing.T, fn func(p *simnet.Proc)) {
 	t.Helper()
+	finished := false
 	c.sim.Go("test-main", func(p *simnet.Proc) {
 		defer c.sim.Stop()
 		p.Sleep(time.Second) // controller leader election
@@ -75,9 +77,13 @@ func (c *cluster) run(t *testing.T, fn func(p *simnet.Proc)) {
 			c.peers[name] = pr
 		}
 		fn(p)
+		finished = true
 	})
 	if err := c.sim.RunUntil(10 * time.Minute); err != nil {
 		t.Fatalf("sim: %v", err)
+	}
+	if !finished && !t.Failed() {
+		t.Fatal("test body still blocked when the simulation ended")
 	}
 }
 
