@@ -139,9 +139,6 @@ func (c *Client) ensureDir(p *simnet.Proc) error {
 
 // groupFor routes a path through the cached directory.
 func (c *Client) groupFor(path string) int {
-	if len(c.dir) == 1 {
-		return 0
-	}
 	app, meta := routeKey(path)
 	if meta {
 		return 0
@@ -155,7 +152,8 @@ func (c *Client) groupFor(path string) int {
 	return 0
 }
 
-// establishSession registers the client's session on group g.
+// establishSession registers (or, after an expiry, re-registers) the
+// client's session on group g.
 func (c *Client) establishSession(p *simnet.Proc, g int) error {
 	_, err := c.proposeAt(p, g, cmdNewSession{
 		Session: c.session,
@@ -223,11 +221,7 @@ func (c *Client) StartSession(p *simnet.Proc) error {
 					if errors.Is(err, ErrSession) {
 						// Expired (e.g. after a partition): re-establish so
 						// our ephemerals can be re-created by the owner.
-						c.proposeAt(kp, g, cmdNewSession{ //nolint:errcheck
-							Session: c.session,
-							At:      kp.Now(),
-							Timeout: c.svc.cfg.SessionTimeout,
-						}.MarshalWire())
+						c.establishSession(kp, g) //nolint:errcheck
 					}
 				}
 			}

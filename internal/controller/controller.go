@@ -160,34 +160,24 @@ type session struct {
 type tree struct {
 	nodes    map[string]*znode
 	sessions map[string]*session
-	// shard is the app-hash range this tree owns; all short-circuits the
-	// ownership check (the single-group controller owns every path).
+	// shard is this tree's entry of the layout (shardLayout): its group and
+	// the app-hash range it owns.
 	shard ShardRange
-	all   bool
-}
-
-func newTree() *tree {
-	t := newShardTree(ShardRange{Hi: ^uint32(0)})
-	t.all = true
-	return t
 }
 
 func newShardTree(sr ShardRange) *tree {
 	return &tree{nodes: make(map[string]*znode), sessions: make(map[string]*session), shard: sr}
 }
 
-// owns reports whether this shard's state machine is the home of path.
-// Session commands skip the check — sessions exist per shard.
+// owns reports whether this shard's state machine is the home of path: meta
+// state lives on group 0, an application's on the group whose range holds its
+// hash (group 0 itself when it is the only one — its range is then the whole
+// space, otherwise empty). Session commands skip the check — sessions exist
+// per shard.
 func (t *tree) owns(path string) bool {
-	if t.all {
-		return true
-	}
 	app, meta := routeKey(path)
 	if meta {
 		return t.shard.Group == 0
-	}
-	if t.shard.Group == 0 {
-		return false
 	}
 	return t.shard.contains(fnv32(app))
 }
@@ -535,12 +525,7 @@ func Start(s *simnet.Sim, nodes []*simnet.Node, cfg Config) *Service {
 		shards: shardLayout(cfg.Shards), replicas: make(map[string][]*raft.Replica)}
 	svc.set = raft.NewSet(s, "ncl-controller", cfg.Raft, ids)
 	for _, sr := range svc.shards {
-		sr := sr
-		if len(svc.shards) == 1 {
-			svc.set.AddGroup(func() raft.StateMachine { return newTree() })
-		} else {
-			svc.set.AddGroup(func() raft.StateMachine { return newShardTree(sr) })
-		}
+		svc.set.AddGroup(func() raft.StateMachine { return newShardTree(sr) })
 	}
 	for i, n := range nodes {
 		svc.startNode(n, ids[i])

@@ -94,9 +94,6 @@ type FS struct {
 	lib    *ncl.Lib
 	nclCfg ncl.Config
 
-	appID             string
-	defaultRegionSize int64
-
 	nclOpen map[string]*nclFile
 }
 
@@ -108,23 +105,17 @@ type FS struct {
 
 // NewFS mounts the dfs and initializes ncl-lib for the application.
 func NewFS(p *simnet.Proc, opts Options) (*FS, error) {
-	if opts.NCL.RegionSize == 0 {
-		opts.NCL.RegionSize = 64 << 20
-	}
 	lib, err := ncl.NewLib(p, opts.Controller, opts.Fabric, opts.Node, opts.AppID, opts.Fencing, opts.NCL)
 	if err != nil {
 		return nil, err
 	}
-	fs := &FS{
-		node:              opts.Node,
-		dfs:               opts.DFS.Mount(opts.Node),
-		lib:               lib,
-		nclCfg:            opts.NCL,
-		appID:             opts.AppID,
-		defaultRegionSize: opts.NCL.RegionSize,
-		nclOpen:           make(map[string]*nclFile),
-	}
-	return fs, nil
+	return &FS{
+		node:    opts.Node,
+		dfs:     opts.DFS.Mount(opts.Node),
+		lib:     lib,
+		nclCfg:  opts.NCL,
+		nclOpen: make(map[string]*nclFile),
+	}, nil
 }
 
 // Node returns the application-server node this FS instance runs on.
@@ -155,12 +146,7 @@ func (fs *FS) openNCL(p *simnet.Proc, path string, flags OpenFlag, regionSize in
 	// A log closed earlier in this same instance is still live in ncl-lib:
 	// hand out a fresh handle (offset zero) instead of running recovery.
 	if lg, ok := fs.lib.OpenLog(path); ok && flags&O_TRUNC == 0 {
-		f := &nclFile{fs: fs, lg: lg, path: path}
-		fs.nclOpen[path] = f
-		return f, nil
-	}
-	if regionSize == 0 {
-		regionSize = fs.defaultRegionSize
+		return fs.handle(lg, path), nil
 	}
 	exists, err := fs.lib.Exists(p, path)
 	if err != nil {
@@ -180,18 +166,22 @@ func (fs *FS) openNCL(p *simnet.Proc, path string, flags OpenFlag, regionSize in
 		if err != nil {
 			return nil, err
 		}
-		f := &nclFile{fs: fs, lg: lg, path: path}
-		fs.nclOpen[path] = f
-		return f, nil
+		return fs.handle(lg, path), nil
 	default:
 		lg, err := fs.lib.Recover(p, path)
 		if err != nil {
 			return nil, err
 		}
-		f := &nclFile{fs: fs, lg: lg, path: path, cursor: 0}
-		fs.nclOpen[path] = f
-		return f, nil
+		return fs.handle(lg, path), nil
 	}
+}
+
+// handle wraps lg in a fresh file handle (offset zero) and registers it as
+// path's open handle.
+func (fs *FS) handle(lg *ncl.Log, path string) *nclFile {
+	f := &nclFile{fs: fs, lg: lg, path: path}
+	fs.nclOpen[path] = f
+	return f
 }
 
 // Unlink removes a file from whichever layer holds it. Deleting an ncl file
@@ -255,7 +245,6 @@ type nclFile struct {
 	lg     *ncl.Log
 	path   string
 	cursor int64
-	closed bool
 }
 
 func (f *nclFile) Write(p *simnet.Proc, data []byte) (int, error) {
@@ -298,7 +287,6 @@ func (f *nclFile) Sync(p *simnet.Proc) error {
 
 func (f *nclFile) Close(p *simnet.Proc) error {
 	// The log stays registered (and recoverable) until unlinked.
-	f.closed = true
 	delete(f.fs.nclOpen, f.path)
 	return nil
 }

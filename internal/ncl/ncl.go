@@ -358,10 +358,14 @@ func (l *Lib) newLog(name string, spec PolicySpec, capacity int64, appendOnly bo
 // policy's peer group from the controller (2f+1 for mirror/quorum, k+m for
 // ec), sets up a memory region on each, and records the allocation — peers,
 // epoch, and policy — in the ap-map (§4.3, Fig 4). The returned Log is
-// empty. appendOnly declares that the file is never overwritten in place,
-// which lets recovery catch lagging peers up by shipping only the missing
-// tail (§4.5.1).
+// empty. Capacity 0 means the configured default (Config.RegionSize).
+// appendOnly declares that the file is never overwritten in place, which
+// lets recovery catch lagging peers up by shipping only the missing tail
+// (§4.5.1).
 func (l *Lib) Open(p *simnet.Proc, name string, capacity int64, appendOnly bool) (*Log, error) {
+	if capacity == 0 {
+		capacity = l.cfg.RegionSize
+	}
 	sp := p.StartSpan("ncl", "open", trace.Str("file", name), trace.Int("bytes", capacity))
 	defer p.EndSpan(sp)
 	lg := l.newLog(name, l.cfg.Policy, capacity, appendOnly, 1, 0)

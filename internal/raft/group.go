@@ -19,9 +19,7 @@ var ErrUnknownGroup = errors.New("raft: unknown group")
 // in Msg.Meta (the carrier slot — reserved for transports, so client
 // commands never use it). The endpoint demultiplexes on Meta, zeroes it,
 // and hands the message to that group's replica; replies travel back on the
-// RPC return path and need no tag. A standalone Cluster is the degenerate
-// one-group case: it always sends Meta 0 and its unmuxed endpoint ignores
-// it, which keeps the two forms wire-compatible.
+// RPC return path and need no tag. A single Raft group is a set of one.
 type Set struct {
 	sim    *simnet.Sim
 	name   string
@@ -36,13 +34,16 @@ func NewSet(s *simnet.Sim, name string, cfg Config, ids []string) *Set {
 	return &Set{sim: s, name: name, cfg: cfg, ids: ids}
 }
 
-// AddGroup appends one Raft group to the set and returns its Cluster (use
-// it with NewClient exactly like a standalone cluster; proposals are tagged
-// automatically). All groups must be added before the first StartNode.
+// AddGroup appends one Raft group to the set and returns its Cluster (hand
+// it to NewClient; proposals are tagged automatically). smFactory builds a
+// fresh state machine for a (re)starting replica; the log replay rebuilds
+// its contents. All groups must be added before the first StartNode.
 func (sn *Set) AddGroup(smFactory func() StateMachine) *Cluster {
-	c := NewCluster(sn.sim, sn.name, sn.cfg, sn.ids, smFactory)
-	c.set = sn
-	c.group = len(sn.groups)
+	c := &Cluster{sim: sn.sim, name: sn.name, cfg: sn.cfg, ids: sn.ids,
+		disks: make(map[string]*disk), smFact: smFactory, group: len(sn.groups)}
+	for _, id := range sn.ids {
+		c.disks[id] = &disk{log: make([]entry, 1)}
+	}
 	sn.groups = append(sn.groups, c)
 	return c
 }
@@ -92,6 +93,5 @@ func (sn *Set) StartNode(node *simnet.Node, id string) []*Replica {
 	return reps
 }
 
-// groupTag is used by Client.Propose: proposals to a set member carry the
-// group id; standalone clusters stamp 0, which unmuxed endpoints ignore.
+// groupTag is what Client.Propose stamps into Meta to reach this group.
 func (c *Cluster) groupTag() uint64 { return uint64(c.group) }

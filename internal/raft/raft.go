@@ -75,8 +75,9 @@ type disk struct {
 	log      []entry // 1-indexed semantically; log[0] unused sentinel
 }
 
-// Cluster owns the durable state of all replicas of one Raft group and the
-// naming needed to (re)start them.
+// Cluster is one Raft group of a Set (group.go): it owns the durable state of
+// the group's replicas and the naming needed to (re)start them. Set.AddGroup
+// is the only constructor.
 type Cluster struct {
 	sim    *simnet.Sim
 	name   string
@@ -85,23 +86,9 @@ type Cluster struct {
 	disks  map[string]*disk
 	smFact func() StateMachine
 
-	// set/group place this cluster inside a multi-group Set (see group.go):
-	// all groups of a set share one RPC endpoint per node and tag messages
-	// with the group id in Msg.Meta. Standalone clusters keep set nil and
-	// group 0, so their wire Meta stays zero and nothing changes.
-	set   *Set
+	// group is this cluster's index in its Set: all groups of a set share
+	// one RPC endpoint per node and tag messages with it in Msg.Meta.
 	group int
-}
-
-// NewCluster defines a Raft group with the given replica ids (which double
-// as RPC address suffixes). smFactory builds a fresh state machine for a
-// (re)starting replica; the log replay rebuilds its contents.
-func NewCluster(s *simnet.Sim, name string, cfg Config, ids []string, smFactory func() StateMachine) *Cluster {
-	c := &Cluster{sim: s, name: name, cfg: cfg, ids: ids, disks: make(map[string]*disk), smFact: smFactory}
-	for _, id := range ids {
-		c.disks[id] = &disk{log: make([]entry, 1)}
-	}
-	return c
 }
 
 // Addr returns the RPC address of replica id.
@@ -115,12 +102,12 @@ const (
 	leader
 )
 
-// Replica is one running Raft participant. Start a replica per controller
-// node; restart it (StartReplica again) after the node recovers.
+// Replica is one running Raft participant. Set.StartNode starts a node's
+// replicas, and restarts them (fresh volatile state) after the node recovers.
 type Replica struct {
 	cluster *Cluster
 	id      string
-	tag     string // proc-name tag: id, or id/g<N> inside a Set
+	tag     string // proc-name tag: id/g<group>
 	node    *simnet.Node
 	d       *disk
 
@@ -153,34 +140,20 @@ type Replica struct {
 	applyWaiters map[int]*simnet.Cond
 }
 
-// StartReplica boots (or reboots) replica id on node. Persistent state is
-// reloaded from the cluster's disk registry; volatile state starts fresh.
-func StartReplica(c *Cluster, node *simnet.Node, id string) *Replica {
-	r := newReplica(c, node, id)
-	c.sim.Net().Register(c.Addr(id), node, r.handleRPC)
-	node.Go("raft-ticker:"+id, r.electionTicker)
-	node.Go("raft-apply:"+id, r.applyLoop)
-	node.Go("raft-persist:"+id, r.persistLoop)
-	return r
-}
-
-// newReplica builds replica id on node with fresh volatile state. Callers
-// register the RPC endpoint and spawn the ticker and apply procs:
-// StartReplica does it per replica, Set.StartNode once per node for all
-// groups.
+// newReplica builds replica id on node: persistent state is reloaded from the
+// cluster's disk registry, volatile state starts fresh. Set.StartNode
+// registers the node's RPC endpoint and spawns the ticker, apply and persister
+// procs.
 func newReplica(c *Cluster, node *simnet.Node, id string) *Replica {
 	r := &Replica{
 		cluster:     c,
 		id:          id,
-		tag:         id,
+		tag:         fmt.Sprintf("%s/g%d", id, c.group),
 		node:        node,
 		d:           c.disks[id],
 		role:        follower,
 		sm:          c.smFact(),
 		incarnation: node.Incarnation(),
-	}
-	if c.set != nil {
-		r.tag = fmt.Sprintf("%s/g%d", id, c.group)
 	}
 	r.applyCond = simnet.NewCond(&r.mu)
 	r.replWake = simnet.NewCond(&r.mu)
@@ -192,8 +165,8 @@ func newReplica(c *Cluster, node *simnet.Node, id string) *Replica {
 	return r
 }
 
-// callPeer sends one intra-group RPC, stamping the group id into Meta so
-// multi-group endpoints can demultiplex (zero for standalone clusters).
+// callPeer sends one intra-group RPC, stamping the group id into Meta so the
+// node's shared endpoint can demultiplex.
 func (r *Replica) callPeer(p *simnet.Proc, addr string, req wire.Msg, timeout time.Duration) (wire.Msg, error) {
 	req.Meta = uint64(r.cluster.group)
 	return r.cluster.sim.Net().CallTimeout(p, r.node, addr, req, timeout)
@@ -532,19 +505,9 @@ func (r *Replica) persistLoop(p *simnet.Proc) {
 	}
 }
 
-// electionTicker polls the election timer for a standalone replica. Nodes
-// in a Set run one shared ticker over all their groups instead (group.go).
-func (r *Replica) electionTicker(p *simnet.Proc) {
-	gran := r.cluster.cfg.ElectionTimeoutMin / 4
-	for {
-		p.Sleep(gran)
-		r.tick(p)
-	}
-}
-
 // tick checks the election timer once and, when it has expired, runs the
-// candidate round on a dedicated proc. The indirection keeps the ticker
-// non-blocking, so on a multi-group node one group's election (which holds
+// candidate round on a dedicated proc. The indirection keeps the node's
+// ticker (Set.StartNode) non-blocking, so one group's election (which holds
 // the round's vote RPCs in flight for up to an election timeout) never
 // delays the timer checks of the other groups sharing the ticker.
 func (r *Replica) tick(p *simnet.Proc) {

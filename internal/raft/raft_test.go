@@ -27,8 +27,10 @@ func (m *regSM) Apply(cmd wire.Msg) wire.Msg {
 	return cmdMsg(fmt.Sprintf("ok:%s@%d", s, len(m.applied)))
 }
 
+// harness runs one Raft group — a Set of one — across n nodes.
 type harness struct {
 	sim      *simnet.Sim
+	set      *Set
 	cluster  *Cluster
 	nodes    map[string]*simnet.Node
 	replicas map[string]*Replica
@@ -48,17 +50,17 @@ func newHarness(seed int64, n int) *harness {
 		replicas: make(map[string]*Replica),
 		sms:      make(map[string]*regSM),
 	}
-	cl := NewCluster(s, "ctrl", DefaultConfig(), ids, func() StateMachine {
+	h.set = NewSet(s, "ctrl", DefaultConfig(), ids)
+	h.cluster = h.set.AddGroup(func() StateMachine {
 		sm := &regSM{}
 		h.sms[h.pending] = sm
 		return sm
 	})
-	h.cluster = cl
 	for _, id := range ids {
 		node := s.NewNode(id)
 		h.nodes[id] = node
 		h.pending = id
-		h.replicas[id] = StartReplica(cl, node, id)
+		h.replicas[id] = h.set.StartNode(node, id)[0]
 	}
 	return h
 }
@@ -67,7 +69,7 @@ func (h *harness) restart(id string) {
 	node := h.nodes[id]
 	node.Restart()
 	h.pending = id
-	h.replicas[id] = StartReplica(h.cluster, node, id)
+	h.replicas[id] = h.set.StartNode(node, id)[0]
 }
 
 func (h *harness) leaderCount() int {
