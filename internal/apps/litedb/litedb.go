@@ -311,18 +311,21 @@ func Recover(p *simnet.Proc, fs *core.FS, cfg Config) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	if fs.Exists(p, db.walPath()) {
-		// Reopen (NCL recovery in SplitFT mode), replay the newest
-		// generation, and keep writing into the same WAL from offset zero
-		// under a fresh salt — old frames are simply overwritten, exactly
-		// the circular reuse the file saw in normal operation.
-		w, err := cfg.Durability.Reopen(p, fs, db.walPath())
-		if err != nil {
-			return nil, err
-		}
+	// Reopen (NCL recovery in SplitFT mode), replay the newest generation,
+	// and keep writing into the same WAL from offset zero under a fresh salt
+	// — old frames are simply overwritten, exactly the circular reuse the
+	// file saw in normal operation. Only the answer "no such file" means a
+	// fresh WAL: any other failure to reopen fails the recovery, because a
+	// WAL that is there but was not replayed would be overwritten.
+	switch w, err := cfg.Durability.Reopen(p, fs, db.walPath()); {
+	case err == nil:
 		db.salt = db.replayWAL(p, w) + 1
 		db.wal = w
-	} else if err := db.createWAL(p); err != nil {
+	case errors.Is(err, core.ErrNotExist):
+		if err := db.createWAL(p); err != nil {
+			return nil, err
+		}
+	default:
 		return nil, err
 	}
 	// Make the replayed state durable so the old generation is disposable.

@@ -35,6 +35,7 @@ func TestPortConformance(t *testing.T) {
 		{"reclaim", durable, (*run).acrossReclaim},
 		{"double crash", durable, (*run).doubleCrash},
 		{"crash mid-recovery", durable, (*run).crashMidRecovery},
+		{"controller unreachable at recovery", durable, (*run).controllerOutAtRecovery},
 	}
 	// Small capacities, so every port's reclaim cycle (WAL rotation + flush,
 	// AOF rewrite, WAL wrap + checkpoint, journal -> chunk) runs often.
@@ -320,5 +321,38 @@ func (r *run) crashMidRecovery(p *simnet.Proc) error {
 		p.Sleep(cut)
 		r.crash(p)
 	}
+	return r.recoverIntact(p)
+}
+
+// controllerOutAtRecovery cuts the application off from the controller just
+// as recovery starts and heals the cut once the first lookup has run out its
+// OpTimeout. A lookup that fails is not a log that is absent: the recovery
+// either fails — and the next one finds everything — or returns every
+// acknowledged write.
+func (r *run) controllerOutAtRecovery(p *simnet.Proc) error {
+	r.launch(r.fill("v", 200, 8))
+	p.Sleep(600 * time.Millisecond)
+	r.crash(p)
+	fs, err := r.c.NewFS(p, r.port.AppID, r.fence)
+	if err != nil {
+		return err
+	}
+	net, ctrl := r.c.Sim.Net(), r.c.Controller
+	for _, n := range ctrl.Nodes() {
+		net.Partition(r.c.AppNode, n)
+	}
+	r.c.Sim.Go("heal", func(hp *simnet.Proc) {
+		hp.Sleep(ctrl.Config().OpTimeout)
+		for _, n := range ctrl.Nodes() {
+			net.Heal(r.c.AppNode, n)
+		}
+	})
+	if r.st, err = r.port.Recover(p, fs, r.c.Profile.Apps, r.d, r.sz); err == nil {
+		if n, err := r.lost(p); err != nil || n > 0 {
+			return fmt.Errorf("recovery through a controller outage lost %d of %d acknowledged writes (%v)", n, len(r.acked), err)
+		}
+	}
+	p.Sleep(ctrl.Config().OpTimeout) // the cut is healed whichever way that went
+	r.crash(p)
 	return r.recoverIntact(p)
 }

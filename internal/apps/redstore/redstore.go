@@ -271,10 +271,7 @@ func (s *Store) startSnapshot(p *simnet.Proc) {
 			s.fs.Unlink(sp, path) //nolint:errcheck
 		}
 		if rdbNum > 1 {
-			prev := s.rdbPath(rdbNum - 1)
-			if s.fs.Exists(sp, prev) {
-				s.fs.Unlink(sp, prev) //nolint:errcheck
-			}
+			s.fs.Unlink(sp, s.rdbPath(rdbNum-1)) //nolint:errcheck
 		}
 		s.Snapshots++
 	})

@@ -287,28 +287,17 @@ func (c *Client) GetPeer(p *simnet.Proc, name string) (PeerInfo, bool, error) {
 
 func fileKey(app, file string) string { return "/apps/" + app + "/" + file }
 
-// SetAppFile writes the ap-map entry for (app, file). version -1 creates or
-// overwrites; otherwise it is a compare-and-set on the znode version.
+// SetAppFile publishes the ap-map entry for (app, file) in one proposal,
+// conditional on the znode version the caller last saw: 0 — it saw no entry —
+// creates it (ErrExists if there is one), anything else is a compare-and-set
+// (ErrBadVersion). It returns the entry's new version.
 func (c *Client) SetAppFile(p *simnet.Proc, app, file string, e FileEntry, version int64) (int64, error) {
-	path := fileKey(app, file)
-	data := e.MarshalWire()
-	if version < 0 {
-		res, err := c.run(p, path, false, cmdGet{Path: path}.MarshalWire())
-		if err != nil {
-			return 0, err
-		}
-		if !res.Found {
-			r, err := c.run(p, path, false, cmdCreate{Path: path, Data: data}.MarshalWire())
-			if errors.Is(err, ErrExists) {
-				// Lost a (retried) race with ourselves; fall through to set.
-				r, err = c.run(p, path, false, cmdSet{Path: path, Data: data, Version: -1}.MarshalWire())
-			}
-			return r.Version, err
-		}
-		r, err := c.run(p, path, false, cmdSet{Path: path, Data: data, Version: -1}.MarshalWire())
-		return r.Version, err
+	path, data := fileKey(app, file), e.MarshalWire()
+	cmd := cmdSet{Path: path, Data: data, Version: version}.MarshalWire()
+	if version == 0 {
+		cmd = cmdCreate{Path: path, Data: data}.MarshalWire()
 	}
-	r, err := c.run(p, path, false, cmdSet{Path: path, Data: data, Version: version}.MarshalWire())
+	r, err := c.run(p, path, false, cmd)
 	return r.Version, err
 }
 

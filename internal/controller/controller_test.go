@@ -94,7 +94,7 @@ func TestApMapCASAndListing(t *testing.T) {
 		p.Sleep(time.Second)
 		c := NewClient(fx.svc, app, "app1", 0)
 		e := FileEntry{Peers: []string{"p1", "p2", "p3"}, Epoch: 1, RegionSize: 1 << 20}
-		v, err := c.SetAppFile(p, "app1", "wal-000", e, -1)
+		v, err := c.SetAppFile(p, "app1", "wal-000", e, 0)
 		if err != nil {
 			t.Fatalf("set: %v", err)
 		}
@@ -110,7 +110,11 @@ func TestApMapCASAndListing(t *testing.T) {
 		if _, err := c.SetAppFile(p, "app1", "wal-000", e, v2); !errors.Is(err, ErrBadVersion) {
 			t.Errorf("stale cas: %v, want bad version", err)
 		}
-		c.SetAppFile(p, "app1", "wal-001", FileEntry{Epoch: 1}, -1)
+		// Version 0 is "no entry seen": a create, which an existing entry fails.
+		if _, err := c.SetAppFile(p, "app1", "wal-000", e, 0); !errors.Is(err, ErrExists) {
+			t.Errorf("create over an entry: %v, want exists", err)
+		}
+		c.SetAppFile(p, "app1", "wal-001", FileEntry{Epoch: 1}, 0)
 		files, err := c.ListAppFiles(p, "app1")
 		if err != nil || len(files) != 2 {
 			t.Fatalf("list = %v, %v", files, err)
@@ -187,12 +191,12 @@ func TestControllerSurvivesNodeFailure(t *testing.T) {
 	fx.sim.Go("test", func(p *simnet.Proc) {
 		p.Sleep(time.Second)
 		c := NewClient(fx.svc, app, "app1", 0)
-		if _, err := c.SetAppFile(p, "a", "f", FileEntry{Epoch: 1}, -1); err != nil {
+		if _, err := c.SetAppFile(p, "a", "f", FileEntry{Epoch: 1}, 0); err != nil {
 			t.Fatalf("set before: %v", err)
 		}
 		fx.cNodes[0].Crash()
 		// The ensemble keeps serving with 2/3.
-		if _, err := c.SetAppFile(p, "a", "g", FileEntry{Epoch: 1}, -1); err != nil {
+		if _, err := c.SetAppFile(p, "a", "g", FileEntry{Epoch: 1}, 0); err != nil {
 			t.Fatalf("set during failure: %v", err)
 		}
 		e, _, found, err := c.GetAppFile(p, "a", "f")
@@ -203,7 +207,7 @@ func TestControllerSurvivesNodeFailure(t *testing.T) {
 		fx.cNodes[0].Restart()
 		fx.svc.RestartNode(fx.cNodes[0])
 		p.Sleep(time.Second)
-		if _, err := c.SetAppFile(p, "a", "h", FileEntry{Epoch: 1}, -1); err != nil {
+		if _, err := c.SetAppFile(p, "a", "h", FileEntry{Epoch: 1}, 0); err != nil {
 			t.Fatalf("set after rejoin: %v", err)
 		}
 		fx.sim.Stop()
@@ -219,21 +223,21 @@ func TestControllerLeaderPartitionFailover(t *testing.T) {
 	fx.sim.Go("test", func(p *simnet.Proc) {
 		p.Sleep(time.Second)
 		c := NewClient(fx.svc, app, "app1", 0)
-		if _, err := c.SetAppFile(p, "a", "f0", FileEntry{Epoch: 1}, -1); err != nil {
+		if _, err := c.SetAppFile(p, "a", "f0", FileEntry{Epoch: 1}, 0); err != nil {
 			t.Errorf("pre-partition set: %v", err)
 		}
 		victim := fx.cNodes[0]
 		for _, n := range fx.cNodes[1:] {
 			fx.sim.Net().Partition(victim, n)
 		}
-		if _, err := c.SetAppFile(p, "a", "f1", FileEntry{Epoch: 1}, -1); err != nil {
+		if _, err := c.SetAppFile(p, "a", "f1", FileEntry{Epoch: 1}, 0); err != nil {
 			t.Errorf("set during partition: %v", err)
 		}
 		for _, n := range fx.cNodes[1:] {
 			fx.sim.Net().Heal(victim, n)
 		}
 		p.Sleep(time.Second)
-		if _, err := c.SetAppFile(p, "a", "f2", FileEntry{Epoch: 1}, -1); err != nil {
+		if _, err := c.SetAppFile(p, "a", "f2", FileEntry{Epoch: 1}, 0); err != nil {
 			t.Errorf("set after heal: %v", err)
 		}
 		files, err := c.ListAppFiles(p, "a")

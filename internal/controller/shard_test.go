@@ -128,7 +128,7 @@ func TestShardLeaderFailoverMidReplacement(t *testing.T) {
 			t.Fatalf("app %q routed to group %d, want a data group", app, g)
 		}
 		c := NewClient(fx.svc, appNode, app, 0)
-		v, err := c.SetAppFile(p, app, "wal-0", FileEntry{Peers: []string{"p1", "p2", "p3"}, Epoch: 1}, -1)
+		v, err := c.SetAppFile(p, app, "wal-0", FileEntry{Peers: []string{"p1", "p2", "p3"}, Epoch: 1}, 0)
 		if err != nil {
 			t.Fatalf("set before failover: %v", err)
 		}
@@ -152,7 +152,7 @@ func TestShardLeaderFailoverMidReplacement(t *testing.T) {
 		if err := c.DeleteAppFile(p, app, "wal-0"); err != nil {
 			t.Fatalf("delete during failover: %v", err)
 		}
-		if _, err := c.SetAppFile(p, app, "wal-1", FileEntry{Peers: []string{"p1", "p2", "p4"}, Epoch: 2}, -1); err != nil {
+		if _, err := c.SetAppFile(p, app, "wal-1", FileEntry{Peers: []string{"p1", "p2", "p4"}, Epoch: 2}, 0); err != nil {
 			t.Fatalf("create during failover: %v", err)
 		}
 		crashed.Restart()
@@ -180,7 +180,7 @@ func TestWrongShardRetryRefreshesDirectory(t *testing.T) {
 	fx.sim.Go("test", func(p *simnet.Proc) {
 		p.Sleep(time.Second)
 		c := NewClient(fx.svc, appNode, "app1", 0)
-		if _, err := c.SetAppFile(p, "app1", "f", FileEntry{Epoch: 1}, -1); err != nil {
+		if _, err := c.SetAppFile(p, "app1", "f", FileEntry{Epoch: 1}, 0); err != nil {
 			t.Fatalf("set: %v", err)
 		}
 		if len(c.dir) != len(fx.svc.shards) {
@@ -195,7 +195,7 @@ func TestWrongShardRetryRefreshesDirectory(t *testing.T) {
 		}
 		c.dir = poison
 		for _, app := range []string{"app1", "kvstore", "redstore"} {
-			if _, err := c.SetAppFile(p, app, "g", FileEntry{Epoch: 1}, -1); err != nil {
+			if _, err := c.SetAppFile(p, app, "g", FileEntry{Epoch: 1}, 0); err != nil {
 				t.Fatalf("set %s through poisoned directory: %v", app, err)
 			}
 			e, _, found, err := c.GetAppFile(p, app, "g")

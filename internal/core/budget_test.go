@@ -1,0 +1,283 @@
+package core_test
+
+import (
+	"errors"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"splitft/internal/apps"
+	"splitft/internal/apps/applog"
+	"splitft/internal/core"
+	"splitft/internal/harness"
+	"splitft/internal/model"
+	"splitft/internal/ncl"
+	"splitft/internal/simnet"
+	"splitft/internal/trace"
+)
+
+// budget is one run of TestControlPlaneBudget: a cluster, the application's
+// current incarnation, and what the earlier one left behind.
+type budget struct {
+	c     *harness.Cluster
+	fs    *core.FS
+	fence int64
+	port  apps.Port
+	logs  int // ncl files the crashed store left, for the kvstore row
+}
+
+func (b *budget) newFS(p *simnet.Proc) (err error) {
+	b.fs, err = b.c.NewFS(p, "app", b.fence)
+	b.fence++
+	return err
+}
+
+// crash restarts the application node and brings up the next incarnation.
+func (b *budget) crash(p *simnet.Proc) error {
+	b.c.CrashApp()
+	b.c.RestartApp()
+	return b.newFS(p)
+}
+
+// create opens a new ncl file and writes a record to it.
+func (b *budget) create(p *simnet.Proc, path string) (core.File, error) {
+	f, err := b.fs.OpenFile(p, path, core.O_NCL|core.O_CREATE, 1<<20)
+	if err == nil {
+		_, err = f.Write(p, []byte("record"))
+	}
+	return f, err
+}
+
+// store opens the port's store under SplitFT, acknowledges a few writes and
+// crashes.
+func (b *budget) store(p *simnet.Proc) error {
+	st, err := b.port.Open(p, b.fs, b.c.Profile.Apps, applog.SplitFT, apps.Sizing{})
+	for i := 0; err == nil && i < 20; i++ {
+		err = st.Put(p, fmt.Sprintf("key%03d", i), []byte("value"))
+	}
+	if err != nil {
+		return err
+	}
+	if err := b.crash(p); err != nil {
+		return err
+	}
+	files, err := b.fs.ListNCL(p)
+	b.logs = len(files)
+	return err
+}
+
+// leftBehind creates "wal" and crashes: the next incarnation finds the file
+// in the ap-map and nowhere else.
+func (b *budget) leftBehind(p *simnet.Proc) error {
+	if _, err := b.create(p, "wal"); err != nil {
+		return err
+	}
+	return b.crash(p)
+}
+
+func (b *budget) reopen(p *simnet.Proc) error {
+	_, err := b.fs.OpenFile(p, "wal", core.O_NCL, 0)
+	return err
+}
+
+func (b *budget) unlink(p *simnet.Proc) error { return b.fs.Unlink(p, "wal") }
+
+func (b *budget) recoverStore(p *simnet.Proc) error {
+	_, err := b.port.Recover(p, b.fs, b.c.Profile.Apps, applog.SplitFT, apps.Sizing{})
+	return err
+}
+
+type ops map[string]int
+
+// TestControlPlaneBudget pins how many controller commands each core.FS flow
+// costs, counted as the "controller" spans the application emits (keep-alives
+// and session set-up aside): the ap-map is asked about a name once per open,
+// reopen or unlink, and written once per membership (DESIGN.md §15). TTL 0,
+// so every allocated slot is one registry list.
+func TestControlPlaneBudget(t *testing.T) {
+	const slots = 3 // mirror and quorum at f=1
+	cases := []struct {
+		name, policy, port string
+		prepare            func(b *budget, p *simnet.Proc) error
+		call               func(b *budget, p *simnet.Proc) error
+		want               func(b *budget) ops
+	}{
+		{name: "create absent",
+			call: func(b *budget, p *simnet.Proc) error { _, err := b.create(p, "wal"); return err },
+			want: func(*budget) ops { return ops{"get": 1, "list": slots, "create": 1} }},
+		{name: "reopen existing, full house, mirror",
+			prepare: (*budget).leftBehind,
+			call:    (*budget).reopen,
+			want:    func(*budget) ops { return ops{"get": 1} }},
+		{name: "reopen with a replacement",
+			prepare: func(b *budget, p *simnet.Proc) error {
+				f, err := b.create(p, "wal")
+				if err != nil {
+					return err
+				}
+				member := f.(interface{ Log() *ncl.Log }).Log().LivePeers()[0]
+				b.c.Sim.Node(member).Crash()
+				return b.crash(p)
+			},
+			call: (*budget).reopen,
+			want: func(*budget) ops { return ops{"get": 1, "list": 1, "set": 1} }},
+		{name: "reopen a frame log", policy: "quorum",
+			prepare: (*budget).leftBehind,
+			call:    (*budget).reopen,
+			want:    func(*budget) ops { return ops{"get": 1, "set": 1} }},
+		{name: "unlink unopened",
+			prepare: (*budget).leftBehind,
+			call:    (*budget).unlink,
+			want:    func(*budget) ops { return ops{"get": 1, "delete": 1} }},
+		{name: "unlink open handle",
+			prepare: func(b *budget, p *simnet.Proc) error { _, err := b.create(p, "wal"); return err },
+			call:    (*budget).unlink,
+			want:    func(*budget) ops { return ops{"delete": 1} }},
+		{name: "unlink closed but live",
+			prepare: func(b *budget, p *simnet.Proc) error {
+				f, err := b.create(p, "wal")
+				if err != nil {
+					return err
+				}
+				return f.Close(p)
+			},
+			call: (*budget).unlink,
+			want: func(*budget) ops { return ops{"delete": 1} }},
+		{name: "truncate existing",
+			prepare: (*budget).leftBehind,
+			call: func(b *budget, p *simnet.Proc) error {
+				_, err := b.fs.OpenFile(p, "wal", core.O_NCL|core.O_TRUNC, 1<<20)
+				return err
+			},
+			want: func(*budget) ops { return ops{"get": 1, "delete": 1, "list": slots, "create": 1} }},
+		{name: "unlink a dfs file",
+			prepare: func(b *budget, p *simnet.Proc) error {
+				_, err := b.fs.OpenFile(p, "/table.sst", core.O_CREATE, 0)
+				return err
+			},
+			call: func(b *budget, p *simnet.Proc) error { return b.fs.Unlink(p, "/table.sst") },
+			want: func(*budget) ops { return ops{"get": 1} }},
+		{name: "OpenSplit of an existing file",
+			prepare: func(b *budget, p *simnet.Proc) error {
+				sf, err := b.fs.OpenSplit(p, "/mixed.db", 4096, 1<<20)
+				if err == nil {
+					_, err = sf.Write(p, []byte("small"))
+				}
+				if err != nil {
+					return err
+				}
+				return b.crash(p)
+			},
+			call: func(b *budget, p *simnet.Proc) error {
+				sf, err := b.fs.OpenSplit(p, "/mixed.db", 4096, 1<<20)
+				if err == nil && sf.Size() != 5 {
+					err = fmt.Errorf("recovered split file holds %d bytes, want 5", sf.Size())
+				}
+				return err
+			},
+			want: func(*budget) ops { return ops{"get": 1} }},
+		{name: "litedb.Recover", port: "litedb",
+			prepare: (*budget).store,
+			call:    (*budget).recoverStore,
+			want:    func(*budget) ops { return ops{"get": 1} }},
+		{name: "kvstore.Recover", port: "kvstore",
+			prepare: (*budget).store,
+			call:    (*budget).recoverStore,
+			// One list finds the survivors; each is reopened with one get and
+			// reclaimed — still live in the lib, so without a lookup — with
+			// one delete; then the fresh WAL is a "create absent".
+			want: func(b *budget) ops {
+				return ops{"list": 1 + slots, "get": b.logs + 1, "delete": b.logs, "create": 1}
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			// The dfs extent plane keeps its metadata on the controller too;
+			// without it every command counted here is ncl's.
+			prof := *model.Baseline()
+			prof.DFS.ExtentNodes = 0
+			if tc.policy != "" {
+				prof.NCL.Replication = tc.policy
+			}
+			col := trace.New()
+			b := &budget{c: harness.New(harness.Options{Seed: 3, NumPeers: 5, Profile: &prof, Trace: col})}
+			b.port, _ = apps.Lookup(tc.port)
+			err := b.c.Run(func(p *simnet.Proc) error {
+				if err := b.newFS(p); err != nil {
+					return err
+				}
+				if tc.prepare != nil {
+					if err := tc.prepare(b, p); err != nil {
+						return fmt.Errorf("prepare: %w", err)
+					}
+				}
+				mark := col.Len()
+				if err := tc.call(b, p); err != nil {
+					return err
+				}
+				got := ops{}
+				for _, sp := range col.Since(mark) {
+					// The flows run in the harness's own proc, which belongs to
+					// no node; peers and controller replicas run on theirs.
+					if sp.Layer == "controller" && sp.Node == "" && sp.Op != "keep-alive" {
+						got[sp.Op]++
+					}
+				}
+				if want := tc.want(b); !reflect.DeepEqual(got, want) {
+					return fmt.Errorf("controller commands %v, want %v", got, want)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestControllerErrorIsNotAbsence cuts the application off from the
+// controller: asking about a name then fails, and that failure must reach the
+// caller as such. Read as "no such ncl file", it would send an unlink of a
+// live log to the dfs (ErrNotExist for a file that exists) and let an
+// O_CREATE open start an empty log over one that holds acknowledged writes.
+func TestControllerErrorIsNotAbsence(t *testing.T) {
+	b := &budget{c: harness.New(harness.Options{Seed: 4, NumPeers: 5})}
+	err := b.c.Run(func(p *simnet.Proc) error {
+		if err := b.newFS(p); err != nil {
+			return err
+		}
+		if _, err := b.create(p, "wal"); err != nil {
+			return err
+		}
+		if err := b.crash(p); err != nil {
+			return err
+		}
+		for _, n := range b.c.Controller.Nodes() {
+			b.c.Sim.Net().Partition(b.c.AppNode, n)
+		}
+		if err := b.fs.Unlink(p, "wal"); err == nil || errors.Is(err, core.ErrNotExist) {
+			return fmt.Errorf("unlink without a controller: %v, want the controller's error", err)
+		}
+		if _, err := b.fs.OpenFile(p, "wal", core.O_NCL|core.O_CREATE, 1<<20); err == nil || errors.Is(err, core.ErrNotExist) {
+			return fmt.Errorf("open without a controller: %v, want the controller's error", err)
+		}
+		for _, n := range b.c.Controller.Nodes() {
+			b.c.Sim.Net().Heal(b.c.AppNode, n)
+		}
+		if err := b.crash(p); err != nil { // the cut outlasted the session
+			return err
+		}
+		f, err := b.fs.OpenFile(p, "wal", core.O_NCL, 0)
+		if err == nil && f.Size() != int64(len("record")) {
+			err = fmt.Errorf("%d bytes, want the record", f.Size())
+		}
+		if err != nil {
+			return fmt.Errorf("reopen after the outage: %w", err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

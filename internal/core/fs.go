@@ -139,41 +139,33 @@ func (fs *FS) OpenFile(p *simnet.Proc, path string, flags OpenFlag, regionSize i
 	return dfsFile{inner}, nil
 }
 
+// openNCL opens path in near-compute logs. Whatever the flags, the ap-map
+// is asked about the name at most once (DESIGN.md §15): by the Recover that
+// reopens it or, under O_TRUNC, by the release that clears it.
 func (fs *FS) openNCL(p *simnet.Proc, path string, flags OpenFlag, regionSize int64) (File, error) {
 	if f, ok := fs.nclOpen[path]; ok {
 		return f, nil
 	}
-	// A log closed earlier in this same instance is still live in ncl-lib:
-	// hand out a fresh handle (offset zero) instead of running recovery.
-	if lg, ok := fs.lib.OpenLog(path); ok && flags&O_TRUNC == 0 {
+	if flags&O_TRUNC != 0 {
+		// Truncating a file that exists re-creates it.
+		if err := fs.lib.ReleaseByName(p, path); err == nil {
+			flags |= O_CREATE
+		} else if !errors.Is(err, ncl.ErrNotFound) {
+			return nil, err
+		}
+	} else if lg, err := fs.lib.Recover(p, path); err == nil {
 		return fs.handle(lg, path), nil
+	} else if !errors.Is(err, ncl.ErrNotFound) {
+		return nil, err
 	}
-	exists, err := fs.lib.Exists(p, path)
+	if flags&O_CREATE == 0 {
+		return nil, fmt.Errorf("%w: %s", ErrNotExist, path)
+	}
+	lg, err := fs.lib.Open(p, path, regionSize, flags&O_APPEND != 0)
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case exists && flags&O_TRUNC != 0:
-		if err := fs.lib.ReleaseByName(p, path); err != nil {
-			return nil, err
-		}
-		fallthrough
-	case !exists:
-		if flags&O_CREATE == 0 && !exists {
-			return nil, fmt.Errorf("%w: %s", ErrNotExist, path)
-		}
-		lg, err := fs.lib.Open(p, path, regionSize, flags&O_APPEND != 0)
-		if err != nil {
-			return nil, err
-		}
-		return fs.handle(lg, path), nil
-	default:
-		lg, err := fs.lib.Recover(p, path)
-		if err != nil {
-			return nil, err
-		}
-		return fs.handle(lg, path), nil
-	}
+	return fs.handle(lg, path), nil
 }
 
 // handle wraps lg in a fresh file handle (offset zero) and registers it as
@@ -186,16 +178,16 @@ func (fs *FS) handle(lg *ncl.Log, path string) *nclFile {
 
 // Unlink removes a file from whichever layer holds it. Deleting an ncl file
 // releases its peer regions and ap-map entry — the delete-to-reclaim
-// pattern of RocksDB/Redis logs.
+// pattern of RocksDB/Redis logs. Only when the ap-map answers that it does
+// not hold the name is the file looked for in the dfs: a controller error is
+// returned, never read as "not an ncl file".
 func (fs *FS) Unlink(p *simnet.Proc, path string) error {
-	if f, ok := fs.nclOpen[path]; ok {
-		delete(fs.nclOpen, path)
-		return f.lg.Release(p)
+	delete(fs.nclOpen, path)
+	err := fs.lib.ReleaseByName(p, path)
+	if !errors.Is(err, ncl.ErrNotFound) {
+		return err
 	}
-	if exists, err := fs.lib.Exists(p, path); err == nil && exists {
-		return fs.lib.ReleaseByName(p, path)
-	}
-	err := fs.dfs.Unlink(p, path)
+	err = fs.dfs.Unlink(p, path)
 	if errors.Is(err, dfs.ErrNotExist) {
 		return fmt.Errorf("%w: %s", ErrNotExist, path)
 	}
@@ -206,17 +198,6 @@ func (fs *FS) Unlink(p *simnet.Proc, path string) error {
 // applications).
 func (fs *FS) Rename(p *simnet.Proc, oldPath, newPath string) error {
 	return fs.dfs.Rename(p, oldPath, newPath)
-}
-
-// Exists reports whether path exists in either layer.
-func (fs *FS) Exists(p *simnet.Proc, path string) bool {
-	if _, ok := fs.nclOpen[path]; ok {
-		return true
-	}
-	if ok, err := fs.lib.Exists(p, path); err == nil && ok {
-		return true
-	}
-	return fs.dfs.Exists(path)
 }
 
 // ListNCL lists the application's ncl files (recovery discovery).

@@ -168,8 +168,8 @@ func TestNCLRoutingAndFastSync(t *testing.T) {
 		if _, ok := tb.dcl.DurableBytes("/wal/000003.log"); ok {
 			t.Error("ncl file leaked into the dfs")
 		}
-		if !fs.Exists(p, "/wal/000003.log") {
-			t.Error("exists should see the ncl file")
+		if files, err := fs.ListNCL(p); err != nil || len(files) != 1 || files[0] != "/wal/000003.log" {
+			t.Errorf("ncl files = %v, %v, want the log", files, err)
 		}
 	})
 }

@@ -43,13 +43,11 @@ func splitJournalPath(path string) string { return path + ".ncl-journal" }
 
 // OpenSplit opens (or recovers) a fine-granular split file. threshold is
 // the small/large boundary in bytes; journalSize the NCL region capacity.
+// The view is always rebuilt from the two layers: for a new file both are
+// empty and that costs nothing, and whether the journal existed is not a
+// question worth a second ap-map lookup.
 func (fs *FS) OpenSplit(p *simnet.Proc, path string, threshold int, journalSize int64) (*SplitFile, error) {
-	jpath := splitJournalPath(path)
-	jexists, err := fs.lib.Exists(p, jpath)
-	if err != nil {
-		return nil, err
-	}
-	jf, err := fs.OpenFile(p, jpath, O_NCL|O_CREATE, journalSize)
+	jf, err := fs.OpenFile(p, splitJournalPath(path), O_NCL|O_CREATE, journalSize)
 	if err != nil {
 		return nil, err
 	}
@@ -64,10 +62,8 @@ func (fs *FS) OpenSplit(p *simnet.Proc, path string, threshold int, journalSize 
 		journal:   jf.(*nclFile),
 		dfsF:      df,
 	}
-	if jexists {
-		if err := sf.replay(p); err != nil {
-			return nil, err
-		}
+	if err := sf.replay(p); err != nil {
+		return nil, err
 	}
 	return sf, nil
 }

@@ -137,6 +137,38 @@ func (e *conf) restored(p *simnet.Proc, l *Lib, lg *Log, epochBefore int64, vict
 	}
 }
 
+// losePublishReply arms a one-shot fault: the moment the application next
+// proposes an ap-map write (a "controller" create or set span opens anywhere
+// but on a log peer, whose sets publish its free memory), every controller
+// node's messages to the application node are dropped for one RPC attempt's
+// timeout. The proposal commits, its reply is lost, and raft.Client's
+// re-submission finds the entry already written. fired reports that it did.
+func (e *conf) losePublishReply(col *trace.Collector) (fired *bool) {
+	fired = new(bool)
+	mark := col.Len()
+	e.c.sim.Go("lose-publish-reply", func(fp *simnet.Proc) {
+		for {
+			for _, sp := range col.Since(mark) {
+				if sp.Layer != "controller" || e.c.pNodes[sp.Node] != nil || (sp.Op != "create" && sp.Op != "set") {
+					continue
+				}
+				*fired = true
+				for _, n := range e.c.svc.Nodes() {
+					e.c.sim.Net().PartitionOneWay(n, e.c.appNode)
+				}
+				fp.Sleep(e.c.svc.Config().SessionTimeout / 6) // controller.Client's per-attempt timeout
+				for _, n := range e.c.svc.Nodes() {
+					e.c.sim.Net().HealOneWay(n, e.c.appNode)
+				}
+				return
+			}
+			mark = col.Len()
+			fp.Sleep(20 * time.Microsecond)
+		}
+	})
+	return fired
+}
+
 var confScripts = []struct {
 	name string
 	run  func(e *conf, p *simnet.Proc)
@@ -306,6 +338,34 @@ var confScripts = []struct {
 		e.restored(p, l, lg, 1, victims...)
 		e.crashApp(p)
 		e.recover(p, "wal", nil)
+	}},
+	{"publish reply lost", func(e *conf, p *simnet.Proc) {
+		// Every publish — open's create, a live replacement's CAS, recovery's
+		// CAS (mirror publishes at recovery because a member died with the
+		// application; the frame logs always do) — survives committing
+		// without hearing so: the membership it wrote is the one in force.
+		col := trace.New()
+		e.c.sim.SetTracer(col)
+		l := e.lib(p, e.cfg)
+		atOpen := e.losePublishReply(col)
+		lg := e.open(p, l, "wal")
+		e.append(p, lg, 5)
+		victim := lg.LivePeers()[1]
+		atReplace := e.losePublishReply(col)
+		e.crashPeers(victim)
+		e.append(p, lg, 5)
+		e.restored(p, l, lg, 1, victim)
+		e.crashPeers(lg.LivePeers()[0])
+		e.crashApp(p)
+		atRecovery := e.losePublishReply(col)
+		lg = e.recover(p, "wal", nil)
+		if !*atOpen || !*atReplace || !*atRecovery || lg.Epoch() != 3 {
+			e.t.Fatalf("replies lost at open %v, live replacement %v, recovery %v; epoch %d, want all three and epoch 3",
+				*atOpen, *atReplace, *atRecovery, lg.Epoch())
+		}
+		e.crashApp(p)
+		e.c.sim.SetTracer(nil)
+		e.recover(p, "wal", nil) // what recovery published is what the next instance finds
 	}},
 	{"app crash mid-release", func(e *conf, p *simnet.Proc) {
 		// An unlink cut short at any point leaves either no file or a whole

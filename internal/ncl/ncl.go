@@ -27,6 +27,7 @@ package ncl
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -174,14 +175,6 @@ func NewLib(p *simnet.Proc, svc *controller.Service, fabric *rdma.Fabric, node *
 // application accesses its ncl files at a time (§4.7).
 func (l *Lib) AcquireInstanceLock(p *simnet.Proc) error {
 	return l.ctrl.AcquireServerLock(p, l.appID)
-}
-
-// OpenLog returns the already-open log of the given name, if any. Callers
-// re-opening a file within the same instance get the live log rather than
-// going through recovery (which is only for fresh instances).
-func (l *Lib) OpenLog(name string) (*Log, bool) {
-	lg, ok := l.logs[name]
-	return lg, ok
 }
 
 // ListFiles returns the ncl files recorded for this application in the
@@ -380,7 +373,7 @@ func (l *Lib) Open(p *simnet.Proc, name string, capacity int64, appendOnly bool)
 		lg.peers = append(lg.peers, pc)
 	}
 	// Step 4b: record the allocation in the ap-map.
-	ver, err := l.ctrl.SetAppFile(p, l.appID, name, lg.fileEntry(lg.epoch), -1)
+	ver, err := lg.publish(p, lg.fileEntry(lg.epoch))
 	if err != nil {
 		lg.abortOpen(p)
 		return nil, fmt.Errorf("ncl: ap-map update: %w", err)
@@ -436,6 +429,28 @@ func (lg *Log) fileEntry(epoch int64) controller.FileEntry {
 		Policy:     lg.spec.String(),
 		Capacity:   lg.capacity,
 	}
+}
+
+// publish writes entry — lg's membership under a new epoch — into the ap-map
+// and returns the entry's new version: the one place the ap-map is written.
+// Open creates the entry (no version seen yet); recovery and live replacement
+// compare-and-set the version they read. It is one proposal. The proposal may
+// have committed even though its reply was lost (a dropped message, a timeout
+// on a saturated controller), and the re-submission then fails ErrExists or
+// ErrBadVersion for good; so on any error the entry is read back, and if it
+// names this membership at this epoch — which only this submission could
+// have written, the epoch being new — the first submission won.
+func (lg *Log) publish(p *simnet.Proc, entry controller.FileEntry) (int64, error) {
+	l := lg.lib
+	ver, err := l.ctrl.SetAppFile(p, l.appID, lg.name, entry, lg.apVersion)
+	if err != nil {
+		got, gver, found, gerr := l.ctrl.GetAppFile(p, l.appID, lg.name)
+		if gerr != nil || !found || got.Epoch != entry.Epoch || !slices.Equal(got.Peers, entry.Peers) {
+			return 0, err
+		}
+		ver = gver
+	}
+	return ver, nil
 }
 
 // start spawns the completion poller and the repair proc. Both die with the
@@ -658,20 +673,37 @@ func (lg *Log) Release(p *simnet.Proc) error {
 	return err
 }
 
-// ReleaseByName frees an ncl file that is not open (e.g. a log superseded
-// by a checkpoint that a recovering application deletes without replaying):
-// the ap-map entry is removed and the peers holding regions are told to
+// ReleaseByName frees an ncl file by name: the live log if this instance
+// holds it, otherwise (e.g. a log superseded by a checkpoint that a
+// recovering application deletes without replaying) whatever the ap-map
+// records — the entry is removed and the peers holding regions are told to
 // release them. Unreachable peers reclaim their allocations via the
-// space-leak GC, the entry being gone.
+// space-leak GC, the entry being gone. A name the ap-map does not hold is
+// ErrNotFound.
 func (l *Lib) ReleaseByName(p *simnet.Proc, name string) error {
 	if lg, ok := l.logs[name]; ok {
 		return lg.Release(p)
 	}
-	entry, _, found, err := l.ctrl.GetAppFile(p, l.appID, name)
-	if err != nil || !found {
+	entry, _, err := l.lookup(p, name)
+	if err != nil {
 		return err
 	}
 	return l.release(p, name, entry.Peers)
+}
+
+// lookup reads name's ap-map entry and version: the one controller round
+// trip that reopening or unlinking a file this instance does not hold starts
+// with (§4.5.1 "get peer"). An absent name is ErrNotFound; a controller error
+// is returned as such, never as absence.
+func (l *Lib) lookup(p *simnet.Proc, name string) (controller.FileEntry, int64, error) {
+	entry, ver, found, err := l.ctrl.GetAppFile(p, l.appID, name)
+	if err != nil {
+		return entry, 0, fmt.Errorf("ncl: ap-map lookup of %s: %w", name, err)
+	}
+	if !found {
+		return entry, 0, fmt.Errorf("%w: %s", ErrNotFound, name)
+	}
+	return entry, ver, nil
 }
 
 // release frees an ncl file's remote state — the one place that does. The

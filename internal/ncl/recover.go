@@ -39,28 +39,29 @@ import (
 // policy's sync phase + replacements). Attach a trace.Collector to the Sim
 // to observe them.
 
-// Exists reports whether the application has an ncl file of this name
-// recorded in the ap-map.
-func (l *Lib) Exists(p *simnet.Proc, name string) (bool, error) {
-	_, _, found, err := l.ctrl.GetAppFile(p, l.appID, name)
-	return found, err
-}
-
-// Recover rebuilds the named ncl file from its log peers and returns the
-// open log with its recovered content, ready for further records.
+// Recover reopens the named ncl file. A log this instance still holds (it
+// was opened or recovered here and not released) is returned as it is;
+// otherwise the file is rebuilt from its log peers and returned with its
+// recovered content, ready for further records. A name the ap-map does not
+// hold is ErrNotFound, and that lookup was no recovery: its spans are
+// relabelled "lookup", so every "recover" span in a trace is a file that was
+// rebuilt.
 func (l *Lib) Recover(p *simnet.Proc, name string) (*Log, error) {
+	if lg, ok := l.logs[name]; ok {
+		return lg, nil
+	}
 	rsp := p.StartSpan("ncl", "recover", trace.Str("file", name))
 	defer p.EndSpan(rsp)
 
 	// (1) ap-map fetch.
 	sp := p.StartSpan("ncl", "recover.getpeer")
-	entry, ver, found, err := l.ctrl.GetAppFile(p, l.appID, name)
+	entry, ver, err := l.lookup(p, name)
 	p.EndSpan(sp)
 	if err != nil {
-		return nil, fmt.Errorf("ncl: recover %s: %w", name, err)
-	}
-	if !found {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
+		if rsp != nil {
+			rsp.Op, sp.Op = "lookup", "lookup.getpeer"
+		}
+		return nil, err
 	}
 
 	// The entry's policy is authoritative — not this instance's config.
@@ -148,7 +149,6 @@ func (lg *Log) readInto(p *simnet.Proc, pc *peerConn, off int, buf []byte) error
 // Slots are preserved (ec fragment i must land in slot i); with zero
 // replacements this is a pure epoch bump (the ec/quorum generation fence).
 func (lg *Log) replaceAtRecovery(p *simnet.Proc, oldPeers []string) error {
-	l := lg.lib
 	newEpoch := lg.epoch + 1
 	exclude := append([]string(nil), oldPeers...)
 	for slot, pc := range lg.peers {
@@ -166,11 +166,10 @@ func (lg *Log) replaceAtRecovery(p *simnet.Proc, oldPeers []string) error {
 		exclude = append(exclude, npc.name)
 		lg.activate(p, npc, false)
 	}
-	ver, err := l.ctrl.SetAppFile(p, l.appID, lg.name, lg.fileEntry(newEpoch), lg.apVersion)
+	ver, err := lg.publish(p, lg.fileEntry(newEpoch))
 	if err != nil {
 		return fmt.Errorf("ncl: recovery ap-map update: %w", err)
 	}
-	lg.apVersion = ver
-	lg.epoch = newEpoch
+	lg.apVersion, lg.epoch = ver, newEpoch
 	return nil
 }

@@ -2,7 +2,6 @@ package ncl
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"splitft/internal/simnet"
@@ -107,7 +106,6 @@ func (lg *Log) activate(p *simnet.Proc, pc *peerConn, live bool) {
 // ".catchup", ".apmap" under an "ncl"/"replace" parent) — Table 3's latency
 // breakdown is a span query over one replacement.
 func (lg *Log) replacePeer(p *simnet.Proc, idx int) bool {
-	l := lg.lib
 	lg.mu.Lock(p)
 	if lg.released || lg.peers[idx] == nil || !lg.peers[idx].failed {
 		lg.mu.Unlock(p)
@@ -126,31 +124,18 @@ func (lg *Log) replacePeer(p *simnet.Proc, idx int) bool {
 	}
 	// ap-map switch under CAS; the epoch stamps the new membership.
 	lg.mu.Lock(p)
-	names := lg.peerNames()
-	names[idx] = pc.name
 	entry := lg.fileEntry(newEpoch)
-	entry.Peers = names
-	apVersion := lg.apVersion
+	entry.Peers[idx] = pc.name
 	lg.mu.Unlock(p)
 	sp := p.StartSpan("ncl", "replace.apmap")
-	ver, err := l.ctrl.SetAppFile(p, l.appID, lg.name, entry, apVersion)
+	ver, err := lg.publish(p, entry)
 	p.EndSpan(sp)
 	if err != nil {
-		// The CAS proposal may have committed even though the reply was
-		// lost (a timeout on a saturated controller) — in which case every
-		// blind retry would fail ErrBadVersion forever. Re-read the entry:
-		// if it already names our membership at our epoch, the first
-		// submission won and this replacement should proceed.
-		rentry, rver, found, gerr := l.ctrl.GetAppFile(p, l.appID, lg.name)
-		if gerr != nil || !found || rentry.Epoch != newEpoch || !slices.Equal(rentry.Peers, names) {
-			pc.qp.Close(p)
-			return false
-		}
-		ver = rver
+		pc.qp.Close(p)
+		return false
 	}
 	lg.mu.Lock(p)
-	lg.apVersion = ver
-	lg.epoch = newEpoch
+	lg.apVersion, lg.epoch = ver, newEpoch
 	lg.activate(p, pc, true)
 	lg.Replacements++
 	lg.mu.Unlock(p)

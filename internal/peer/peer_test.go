@@ -253,12 +253,12 @@ func TestGCFreesOrphansKeepsCurrent(t *testing.T) {
 		call[SetupResp](fx, p, SetupReq{App: "a1", File: "live", Size: 1 << 20, Epoch: 2}) //nolint:errcheck
 		ctrl.SetAppFile(p, "a1", "live", controller.FileEntry{                             //nolint:errcheck
 			Peers: []string{"peerA"}, Epoch: 2, RegionSize: 1 << 20,
-		}, -1)
+		}, 0)
 		// Region whose epoch the app moved past: freed.
 		call[SetupResp](fx, p, SetupReq{App: "a1", File: "stale", Size: 1 << 20, Epoch: 1}) //nolint:errcheck
 		ctrl.SetAppFile(p, "a1", "stale", controller.FileEntry{                             //nolint:errcheck
 			Peers: []string{"peerB"}, Epoch: 3, RegionSize: 1 << 20,
-		}, -1)
+		}, 0)
 		// Region never recorded in the ap-map: freed after the grace period.
 		call[SetupResp](fx, p, SetupReq{App: "ghost", File: "leak", Size: 1 << 20, Epoch: 1}) //nolint:errcheck
 		// Region with an epoch NEWER than the ap-map (allocation in
@@ -266,7 +266,7 @@ func TestGCFreesOrphansKeepsCurrent(t *testing.T) {
 		call[SetupResp](fx, p, SetupReq{App: "a1", File: "pending", Size: 1 << 20, Epoch: 9}) //nolint:errcheck
 		ctrl.SetAppFile(p, "a1", "pending", controller.FileEntry{                             //nolint:errcheck
 			Peers: []string{"peerA"}, Epoch: 8, RegionSize: 1 << 20,
-		}, -1)
+		}, 0)
 
 		p.Sleep(2 * time.Second)
 		check := func(app, file string, want bool) {
