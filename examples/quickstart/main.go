@@ -83,6 +83,15 @@ func main() {
 		if err != nil {
 			return err
 		}
+		// The open returns once the log's size is known; the read below
+		// blocks only until its bytes have arrived, and Sync is the barrier
+		// behind which the log is as redundant as before the crash — where a
+		// recovery's spans end.
+		buf := make([]byte, wal2.Size())
+		wal2.Pread(p, buf, 0)
+		if err := wal2.Sync(p); err != nil {
+			return err
+		}
 		spans := col.Since(mark)
 		fmt.Printf("recovered %d bytes from log peers in %v "+
 			"(get peer %v, connect %v, rdma read %v, sync peer %v)\n",
@@ -92,8 +101,6 @@ func main() {
 			trace.Sum(spans, "ncl", "recover.rdmaread").Round(1e5),
 			trace.Sum(spans, "ncl", "recover.syncpeer").Round(1e5))
 
-		buf := make([]byte, wal2.Size())
-		wal2.Pread(p, buf, 0)
 		got := 0
 		for i := 0; i+12 <= len(buf); i += 12 {
 			got++

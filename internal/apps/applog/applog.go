@@ -10,8 +10,10 @@
 //   - Encode and Scan are the CRC-framed batch record kvstore's WAL and
 //     redstore's AOF are made of; Scan stops at the torn tail.
 //   - ReadLog is recovery's whole-file read plus the application-level
-//     parse cost, at the one ParseBW rate; ReadSurvivor wraps it in the
-//     reopen and close of a log that is only replayed.
+//     parse cost, at the one ParseBW rate, the two overlapped, and the
+//     barrier that no port may serve or acknowledge anything before: it
+//     ends with the file's Sync. ReadSurvivor wraps it in the reopen and
+//     close of a log that is only replayed.
 //   - Survivors lists the logs that outlived a crash, oldest first.
 //   - SortedKeys is the order a port writes a map out in, so that the bytes
 //     of every file are a function of the state and not of map iteration.
@@ -31,6 +33,7 @@ import (
 
 	"splitft/internal/core"
 	"splitft/internal/simnet"
+	"splitft/internal/trace"
 )
 
 // Durability selects the evaluated configuration.
@@ -129,18 +132,61 @@ func SortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 	return keys
 }
 
-// ParseBW is the rate (bytes/s) at which recovery reads and decodes a log;
-// it dominates application-level recovery time (Fig 11b "parse").
+// ParseBW is the rate (bytes/s) at which recovery decodes a log; it
+// dominates application-level recovery time (Fig 11b "parse"). It is the
+// paper's calibrated application cost, single-threaded.
 const ParseBW = 150e6
 
-// ReadLog returns the whole content of f and charges the parse cost.
+// readChunk is the unit in which ReadLog reads a log ahead of the parse.
+const readChunk = 1 << 20
+
+// ReadLog returns the whole content of f, charges the parse cost and ends
+// with f.Sync — the one read all four ports recover through. A reader proc
+// fills the buffer chunk by chunk while the caller parses what has arrived,
+// so on any file the read hides behind the parse; on an ncl file under
+// streamed recovery (DESIGN.md §16) so does the peers' re-synchronization,
+// and the closing Sync is the barrier behind which the log is as redundant as
+// before the crash: no port serves or acknowledges anything derived from the
+// log before ReadLog has returned. The read-and-parse is one "app"/"readlog"
+// span (Fig 11b "parse").
 func ReadLog(p *simnet.Proc, f core.File) ([]byte, error) {
 	data := make([]byte, f.Size())
-	if _, err := f.Pread(p, data, 0); err != nil {
-		return nil, err
+	sp := p.StartSpan("app", "readlog", trace.Str("path", f.Path()), trace.Int("bytes", int64(len(data))))
+	var (
+		mu     simnet.Mutex
+		cond   = simnet.NewCond(&mu)
+		filled int   // data[:filled] has been read
+		rerr   error // the reader's error; it has stopped
+	)
+	p.Go("applog-read:"+f.Path(), func(rp *simnet.Proc) {
+		for filled < len(data) && rerr == nil {
+			chunk := data[filled:min(filled+readChunk, len(data))]
+			n, err := f.Pread(rp, chunk, int64(filled))
+			if err == nil && n != len(chunk) {
+				err = fmt.Errorf("applog: short read of %s at %d: %d of %d bytes", f.Path(), filled, n, len(chunk))
+			}
+			if err == nil {
+				filled += n
+			}
+			rerr = err
+			cond.Broadcast(rp)
+		}
+	})
+	for parsed := 0; parsed < len(data) && rerr == nil; {
+		mu.Lock(p)
+		for filled == parsed && rerr == nil {
+			cond.Wait(p)
+		}
+		avail := filled
+		mu.Unlock(p)
+		p.Sleep(time.Duration(float64(avail-parsed) / ParseBW * float64(time.Second)))
+		parsed = avail
 	}
-	p.Sleep(time.Duration(float64(len(data)) / ParseBW * float64(time.Second)))
-	return data, nil
+	p.EndSpan(sp)
+	if rerr != nil {
+		return nil, rerr
+	}
+	return data, f.Sync(p)
 }
 
 // ReadSurvivor reopens, reads (ReadLog) and closes one surviving log.

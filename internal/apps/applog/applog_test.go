@@ -3,9 +3,16 @@ package applog
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"reflect"
 	"testing"
+	"time"
+
+	"splitft/internal/core"
+	"splitft/internal/harness"
+	"splitft/internal/simnet"
+	"splitft/internal/trace"
 )
 
 // threeBatches is a log of three records, with the offset where each ends
@@ -88,5 +95,103 @@ func TestEncodeAllocatesOnlyTheRecord(t *testing.T) {
 	Scan(rec, func(o Op) { got = append(got, o) })
 	if len(got) != 2 || got[0].Key != "k1" || string(got[0].Value) != "v1" || !got[1].Del {
 		t.Fatalf("round trip = %+v", got)
+	}
+}
+
+// ReadLog of a recovering ncl file hides everything NCL does behind the
+// parse (DESIGN.md §16): it starts parsing when the first segment has arrived
+// and returns N/ParseBW and one SyncCPU later — or, when the log is so small
+// that re-synchronizing its peers outlasts its parse, when that is done. The
+// whole parse is charged either way.
+func TestReadLogOverlapsStreamedRecovery(t *testing.T) {
+	for _, size := range []int{64 << 10, 5<<20 + 12345} {
+		t.Run(fmt.Sprint(size), func(t *testing.T) {
+			t.Parallel()
+			col := trace.New()
+			c := harness.New(harness.Options{Seed: 5, NumPeers: 4, Trace: col})
+			err := c.Run(func(p *simnet.Proc) error {
+				fs, err := c.NewFS(p, "app", 0)
+				if err != nil {
+					return err
+				}
+				// A circular log: its survivors get the whole region again.
+				f, err := fs.OpenFile(p, "wal", SplitFT.LogFlags(false), 6<<20)
+				if err != nil {
+					return err
+				}
+				want := make([]byte, size)
+				p.Rand().Read(want)
+				for off := 0; off < size; off += 256 << 10 {
+					if _, err := f.Write(p, want[off:min(off+256<<10, size)]); err != nil {
+						return err
+					}
+				}
+				c.CrashApp()
+				c.RestartApp()
+				if fs, err = c.NewFS(p, "app", 1); err != nil {
+					return err
+				}
+				mark := col.Len()
+				if f, err = SplitFT.Reopen(p, fs, "wal"); err != nil {
+					return err
+				}
+				got, err := ReadLog(p, f)
+				end := p.Now()
+				if err != nil || !bytes.Equal(got, want) {
+					return fmt.Errorf("read %d of %d bytes, equal %v, %v", len(got), size, bytes.Equal(got, want), err)
+				}
+				spans := col.Since(mark)
+				var firstSegment time.Duration
+				for _, sp := range trace.Filter(spans, "rdma", "read") {
+					if sp.IntAttr("bytes") > 16 { // past the header reads
+						firstSegment = sp.End
+						break
+					}
+				}
+				rec := trace.First(spans, "ncl", "recover")
+				if firstSegment == 0 || !rec.Done() {
+					return fmt.Errorf("no segment read or no finished recovery in the trace (%v)", rec)
+				}
+				parse := time.Duration(float64(size) / ParseBW * float64(time.Second))
+				parsed := firstSegment + parse
+				if synced := rec.End; (size < 1<<20) != (synced > parsed) {
+					return fmt.Errorf("sync phase ends at %v, parse at %v: the case is not the one intended", synced, parsed)
+				}
+				// Each chunk's parse rounds down to the nanosecond, and Sync's
+				// own cost may pass while it waits.
+				syncCPU, chunks := c.Profile.NCL.SyncCPU, time.Duration(size/readChunk+1)
+				if lo, hi := max(parsed+syncCPU-chunks, rec.End), max(parsed, rec.End)+syncCPU; end < lo || end > hi {
+					return fmt.Errorf("ReadLog returned at %v, want [%v, %v]: first segment %v + parse %v + SyncCPU, or the end of the recovery %v",
+						end, lo, hi, firstSegment, parse, rec.End)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// shortFile claims more bytes than its reads deliver.
+type shortFile struct{ core.File }
+
+func (shortFile) Size() int64  { return 100 }
+func (shortFile) Path() string { return "short.log" }
+func (shortFile) Pread(_ *simnet.Proc, buf []byte, _ int64) (int, error) {
+	return copy(buf, "ten bytes."), nil
+}
+
+// A read that comes back short is an error, not ninety zeros to parse.
+func TestReadLogRejectsShortRead(t *testing.T) {
+	s := simnet.New(1)
+	var data []byte
+	var err error
+	s.Go("reader", func(p *simnet.Proc) { data, err = ReadLog(p, shortFile{}) })
+	if rerr := s.Run(); rerr != nil {
+		t.Fatal(rerr)
+	}
+	if err == nil || data != nil {
+		t.Fatalf("ReadLog of a short file returned %d bytes, %v; want an error", len(data), err)
 	}
 }

@@ -319,8 +319,12 @@ func Recover(p *simnet.Proc, fs *core.FS, cfg Config) (*DB, error) {
 	// WAL that is there but was not replayed would be overwritten.
 	switch w, err := cfg.Durability.Reopen(p, fs, db.walPath()); {
 	case err == nil:
-		db.salt = db.replayWAL(p, w) + 1
-		db.wal = w
+		salt, err := db.replayWAL(p, w)
+		if err != nil {
+			w.Close(p)
+			return nil, fmt.Errorf("litedb: replay %s: %w", db.walPath(), err)
+		}
+		db.salt, db.wal = salt+1, w
 	case errors.Is(err, core.ErrNotExist):
 		if err := db.createWAL(p); err != nil {
 			return nil, err
@@ -340,11 +344,15 @@ func Recover(p *simnet.Proc, fs *core.FS, cfg Config) (*DB, error) {
 // replayWAL applies the frames of the newest WAL generation (the salt of
 // frame zero) in order, stopping at a salt change or CRC failure. Frames
 // are page images, so replay is idempotent. It returns the largest salt
-// seen so the new generation is strictly newer.
-func (db *DB) replayWAL(p *simnet.Proc, w core.File) uint64 {
+// seen so the new generation is strictly newer. A WAL that cannot be read
+// fails the recovery: replayed as if empty, it would be overwritten.
+func (db *DB) replayWAL(p *simnet.Proc, w core.File) (uint64, error) {
 	data, err := applog.ReadLog(p, w)
-	if err != nil || len(data) < frameSz {
-		return db.salt
+	if err != nil {
+		return 0, err
+	}
+	if len(data) < frameSz {
+		return db.salt, nil
 	}
 	gen := binary.LittleEndian.Uint64(data[8:16])
 	maxSalt := gen
@@ -364,7 +372,7 @@ func (db *DB) replayWAL(p *simnet.Proc, w core.File) uint64 {
 		copy(pg, img)
 		db.dirty[id] = pg
 	}
-	return maxSalt
+	return maxSalt, nil
 }
 
 // WAL returns the write-ahead-log file.

@@ -13,6 +13,7 @@ import (
 	"splitft/internal/harness"
 	"splitft/internal/ncl"
 	"splitft/internal/simnet"
+	"splitft/internal/trace"
 )
 
 // TestPortConformance runs one set of scripts against every port under every
@@ -35,6 +36,7 @@ func TestPortConformance(t *testing.T) {
 		{"reclaim", durable, (*run).acrossReclaim},
 		{"double crash", durable, (*run).doubleCrash},
 		{"crash mid-recovery", durable, (*run).crashMidRecovery},
+		{"recovery peer crash", durable, (*run).recoveryPeerCrash},
 		{"controller unreachable at recovery", durable, (*run).controllerOutAtRecovery},
 	}
 	// Small capacities, so every port's reclaim cycle (WAL rotation + flush,
@@ -51,7 +53,9 @@ func TestPortConformance(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/%s", port.Name, sc.name, d), func(t *testing.T) {
 					t.Parallel()
 					r := &run{port: port, d: d, sz: sizing[port.Name], acked: map[string][]byte{}}
-					r.c = harness.New(harness.Options{Seed: 7, NumPeers: 5})
+					// Eight peers: a log's three members, and spares enough that
+					// the next log never has to land on a slow or dead one.
+					r.c = harness.New(harness.Options{Seed: 7, NumPeers: 8})
 					if err := r.c.Run(func(p *simnet.Proc) error { return sc.run(r, p) }); err != nil {
 						t.Fatal(err)
 					}
@@ -167,10 +171,30 @@ func (r *run) lost(p *simnet.Proc) (n int, err error) {
 	return n, nil
 }
 
-// recoverIntact recovers in p and demands the guarantee of r.d: nothing
-// acknowledged is lost (Strong, SplitFT), or something is (Weak — the
-// data-loss window is the point of the comparison). The recovered store must
-// then keep working.
+// settle checks the recovered store against the reference — nothing
+// acknowledged is lost (Strong, SplitFT), or something is (Weak) — and then
+// settles the reference on what survived of the write in flight: a read has
+// seen it, so it has to stay that way.
+func (r *run) settle(p *simnet.Proc) error {
+	n, err := r.lost(p)
+	if err != nil {
+		return err
+	}
+	if (n > 0) != (r.d == applog.Weak) {
+		return fmt.Errorf("%s lost %d of %d acknowledged writes", r.d, n, len(r.acked))
+	}
+	if w := r.inflight; w != nil {
+		got, found, _ := r.st.Get(p, w[0])
+		if r.acked[w[0]], r.inflight = nil, nil; found {
+			r.acked[w[0]] = got
+		}
+	}
+	return nil
+}
+
+// recoverIntact recovers in p and demands the guarantee of r.d (settle; under
+// Weak the data-loss window is the point of the comparison). The recovered
+// store must then keep working.
 func (r *run) recoverIntact(p *simnet.Proc) error {
 	if r.err != nil {
 		return r.err
@@ -181,18 +205,8 @@ func (r *run) recoverIntact(p *simnet.Proc) error {
 	if err := r.start(p); err != nil {
 		return fmt.Errorf("recover: %w", err)
 	}
-	n, err := r.lost(p)
-	if err != nil {
+	if err := r.settle(p); err != nil {
 		return err
-	}
-	if (n > 0) != (r.d == applog.Weak) {
-		return fmt.Errorf("%s lost %d of %d acknowledged writes", r.d, n, len(r.acked))
-	}
-	if w := r.inflight; w != nil { // settle the reference on what survived
-		got, found, _ := r.st.Get(p, w[0])
-		if r.acked[w[0]], r.inflight = nil, nil; found {
-			r.acked[w[0]] = got
-		}
 	}
 	if err := r.write(p, "after", []byte("recovery")); err != nil {
 		return err
@@ -321,6 +335,60 @@ func (r *run) crashMidRecovery(p *simnet.Proc) error {
 		p.Sleep(cut)
 		r.crash(p)
 	}
+	return r.recoverIntact(p)
+}
+
+// recoveryPeerCrash is the barrier rule of DESIGN.md §16 seen from a port.
+// The crash leaves a write in flight on one member of the active log alone;
+// recovery streams the log from that member, the other two are slow (15 ms a
+// message: the tail they lack takes two work requests, so 30 ms, to reach
+// them — longer than any port needs to finish its recovery once the log is
+// parsed), and the member dies while ReadLog is parsing. Whatever Recover then
+// hands back — that write included, once a read has seen it — has been
+// externalized, and the application crashes again the moment it has: Recover
+// must have failed, or have waited until the slow survivors held everything
+// it returned. Under Strong there are no peers, and what is left is a second
+// crash right after the first read.
+func (r *run) recoveryPeerCrash(p *simnet.Proc) error {
+	net := r.c.Sim.Net()
+	var members []*simnet.Node
+	r.launch(r.fill("v", 20000, 8))
+	p.Sleep(20 * time.Millisecond)
+	if r.d == applog.SplitFT {
+		lg := r.st.Log().(interface{ Log() *ncl.Log }).Log()
+		for _, name := range lg.LivePeers() {
+			members = append(members, r.c.Sim.Node(name))
+		}
+		for _, m := range members[1:] {
+			net.Partition(r.c.AppNode, m)
+		}
+		p.Sleep(100 * time.Microsecond) // the next write lands on members[0] alone
+	}
+	r.crash(p)
+	col := trace.New()
+	if r.d == applog.SplitFT {
+		for _, m := range members[1:] {
+			net.Heal(r.c.AppNode, m)
+			net.SetLinkLatency(r.c.AppNode, m, 15*time.Millisecond)
+		}
+		r.c.Sim.SetTracer(col)
+		r.c.Sim.Go("crash-recovery-peer", func(kp *simnet.Proc) {
+			for trace.First(col.Spans(), "app", "readlog") == nil {
+				kp.Sleep(20 * time.Microsecond)
+			}
+			kp.Sleep(50 * time.Microsecond) // a log of this size has arrived; its parse has not ended
+			members[0].Crash()
+		})
+	}
+	err := r.start(p)
+	r.c.Sim.SetTracer(nil)
+	if err == nil {
+		if err = r.settle(p); err != nil {
+			return err
+		}
+	}
+	r.crash(p)
+	net.HealAll()
 	return r.recoverIntact(p)
 }
 

@@ -190,6 +190,9 @@ func fig11a(sc Scale, seed int64) (Report, error) {
 		}
 		mark := col.Len()
 		nf, err := fs2.OpenFile(p, "reclog", core.O_NCL, 0)
+		if err == nil {
+			err = nf.Sync(p) // the prefetch ends behind the open
+		}
 		if err != nil {
 			return err
 		}

@@ -15,7 +15,8 @@ import (
 // The repl experiment sweeps the NCL replication policies behind
 // `splitft-bench repl`: for each policy x hardware profile it fills one log
 // with synchronous records, reads the peer registry's memory bill, then
-// crashes the application and times a full recovery. The three columns are
+// crashes the application and times a full recovery — the recovering open
+// through its barrier (Sync), where the log is as redundant as before. The three columns are
 // the policy trade-off the redesign exists to expose — memory overhead
 // (mirror ~3x vs ec(k,m) at (k+m)/k), write latency (quorum's one-RTT
 // single-WR ack vs mirror's data+header pair vs ec's encode+all-cells ack),
@@ -113,6 +114,9 @@ func replOnce(rep *Report, sc Scale, seed int64, policy, profName string) error 
 		}
 		start := p.Now()
 		nf2, err := fs2.OpenFile(p, "wal-000", core.O_NCL, 0)
+		if err == nil {
+			err = nf2.Sync(p)
+		}
 		if err != nil {
 			return err
 		}

@@ -8,8 +8,10 @@
 //
 // The same FS serves all three configurations of the evaluation: weak-app
 // DFT (logs on dfs, no fsync), strong-app DFT (logs on dfs, fsync per
-// batch), and SplitFT (logs opened with O_NCL; Sync on them is a no-op
-// because every record is already replicated synchronously).
+// batch), and SplitFT (logs opened with O_NCL; Sync on them costs nothing
+// because every record is already replicated synchronously — except right
+// after a recovering open, where it is the barrier behind which the log's
+// redundancy is restored).
 //
 // The package also implements the §6 extension: fine-granular write
 // splitting for files that mix small and large writes (see splitfile.go).
@@ -123,7 +125,10 @@ func (fs *FS) Node() *simnet.Node { return fs.node }
 
 // OpenFile opens path. With O_NCL the file lives in near-compute logs:
 // creation allocates peer regions of regionSize (0 = default), and opening
-// an existing ncl file runs recovery. Without O_NCL the file is a plain dfs
+// an existing ncl file runs recovery, which streams (DESIGN.md §16): the
+// open returns once the file's size is known, a read blocks until its bytes
+// have arrived, and what was read is as redundant as before the crash only
+// once Sync or a write has returned. Without O_NCL the file is a plain dfs
 // file.
 func (fs *FS) OpenFile(p *simnet.Proc, path string, flags OpenFlag, regionSize int64) (File, error) {
 	if flags&O_NCL != 0 {
@@ -251,19 +256,22 @@ func (f *nclFile) Read(p *simnet.Proc, buf []byte) (int, error) {
 }
 
 func (f *nclFile) Pread(p *simnet.Proc, buf []byte, off int64) (int, error) {
-	// Reads come from the local buffer; after recovery the content was
-	// prefetched from the recovery peer (Fig 11a). ncl-lib serves them in
-	// user space — no syscall — so the fixed cost undercuts a dfs read.
+	// Reads come from the local buffer; after recovery the content is
+	// prefetched from the recovery peer (Fig 11a) and a read waits only for
+	// the bytes it asks for. ncl-lib serves them in user space — no syscall
+	// — so the fixed cost undercuts a dfs read.
 	p.Sleep(f.fs.nclCfg.Model.LocalReadCPU)
-	return f.lg.ReadAt(buf, off), nil
+	return f.lg.ReadAt(p, buf, off)
 }
 
-// Sync is a no-op for ncl files: every Record is already replicated to a
-// majority of log peers before returning. This is precisely SplitFT's
-// performance win — the fsync disappears from the critical path.
+// Sync has nothing to write for ncl files: every Record is already
+// replicated to a majority of log peers before returning. This is precisely
+// SplitFT's performance win — the fsync disappears from the critical path.
+// What is left of it is the barrier of a recovering open: it returns once
+// what was read from the file is as redundant as before the crash.
 func (f *nclFile) Sync(p *simnet.Proc) error {
 	p.Sleep(f.fs.nclCfg.Model.SyncCPU)
-	return nil
+	return f.lg.Sync(p)
 }
 
 func (f *nclFile) Close(p *simnet.Proc) error {

@@ -213,7 +213,6 @@ func TestCrashRecoveryThroughFS(t *testing.T) {
 		tb.sim.SetTracer(col)
 		mark := col.Len()
 		f2, err := fs2.OpenFile(p, "wal-7", O_NCL, 0)
-		tb.sim.SetTracer(nil)
 		if err != nil {
 			t.Fatalf("recovering open: %v", err)
 		}
@@ -222,6 +221,12 @@ func TestCrashRecoveryThroughFS(t *testing.T) {
 		if n < len(want) || !bytes.Equal(buf[:len(want)], want) {
 			t.Fatalf("recovered %d bytes, mismatch", n)
 		}
+		// The recovery's spans end with its background phase, behind the
+		// barrier.
+		if err := f2.Sync(p); err != nil {
+			t.Fatalf("sync after the recovering open: %v", err)
+		}
+		tb.sim.SetTracer(nil)
 		spans := col.Since(mark)
 		if rec := trace.First(spans, "ncl", "recover"); rec == nil || !rec.Done() {
 			t.Error("recovery span not recorded")

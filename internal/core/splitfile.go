@@ -78,6 +78,11 @@ func (sf *SplitFile) replay(p *simnet.Proc) error {
 		}
 	}
 	sf.view = base
+	// The view is served from memory from here on: the journal it is built
+	// from must be whole and as redundant as before the crash first.
+	if err := sf.journal.lg.Sync(p); err != nil {
+		return err
+	}
 	j := sf.journal.lg.Bytes()
 	off := int64(0)
 	for off+splitHdrLen <= int64(len(j)) {

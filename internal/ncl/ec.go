@@ -215,25 +215,14 @@ func (e *ecPolicy) Recover(p *simnet.Proc, lg *Log, alive []*peerConn) error {
 	return nil
 }
 
-// Resync rewrites each survivor's frame log up to the cut. Slots that
-// already reached the cut hold an identical prefix (per-slot streams are
-// prefixes of the global stream) and are skipped; slots that were ahead of
-// the cut keep stale frames beyond it, which the next scan rejects because
-// recovery always republishes under a bumped epoch and post-recovery
+// Resync rewrites one survivor's frame log up to the cut. A slot that already
+// reached the cut holds an identical prefix (per-slot streams are prefixes of
+// the global stream), so the rewrite changes nothing there; a slot that was
+// ahead of the cut keeps stale frames beyond it, which the next scan rejects
+// because recovery always republishes under a bumped epoch and post-recovery
 // frames outrank them on generation.
-func (e *ecPolicy) Resync(p *simnet.Proc, lg *Log, alive []*peerConn) error {
-	for _, pc := range alive {
-		if pc.failed {
-			continue
-		}
-		if err := e.Repair(p, lg, pc.qp, pc.rkey, pc.slot, false); err != nil {
-			pc.failed = true
-			continue
-		}
-		pc.completedSeq = lg.seq
-		pc.active = true
-	}
-	return nil
+func (e *ecPolicy) Resync(p *simnet.Proc, lg *Log, pc *peerConn) error {
+	return e.Repair(p, lg, pc.qp, pc.rkey, pc.slot, false)
 }
 
 func (e *ecPolicy) Repair(p *simnet.Proc, lg *Log, qp *rdma.QP, rkey uint64, slot int, lock bool) error {

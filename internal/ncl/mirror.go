@@ -22,9 +22,8 @@ import (
 )
 
 type mirrorPolicy struct {
-	// Recovery state shared between the read and sync phases: each
-	// survivor's advertised header, and the peer whose region was
-	// prefetched.
+	// Recovery state shared between the read and sync phases: the length
+	// each survivor's header advertised, and the peer whose region is read.
 	hdrLens      map[*peerConn]int64
 	recoveryPeer *peerConn
 }
@@ -53,82 +52,54 @@ func (m *mirrorPolicy) Append(p *simnet.Proc, lg *Log, off int64, data []byte) e
 }
 
 // Recover is the read phase of §4.5.1 steps 3-4: read the header from every
-// survivor, pick the maximum sequence number (quorum intersection
-// guarantees it covers every acknowledged write), and prefetch the full
-// region from that peer.
+// survivor at once, pick the maximum sequence number (quorum intersection
+// guarantees it covers every acknowledged write) — that fixes the cut — and
+// post the read of that peer's region, which arrives behind the caller.
 func (m *mirrorPolicy) Recover(p *simnet.Proc, lg *Log, alive []*peerConn) error {
-	type hdrInfo struct {
-		seq    uint64
-		length int64
-	}
-	hdrs := make(map[*peerConn]hdrInfo)
+	seqs := make([]uint64, len(alive))
 	m.hdrLens = make(map[*peerConn]int64)
-	for _, pc := range alive {
+	errs := lg.fanOut(p, alive, func(fp *simnet.Proc, i int, pc *peerConn) error {
 		hbuf := make([]byte, HeaderSize)
-		if err := lg.readInto(p, pc, 0, hbuf); err != nil {
-			continue
+		if err := lg.readInto(fp, pc, 0, hbuf); err != nil {
+			return err
 		}
-		h := hdrInfo{
-			seq:    binary.LittleEndian.Uint64(hbuf[0:8]),
-			length: int64(binary.LittleEndian.Uint64(hbuf[8:16])),
-		}
-		hdrs[pc] = h
-		m.hdrLens[pc] = h.length
-	}
-	if len(hdrs) < lg.place.MinAlive {
-		return fmt.Errorf("%w: %d header responses", ErrUnavailable, len(hdrs))
-	}
-	var recoveryPeer *peerConn
-	for _, pc := range alive { // deterministic order; first max wins
-		h, ok := hdrs[pc]
-		if !ok {
-			continue
-		}
-		if recoveryPeer == nil || h.seq > hdrs[recoveryPeer].seq {
-			recoveryPeer = pc
+		seqs[i] = binary.LittleEndian.Uint64(hbuf[0:8])
+		m.hdrLens[pc] = int64(binary.LittleEndian.Uint64(hbuf[8:16]))
+		return nil
+	})
+	best := -1
+	for i, pc := range alive { // deterministic order; first max wins
+		if errs[i] != nil {
+			pc.failed = true
+		} else if best < 0 || seqs[i] > seqs[best] {
+			best = i
 		}
 	}
-	maxHdr := hdrs[recoveryPeer]
-	if maxHdr.length > 0 {
-		if err := lg.readInto(p, recoveryPeer, HeaderSize, lg.buf[HeaderSize:HeaderSize+maxHdr.length]); err != nil {
-			return fmt.Errorf("ncl: recovery read from %s: %w", recoveryPeer.name, err)
-		}
+	if len(m.hdrLens) < lg.place.MinAlive {
+		return fmt.Errorf("%w: %d header responses", ErrUnavailable, len(m.hdrLens))
 	}
-	lg.seq = maxHdr.seq
-	lg.length = maxHdr.length
-	binary.LittleEndian.PutUint64(lg.buf[0:8], lg.seq)
-	binary.LittleEndian.PutUint64(lg.buf[8:16], uint64(lg.length))
-	m.recoveryPeer = recoveryPeer
+	m.recoveryPeer = alive[best]
+	lg.seq = seqs[best]
+	lg.length = m.hdrLens[m.recoveryPeer]
+	lg.putHeader(lg.buf[:HeaderSize])
+	lg.streamFrom(p, m.recoveryPeer)
 	return nil
 }
 
-// Resync is the sync phase of §4.5.1 step 5: catch every other responsive
-// peer up to the recovered content. Circular (and by default all) logs get
-// the whole region via staging + atomic switch; logs the application
-// declared append-only get the cheaper tail shipping into their existing
-// regions. Peers that fail here are marked for replacement.
-func (m *mirrorPolicy) Resync(p *simnet.Proc, lg *Log, alive []*peerConn) error {
-	for _, pc := range alive {
-		if pc == m.recoveryPeer {
-			pc.completedSeq = lg.seq
-			pc.active = true
-			continue
-		}
-		var err error
-		if lg.appendOnly {
-			err = lg.catchUpTail(p, pc, m.hdrLens[pc])
-		} else {
-			err = lg.catchUpViaStaging(p, pc, lg.epoch)
-		}
-		if err != nil {
-			// Treat as freshly failed: the caller replaces it.
-			pc.failed = true
-			continue
-		}
-		pc.completedSeq = lg.seq
-		pc.active = true
+// Resync is the sync phase of §4.5.1 step 5 for one survivor: catch it up to
+// the recovered content. Circular (and by default all) logs get the whole
+// region via staging + atomic switch; logs the application declared
+// append-only get the cheaper tail shipping into their existing regions. The
+// recovery peer holds the content already.
+func (m *mirrorPolicy) Resync(p *simnet.Proc, lg *Log, pc *peerConn) error {
+	switch {
+	case pc == m.recoveryPeer:
+		return nil
+	case lg.appendOnly:
+		return lg.catchUpTail(p, pc, m.hdrLens[pc])
+	default:
+		return lg.catchUpViaStaging(p, pc, lg.epoch)
 	}
-	return nil
 }
 
 func (m *mirrorPolicy) Repair(p *simnet.Proc, lg *Log, qp *rdma.QP, rkey uint64, slot int, lock bool) error {

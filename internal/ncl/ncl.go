@@ -12,6 +12,13 @@
 // garbage-collect leaked space, and graceful handling of peer memory
 // revocation.
 //
+// Recovery is a stream with one barrier (recover.go, DESIGN.md §16): Recover
+// returns once the log's length and sequence number are fixed, ReadAt blocks
+// until the bytes it was asked for have arrived, and the survivors are caught
+// up behind the application — which may read recovered bytes at once but is
+// promised that they survive f further failures only once Sync, Record or
+// Release has returned.
+//
 // Region layout: every log region starts with a 16-byte header — the
 // sequence number and the byte length of the log — followed by the log's
 // physical content. Each application write becomes two RDMA writes per peer
@@ -260,6 +267,10 @@ type Log struct {
 
 	released bool
 
+	// rec is the log's streamed recovery (recover.go): set by Recover,
+	// cleared when its background phase has succeeded, nil on an opened log.
+	rec *recovery
+
 	// Stats. Latency breakdowns (Fig 11b recovery phases, Table 3
 	// replacement steps) are trace spans, not struct fields: attach a
 	// trace.Collector to the Sim and query the "ncl" layer's "recover.*"
@@ -365,7 +376,7 @@ func (l *Lib) Open(p *simnet.Proc, name string, capacity int64, appendOnly bool)
 	for len(lg.peers) < lg.place.Slots {
 		pc, err := l.allocate(p, lg, lg.peerNames(), lg.epoch, false)
 		if err != nil {
-			lg.abortOpen(p)
+			lg.teardown(p)
 			return nil, err
 		}
 		pc.active = true
@@ -375,7 +386,7 @@ func (l *Lib) Open(p *simnet.Proc, name string, capacity int64, appendOnly bool)
 	// Step 4b: record the allocation in the ap-map.
 	ver, err := lg.publish(p, lg.fileEntry(lg.epoch))
 	if err != nil {
-		lg.abortOpen(p)
+		lg.teardown(p)
 		return nil, fmt.Errorf("ncl: ap-map update: %w", err)
 	}
 	lg.apVersion = ver
@@ -384,22 +395,28 @@ func (l *Lib) Open(p *simnet.Proc, name string, capacity int64, appendOnly bool)
 	return lg, nil
 }
 
-// abortOpen unwinds a failed Open: the QPs are closed so their engine procs
-// exit. Without this, every failed open under a saturated controller leaks
-// its QPs, and a retrying client turns saturation into an unbounded proc
-// pile-up.
+// teardown stops everything a log runs on the application node — the one
+// place that does, for a release, a failed Open and a failed Recover alike:
+// every QP it ever connected is closed so the engine procs exit, the CQ and
+// the repair channel are closed so the poller and the repair proc do, and the
+// lib forgets the log, so that a retry starts clean. Without this, every
+// failed open or recovery under a saturated controller or beyond the failure
+// budget strands its procs and its buffer, and a retrying client turns the
+// fault into an unbounded pile-up.
 //
 // The allocated regions are deliberately NOT released here. A release RPC
-// fired during abort can outlive its timeout in a busy peer's queue, and a
+// fired during an abort can outlive its timeout in a busy peer's queue, and a
 // retried open of the same file — which setup idempotency hands the very
 // same regions — would then have its live region swept by the stale
 // release. Orphaned regions (the retry chose other peers, or never came)
 // are reclaimed by the peers' space-leak GC once the grace period passes.
-func (lg *Log) abortOpen(p *simnet.Proc) {
-	for _, pc := range lg.peers {
+func (lg *Log) teardown(p *simnet.Proc) {
+	for _, pc := range lg.conns {
 		pc.qp.Close(p)
 	}
-	lg.peers = nil
+	if lg.lib.logs[lg.name] == lg {
+		delete(lg.lib.logs, lg.name)
+	}
 	lg.cq.Close(p)
 	lg.repairCh.Close(p)
 }
@@ -508,6 +525,9 @@ func (lg *Log) Record(p *simnet.Proc, off int64, data []byte) error {
 		sp := p.StartSpan("ncl", "record", trace.Str("file", lg.name), trace.Int("bytes", int64(len(data))))
 		defer p.EndSpan(sp)
 	}
+	if err := lg.Sync(p); err != nil {
+		return err
+	}
 	lg.mu.Lock(p)
 	defer lg.mu.Unlock(p)
 	if lg.released {
@@ -586,7 +606,8 @@ func (lg *Log) Epoch() int64 { return lg.epoch }
 // Policy returns the log's replication policy spec.
 func (lg *Log) Policy() PolicySpec { return lg.spec }
 
-// Bytes returns the local buffer content (the file view).
+// Bytes returns the local buffer content (the file view). It does not wait:
+// on a recovered log, call it after Sync.
 func (lg *Log) Bytes() []byte { return lg.buf[HeaderSize : HeaderSize+lg.length] }
 
 // RemoteReadAt reads log content directly from a live peer's region with a
@@ -598,6 +619,9 @@ func (lg *Log) RemoteReadAt(p *simnet.Proc, buf []byte, off int64) (int, error) 
 	if lg.place.FrameLog {
 		return 0, fmt.Errorf("ncl: RemoteReadAt needs plain-image regions (log %s uses %s)",
 			lg.name, lg.spec)
+	}
+	if err := lg.Sync(p); err != nil {
+		return 0, err
 	}
 	if off >= lg.length {
 		return 0, nil
@@ -627,17 +651,24 @@ func (lg *Log) RemoteReadAt(p *simnet.Proc, buf []byte, off int64) (int, error) 
 	return int(n), nil
 }
 
-// ReadAt copies log content into buf from offset off.
-func (lg *Log) ReadAt(buf []byte, off int64) int {
+// ReadAt copies log content into buf from offset off. On a log whose recovery
+// is still streaming it blocks until the bytes asked for have arrived, and
+// fails if the recovery did.
+func (lg *Log) ReadAt(p *simnet.Proc, buf []byte, off int64) (int, error) {
 	if off >= lg.length {
-		return 0
+		return 0, nil
 	}
 	n := int64(len(buf))
 	if off+n > lg.length {
 		n = lg.length - off
 	}
+	if r := lg.rec; r != nil {
+		if err := r.await(p, off+n); err != nil {
+			return 0, err
+		}
+	}
 	copy(buf[:n], lg.buf[HeaderSize+off:HeaderSize+off+n])
-	return int(n)
+	return int(n), nil
 }
 
 // Release frees the log's resources everywhere: the paper's `release` call,
@@ -647,6 +678,9 @@ func (lg *Log) ReadAt(buf []byte, off int64) int {
 func (lg *Log) Release(p *simnet.Proc) error {
 	sp := p.StartSpan("ncl", "release", trace.Str("file", lg.name))
 	defer p.EndSpan(sp)
+	if err := lg.Sync(p); err != nil {
+		return err
+	}
 	lg.mu.Lock(p)
 	if lg.released {
 		lg.mu.Unlock(p)
@@ -654,7 +688,6 @@ func (lg *Log) Release(p *simnet.Proc) error {
 	}
 	lg.released = true
 	lg.ackCond.Broadcast(p)
-	peers := append([]*peerConn(nil), lg.peers...)
 	names := lg.peerNames()
 	lg.mu.Unlock(p)
 
@@ -664,12 +697,7 @@ func (lg *Log) Release(p *simnet.Proc) error {
 	// the delete proposal times out on a saturated controller, or every
 	// failed release strands a proc pair. The entry left behind still has
 	// its regions: ReleaseByName can retry it, Recover can reopen it.
-	for _, pc := range peers {
-		pc.qp.Close(p)
-	}
-	delete(lg.lib.logs, lg.name)
-	lg.cq.Close(p)
-	lg.repairCh.Close(p)
+	lg.teardown(p)
 	return err
 }
 

@@ -2,6 +2,7 @@ package ncl
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -69,7 +70,7 @@ func TestAppendOnlyTailCatchup(t *testing.T) {
 		laggingKeyBefore = look.RKey
 
 		l2, _ := NewLib(p, c.svc, c.fabric, c.appNode, "app1", 1, DefaultConfig())
-		lg2, err := l2.Recover(p, "wal")
+		lg2, err := recoverSync(p, l2, "wal")
 		if err != nil {
 			t.Fatalf("recover: %v", err)
 		}
@@ -96,6 +97,67 @@ func TestAppendOnlyTailCatchup(t *testing.T) {
 		// Appends still work.
 		if _, err := lg2.Append(p, []byte("DDDD")); err != nil {
 			t.Fatalf("append after tail catch-up: %v", err)
+		}
+	})
+}
+
+// A recovery that fails — in the foreground, beyond the failure budget, or in
+// its background phase, here with no peer left to replace a dead member —
+// takes its procs, QPs and buffer with it and is forgotten by the lib, so a
+// client that retries while the fault lasts does not pile them up. Before
+// the one teardown, every failed Recover stranded a poller, a repair proc
+// and a QP engine per reachable member.
+func TestFailedRecoveryStrandsNothing(t *testing.T) {
+	const attempts = 20
+	c := newCluster(27, 3, smallPeerCfg())
+	c.run(t, func(p *simnet.Proc) {
+		lg, err := c.newLib(p, t, "app1", 0).Open(p, "wal", 64<<10, true)
+		if err == nil {
+			_, err = lg.Append(p, []byte("acknowledged"))
+		}
+		if err != nil {
+			t.Fatalf("open and append: %v", err)
+		}
+		members := lg.LivePeers()
+		c.appNode.Crash()
+		c.appNode.Restart()
+		l := c.newLib(p, t, "app1", 1)
+		// settled lets closed procs run to their end before they are counted.
+		settled := func() int { p.Sleep(time.Millisecond); return runtime.NumGoroutine() }
+
+		c.pNodes[members[0]].Crash()
+		before := settled()
+		for i := 0; i < attempts; i++ {
+			lg, err := l.Recover(p, "wal")
+			if err != nil {
+				t.Fatalf("attempt %d: recover with one member gone: %v", i, err)
+			}
+			buf := make([]byte, 12)
+			if _, err := lg.ReadAt(p, buf, 0); err != nil || string(buf) != "acknowledged" {
+				t.Fatalf("attempt %d: read %q, %v", i, buf, err)
+			}
+			if err := lg.Sync(p); !errors.Is(err, ErrNoPeers) {
+				t.Fatalf("attempt %d: barrier with no peer to replace the dead member: %v, want ErrNoPeers", i, err)
+			}
+			if _, err := lg.Append(p, []byte("x")); !errors.Is(err, ErrNoPeers) {
+				t.Fatalf("attempt %d: append to a log whose recovery failed: %v, want ErrNoPeers", i, err)
+			}
+		}
+		if got := settled(); got-before >= attempts || len(l.logs) != 0 {
+			t.Fatalf("%d recoveries that failed behind the application: goroutines %d -> %d, lib still holds %d logs",
+				attempts, before, got, len(l.logs))
+		}
+
+		c.pNodes[members[1]].Crash()
+		before = settled()
+		for i := 0; i < attempts; i++ {
+			if _, err := l.Recover(p, "wal"); !errors.Is(err, ErrUnavailable) {
+				t.Fatalf("attempt %d: recover beyond the failure budget: %v, want ErrUnavailable", i, err)
+			}
+		}
+		if got := settled(); got-before >= attempts || len(l.logs) != 0 {
+			t.Fatalf("%d recoveries beyond the failure budget: goroutines %d -> %d, lib still holds %d logs",
+				attempts, before, got, len(l.logs))
 		}
 	})
 }

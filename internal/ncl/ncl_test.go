@@ -108,6 +108,15 @@ func (c *cluster) newLib(p *simnet.Proc, t *testing.T, app string, fencing int64
 	return l
 }
 
+// recoverSync is the paper's serial recovery: recover, then the barrier.
+func recoverSync(p *simnet.Proc, l *Lib, name string) (*Log, error) {
+	lg, err := l.Recover(p, name)
+	if err == nil {
+		err = lg.Sync(p)
+	}
+	return lg, err
+}
+
 func smallPeerCfg() peer.Config {
 	cfg := peer.DefaultConfig()
 	cfg.LendableMem = 64 << 20
@@ -261,7 +270,7 @@ func TestRecoverySyncsLaggingPeer(t *testing.T) {
 		c.appNode.Restart()
 
 		l2, _ := NewLib(p, c.svc, c.fabric, c.appNode, "app1", 1, DefaultConfig())
-		lg2, err := l2.Recover(p, "wal")
+		lg2, err := recoverSync(p, l2, "wal")
 		if err != nil {
 			t.Fatalf("recover: %v", err)
 		}
@@ -307,7 +316,7 @@ func TestCircularOverwriteRecovery(t *testing.T) {
 		p.Sleep(10 * time.Millisecond)
 		c.appNode.Restart()
 		l2, _ := NewLib(p, c.svc, c.fabric, c.appNode, "app1", 1, DefaultConfig())
-		lg2, err := l2.Recover(p, "db-wal")
+		lg2, err := recoverSync(p, l2, "db-wal")
 		if err != nil {
 			t.Fatalf("recover: %v", err)
 		}
@@ -378,7 +387,7 @@ func TestRestartedPeerRejectsRecoveryLookup(t *testing.T) {
 		c.restartPeer(p, t, member)
 		c.appNode.Restart()
 		l2, _ := NewLib(p, c.svc, c.fabric, c.appNode, "app1", 1, DefaultConfig())
-		lg2, err := l2.Recover(p, "wal")
+		lg2, err := recoverSync(p, l2, "wal")
 		if err != nil {
 			t.Fatalf("recover: %v", err)
 		}

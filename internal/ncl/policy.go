@@ -181,25 +181,28 @@ func (s PolicySpec) Place(capacity int64) Placement {
 // client-side shard state) and every method is called from ncl-lib with the
 // log's conventions: Append runs under lg.mu with the local buffer already
 // updated and lg.seq already assigned; Recover runs on a freshly connected
-// log before it is returned to the application; Repair and Snapshot are the
-// §4.5.2 catch-up steps.
+// log before it is returned to the application, Resync behind it, once per
+// survivor and for all of them at once; Repair and Snapshot are the §4.5.2
+// catch-up steps.
 type ReplicationPolicy interface {
 	// Append posts the RDMA writes replicating the record just applied at
 	// [off, off+len(data)) as sequence lg.seq. Called under lg.mu. An error
 	// (ec/quorum frame-budget exhaustion) means nothing was posted; the
 	// caller rolls the sequence number back and fails the Record.
 	Append(p *simnet.Proc, lg *Log, off int64, data []byte) error
-	// Recover is the read phase of application recovery: rebuild lg's
-	// content (buf, length, seq) from the reachable peers. alive holds the
-	// connected members; len(alive) >= lg.place.MinAlive is guaranteed.
-	// Peers that fail mid-read are marked failed (the caller replaces
-	// them). Runs inside the "recover.rdmaread" span.
+	// Recover is the read phase of application recovery: fix lg's cut
+	// (length, seq) from the reachable peers and rebuild its content in buf
+	// — or post its read with lg.streamFrom, to arrive behind the caller.
+	// alive holds the connected members; len(alive) >= lg.place.MinAlive is
+	// guaranteed. Peers that fail mid-read are marked failed (the caller
+	// replaces them). Runs inside the "recover.rdmaread" span.
 	Recover(p *simnet.Proc, lg *Log, alive []*peerConn) error
-	// Resync is the sync phase: catch every responsive survivor up to the
-	// recovered content so a subsequent failure cannot un-recover it, and
-	// leave survivors active with completedSeq = lg.seq. Runs inside the
-	// "recover.syncpeer" span.
-	Resync(p *simnet.Proc, lg *Log, alive []*peerConn) error
+	// Resync is the sync phase for one survivor: catch pc up to the
+	// recovered content so a subsequent failure cannot un-recover it. The
+	// caller (Log.resync) runs it for every survivor at once, activates the
+	// ones it succeeds on and replaces the rest. Runs inside the
+	// "recover.syncpeer" span, with all the content arrived.
+	Resync(p *simnet.Proc, lg *Log, pc *peerConn) error
 	// Repair bulk-writes slot's current replica content to a fresh region
 	// (a replacement peer, or a staging region) and waits for completion.
 	// With lock=true the snapshot is cut under lg.mu.
@@ -333,23 +336,31 @@ type frameScan struct {
 	buf    []byte // the region as read; frames alias it
 }
 
-// scanFrameLogs reads every survivor's whole region (regionCap bytes) and
-// scans its frame log. A peer whose read fails is marked failed and left
-// out; the caller decides how many scans are enough.
+// scanFrameLogs reads every survivor's whole region (regionCap bytes), all at
+// once, and scans its frame log. A peer whose read fails is marked failed and
+// left out; the caller decides how many scans are enough.
 func (lg *Log) scanFrameLogs(p *simnet.Proc, alive []*peerConn, regionCap, capacity int64) []frameScan {
-	scans := make([]frameScan, 0, len(alive))
-	for _, pc := range alive {
+	all := make([]frameScan, len(alive))
+	errs := lg.fanOut(p, alive, func(fp *simnet.Proc, i int, pc *peerConn) error {
 		buf := make([]byte, regionCap)
-		if err := lg.readInto(p, pc, 0, buf); err != nil {
-			pc.failed = true
-			continue
+		if err := lg.readInto(fp, pc, 0, buf); err != nil {
+			return err
 		}
 		fr := scanFrames(buf, capacity)
 		var last uint64
 		if len(fr) > 0 {
 			last = fr[len(fr)-1].seq
 		}
-		scans = append(scans, frameScan{pc: pc, frames: fr, last: last, buf: buf})
+		all[i] = frameScan{pc: pc, frames: fr, last: last, buf: buf}
+		return nil
+	})
+	scans := make([]frameScan, 0, len(alive))
+	for i, pc := range alive {
+		if errs[i] != nil {
+			pc.failed = true
+			continue
+		}
+		scans = append(scans, all[i])
 	}
 	return scans
 }

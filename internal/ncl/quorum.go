@@ -122,25 +122,15 @@ func (q *quorumPolicy) Recover(p *simnet.Proc, lg *Log, alive []*peerConn) error
 	return nil
 }
 
-// Resync read-repairs every lagging survivor with a full-journal rewrite.
-// Suffix shipping would also work (prefix property), but the full rewrite
-// is simple, correct for every lag shape, and off the hot path.
-func (q *quorumPolicy) Resync(p *simnet.Proc, lg *Log, alive []*peerConn) error {
-	for _, pc := range alive {
-		if pc.failed {
-			continue
-		}
-		if !q.caughtUp[pc] {
-			if err := q.Repair(p, lg, pc.qp, pc.rkey, pc.slot, false); err != nil {
-				pc.failed = true
-				continue
-			}
-		}
-		pc.completedSeq = lg.seq
-		pc.active = true
+// Resync read-repairs one survivor with a full-journal rewrite unless its
+// journal already matches. Suffix shipping would also work (prefix property),
+// but the full rewrite is simple, correct for every lag shape, and off the
+// hot path.
+func (q *quorumPolicy) Resync(p *simnet.Proc, lg *Log, pc *peerConn) error {
+	if q.caughtUp[pc] {
+		return nil
 	}
-	q.caughtUp = nil
-	return nil
+	return q.Repair(p, lg, pc.qp, pc.rkey, pc.slot, false)
 }
 
 func (q *quorumPolicy) Repair(p *simnet.Proc, lg *Log, qp *rdma.QP, rkey uint64, slot int, lock bool) error {

@@ -1,7 +1,9 @@
 package ncl
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"splitft/internal/peer"
@@ -10,9 +12,10 @@ import (
 	"splitft/internal/wire"
 )
 
-// This file implements application recovery (§4.5.1): after a crash the
-// application (possibly on a different machine) reconstructs each ncl
-// file's most up-to-date content from the log peers recorded in the ap-map:
+// This file implements application recovery (§4.5.1) as a stream with one
+// barrier (DESIGN.md §16). After a crash the application (possibly on a
+// different machine) reconstructs each ncl file's most up-to-date content
+// from the log peers recorded in the ap-map:
 //
 //  1. Fetch the ap-map entry from the controller ("get peer"). The entry
 //     carries the replication policy the file was written under, so a
@@ -20,30 +23,93 @@ import (
 //     rebuilds the file correctly.
 //  2. Contact each peer; a peer that crashed since the allocation has lost
 //     its mr-map and rejects the lookup ("connect").
-//  3. Read phase ("rdma read"): the policy reconstructs the log content.
-//     Mirror reads headers from >= f+1 peers and prefetches the maximum's
-//     region; ec reads and RS-decodes >= k fragment logs; quorum replays
-//     the longest of >= f+1 journals.
-//  4. Sync phase ("sync peer"): the policy catches every responsive
-//     survivor up to the recovered content, then unresponsive peers are
-//     replaced entirely and the membership republished under an
-//     incremented epoch.
+//  3. Read phase ("rdma read"): the policy fixes the cut — the log's length
+//     and sequence number. Mirror reads the headers of >= f+1 peers and posts
+//     the read of the maximum's region in segments; ec reads and RS-decodes
+//     >= k fragment logs; quorum replays the longest of >= f+1 journals.
+//  4. Sync phase ("sync peer"): every responsive survivor is caught up to the
+//     cut, all of them at once, then unresponsive peers are replaced entirely
+//     and the membership republished under an incremented epoch.
 //
-// Only after (4) does Recover return data to the application: returning
-// earlier could externalize state that a subsequent failure un-recovers.
+// Recover returns once the cut is fixed, at the end of (3)'s foreground half.
+// From there one background proc per log drains the segments into the arrival
+// watermark and runs (4). The paper returns only after (4), because returning
+// earlier could externalize state that a subsequent failure un-recovers; here
+// that rule is a barrier instead of a serial step: recovered bytes may be
+// read as soon as they arrive — they are final, the cut does not move — but
+// they are guaranteed to survive f further failures only once Sync or any
+// write has returned. Every call that changes or vouches for the log (Record,
+// Release, Sync, RemoteReadAt) first waits for the background phase and
+// returns its error.
 
 // Recovery time breaks down as Fig 11(b) does via trace spans: Recover emits
 // an "ncl"/"recover" span with child spans "recover.getpeer" (controller
 // ap-map fetch), "recover.connect" (peer lookups + QP connects),
-// "recover.rdmaread" (the policy's read phase) and "recover.syncpeer" (the
-// policy's sync phase + replacements). Attach a trace.Collector to the Sim
-// to observe them.
+// "recover.rdmaread" (the policy's read phase, to the arrival of the last
+// segment) and "recover.syncpeer" (the policy's sync phase + replacements).
+// The parent ends when the background phase does. Attach a trace.Collector to
+// the Sim to observe them.
+
+// recoverySegment is the size of the READ work requests the recovered region
+// is fetched in: the unit in which content becomes readable.
+const recoverySegment = 1 << 20
+
+// recovery is the streamed half of a recovered log. A Log carries one from
+// Recover until its background phase has succeeded; a log that was opened, or
+// whose recovery is complete, has none.
+type recovery struct {
+	mu   simnet.Mutex
+	cond *simnet.Cond
+	// arrived is the watermark: content bytes [0, arrived) are in the local
+	// buffer and final.
+	arrived int64
+	// stream delivers the completions of the segment READs the read phase
+	// posted under bulk id streamID, in order; nil when it left none in
+	// flight.
+	stream   *simnet.Chan[error]
+	streamID uint64
+	// done: the background phase has ended, with err. A failed recovery has
+	// torn the log down; err is what every later call on it returns.
+	done bool
+	err  error
+}
+
+func newRecovery() *recovery {
+	r := &recovery{}
+	r.cond = simnet.NewCond(&r.mu)
+	return r
+}
+
+// await blocks until content bytes [0, upto) have arrived or the background
+// phase has ended, and returns the latter's error.
+func (r *recovery) await(p *simnet.Proc, upto int64) error {
+	r.mu.Lock(p)
+	for !r.done && r.arrived < upto {
+		r.cond.Wait(p)
+	}
+	r.mu.Unlock(p)
+	return r.err
+}
+
+// Sync is the durability barrier of a recovered log: it returns once the
+// background phase of its recovery has ended — every survivor caught up, the
+// membership whole and published — or with the error that phase failed with.
+// What was read from the log before is as redundant as before the crash only
+// from here on. On any other log it returns at once.
+func (lg *Log) Sync(p *simnet.Proc) error {
+	if r := lg.rec; r != nil {
+		return r.await(p, math.MaxInt64)
+	}
+	return nil
+}
 
 // Recover reopens the named ncl file. A log this instance still holds (it
 // was opened or recovered here and not released) is returned as it is;
-// otherwise the file is rebuilt from its log peers and returned with its
-// recovered content, ready for further records. A name the ap-map does not
-// hold is ErrNotFound, and that lookup was no recovery: its spans are
+// otherwise the file is rebuilt from its log peers and returned as soon as
+// its length and sequence number are fixed: ReadAt blocks until the bytes it
+// was asked for have arrived, and Record, Release and Sync wait for the
+// background phase that restores the log's redundancy. A name the ap-map does
+// not hold is ErrNotFound, and that lookup was no recovery: its spans are
 // relabelled "lookup", so every "recover" span in a trace is a file that was
 // rebuilt.
 func (l *Lib) Recover(p *simnet.Proc, name string) (*Log, error) {
@@ -51,7 +117,6 @@ func (l *Lib) Recover(p *simnet.Proc, name string) (*Log, error) {
 		return lg, nil
 	}
 	rsp := p.StartSpan("ncl", "recover", trace.Str("file", name))
-	defer p.EndSpan(rsp)
 
 	// (1) ap-map fetch.
 	sp := p.StartSpan("ncl", "recover.getpeer")
@@ -61,15 +126,18 @@ func (l *Lib) Recover(p *simnet.Proc, name string) (*Log, error) {
 		if rsp != nil {
 			rsp.Op, sp.Op = "lookup", "lookup.getpeer"
 		}
+		p.EndSpan(rsp)
 		return nil, err
 	}
 
 	// The entry's policy is authoritative — not this instance's config.
 	spec, err := ParsePolicy(entry.Policy)
 	if err != nil {
+		p.EndSpan(rsp)
 		return nil, fmt.Errorf("ncl: recover %s: %w", name, err)
 	}
 	lg := l.newLog(name, spec, entry.Capacity, entry.AppendOnly, entry.Epoch, ver)
+	lg.rec = newRecovery()
 	// The poller runs from here so completion routing works during recovery.
 	lg.start(p)
 
@@ -95,45 +163,149 @@ func (l *Lib) Recover(p *simnet.Proc, name string) (*Log, error) {
 		lg.peers[i] = pc
 	}
 	p.EndSpan(sp)
+
+	// (3) Read phase: the policy fixes length and seq from the reachable
+	// members, and leaves the content in the local buffer or on its way.
+	var rd *trace.Span
 	if len(alive) < lg.place.MinAlive {
-		return nil, fmt.Errorf("%w: %d of %d peers reachable (need %d)",
+		err = fmt.Errorf("%w: %d of %d peers reachable (need %d)",
 			ErrUnavailable, len(alive), len(entry.Peers), lg.place.MinAlive)
+	} else {
+		rd = p.StartSpan("ncl", "recover.rdmaread")
+		err = lg.policy.Recover(p, lg, alive)
 	}
-
-	// (3) Read phase: the policy reconstructs buf/length/seq from the
-	// reachable members.
-	sp = p.StartSpan("ncl", "recover.rdmaread")
-	if err := lg.policy.Recover(p, lg, alive); err != nil {
-		p.EndSpan(sp)
+	if err != nil {
+		p.EndSpan(rd)
+		p.EndSpan(rsp)
+		lg.teardown(p)
 		return nil, err
 	}
-	p.EndSpan(sp)
-
-	// (4) Sync phase: catch survivors up, then replace the rest. Frame-log
-	// placements always republish under a bumped epoch even with a full
-	// house — post-recovery frames must outrank any stale frames beyond the
-	// recovered prefix on generation.
-	sp = p.StartSpan("ncl", "recover.syncpeer")
-	if err := lg.policy.Resync(p, lg, alive); err != nil {
-		p.EndSpan(sp)
-		return nil, err
+	if lg.rec.stream == nil {
+		lg.rec.arrived = lg.length
 	}
-	needReplace := 0
+	l.logs[name] = lg
+
+	// The rest runs behind the application. The two open spans cross into the
+	// background proc, which inherits them and ends them; this proc's span
+	// stack drops them here.
+	if rsp != nil && rd != nil {
+		rsp.Async, rd.Async = true, true
+	}
+	p.GoOn(l.node, "ncl-recover:"+name, func(bp *simnet.Proc) { lg.finishRecovery(bp, rsp, rd, alive, entry.Peers) })
+	if rsp != nil {
+		p.AdoptSpan(rsp.Prev())
+	}
+	return lg, nil
+}
+
+// streamFrom posts the read of the recovered content [0, lg.length) from pc's
+// region as back-to-back READ work requests of recoverySegment bytes; the
+// background phase drains their completions into the arrival watermark.
+func (lg *Log) streamFrom(p *simnet.Proc, pc *peerConn) {
+	r := lg.rec
+	r.streamID, r.stream = lg.newBulkWaiter()
+	for off := int64(0); off < lg.length; off += recoverySegment {
+		end := min(off+recoverySegment, lg.length)
+		pc.qp.PostRead(p, pc.rkey, int(HeaderSize+off), lg.buf[HeaderSize+off:HeaderSize+end], bulkCtx(r.streamID))
+	}
+}
+
+// finishRecovery is the background phase, one proc per recovered log: drain
+// the segments, run the sync phase, and open the barrier. If it fails the log
+// is torn down and forgotten, so that a retry starts clean; the error is what
+// every waiting and later call on the log returns.
+func (lg *Log) finishRecovery(p *simnet.Proc, rsp, rd *trace.Span, alive []*peerConn, oldPeers []string) {
+	r := lg.rec
+	err := lg.drain(p)
+	p.EndSpan(rd)
+	if err == nil {
+		sp := p.StartSpan("ncl", "recover.syncpeer")
+		err = lg.resync(p, alive, oldPeers)
+		p.EndSpan(sp)
+	}
+	if err != nil {
+		r.err = fmt.Errorf("ncl: recovery of %s: %w", lg.name, err)
+		lg.teardown(p)
+	} else {
+		lg.rec = nil
+	}
+	r.done = true
+	r.cond.Broadcast(p)
+	p.EndSpan(rsp)
+}
+
+// drain waits for the segment READs in post order, advancing the watermark
+// and waking readers as each lands.
+func (lg *Log) drain(p *simnet.Proc) error {
+	r := lg.rec
+	if r.stream == nil {
+		return nil
+	}
+	defer delete(lg.bulks, r.streamID)
+	for r.arrived < lg.length {
+		if err := awaitBulk(p, r.stream, 1); err != nil {
+			return fmt.Errorf("recovery read: %w", err)
+		}
+		r.arrived = min(r.arrived+recoverySegment, lg.length)
+		r.cond.Broadcast(p)
+	}
+	return nil
+}
+
+// errReadPhase marks a survivor the read phase already gave up on.
+var errReadPhase = errors.New("ncl: peer failed in the read phase")
+
+// resync is the sync phase: catch every survivor up to the recovered content
+// at once — the policy supplies the catch-up of one — so that a subsequent
+// failure cannot un-recover it, then replace the members that are gone.
+// Survivors end active with completedSeq = lg.seq; one that fails here is
+// treated as freshly failed and replaced. Frame-log placements always
+// republish under a bumped epoch even with a full house — post-recovery
+// frames must outrank any stale frames beyond the recovered prefix on
+// generation.
+func (lg *Log) resync(p *simnet.Proc, alive []*peerConn, oldPeers []string) error {
+	errs := lg.fanOut(p, alive, func(fp *simnet.Proc, _ int, pc *peerConn) error {
+		if pc.failed {
+			return errReadPhase
+		}
+		return lg.policy.Resync(fp, lg, pc)
+	})
+	for i, pc := range alive {
+		if errs[i] != nil {
+			pc.failed = true
+			continue
+		}
+		pc.completedSeq = lg.seq
+		pc.active = true
+	}
+	needReplace := lg.place.FrameLog
 	for _, pc := range lg.peers {
 		if pc == nil || pc.failed {
-			needReplace++
+			needReplace = true
 		}
 	}
-	if needReplace > 0 || lg.place.FrameLog {
-		if err := lg.replaceAtRecovery(p, entry.Peers); err != nil {
-			p.EndSpan(sp)
-			return nil, err
-		}
+	if !needReplace {
+		return nil
 	}
-	p.EndSpan(sp)
+	return lg.replaceAtRecovery(p, oldPeers)
+}
 
-	l.logs[name] = lg
-	return lg, nil
+// fanOut runs fn for every peer of pcs at once, one proc each on the
+// application node, and returns their results in pcs order once all have
+// ended: the one way recovery talks to several members in parallel (header
+// and frame-log reads, survivor catch-up).
+func (lg *Log) fanOut(p *simnet.Proc, pcs []*peerConn, fn func(fp *simnet.Proc, i int, pc *peerConn) error) []error {
+	errs := make([]error, len(pcs))
+	var wg simnet.WaitGroup
+	wg.Add(len(pcs))
+	for i, pc := range pcs {
+		p.GoOn(lg.lib.node, "ncl-fanout:"+pc.name, func(fp *simnet.Proc) {
+			defer wg.Done(fp)
+			errs[i] = fn(fp, i, pc)
+		})
+	}
+	wg.Wait(p)
+	return errs
 }
 
 // readInto issues a 1-sided RDMA read from pc's region into buf and waits.
