@@ -22,7 +22,8 @@
 //	splitft-bench -quick -out BENCH_simnet.json perf
 //	splitft-bench -out BENCH_dfs.json dfs      (likewise repl, chaos, scale)
 //
-// and internal/bench's TestBaselines diffs fresh runs against them.
+// and internal/bench's gate driver (TestRegistry) diffs fresh runs against
+// them. Every report ends with the run's host_ns and events (clock: host).
 // calibrate exits 1 when a probe lands outside its band.
 //
 // The -replicate flag overrides the NCL replication policy for every

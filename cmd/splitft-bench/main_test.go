@@ -78,16 +78,21 @@ func TestOutIsTheOnlyFileWritten(t *testing.T) {
 	var file struct {
 		Profile string
 		Seed    int64
-		Rows    []struct{ Experiment string }
+		Rows    []struct{ Experiment, Cell, Metric, Clock string }
 	}
 	if err := json.Unmarshal(data, &file); err != nil {
 		t.Fatal(err)
 	}
-	count := map[string]int{}
+	// Every experiment's rows end with what its run cost the host.
+	count, cost := map[string]int{}, map[string]int{}
 	for _, row := range file.Rows {
 		count[row.Experiment]++
+		if row.Cell == "run" && row.Clock == "host" && (row.Metric == "host_ns" || row.Metric == "events") {
+			cost[row.Experiment]++
+		}
 	}
-	if file.Profile != "CX4RoCE25" || file.Seed != 1 || count["table2"] != 8 || count["fig8"] != 21 || len(count) != 2 {
-		t.Errorf("rows.json: profile %q seed %d rows %v", file.Profile, file.Seed, count)
+	if file.Profile != "CX4RoCE25" || file.Seed != 1 || count["table2"] != 8+2 || count["fig8"] != 21+2 || len(count) != 2 ||
+		cost["table2"] != 2 || cost["fig8"] != 2 {
+		t.Errorf("rows.json: profile %q seed %d rows %v, of them run-cost rows %v", file.Profile, file.Seed, count, cost)
 	}
 }

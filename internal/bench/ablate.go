@@ -34,7 +34,7 @@ func ablateRepl(sc Scale, seed int64) (Report, error) {
 	const nclCell, raftCell = "NCL (passive peers)", "Consensus (full replicas)"
 
 	// NCL side.
-	c := newCluster(sc, seed)
+	c := newCluster(&rep, sc, seed)
 	err := c.Run(func(p *simnet.Proc) error {
 		fs, err := c.NewFS(p, "ablate-ncl", 0)
 		if err != nil {
@@ -57,7 +57,7 @@ func ablateRepl(sc Scale, seed int64) (Report, error) {
 	}
 
 	// Consensus side: a 3-replica Raft group logging the same records.
-	c2 := newCluster(sc, seed+1)
+	c2 := newCluster(&rep, sc, seed+1)
 	err = c2.Run(func(p *simnet.Proc) error {
 		ids := []string{"r0", "r1", "r2"}
 		nodes := make([]*simnet.Node, len(ids))
@@ -137,7 +137,7 @@ func ablateSplit(sc Scale, seed int64) (Report, error) {
 
 	run := func(strategy string,
 		setup func(p *simnet.Proc, fs *core.FS) (func(p *simnet.Proc, data []byte, off int64) error, error)) error {
-		c := newCluster(sc, seed)
+		c := newCluster(&rep, sc, seed)
 		return c.Run(func(p *simnet.Proc) error {
 			fs, err := c.NewFS(p, "ablate-split", 0)
 			if err != nil {
@@ -239,7 +239,7 @@ func ablateNoLog(sc Scale, seed int64) (Report, error) {
 	labels := map[string]string{CfgStrong: "dft-sync", CfgWeak: "dft-async", CfgSplitFT: "ncl-tier"}
 	for _, cfg := range AllConfigs {
 		cell := labels[cfg]
-		c := newCluster(sc, seed)
+		c := newCluster(&rep, sc, seed)
 		err := c.Run(func(p *simnet.Proc) error {
 			s, err := newApp(c, p, port, cfg, 0)
 			if err != nil {

@@ -99,10 +99,9 @@ type ycsbRun struct {
 	clients   int
 }
 
-// run returns the measured point and the simulation it ran on (the perf
-// suite reads its event counter).
-func (r ycsbRun) run(sc Scale, seed int64) (*point, *simnet.Sim, error) {
-	c := newClusterSized(sc, seed, apps.DatasetBytes(r.keys))
+// run returns the measured point.
+func (r ycsbRun) run(rep *Report, sc Scale, seed int64) (*point, error) {
+	c := newClusterSized(rep, sc, seed, apps.DatasetBytes(r.keys))
 	var pt *point
 	err := c.Run(func(p *simnet.Proc) error {
 		a, err := newApp(c, p, r.port, r.cfg, r.keys)
@@ -116,7 +115,7 @@ func (r ycsbRun) run(sc Scale, seed int64) (*point, *simnet.Sim, error) {
 		pt = runWorkload(c, p, r.addr, r.spec, r.keys, r.clients, sc, nil)
 		return nil
 	})
-	return pt, c.Sim, err
+	return pt, err
 }
 
 // ---- Fig 9: latency vs throughput, write-only ----
@@ -134,7 +133,7 @@ func fig9(sc Scale, seed int64) (Report, error) {
 		for _, cfg := range AllConfigs {
 			for _, nc := range clientCounts {
 				cell := fmt.Sprintf("%s/%s/%dc", port.Name, cfg, nc)
-				pt, _, err := ycsbRun{port, cfg, "app", loadKeys(port, sc) / 2, writeOnly, nc}.run(sc, seed)
+				pt, err := ycsbRun{port, cfg, "app", loadKeys(port, sc) / 2, writeOnly, nc}.run(&rep, sc, seed)
 				if err != nil {
 					return rep, fmt.Errorf("fig9 %s: %w", cell, err)
 				}
@@ -157,15 +156,23 @@ func fig10(sc Scale, seed int64) (Report, error) {
 	for _, port := range sc.Apps {
 		for _, cfg := range AllConfigs {
 			for _, w := range []string{"a", "b", "c", "d", "f"} {
-				pt, _, err := ycsbRun{port, cfg, "app", loadKeys(port, sc), ycsb.Workloads[w], connsFor(port, 20)}.run(sc, seed)
-				if err != nil {
-					return rep, fmt.Errorf("fig10 %s/%s/%s: %w", port.Name, cfg, w, err)
+				if err := fig10Point(&rep, sc, seed, port, cfg, w); err != nil {
+					return rep, err
 				}
-				rep.add(port.Name+"/"+cfg, w, pt.kops(), "KOps/s")
 			}
 		}
 	}
 	return rep, nil
+}
+
+// fig10Point measures one (port, config, workload) point into rep.
+func fig10Point(rep *Report, sc Scale, seed int64, port apps.Port, cfg, w string) error {
+	pt, err := ycsbRun{port, cfg, "app", loadKeys(port, sc), ycsb.Workloads[w], connsFor(port, 20)}.run(rep, sc, seed)
+	if err != nil {
+		return fmt.Errorf("fig10 %s/%s/%s: %w", port.Name, cfg, w, err)
+	}
+	rep.add(port.Name+"/"+cfg, w, pt.kops(), "KOps/s")
+	return nil
 }
 
 // ---- Fig 12: application performance under peer failures ----
@@ -178,7 +185,7 @@ func fig10(sc Scale, seed int64) (Report, error) {
 // stall stays visible; the injected events are the notes.
 func fig12(sc Scale, seed int64) (Report, error) {
 	rep := Report{Title: "Fig 12: kvstore/SplitFT throughput under peer failures (10ms samples, 100ms rows)"}
-	c := newCluster(sc, seed)
+	c := newCluster(&rep, sc, seed)
 	sampler := metrics.NewThroughputSampler(10 * time.Millisecond)
 	total := sc.Warmup + sc.RunDur*3
 	err := c.Run(func(p *simnet.Proc) error {

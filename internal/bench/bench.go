@@ -88,11 +88,17 @@ type Experiment struct {
 	run  func(sc Scale, seed int64) (Report, error)
 }
 
-// Run runs the experiment and stamps its name on every row. A report that
-// comes back with an error still carries the rows measured before it (the
-// calibration gate fails with its probe table filled in).
+// Run runs the experiment, appends what the run cost the host — wall clock
+// and simulator events dispatched, both host-clock rows that nothing gates —
+// and stamps its name on every row. A report that comes back with an error
+// still carries the rows measured before it (the calibration gate fails with
+// its probe table filled in).
 func (e Experiment) Run(sc Scale, seed int64) (Report, error) {
+	t0 := time.Now()
 	rep, err := e.run(sc, seed)
+	rep.host(runCell, "host_ns", float64(time.Since(t0)), "ns")
+	rep.host(runCell, "events", float64(rep.simEvents()), "count")
+	rep.sim = nil // a kept report does not keep its last cluster alive
 	for i := range rep.Rows {
 		rep.Rows[i].Experiment = e.Name
 	}
@@ -126,37 +132,47 @@ var Experiments = []Experiment{
 	{"chaos", "fault schedules x policies x seeds with per-event durability audits (BENCH_chaos.json)", chaos},
 }
 
+// newTestbed is the one place an experiment cluster is built. It fills in
+// the scale's collector and, unless the caller passes a mutated copy, its
+// cost-model profile, and registers the simulation with the run's report,
+// where Experiment.Run and perf read the event count from.
+func newTestbed(rep *Report, sc Scale, o harness.Options) *harness.Cluster {
+	if o.Profile == nil {
+		o.Profile = sc.profile()
+	}
+	o.Trace = sc.Trace
+	c := harness.New(o)
+	rep.track(c.Sim)
+	return c
+}
+
 // newCluster builds the standard testbed for one experiment run under the
 // scale's cost-model profile.
-func newCluster(sc Scale, seed int64) *harness.Cluster { return newClusterDFS(sc, seed, nil) }
+func newCluster(rep *Report, sc Scale, seed int64) *harness.Cluster {
+	return newClusterDFS(rep, sc, seed, nil)
+}
 
 // newClusterSized additionally sizes the application server's block cache
 // to 30% of the dataset, the paper's cache configuration for the key-value
 // stores and the database (§5 "Application Configuration").
-func newClusterSized(sc Scale, seed int64, dataset int64) *harness.Cluster {
+func newClusterSized(rep *Report, sc Scale, seed int64, dataset int64) *harness.Cluster {
 	if dataset <= 0 {
-		return newCluster(sc, seed)
+		return newCluster(rep, sc, seed)
 	}
 	params := sc.profile().DFS
 	params.CacheCapacity = dataset * 30 / 100
 	if params.CacheCapacity < 1<<20 {
 		params.CacheCapacity = 1 << 20
 	}
-	return newClusterDFS(sc, seed, &params)
+	return newClusterDFS(rep, sc, seed, &params)
 }
 
 // newClusterDFS builds the testbed with the profile's dfs parameters
 // overridden (nil keeps them).
-func newClusterDFS(sc Scale, seed int64, params *dfs.Params) *harness.Cluster {
-	return harness.New(harness.Options{
-		Seed:        seed,
-		NumPeers:    6,
-		PeerMem:     1 << 30,
-		AppCores:    10,
-		WithLocalFS: true,
-		Profile:     sc.profile(),
-		Trace:       sc.Trace,
-		DFSParams:   params,
+func newClusterDFS(rep *Report, sc Scale, seed int64, params *dfs.Params) *harness.Cluster {
+	return newTestbed(rep, sc, harness.Options{
+		Seed: seed, NumPeers: 6, PeerMem: 1 << 30, AppCores: 10,
+		WithLocalFS: true, DFSParams: params,
 	})
 }
 
@@ -286,7 +302,7 @@ func table1(sc Scale, seed int64) (Report, error) {
 	rep := Report{Title: "Table 1. Cost of Strong Guarantees (write-only, 12 clients)"}
 	keys := sc.LoadKeys / 4
 	for _, cfgName := range []string{CfgWeak, CfgStrong} {
-		pt, _, err := ycsbRun{kvPort, cfgName, "kv", keys, writeOnly, sc.Clients}.run(sc, seed)
+		pt, err := ycsbRun{kvPort, cfgName, "kv", keys, writeOnly, sc.Clients}.run(&rep, sc, seed)
 		if err != nil {
 			return rep, fmt.Errorf("table1 %s: %w", cfgName, err)
 		}

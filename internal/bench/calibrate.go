@@ -18,8 +18,12 @@ import (
 // Probes runs the calibration micro-benchmarks under the scale's profile
 // and returns the raw measurements (in probe-name order).
 func Probes(sc Scale, seed int64) ([]model.Measurement, error) {
+	return probes(new(Report), sc, seed)
+}
+
+func probes(rep *Report, sc Scale, seed int64) ([]model.Measurement, error) {
 	var meas []model.Measurement
-	c := newCluster(sc, seed)
+	c := newCluster(rep, sc, seed)
 	err := c.Run(func(p *simnet.Proc) error {
 		fs, err := c.NewFS(p, "calibrate", 0)
 		if err != nil {
@@ -137,7 +141,7 @@ func Probes(sc Scale, seed int64) ([]model.Measurement, error) {
 func calibrate(sc Scale, seed int64) (Report, error) {
 	prof := sc.profile()
 	rep := Report{Title: "Calibration: profile " + prof.Name}
-	meas, err := Probes(sc, seed)
+	meas, err := probes(&rep, sc, seed)
 	if err != nil {
 		return rep, err
 	}

@@ -27,7 +27,7 @@ import (
 // ack-before-quorum mutation (ncl.Config.UnsafeAckQuorum) to prove the
 // checker produces counterexamples when the commit rule is actually broken.
 // Everything runs on the virtual clock, so the committed BENCH_chaos.json
-// is deterministic and TestBaselines diffs it at ±2%.
+// is deterministic and the chaos gate diffs it at ±2%.
 
 // chaosSeeds is the sweep's seed axis: every scenario's fault schedule and
 // workload interleaving replays byte-identically per seed.
@@ -240,9 +240,9 @@ func chaosCellName(scenario, policy string, seed int64) string {
 func chaosOnce(rep *Report, sc Scale, seed int64, scenario, policy string) error {
 	prof := model.Baseline()
 	prof.NCL.Replication = policy
-	c := harness.New(harness.Options{
+	c := newTestbed(rep, sc, harness.Options{
 		Seed: seed, NumPeers: 8, PeerMem: 512 << 20, AppCores: 10,
-		PeerDomainCount: 4, Profile: prof, Trace: sc.Trace,
+		PeerDomainCount: 4, Profile: prof,
 	})
 	ce := newChaosCell(c, 0)
 	return c.Run(func(p *simnet.Proc) error {
@@ -284,9 +284,8 @@ func chaosMutation(rep *Report, sc Scale, seed int64) error {
 func chaosMutationOnce(rep *Report, sc Scale, seed int64, policy string, unsafeQuorum int) error {
 	prof := model.Baseline()
 	prof.NCL.Replication = "mirror"
-	c := harness.New(harness.Options{
-		Seed: seed, NumPeers: 5, PeerMem: 512 << 20, AppCores: 10,
-		PeerDomainCount: 0, Profile: prof, Trace: sc.Trace,
+	c := newTestbed(rep, sc, harness.Options{
+		Seed: seed, NumPeers: 5, PeerMem: 512 << 20, AppCores: 10, Profile: prof,
 	})
 	ce := newChaosCell(c, unsafeQuorum)
 	return c.Run(func(p *simnet.Proc) error {

@@ -23,8 +23,8 @@ import (
 // unless nil. Extent-backed when ext is true. A small warm-up append primes
 // the extent-ID lease so the measured sync sees the steady state, not the
 // first allocation round trip.
-func dfsSyncDur(sc Scale, seed int64, n int64, ext bool, params *dfs.Params) (time.Duration, error) {
-	c := newClusterDFS(sc, seed, params)
+func dfsSyncDur(rep *Report, sc Scale, seed int64, n int64, ext bool, params *dfs.Params) (time.Duration, error) {
+	c := newClusterDFS(rep, sc, seed, params)
 	var dur time.Duration
 	err := c.Run(func(p *simnet.Proc) error {
 		fs, err := c.NewFS(p, "dfsbench", 0)
@@ -92,7 +92,7 @@ func dfsSweep(sc Scale, seed int64) (Report, error) {
 		{"chain-append-512B", 512, true}, {"chain-append-64KB", 64 << 10, true},
 		{"chain-append-1MB", 1 << 20, true}, {"chain-append-8MB", 8 << 20, true},
 	} {
-		d, err := dfsSyncDur(sc, seed, row.n, row.ext, nil)
+		d, err := dfsSyncDur(&rep, sc, seed, row.n, row.ext, nil)
 		if err != nil {
 			return rep, err
 		}
@@ -107,7 +107,7 @@ func dfsSweep(sc Scale, seed int64) (Report, error) {
 			params := sc.profile().DFS
 			params.ExtentSize = extMB << 20
 			params.ChainLength = k
-			d, err := dfsSyncDur(sc, seed, dfsHeadlineBytes, true, &params)
+			d, err := dfsSyncDur(&rep, sc, seed, dfsHeadlineBytes, true, &params)
 			if err != nil {
 				return rep, err
 			}
@@ -121,7 +121,7 @@ func dfsSweep(sc Scale, seed int64) (Report, error) {
 	// it bounded and stable.
 	lsc := sc
 	lsc.LoadKeys = dfsKvloadKeys
-	c := newClusterSized(lsc, seed, apps.DatasetBytes(lsc.LoadKeys))
+	c := newClusterSized(&rep, lsc, seed, apps.DatasetBytes(lsc.LoadKeys))
 	err := c.Run(func(p *simnet.Proc) error {
 		a, err := newApp(c, p, kvPort, CfgSplitFT, lsc.LoadKeys)
 		if err != nil {

@@ -20,7 +20,7 @@ import (
 // by NCL. One cell per size, one metric per variant.
 func fig8(sc Scale, seed int64) (Report, error) {
 	rep := Report{Title: "Fig 8. Write latency, embedded mode"}
-	c := newCluster(sc, seed)
+	c := newCluster(&rep, sc, seed)
 	const perSize = 400
 	err := c.Run(func(p *simnet.Proc) error {
 		fs, err := c.NewFS(p, "microbench", 0)
@@ -104,7 +104,7 @@ func fig1d(sc Scale, seed int64) (Report, error) {
 	rep := Report{Title: "Fig 1(d). dfs sequential sync-write throughput"}
 	sizes := []int64{512, 8 << 10, 1 << 20, 64 << 20}
 	for _, bs := range sizes {
-		c := newCluster(sc, seed)
+		c := newCluster(&rep, sc, seed)
 		err := c.Run(func(p *simnet.Proc) error {
 			fs, err := c.NewFS(p, "fig1d", 0)
 			if err != nil {
@@ -152,7 +152,7 @@ func fig11a(sc Scale, seed int64) (Report, error) {
 		sc.Trace = trace.New() // prefetch amortization needs spans
 	}
 	col := sc.Trace
-	c := newCluster(sc, seed)
+	c := newCluster(&rep, sc, seed)
 	err := c.Run(func(p *simnet.Proc) error {
 		// Build the log content on NCL and on the dfs, then crash the app so
 		// the NCL open below takes the recovery path.

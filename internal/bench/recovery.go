@@ -47,7 +47,7 @@ func recoverOnce(rep *Report, sc Scale, seed int64, port apps.Port, variant stri
 		sc.Trace = trace.New() // breakdown needs spans even without -trace
 	}
 	col := sc.Trace
-	c := newCluster(sc, seed)
+	c := newCluster(rep, sc, seed)
 	logBytes := int64(sc.LogSizeMB) << 20
 
 	// Map the variant to a configuration + backing store.
@@ -145,7 +145,7 @@ func table3(sc Scale, seed int64) (Report, error) {
 		sc.Trace = trace.New()
 	}
 	col := sc.Trace
-	c := newCluster(sc, seed)
+	c := newCluster(&rep, sc, seed)
 	logBytes := int64(sc.LogSizeMB) << 20
 	err := c.Run(func(p *simnet.Proc) error {
 		fs, err := c.NewFS(p, "table3", 0)
@@ -208,7 +208,7 @@ func fig1App(rep *Report, port apps.Port, sc Scale, seed int64) error {
 		sc.Trace = trace.New()
 	}
 	col := sc.Trace
-	c := newCluster(sc, seed)
+	c := newCluster(rep, sc, seed)
 	err := c.Run(func(p *simnet.Proc) error {
 		keys := loadKeys(port, sc) / 2
 		a, err := newApp(c, p, port, CfgStrong, keys)

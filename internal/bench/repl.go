@@ -22,7 +22,7 @@ import (
 // single-WR ack vs mirror's data+header pair vs ec's encode+all-cells ack),
 // and recovery time (mirror's prefetch vs reconstruction/read-repair).
 // Virtual time keeps every number deterministic; BENCH_repl.json pins the
-// sweep in CI and TestBaselines fails loudly on silent drift.
+// sweep in CI and the repl gate fails loudly on silent drift.
 
 // replPolicies is the sweep's policy axis: the paper's mirror protocol as
 // the anchor, the erasure-coded layout at the canonical 4+2 shape, and the
@@ -64,9 +64,9 @@ func replOnce(rep *Report, sc Scale, seed int64, policy, profName string) error 
 		return err
 	}
 	prof.NCL.Replication = policy
-	c := harness.New(harness.Options{
+	c := newTestbed(rep, sc, harness.Options{
 		Seed: seed, NumPeers: 8, PeerMem: replPeerMem, AppCores: 10,
-		WithLocalFS: true, Profile: prof, Trace: sc.Trace,
+		WithLocalFS: true, Profile: prof,
 	})
 	return c.Run(func(p *simnet.Proc) error {
 		var hist metrics.Histogram

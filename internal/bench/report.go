@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"splitft/internal/metrics"
+	"splitft/internal/simnet"
 )
 
 // Clocks a row's value can be read from.
@@ -23,6 +24,9 @@ const (
 	// process; they vary with the machine and are gated loosely or not at all.
 	Host = "host"
 )
+
+// runCell is the cell of the two rows Experiment.Run appends to every report.
+const runCell = "run"
 
 // Row is the one result schema (DESIGN.md §12): every number an experiment
 // produces is one (experiment, cell, metric) coordinate with a value, the
@@ -42,6 +46,31 @@ type Report struct {
 	Title string
 	Notes []string
 	Rows  []Row
+
+	// The simulations the run built (newTestbed, perf): sim is the current
+	// one, events the total of the finished ones before it.
+	sim    *simnet.Sim
+	events uint64
+}
+
+// track registers a simulation with the run. The simulations of one run are
+// built and run one after the other, so the previous one is finished and
+// only its event count is kept.
+func (r *Report) track(s *simnet.Sim) {
+	r.events = r.simEvents()
+	r.sim = s
+}
+
+// count adds the simulations of a report filled on the side (one of perf's
+// workloads, one of sweep's fig8 runs) to the run's.
+func (r *Report) count(side *Report) { r.events += side.simEvents() }
+
+// simEvents is the number of simulator events the run has dispatched so far.
+func (r *Report) simEvents() uint64 {
+	if r.sim == nil {
+		return r.events
+	}
+	return r.events + r.sim.Events()
 }
 
 // add appends a virtual-clock row.
@@ -70,11 +99,16 @@ func (r Report) Value(cell, metric string) (float64, bool) {
 }
 
 // Render pivots the rows into one table: a line per cell, a column per
-// metric, both in first-seen order; absent coordinates print "-".
+// metric, both in first-seen order; absent coordinates print "-". The run
+// cell — what the run cost the host — prints as a footer under the table.
 func (r Report) Render() string {
-	var cells, mets, header []string
+	var cells, mets, header, cost []string
 	text := map[[2]string]string{}
 	for _, row := range r.Rows {
+		if row.Cell == runCell {
+			cost = append(cost, row.Metric+" "+fmtValue(row.Value, row.Unit))
+			continue
+		}
 		if !slices.Contains(mets, row.Metric) {
 			mets = append(mets, row.Metric)
 			h := row.Metric
@@ -92,22 +126,25 @@ func (r Report) Render() string {
 	for _, n := range r.Notes {
 		out += "  " + n + "\n"
 	}
-	if len(cells) == 0 {
-		return out
-	}
-	var rows [][]string
-	for _, c := range cells {
-		line := []string{c}
-		for _, m := range mets {
-			v, ok := text[[2]string{c, m}]
-			if !ok {
-				v = "-"
+	if len(cells) > 0 {
+		var rows [][]string
+		for _, c := range cells {
+			line := []string{c}
+			for _, m := range mets {
+				v, ok := text[[2]string{c, m}]
+				if !ok {
+					v = "-"
+				}
+				line = append(line, v)
 			}
-			line = append(line, v)
+			rows = append(rows, line)
 		}
-		rows = append(rows, line)
+		out += metrics.Table(append([]string{"cell"}, header...), rows)
 	}
-	return out + metrics.Table(append([]string{"cell"}, header...), rows)
+	if len(cost) > 0 {
+		out += "[run: " + strings.Join(cost, ", ") + "]\n"
+	}
+	return out
 }
 
 // fmtValue prints whole numbers exactly, whole nanosecond counts as

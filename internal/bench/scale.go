@@ -101,7 +101,7 @@ func scale(sc Scale, seed int64) (Report, error) {
 	for _, shards := range cfg.Shards {
 		for _, clients := range cfg.Clients {
 			t0 := time.Now()
-			if _, err := runScalePoint(&rep, cfg, sc, seed, shards, clients); err != nil {
+			if err := runScalePoint(&rep, cfg, sc, seed, shards, clients); err != nil {
 				return rep, fmt.Errorf("scale %d shards %d clients: %w", shards, clients, err)
 			}
 			fmt.Fprintf(os.Stderr, "[scale] shards=%d clients=%d done (%.1fs wall)\n", shards, clients, time.Since(t0).Seconds())
@@ -127,13 +127,12 @@ type scaleClient struct {
 	hist    metrics.Histogram
 }
 
-// runScalePoint measures one (shards, clients) point into rep and returns
-// the simulation (the perf suite reads its event counter). booted counts
+// runScalePoint measures one (shards, clients) point into rep. booted counts
 // clients that completed boot before the deadline — only their operations
 // contribute to the other columns; errs counts operations that failed in
 // the window: rotations or appends that lost to session expiry, ap-map
 // update timeouts, or a full region after repeated rotation failures.
-func runScalePoint(rep *Report, cfg scaleConfig, sc Scale, seed int64, shards, clients int) (*simnet.Sim, error) {
+func runScalePoint(rep *Report, cfg scaleConfig, sc Scale, seed int64, shards, clients int) error {
 	prof := *sc.profile()
 	// The pooled-controller configuration under test: sharded znode tree,
 	// TTL-cached peer registry with rendezvous placement, coalesced peer
@@ -143,13 +142,7 @@ func runScalePoint(rep *Report, cfg scaleConfig, sc Scale, seed int64, shards, c
 	prof.NCL.PoolRefresh = 10 * time.Second
 	prof.Peer.PublishInterval = 100 * time.Millisecond
 
-	c := harness.New(harness.Options{
-		Seed:     seed,
-		NumPeers: cfg.Peers,
-		PeerMem:  1 << 30,
-		Profile:  &prof,
-		Trace:    sc.Trace,
-	})
+	c := newTestbed(rep, sc, harness.Options{Seed: seed, NumPeers: cfg.Peers, PeerMem: 1 << 30, Profile: &prof})
 	nodes := make([]*simnet.Node, clients)
 	for i := range nodes {
 		nodes[i] = c.Sim.NewNode(fmt.Sprintf("scale%04d", i))
@@ -180,7 +173,7 @@ func runScalePoint(rep *Report, cfg scaleConfig, sc Scale, seed int64, shards, c
 		return nil
 	})
 	if err != nil {
-		return c.Sim, err
+		return err
 	}
 
 	var hist metrics.Histogram
@@ -204,7 +197,7 @@ func runScalePoint(rep *Report, cfg scaleConfig, sc Scale, seed int64, shards, c
 	rep.add(cell, "mean_us", float64(hist.Mean().Nanoseconds())/1000, "us")
 	rep.add(cell, "errs", float64(errs), "count")
 	rep.add(cell, "sim_events", float64(c.Sim.Events()), "count")
-	return c.Sim, nil
+	return nil
 }
 
 // runScaleClient boots one application (session, instance lock, first WAL)

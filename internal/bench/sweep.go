@@ -21,6 +21,7 @@ func sweep(sc Scale, seed int64) (Report, error) {
 		psc := sc
 		psc.Profile = prof
 		micro, err := fig8(psc, seed)
+		rep.count(&micro)
 		if err != nil {
 			return rep, fmt.Errorf("sweep %s: %w", name, err)
 		}

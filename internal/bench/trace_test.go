@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"reflect"
+	"sync"
 	"testing"
 
 	"splitft/internal/model"
@@ -14,36 +15,58 @@ import (
 // figures now derive from spans must stay inside the same calibration bands
 // the cost model is gated on.
 
+// tracedRun is a run at tiny with a collector attached: its rows, how many
+// spans it recorded and their Chrome trace JSON.
+type tracedRun struct {
+	rep    Report
+	spans  int
+	export []byte
+}
+
+func traced(exp func(Scale, int64) (Report, error), seed int64) (tracedRun, error) {
+	sc := tiny()
+	sc.Trace = trace.New()
+	rep, err := exp(sc, seed)
+	if err != nil {
+		return tracedRun{}, err
+	}
+	var buf bytes.Buffer
+	err = trace.WriteChrome(&buf, sc.Trace.Spans())
+	return tracedRun{rep, sc.Trace.Len(), buf.Bytes()}, err
+}
+
+// fig8Traced is the traced counterpart of the fig8 entry's gated run, made
+// once for the two tests that read it.
+var fig8Traced = sync.OnceValues(tracedFig8)
+
+func tracedFig8() (tracedRun, error) { return traced(experiment("fig8").Run, 1) }
+
 // Two runs with the same profile and seed must produce byte-identical
 // Chrome trace JSON — on the data path (fig8) and on the sharded control
 // plane (the scale smoke point), where any unordered map iteration feeding a
 // decision in the controller, the shard-aware client or the pooled allocator
 // would diverge.
 func TestTraceDeterministic(t *testing.T) {
+	t.Parallel()
+	smoke := func() (tracedRun, error) { return traced(scale, 7) }
+	isolate := func() (tracedRun, error) { return traced(ctrlIsolateCell, 1) }
 	for _, tc := range []struct {
-		name string
-		exp  func(Scale, int64) (Report, error)
-		seed int64
-	}{{"fig8", fig8, 1}, {"scale", scale, 7}, {"chaos", ctrlIsolateCell, 1}} {
-		export := func() []byte {
-			sc := QuickScale()
-			col := trace.New()
-			sc.Trace = col
-			if _, err := tc.exp(sc, tc.seed); err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if err := trace.WriteChrome(&buf, col.Spans()); err != nil {
-				t.Fatal(err)
-			}
-			return buf.Bytes()
+		name         string
+		first, again func() (tracedRun, error)
+	}{{"fig8", fig8Traced, tracedFig8}, {"scale", smoke, smoke}, {"chaos", isolate, isolate}} {
+		a, err := tc.first()
+		if err != nil {
+			t.Fatal(err)
 		}
-		a, b := export(), export()
-		if len(a) == 0 {
+		b, err := tc.again()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(a.export) == 0 {
 			t.Fatalf("%s: empty trace export", tc.name)
 		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("%s: trace export not deterministic: %d vs %d bytes", tc.name, len(a), len(b))
+		if !bytes.Equal(a.export, b.export) {
+			t.Fatalf("%s: trace export not deterministic: %d vs %d bytes", tc.name, len(a.export), len(b.export))
 		}
 	}
 }
@@ -57,23 +80,18 @@ func ctrlIsolateCell(sc Scale, seed int64) (Report, error) {
 }
 
 // Attaching a collector must not change what the simulation computes: spans
-// record virtual time, they never advance it.
+// record virtual time, they never advance it. The bare run is the fig8
+// entry's gated one.
 func TestTracingDoesNotPerturbResults(t *testing.T) {
-	bare := QuickScale()
-	traced := QuickScale()
-	traced.Trace = trace.New()
-	r1, err := fig8(bare, 1)
+	t.Parallel()
+	with, err := fig8Traced()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := fig8(traced, 1)
-	if err != nil {
-		t.Fatal(err)
+	if a, b := virtualRows(gated("fig8").rep), virtualRows(with.rep); len(a) == 0 || !reflect.DeepEqual(a, b) {
+		t.Fatalf("rows differ with tracing on:\n  %+v\n  %+v", a, b)
 	}
-	if !reflect.DeepEqual(r1.Rows, r2.Rows) {
-		t.Fatalf("rows differ with tracing on:\n  %+v\n  %+v", r1.Rows, r2.Rows)
-	}
-	if traced.Trace.Len() == 0 {
+	if with.spans == 0 {
 		t.Fatal("traced run collected no spans")
 	}
 }
@@ -84,12 +102,13 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 // calibration gate derives from the profile (the replacement region is the
 // paper's 60 MB log, matching the MR probe size).
 func TestTable3WithinCalibrationBands(t *testing.T) {
+	t.Parallel()
 	for _, name := range model.Names() {
 		prof, err := model.Resolve(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		sc := QuickScale()
+		sc := tiny()
 		sc.LogSizeMB = 60
 		sc.Profile = prof
 		rep, err := table3(sc, 1)
@@ -100,18 +119,18 @@ func TestTable3WithinCalibrationBands(t *testing.T) {
 		for _, tg := range model.Targets(prof) {
 			targets[tg.Probe] = tg
 		}
-		check := func(step string, tg model.Target) {
-			if got := dur(t, rep, step, "time"); got < tg.Lo || got > tg.Hi {
-				t.Errorf("%s: %s = %v outside band [%v, %v] (%s)",
-					name, step, got, tg.Lo, tg.Hi, tg.Formula)
-			}
+		c := &check{rep: rep}
+		band := func(step string, tg model.Target) {
+			got := c.dur(step, "time")
+			c.failIf(got < tg.Lo || got > tg.Hi, "%s = %v outside band [%v, %v] (%s)", step, got, tg.Lo, tg.Hi, tg.Formula)
 		}
 		ctrl := targets[model.ProbeControllerOp]
-		check("getpeer", ctrl)
-		check("apmap", ctrl)
-		check("connect", targets[model.ProbeMRRegister60MB])
-		if dur(t, rep, "catchup", "time") <= 0 {
-			t.Errorf("%s: catch-up phase span missing", name)
+		band("getpeer", ctrl)
+		band("apmap", ctrl)
+		band("connect", targets[model.ProbeMRRegister60MB])
+		c.failIf(c.dur("catchup", "time") <= 0, "catch-up phase span missing")
+		for _, v := range c.bad {
+			t.Errorf("%s: %s", name, v)
 		}
 	}
 }

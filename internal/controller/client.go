@@ -34,6 +34,16 @@ type Client struct {
 	// ErrSession exactly like a sessionless ZooKeeper client would.
 	wantSession bool
 	started     bool
+	// owned are the ephemerals this client created, in creation order, each
+	// with the data it last wrote there: what the keep-alive proc re-creates
+	// once it has re-established an expired session.
+	owned []*ephemeral
+}
+
+type ephemeral struct {
+	path string
+	data wire.Msg
+	lost bool // dropped with the session that expired; not yet re-created
 }
 
 // NewClient creates a controller client for the given node. name identifies
@@ -218,16 +228,60 @@ func (c *Client) StartSession(p *simnet.Proc) error {
 						continue
 					}
 					_, err := c.proposeAt(kp, g, cmdKeepAlive{Session: c.session, At: kp.Now()}.MarshalWire())
-					if errors.Is(err, ErrSession) {
-						// Expired (e.g. after a partition): re-establish so
-						// our ephemerals can be re-created by the owner.
-						c.establishSession(kp, g) //nolint:errcheck
+					if errors.Is(err, ErrSession) && c.establishSession(kp, g) == nil {
+						// Expired (e.g. after a partition), and the ephemerals
+						// on this shard with it.
+						for _, e := range c.owned {
+							e.lost = e.lost || c.groupFor(e.path) == g
+						}
 					}
+					c.recreate(kp, g)
 				}
 			}
 		})
 	}
 	return nil
+}
+
+// createEphemeral creates the znode this client's session keeps alive,
+// taking over from an owner with a strictly lower fencing token.
+func (c *Client) createEphemeral(p *simnet.Proc, path string, data wire.Msg) error {
+	_, err := c.run(p, path, true, c.ephemeralCmd(path, data))
+	if err == nil && c.own(path) == nil {
+		c.owned = append(c.owned, &ephemeral{path: path, data: data})
+	}
+	return err
+}
+
+func (c *Client) ephemeralCmd(path string, data wire.Msg) wire.Msg {
+	return cmdCreate{
+		Path: path, Data: data,
+		Ephemeral: true, Session: c.session, Fencing: c.fencing, Takeover: true,
+	}.MarshalWire()
+}
+
+func (c *Client) own(path string) *ephemeral {
+	for _, e := range c.owned {
+		if e.path == path {
+			return e
+		}
+	}
+	return nil
+}
+
+// recreate puts back the ephemerals of shard g that an expired session took
+// with it, each with the data last written there, under the fencing rules of
+// the first create: a znode a newer instance took over meanwhile answers
+// ErrExists and stays that instance's. Anything else is tried again a
+// keep-alive period later. A healthy session has nothing lost.
+func (c *Client) recreate(kp *simnet.Proc, g int) {
+	for _, e := range c.owned {
+		if !e.lost || c.groupFor(e.path) != g {
+			continue
+		}
+		_, err := c.proposeAt(kp, g, c.ephemeralCmd(e.path, e.data))
+		e.lost = err != nil && !errors.Is(err, ErrExists)
+	}
 }
 
 // ---- Peer registry (/peers) ----
@@ -237,20 +291,19 @@ func peerPath(name string) string { return "/peers/" + name }
 // RegisterPeer advertises a log peer and its lendable memory (§4.3). The
 // registration is ephemeral: it disappears if the peer dies.
 func (c *Client) RegisterPeer(p *simnet.Proc, info PeerInfo) error {
-	path := peerPath(info.Name)
-	_, err := c.run(p, path, true, cmdCreate{
-		Path: path, Data: info.MarshalWire(),
-		Ephemeral: true, Session: c.session, Fencing: c.fencing, Takeover: true,
-	}.MarshalWire())
-	return err
+	return c.createEphemeral(p, peerPath(info.Name), info.MarshalWire())
 }
 
 // PublishPeer republishes a peer's full registration in one proposal (the
 // value is a hint, so unconditional set is correct). ErrNotFound means the
-// registration expired; the caller re-registers or drops the update.
+// registration expired with its session: the update is what the keep-alive
+// proc of the client that registered the peer re-creates it with.
 func (c *Client) PublishPeer(p *simnet.Proc, info PeerInfo) error {
-	path := peerPath(info.Name)
-	_, err := c.run(p, path, false, cmdSet{Path: path, Data: info.MarshalWire(), Version: -1}.MarshalWire())
+	path, data := peerPath(info.Name), info.MarshalWire()
+	if e := c.own(path); e != nil {
+		e.data = data
+	}
+	_, err := c.run(p, path, false, cmdSet{Path: path, Data: data, Version: -1}.MarshalWire())
 	return err
 }
 
@@ -351,12 +404,7 @@ func (c *Client) ListAppFiles(p *simnet.Proc, app string) (map[string]FileEntry,
 // one wins (the paper's ZooKeeper guarantee). The lock lives on the
 // application's shard, next to its ap-map entries.
 func (c *Client) AcquireServerLock(p *simnet.Proc, app string) error {
-	path := "/servers/" + app
-	_, err := c.run(p, path, true, cmdCreate{
-		Path:      path,
-		Data:      ServerInfo{Node: c.node.Name(), Fencing: c.fencing}.MarshalWire(),
-		Ephemeral: true, Session: c.session, Fencing: c.fencing, Takeover: true,
-	}.MarshalWire())
+	err := c.createEphemeral(p, "/servers/"+app, ServerInfo{Node: c.node.Name(), Fencing: c.fencing}.MarshalWire())
 	if errors.Is(err, ErrExists) {
 		return fmt.Errorf("%w: another instance of %s is active", ErrFenced, app)
 	}

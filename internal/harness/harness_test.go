@@ -2,12 +2,17 @@ package harness
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
+	"splitft/internal/controller"
 	"splitft/internal/core"
 	"splitft/internal/model"
+	"splitft/internal/ncl"
+	"splitft/internal/peer"
 	"splitft/internal/simnet"
+	"splitft/internal/wire"
 )
 
 func TestRunBootsEverything(t *testing.T) {
@@ -67,6 +72,53 @@ func TestRestartPeerRejoins(t *testing.T) {
 		}
 		if err := c.RestartPeer(p, "nope"); err == nil {
 			t.Error("unknown peer restart succeeded")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A live peer cut off for longer than the session timeout loses its
+// registration with its session. Once the partition heals, the controller
+// client that created the registration re-creates it — with what the peer
+// lends now, not at boot — and the peer takes allocations again.
+func TestIsolatedPeerRejoinsRegistry(t *testing.T) {
+	c := New(Options{Seed: 7, NumPeers: 4})
+	err := c.Run(func(p *simnet.Proc) error {
+		net, cfg := c.Sim.Net(), c.Controller.Config()
+		peer0, name := c.PeerNodes[0], c.PeerNodes[0].Name()
+		if _, err := wire.Call[peer.SetupResp](p, net, c.ClientNode, peer.Addr(name),
+			peer.SetupReq{App: "other", File: "f", Size: 1 << 20, Epoch: 1}); err != nil {
+			return err
+		}
+		net.Isolate(peer0)
+		p.Sleep(2 * time.Second)
+		observer := controller.NewClient(c.Controller, c.ClientNode, "observer", 0)
+		if listed, err := observer.ListPeers(p); err != nil || len(listed) != 3 {
+			t.Fatalf("%d peers listed while %s is cut off (%v), want 3", len(listed), name, err)
+		}
+		net.Unisolate(peer0)
+		p.Sleep(2 * cfg.KeepAlive)
+		info, found, err := observer.GetPeer(p, name)
+		if err != nil || !found || info.AvailMem != c.Peers[name].Avail() {
+			t.Fatalf("%s after the heal: %+v (found %v, %v), want it listed with the %d bytes it lends now",
+				name, info, found, err, c.Peers[name].Avail())
+		}
+		// With another peer gone, a mirror log needs all three that are left.
+		c.PeerNodes[1].Crash()
+		p.Sleep(cfg.SessionTimeout + 2*cfg.ExpiryScan)
+		fs, err := c.NewFS(p, "app", 0)
+		if err != nil {
+			return err
+		}
+		nf, err := fs.OpenFile(p, "log", core.O_NCL|core.O_CREATE, 1<<20)
+		if err != nil {
+			return err
+		}
+		if live := nf.(interface{ Log() *ncl.Log }).Log().LivePeers(); len(live) != 3 || !slices.Contains(live, name) {
+			t.Errorf("log members %v, want three with %s among them", live, name)
 		}
 		return nil
 	})

@@ -545,6 +545,39 @@ var confScripts = []struct {
 			}
 		}
 	}},
+	{"app crash mid-staging", func(e *conf, p *simnet.Proc) {
+		// A recovery cut short while a survivor holds a catch-up staging
+		// region (mirror; the frame logs catch up in place, so their
+		// recoveries run to the barrier) abandons it. Three times over, every
+		// peer lends what it lent before once its GC has seen them age out.
+		e.append(p, e.open(p, e.lib(p, e.cfg), "wal"), 20)
+		lent := func() (sum int64) {
+			for _, pr := range e.c.peers {
+				sum += pr.Avail()
+			}
+			return sum
+		}
+		before := lent()
+		for round := 0; round < 3; round++ {
+			e.crashApp(p)
+			done, start := false, lent()
+			e.c.appNode.Go("app", func(ap *simnet.Proc) {
+				if lg, err := e.lib(ap, e.cfg).Recover(ap, "wal"); err == nil {
+					lg.Sync(ap) //nolint:errcheck
+				}
+				done = true
+			})
+			for !done && lent() == start {
+				p.Sleep(20 * time.Microsecond)
+			}
+		}
+		e.crashApp(p)
+		e.recover(p, "wal", nil)
+		p.Sleep(6 * time.Second) // GC interval + grace
+		if after := lent(); after != before {
+			e.t.Fatalf("peers lend %d bytes after three abandoned recoveries, %d before", after, before)
+		}
+	}},
 }
 
 func TestPolicyConformance(t *testing.T) {

@@ -12,7 +12,8 @@
 //   - Epoch validation: each region stores the epoch of the allocation; a
 //     setup request with a stale epoch is rejected.
 //   - Space-leak GC: regions whose application epoch moved on (or whose
-//     ap-map entry never appeared) are freed per the §4.5.1 rules.
+//     ap-map entry never appeared) are freed per the §4.5.1 rules, and so is
+//     a catch-up staging region that was never switched in.
 //   - Memory revocation: the peer can reclaim a region locally and
 //     instantly; subsequent RDMA writes fail and the application treats it
 //     as a peer failure.
@@ -374,19 +375,29 @@ func (pr *Peer) onSetup(p *simnet.Proc, r SetupReq) (SetupResp, error) {
 		// Strictly newer epoch (or a resize): replace the old region.
 		pr.freeRegion(p, key, old)
 	}
-	if pr.avail < r.Size {
-		return SetupResp{}, ErrNoMem
-	}
-	pr.avail -= r.Size // reserve before the blocking registration
-	p.Sleep(pr.cfg.SetupCPU)
-	mr, err := pr.allocRegion(p, r.Size)
+	reg, err := pr.newRegion(p, r.Size, r.Epoch)
 	if err != nil {
-		pr.avail += r.Size
 		return SetupResp{}, err
 	}
-	pr.regions[key] = &region{mr: mr, size: r.Size, epoch: r.Epoch, createdAt: p.Now()}
+	pr.regions[key] = reg
 	pr.publishAvail(p)
-	return SetupResp{RKey: mr.RKey()}, nil
+	return SetupResp{RKey: reg.mr.RKey()}, nil
+}
+
+// newRegion takes size bytes out of the lendable pool and registers them:
+// the body of a setup and of a staging allocation alike.
+func (pr *Peer) newRegion(p *simnet.Proc, size, epoch int64) (*region, error) {
+	if pr.avail < size {
+		return nil, ErrNoMem
+	}
+	pr.avail -= size // reserve before the blocking registration
+	p.Sleep(pr.cfg.SetupCPU)
+	mr, err := pr.allocRegion(p, size)
+	if err != nil {
+		pr.avail += size
+		return nil, err
+	}
+	return &region{mr: mr, size: size, epoch: epoch, createdAt: p.Now()}, nil
 }
 
 // allocRegion prefers a recycled, still-pinned region of the right size
@@ -433,22 +444,16 @@ func (pr *Peer) onRelease(p *simnet.Proc, r ReleaseReq) error {
 
 // onAllocStaging allocates a staging region for the atomic catch-up switch
 // (§4.5.1): the recovering application RDMA-writes the recovered content
-// into staging, then commits the switch.
+// into staging, then commits the switch. One that dies in between leaves the
+// staging to the GC.
 func (pr *Peer) onAllocStaging(p *simnet.Proc, r AllocStagingReq) (AllocStagingResp, error) {
-	if pr.avail < r.Size {
-		return AllocStagingResp{}, ErrNoMem
-	}
-	pr.avail -= r.Size
-	p.Sleep(pr.cfg.SetupCPU)
-	mr, err := pr.allocRegion(p, r.Size)
+	reg, err := pr.newRegion(p, r.Size, r.Epoch)
 	if err != nil {
-		pr.avail += r.Size
 		return AllocStagingResp{}, err
 	}
 	pr.nextStage++
-	id := pr.nextStage
-	pr.staging[id] = &region{mr: mr, size: r.Size, epoch: r.Epoch, createdAt: p.Now()}
-	return AllocStagingResp{StagingID: id, RKey: mr.RKey()}, nil
+	pr.staging[pr.nextStage] = reg
+	return AllocStagingResp{StagingID: pr.nextStage, RKey: reg.mr.RKey()}, nil
 }
 
 // onCommitSwitch atomically repoints the mr-map entry to the staged region
@@ -471,11 +476,16 @@ func (pr *Peer) onCommitSwitch(p *simnet.Proc, r CommitSwitchReq) error {
 }
 
 func (pr *Peer) freeRegion(_ *simnet.Proc, key regionKey, reg *region) {
+	pr.reclaim(reg)
+	delete(pr.regions, key)
+}
+
+// reclaim makes a region's memory lendable again.
+func (pr *Peer) reclaim(reg *region) {
 	reg.mr.Invalidate()
 	// Keep the memory pinned for reuse by a future same-size allocation.
 	pr.recycled[reg.size] = append(pr.recycled[reg.size], reg.mr)
 	pr.avail += reg.size
-	delete(pr.regions, key)
 }
 
 // publishAvail updates the controller's (hint) view of available memory in
@@ -514,17 +524,26 @@ func (pr *Peer) Revoke(p *simnet.Proc, app, file string) bool {
 // application moved on — free. If e < e_r the allocation may still be in
 // progress — keep. If e == e_r, free only if this peer is not a member. A
 // region with no ap-map entry at all is freed once older than the grace
-// period (the application died between allocation and ap-map update).
+// period (the application died between allocation and ap-map update). So is
+// a staging region nobody switched in — the application died mid catch-up —
+// by its age alone: no ap-map entry ever names a staging.
 func (pr *Peer) gcLoop(p *simnet.Proc) {
 	for {
 		p.Sleep(pr.cfg.GCInterval)
+		freed := false
+		for id := int64(1); id <= pr.nextStage && len(pr.staging) > 0; id++ { // in allocation order
+			if st, ok := pr.staging[id]; ok && p.Now()-st.createdAt > pr.cfg.GCGrace {
+				pr.reclaim(st)
+				delete(pr.staging, id)
+				freed = true
+			}
+		}
 		// Snapshot keys in deterministic order.
 		keys := make([]regionKey, 0, len(pr.regions))
 		for k := range pr.regions {
 			keys = append(keys, k)
 		}
 		sortRegionKeys(keys)
-		freed := false
 		for _, k := range keys {
 			reg, ok := pr.regions[k]
 			if !ok {

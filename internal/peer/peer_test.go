@@ -282,6 +282,40 @@ func TestGCFreesOrphansKeepsCurrent(t *testing.T) {
 	})
 }
 
+// An application that dies between AllocStaging and CommitSwitch abandons
+// its staging region. Nothing will ever switch it in, so the GC reclaims it
+// by age: the memory is lendable again and the pinned region is back in the
+// recycle pool. A staging younger than the grace period — a catch-up still
+// writing into it — is left alone.
+func TestGCReclaimsAbandonedStaging(t *testing.T) {
+	cfg := testCfg()
+	cfg.GCInterval = 300 * time.Millisecond
+	cfg.GCGrace = 600 * time.Millisecond
+	fx := newFixture(9, cfg)
+	fx.run(t, func(p *simnet.Proc) {
+		for i := 0; i < 3; i++ {
+			if _, err := call[AllocStagingResp](fx, p, AllocStagingReq{App: "a1", File: "wal", Size: 1 << 20, Epoch: 1}); err != nil {
+				t.Fatalf("staging %d: %v", i, err)
+			}
+		}
+		p.Sleep(cfg.GCGrace + 2*cfg.GCInterval)
+		young, err := call[AllocStagingResp](fx, p, AllocStagingReq{App: "a1", File: "wal", Size: 1 << 20, Epoch: 1})
+		if err != nil {
+			t.Fatalf("staging after the sweep: %v", err)
+		}
+		if fx.pr.Recycles != 1 {
+			t.Errorf("recycles = %d, want the fourth staging on a reclaimed pinned region", fx.pr.Recycles)
+		}
+		p.Sleep(cfg.GCInterval)
+		if got := fx.pr.Avail(); got != 7<<20 || len(fx.pr.staging) != 1 {
+			t.Errorf("avail = %d MiB with %d stagings, want 7 MiB and the young one", got>>20, len(fx.pr.staging))
+		}
+		if _, err := call[wire.Ack](fx, p, CommitSwitchReq{App: "a1", File: "wal", StagingID: young.StagingID, Epoch: 1}); err != nil {
+			t.Errorf("switch to the young staging: %v", err)
+		}
+	})
+}
+
 func TestCrashLosesMrMap(t *testing.T) {
 	fx := newFixture(8, testCfg())
 	fx.run(t, func(p *simnet.Proc) {

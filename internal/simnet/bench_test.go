@@ -1,139 +1,20 @@
 package simnet
 
-import (
-	"fmt"
-	"testing"
-	"time"
-)
+import "testing"
 
-// Scheduler hot-path benchmarks. Each reports ns/op where one op is one
-// dispatched simulator event (or one higher-level operation built from a
-// fixed number of events), plus allocs/op via ReportAllocs. The same
-// workloads back `splitft-bench perf`, which writes BENCH_simnet.json;
-// CI runs them non-gating so the trajectory stays visible.
-
-// BenchmarkEventChurn is the headline microbenchmark: a single proc sleeping
-// in a tight loop. Every iteration is one schedule + one dispatch; after the
-// hot-path overhaul each is a self-continuation that never touches a channel.
-func BenchmarkEventChurn(b *testing.B) {
-	s := New(1)
-	s.Go("churn", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(time.Microsecond)
-		}
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := s.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkEventChurnFanout is event churn with 64 concurrent sleepers, so
-// the event queue holds real depth and every dispatch switches procs.
-func BenchmarkEventChurnFanout(b *testing.B) {
-	const procs = 64
-	s := New(1)
-	per := b.N / procs
-	for i := 0; i < procs; i++ {
-		i := i
-		s.Go(fmt.Sprintf("churn%d", i), func(p *Proc) {
-			p.Sleep(time.Duration(i) * time.Nanosecond) // stagger phases
-			for j := 0; j < per; j++ {
-				p.Sleep(time.Microsecond)
+// BenchmarkScheduler runs every scheduler micro-workload (workloads.go) at
+// n = b.N, reporting ns/op and allocs/op per operation. CI runs it
+// non-gating so the trajectory stays visible.
+func BenchmarkScheduler(b *testing.B) {
+	for _, w := range Workloads {
+		b.Run(w.Name, func(b *testing.B) {
+			s := New(1)
+			w.Spawn(s, b.N)
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := s.Run(); err != nil {
+				b.Fatal(err)
 			}
 		})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := s.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkYieldPingPong is two procs interleaving at the same virtual
-// instant — the run-queue fast path (no virtual time ever passes).
-func BenchmarkYieldPingPong(b *testing.B) {
-	s := New(1)
-	for i := 0; i < 2; i++ {
-		s.Go(fmt.Sprintf("y%d", i), func(p *Proc) {
-			for j := 0; j < b.N/2; j++ {
-				p.Yield()
-			}
-		})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := s.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkChanPingPong bounces one message between two procs; each op is a
-// full send + blocked-receive wake-up round trip.
-func BenchmarkChanPingPong(b *testing.B) {
-	s := New(1)
-	ping := NewChan[int](s)
-	pong := NewChan[int](s)
-	s.Go("ping", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			ping.Send(p, i)
-			pong.Recv(p)
-		}
-	})
-	s.Go("pong", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			ping.Recv(p)
-			pong.Send(p, i)
-		}
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := s.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkMutexConvoy hammers one Mutex from 8 procs with a Yield inside
-// the critical section, exercising waiter queueing and direct handoff.
-func BenchmarkMutexConvoy(b *testing.B) {
-	const procs = 8
-	s := New(1)
-	var mu Mutex
-	for i := 0; i < procs; i++ {
-		s.Go(fmt.Sprintf("m%d", i), func(p *Proc) {
-			for j := 0; j < b.N/procs; j++ {
-				mu.Lock(p)
-				p.Yield()
-				mu.Unlock(p)
-			}
-		})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := s.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkRPCEcho measures a full simulated RPC: two Chan hops, the
-// dispatcher handoff to a pooled worker, and timeout bookkeeping.
-func BenchmarkRPCEcho(b *testing.B) {
-	s := New(1)
-	srv := s.NewNode("srv")
-	cli := s.NewNode("cli")
-	s.Net().Register("echo", srv, func(p *Proc, req Msg) (Msg, error) { return req, nil })
-	s.Go("caller", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			if _, err := s.Net().Call(p, cli, "echo", Msg{U: [4]uint64{uint64(i)}}); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := s.Run(); err != nil {
-		b.Fatal(err)
 	}
 }
