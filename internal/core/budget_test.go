@@ -98,9 +98,9 @@ type ops map[string]int
 // costs, counted as the "controller" spans the application emits (keep-alives
 // and session set-up aside): the ap-map is asked about a name once per open,
 // reopen or unlink, and written once per membership (DESIGN.md §15). TTL 0,
-// so every allocated slot is one registry list.
+// so every allocation — a whole group at open, the missing members at
+// recovery — is one registry list.
 func TestControlPlaneBudget(t *testing.T) {
-	const slots = 3 // mirror and quorum at f=1
 	cases := []struct {
 		name, policy, port string
 		prepare            func(b *budget, p *simnet.Proc) error
@@ -109,7 +109,7 @@ func TestControlPlaneBudget(t *testing.T) {
 	}{
 		{name: "create absent",
 			call: func(b *budget, p *simnet.Proc) error { _, err := b.create(p, "wal"); return err },
-			want: func(*budget) ops { return ops{"get": 1, "list": slots, "create": 1} }},
+			want: func(*budget) ops { return ops{"get": 1, "list": 1, "create": 1} }},
 		{name: "reopen existing, full house, mirror",
 			prepare: (*budget).leftBehind,
 			call:    (*budget).reopen,
@@ -154,7 +154,7 @@ func TestControlPlaneBudget(t *testing.T) {
 				_, err := b.fs.OpenFile(p, "wal", core.O_NCL|core.O_TRUNC, 1<<20)
 				return err
 			},
-			want: func(*budget) ops { return ops{"get": 1, "delete": 1, "list": slots, "create": 1} }},
+			want: func(*budget) ops { return ops{"get": 1, "delete": 1, "list": 1, "create": 1} }},
 		{name: "unlink a dfs file",
 			prepare: func(b *budget, p *simnet.Proc) error {
 				_, err := b.fs.OpenFile(p, "/table.sst", core.O_CREATE, 0)
@@ -192,7 +192,7 @@ func TestControlPlaneBudget(t *testing.T) {
 			// reclaimed — still live in the lib, so without a lookup — with
 			// one delete; then the fresh WAL is a "create absent".
 			want: func(b *budget) ops {
-				return ops{"list": 1 + slots, "get": b.logs + 1, "delete": b.logs, "create": 1}
+				return ops{"list": 2, "get": b.logs + 1, "delete": b.logs, "create": 1}
 			}},
 	}
 	for _, tc := range cases {

@@ -218,7 +218,9 @@ type NCLConfig struct {
 	// AckTimeout is how long Record waits without majority progress before
 	// kicking the repair path again.
 	AckTimeout time.Duration
-	// SetupRetries bounds how many candidate peers are tried per slot.
+	// SetupRetries bounds how many set-up waves one allocation runs: every
+	// slot's candidate is set up at once, and a slot whose candidate failed
+	// gets the next one in the following wave.
 	SetupRetries int
 	// CatchupCopyCPU is the client-side bandwidth for staging a bulk
 	// catch-up transfer (bytes/sec); it briefly occupies the writer and is
@@ -238,8 +240,8 @@ type NCLConfig struct {
 	// critical path, so only the library call itself remains.
 	SyncCPU time.Duration
 	// PoolRefresh is how long ncl-lib may reuse its cached copy of the
-	// controller's peer registry. At 0 every allocation attempt re-reads it
-	// — one controller round trip per slot, the paper's behavior — and
+	// controller's peer registry. At 0 every allocation wave re-reads it —
+	// the paper's controller query, one round trip per group of slots — and
 	// candidates are tried most-free first; above 0 allocations inside the
 	// interval share one read and candidates are spread over the fleet in
 	// rendezvous order with failure-domain spread.

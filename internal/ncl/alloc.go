@@ -12,16 +12,19 @@ import (
 	"splitft/internal/wire"
 )
 
-// This file is the one allocator (§4.3): every membership slot — at open, at
-// recovery, and under a live replacement — gets its peer from allocate, which
-// reads the peer registry, filters and ranks the candidates, and tries them
-// in order until one sets up a region. The controller's registry is a hint
-// either way: the peer itself accepts or rejects the setup.
+// This file is the one allocator (§4.3): every membership slot — a new log's
+// whole group at open, the missing members at recovery, the one failed member
+// under a live replacement — gets its peer from allocate, which reads the peer
+// registry once, filters and ranks the candidates, picks one per slot and sets
+// all of them up at once, going back only for the slots whose candidate
+// failed. The controller's registry is a hint either way: the peer itself
+// accepts or rejects the setup.
 //
 // How often the registry is re-read is the one thing cfg.Model.PoolRefresh
 // sets: the cached copy is used while it is younger than that. At 0 every
-// attempt pays one ListPeers round trip — the paper's per-slot controller
-// query; above 0 a thousand logs opened in the same interval share one read.
+// wave pays one ListPeers round trip — the paper's controller query, once per
+// group rather than per slot; above 0 a thousand logs opened in the same
+// interval share one read.
 //
 // Two candidate orders remain, chosen by the same knob because merging them
 // moves every placement-dependent number (DESIGN.md §14): most-free-first is
@@ -135,39 +138,63 @@ func rankRendezvous(cands []controller.PeerInfo, key string, occupied map[string
 	}
 }
 
-// rank orders cands for one slot of lg.
-func (l *Lib) rank(lg *Log, cands []controller.PeerInfo) {
+// pick orders cands for n slots of lg and returns the first n, one candidate
+// per slot (fewer when cands run out). Most-free takes the top n. Rendezvous
+// ranks slot by slot, each slot counting the domains of the log's members, of
+// held — peers already set up for it — and of the slots picked before it, so
+// the group spreads exactly as n single-slot picks in a row would.
+func (l *Lib) pick(lg *Log, held []*peerConn, cands []controller.PeerInfo, n int) []controller.PeerInfo {
+	n = min(n, len(cands))
 	if l.cfg.Model.PoolRefresh == 0 {
 		rankMostFree(cands)
-		return
+		return cands[:n]
 	}
 	occupied := make(map[string]int)
-	for _, pc := range lg.peers {
-		if pc != nil && pc.domain != "" {
-			occupied[pc.domain]++
+	occupy := func(domain string) {
+		if domain != "" {
+			occupied[domain]++
 		}
 	}
-	rankRendezvous(cands, l.appID+"/"+lg.name, occupied)
+	for _, pc := range lg.peers {
+		if pc != nil {
+			occupy(pc.domain)
+		}
+	}
+	for _, pc := range held {
+		occupy(pc.domain)
+	}
+	key := l.appID + "/" + lg.name
+	for i := 0; i < n; i++ {
+		rankRendezvous(cands[i:], key, occupied)
+		occupy(cands[i].Domain)
+	}
+	return cands[:n]
 }
 
-// allocate finds a peer for one slot of lg, sets up a region under epoch and
-// connects a QP, trying up to SetupRetries candidates. exclude names peers
-// the slot must not land on (the log's other members); recent data-path
-// suspects are excluded too, since the controller's registry only drops them
-// after session expiry. With live set — a replacement under running writes —
+// allocate finds a peer for each of the given slots of lg, sets up a region
+// under epoch on it and connects a QP: one registry read, one candidate per
+// slot, every set-up at once. A slot whose candidate rejected or died goes
+// into the next wave, at most SetupRetries of them. exclude names peers the
+// slots must not land on (the log's other members); recent data-path suspects
+// are excluded too, since the controller's registry only drops them after
+// session expiry. The returned conns know their slots, are registered with
+// the log — wave by wave, in slot order, not in the order the replies came —
+// and are not yet active; when a later wave fails, the conns of the earlier
+// ones stay registered for the caller's teardown to close. With live set — a replacement under running writes —
 // the registry read and the set-up are bracketed by Table 3's
 // "replace.getpeer" and "replace.connect" spans.
-func (l *Lib) allocate(p *simnet.Proc, lg *Log, exclude []string, epoch int64, live bool) (*peerConn, error) {
+func (l *Lib) allocate(p *simnet.Proc, lg *Log, slots []int, exclude []string, epoch int64, live bool) ([]*peerConn, error) {
 	tried := append(append([]string(nil), exclude...), l.suspectNames(p.Now())...)
-	for attempt := 0; attempt < l.cfg.Model.SetupRetries; attempt++ {
+	var pcs []*peerConn
+	for wave := 0; wave < l.cfg.Model.SetupRetries; wave++ {
 		sp := replaceSpan(p, live, "replace.getpeer")
 		peers, fresh, err := l.registry(p)
 		p.EndSpan(sp)
 		if err != nil {
 			return nil, fmt.Errorf("ncl: list peers: %w", err)
 		}
-		cands := eligible(peers, tried, lg.regionSize())
-		if len(cands) == 0 {
+		cands := l.pick(lg, pcs, eligible(peers, tried, lg.regionSize()), len(slots))
+		if len(cands) < len(slots) {
 			if fresh {
 				return nil, ErrNoPeers
 			}
@@ -175,17 +202,28 @@ func (l *Lib) allocate(p *simnet.Proc, lg *Log, exclude []string, epoch int64, l
 			l.reg.peers = nil
 			continue
 		}
-		l.rank(lg, cands)
-		cand := cands[0]
-		tried = append(tried, cand.Name)
 		sp = replaceSpan(p, live, "replace.connect")
-		pc, err := l.connectPeer(p, lg, cand, epoch)
+		got := make([]*peerConn, len(cands))
+		errs := fanOut(p, l, cands, func(fp *simnet.Proc, i int, cand controller.PeerInfo) (err error) {
+			got[i], err = l.connectPeer(fp, lg, cand, slots[i], epoch)
+			return err
+		})
 		p.EndSpan(sp)
-		if err == nil {
-			return pc, nil
+		var again []int
+		for i, cand := range cands {
+			tried = append(tried, cand.Name)
+			if errs[i] != nil {
+				// Rejected or dead: the slot gets the next candidate.
+				l.dropFromRegistry(cand.Name)
+				again = append(again, slots[i])
+				continue
+			}
+			lg.registerConn(got[i])
+			pcs = append(pcs, got[i])
 		}
-		// Rejected or dead: try the next candidate.
-		l.dropFromRegistry(cand.Name)
+		if slots = again; len(slots) == 0 {
+			return pcs, nil
+		}
 	}
 	return nil, ErrNoPeers
 }
@@ -199,11 +237,12 @@ func replaceSpan(p *simnet.Proc, live bool, op string) *trace.Span {
 	return p.StartSpan("ncl", op)
 }
 
-// connectPeer asks one candidate to set up a region and connects a QP.
-// The setup timeout scales with the region size: registration pins memory
-// at the fabric's registration bandwidth, so large regions legitimately
-// take hundreds of ms — allow 2x the modelled cost plus an RPC base.
-func (l *Lib) connectPeer(p *simnet.Proc, lg *Log, cand controller.PeerInfo, epoch int64) (*peerConn, error) {
+// connectPeer asks one candidate to set up a region for slot and connects a
+// QP. The setup timeout scales with the region size: registration pins
+// memory at the fabric's registration bandwidth, so large regions
+// legitimately take hundreds of ms — allow 2x the modelled cost plus an RPC
+// base.
+func (l *Lib) connectPeer(p *simnet.Proc, lg *Log, cand controller.PeerInfo, slot int, epoch int64) (*peerConn, error) {
 	rp := l.fabric.Params()
 	reg := rp.RegFixed + time.Duration(float64(lg.regionSize())/rp.RegBandwidth*float64(time.Second))
 	timeout := 200*time.Millisecond + 2*reg
@@ -217,7 +256,5 @@ func (l *Lib) connectPeer(p *simnet.Proc, lg *Log, cand controller.PeerInfo, epo
 	if err != nil {
 		return nil, err
 	}
-	pc := &peerConn{name: cand.Name, qp: qp, rkey: setup.RKey, domain: cand.Domain}
-	lg.registerConn(pc)
-	return pc, nil
+	return &peerConn{name: cand.Name, qp: qp, rkey: setup.RKey, slot: slot, domain: cand.Domain}, nil
 }

@@ -78,6 +78,51 @@ func TestCandidateRanks(t *testing.T) {
 	}
 }
 
+// The placement property of the n-slot allocator: on an unchanged registry it
+// names the same peers, in the same slot order, as n one-slot allocations in a
+// row did — each of which excluded the members so far and, in rendezvous
+// order, counted their failure domains.
+func TestGroupPickMatchesSerialPicks(t *testing.T) {
+	var registry []controller.PeerInfo
+	for i := 0; i < 14; i++ {
+		info := controller.PeerInfo{Name: fmt.Sprintf("p%d", i), AvailMem: int64(8 + i*5%4)}
+		if i < 12 { // the last two advertise no failure domain
+			info.Domain = fmt.Sprintf("dom%d", i%4)
+		}
+		registry = append(registry, info)
+	}
+	member := &peerConn{name: "p3", domain: "dom3"} // a survivor the new slots join
+	for _, ttl := range []time.Duration{0, time.Minute} {
+		l := &Lib{appID: "app1"}
+		l.cfg.Model.PoolRefresh = ttl
+		for n := 1; n <= 7; n++ {
+			chosen, occupied := []string{member.name}, map[string]int{member.domain: 1}
+			for slot := 0; slot < n; slot++ {
+				cands := eligible(registry, chosen, 9)
+				if ttl == 0 {
+					rankMostFree(cands)
+				} else {
+					rankRendezvous(cands, "app1/wal-7", occupied)
+				}
+				chosen = append(chosen, cands[0].Name)
+				if cands[0].Domain != "" {
+					occupied[cands[0].Domain]++
+				}
+			}
+			lg := &Log{name: "wal-7", peers: []*peerConn{member, nil}}
+			got := namesOf(l.pick(lg, nil, eligible(registry, chosen[:1], 9), n))
+			if !reflect.DeepEqual(got, chosen[1:]) {
+				t.Errorf("ttl %v: %d-slot pick = %v, %d serial picks = %v", ttl, n, got, n, chosen[1:])
+			}
+			// A second wave counts the peers the first one set up like members.
+			lg.peers = nil
+			if got := namesOf(l.pick(lg, []*peerConn{member}, eligible(registry, chosen[:1], 9), n)); !reflect.DeepEqual(got, chosen[1:]) {
+				t.Errorf("ttl %v: %d-slot pick beside a held peer = %v, want %v", ttl, n, got, chosen[1:])
+			}
+		}
+	}
+}
+
 // With a registry TTL, a live replacement takes the same path an open does:
 // it is served from the cached registry — no controller list inside the TTL —
 // in rendezvous order with failure-domain spread, so the newcomer lands in a

@@ -9,12 +9,15 @@ import (
 	"testing"
 	"time"
 
+	"splitft/internal/peer"
 	"splitft/internal/simnet"
 	"splitft/internal/trace"
+	"splitft/internal/wire"
 )
 
-// TestPolicyConformance drives every membership path — open, live
-// replacement, recovery replacement, release by recovery — under every
+// TestPolicyConformance drives every membership path — open (and a set-up
+// wave that loses a candidate), live replacement, recovery replacement,
+// release by recovery — under every
 // replication policy and both registry refresh rules (TTL 0: one controller
 // list per allocation, the paper's protocol; TTL > 0: the cached registry in
 // rendezvous order), and checks each script against the bytes it saw
@@ -218,6 +221,88 @@ var confScripts = []struct {
 		rec, phases := trace.First(col.Spans(), "ncl", "recover"), trace.Filter(col.Spans(), "ncl", "recover.")
 		if !rec.Done() || len(phases) != 4 || trace.Sum(phases, "", "") > rec.Dur() {
 			e.t.Fatalf("recover spans: parent %+v, %d phases", rec, len(phases))
+		}
+	}},
+	{"candidate lost in the set-up wave", func(e *conf, p *simnet.Proc) {
+		// A peer the allocator picked dies while the group is being set up —
+		// or turns its set-up down with ErrNoMem, its memory having gone
+		// elsewhere since the registry last heard from it. Only that slot goes
+		// into a second wave: Open returns a whole group of distinct live
+		// peers, and what the lost candidate and the wave left behind goes to
+		// the peers' GC.
+		col := trace.New()
+		var names []string
+		for _, reject := range []bool{false, true} {
+			name := fmt.Sprintf("wal-reject-%v", reject)
+			names = append(names, name)
+			l := e.lib(p, e.cfg)
+			registry, err := l.ctrl.ListPeers(p)
+			if err != nil {
+				e.t.Fatalf("list peers: %v", err)
+			}
+			place := e.cfg.Policy.Place(e.capacity)
+			victim := l.pick(&Log{name: name}, nil, eligible(registry, nil, place.SlotRegion), place.Slots)[1].Name
+			vnode := e.c.pNodes[victim]
+			if reject {
+				// The registry must not hear of it before the open has asked.
+				for _, n := range e.c.svc.Nodes() {
+					e.c.sim.Net().Partition(vnode, n)
+				}
+				if _, err := wire.Call[peer.SetupResp](p, e.c.sim.Net(), e.c.appNode, peer.Addr(victim), peer.SetupReq{
+					App: "ghost", File: "fill", Size: e.c.peers[victim].Avail(), Epoch: 1,
+				}); err != nil {
+					e.t.Fatalf("fill %s: %v", victim, err)
+				}
+			}
+			e.c.sim.SetTracer(col)
+			mark := col.Len()
+			asked := func() bool {
+				for _, sp := range col.Since(mark) {
+					if sp.Layer == "peer" && sp.Op == "setup" && sp.Node == victim && sp.StrAttr("file") == "app1/"+name {
+						return true
+					}
+				}
+				return false
+			}
+			if !reject {
+				e.c.sim.Go("crash-in-wave", func(fp *simnet.Proc) {
+					for !asked() {
+						fp.Sleep(20 * time.Microsecond)
+					}
+					e.crashPeers(victim)
+				})
+			}
+			lg := e.open(p, l, name)
+			e.c.sim.SetTracer(nil)
+			for _, n := range e.c.svc.Nodes() {
+				e.c.sim.Net().Heal(vnode, n)
+			}
+			members := lg.LivePeers()
+			slices.Sort(members)
+			if !asked() || slices.Contains(members, victim) || len(slices.Compact(members)) != place.Slots {
+				e.t.Fatalf("%s: %s asked for a region: %v; members %v, want %d distinct peers without it",
+					name, victim, asked(), lg.LivePeers(), place.Slots)
+			}
+			e.append(p, lg, 5)
+			e.crashApp(p)
+			e.recover(p, name, nil)
+		}
+		p.Sleep(6 * time.Second) // GC interval + grace
+		l := e.lib(p, e.cfg)
+		want := map[string]int{}
+		for _, name := range names {
+			entry, _, err := l.lookup(p, name)
+			if err != nil {
+				e.t.Fatalf("lookup %s: %v", name, err)
+			}
+			for _, pn := range entry.Peers {
+				want[pn]++
+			}
+		}
+		for pn, pr := range e.c.peers {
+			if got := pr.Regions(); got != want[pn] && e.c.pNodes[pn].Alive() {
+				e.t.Fatalf("peer %s holds %d regions, the ap-map names it %d times", pn, got, want[pn])
+			}
 		}
 	}},
 	{"peer crash under writes", func(e *conf, p *simnet.Proc) {

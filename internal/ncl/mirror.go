@@ -58,7 +58,7 @@ func (m *mirrorPolicy) Append(p *simnet.Proc, lg *Log, off int64, data []byte) e
 func (m *mirrorPolicy) Recover(p *simnet.Proc, lg *Log, alive []*peerConn) error {
 	seqs := make([]uint64, len(alive))
 	m.hdrLens = make(map[*peerConn]int64)
-	errs := lg.fanOut(p, alive, func(fp *simnet.Proc, i int, pc *peerConn) error {
+	errs := fanOut(p, lg.lib, alive, func(fp *simnet.Proc, i int, pc *peerConn) error {
 		hbuf := make([]byte, HeaderSize)
 		if err := lg.readInto(fp, pc, 0, hbuf); err != nil {
 			return err

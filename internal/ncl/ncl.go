@@ -373,16 +373,13 @@ func (l *Lib) Open(p *simnet.Proc, name string, capacity int64, appendOnly bool)
 	sp := p.StartSpan("ncl", "open", trace.Str("file", name), trace.Int("bytes", capacity))
 	defer p.EndSpan(sp)
 	lg := l.newLog(name, l.cfg.Policy, capacity, appendOnly, 1, 0)
-	for len(lg.peers) < lg.place.Slots {
-		pc, err := l.allocate(p, lg, lg.peerNames(), lg.epoch, false)
-		if err != nil {
-			lg.teardown(p)
-			return nil, err
-		}
-		pc.active = true
-		pc.slot = len(lg.peers)
-		lg.peers = append(lg.peers, pc)
+	lg.peers = make([]*peerConn, lg.place.Slots)
+	pcs, err := l.allocate(p, lg, lg.vacant(p), nil, lg.epoch, false)
+	if err != nil {
+		lg.teardown(p)
+		return nil, err
 	}
+	lg.activate(p, false, pcs...)
 	// Step 4b: record the allocation in the ap-map.
 	ver, err := lg.publish(p, lg.fileEntry(lg.epoch))
 	if err != nil {
@@ -736,20 +733,23 @@ func (l *Lib) lookup(p *simnet.Proc, name string) (controller.FileEntry, int64, 
 
 // release frees an ncl file's remote state — the one place that does. The
 // ap-map delete is the commit point: only once the entry is gone are the
-// peers holding the regions told to release them (best effort: a dead peer's
-// allocation, or every region if the application crashes right here, goes to
-// the peers' epoch GC). The other order could leave an entry whose regions
-// are gone, which no later instance can recover or get past. If the delete
-// fails, entry and regions both stay and the file remains recoverable.
+// peers holding the regions told to release them — all at once, and waited
+// for, so that each has recycled its region before the caller's next set-up
+// can reach it (best effort: a dead peer's allocation, or every region if the
+// application crashes right here, goes to the peers' epoch GC). The other
+// order could leave an entry whose regions are gone, which no later instance
+// can recover or get past. If the delete fails, entry and regions both stay
+// and the file remains recoverable.
 func (l *Lib) release(p *simnet.Proc, name string, peers []string) error {
 	if err := l.ctrl.DeleteAppFile(p, l.appID, name); err != nil {
 		return fmt.Errorf("ncl: ap-map delete: %w", err)
 	}
-	for _, pname := range peers {
-		l.sim.Net().CallTimeout(p, l.node, peer.Addr(pname), peer.ReleaseReq{ //nolint:errcheck
+	fanOut(p, l, peers, func(fp *simnet.Proc, _ int, pname string) error {
+		_, err := l.sim.Net().CallTimeout(fp, l.node, peer.Addr(pname), peer.ReleaseReq{
 			App: l.appID, File: name,
 		}.MarshalWire(), 10*time.Millisecond)
-	}
+		return err
+	})
 	return nil
 }
 

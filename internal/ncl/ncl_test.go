@@ -12,6 +12,7 @@ import (
 	"splitft/internal/peer"
 	"splitft/internal/rdma"
 	"splitft/internal/simnet"
+	"splitft/internal/trace"
 	"splitft/internal/wire"
 )
 
@@ -238,6 +239,116 @@ func TestReleaseFreesPeersAndApMap(t *testing.T) {
 		}
 		if _, err := lg.Append(p, []byte("y")); !errors.Is(err, ErrReleased) {
 			t.Errorf("append after release: %v", err)
+		}
+	})
+}
+
+// timed runs fn under a fresh collector and returns its virtual duration and
+// the spans it emitted.
+func (c *cluster) timed(p *simnet.Proc, fn func()) (time.Duration, []*trace.Span) {
+	col := trace.New()
+	c.sim.SetTracer(col)
+	start := p.Now()
+	fn()
+	c.sim.SetTracer(nil)
+	return p.Now() - start, col.Spans()
+}
+
+// The set-up of a group is one wave: at one region size, a six-slot ec open
+// costs less than one peer set-up more than a three-slot mirror open.
+func TestOpenCostDoesNotGrowWithSlots(t *testing.T) {
+	ecSpec, _ := ParsePolicy("ec:4,2")
+	region := ecSpec.Place(1 << 20).SlotRegion
+	open := func(policy string, capacity int64) (cost, setup time.Duration) {
+		c := newCluster(51, 8, smallPeerCfg())
+		c.run(t, func(p *simnet.Proc) {
+			l, err := NewLib(p, c.svc, c.fabric, c.appNode, "app1", 0, policyCfg(t, policy))
+			if err != nil {
+				t.Fatalf("new lib: %v", err)
+			}
+			var spans []*trace.Span
+			cost, spans = c.timed(p, func() {
+				lg, err := l.Open(p, "wal", capacity, false)
+				if err != nil || lg.regionSize() != region || len(lg.LivePeers()) != lg.place.Slots {
+					t.Fatalf("open %s: %v", policy, err)
+				}
+			})
+			setup = trace.First(spans, "peer", "setup").Dur()
+		})
+		return cost, setup
+	}
+	mirror, setup := open("mirror", region-HeaderSize)
+	ec, _ := open("ec:4,2", 1<<20)
+	if d := ec - mirror; setup <= 0 || d >= setup || d <= -setup {
+		t.Errorf("open of 6 slots %v, of 3 slots %v: %v apart, want less than one peer set-up (%v)", ec, mirror, d, setup)
+	}
+}
+
+// Recovery asks every ap-map member at once: two dead members cost one
+// lookup timeout, not one each.
+func TestRecoverConnectPaysOneTimeout(t *testing.T) {
+	c := newCluster(52, 8, smallPeerCfg())
+	c.run(t, func(p *simnet.Proc) {
+		cfg := policyCfg(t, "ec:4,2")
+		l, err := NewLib(p, c.svc, c.fabric, c.appNode, "app1", 0, cfg)
+		if err != nil {
+			t.Fatalf("new lib: %v", err)
+		}
+		lg, err := l.Open(p, "wal", 1<<20, false)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		if _, err := lg.Append(p, []byte("acknowledged")); err != nil {
+			t.Fatalf("append: %v", err)
+		}
+		for _, victim := range lg.LivePeers()[1:3] {
+			c.pNodes[victim].Crash()
+		}
+		c.appNode.Crash()
+		p.Sleep(10 * time.Millisecond)
+		c.appNode.Restart()
+		l2, err := NewLib(p, c.svc, c.fabric, c.appNode, "app1", 1, cfg)
+		if err != nil {
+			t.Fatalf("new lib: %v", err)
+		}
+		_, spans := c.timed(p, func() {
+			lg2, err := recoverSync(p, l2, "wal")
+			if err != nil || string(lg2.Bytes()) != "acknowledged" || len(lg2.LivePeers()) != 6 {
+				t.Fatalf("recover: %v", err)
+			}
+		})
+		if d := trace.First(spans, "ncl", "recover.connect").Dur(); d != 20*time.Millisecond {
+			t.Errorf("recover.connect with two dead members took %v, want the one 20ms lookup timeout", d)
+		}
+	})
+}
+
+// Release tells every member at once and waits for all of them: a dead member
+// costs its one timeout, beside which the live members' releases run, and the
+// live members have their memory back when Release returns.
+func TestReleaseIsOneAwaitedWave(t *testing.T) {
+	c := newCluster(53, 3, smallPeerCfg())
+	c.run(t, func(p *simnet.Proc) {
+		l := c.newLib(p, t, "app1", 0)
+		lg, err := l.Open(p, "wal", 1<<20, false)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		members := lg.LivePeers()
+		c.pNodes[members[0]].Crash()
+		cost, spans := c.timed(p, func() {
+			if err := lg.Release(p); err != nil {
+				t.Fatalf("release: %v", err)
+			}
+		})
+		for _, pn := range members[1:] {
+			if c.peers[pn].Regions() != 0 || c.peers[pn].Avail() != smallPeerCfg().LendableMem {
+				t.Errorf("peer %s has not recycled its region when Release returns", pn)
+			}
+		}
+		del := trace.First(spans, "controller", "delete")
+		if wave := cost - del.Dur(); wave != 10*time.Millisecond {
+			t.Errorf("release took %v beside the %v ap-map delete, want the one 10ms timeout", wave, del.Dur())
 		}
 	})
 }

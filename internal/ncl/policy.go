@@ -341,7 +341,7 @@ type frameScan struct {
 // left out; the caller decides how many scans are enough.
 func (lg *Log) scanFrameLogs(p *simnet.Proc, alive []*peerConn, regionCap, capacity int64) []frameScan {
 	all := make([]frameScan, len(alive))
-	errs := lg.fanOut(p, alive, func(fp *simnet.Proc, i int, pc *peerConn) error {
+	errs := fanOut(p, lg.lib, alive, func(fp *simnet.Proc, i int, pc *peerConn) error {
 		buf := make([]byte, regionCap)
 		if err := lg.readInto(fp, pc, 0, buf); err != nil {
 			return err

@@ -21,8 +21,8 @@ import (
 //     carries the replication policy the file was written under, so a
 //     recovering instance — even one configured with a different default —
 //     rebuilds the file correctly.
-//  2. Contact each peer; a peer that crashed since the allocation has lost
-//     its mr-map and rejects the lookup ("connect").
+//  2. Contact every peer at once; a peer that crashed since the allocation
+//     has lost its mr-map and rejects the lookup ("connect").
 //  3. Read phase ("rdma read"): the policy fixes the cut — the log's length
 //     and sequence number. Mirror reads the headers of >= f+1 peers and posts
 //     the read of the maximum's region in segments; ec reads and RS-decodes
@@ -141,26 +141,31 @@ func (l *Lib) Recover(p *simnet.Proc, name string) (*Log, error) {
 	// The poller runs from here so completion routing works during recovery.
 	lg.start(p)
 
-	// (2) Contact peers: mr-map lookup + QP connect. Membership slots are
-	// positional (for ec, slot i holds fragment i), so lg.peers keeps the
-	// entry's order with nil holes for unreachable members.
+	// (2) Contact peers, all at once: mr-map lookup + QP connect. Membership
+	// slots are positional (for ec, slot i holds fragment i), so lg.peers keeps
+	// the entry's order with nil holes for unreachable members, and the conns
+	// are registered in that order, not in the order the replies came.
 	sp = p.StartSpan("ncl", "recover.connect")
-	var alive []*peerConn
 	lg.peers = make([]*peerConn, len(entry.Peers))
-	for i, pname := range entry.Peers {
-		look, err := wire.CallTimeout[peer.LookupResp](p, l.sim.Net(), l.node, peer.Addr(pname),
+	fanOut(p, l, entry.Peers, func(fp *simnet.Proc, i int, pname string) error {
+		look, err := wire.CallTimeout[peer.LookupResp](fp, l.sim.Net(), l.node, peer.Addr(pname),
 			peer.LookupReq{App: l.appID, File: name}, 20*time.Millisecond)
 		if err != nil {
-			continue
+			return err
 		}
-		qp, err := l.nic.Connect(p, pname, lg.cq)
+		qp, err := l.nic.Connect(fp, pname, lg.cq)
 		if err != nil {
-			continue
+			return err
 		}
-		pc := &peerConn{name: pname, qp: qp, rkey: look.RKey, slot: i}
-		lg.registerConn(pc)
-		alive = append(alive, pc)
-		lg.peers[i] = pc
+		lg.peers[i] = &peerConn{name: pname, qp: qp, rkey: look.RKey, slot: i}
+		return nil
+	})
+	var alive []*peerConn
+	for _, pc := range lg.peers {
+		if pc != nil {
+			lg.registerConn(pc)
+			alive = append(alive, pc)
+		}
 	}
 	p.EndSpan(sp)
 
@@ -264,7 +269,7 @@ var errReadPhase = errors.New("ncl: peer failed in the read phase")
 // frames must outrank any stale frames beyond the recovered prefix on
 // generation.
 func (lg *Log) resync(p *simnet.Proc, alive []*peerConn, oldPeers []string) error {
-	errs := lg.fanOut(p, alive, func(fp *simnet.Proc, _ int, pc *peerConn) error {
+	errs := fanOut(p, lg.lib, alive, func(fp *simnet.Proc, _ int, pc *peerConn) error {
 		if pc.failed {
 			return errReadPhase
 		}
@@ -290,18 +295,20 @@ func (lg *Log) resync(p *simnet.Proc, alive []*peerConn, oldPeers []string) erro
 	return lg.replaceAtRecovery(p, oldPeers)
 }
 
-// fanOut runs fn for every peer of pcs at once, one proc each on the
-// application node, and returns their results in pcs order once all have
-// ended: the one way recovery talks to several members in parallel (header
-// and frame-log reads, survivor catch-up).
-func (lg *Log) fanOut(p *simnet.Proc, pcs []*peerConn, fn func(fp *simnet.Proc, i int, pc *peerConn) error) []error {
-	errs := make([]error, len(pcs))
+// fanOut runs fn for every member of ms at once, one proc each on the
+// application node, and returns their results in ms order once all have
+// ended: the one way the library talks to several peers in parallel — the
+// set-up wave of an allocation, recovery's lookups, header and frame-log
+// reads and catch-ups, a release. The members are whatever names the peers at
+// that point: registry entries, ap-map names, connections.
+func fanOut[M any](p *simnet.Proc, l *Lib, ms []M, fn func(fp *simnet.Proc, i int, m M) error) []error {
+	errs := make([]error, len(ms))
 	var wg simnet.WaitGroup
-	wg.Add(len(pcs))
-	for i, pc := range pcs {
-		p.GoOn(lg.lib.node, "ncl-fanout:"+pc.name, func(fp *simnet.Proc) {
+	wg.Add(len(ms))
+	for i, m := range ms {
+		p.GoOn(l.node, "ncl-fanout", func(fp *simnet.Proc) {
 			defer wg.Done(fp)
-			errs[i] = fn(fp, i, pc)
+			errs[i] = fn(fp, i, m)
 		})
 	}
 	wg.Wait(p)
@@ -317,26 +324,18 @@ func (lg *Log) readInto(p *simnet.Proc, pc *peerConn, off int, buf []byte) error
 }
 
 // replaceAtRecovery fills the missing membership slots with fresh,
-// caught-up peers and publishes the membership under an incremented epoch.
-// Slots are preserved (ec fragment i must land in slot i); with zero
-// replacements this is a pure epoch bump (the ec/quorum generation fence).
+// caught-up peers — all of them at once — and publishes the membership under
+// an incremented epoch. Slots are preserved (ec fragment i must land in slot
+// i); with zero replacements this is a pure epoch bump (the ec/quorum
+// generation fence).
 func (lg *Log) replaceAtRecovery(p *simnet.Proc, oldPeers []string) error {
 	newEpoch := lg.epoch + 1
-	exclude := append([]string(nil), oldPeers...)
-	for slot, pc := range lg.peers {
-		if pc != nil && !pc.failed {
-			continue
-		}
-		if pc != nil {
-			pc.qp.Close(p)
-			lg.peers[slot] = nil
-		}
-		npc, err := lg.fillSlot(p, slot, exclude, newEpoch, false)
+	if slots := lg.vacant(p); len(slots) > 0 {
+		pcs, err := lg.fillSlots(p, slots, oldPeers, newEpoch, false)
 		if err != nil {
 			return fmt.Errorf("ncl: recovery replacement: %w", err)
 		}
-		exclude = append(exclude, npc.name)
-		lg.activate(p, npc, false)
+		lg.activate(p, false, pcs...)
 	}
 	ver, err := lg.publish(p, lg.fileEntry(newEpoch))
 	if err != nil {

@@ -1,6 +1,7 @@
 package ncl
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -57,44 +58,70 @@ func (lg *Log) repairLoop(p *simnet.Proc) {
 	}
 }
 
-// fillSlot gives a membership slot a fresh peer (§4.5.2 steps 1-2): allocate
-// a region under epoch on a peer outside exclude, then bulk catch-up the new
-// peer with the policy's replica content for that slot ("ncl-lib copies the
-// contents of the ncl file from its local buffer" — for ec, the slot's
-// fragment log; for quorum, the journal). The returned peer is connected and
-// caught up but not yet active. live marks a replacement under running
-// writes: the catch-up snapshot is cut under lg.mu, and the steps are traced
-// as Table 3's "replace.getpeer" / ".connect" / ".catchup".
-func (lg *Log) fillSlot(p *simnet.Proc, slot int, exclude []string, epoch int64, live bool) (*peerConn, error) {
-	pc, err := lg.lib.allocate(p, lg, exclude, epoch, live)
+// vacant closes what is left of the failed members and returns the slots that
+// hold no peer: every slot of a log being opened, the members a recovery could
+// not reach or lost on the way.
+func (lg *Log) vacant(p *simnet.Proc) (slots []int) {
+	for slot, pc := range lg.peers {
+		if pc != nil && !pc.failed {
+			continue
+		}
+		if pc != nil {
+			pc.qp.Close(p)
+			lg.peers[slot] = nil
+		}
+		slots = append(slots, slot)
+	}
+	return slots
+}
+
+// fillSlots gives membership slots fresh peers (§4.5.2 steps 1-2): allocate a
+// region under epoch for each on peers outside exclude, then bulk catch-up
+// the new peers, all at once, with the policy's replica content for their
+// slots ("ncl-lib copies the contents of the ncl file from its local buffer"
+// — for ec, the slot's fragment log; for quorum, the journal). The returned
+// peers are connected and caught up but not yet active. live marks a
+// replacement under running writes: the catch-up snapshot is cut under lg.mu,
+// and the steps are traced as Table 3's "replace.getpeer" / ".connect" /
+// ".catchup".
+func (lg *Log) fillSlots(p *simnet.Proc, slots []int, exclude []string, epoch int64, live bool) ([]*peerConn, error) {
+	pcs, err := lg.lib.allocate(p, lg, slots, exclude, epoch, live)
 	if err != nil {
 		return nil, err
 	}
-	pc.slot = slot
 	sp := replaceSpan(p, live, "replace.catchup")
-	err = lg.policy.Repair(p, lg, pc.qp, pc.rkey, slot, live)
+	errs := fanOut(p, lg.lib, pcs, func(fp *simnet.Proc, _ int, pc *peerConn) error {
+		if err := lg.policy.Repair(fp, lg, pc.qp, pc.rkey, pc.slot, live); err != nil {
+			return fmt.Errorf("catch-up of %s: %w", pc.name, err)
+		}
+		return nil
+	})
 	p.EndSpan(sp)
-	if err != nil {
-		pc.qp.Close(p)
-		return nil, fmt.Errorf("catch-up of %s: %w", pc.name, err)
+	if err := errors.Join(errs...); err != nil {
+		for _, pc := range pcs {
+			pc.qp.Close(p)
+		}
+		return nil, err
 	}
-	return pc, nil
+	return pcs, nil
 }
 
-// activate installs a caught-up peer in its slot and counts it toward write
-// quorums (§4.5.2 step 4). With no writer running, the catch-up left it
-// holding everything up to lg.seq. Under running writes it is sent the delta
-// accumulated since the catch-up cut as ordinary record WRs, so its
+// activate installs caught-up peers in their slots and counts them toward
+// write quorums (§4.5.2 step 4). With no writer running, the catch-up left
+// them holding everything up to lg.seq. Under running writes a peer is sent
+// the delta accumulated since the catch-up cut as ordinary record WRs, so its
 // completedSeq only advances once the delta lands and it joins quorums
 // exactly when it is caught up; the caller holds lg.mu.
-func (lg *Log) activate(p *simnet.Proc, pc *peerConn, live bool) {
-	if live {
-		lg.policy.Snapshot(p, lg, pc)
-	} else {
-		pc.completedSeq = lg.seq
+func (lg *Log) activate(p *simnet.Proc, live bool, pcs ...*peerConn) {
+	for _, pc := range pcs {
+		if live {
+			lg.policy.Snapshot(p, lg, pc)
+		} else {
+			pc.completedSeq = lg.seq
+		}
+		pc.active = true
+		lg.peers[pc.slot] = pc
 	}
-	pc.active = true
-	lg.peers[pc.slot] = pc
 }
 
 // replacePeer substitutes the failed peer at idx with a fresh one. Order
@@ -118,10 +145,11 @@ func (lg *Log) replacePeer(p *simnet.Proc, idx int) bool {
 
 	rsp := p.StartSpan("ncl", "replace", trace.Str("file", lg.name))
 	defer p.EndSpan(rsp)
-	pc, err := lg.fillSlot(p, idx, members, newEpoch, true)
+	pcs, err := lg.fillSlots(p, []int{idx}, members, newEpoch, true)
 	if err != nil {
 		return false
 	}
+	pc := pcs[0]
 	// ap-map switch under CAS; the epoch stamps the new membership.
 	lg.mu.Lock(p)
 	entry := lg.fileEntry(newEpoch)
@@ -136,7 +164,7 @@ func (lg *Log) replacePeer(p *simnet.Proc, idx int) bool {
 	}
 	lg.mu.Lock(p)
 	lg.apVersion, lg.epoch = ver, newEpoch
-	lg.activate(p, pc, true)
+	lg.activate(p, true, pc)
 	lg.Replacements++
 	lg.mu.Unlock(p)
 	oldPC.qp.Close(p)

@@ -407,10 +407,7 @@ func (pr *Peer) allocRegion(p *simnet.Proc, size int64) (*rdma.MR, error) {
 		mr := pool[len(pool)-1]
 		pr.recycled[size] = pool[:len(pool)-1]
 		if err := pr.nic.RefreshMR(p, mr); err == nil {
-			clear := mr.Bytes()
-			for i := range clear {
-				clear[i] = 0
-			}
+			clear(mr.Bytes())
 			pr.Recycles++
 			return mr, nil
 		}
