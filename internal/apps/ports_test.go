@@ -253,9 +253,7 @@ func (r *run) randomOps(p *simnet.Proc) error {
 	r.sz.LogBytes, r.sz.Region = r.sz.LogBytes/4, r.sz.Region/2 // reclaim more often still
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		// 13-78 ms: with log rotation one set-up wave, a SplitFT store gets
-		// through about what it did in 20-120 ms before.
-		crashAt := 13*time.Millisecond + time.Duration(rng.Intn(100))*650*time.Microsecond
+		crashAt := 20*time.Millisecond + time.Duration(rng.Intn(100))*time.Millisecond
 		r.launch(func(ap *simnet.Proc) error {
 			for i := 0; ; i++ {
 				key := fmt.Sprintf("k%03d", rng.Intn(90))
