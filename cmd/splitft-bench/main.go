@@ -20,7 +20,7 @@
 // unless -out names a file; the committed baselines are regenerated with
 //
 //	splitft-bench -quick -out BENCH_simnet.json perf
-//	splitft-bench -out BENCH_dfs.json dfs      (likewise repl, chaos, scale)
+//	splitft-bench -out BENCH_dfs.json dfs      (likewise repl, chaos)
 //
 // and internal/bench's gate driver (TestRegistry) diffs fresh runs against
 // them. Every report ends with the run's host_ns and events (clock: host).

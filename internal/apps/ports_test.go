@@ -52,7 +52,7 @@ func TestPortConformance(t *testing.T) {
 			for _, d := range sc.ds {
 				t.Run(fmt.Sprintf("%s/%s/%s", port.Name, sc.name, d), func(t *testing.T) {
 					t.Parallel()
-					r := &run{port: port, d: d, sz: sizing[port.Name], acked: map[string][]byte{}}
+					r := &run{t: t, port: port, d: d, sz: sizing[port.Name], acked: map[string][]byte{}}
 					// Eight peers: a log's three members, and spares enough that
 					// the next log never has to land on a slow or dead one.
 					r.c = harness.New(harness.Options{Seed: 7, NumPeers: 8})
@@ -68,6 +68,7 @@ func TestPortConformance(t *testing.T) {
 // run is one script execution: a cluster, a port under a durability, and the
 // reference the store is checked against.
 type run struct {
+	t     *testing.T
 	c     *harness.Cluster
 	port  apps.Port
 	d     applog.Durability
@@ -324,17 +325,24 @@ func (r *run) doubleCrash(p *simnet.Proc) error {
 	return r.recoverIntact(p)
 }
 
-// crashMidRecovery interrupts recovery itself at ever later points (the
-// last ones after it completed) before recovering for good.
+// crashMidRecovery interrupts recovery itself — NewFS and the port's Recover —
+// at every point of a cut ladder before recovering for good: each of the
+// application node's first 96 dispatches, then a stride seeded 22 (kvell's
+// SplitFT recovery is some 7,000 of them).
 func (r *run) crashMidRecovery(p *simnet.Proc) error {
 	r.launch(r.fill("v", 200, 8))
 	p.Sleep(600 * time.Millisecond)
 	r.crash(p)
-	for cut := 250 * time.Microsecond; cut < 100*time.Millisecond; cut *= 2 {
-		r.launch(nil)
-		p.Sleep(cut)
+	simnet.CutLadder(r.t.Logf, 22, 96, func(k int) bool {
+		var err error
+		if r.c.AppNode.RunCut(p, k, func(ap *simnet.Proc) { err = r.start(ap) }) {
+			r.err = err
+			return true
+		}
 		r.crash(p)
-	}
+		return false
+	})
+	r.crash(p)
 	return r.recoverIntact(p)
 }
 

@@ -126,7 +126,7 @@ var Experiments = []Experiment{
 	{"calibrate", "cost-model calibration gate for the selected profile (fails outside the bands)", calibrate},
 	{"sweep", "fig8 128 B latencies across all named profiles", sweep},
 	{"perf", "simulator wall-clock and allocation suite (BENCH_simnet.json)", perf},
-	{"scale", "open-loop clients x controller shards sweep (BENCH_scale.json)", scale},
+	{"scale", "open-loop clients x controller shards sweep", scale},
 	{"dfs", "extent data path: flat vs chain, IO sizes, chain shapes, 1M-row load (BENCH_dfs.json)", dfsSweep},
 	{"repl", "NCL replication policies x profiles: memory, write latency, recovery (BENCH_repl.json)", repl},
 	{"chaos", "fault schedules x policies x seeds with per-event durability audits (BENCH_chaos.json)", chaos},
@@ -225,6 +225,13 @@ func startServer(c *harness.Cluster, addr string, a *ycsbApp) {
 	})
 }
 
+// clientSeed is client i's generator seed, derived from the cluster seed so
+// -seed varies the workload; at the default seed 1 it reduces to the
+// historical i*7919+1, keeping published numbers unchanged.
+func clientSeed(c *harness.Cluster, i int) int64 {
+	return (c.Seed-1)*15485863 + int64(i)*7919 + 1
+}
+
 // runWorkload drives `clients` closed-loop clients against addr for the
 // scale's window and returns the measured point. A non-nil sampler gets one
 // observation per completed op (Fig 12's time series).
@@ -238,10 +245,7 @@ func runWorkload(c *harness.Cluster, p *simnet.Proc, addr string, spec ycsb.Spec
 	var wg simnet.WaitGroup
 	wg.Add(clients)
 	for i := 0; i < clients; i++ {
-		// Per-client generator seeds derive from the cluster seed so -seed
-		// varies the workload; at the default seed 1 the formula reduces to
-		// the historical i*7919+1, keeping published numbers unchanged.
-		g := ycsb.NewGenerator(spec, records, (c.Seed-1)*15485863+int64(i)*7919+1)
+		g := ycsb.NewGenerator(spec, records, clientSeed(c, i))
 		p.GoOn(c.ClientNode, fmt.Sprintf("client%d", i), func(cp *simnet.Proc) {
 			defer wg.Done(cp)
 			for cp.Now() < end {

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"time"
 
+	"splitft/internal/apps/applog"
 	"splitft/internal/apps/kvstore"
-	"splitft/internal/core"
 	"splitft/internal/harness"
 	"splitft/internal/model"
 	"splitft/internal/modelcheck"
@@ -22,10 +22,13 @@ import (
 // bumped fencing token, recovered from the surviving peers, and every key
 // the workload ever wrote is audited against the client-side history
 // (internal/modelcheck.History). A correct protocol shows violations = 0 on
-// every cell; the two trailing "gray-crash" rows re-run a correlated
-// gray-members-plus-crash schedule with and without the seeded
-// ack-before-quorum mutation (ncl.Config.UnsafeAckQuorum) to prove the
-// checker produces counterexamples when the commit rule is actually broken.
+// every cell. Two cells follow the sweep: "gray-crash", a correlated
+// gray-members-plus-crash schedule that a commit rule one ack short would not
+// survive (internal/ncl's conformance suite breaks the rule under it and
+// demands a loss), and the same audit over the store under applog.Weak — the
+// paper's weak-app DFT configuration, which does lose acknowledged writes
+// (Table 1) — to prove the checker produces counterexamples when there are
+// any.
 // Everything runs on the virtual clock, so the committed BENCH_chaos.json
 // is deterministic and the chaos gate diffs it at ±2%.
 
@@ -42,11 +45,11 @@ const (
 	chaosOpGap         = 1 * time.Millisecond // paced, not closed-loop flat out
 	chaosRetryGap      = 5 * time.Millisecond // backoff while the app is down
 	chaosRPCTimeout    = 100 * time.Millisecond
-	chaosMutantPolicy  = "mirror+unsafe-ack:1"
+	chaosWeakCell      = "app-crash/weak" // the one cell that must lose writes
 )
 
-// chaos runs the scenario x policy x seed sweep plus the two mutation
-// cells, one cell per (scenario, policy, seed): injected fault events,
+// chaos runs the scenario x policy x seed sweep plus the two cells that
+// show its teeth, one cell per (scenario, policy, seed): injected fault events,
 // client writes acked durable, post-event crash+recover audits, the slowest
 // recovery, the longest gap between acks, and history violations. Each
 // policy is first model-checked offline (bounded BFS) so a protocol-level
@@ -71,7 +74,13 @@ func chaos(sc Scale, seed int64) (Report, error) {
 			}
 		}
 	}
-	return rep, chaosMutation(&rep, sc, seed)
+	if err := chaosCrash(&rep, sc, seed, applog.SplitFT); err != nil {
+		return rep, fmt.Errorf("chaos gray-crash: %w", err)
+	}
+	if err := chaosCrash(&rep, sc, seed, applog.Weak); err != nil {
+		return rep, fmt.Errorf("chaos %s: %w", chaosWeakCell, err)
+	}
+	return rep, nil
 }
 
 // chaosCell is the shared live-workload machinery of one cell: a kvstore
@@ -80,11 +89,10 @@ func chaos(sc Scale, seed int64) (Report, error) {
 // audit that crashes the app, re-opens it with a higher fencing token,
 // times recovery, and checks every key ever written against the history.
 type chaosCell struct {
-	c            *harness.Cluster
-	hist         *modelcheck.History
-	dbCfg        kvstore.Config
-	unsafeQuorum int
-	fence        int64
+	c     *harness.Cluster
+	hist  *modelcheck.History
+	dbCfg kvstore.Config
+	fence int64
 
 	stop       bool
 	wg         simnet.WaitGroup
@@ -94,24 +102,19 @@ type chaosCell struct {
 	maxRecover time.Duration
 }
 
-func newChaosCell(c *harness.Cluster, unsafeQuorum int) *chaosCell {
-	dbCfg := kvstore.DefaultConfig() // SplitFT
+func newChaosCell(c *harness.Cluster, d applog.Durability) *chaosCell {
+	dbCfg := kvstore.DefaultConfig()
+	dbCfg.Durability = d
 	dbCfg.KVStoreCosts = c.Profile.Apps.KVStore
 	dbCfg.MemtableBytes = 32 << 20 // paced writes never rotate mid-cell
 	dbCfg.WALRegion = 8 << 20
-	return &chaosCell{c: c, hist: modelcheck.NewHistory(), dbCfg: dbCfg, unsafeQuorum: unsafeQuorum}
-}
-
-func (ce *chaosCell) fsOpts(fence int64) core.Options {
-	o := ce.c.FSOptions("chaoskv", fence)
-	o.NCL.UnsafeAckQuorum = ce.unsafeQuorum
-	return o
+	return &chaosCell{c: c, hist: modelcheck.NewHistory(), dbCfg: dbCfg}
 }
 
 // start creates the generation-zero store, serves it and launches the
 // paced writers.
 func (ce *chaosCell) start(p *simnet.Proc) (*kvstore.DB, error) {
-	fs, err := core.NewFS(p, ce.fsOpts(ce.fence))
+	fs, err := ce.c.NewFS(p, "chaoskv", ce.fence)
 	if err != nil {
 		return nil, err
 	}
@@ -196,8 +199,8 @@ func (ce *chaosCell) audit(p *simnet.Proc, what string) error {
 			return fmt.Errorf("bench: recovery stuck after %q: %w", what, rerr)
 		}
 		ce.fence++
-		var fs *core.FS
-		if fs, rerr = core.NewFS(p, ce.fsOpts(ce.fence)); rerr != nil {
+		fs, err := ce.c.NewFS(p, "chaoskv", ce.fence)
+		if rerr = err; err != nil {
 			continue
 		}
 		db, rerr = kvstore.Recover(p, fs, ce.dbCfg)
@@ -244,7 +247,7 @@ func chaosOnce(rep *Report, sc Scale, seed int64, scenario, policy string) error
 		Seed: seed, NumPeers: 8, PeerMem: 512 << 20, AppCores: 10,
 		PeerDomainCount: 4, Profile: prof,
 	})
-	ce := newChaosCell(c, 0)
+	ce := newChaosCell(c, applog.SplitFT)
 	return c.Run(func(p *simnet.Proc) error {
 		if _, err := ce.start(p); err != nil {
 			return err
@@ -262,66 +265,55 @@ func chaosOnce(rep *Report, sc Scale, seed int64, scenario, policy string) error
 	})
 }
 
-// chaosMutation runs the correlated gray-members-plus-crash schedule
-// twice — under the correct commit rule (zero violations expected) and
-// under the seeded ack-before-quorum mutation (counterexamples expected).
-// Two of the three mirror members are made gray, so their in-order RDMA
-// engines fall thousands of WRs behind while the third acks instantly;
-// then the fast member and the app crash together. With the correct F+1
-// rule every acked record also lives on a gray member and recovery finds
-// it; with UnsafeAckQuorum=1 the acked prefix dies with the fast member
-// and the history checker reports lost-acked-write.
-func chaosMutation(rep *Report, sc Scale, seed int64) error {
-	if err := chaosMutationOnce(rep, sc, seed, "mirror", 0); err != nil {
-		return fmt.Errorf("chaos gray-crash/clean: %w", err)
-	}
-	if err := chaosMutationOnce(rep, sc, seed, chaosMutantPolicy, 1); err != nil {
-		return fmt.Errorf("chaos gray-crash/mutated: %w", err)
-	}
-	return nil
-}
-
-func chaosMutationOnce(rep *Report, sc Scale, seed int64, policy string, unsafeQuorum int) error {
+// chaosCrash runs one crash-and-audit cell outside the sweep. Under SplitFT
+// it is the correlated gray-members-plus-crash schedule: two of the three
+// mirror members are made gray, so their in-order RDMA engines fall thousands
+// of WRs behind while the third acks instantly; then the fast member and the
+// app crash together. Under the F+1 rule every acked record also lives on a
+// gray member and recovery finds it: zero violations. Under Weak the log has
+// no members to gray — it sits in the dfs client cache — and the app crash
+// alone loses what was acknowledged since the last writeback: the history
+// checker reports lost-acked-write.
+func chaosCrash(rep *Report, sc Scale, seed int64, d applog.Durability) error {
 	prof := model.Baseline()
 	prof.NCL.Replication = "mirror"
 	c := newTestbed(rep, sc, harness.Options{
 		Seed: seed, NumPeers: 5, PeerMem: 512 << 20, AppCores: 10, Profile: prof,
 	})
-	ce := newChaosCell(c, unsafeQuorum)
+	ce := newChaosCell(c, d)
 	return c.Run(func(p *simnet.Proc) error {
 		db, err := ce.start(p)
 		if err != nil {
 			return err
 		}
 		p.Sleep(100 * time.Millisecond)
-
-		// Identify the WAL's member peers and gray two of the three: +5 ms
-		// per WR on an in-order queue pair is an ever-growing backlog.
-		members := db.WAL().(hasLog).Log().LivePeers()
-		if len(members) != 3 {
-			return fmt.Errorf("bench: mirror WAL has %d members, want 3", len(members))
-		}
+		cell, events := chaosWeakCell, 1
 		net := c.Sim.Net()
-		events := 0
-		for _, name := range members[1:] {
-			net.SetLinkLatency(c.AppNode, c.Sim.Node(name), 5*time.Millisecond)
-			events++
+		if d == applog.SplitFT {
+			// Identify the WAL's member peers and gray two of the three: +5 ms
+			// per WR on an in-order queue pair is an ever-growing backlog.
+			members := db.WAL().(hasLog).Log().LivePeers()
+			if len(members) != 3 {
+				return fmt.Errorf("bench: mirror WAL has %d members, want 3", len(members))
+			}
+			for _, name := range members[1:] {
+				net.SetLinkLatency(c.AppNode, c.Sim.Node(name), 5*time.Millisecond)
+			}
+			p.Sleep(300 * time.Millisecond)
+			// Correlated crash: the only up-to-date member dies with the app.
+			c.Sim.Node(members[0]).Crash()
+			cell, events = "gray-crash/mirror", 3
 		}
-		p.Sleep(300 * time.Millisecond)
-
-		// Correlated crash: the only up-to-date member dies with the app.
-		c.Sim.Node(members[0]).Crash()
 		c.CrashApp()
-		events++
 		net.HealAll()
 		p.Sleep(10 * time.Millisecond)
 		c.RestartApp()
-		if err := ce.audit(p, "gray-crash"); err != nil {
+		if err := ce.audit(p, cell); err != nil {
 			return err
 		}
 		p.Sleep(100 * time.Millisecond)
 		ce.stopClients(p)
-		ce.fill(rep, chaosCellName("gray-crash", policy, seed), events)
+		ce.fill(rep, fmt.Sprintf("%s/seed%d", cell, seed), events)
 		return nil
 	})
 }

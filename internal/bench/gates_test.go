@@ -286,16 +286,15 @@ var gates = map[string]*gate{
 	}},
 
 	// A correct protocol never loses an acked write, whatever the schedule;
-	// the seeded ack-before-quorum mutation always does; every cell acks
-	// writes, and every event is followed by a timed recovery across a
+	// the store under applog.Weak always does; every cell acks writes, and every event is followed by a timed recovery across a
 	// measured unavailability window.
 	"chaos": {baseline: "BENCH_chaos.json", floors: func(c *check) {
 		for _, row := range c.rep.Rows {
-			mutant := strings.Contains(row.Cell, chaosMutantPolicy)
+			weak := strings.HasPrefix(row.Cell, chaosWeakCell)
 			switch {
-			case row.Metric == "violations" && mutant && row.Value == 0:
-				c.errorf("%s: mutation produced no counterexample", row.Cell)
-			case row.Metric == "violations" && !mutant && row.Value != 0:
+			case row.Metric == "violations" && weak && row.Value == 0:
+				c.errorf("%s: weak durability produced no counterexample", row.Cell)
+			case row.Metric == "violations" && !weak && row.Value != 0:
 				c.errorf("%s: %v violations on a correct protocol", row.Cell, row.Value)
 			case row.Metric == "recoveries" && row.Value < c.val(row.Cell, "events") && !strings.HasPrefix(row.Cell, "gray-crash/"):
 				c.errorf("%s: %v recoveries, want an audit per event", row.Cell, row.Value)

@@ -229,12 +229,7 @@ func runScaleClient(cp *simnet.Proc, c *harness.Cluster, cfg scaleConfig,
 	for cp.Now() < deadline {
 		var err error
 		if lib == nil {
-			nclCfg, cfgErr := ncl.ConfigFromProfile(c.Profile)
-			if cfgErr != nil {
-				bootWG.Done(cp)
-				return
-			}
-			if lib, err = ncl.NewLib(cp, c.Controller, c.Fabric, cp.Node(), app, 1, nclCfg); err != nil {
+			if lib, err = ncl.NewLib(cp, c.Controller, c.Fabric, cp.Node(), app, 1, c.Profile.NCL); err != nil {
 				lib = nil
 			}
 		}
@@ -263,7 +258,7 @@ func runScaleClient(cp *simnet.Proc, c *harness.Cluster, cfg scaleConfig,
 	startWG.Wait(cp)
 
 	buf := make([]byte, cfg.RecordBytes)
-	arr := ycsb.NewArrivals(cfg.Rate, (c.Seed-1)*15485863+int64(i)*7919+1)
+	arr := ycsb.NewArrivals(cfg.Rate, clientSeed(c, i))
 	gen := 0
 	sinceRotate := 0
 	next := cp.Now()

@@ -84,8 +84,8 @@ type Options struct {
 	Fencing int64
 	// NCL tunes the near-compute log library: replication policy, default
 	// region capacity (used when OpenFile is called without an explicit
-	// size), and the hardware cost model. Build it with
-	// ncl.ConfigFromProfile; the zero value means mirror f=1 over 64 MiB.
+	// size), and the hardware cost model — a profile's NCL field. Zero
+	// Replication and DefaultRegionSize mean mirror f=1 over 64 MiB.
 	NCL ncl.Config
 }
 
@@ -260,7 +260,7 @@ func (f *nclFile) Pread(p *simnet.Proc, buf []byte, off int64) (int, error) {
 	// prefetched from the recovery peer (Fig 11a) and a read waits only for
 	// the bytes it asks for. ncl-lib serves them in user space — no syscall
 	// — so the fixed cost undercuts a dfs read.
-	p.Sleep(f.fs.nclCfg.Model.LocalReadCPU)
+	p.Sleep(f.fs.nclCfg.LocalReadCPU)
 	return f.lg.ReadAt(p, buf, off)
 }
 
@@ -270,7 +270,7 @@ func (f *nclFile) Pread(p *simnet.Proc, buf []byte, off int64) (int, error) {
 // What is left of it is the barrier of a recovering open: it returns once
 // what was read from the file is as redundant as before the crash.
 func (f *nclFile) Sync(p *simnet.Proc) error {
-	p.Sleep(f.fs.nclCfg.Model.SyncCPU)
+	p.Sleep(f.fs.nclCfg.SyncCPU)
 	return f.lg.Sync(p)
 }
 

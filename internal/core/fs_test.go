@@ -68,7 +68,7 @@ func (tb *testbed) run(t *testing.T, fn func(p *simnet.Proc)) {
 
 func (tb *testbed) opts(fencing int64) Options {
 	nclCfg := ncl.DefaultConfig()
-	nclCfg.RegionSize = 4 << 20
+	nclCfg.DefaultRegionSize = 4 << 20
 	return Options{
 		Controller: tb.svc,
 		Fabric:     tb.fabric,

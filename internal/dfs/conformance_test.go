@@ -20,20 +20,20 @@ import (
 type confOp int
 
 const (
-	opWrite  confOp = iota // append n bytes at the cursor
-	opPwrite               // write n bytes at off
-	opPread                // read n bytes at off through the open handle
-	opSync                 // fsync, with step.race fired mid-flush
-	opClose                // close the handle; its dirty data must land
-	opCrash                // crash the client between operations
-	opReopen               // open from a second mount and read everything back
+	opWrite   confOp = iota // append n bytes at the cursor
+	opPwrite                // write n bytes at off
+	opPread                 // read n bytes at off through the open handle
+	opSync                  // fsync, with step.race fired mid-flush
+	opCutSync               // pwrite + fsync, the client crashed at every point of the two
+	opClose                 // close the handle; its dirty data must land
+	opCrash                 // crash the client between operations
+	opReopen                // open from a second mount and read everything back
 )
 
 type confRace int
 
 const (
 	raceNone   confRace = iota
-	raceCrash           // the client node crashes mid-flush
 	raceUnlink          // the path is unlinked mid-flush
 	raceRename          // the path is renamed, and re-created, mid-flush
 )
@@ -81,8 +81,7 @@ var confScripts = []struct {
 	{"crash-during-sync", []confStep{
 		{op: opWrite, n: 1 << 20},
 		{op: opSync},
-		{op: opPwrite, off: 0, n: 1 << 20},
-		{op: opSync, race: raceCrash},
+		{op: opCutSync, off: 0, n: 1 << 20},
 		{op: opReopen},
 	}},
 	{"crash-after-sync", []confStep{
@@ -111,7 +110,8 @@ var confScripts = []struct {
 	}},
 }
 
-// raceAfter is how far into a Sync the racing action fires. On confParams a
+// raceAfter is how far into a Sync the racing unlink or rename fires (a crash
+// is placed by counting, opCutSync). On confParams a
 // 1 MB flush holds the flat storage pipe for 2 ms before its 2.3 ms round
 // trip, and spends ~3.5 ms pumping frames after a 0.5 ms allocation on the
 // extent plane: 1.5 ms in, both have data in flight and nothing committed.
@@ -256,12 +256,6 @@ func (r *confRun) step(p *simnet.Proc, i int, st confStep) {
 			}
 		}
 		switch {
-		case st.race == raceCrash:
-			if returned {
-				t.Errorf("step %d: sync returned (%v) across a client crash", i, err)
-			}
-			r.check(i) // nothing of the interrupted flush may be durable
-			r.restart(p)
 		case err != nil:
 			t.Errorf("step %d: sync: %v", i, err)
 		case r.path != "":
@@ -270,6 +264,29 @@ func (r *confRun) step(p *simnet.Proc, i int, st confStep) {
 		if r.f.DirtyBytes() != 0 {
 			t.Errorf("step %d: %d bytes dirty after sync", i, r.f.DirtyBytes())
 		}
+	case opCutSync:
+		// One crash per point of a cut ladder over the two calls, each followed
+		// by a restart that finds the last synced bytes: nothing of a flush that
+		// did not return is durable. The pass that completes is.
+		data := r.fill(st.n)
+		simnet.CutLadder(t.Logf, 22, 256, func(k int) bool {
+			var err error
+			if r.fx.node.RunCut(p, k, func(p *simnet.Proc) {
+				if _, err = r.f.Pwrite(p, data, st.off); err == nil {
+					err = r.f.Sync(p)
+				}
+			}) {
+				if err != nil {
+					t.Errorf("step %d: pwrite + sync: %v", i, err)
+				}
+				return true
+			}
+			r.check(i)
+			r.restart(p)
+			return t.Failed()
+		})
+		copy(r.buffered[st.off:], data)
+		r.durable[r.path] = append([]byte(nil), r.buffered...)
 	case opClose:
 		r.onNode(p, func(p *simnet.Proc) {
 			if err := r.f.Close(p); err != nil {
@@ -334,8 +351,6 @@ func (r *confRun) readBack(p *simnet.Proc, step int, f *File, off int64, n int, 
 func (r *confRun) race(p *simnet.Proc, step int, race confRace) {
 	cl := r.fx.client
 	switch race {
-	case raceCrash:
-		r.fx.node.Crash()
 	case raceUnlink:
 		if err := cl.Unlink(p, r.path); err != nil {
 			r.t.Errorf("step %d: unlink: %v", step, err)

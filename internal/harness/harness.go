@@ -13,7 +13,6 @@ import (
 	"splitft/internal/core"
 	"splitft/internal/dfs"
 	"splitft/internal/model"
-	"splitft/internal/ncl"
 	"splitft/internal/peer"
 	"splitft/internal/rdma"
 	"splitft/internal/simnet"
@@ -205,14 +204,10 @@ func (c *Cluster) Run(fn func(p *simnet.Proc) error) error {
 }
 
 // FSOptions builds core.FS options for an application on the app node. The
-// ncl configuration (replication policy, region size, cost model) derives
-// from the cluster's profile; an unparsable policy string panics here —
-// profiles are validated input, not user data.
+// ncl configuration (replication policy, region size, cost model) is the
+// cluster profile's; a policy string that does not parse is core.NewFS's
+// error.
 func (c *Cluster) FSOptions(appID string, fencing int64) core.Options {
-	nclCfg, err := ncl.ConfigFromProfile(c.Profile)
-	if err != nil {
-		panic(fmt.Sprintf("harness: profile %s: %v", c.Profile.Name, err))
-	}
 	return core.Options{
 		Controller: c.Controller,
 		Fabric:     c.Fabric,
@@ -220,7 +215,7 @@ func (c *Cluster) FSOptions(appID string, fencing int64) core.Options {
 		Node:       c.AppNode,
 		AppID:      appID,
 		Fencing:    fencing,
-		NCL:        nclCfg,
+		NCL:        c.Profile.NCL,
 	}
 }
 

@@ -3,6 +3,7 @@ package harness
 import (
 	"errors"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -162,11 +163,41 @@ func TestProfileOverridePlumbing(t *testing.T) {
 	if got := c.Controller.Config().Shards; got != 4 {
 		t.Errorf("controller shards = %d, want the profile's 4", got)
 	}
-	if got := c.FSOptions("app", 0).NCL.Policy.F; got != 2 {
-		t.Errorf("FSOptions NCL.Policy.F = %d, want the profile's 2", got)
+	if got := c.FSOptions("app", 0).NCL; got != prof.NCL {
+		t.Errorf("FSOptions NCL = %+v, want the profile's", got)
 	}
 	if c.peerCfg != prof.Peer {
 		t.Errorf("peer config = %+v, want the profile's", c.peerCfg)
+	}
+}
+
+// A profile whose replication spec does not parse is an error of the mount,
+// and a zero ncl config is the paper's: mirror f=1 over 64 MiB.
+func TestBadPolicyIsNewFSError(t *testing.T) {
+	prof := model.Baseline()
+	prof.NCL.Replication = "raid5"
+	c := New(Options{Seed: 7, Profile: prof})
+	err := c.Run(func(p *simnet.Proc) error {
+		if _, err := c.NewFS(p, "app", 0); err == nil || !strings.Contains(err.Error(), "raid5") {
+			t.Errorf("NewFS under replication %q: %v, want an error naming it", prof.NCL.Replication, err)
+		}
+		c.Profile.NCL.Replication, c.Profile.NCL.DefaultRegionSize = "", 0
+		fs, err := c.NewFS(p, "app", 0)
+		if err != nil {
+			return err
+		}
+		f, err := fs.OpenFile(p, "log", core.O_NCL|core.O_CREATE, 0)
+		if err != nil {
+			return err
+		}
+		lg := f.(interface{ Log() *ncl.Log }).Log()
+		if lg.Policy().String() != "mirror" || lg.Capacity() != 64<<20 {
+			t.Errorf("zero config opened %s over %d bytes, want mirror over 64 MiB", lg.Policy(), lg.Capacity())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

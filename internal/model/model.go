@@ -14,8 +14,9 @@
 //   - cmd/splitft-bench selects a profile with -profile <name|file.json>.
 //
 // The substrate packages do not duplicate the parameter types: rdma.Params
-// is an alias for RDMAParams, dfs.Params for DFSParams, and so on. That
-// makes this package the one auditable parameter surface — changing a
+// is an alias for RDMAParams, dfs.Params for DFSParams, raft.Config for
+// RaftConfig, controller.Config for ControllerConfig, peer.Config for
+// PeerConfig and ncl.Config for NCLConfig. That makes this package the one auditable parameter surface — changing a
 // constant anywhere else is a compile error, not a review hazard.
 //
 // Named profiles (CX4RoCE25 — the paper-faithful baseline — plus the
@@ -188,9 +189,8 @@ type PeerConfig struct {
 	Domain string
 }
 
-// NCLConfig tunes ncl-lib (the cost-constant half of ncl.Config; the
-// parsed replication policy and region default are derived from it by
-// ncl.ConfigFromProfile).
+// NCLConfig tunes ncl-lib (ncl.Config is an alias of this type; ncl.NewLib
+// parses Replication).
 type NCLConfig struct {
 	// Replication selects the replication policy as a spec string:
 	//
@@ -206,7 +206,7 @@ type NCLConfig struct {
 	// Empty means "mirror".
 	Replication string
 	// DefaultRegionSize is the ncl region capacity used when a file is
-	// opened without an explicit size (64 MiB baseline).
+	// opened without an explicit size (64 MiB baseline, and what 0 means).
 	DefaultRegionSize int64
 	// EncodeBandwidth is the client-side Reed-Solomon encode bandwidth in
 	// bytes/sec, paid per record on the ec path (SIMD GF(2^8) arithmetic on

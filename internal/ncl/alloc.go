@@ -20,7 +20,7 @@ import (
 // failed. The controller's registry is a hint either way: the peer itself
 // accepts or rejects the setup.
 //
-// How often the registry is re-read is the one thing cfg.Model.PoolRefresh
+// How often the registry is re-read is the one thing cfg.PoolRefresh
 // sets: the cached copy is used while it is younger than that. At 0 every
 // wave pays one ListPeers round trip — the paper's controller query, once per
 // group rather than per slot; above 0 a thousand logs opened in the same
@@ -43,7 +43,7 @@ type peerRegistry struct {
 // cached copy is at least PoolRefresh old; fresh reports that this call did.
 func (l *Lib) registry(p *simnet.Proc) (peers []controller.PeerInfo, fresh bool, err error) {
 	now := p.Now()
-	if l.reg.peers != nil && now-l.reg.fetchedAt < l.cfg.Model.PoolRefresh {
+	if l.reg.peers != nil && now-l.reg.fetchedAt < l.cfg.PoolRefresh {
 		return l.reg.peers, false, nil
 	}
 	if peers, err = l.ctrl.ListPeers(p); err != nil {
@@ -145,7 +145,7 @@ func rankRendezvous(cands []controller.PeerInfo, key string, occupied map[string
 // the group spreads exactly as n single-slot picks in a row would.
 func (l *Lib) pick(lg *Log, held []*peerConn, cands []controller.PeerInfo, n int) []controller.PeerInfo {
 	n = min(n, len(cands))
-	if l.cfg.Model.PoolRefresh == 0 {
+	if l.cfg.PoolRefresh == 0 {
 		rankMostFree(cands)
 		return cands[:n]
 	}
@@ -186,7 +186,7 @@ func (l *Lib) pick(lg *Log, held []*peerConn, cands []controller.PeerInfo, n int
 func (l *Lib) allocate(p *simnet.Proc, lg *Log, slots []int, exclude []string, epoch int64, live bool) ([]*peerConn, error) {
 	tried := append(append([]string(nil), exclude...), l.suspectNames(p.Now())...)
 	var pcs []*peerConn
-	for wave := 0; wave < l.cfg.Model.SetupRetries; wave++ {
+	for wave := 0; wave < l.cfg.SetupRetries; wave++ {
 		sp := replaceSpan(p, live, "replace.getpeer")
 		peers, fresh, err := l.registry(p)
 		p.EndSpan(sp)
@@ -240,12 +240,10 @@ func replaceSpan(p *simnet.Proc, live bool, op string) *trace.Span {
 // connectPeer asks one candidate to set up a region for slot and connects a
 // QP. The setup timeout scales with the region size: registration pins
 // memory at the fabric's registration bandwidth, so large regions
-// legitimately take hundreds of ms — allow 2x the modelled cost plus an RPC
-// base.
+// legitimately take hundreds of ms — allow 2x what the fabric says it costs
+// plus an RPC base.
 func (l *Lib) connectPeer(p *simnet.Proc, lg *Log, cand controller.PeerInfo, slot int, epoch int64) (*peerConn, error) {
-	rp := l.fabric.Params()
-	reg := rp.RegFixed + time.Duration(float64(lg.regionSize())/rp.RegBandwidth*float64(time.Second))
-	timeout := 200*time.Millisecond + 2*reg
+	timeout := 200*time.Millisecond + 2*l.fabric.RegisterCost(lg.regionSize())
 	setup, err := wire.CallTimeout[peer.SetupResp](p, l.sim.Net(), l.node, cand.Addr, peer.SetupReq{
 		App: l.appID, File: lg.name, Size: lg.regionSize(), Epoch: epoch,
 	}, timeout)

@@ -94,7 +94,7 @@ func TestGroupPickMatchesSerialPicks(t *testing.T) {
 	member := &peerConn{name: "p3", domain: "dom3"} // a survivor the new slots join
 	for _, ttl := range []time.Duration{0, time.Minute} {
 		l := &Lib{appID: "app1"}
-		l.cfg.Model.PoolRefresh = ttl
+		l.cfg.PoolRefresh = ttl
 		for n := 1; n <= 7; n++ {
 			chosen, occupied := []string{member.name}, map[string]int{member.domain: 1}
 			for slot := 0; slot < n; slot++ {
@@ -132,7 +132,7 @@ func TestLiveReplacementUsesCachedRegistry(t *testing.T) {
 	c.domains = 4
 	c.run(t, func(p *simnet.Proc) {
 		libCfg := DefaultConfig()
-		libCfg.Model.PoolRefresh = time.Minute
+		libCfg.PoolRefresh = time.Minute
 		l, err := NewLib(p, c.svc, c.fabric, c.appNode, "app1", 0, libCfg)
 		if err != nil {
 			t.Fatalf("new lib: %v", err)
@@ -180,7 +180,7 @@ func TestPoolDropsDeadPeerInsideRefreshWindow(t *testing.T) {
 	c := newCluster(31, 5, smallPeerCfg())
 	c.run(t, func(p *simnet.Proc) {
 		libCfg := DefaultConfig()
-		libCfg.Model.PoolRefresh = time.Minute // far longer than the test
+		libCfg.PoolRefresh = time.Minute // far longer than the test
 		l, err := NewLib(p, c.svc, c.fabric, c.appNode, "app1", 0, libCfg)
 		if err != nil {
 			t.Fatalf("new lib: %v", err)

@@ -30,6 +30,7 @@ type conf struct {
 	t       *testing.T
 	c       *cluster
 	cfg     Config
+	spec    PolicySpec // cfg.Replication, parsed
 	fencing int64
 	acked   map[string][]byte
 	// capacity is what open asks for; recScale multiplies the record sizes
@@ -86,30 +87,41 @@ func (e *conf) crashApp(p *simnet.Proc) {
 	e.c.appNode.Restart()
 }
 
-// recover reopens name in a fresh instance whose own default is mirror — the
-// ap-map entry's policy must win — and checks the content byte for byte:
-// everything acknowledged, then at most the one record (inflight) the crash
-// cut short. It reads the way an application does, as the bytes arrive and
-// before the barrier, and appends without calling Sync: the append itself
-// must wait until the membership is whole again.
-func (e *conf) recover(p *simnet.Proc, name string, inflight []byte) *Log {
+// reopen is the suite's reference check. It reopens name in a fresh instance
+// whose own default is mirror — the ap-map entry's policy must win — and holds
+// the content to the reference byte for byte: everything acknowledged, then at
+// most the one record (inflight) the crash cut short. It reads the way an
+// application does, as the bytes arrive and before the barrier. An error is
+// the suite going red.
+func (e *conf) reopen(p *simnet.Proc, name string, inflight []byte) (*Log, error) {
 	cfg := DefaultConfig()
-	cfg.Model.PoolRefresh = e.cfg.Model.PoolRefresh
+	cfg.PoolRefresh = e.cfg.PoolRefresh
 	lg, err := e.lib(p, cfg).Recover(p, name)
 	if err != nil {
-		e.t.Fatalf("recover %s: %v", name, err)
+		return nil, err
 	}
 	want := e.acked[name]
 	got := e.readAll(p, lg)
 	if !bytes.HasPrefix(got, want) {
-		e.t.Fatalf("recover %s: %d bytes do not start with the %d acknowledged", name, len(got), len(want))
+		return nil, fmt.Errorf("%d bytes do not start with the %d acknowledged", len(got), len(want))
 	}
 	if tail := got[len(want):]; len(tail) > 0 && !bytes.Equal(tail, inflight) {
-		e.t.Fatalf("recover %s: %d bytes beyond the acknowledged prefix are not the in-flight record", name, len(tail))
+		return nil, fmt.Errorf("%d bytes beyond the acknowledged prefix are not the in-flight record", len(tail))
 	}
 	e.acked[name], e.recovered = got, len(got) // recovered is externalized: it must survive from now on
-	if lg.Policy() != e.cfg.Policy {
-		e.t.Fatalf("recover %s: policy %s, want %s", name, lg.Policy(), e.cfg.Policy)
+	return lg, nil
+}
+
+// recover is reopen held to its result, and to the rest of what a recovery
+// owes: the policy the log was written under, and an append — without calling
+// Sync, so the append itself must wait until the membership is whole again.
+func (e *conf) recover(p *simnet.Proc, name string, inflight []byte) *Log {
+	lg, err := e.reopen(p, name, inflight)
+	if err != nil {
+		e.t.Fatalf("recover %s: %v", name, err)
+	}
+	if lg.Policy() != e.spec {
+		e.t.Fatalf("recover %s: policy %s, want %s", name, lg.Policy(), e.spec)
 	}
 	e.append(p, lg, 1)
 	if got := len(lg.LivePeers()); got != lg.place.Slots {
@@ -240,7 +252,7 @@ var confScripts = []struct {
 			if err != nil {
 				e.t.Fatalf("list peers: %v", err)
 			}
-			place := e.cfg.Policy.Place(e.capacity)
+			place := e.spec.Place(e.capacity)
 			victim := l.pick(&Log{name: name}, nil, eligible(registry, nil, place.SlotRegion), place.Slots)[1].Name
 			vnode := e.c.pNodes[victim]
 			if reject {
@@ -402,6 +414,7 @@ var confScripts = []struct {
 		// The writer never pauses, so each replacement has a delta between
 		// its catch-up cut and its activation; in the end the log lives on
 		// replacements only, and one epoch per replacement has passed.
+		e.capacity = 1 << 20 // some 140 KB of records go by meanwhile
 		var l *Lib
 		var lg *Log
 		var inflight []byte
@@ -535,8 +548,8 @@ var confScripts = []struct {
 		// it, it is gone from the next recovery — an un-fsynced read; once
 		// Sync has returned it may not be.
 		reach := 1
-		if e.cfg.Policy.Kind == PolicyEC {
-			reach = e.cfg.Policy.K
+		if e.spec.Kind == PolicyEC {
+			reach = e.spec.K
 		}
 		for _, barrier := range []bool{false, true} {
 			name := fmt.Sprintf("wal-barrier-%v", barrier)
@@ -589,38 +602,47 @@ var confScripts = []struct {
 		}
 	}},
 	{"app crash mid-release", func(e *conf, p *simnet.Proc) {
-		// An unlink cut short at any point leaves either no file or a whole
-		// one — never an ap-map entry whose regions are gone, which no later
-		// instance could recover or get past.
-		// The release RPCs take tens of microseconds, the ap-map delete about
-		// a millisecond: cut densely early, sparsely later.
-		for cut := time.Duration(0); cut < 1500*time.Microsecond; cut += 10*time.Microsecond + cut/4 {
-			name := fmt.Sprintf("wal-%d", cut/time.Microsecond)
-			releasing := simnet.NewChan[struct{}](e.c.sim)
-			e.c.appNode.Go("app", func(ap *simnet.Proc) {
+		// A file's life — set-up, appends, the unlink — cut short before every
+		// dispatch of the application node (the unlink alone is 8 of them, 14
+		// under ec) leaves either no file or a whole one that holds what was
+		// acknowledged: never an ap-map entry whose regions are gone, which no
+		// later instance could recover or get past. A record is 12 dispatches
+		// when it is one work request a member (quorum) and some 21 when it is
+		// six in all (mirror, ec): enough of them for a life of 170.
+		appends := map[PolicyKind]int{PolicyMirror: 8, PolicyEC: 6, PolicyQuorum: 12}[e.spec.Kind]
+		e.capacity = 64 << 10
+		simnet.CutLadder(e.t.Logf, ladderSeed, ladderDense, func(k int) bool {
+			name := fmt.Sprintf("wal-%d", k)
+			var inflight []byte
+			if e.c.appNode.RunCut(p, k, func(ap *simnet.Proc) {
 				lg := e.open(ap, e.lib(ap, e.cfg), name)
-				e.append(ap, lg, 3)
-				releasing.Send(ap, struct{}{})
+				for i := 0; i < appends; i++ {
+					inflight = e.rec(name)
+					e.append(ap, lg, 1)
+					inflight = nil
+				}
 				lg.Release(ap) //nolint:errcheck
-			})
-			releasing.Recv(p)
-			p.Sleep(cut)
+			}) || e.t.Failed() {
+				return true
+			}
 			e.crashApp(p)
 			l := e.lib(p, e.cfg)
 			files, err := l.ListFiles(p)
 			if err != nil {
-				e.t.Fatalf("cut %v: list: %v", cut, err)
+				e.t.Fatalf("cut %d: list: %v", k, err)
 			}
-			if _, err := l.Recover(p, name); errors.Is(err, ErrNotFound) && len(files) == 0 {
-				continue
-			} else if err != nil {
-				e.t.Fatalf("cut %v: files %v, recover: %v", cut, files, err)
+			if len(files) == 0 {
+				if _, err := l.Recover(p, name); !errors.Is(err, ErrNotFound) {
+					e.t.Fatalf("cut %d: no files, recover: %v", k, err)
+				}
+				return false
 			}
 			e.crashApp(p)
-			if err := e.recover(p, name, nil).Release(p); err != nil {
-				e.t.Fatalf("cut %v: release after recovery: %v", cut, err)
+			if err := e.recover(p, name, inflight).Release(p); err != nil {
+				e.t.Fatalf("cut %d: release after recovery: %v", k, err)
 			}
-		}
+			return false
+		})
 		// Regions orphaned by a cut after the commit point go to the peers'
 		// epoch GC.
 		p.Sleep(6 * time.Second) // GC interval + grace
@@ -631,10 +653,11 @@ var confScripts = []struct {
 		}
 	}},
 	{"app crash mid-staging", func(e *conf, p *simnet.Proc) {
-		// A recovery cut short while a survivor holds a catch-up staging
-		// region (mirror; the frame logs catch up in place, so their
-		// recoveries run to the barrier) abandons it. Three times over, every
-		// peer lends what it lent before once its GC has seen them age out.
+		// A recovery cut short at any point abandons what it held on the peers
+		// — under mirror a catch-up staging region per survivor; the frame logs
+		// catch up in place. However many are abandoned, every peer lends what
+		// it lent before once its GC has seen them age out.
+		e.capacity = 64 << 10
 		e.append(p, e.open(p, e.lib(p, e.cfg), "wal"), 20)
 		lent := func() (sum int64) {
 			for _, pr := range e.c.peers {
@@ -643,27 +666,68 @@ var confScripts = []struct {
 			return sum
 		}
 		before := lent()
-		for round := 0; round < 3; round++ {
+		simnet.CutLadder(e.t.Logf, ladderSeed, ladderDense, func(k int) bool {
 			e.crashApp(p)
-			done, start := false, lent()
-			e.c.appNode.Go("app", func(ap *simnet.Proc) {
+			return e.c.appNode.RunCut(p, k, func(ap *simnet.Proc) {
 				if lg, err := e.lib(ap, e.cfg).Recover(ap, "wal"); err == nil {
 					lg.Sync(ap) //nolint:errcheck
 				}
-				done = true
-			})
-			for !done && lent() == start {
-				p.Sleep(20 * time.Microsecond)
-			}
-		}
+			}) || e.t.Failed()
+		})
 		e.crashApp(p)
 		e.recover(p, "wal", nil)
 		p.Sleep(6 * time.Second) // GC interval + grace
 		if after := lent(); after != before {
-			e.t.Fatalf("peers lend %d bytes after three abandoned recoveries, %d before", after, before)
+			e.t.Fatalf("peers lend %d bytes after the abandoned recoveries, %d before", after, before)
+		}
+	}},
+	{"gray members then correlated crash", func(e *conf, p *simnet.Proc) {
+		// The schedule an acknowledgement one ack short of the commit rule does
+		// not survive: every member but one is gray (+5 ms a work request on an
+		// in-order queue pair), the fast one acknowledges at once, and it dies
+		// together with the application. Under the policy's AckNeed every
+		// acknowledged record is also on as many gray members as recovery needs.
+		// Then the teeth: the same schedule with AckNeed poked to 1 — the fast
+		// member's word alone — and the suite's own reference check has to go red.
+		for _, poke := range []bool{false, true} {
+			name := fmt.Sprintf("wal-poke-%v", poke)
+			var members []string
+			var inflight []byte
+			e.c.appNode.Go("app", func(ap *simnet.Proc) {
+				lg := e.open(ap, e.lib(ap, e.cfg), name)
+				if poke {
+					lg.place.AckNeed = 1
+				}
+				for _, m := range lg.LivePeers()[1:] {
+					e.c.sim.Net().SetLinkLatency(e.c.appNode, e.c.pNodes[m], 5*time.Millisecond)
+				}
+				members = lg.LivePeers()
+				for {
+					inflight = e.rec(name)
+					e.append(ap, lg, 1)
+					inflight = nil
+				}
+			})
+			for len(e.acked[name]) < 2000 {
+				p.Sleep(time.Millisecond)
+			}
+			e.crashPeers(members[0])
+			e.c.sim.Net().HealAll()
+			e.crashApp(p)
+			if _, err := e.reopen(p, name, inflight); (err != nil) != poke {
+				e.t.Fatalf("AckNeed poked to 1: %v; reference check: %v", poke, err)
+			}
 		}
 	}},
 }
+
+// Every cut ladder of this suite is dense throughout (its windows are 43 to
+// 187 dispatches); ladderSeed would seed the stride of one that outgrew
+// ladderDense.
+const (
+	ladderSeed  = 22
+	ladderDense = 256
+)
 
 func TestPolicyConformance(t *testing.T) {
 	peerCfg := smallPeerCfg()
@@ -674,9 +738,13 @@ func TestPolicyConformance(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/ttl=%v", sc.name, pol, ttl), func(t *testing.T) {
 					t.Parallel()
 					cfg := policyCfg(t, pol)
-					cfg.Model.PoolRefresh = ttl
-					e := &conf{t: t, c: newCluster(int64(100+si), 12, peerCfg), cfg: cfg, acked: map[string][]byte{},
-						capacity: 1 << 20, recScale: 1}
+					cfg.PoolRefresh = ttl
+					spec, err := ParsePolicy(pol)
+					if err != nil {
+						t.Fatal(err)
+					}
+					e := &conf{t: t, c: newCluster(int64(100+si), 12, peerCfg), cfg: cfg, spec: spec, acked: map[string][]byte{},
+						capacity: 256 << 10, recScale: 1}
 					e.c.run(t, func(p *simnet.Proc) { sc.run(e, p) })
 				})
 			}

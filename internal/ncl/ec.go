@@ -121,7 +121,7 @@ func (e *ecPolicy) Append(p *simnet.Proc, lg *Log, off int64, data []byte) error
 	e.shardLen = pos + fs
 	// Client-side encode cost: one pass over the record at the modeled
 	// GF(2^8) kernel bandwidth.
-	if bw := lg.lib.cfg.Model.EncodeBandwidth; bw > 0 && length > 0 {
+	if bw := lg.lib.cfg.EncodeBandwidth; bw > 0 && length > 0 {
 		p.Sleep(time.Duration(float64(length) / bw * float64(time.Second)))
 	}
 	return nil

@@ -112,7 +112,7 @@ func (m *mirrorPolicy) Repair(p *simnet.Proc, lg *Log, qp *rdma.QP, rkey uint64,
 // copy briefly occupies the writer — the Fig 12 "blip".
 func (m *mirrorPolicy) Snapshot(p *simnet.Proc, lg *Log, pc *peerConn) {
 	if lg.length > 0 {
-		p.Sleep(time.Duration(float64(lg.length) / lg.lib.cfg.Model.CatchupCopyCPU * float64(time.Second)))
+		p.Sleep(time.Duration(float64(lg.length) / lg.lib.cfg.CatchupCopyCPU * float64(time.Second)))
 		pc.qp.PostWrite(p, pc.rkey, HeaderSize, lg.buf[HeaderSize:HeaderSize+lg.length],
 			recCtx(pc, lg.seq, false))
 	}

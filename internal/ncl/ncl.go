@@ -26,8 +26,8 @@
 // header shows sequence s is guaranteed to hold every write up to s (§4.4).
 //
 // That description covers the default mirror policy. How a log's bytes are
-// placed, replicated, and recovered is pluggable (policy.go): Config.Policy
-// selects mirror, Reed-Solomon striping ("ec:k,m"), or one-RTT quorum
+// placed, replicated, and recovered is pluggable (policy.go):
+// Config.Replication selects mirror, Reed-Solomon striping ("ec:k,m"), or one-RTT quorum
 // journals ("quorum") — see ReplicationPolicy.
 package ncl
 
@@ -51,62 +51,18 @@ import (
 // after the data write.
 const HeaderSize = 16
 
-// Config is ncl-lib's single configuration entry point: the replication
-// policy (group shape + commit rule), the default region capacity, and the
-// calibrated cost constants from the hardware model. Construct it with
-// ConfigFromProfile (or DefaultConfig for the baseline); the zero value of
-// Policy/RegionSize is normalized by NewLib to mirror f=1 over 64 MiB
+// Config is ncl-lib's configuration: the replication policy as a spec string
+// (parsed once, by NewLib), the default region capacity, and the calibrated
+// cost constants of the hardware model — model.NCLConfig itself, as
+// rdma.Params, dfs.Params, raft.Config, controller.Config and peer.Config are
+// their internal/model types. A profile's NCL field is one. Zero Replication
+// and DefaultRegionSize mean the paper's setup: mirror with f=1 over 64 MiB
 // regions.
-type Config struct {
-	// Policy is the parsed replication policy (see ParsePolicy).
-	Policy PolicySpec
-	// RegionSize is the default log capacity for callers that open files
-	// without an explicit size (the FS layer).
-	RegionSize int64
-	// Model holds the calibrated cost constants (internal/model).
-	Model model.NCLConfig
-	// UnsafeAckQuorum, when in (0, AckNeed), deliberately weakens Record's
-	// ack wait to that many peers. It exists ONLY so the chaos checker can
-	// prove it catches real protocol bugs: acking below the policy's commit
-	// rule loses acknowledged writes under the right crash schedule, and
-	// the history checker must produce that counterexample. Never set it
-	// in production configurations.
-	UnsafeAckQuorum int
-}
-
-// ConfigFromProfile derives the ncl configuration from a hardware profile:
-// the policy is parsed from prof.NCL.Replication, the default region size
-// comes from prof.NCL.DefaultRegionSize, and the cost constants carry over.
-func ConfigFromProfile(prof *model.Profile) (Config, error) {
-	spec, err := ParsePolicy(prof.NCL.Replication)
-	if err != nil {
-		return Config{}, err
-	}
-	cfg := Config{Policy: spec, RegionSize: prof.NCL.DefaultRegionSize, Model: prof.NCL}
-	cfg.normalize()
-	return cfg, nil
-}
+type Config = model.NCLConfig
 
 // DefaultConfig returns the baseline profile's configuration, used
-// throughout the evaluation (mirror with f=1, so three log peers — the
-// paper's setup).
-func DefaultConfig() Config {
-	cfg, err := ConfigFromProfile(model.Baseline())
-	if err != nil {
-		panic(err) // baseline profile always parses
-	}
-	return cfg
-}
-
-// normalize fills the zero-value defaults.
-func (c *Config) normalize() {
-	if c.Policy == (PolicySpec{}) {
-		c.Policy, _ = ParsePolicy("") // the paper's protocol: mirror, f=1
-	}
-	if c.RegionSize == 0 {
-		c.RegionSize = 64 << 20
-	}
-}
+// throughout the evaluation (mirror with f=1, so three log peers).
+func DefaultConfig() Config { return model.Baseline().NCL }
 
 // Errors.
 var (
@@ -127,6 +83,7 @@ type Lib struct {
 	ctrl   *controller.Client
 	appID  string
 	cfg    Config
+	policy PolicySpec // cfg.Replication, parsed
 
 	logs map[string]*Log
 
@@ -140,7 +97,7 @@ type Lib struct {
 }
 
 func (l *Lib) markSuspect(name string, now time.Duration) {
-	l.suspects[name] = now + l.cfg.Model.SuspectCooldown
+	l.suspects[name] = now + l.cfg.SuspectCooldown
 }
 
 func (l *Lib) suspectNames(now time.Duration) []string {
@@ -157,9 +114,16 @@ func (l *Lib) suspectNames(now time.Duration) []string {
 }
 
 // NewLib initializes ncl-lib for application appID running on node. fencing
-// is the application's incarnation (bump it on every restart).
+// is the application's incarnation (bump it on every restart). A
+// cfg.Replication that does not parse is an error.
 func NewLib(p *simnet.Proc, svc *controller.Service, fabric *rdma.Fabric, node *simnet.Node, appID string, fencing int64, cfg Config) (*Lib, error) {
-	cfg.normalize()
+	policy, err := ParsePolicy(cfg.Replication)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.DefaultRegionSize == 0 {
+		cfg.DefaultRegionSize = 64 << 20
+	}
 	l := &Lib{
 		sim:      node.Sim(),
 		node:     node,
@@ -167,6 +131,7 @@ func NewLib(p *simnet.Proc, svc *controller.Service, fabric *rdma.Fabric, node *
 		nic:      fabric.AttachNIC(node),
 		appID:    appID,
 		cfg:      cfg,
+		policy:   policy,
 		logs:     make(map[string]*Log),
 		suspects: make(map[string]time.Duration),
 	}
@@ -362,17 +327,17 @@ func (l *Lib) newLog(name string, spec PolicySpec, capacity int64, appendOnly bo
 // policy's peer group from the controller (2f+1 for mirror/quorum, k+m for
 // ec), sets up a memory region on each, and records the allocation — peers,
 // epoch, and policy — in the ap-map (§4.3, Fig 4). The returned Log is
-// empty. Capacity 0 means the configured default (Config.RegionSize).
+// empty. Capacity 0 means the configured default (Config.DefaultRegionSize).
 // appendOnly declares that the file is never overwritten in place, which
 // lets recovery catch lagging peers up by shipping only the missing tail
 // (§4.5.1).
 func (l *Lib) Open(p *simnet.Proc, name string, capacity int64, appendOnly bool) (*Log, error) {
 	if capacity == 0 {
-		capacity = l.cfg.RegionSize
+		capacity = l.cfg.DefaultRegionSize
 	}
 	sp := p.StartSpan("ncl", "open", trace.Str("file", name), trace.Int("bytes", capacity))
 	defer p.EndSpan(sp)
-	lg := l.newLog(name, l.cfg.Policy, capacity, appendOnly, 1, 0)
+	lg := l.newLog(name, l.policy, capacity, appendOnly, 1, 0)
 	lg.peers = make([]*peerConn, lg.place.Slots)
 	pcs, err := l.allocate(p, lg, lg.vacant(p), nil, lg.epoch, false)
 	if err != nil {
@@ -552,17 +517,13 @@ func (lg *Log) Record(p *simnet.Proc, off int64, data []byte) error {
 		lg.length = prevLength
 		return err
 	}
-	p.Sleep(lg.lib.cfg.Model.RecordCPU)
+	p.Sleep(lg.lib.cfg.RecordCPU)
 	lg.Records++
-	need := lg.place.AckNeed
-	if u := lg.lib.cfg.UnsafeAckQuorum; u > 0 && u < need {
-		need = u // seeded mutation: ack before the commit rule holds
-	}
-	for lg.ackCount(seq) < need {
+	for lg.ackCount(seq) < lg.place.AckNeed {
 		if lg.released {
 			return ErrReleased
 		}
-		if timedOut := lg.ackCond.WaitTimeout(p, lg.lib.cfg.Model.AckTimeout); timedOut {
+		if timedOut := lg.ackCond.WaitTimeout(p, lg.lib.cfg.AckTimeout); timedOut {
 			// No majority progress: make sure repair is running (it may
 			// already be replacing failed peers).
 			lg.repairCh.Send(p, struct{}{})
@@ -641,7 +602,7 @@ func (lg *Log) RemoteReadAt(p *simnet.Proc, buf []byte, off int64) (int, error) 
 		sp := p.StartSpan("ncl", "remoteread", trace.Str("file", lg.name), trace.Int("bytes", n))
 		defer p.EndSpan(sp)
 	}
-	p.Sleep(lg.lib.cfg.Model.ReadOverhead) // per-read library overhead (WR setup + poll)
+	p.Sleep(lg.lib.cfg.ReadOverhead) // per-read library overhead (WR setup + poll)
 	if err := lg.readInto(p, target, HeaderSize+int(off), buf[:n]); err != nil {
 		return 0, err
 	}

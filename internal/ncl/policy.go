@@ -392,6 +392,6 @@ func (lg *Log) snapshotFrameLog(p *simnet.Proc, pc *peerConn, log []byte) {
 	if len(log) == 0 {
 		return
 	}
-	p.Sleep(time.Duration(float64(len(log)) / lg.lib.cfg.Model.CatchupCopyCPU * float64(time.Second)))
+	p.Sleep(time.Duration(float64(len(log)) / lg.lib.cfg.CatchupCopyCPU * float64(time.Second)))
 	pc.qp.PostWrite(p, pc.rkey, 0, log, recCtx(pc, lg.seq, true))
 }

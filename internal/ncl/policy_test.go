@@ -139,11 +139,7 @@ func TestFrameScanAcceptsZeroLength(t *testing.T) {
 func policyCfg(t *testing.T, policy string) Config {
 	t.Helper()
 	cfg := DefaultConfig()
-	spec, err := ParsePolicy(policy)
-	if err != nil {
-		t.Fatalf("ParsePolicy(%q): %v", policy, err)
-	}
-	cfg.Policy = spec
+	cfg.Replication = policy
 	return cfg
 }
 

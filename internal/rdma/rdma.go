@@ -105,6 +105,12 @@ func NewFabric(s *simnet.Sim, p Params) *Fabric {
 // Params returns the fabric cost model.
 func (f *Fabric) Params() Params { return f.params }
 
+// RegisterCost is what registering a memory region of size bytes takes:
+// pinning its pages and programming the NIC.
+func (f *Fabric) RegisterCost(size int64) time.Duration {
+	return f.params.RegFixed + time.Duration(float64(size)/f.params.RegBandwidth*float64(time.Second))
+}
+
 // NIC is a node's RDMA adapter. Crash of the node takes the NIC down,
 // invalidates every registered MR, and errors every QP targeting it.
 type NIC struct {
@@ -149,8 +155,7 @@ func (n *NIC) RegisterMR(p *simnet.Proc, buf []byte) (*MR, error) {
 	}
 	sp := p.StartSpan("rdma", "register", trace.Int("bytes", int64(len(buf))))
 	defer p.EndSpan(sp)
-	pm := n.fabric.params
-	p.Sleep(pm.RegFixed + time.Duration(float64(len(buf))/pm.RegBandwidth*float64(time.Second)))
+	p.Sleep(n.fabric.RegisterCost(int64(len(buf))))
 	if !n.up {
 		return nil, ErrNICDown
 	}

@@ -97,6 +97,9 @@ func (n *Node) Crash() {
 		return
 	}
 	n.alive = false
+	if n.sim.cutNode == n {
+		n.sim.cutNode = nil // a cut armed on n dies with it
+	}
 	hooks := n.onCrash
 	n.onCrash = nil
 	for _, fn := range hooks {

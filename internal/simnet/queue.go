@@ -205,6 +205,9 @@ func (s *Sim) nextLive() (event, bool) {
 func (s *Sim) dispatch(e event, self *Proc) bool {
 	s.now = e.at
 	s.events++
+	if s.cutNode != nil && e.p.node == s.cutNode {
+		s.countCut()
+	}
 	if e.p == self {
 		return true
 	}

@@ -63,6 +63,11 @@ type Sim struct {
 	horizon time.Duration // 0 = run to quiescence
 	fatal   error
 
+	// The armed counted cut (cut.go): cutNode crashes immediately before the
+	// cutLeft-th next dispatch of one of its procs. nil = unarmed.
+	cutNode *Node
+	cutLeft int
+
 	// Span tracing. When non-nil, Proc.StartSpan records deterministic
 	// spans on the virtual clock; when nil, tracing costs one pointer
 	// check per call site.
