@@ -566,9 +566,22 @@ func Recover(p *simnet.Proc, fs *core.FS, cfg Config) (*DB, error) {
 	db.fileSeq = maxSeq
 
 	// Replay WALs oldest-to-newest into fresh memtables, then flush them to
-	// tables and reclaim the logs, ending with one empty memtable + WAL.
-	for _, wal := range wals {
-		data, err := cfg.Durability.ReadSurvivor(p, fs, wal.Path)
+	// tables and reclaim the logs, ending with one empty memtable + WAL. A
+	// newest WAL that is empty — the successor the crashed instance had
+	// pre-opened and never written — is that WAL: recovering it only to
+	// release it and set up another would cost four controller round trips
+	// and a group of regions more.
+	for i, wal := range wals {
+		f, err := cfg.Durability.Reopen(p, fs, wal.Path)
+		if err != nil {
+			return nil, fmt.Errorf("kvstore: replay wal %s: %w", wal.Path, err)
+		}
+		data, err := applog.ReadLog(p, f)
+		if err == nil && len(data) == 0 && i == len(wals)-1 {
+			db.wal, db.mem = f, newMemtable(wal.Path)
+			break
+		}
+		f.Close(p) //nolint:errcheck // only replayed
 		if err != nil {
 			return nil, fmt.Errorf("kvstore: replay wal %s: %w", wal.Path, err)
 		}
@@ -585,8 +598,10 @@ func Recover(p *simnet.Proc, fs *core.FS, cfg Config) (*DB, error) {
 		// The memtable is durable as a table: only now is its log disposable.
 		fs.Unlink(p, wal.Path) //nolint:errcheck
 	}
-	if err := db.rotateWAL(p); err != nil {
-		return nil, err
+	if db.wal == nil {
+		if err := db.rotateWAL(p); err != nil {
+			return nil, err
+		}
 	}
 	db.retable()
 	db.startBackground(p)

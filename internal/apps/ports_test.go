@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
 
 	"splitft/internal/apps"
 	"splitft/internal/apps/applog"
+	"splitft/internal/core"
 	"splitft/internal/harness"
 	"splitft/internal/ncl"
 	"splitft/internal/simnet"
@@ -36,6 +38,8 @@ func TestPortConformance(t *testing.T) {
 		{"reclaim", durable, (*run).acrossReclaim},
 		{"double crash", durable, (*run).doubleCrash},
 		{"crash mid-recovery", durable, (*run).crashMidRecovery},
+		{"crash with an empty successor", durable, (*run).crashWithSuccessor},
+		{"empty successor, crash mid-recovery", durable[1:], (*run).crashWithSuccessorMidRecovery},
 		{"recovery peer crash", durable, (*run).recoveryPeerCrash},
 		{"controller unreachable at recovery", durable, (*run).controllerOutAtRecovery},
 	}
@@ -74,6 +78,7 @@ type run struct {
 	d     applog.Durability
 	sz    apps.Sizing
 	fence int64 // the app's incarnation: 0 opens, later ones recover
+	fs    *core.FS
 	st    apps.Store
 	err   error // first failure seen by an app-node proc
 
@@ -86,15 +91,14 @@ type run struct {
 
 // start runs the app's next incarnation on fs's node in proc p.
 func (r *run) start(p *simnet.Proc) (err error) {
-	fs, err := r.c.NewFS(p, r.port.AppID, r.fence)
-	if err != nil {
+	if r.fs, err = r.c.NewFS(p, r.port.AppID, r.fence); err != nil {
 		return err
 	}
 	open := r.port.Open
 	if r.fence > 0 {
 		open = r.port.Recover
 	}
-	r.st, err = open(p, fs, r.c.Profile.Apps, r.d, r.sz)
+	r.st, err = open(p, r.fs, r.c.Profile.Apps, r.d, r.sz)
 	return err
 }
 
@@ -290,8 +294,7 @@ func (r *run) randomOps(p *simnet.Proc) error {
 func (r *run) peerCrash(p *simnet.Proc) error {
 	r.launch(r.fill("v", 20000, 8))
 	p.Sleep(20 * time.Millisecond)
-	lg := r.st.Log().(interface{ Log() *ncl.Log }).Log()
-	r.c.Sim.Node(lg.LivePeers()[0]).Crash()
+	r.c.Sim.Node(r.nclLog().LivePeers()[0]).Crash()
 	p.Sleep(30 * time.Millisecond)
 	r.crash(p)
 	return r.recoverIntact(p)
@@ -333,6 +336,10 @@ func (r *run) crashMidRecovery(p *simnet.Proc) error {
 	r.launch(r.fill("v", 200, 8))
 	p.Sleep(600 * time.Millisecond)
 	r.crash(p)
+	return r.cutRecoveries(p)
+}
+
+func (r *run) cutRecoveries(p *simnet.Proc) error {
 	simnet.CutLadder(r.t.Logf, 22, 96, func(k int) bool {
 		var err error
 		if r.c.AppNode.RunCut(p, k, func(ap *simnet.Proc) { err = r.start(ap) }) {
@@ -344,6 +351,100 @@ func (r *run) crashMidRecovery(p *simnet.Proc) error {
 	})
 	r.crash(p)
 	return r.recoverIntact(p)
+}
+
+// regions counts the regions the log peers hold.
+func (r *run) regions() (n int) {
+	for _, pr := range r.c.Peers {
+		n += pr.Regions()
+	}
+	return n
+}
+
+// nclLog is the ncl log behind the store's active log file (SplitFT only).
+func (r *run) nclLog() *ncl.Log { return r.st.Log().(interface{ Log() *ncl.Log }).Log() }
+
+// slots is how many peers the active log lives on.
+func (r *run) slots() int { return len(r.nclLog().LivePeers()) }
+
+// withSuccessor crashes a store whose log is some 60 % of the way to its
+// reclaim: past the half where kvstore sets its next WAL up in the background,
+// short of the rotation that would write to it. It returns the name of the
+// second ncl file that was there at the crash — observed, not assumed; the
+// other ports have none and run the script as one more crash.
+func (r *run) withSuccessor(p *simnet.Proc) (successor string, err error) {
+	r.launch(r.fill("v", 320, 100))
+	p.Sleep(400 * time.Millisecond)
+	if r.d == applog.SplitFT {
+		files, err := r.fs.ListNCL(p)
+		if err != nil {
+			return "", err
+		}
+		if i := slices.Index(files, r.st.Log().Path()); len(files) == 2 && i >= 0 {
+			successor = files[1-i]
+		}
+		if r.port.Name == "kvstore" && (successor == "" || r.regions() != 2*r.slots()) {
+			return "", fmt.Errorf("ncl files %v on %d regions at the crash: kvstore has not pre-opened its next WAL, the script tests nothing", files, r.regions())
+		}
+	}
+	r.crash(p)
+	return successor, nil
+}
+
+// oneLogLeft holds a recovered store to what is left of its logs. Where there
+// was a successor it is the one log left and the active one — itself, not a
+// third log set up in its place — and takes the next write. On every port,
+// once the peers' GC has seen anything else age out, no region is left that
+// is not a listed log's.
+func (r *run) oneLogLeft(p *simnet.Proc, successor string) error {
+	if r.d != applog.SplitFT {
+		return nil
+	}
+	log := r.st.Log()
+	files, err := r.fs.ListNCL(p)
+	if err != nil {
+		return err
+	}
+	if successor != "" {
+		if len(files) != 1 || files[0] != successor || log.Path() != successor {
+			return fmt.Errorf("ncl files after recovery: %v, active %s, want the successor %s to be both", files, log.Path(), successor)
+		}
+		size := log.Size()
+		if err := r.write(p, "next", []byte("write")); err != nil {
+			return err
+		}
+		if r.st.Log().Path() != log.Path() || log.Size() <= size {
+			return fmt.Errorf("the next write went to %s, not to %s", r.st.Log().Path(), log.Path())
+		}
+	}
+	p.Sleep(r.c.Profile.Peer.GCInterval + r.c.Profile.Peer.GCGrace)
+	if got, want := r.regions(), len(files)*r.slots(); got != want {
+		return fmt.Errorf("peers hold %d regions after the GC, want %d: the %d of each of %v", got, want, r.slots(), files)
+	}
+	return nil
+}
+
+// successorScript crashes a store that has (under kvstore) an empty successor,
+// recovers it the given way and holds it to oneLogLeft.
+func (r *run) successorScript(p *simnet.Proc, recover func(*simnet.Proc) error) error {
+	successor, err := r.withSuccessor(p)
+	if err != nil {
+		return err
+	}
+	if err := recover(p); err != nil {
+		return err
+	}
+	return r.oneLogLeft(p, successor)
+}
+
+func (r *run) crashWithSuccessor(p *simnet.Proc) error { return r.successorScript(p, r.recoverIntact) }
+
+// crashWithSuccessorMidRecovery cuts that recovery short at every point of
+// crashMidRecovery's ladder first: a recovery abandoned before it released
+// the replayed log, or after, leaves the same one log to the one that
+// completes.
+func (r *run) crashWithSuccessorMidRecovery(p *simnet.Proc) error {
+	return r.successorScript(p, r.cutRecoveries)
 }
 
 // recoveryPeerCrash is the barrier rule of DESIGN.md §16 seen from a port.
@@ -363,8 +464,7 @@ func (r *run) recoveryPeerCrash(p *simnet.Proc) error {
 	r.launch(r.fill("v", 20000, 8))
 	p.Sleep(20 * time.Millisecond)
 	if r.d == applog.SplitFT {
-		lg := r.st.Log().(interface{ Log() *ncl.Log }).Log()
-		for _, name := range lg.LivePeers() {
+		for _, name := range r.nclLog().LivePeers() {
 			members = append(members, r.c.Sim.Node(name))
 		}
 		for _, m := range members[1:] {

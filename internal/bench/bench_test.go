@@ -154,9 +154,6 @@ func TestFig8Shape(t *testing.T)              { verdict(t, "fig8") }
 func TestFig9LitedbShape(t *testing.T)        { verdict(t, "fig9") }
 func TestFig10KVShape(t *testing.T)           { verdict(t, "fig10") }
 func TestFig11aShape(t *testing.T)            { verdict(t, "fig11a") }
-func TestFig11bShape(t *testing.T)            { verdict(t, "fig11b") }
-func TestTable3Shape(t *testing.T)            { verdict(t, "table3") }
-func TestFig12Shape(t *testing.T)             { verdict(t, "fig12") }
 func TestAblateReplicationShape(t *testing.T) { verdict(t, "ablate-repl") }
 func TestAblateSplitShape(t *testing.T)       { verdict(t, "ablate-split") }
 func TestAblateNoLogShape(t *testing.T)       { verdict(t, "ablate-nolog") }

@@ -77,7 +77,7 @@ func probes(rep *Report, sc Scale, seed int64) ([]model.Measurement, error) {
 		}
 		region := make([]byte, 60<<20)
 		start = p.Now()
-		if _, err := nic.RegisterMR(p, region); err != nil {
+		if _, err := nic.RegisterMR(p, region, int64(len(region))); err != nil {
 			return err
 		}
 		meas = append(meas, model.Measurement{

@@ -37,7 +37,7 @@ type gate struct {
 type coord struct{ cell, metric string }
 
 // tiny is the default gate scale: small enough to run every experiment
-// twice in seconds, and ten of the thirteen paper shapes hold on its rows.
+// twice in seconds, and eleven of the thirteen paper shapes hold on its rows.
 func tiny() Scale {
 	sc := QuickScale()
 	sc.LoadKeys, sc.Clients, sc.LogSizeMB = 2000, 4, 1
@@ -130,30 +130,18 @@ var gates = map[string]*gate{
 		c.failIf(direct < 10*dfsP, "direct IO (%v) should dwarf cached DFS (%v)", direct, dfsP)
 	}},
 
-	// kvstore and redstore end a SplitFT recovery by opening the next active
-	// log (~180 ms of MR registration whatever the log size), so "comparable
-	// to DFT" needs a log DFT takes a comparable time to parse: kvstore is
-	// 12.7x at tiny's 1 MB and 4.2x at 6 MB. Their two variants the shape
-	// reads, at 8 MB: kvstore 3.53x, redstore 3.88x (<= 4x) — 5 s, 3.5 M
-	// events; litedb (0.93x) holds on the gated run. The inequality is
-	// one-sided, so first trades the DFT total with a sub-millisecond phase.
-	"fig11b": {points: func(reg Report) (rep Report, err error) {
-		sc := tiny()
-		sc.LogSizeMB = 8
-		for _, port := range sc.Apps[:2] { // kvstore, redstore
-			for _, variant := range []string{"SplitFT", "DFT"} {
-				if err := recoverOnce(&rep, sc, 1, port, variant); err != nil {
-					return rep, err
-				}
-			}
-		}
-		return over(rep, reg), nil
-	}, first: [2]coord{{"kvstore/DFT", "total"}, {"kvstore/SplitFT", "getpeer"}}, shape: func(c *check) {
+	// The paper has SplitFT 4 %-2x slower than DFT. At tiny's 1 MB log kvstore
+	// is 1.24x, redstore 1.35x, litedb 0.92x: what SplitFT adds is two
+	// controller round trips and the next log's open, a bind on memory the
+	// peers pinned ahead of demand (12.7x when that open registered three
+	// 64 MiB regions one after the other). The inequality is one-sided, so
+	// first trades the DFT total with a sub-millisecond phase.
+	"fig11b": {first: [2]coord{{"kvstore/DFT", "total"}, {"kvstore/SplitFT", "getpeer"}}, shape: func(c *check) {
 		for _, app := range []string{"kvstore", "redstore", "litedb"} {
 			sp, dft := c.dur(app+"/SplitFT", "total"), c.dur(app+"/DFT", "total")
 			c.failIf(sp <= 0 || dft <= 0, "%s: missing rows", app)
 			// Comparable to DFT, and the NCL-specific part is accounted for.
-			c.failIf(sp > 4*dft, "%s: splitft recovery %v vs dft %v, want comparable", app, sp, dft)
+			c.failIf(sp > 2*dft, "%s: splitft recovery %v vs dft %v, want comparable", app, sp, dft)
 			c.failIf(c.dur(app+"/SplitFT", "connect") <= 0 || c.dur(app+"/SplitFT", "rdmaread") <= 0, "%s: NCL breakdown incomplete", app)
 		}
 	}},
@@ -199,7 +187,8 @@ var gates = map[string]*gate{
 			after := mean(during("kops", crash+400*time.Millisecond, total*70/100))
 			c.failIf(healthy <= 0, "no healthy throughput")
 			// Two simultaneous crashes exceed the failure budget: writes dip until
-			// a replacement is caught up — briefly, with region recycling (~10ms).
+			// a replacement is caught up — briefly, on a peer that has pinned its
+			// memory (~4 ms).
 			c.failIf(stallWin > healthy*0.8, "two simultaneous peer crashes: min rate %.1f vs healthy %.1f — expected a dip", stallWin, healthy)
 			c.failIf(after < healthy*0.8, "throughput did not recover after replacement: %.1f vs %.1f", after, healthy)
 		}},

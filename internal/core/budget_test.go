@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"splitft/internal/apps"
 	"splitft/internal/apps/applog"
@@ -239,6 +240,56 @@ func TestControlPlaneBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestWarmReplacementRegistersNothing pins what a live replacement costs on
+// the peer it lands on once that peer has been up for a second: its lendable
+// memory is pinned (DESIGN.md §3b), so the set-up inside "ncl"/"replace.connect"
+// is a bind — an "rdma"/"refresh" span — and no "rdma"/"register" runs
+// anywhere while it lasts. A change that puts registration back on the repair
+// path shows here before it shows as write_p99_us on peer-fault-open.
+func TestWarmReplacementRegistersNothing(t *testing.T) {
+	col := trace.New()
+	b := &budget{c: harness.New(harness.Options{Seed: 5, NumPeers: 5, Trace: col})}
+	err := b.c.Run(func(p *simnet.Proc) error {
+		if err := b.newFS(p); err != nil {
+			return err
+		}
+		f, err := b.create(p, "wal")
+		if err != nil {
+			return err
+		}
+		p.Sleep(time.Second)
+		lg := f.(interface{ Log() *ncl.Log }).Log()
+		mark := col.Len()
+		b.c.Sim.Node(lg.LivePeers()[0]).Crash()
+		for lg.Replacements == 0 {
+			if _, err := f.Write(p, []byte("record")); err != nil {
+				return err
+			}
+			p.Sleep(time.Millisecond)
+		}
+		spans := col.Since(mark)
+		connect := trace.First(spans, "ncl", "replace.connect")
+		if !connect.Done() {
+			return fmt.Errorf("no finished ncl/replace.connect span among %d", len(spans))
+		}
+		during := func(op string) (n int) {
+			for _, sp := range trace.Filter(spans, "rdma", op) {
+				if sp.Start < connect.End && sp.End > connect.Start {
+					n++
+				}
+			}
+			return n
+		}
+		if reg, ref := during("register"), during("refresh"); reg != 0 || ref != 1 {
+			return fmt.Errorf("%d rdma/register and %d rdma/refresh spans during ncl/replace.connect, want 0 and 1", reg, ref)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -333,6 +333,36 @@ var confScripts = []struct {
 		e.crashApp(p)
 		e.recover(p, "wal", nil) // the re-replicated state is whole
 	}},
+	{"replacement lands on a just-restarted peer", func(e *conf, p *simnet.Proc) {
+		// Every spare peer crashes and comes back, so whichever the allocator
+		// picks is 20 to 50 ms into its 56 ms warm-up: it lends memory that is
+		// partly pinned, under a daemon that has forgotten every region it held.
+		l := e.lib(p, e.cfg)
+		lg := e.open(p, l, "wal")
+		e.append(p, lg, 5)
+		members := lg.LivePeers()
+		var spares []string
+		for name := range e.c.pNodes {
+			if !slices.Contains(members, name) {
+				spares = append(spares, name)
+			}
+		}
+		slices.Sort(spares)
+		e.crashPeers(spares...)
+		for _, name := range spares {
+			e.c.restartPeer(p, e.t, name)
+		}
+		p.Sleep(20 * time.Millisecond)
+		victim := members[1]
+		e.crashPeers(victim)
+		e.append(p, lg, 10)
+		e.restored(p, l, lg, 1, victim)
+		if lg.Replacements != 1 {
+			e.t.Fatalf("replacements = %d, want 1", lg.Replacements)
+		}
+		e.crashApp(p)
+		e.recover(p, "wal", nil)
+	}},
 	{"member dead at recovery", func(e *conf, p *simnet.Proc) {
 		// Twice, so the second recovery leans on the first one's replacement:
 		// a replacement that was published without its content shows here.
@@ -442,7 +472,9 @@ var confScripts = []struct {
 	{"over-budget loss stalls then resumes", func(e *conf, p *simnet.Proc) {
 		// More simultaneous failures than the policy tolerates: the write
 		// stalls until replacements are caught up from the client's copy
-		// (Fig 12), then completes; nothing is lost.
+		// (Fig 12), then completes; nothing is lost. On peers that have pinned
+		// their memory the stall is detection, two controller round trips and
+		// the catch-up: 3 to 4 ms.
 		l := e.lib(p, e.cfg)
 		lg := e.open(p, l, "wal")
 		e.append(p, lg, 1)
@@ -450,7 +482,7 @@ var confScripts = []struct {
 		e.crashPeers(victims...)
 		start := p.Now()
 		e.append(p, lg, 1)
-		if stall := p.Now() - start; stall < 5*time.Millisecond || stall > 2*time.Second {
+		if stall := p.Now() - start; stall < 2*time.Millisecond || stall > 2*time.Second {
 			e.t.Fatalf("stall = %v, want a visible stall that ends with the replacements", stall)
 		}
 		e.restored(p, l, lg, 1, victims...)

@@ -17,6 +17,13 @@
 //   - Memory revocation: the peer can reclaim a region locally and
 //     instantly; subsequent RDMA writes fail and the application treats it
 //     as a peer failure.
+//
+// Pinned is a property of the peer's lendable bytes, not of a region (§5.4.3:
+// "in most cases, we expect a peer to have a memory region that is already
+// allocated and registered"): a daemon pins its lendable memory in the
+// background from the moment it starts, a set-up binds a window of pinned
+// bytes and pins itself only what is not pinned yet, and every byte a region
+// gives back stays pinned. A restart starts cold (DESIGN.md §3b).
 package peer
 
 import (
@@ -205,28 +212,34 @@ type Peer struct {
 	ctrl *controller.Client
 	cfg  Config
 
-	avail      int64
+	avail int64
+	// pinned counts the idle bytes (of avail) that are pinned already; the
+	// rest of avail is cold until the warmer or a set-up pins it.
+	pinned     int64
 	availDirty bool                  // a republish is pending (coalesced mode)
 	regions    map[regionKey]*region // the mr-map
 	staging    map[int64]*region
 	nextStage  int64
 	dead       bool
 
-	// recycled holds freed-but-still-registered regions by size (§4.3:
-	// released regions are recycled so the next allocation of the same
-	// size skips memory pinning).
+	// recycled is the host-side free list of the backing buffers (and their
+	// invalidated MRs) of freed regions, by size, so that a simulated rotation
+	// does not allocate a region of real memory. It decides no virtual cost:
+	// what a set-up pays depends on pinned alone.
 	recycled map[int64][]*rdma.MR
-
-	// Stats.
-	Recycles int64
 }
+
+// warmChunk is the unit in which the warmer pins idle lendable memory; the
+// bytes count as pinned when the whole chunk is.
+const warmChunk = 16 << 20
 
 // Addr returns the RPC address of the peer daemon named name.
 func Addr(name string) string { return name + "/peer" }
 
 // Start boots a peer daemon on node: it registers with the controller,
-// serves setup/lookup/release/switch RPCs, and runs the space-leak GC.
-// Call Start again (with a fresh NIC) after a node restart.
+// serves setup/lookup/release/switch RPCs, runs the space-leak GC and starts
+// pinning its lendable memory. Call Start again (with a fresh NIC) after a
+// node restart: nothing the previous daemon pinned survives it.
 func Start(p *simnet.Proc, svc *controller.Service, fabric *rdma.Fabric, node *simnet.Node, cfg Config) (*Peer, error) {
 	pr := &Peer{
 		sim:      node.Sim(),
@@ -251,6 +264,7 @@ func Start(p *simnet.Proc, svc *controller.Service, fabric *rdma.Fabric, node *s
 	}
 	pr.sim.Net().Register(Addr(pr.name), node, pr.handleRPC)
 	node.Go("peer-gc:"+pr.name, pr.gcLoop)
+	node.Go("peer-warm:"+pr.name, pr.warm)
 	if cfg.PublishInterval > 0 {
 		// Coalesced publication: batch available-memory updates so a churny
 		// region workload costs at most one Raft proposal per interval.
@@ -384,36 +398,56 @@ func (pr *Peer) onSetup(p *simnet.Proc, r SetupReq) (SetupResp, error) {
 	return SetupResp{RKey: reg.mr.RKey()}, nil
 }
 
-// newRegion takes size bytes out of the lendable pool and registers them:
-// the body of a setup and of a staging allocation alike.
+// warm pins the idle lendable memory chunk by chunk until none of it is cold,
+// and exits: a byte that is pinned stays pinned through every region it is
+// lent to, so there is nothing left to do until the next restart. A set-up
+// never waits for it. One that needs bytes the warmer has in hand pins them
+// itself, and the warmer's credit is capped at what is still idle, so no byte
+// counts as pinned twice.
+func (pr *Peer) warm(p *simnet.Proc) {
+	for pr.pinned < pr.avail {
+		n := min(warmChunk, pr.avail-pr.pinned)
+		if pr.nic.Pin(p, n) != nil {
+			return // the NIC went down: this daemon is dead
+		}
+		pr.pinned = min(pr.pinned+n, pr.avail)
+	}
+}
+
+// newRegion takes size bytes out of the lendable pool, idle pinned bytes
+// first, and registers them, pinning only the shortfall: the body of a setup
+// and of a staging allocation alike.
 func (pr *Peer) newRegion(p *simnet.Proc, size, epoch int64) (*region, error) {
 	if pr.avail < size {
 		return nil, ErrNoMem
 	}
+	warm := min(size, pr.pinned)
 	pr.avail -= size // reserve before the blocking registration
+	pr.pinned -= warm
 	p.Sleep(pr.cfg.SetupCPU)
-	mr, err := pr.allocRegion(p, size)
+	mr, err := pr.register(p, size, size-warm)
 	if err != nil {
 		pr.avail += size
+		pr.pinned += warm
 		return nil, err
 	}
 	return &region{mr: mr, size: size, epoch: epoch, createdAt: p.Now()}, nil
 }
 
-// allocRegion prefers a recycled, still-pinned region of the right size
-// (fresh rkey, no re-pinning); otherwise it registers new memory.
-func (pr *Peer) allocRegion(p *simnet.Proc, size int64) (*rdma.MR, error) {
-	if pool := pr.recycled[size]; len(pool) > 0 {
-		mr := pool[len(pool)-1]
-		pr.recycled[size] = pool[:len(pool)-1]
-		if err := pr.nic.RefreshMR(p, mr); err == nil {
-			clear(mr.Bytes())
-			pr.Recycles++
-			return mr, nil
-		}
-		// NIC bounced since the region was pooled: fall through.
+// register binds size bytes, cold of them not pinned yet, to the NIC. The
+// backing buffer comes zeroed off the free list when it holds one of the size.
+func (pr *Peer) register(p *simnet.Proc, size, cold int64) (*rdma.MR, error) {
+	pool := pr.recycled[size]
+	if len(pool) == 0 {
+		return pr.nic.RegisterMR(p, make([]byte, size), cold)
 	}
-	return pr.nic.RegisterMR(p, make([]byte, size))
+	mr := pool[len(pool)-1]
+	pr.recycled[size] = pool[:len(pool)-1]
+	if err := pr.nic.RefreshMR(p, mr, cold); err != nil {
+		return nil, err
+	}
+	clear(mr.Bytes())
+	return mr, nil
 }
 
 // onLookup serves application recovery (§4.5.1): return the region key if
@@ -477,12 +511,12 @@ func (pr *Peer) freeRegion(_ *simnet.Proc, key regionKey, reg *region) {
 	delete(pr.regions, key)
 }
 
-// reclaim makes a region's memory lendable again.
+// reclaim makes a region's memory lendable again, still pinned.
 func (pr *Peer) reclaim(reg *region) {
 	reg.mr.Invalidate()
-	// Keep the memory pinned for reuse by a future same-size allocation.
 	pr.recycled[reg.size] = append(pr.recycled[reg.size], reg.mr)
 	pr.avail += reg.size
+	pr.pinned += reg.size
 }
 
 // publishAvail updates the controller's (hint) view of available memory in

@@ -2,6 +2,7 @@ package peer
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -50,10 +51,65 @@ func (fx *fixture) run(t *testing.T, fn func(p *simnet.Proc)) {
 		}
 		fx.pr = pr
 		fn(p)
+		checkAccounting(t, fx.pr)
 	})
 	if err := fx.sim.RunUntil(time.Hour); err != nil {
 		t.Fatalf("sim: %v", err)
 	}
+}
+
+// checkAccounting is the peer's slice of a quiescence audit, run when a
+// script ends: every lendable byte is idle, in a region or in a staging, the
+// idle bytes counted as pinned exist, and no MR is on the free list twice or
+// while a region still uses it.
+func checkAccounting(t *testing.T, pr *Peer) {
+	t.Helper()
+	sum, live := pr.avail, map[*rdma.MR]bool{}
+	hold := func(what string, reg *region) {
+		sum += reg.size
+		if live[reg.mr] {
+			t.Errorf("%s shares its MR with another live region", what)
+		}
+		live[reg.mr] = true
+	}
+	for k, reg := range pr.regions {
+		hold(k.app+"/"+k.file, reg)
+	}
+	for id, reg := range pr.staging {
+		hold(fmt.Sprintf("staging %d", id), reg)
+	}
+	if sum != pr.cfg.LendableMem {
+		t.Errorf("avail %d + regions + stagings = %d, want the %d lendable bytes", pr.avail, sum, pr.cfg.LendableMem)
+	}
+	if pr.pinned < 0 || pr.pinned > pr.avail {
+		t.Errorf("%d idle bytes pinned of %d idle bytes", pr.pinned, pr.avail)
+	}
+	for size, pool := range pr.recycled {
+		for _, mr := range pool {
+			if live[mr] {
+				t.Errorf("a %d-byte MR is on the free list twice, or there and live", size)
+			}
+			live[mr] = true
+		}
+	}
+}
+
+// chunkTime is how long the warmer takes over one full chunk.
+func (fx *fixture) chunkTime() time.Duration {
+	return fx.fabric.RegisterCost(warmChunk) - fx.fabric.Params().RegFixed
+}
+
+// warmSetup is what a set-up costs the peer when every byte it takes is
+// pinned already.
+func (fx *fixture) warmSetup() time.Duration {
+	return fx.cfg.SetupCPU + fx.fabric.Params().RegFixed/10
+}
+
+// timed returns how long fn took on the virtual clock.
+func timed(p *simnet.Proc, fn func()) time.Duration {
+	start := p.Now()
+	fn()
+	return p.Now() - start
 }
 
 // call is the typed RPC helper: the response type is named at the call
@@ -212,32 +268,167 @@ func TestCommitSwitchUnknownStaging(t *testing.T) {
 func TestRegionRecycling(t *testing.T) {
 	fx := newFixture(6, testCfg())
 	fx.run(t, func(p *simnet.Proc) {
-		// Allocate, release, allocate the same size: the second allocation
-		// reuses the pinned region (fast path) under a fresh rkey.
-		r1, _ := call[SetupResp](fx, p, SetupReq{App: "a1", File: "f1", Size: 1 << 20, Epoch: 1})
-		call[wire.Ack](fx, p, ReleaseReq{App: "a1", File: "f1"}) //nolint:errcheck
-		start := p.Now()
-		r2, err := call[SetupResp](fx, p, SetupReq{App: "a1", File: "f2", Size: 1 << 20, Epoch: 1})
-		if err != nil {
-			t.Fatalf("recycled setup: %v", err)
+		// Allocate before the warmer has pinned anything, release, allocate
+		// another size: the bytes came back pinned, so the second allocation
+		// binds them under a fresh rkey without pinning, whatever its size.
+		var r1, r2 SetupResp
+		cold := timed(p, func() { r1, _ = fx.pr.onSetup(p, SetupReq{App: "a1", File: "f1", Size: 2 << 20, Epoch: 1}) })
+		if want := fx.cfg.SetupCPU + fx.fabric.RegisterCost(2<<20); cold != want {
+			t.Errorf("cold setup took %v, want a full registration, %v", cold, want)
 		}
-		fastSetup := p.Now() - start
-		if fx.pr.Recycles != 1 {
-			t.Errorf("recycles = %d", fx.pr.Recycles)
+		copy(fx.pr.regions[regionKey{"a1", "f1"}].mr.Bytes(), "tenant one")
+		fx.pr.onRelease(p, ReleaseReq{App: "a1", File: "f1"}) //nolint:errcheck
+		if fx.pr.pinned != 2<<20 {
+			t.Errorf("%d idle bytes pinned after the release, want the region's 2 MiB", fx.pr.pinned)
 		}
-		if r1.RKey == r2.RKey {
-			t.Error("recycled region kept its old rkey")
-		}
-		// Recycled setup skips the multi-ms registration.
-		if fastSetup > 2*time.Millisecond {
-			t.Errorf("recycled setup took %v", fastSetup)
-		}
-		// Recycled regions come back zeroed (no cross-tenant leakage).
-		region, _ := fx.pr.RegionBytes("a1", "f2")
-		for i, b := range region[:64] {
-			if b != 0 {
-				t.Fatalf("recycled region leaked data at %d", i)
+		for _, size := range []int64{1 << 20, 2 << 20} {
+			file := fmt.Sprintf("f%d", size)
+			warm := timed(p, func() { r2, _ = fx.pr.onSetup(p, SetupReq{App: "a1", File: file, Size: size, Epoch: 1}) })
+			if warm != fx.warmSetup() {
+				t.Errorf("%d-byte setup on pinned bytes took %v, want %v", size, warm, fx.warmSetup())
 			}
+			if r1.RKey == r2.RKey {
+				t.Error("recycled memory kept its old rkey")
+			}
+			// Recycled memory comes back zeroed (no cross-tenant leakage).
+			region, _ := fx.pr.RegionBytes("a1", file)
+			for i, b := range region[:64] {
+				if b != 0 {
+					t.Fatalf("recycled region leaked data at %d", i)
+				}
+			}
+			fx.pr.onRelease(p, ReleaseReq{App: "a1", File: file}) //nolint:errcheck
+		}
+	})
+}
+
+// A set-up that races the warmer takes what is pinned so far and pins the
+// shortfall itself, without waiting; the warmer goes on with what is still
+// cold, so that between them every lendable byte is pinned exactly once.
+func TestSetupRacingWarmerPaysItsShortfall(t *testing.T) {
+	cfg := testCfg()
+	cfg.LendableMem = 4 * warmChunk
+	fx := newFixture(10, cfg)
+	fx.run(t, func(p *simnet.Proc) {
+		start := p.Now()
+		p.Sleep(fx.chunkTime() * 3 / 2) // one chunk pinned, the second in hand
+		const size = warmChunk + 8<<20
+		took := timed(p, func() {
+			if _, err := fx.pr.onSetup(p, SetupReq{App: "a1", File: "wal", Size: size, Epoch: 1}); err != nil {
+				t.Fatalf("setup: %v", err)
+			}
+		})
+		if want := fx.cfg.SetupCPU + fx.fabric.RegisterCost(8<<20); took != want {
+			t.Errorf("setup took %v, want %v: the 8 MiB that were not pinned yet and nothing else", took, want)
+		}
+		for fx.pr.pinned < fx.pr.avail {
+			p.Sleep(100 * time.Microsecond)
+		}
+		// The warmer pinned 4 chunks less the set-up's 8 MiB.
+		if got, want := p.Now()-start, fx.chunkTime()*7/2; got < want || got > want+100*time.Microsecond {
+			t.Errorf("warm-up ended after %v, want %v: no byte pinned twice", got, want)
+		}
+		if fx.pr.avail != cfg.LendableMem-size {
+			t.Errorf("avail = %d", fx.pr.avail)
+		}
+	})
+}
+
+// What a daemon pinned dies with it: the restarted one starts cold and warms
+// up from nothing, and the old warmer does not run on.
+func TestRestartMidWarmUpStartsCold(t *testing.T) {
+	cfg := testCfg()
+	cfg.LendableMem = 4 * warmChunk
+	fx := newFixture(11, cfg)
+	fx.run(t, func(p *simnet.Proc) {
+		p.Sleep(fx.chunkTime() * 3 / 2)
+		old := fx.pr
+		if old.pinned != warmChunk {
+			t.Fatalf("%d bytes pinned after a chunk and a half, want one chunk", old.pinned)
+		}
+		fx.pNode.Crash()
+		fx.pNode.Restart()
+		pr, err := Start(p, fx.svc, fx.fabric, fx.pNode, fx.cfg)
+		if err != nil {
+			t.Fatalf("restart: %v", err)
+		}
+		fx.pr = pr
+		if pr.pinned != 0 {
+			t.Errorf("restarted daemon starts with %d bytes pinned", pr.pinned)
+		}
+		cold := timed(p, func() { pr.onSetup(p, SetupReq{App: "a1", File: "wal", Size: 1 << 20, Epoch: 1}) }) //nolint:errcheck
+		if want := fx.cfg.SetupCPU + fx.fabric.RegisterCost(1<<20); cold != want {
+			t.Errorf("setup on the restarted daemon took %v, want a full registration, %v", cold, want)
+		}
+		p.Sleep(4 * fx.chunkTime())
+		if old.pinned != warmChunk {
+			t.Errorf("the crashed daemon's warmer ran on: %d bytes pinned", old.pinned)
+		}
+		if pr.pinned != pr.avail {
+			t.Errorf("restarted daemon has %d of %d idle bytes pinned after a full warm-up", pr.pinned, pr.avail)
+		}
+	})
+}
+
+// Revoke, the switch that retires a region, and the GC of a staging nobody
+// switched in all give their bytes back pinned: once the warmer is done no
+// idle byte is ever cold again, and a set-up of everything the peer lends is
+// a bind.
+func TestFreedBytesStayPinned(t *testing.T) {
+	cfg := testCfg()
+	cfg.GCInterval = 300 * time.Millisecond
+	cfg.GCGrace = 600 * time.Millisecond
+	fx := newFixture(12, cfg)
+	fx.run(t, func(p *simnet.Proc) {
+		mustStage := func() AllocStagingResp {
+			st, err := fx.pr.onAllocStaging(p, AllocStagingReq{App: "a1", File: "wal", Size: 1 << 20, Epoch: 1})
+			if err != nil {
+				t.Fatalf("staging: %v", err)
+			}
+			return st
+		}
+		fx.pr.onSetup(p, SetupReq{App: "a1", File: "wal", Size: 1 << 20, Epoch: 1})                    //nolint:errcheck
+		controller.NewClient(fx.svc, fx.app, "a1", 0).SetAppFile(p, "a1", "wal", controller.FileEntry{ //nolint:errcheck
+			Peers: []string{"peerA"}, Epoch: 2, RegionSize: 1 << 20,
+		}, 0)
+		st := mustStage()
+		mustStage() // abandoned
+		if err := fx.pr.onCommitSwitch(p, CommitSwitchReq{App: "a1", File: "wal", StagingID: st.StagingID, Epoch: 2}); err != nil {
+			t.Fatalf("switch: %v", err)
+		}
+		p.Sleep(cfg.GCGrace + 2*cfg.GCInterval)
+		if !fx.pr.Revoke(p, "a1", "wal") {
+			t.Fatal("nothing to revoke")
+		}
+		if fx.pr.avail != cfg.LendableMem || fx.pr.pinned != fx.pr.avail || len(fx.pr.staging) != 0 {
+			t.Fatalf("avail %d, pinned %d, %d stagings: want all %d bytes idle and pinned",
+				fx.pr.avail, fx.pr.pinned, len(fx.pr.staging), cfg.LendableMem)
+		}
+		all := timed(p, func() { fx.pr.onSetup(p, SetupReq{App: "a2", File: "all", Size: cfg.LendableMem, Epoch: 1}) }) //nolint:errcheck
+		if all != fx.warmSetup() {
+			t.Errorf("setup of all lendable memory took %v, want %v", all, fx.warmSetup())
+		}
+	})
+}
+
+// A registration that fails because the NIC went down under it puts back
+// what it took, pinned bytes as pinned.
+func TestNICDownMidSetupLeaksNothing(t *testing.T) {
+	cfg := testCfg()
+	cfg.LendableMem = 4 * warmChunk
+	fx := newFixture(13, cfg)
+	fx.run(t, func(p *simnet.Proc) {
+		p.Sleep(fx.chunkTime() * 3 / 2)
+		fx.sim.Go("crash", func(cp *simnet.Proc) {
+			cp.Sleep(time.Millisecond)
+			fx.pNode.Crash()
+		})
+		// From the test's proc, which the crash does not kill.
+		if _, err := fx.pr.newRegion(p, warmChunk+8<<20, 1); !errors.Is(err, rdma.ErrNICDown) {
+			t.Fatalf("registration across a crash: %v", err)
+		}
+		if fx.pr.avail != cfg.LendableMem || fx.pr.pinned != warmChunk {
+			t.Errorf("avail %d, pinned %d after the failed set-up, want %d and the one chunk", fx.pr.avail, fx.pr.pinned, cfg.LendableMem)
 		}
 	})
 }
@@ -284,9 +475,8 @@ func TestGCFreesOrphansKeepsCurrent(t *testing.T) {
 
 // An application that dies between AllocStaging and CommitSwitch abandons
 // its staging region. Nothing will ever switch it in, so the GC reclaims it
-// by age: the memory is lendable again and the pinned region is back in the
-// recycle pool. A staging younger than the grace period — a catch-up still
-// writing into it — is left alone.
+// by age: the memory is lendable again, still pinned. A staging younger than
+// the grace period — a catch-up still writing into it — is left alone.
 func TestGCReclaimsAbandonedStaging(t *testing.T) {
 	cfg := testCfg()
 	cfg.GCInterval = 300 * time.Millisecond
@@ -302,9 +492,6 @@ func TestGCReclaimsAbandonedStaging(t *testing.T) {
 		young, err := call[AllocStagingResp](fx, p, AllocStagingReq{App: "a1", File: "wal", Size: 1 << 20, Epoch: 1})
 		if err != nil {
 			t.Fatalf("staging after the sweep: %v", err)
-		}
-		if fx.pr.Recycles != 1 {
-			t.Errorf("recycles = %d, want the fourth staging on a reclaimed pinned region", fx.pr.Recycles)
 		}
 		p.Sleep(cfg.GCInterval)
 		if got := fx.pr.Avail(); got != 7<<20 || len(fx.pr.staging) != 1 {

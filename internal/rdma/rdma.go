@@ -105,10 +105,19 @@ func NewFabric(s *simnet.Sim, p Params) *Fabric {
 // Params returns the fabric cost model.
 func (f *Fabric) Params() Params { return f.params }
 
-// RegisterCost is what registering a memory region of size bytes takes:
-// pinning its pages and programming the NIC.
+// Registration is pin + bind: pinning pages costs bytes/RegBandwidth, and
+// binding a region to the NIC costs RegFixed when any of it had to be pinned
+// on the way and RegFixed/10 (rkey programming only) when none had.
+
+// pinCost is what pinning bytes of memory takes.
+func (f *Fabric) pinCost(bytes int64) time.Duration {
+	return time.Duration(float64(bytes) / f.params.RegBandwidth * float64(time.Second))
+}
+
+// RegisterCost is what registering a memory region of size bytes takes when
+// none of it is pinned yet: pinning its pages and programming the NIC.
 func (f *Fabric) RegisterCost(size int64) time.Duration {
-	return f.params.RegFixed + time.Duration(float64(size)/f.params.RegBandwidth*float64(time.Second))
+	return f.params.RegFixed + f.pinCost(size)
 }
 
 // NIC is a node's RDMA adapter. Crash of the node takes the NIC down,
@@ -146,23 +155,31 @@ type MR struct {
 	valid bool
 }
 
-// RegisterMR registers buf with the NIC, paying the pinning cost, and
-// returns the region. The caller (a log peer's setup path, typically) runs
-// on the NIC's node.
-func (n *NIC) RegisterMR(p *simnet.Proc, buf []byte) (*MR, error) {
-	if !n.up {
-		return nil, ErrNICDown
+// RegisterMR registers buf with the NIC and returns the region. cold is how
+// many of buf's bytes are not pinned yet: all of them costs RegisterCost, none
+// what RefreshMR always cost. The caller (a log peer's setup path, typically)
+// runs on the NIC's node.
+func (n *NIC) RegisterMR(p *simnet.Proc, buf []byte, cold int64) (*MR, error) {
+	mr := &MR{nic: n, buf: buf}
+	if err := n.RefreshMR(p, mr, cold); err != nil {
+		return nil, err
 	}
-	sp := p.StartSpan("rdma", "register", trace.Int("bytes", int64(len(buf))))
-	defer p.EndSpan(sp)
-	p.Sleep(n.fabric.RegisterCost(int64(len(buf))))
-	if !n.up {
-		return nil, ErrNICDown
-	}
-	n.fabric.nextKey++
-	mr := &MR{nic: n, buf: buf, rkey: n.fabric.nextKey, valid: true}
-	n.mrs[mr.rkey] = mr
 	return mr, nil
+}
+
+// Pin pins bytes of the node's memory ahead of any registration, so that a
+// later one finds them pinned (a peer warming its lendable memory).
+func (n *NIC) Pin(p *simnet.Proc, bytes int64) error {
+	if !n.up {
+		return ErrNICDown
+	}
+	sp := p.StartSpan("rdma", "pin", trace.Int("bytes", bytes))
+	defer p.EndSpan(sp)
+	p.Sleep(n.fabric.pinCost(bytes))
+	if !n.up {
+		return ErrNICDown
+	}
+	return nil
 }
 
 // RKey returns the remote key granting access to the region.
@@ -179,20 +196,25 @@ func (mr *MR) Invalidate() {
 	delete(mr.nic.mrs, mr.rkey)
 }
 
-// RefreshMR re-arms a previously invalidated region under a fresh rkey
-// without re-pinning its memory — the recycling path of §4.3 ("the peers
-// ... invalidate the keys and recycle the memory region for future use").
-// It costs a fraction of a full registration (rkey programming only).
-func (n *NIC) RefreshMR(p *simnet.Proc, mr *MR) error {
+// RefreshMR arms a region — a new one, or one invalidated before (§4.3: "the
+// peers ... invalidate the keys and recycle the memory region for future
+// use") — under a fresh rkey, pinning the cold bytes it is told are not
+// pinned yet. With none it is rkey programming only, a "refresh" span;
+// otherwise a "register" span.
+func (n *NIC) RefreshMR(p *simnet.Proc, mr *MR, cold int64) error {
 	if !n.up {
 		return ErrNICDown
 	}
 	if mr.nic != n {
 		return ErrRemoteAccess
 	}
-	sp := p.StartSpan("rdma", "refresh", trace.Int("bytes", int64(len(mr.buf))))
+	op, cost := "refresh", n.fabric.params.RegFixed/10
+	if cold > 0 {
+		op, cost = "register", n.fabric.RegisterCost(cold)
+	}
+	sp := p.StartSpan("rdma", op, trace.Int("bytes", int64(len(mr.buf))))
 	defer p.EndSpan(sp)
-	p.Sleep(n.fabric.params.RegFixed / 10)
+	p.Sleep(cost)
 	if !n.up {
 		return ErrNICDown
 	}

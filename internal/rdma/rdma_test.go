@@ -43,7 +43,7 @@ func TestWriteReadRoundtrip(t *testing.T) {
 	var mr *MR
 	fx.peer.Go("setup", func(p *simnet.Proc) {
 		var err error
-		mr, err = fx.prNIC.RegisterMR(p, region)
+		mr, err = fx.prNIC.RegisterMR(p, region, int64(len(region)))
 		if err != nil {
 			t.Errorf("register: %v", err)
 		}
@@ -81,7 +81,7 @@ func TestSQOrderingAndCompletionOrder(t *testing.T) {
 	fx := newFixture(t)
 	region := make([]byte, 1<<20)
 	var mr *MR
-	fx.peer.Go("setup", func(p *simnet.Proc) { mr, _ = fx.prNIC.RegisterMR(p, region) })
+	fx.peer.Go("setup", func(p *simnet.Proc) { mr, _ = fx.prNIC.RegisterMR(p, region, int64(len(region))) })
 	fx.app.Go("writer", func(p *simnet.Proc) {
 		p.Sleep(10 * time.Millisecond)
 		cq := NewCQ(fx.sim)
@@ -106,7 +106,7 @@ func TestWriteLatencyModel(t *testing.T) {
 	fx := newFixture(t)
 	region := make([]byte, 4096)
 	var mr *MR
-	fx.peer.Go("setup", func(p *simnet.Proc) { mr, _ = fx.prNIC.RegisterMR(p, region) })
+	fx.peer.Go("setup", func(p *simnet.Proc) { mr, _ = fx.prNIC.RegisterMR(p, region, int64(len(region))) })
 	fx.app.Go("writer", func(p *simnet.Proc) {
 		p.Sleep(10 * time.Millisecond)
 		cq := NewCQ(fx.sim)
@@ -127,7 +127,7 @@ func TestRemoteCrashErrorsAndFlushesQP(t *testing.T) {
 	fx := newFixture(t)
 	region := make([]byte, 4096)
 	var mr *MR
-	fx.peer.Go("setup", func(p *simnet.Proc) { mr, _ = fx.prNIC.RegisterMR(p, region) })
+	fx.peer.Go("setup", func(p *simnet.Proc) { mr, _ = fx.prNIC.RegisterMR(p, region, int64(len(region))) })
 	fx.app.Go("writer", func(p *simnet.Proc) {
 		p.Sleep(10 * time.Millisecond)
 		cq := NewCQ(fx.sim)
@@ -158,7 +158,7 @@ func TestCrashedPeerLosesRegistrations(t *testing.T) {
 	fx := newFixture(t)
 	region := make([]byte, 64)
 	var mr *MR
-	fx.peer.Go("setup", func(p *simnet.Proc) { mr, _ = fx.prNIC.RegisterMR(p, region) })
+	fx.peer.Go("setup", func(p *simnet.Proc) { mr, _ = fx.prNIC.RegisterMR(p, region, int64(len(region))) })
 	fx.app.Go("test", func(p *simnet.Proc) {
 		p.Sleep(10 * time.Millisecond)
 		fx.peer.Crash()
@@ -184,7 +184,7 @@ func TestInvalidateRevokesAccess(t *testing.T) {
 	fx := newFixture(t)
 	region := make([]byte, 64)
 	var mr *MR
-	fx.peer.Go("setup", func(p *simnet.Proc) { mr, _ = fx.prNIC.RegisterMR(p, region) })
+	fx.peer.Go("setup", func(p *simnet.Proc) { mr, _ = fx.prNIC.RegisterMR(p, region, int64(len(region))) })
 	fx.app.Go("test", func(p *simnet.Proc) {
 		p.Sleep(10 * time.Millisecond)
 		cq := NewCQ(fx.sim)
@@ -202,7 +202,7 @@ func TestBoundsChecking(t *testing.T) {
 	fx := newFixture(t)
 	region := make([]byte, 64)
 	var mr *MR
-	fx.peer.Go("setup", func(p *simnet.Proc) { mr, _ = fx.prNIC.RegisterMR(p, region) })
+	fx.peer.Go("setup", func(p *simnet.Proc) { mr, _ = fx.prNIC.RegisterMR(p, region, int64(len(region))) })
 	fx.app.Go("test", func(p *simnet.Proc) {
 		p.Sleep(10 * time.Millisecond)
 		cq := NewCQ(fx.sim)
@@ -219,7 +219,7 @@ func TestPartitionCausesTransportError(t *testing.T) {
 	fx := newFixture(t)
 	region := make([]byte, 64)
 	var mr *MR
-	fx.peer.Go("setup", func(p *simnet.Proc) { mr, _ = fx.prNIC.RegisterMR(p, region) })
+	fx.peer.Go("setup", func(p *simnet.Proc) { mr, _ = fx.prNIC.RegisterMR(p, region, int64(len(region))) })
 	fx.app.Go("test", func(p *simnet.Proc) {
 		p.Sleep(10 * time.Millisecond)
 		cq := NewCQ(fx.sim)
@@ -258,12 +258,12 @@ func TestRegistrationCostScalesWithSize(t *testing.T) {
 	var small, large time.Duration
 	fx.peer.Go("reg", func(p *simnet.Proc) {
 		start := p.Now()
-		if _, err := fx.prNIC.RegisterMR(p, make([]byte, 4096)); err != nil {
+		if _, err := fx.prNIC.RegisterMR(p, make([]byte, 4096), 4096); err != nil {
 			t.Errorf("register small: %v", err)
 		}
 		small = p.Now() - start
 		start = p.Now()
-		if _, err := fx.prNIC.RegisterMR(p, make([]byte, 60<<20)); err != nil {
+		if _, err := fx.prNIC.RegisterMR(p, make([]byte, 60<<20), 60<<20); err != nil {
 			t.Errorf("register large: %v", err)
 		}
 		large = p.Now() - start
@@ -276,6 +276,37 @@ func TestRegistrationCostScalesWithSize(t *testing.T) {
 	if large < 30*time.Millisecond || large > 90*time.Millisecond {
 		t.Errorf("60MB registration = %v, want ~52ms", large)
 	}
+}
+
+// Registration is pin + bind: bytes pinned ahead of it (NIC.Pin) are not
+// paid for again, a registration that pins nothing is rkey programming only,
+// and pinning everything ahead costs what the cold registration pinned.
+func TestRegistrationPaysOnlyForColdBytes(t *testing.T) {
+	fx := newFixture(t)
+	pm := DefaultParams()
+	const size = 6 << 20
+	fx.peer.Go("reg", func(p *simnet.Proc) {
+		took := func(fn func() error) time.Duration {
+			start := p.Now()
+			if err := fn(); err != nil {
+				t.Errorf("register: %v", err)
+			}
+			return p.Now() - start
+		}
+		register := func(cold int64) func() error {
+			return func() error { _, err := fx.prNIC.RegisterMR(p, make([]byte, size), cold); return err }
+		}
+		cold, part, warm := took(register(size)), took(register(size/4)), took(register(0))
+		pin := took(func() error { return fx.prNIC.Pin(p, size) })
+		if cold != fx.fabric.RegisterCost(size) || part != fx.fabric.RegisterCost(size/4) || warm != pm.RegFixed/10 {
+			t.Errorf("cold %v, a quarter cold %v, warm %v; want %v, %v, %v",
+				cold, part, warm, fx.fabric.RegisterCost(size), fx.fabric.RegisterCost(size/4), pm.RegFixed/10)
+		}
+		if pin+pm.RegFixed != cold {
+			t.Errorf("pin %v + RegFixed %v != cold registration %v", pin, pm.RegFixed, cold)
+		}
+	})
+	run(t, fx.sim)
 }
 
 // Property: any sequence of writes to random offsets is reflected exactly in
@@ -299,7 +330,7 @@ func TestQuickWritesApplyInOrder(t *testing.T) {
 		shadow := make([]byte, 1<<17)
 		var mr *MR
 		okAll := true
-		peer.Go("setup", func(p *simnet.Proc) { mr, _ = prNIC.RegisterMR(p, region) })
+		peer.Go("setup", func(p *simnet.Proc) { mr, _ = prNIC.RegisterMR(p, region, int64(len(region))) })
 		app.Go("writer", func(p *simnet.Proc) {
 			p.Sleep(10 * time.Millisecond)
 			cq := NewCQ(s)
