@@ -149,11 +149,8 @@ func TestGatesHaveTeeth(t *testing.T) {
 // -run TestFig10KVShape` runs that entry alone and prints its table. Beside
 // TestRegistry they run nothing a second time.
 func TestTable1Shape(t *testing.T)            { verdict(t, "table1") }
-func TestFig1dShape(t *testing.T)             { verdict(t, "fig1d") }
-func TestFig8Shape(t *testing.T)              { verdict(t, "fig8") }
 func TestFig9LitedbShape(t *testing.T)        { verdict(t, "fig9") }
 func TestFig10KVShape(t *testing.T)           { verdict(t, "fig10") }
-func TestFig11aShape(t *testing.T)            { verdict(t, "fig11a") }
 func TestAblateReplicationShape(t *testing.T) { verdict(t, "ablate-repl") }
 func TestAblateSplitShape(t *testing.T)       { verdict(t, "ablate-split") }
 func TestAblateNoLogShape(t *testing.T)       { verdict(t, "ablate-nolog") }

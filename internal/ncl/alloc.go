@@ -2,6 +2,7 @@ package ncl
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -183,33 +184,45 @@ func (l *Lib) pick(lg *Log, held []*peerConn, cands []controller.PeerInfo, n int
 // ones stay registered for the caller's teardown to close. With live set — a replacement under running writes —
 // the registry read and the set-up are bracketed by Table 3's
 // "replace.getpeer" and "replace.connect" spans.
-func (l *Lib) allocate(p *simnet.Proc, lg *Log, slots []int, exclude []string, epoch int64, live bool) ([]*peerConn, error) {
+//
+// A spare group (an open that took one, see spare.go) is wave 0's candidate
+// source instead of the registry: each slot it holds a member for is set up
+// there, recycling that member's region, and the holes wait for wave 1 with
+// the slots whose member failed.
+func (l *Lib) allocate(p *simnet.Proc, lg *Log, slots []int, exclude []string, epoch int64, live bool, spare *spareGroup) ([]*peerConn, error) {
 	tried := append(append([]string(nil), exclude...), l.suspectNames(p.Now())...)
 	var pcs []*peerConn
 	for wave := 0; wave < l.cfg.SetupRetries; wave++ {
-		sp := replaceSpan(p, live, "replace.getpeer")
-		peers, fresh, err := l.registry(p)
-		p.EndSpan(sp)
-		if err != nil {
-			return nil, fmt.Errorf("ncl: list peers: %w", err)
-		}
-		cands := l.pick(lg, pcs, eligible(peers, tried, lg.regionSize()), len(slots))
-		if len(cands) < len(slots) {
-			if fresh {
-				return nil, ErrNoPeers
+		var cands []controller.PeerInfo
+		var again []int // the slots the next wave gets
+		recycle := ""
+		if wave == 0 && spare != nil {
+			cands, slots, again = spare.candidates(slots, tried)
+			recycle = spare.name
+		} else {
+			sp := replaceSpan(p, live, "replace.getpeer")
+			peers, fresh, err := l.registry(p)
+			p.EndSpan(sp)
+			if err != nil {
+				return nil, fmt.Errorf("ncl: list peers: %w", err)
 			}
-			// Newly registered capacity may be hidden by a stale cache.
-			l.reg.peers = nil
-			continue
+			cands = l.pick(lg, pcs, eligible(peers, tried, lg.regionSize()), len(slots))
+			if len(cands) < len(slots) {
+				if fresh {
+					return nil, ErrNoPeers
+				}
+				// Newly registered capacity may be hidden by a stale cache.
+				l.reg.peers = nil
+				continue
+			}
 		}
-		sp = replaceSpan(p, live, "replace.connect")
+		sp := replaceSpan(p, live, "replace.connect")
 		got := make([]*peerConn, len(cands))
 		errs := fanOut(p, l, cands, func(fp *simnet.Proc, i int, cand controller.PeerInfo) (err error) {
-			got[i], err = l.connectPeer(fp, lg, cand, slots[i], epoch)
+			got[i], err = l.connectPeer(fp, lg, cand, slots[i], epoch, recycle)
 			return err
 		})
 		p.EndSpan(sp)
-		var again []int
 		for i, cand := range cands {
 			tried = append(tried, cand.Name)
 			if errs[i] != nil {
@@ -221,6 +234,7 @@ func (l *Lib) allocate(p *simnet.Proc, lg *Log, slots []int, exclude []string, e
 			lg.registerConn(got[i])
 			pcs = append(pcs, got[i])
 		}
+		slices.Sort(again)
 		if slots = again; len(slots) == 0 {
 			return pcs, nil
 		}
@@ -237,15 +251,15 @@ func replaceSpan(p *simnet.Proc, live bool, op string) *trace.Span {
 	return p.StartSpan("ncl", op)
 }
 
-// connectPeer asks one candidate to set up a region for slot and connects a
-// QP. The setup timeout scales with the region size: registration pins
-// memory at the fabric's registration bandwidth, so large regions
-// legitimately take hundreds of ms — allow 2x what the fabric says it costs
-// plus an RPC base.
-func (l *Lib) connectPeer(p *simnet.Proc, lg *Log, cand controller.PeerInfo, slot int, epoch int64) (*peerConn, error) {
+// connectPeer asks one candidate to set up a region for slot — taking over its
+// region of the released file recycle, if one is named — and connects a QP.
+// The setup timeout scales with the region size: registration pins memory at
+// the fabric's registration bandwidth, so large regions legitimately take
+// hundreds of ms — allow 2x what the fabric says it costs plus an RPC base.
+func (l *Lib) connectPeer(p *simnet.Proc, lg *Log, cand controller.PeerInfo, slot int, epoch int64, recycle string) (*peerConn, error) {
 	timeout := 200*time.Millisecond + 2*l.fabric.RegisterCost(lg.regionSize())
 	setup, err := wire.CallTimeout[peer.SetupResp](p, l.sim.Net(), l.node, cand.Addr, peer.SetupReq{
-		App: l.appID, File: lg.name, Size: lg.regionSize(), Epoch: epoch,
+		App: l.appID, File: lg.name, Size: lg.regionSize(), Epoch: epoch, Recycle: recycle,
 	}, timeout)
 	if err != nil {
 		return nil, err

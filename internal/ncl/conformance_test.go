@@ -172,6 +172,31 @@ func (e *conf) restored(p *simnet.Proc, l *Lib, lg *Log, epochBefore int64, vict
 	}
 }
 
+// heldByEntries checks that the ap-map holds exactly the files names (in
+// order) and that every live peer holds exactly the regions their entries
+// place on it — what is left once the peers' GC has swept.
+func (e *conf) heldByEntries(p *simnet.Proc, names ...string) {
+	l := e.lib(p, e.cfg)
+	if files, err := l.ListFiles(p); err != nil || !slices.Equal(files, names) {
+		e.t.Fatalf("files %v (%v), want %v", files, err, names)
+	}
+	want := map[string]int{}
+	for _, name := range names {
+		entry, _, err := l.lookup(p, name)
+		if err != nil {
+			e.t.Fatalf("lookup %s: %v", name, err)
+		}
+		for _, pn := range entry.Peers {
+			want[pn]++
+		}
+	}
+	for pn, pr := range e.c.peers {
+		if got := pr.Regions(); got != want[pn] && e.c.pNodes[pn].Alive() {
+			e.t.Fatalf("peer %s holds %d regions, the ap-map names it %d times", pn, got, want[pn])
+		}
+	}
+}
+
 // losePublishReply arms a one-shot fault: the moment the application next
 // proposes an ap-map write (a "controller" create or set span opens anywhere
 // but on a log peer, whose sets publish its free memory), every controller
@@ -300,22 +325,7 @@ var confScripts = []struct {
 			e.recover(p, name, nil)
 		}
 		p.Sleep(6 * time.Second) // GC interval + grace
-		l := e.lib(p, e.cfg)
-		want := map[string]int{}
-		for _, name := range names {
-			entry, _, err := l.lookup(p, name)
-			if err != nil {
-				e.t.Fatalf("lookup %s: %v", name, err)
-			}
-			for _, pn := range entry.Peers {
-				want[pn]++
-			}
-		}
-		for pn, pr := range e.c.peers {
-			if got := pr.Regions(); got != want[pn] && e.c.pNodes[pn].Alive() {
-				e.t.Fatalf("peer %s holds %d regions, the ap-map names it %d times", pn, got, want[pn])
-			}
-		}
+		e.heldByEntries(p, names...)
 	}},
 	{"peer crash under writes", func(e *conf, p *simnet.Proc) {
 		// Mirror and quorum ride the failure out on the surviving majority;
@@ -634,25 +644,32 @@ var confScripts = []struct {
 		}
 	}},
 	{"app crash mid-release", func(e *conf, p *simnet.Proc) {
-		// A file's life — set-up, appends, the unlink — cut short before every
-		// dispatch of the application node (the unlink alone is 8 of them, 14
-		// under ec) leaves either no file or a whole one that holds what was
-		// acknowledged: never an ap-map entry whose regions are gone, which no
-		// later instance could recover or get past. A record is 12 dispatches
-		// when it is one work request a member (quorum) and some 21 when it is
-		// six in all (mirror, ec): enough of them for a life of 170.
-		appends := map[PolicyKind]int{PolicyMirror: 8, PolicyEC: 6, PolicyQuorum: 12}[e.spec.Kind]
+		// A file's life — set-up, appends, the unlink, then its successor's
+		// open on the regions it parked, a record and the successor's unlink —
+		// cut short before every dispatch of the application node leaves no
+		// file or one whole file that holds what was acknowledged: never an
+		// ap-map entry whose regions are gone, which no later instance could
+		// recover or get past. A record is 12 dispatches when it is one work
+		// request a member (quorum) and some 21 when it is six in all (mirror,
+		// ec): enough of them for a life of about 200.
+		appends := map[PolicyKind]int{PolicyMirror: 7, PolicyEC: 5, PolicyQuorum: 11}[e.spec.Kind]
 		e.capacity = 64 << 10
 		simnet.CutLadder(e.t.Logf, ladderSeed, ladderDense, func(k int) bool {
-			name := fmt.Sprintf("wal-%d", k)
+			name, next := fmt.Sprintf("wal-%d", k), fmt.Sprintf("wal-%d-next", k)
 			var inflight []byte
 			if e.c.appNode.RunCut(p, k, func(ap *simnet.Proc) {
-				lg := e.open(ap, e.lib(ap, e.cfg), name)
+				l := e.lib(ap, e.cfg)
+				lg := e.open(ap, l, name)
 				for i := 0; i < appends; i++ {
 					inflight = e.rec(name)
 					e.append(ap, lg, 1)
 					inflight = nil
 				}
+				lg.Release(ap) //nolint:errcheck
+				lg = e.open(ap, l, next)
+				inflight = e.rec(next)
+				e.append(ap, lg, 1)
+				inflight = nil
 				lg.Release(ap) //nolint:errcheck
 			}) || e.t.Failed() {
 				return true
@@ -669,8 +686,11 @@ var confScripts = []struct {
 				}
 				return false
 			}
+			if len(files) > 1 {
+				e.t.Fatalf("cut %d: files %v, want the one the cut left", k, files)
+			}
 			e.crashApp(p)
-			if err := e.recover(p, name, inflight).Release(p); err != nil {
+			if err := e.recover(p, files[0], inflight).Release(p); err != nil {
 				e.t.Fatalf("cut %d: release after recovery: %v", k, err)
 			}
 			return false
@@ -683,6 +703,73 @@ var confScripts = []struct {
 				e.t.Fatalf("peer %s still holds %d regions", name, pr.Regions())
 			}
 		}
+	}},
+	{"app crash with a spare parked", func(e *conf, p *simnet.Proc) {
+		// The released log's regions outlive the application that parked them,
+		// named by no ap-map entry: once the GC's grace has passed, every peer
+		// holds exactly the regions of the files that are left.
+		l := e.lib(p, e.cfg)
+		e.append(p, e.open(p, l, "wal-kept"), 3)
+		lg := e.open(p, l, "wal")
+		e.append(p, lg, 3)
+		if err := lg.Release(p); err != nil || l.spare == nil {
+			e.t.Fatalf("release: %v, spare %v", err, l.spare)
+		}
+		e.crashApp(p)
+		p.Sleep(e.c.peerCfg.GCInterval + e.c.peerCfg.GCGrace + time.Millisecond)
+		e.heldByEntries(p, "wal-kept")
+		e.recover(p, "wal-kept", nil)
+	}},
+	{"spare member crashed while parked", func(e *conf, p *simnet.Proc) {
+		// The open that takes the spare finds one member dead: its set-up
+		// fails, and that slot alone goes to the registry's wave.
+		l := e.lib(p, e.cfg)
+		lg := e.open(p, l, "wal-1")
+		e.append(p, lg, 3)
+		if err := lg.Release(p); err != nil {
+			e.t.Fatalf("release: %v", err)
+		}
+		spare := lg.peerNames()
+		victim := spare[1]
+		e.crashPeers(victim)
+		lg = e.open(p, l, "wal-2")
+		for slot, pn := range lg.peerNames() {
+			if (slot == 1) == (pn == spare[slot]) {
+				e.t.Fatalf("open on %v after the spare %v lost %s: want every slot but 1 on the spare", lg.peerNames(), spare, victim)
+			}
+		}
+		e.append(p, lg, 5)
+		e.crashApp(p)
+		e.recover(p, "wal-2", nil)
+	}},
+	{"spare's name re-created at another size", func(e *conf, p *simnet.Proc) {
+		// A spare parked under "wal" and a new "wal" of another shape: the new
+		// file must not leave the spare naming it, or the next open of the
+		// spare's shape recycles — frees — the new file's regions. Only the
+		// spare's members are left alive, so the new "wal" lands on them.
+		l := e.lib(p, e.cfg)
+		lg := e.open(p, l, "wal")
+		e.append(p, lg, 3)
+		members := lg.LivePeers()
+		if err := lg.Release(p); err != nil {
+			e.t.Fatalf("release: %v", err)
+		}
+		var others []string
+		for name := range e.c.pNodes {
+			if !slices.Contains(members, name) {
+				others = append(others, name)
+			}
+		}
+		slices.Sort(others)
+		e.crashPeers(others...)
+		e.acked["wal"] = nil
+		size := e.capacity
+		e.capacity = 2 * size
+		e.append(p, e.open(p, l, "wal"), 5)
+		e.capacity = size
+		e.open(p, l, "wal-2")
+		e.crashApp(p)
+		e.recover(p, "wal", nil)
 	}},
 	{"app crash mid-staging", func(e *conf, p *simnet.Proc) {
 		// A recovery cut short at any point abandons what it held on the peers

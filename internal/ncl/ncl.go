@@ -94,6 +94,10 @@ type Lib struct {
 
 	// reg is the cached controller peer list (see alloc.go).
 	reg peerRegistry
+
+	// spare is the last released log's group, parked for the next open of
+	// its shape (spare.go); nil when there is none.
+	spare *spareGroup
 }
 
 func (l *Lib) markSuspect(name string, now time.Duration) {
@@ -325,7 +329,8 @@ func (l *Lib) newLog(name string, spec PolicySpec, capacity int64, appendOnly bo
 
 // Open creates a new ncl file of the given capacity: it obtains the
 // policy's peer group from the controller (2f+1 for mirror/quorum, k+m for
-// ec), sets up a memory region on each, and records the allocation — peers,
+// ec) — or takes the group a released log of the same shape left parked —
+// sets up a memory region on each, and records the allocation — peers,
 // epoch, and policy — in the ap-map (§4.3, Fig 4). The returned Log is
 // empty. Capacity 0 means the configured default (Config.DefaultRegionSize).
 // appendOnly declares that the file is never overwritten in place, which
@@ -339,7 +344,7 @@ func (l *Lib) Open(p *simnet.Proc, name string, capacity int64, appendOnly bool)
 	defer p.EndSpan(sp)
 	lg := l.newLog(name, l.policy, capacity, appendOnly, 1, 0)
 	lg.peers = make([]*peerConn, lg.place.Slots)
-	pcs, err := l.allocate(p, lg, lg.vacant(p), nil, lg.epoch, false)
+	pcs, err := l.allocate(p, lg, lg.vacant(p), nil, lg.epoch, false, l.takeSpare(p, lg))
 	if err != nil {
 		lg.teardown(p)
 		return nil, err
@@ -631,8 +636,9 @@ func (lg *Log) ReadAt(p *simnet.Proc, buf []byte, off int64) (int, error) {
 
 // Release frees the log's resources everywhere: the paper's `release` call,
 // invoked when the application deletes the ncl file after a checkpoint or
-// compaction (§4.3). The ap-map entry is removed, the peer regions released,
-// and the local state reset.
+// compaction (§4.3). The ap-map entry is removed, the peer regions parked as
+// the lib's spare group for the next open of the log's shape, and the local
+// state reset.
 func (lg *Log) Release(p *simnet.Proc) error {
 	sp := p.StartSpan("ncl", "release", trace.Str("file", lg.name))
 	defer p.EndSpan(sp)
@@ -646,10 +652,10 @@ func (lg *Log) Release(p *simnet.Proc) error {
 	}
 	lg.released = true
 	lg.ackCond.Broadcast(p)
-	names := lg.peerNames()
+	spare := lg.spare()
 	lg.mu.Unlock(p)
 
-	err := lg.lib.release(p, lg.name, names)
+	err := lg.lib.release(p, lg.name, nil, spare)
 	// Local teardown happens regardless of the ap-map outcome: the poller
 	// and repair procs must die and the lib must forget the log even when
 	// the delete proposal times out on a saturated controller, or every
@@ -674,7 +680,7 @@ func (l *Lib) ReleaseByName(p *simnet.Proc, name string) error {
 	if err != nil {
 		return err
 	}
-	return l.release(p, name, entry.Peers)
+	return l.release(p, name, entry.Peers, nil)
 }
 
 // lookup reads name's ap-map entry and version: the one controller round
@@ -694,24 +700,37 @@ func (l *Lib) lookup(p *simnet.Proc, name string) (controller.FileEntry, int64, 
 
 // release frees an ncl file's remote state — the one place that does. The
 // ap-map delete is the commit point: only once the entry is gone are the
-// peers holding the regions told to release them — all at once, and waited
-// for, so that each has recycled its region before the caller's next set-up
-// can reach it (best effort: a dead peer's allocation, or every region if the
-// application crashes right here, goes to the peers' epoch GC). The other
-// order could leave an entry whose regions are gone, which no later instance
-// can recover or get past. If the delete fails, entry and regions both stay
-// and the file remains recoverable.
-func (l *Lib) release(p *simnet.Proc, name string, peers []string) error {
+// regions let go of: a log this lib held parks them as the spare group park,
+// and the spare it displaces is freed instead; the regions of an entry it did
+// not hold are freed. The other order could leave an entry whose regions are gone,
+// which no later instance can recover or get past. If the delete fails, entry
+// and regions both stay and the file remains recoverable.
+func (l *Lib) release(p *simnet.Proc, name string, peers []string, park *spareGroup) error {
 	if err := l.ctrl.DeleteAppFile(p, l.appID, name); err != nil {
 		return fmt.Errorf("ncl: ap-map delete: %w", err)
 	}
+	if park != nil {
+		displaced := l.spare
+		if l.spare = park; displaced == nil {
+			return nil
+		}
+		name, peers = displaced.name, displaced.names()
+	}
+	l.freeRegions(p, name, peers)
+	return nil
+}
+
+// freeRegions tells the peers holding name's regions to release them — all at
+// once, and waited for, so that each has its memory back before the caller's
+// next set-up can reach it (best effort: a dead peer's allocation, or every
+// region if the application crashes right here, goes to the peers' epoch GC).
+func (l *Lib) freeRegions(p *simnet.Proc, name string, peers []string) {
 	fanOut(p, l, peers, func(fp *simnet.Proc, _ int, pname string) error {
 		_, err := l.sim.Net().CallTimeout(fp, l.node, peer.Addr(pname), peer.ReleaseReq{
 			App: l.appID, File: name,
 		}.MarshalWire(), 10*time.Millisecond)
 		return err
 	})
-	return nil
 }
 
 // LivePeers returns the names of currently active, healthy peers (tests).

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -212,6 +214,8 @@ func TestSlowPeerDoesNotBlockMajority(t *testing.T) {
 	})
 }
 
+// Release removes the ap-map entry and parks the regions: every member keeps
+// its region as the lib's spare group, in slot order, and the log is gone.
 func TestReleaseFreesPeersAndApMap(t *testing.T) {
 	c := newCluster(4, 3, smallPeerCfg())
 	c.run(t, func(p *simnet.Proc) {
@@ -226,12 +230,12 @@ func TestReleaseFreesPeersAndApMap(t *testing.T) {
 			t.Fatalf("release: %v", err)
 		}
 		for _, pn := range members {
-			if c.peers[pn].Regions() != 0 {
-				t.Errorf("peer %s still holds a region after release", pn)
+			if _, ok := c.peers[pn].RegionBytes("app1", "wal"); !ok || c.peers[pn].Regions() != 1 {
+				t.Errorf("peer %s holds %d regions after release, want the parked one", pn, c.peers[pn].Regions())
 			}
-			if c.peers[pn].Avail() != smallPeerCfg().LendableMem {
-				t.Errorf("peer %s avail = %d, want full", pn, c.peers[pn].Avail())
-			}
+		}
+		if s := l.spare; s == nil || s.name != "wal" || !slices.Equal(s.names(), members) || s.region != lg.regionSize() {
+			t.Errorf("spare after release %+v, want wal on %v", s, members)
 		}
 		files, err := l.ListFiles(p)
 		if err != nil || len(files) != 0 {
@@ -323,32 +327,65 @@ func TestRecoverConnectPaysOneTimeout(t *testing.T) {
 	})
 }
 
-// Release tells every member at once and waits for all of them: a dead member
-// costs its one timeout, beside which the live members' releases run, and the
-// live members have their memory back when Release returns.
+// A release that parks is its ap-map delete and nothing else, and the open
+// that takes the spare is one set-up wave on its members: no registry list,
+// and no free-memory republication by a peer. A release that displaces a
+// spare frees it in one awaited wave: a dead member costs its one timeout,
+// beside which the live members' releases run, and the live members have its
+// memory back when Release returns.
 func TestReleaseIsOneAwaitedWave(t *testing.T) {
 	c := newCluster(53, 3, smallPeerCfg())
 	c.run(t, func(p *simnet.Proc) {
 		l := c.newLib(p, t, "app1", 0)
-		lg, err := l.Open(p, "wal", 1<<20, false)
-		if err != nil {
-			t.Fatalf("open: %v", err)
-		}
-		members := lg.LivePeers()
-		c.pNodes[members[0]].Crash()
-		cost, spans := c.timed(p, func() {
-			if err := lg.Release(p); err != nil {
-				t.Fatalf("release: %v", err)
+		open := func(name string) *Log {
+			lg, err := l.Open(p, name, 1<<20, false)
+			if err != nil {
+				t.Fatalf("open %s: %v", name, err)
 			}
+			return lg
+		}
+		release := func(lg *Log) (wave time.Duration) {
+			cost, spans := c.timed(p, func() {
+				if err := lg.Release(p); err != nil {
+					t.Fatalf("release %s: %v", lg.name, err)
+				}
+			})
+			return cost - trace.First(spans, "controller", "delete").Dur()
+		}
+		a, b := open("wal-a"), open("wal-b")
+		if wave := release(a); wave != 0 {
+			t.Errorf("parking release took %v beside its ap-map delete, want nothing", wave)
+		}
+		var c1 *Log
+		_, spans := c.timed(p, func() {
+			c1 = open("wal-c")
+			p.Sleep(time.Millisecond) // a peer's republication starts in the background
 		})
-		for _, pn := range members[1:] {
-			if c.peers[pn].Regions() != 0 || c.peers[pn].Avail() != smallPeerCfg().LendableMem {
-				t.Errorf("peer %s has not recycled its region when Release returns", pn)
+		if !slices.Equal(c1.LivePeers(), a.peerNames()) {
+			t.Errorf("open after release on %v, want the spare's %v in slot order", c1.LivePeers(), a.peerNames())
+		}
+		ctl := map[string]int{}
+		for _, sp := range trace.Filter(spans, "controller", "") {
+			if sp.Op != "keep-alive" {
+				ctl[sp.Node+"/"+sp.Op]++
 			}
 		}
-		del := trace.First(spans, "controller", "delete")
-		if wave := cost - del.Dur(); wave != 10*time.Millisecond {
-			t.Errorf("release took %v beside the %v ap-map delete, want the one 10ms timeout", wave, del.Dur())
+		if setups := len(trace.Filter(spans, "peer", "setup")); setups != 3 || !maps.Equal(ctl, map[string]int{"/create": 1}) {
+			t.Errorf("open on the spare: %d peer set-ups, controller commands %v; want 3 and one create", setups, ctl)
+		}
+
+		if release(b); l.spare == nil || l.spare.name != "wal-b" {
+			t.Fatalf("spare %+v, want wal-b's group", l.spare)
+		}
+		members := b.LivePeers()
+		c.pNodes[members[0]].Crash()
+		if wave := release(c1); wave != 10*time.Millisecond {
+			t.Errorf("displacing release took %v beside its ap-map delete, want the one 10ms timeout", wave)
+		}
+		for _, pn := range members[1:] {
+			if _, ok := c.peers[pn].RegionBytes("app1", "wal-b"); ok || c.peers[pn].Regions() != 1 {
+				t.Errorf("peer %s still holds the displaced spare's region when Release returns", pn)
+			}
 		}
 	})
 }

@@ -78,15 +78,18 @@ type SetupReq struct {
 	File  string
 	Size  int64
 	Epoch int64
+	// Recycle names a released file of the same application whose region
+	// this set-up takes over: it is freed first, if the peer still holds it.
+	Recycle string
 }
 
 func (r SetupReq) MarshalWire() wire.Msg {
-	return wire.Msg{Code: CodeSetup, S: [3]string{r.App, r.File},
+	return wire.Msg{Code: CodeSetup, S: [3]string{r.App, r.File, r.Recycle},
 		U: [4]uint64{uint64(r.Size), uint64(r.Epoch)}}
 }
 
 func (r *SetupReq) UnmarshalWire(m wire.Msg) error {
-	*r = SetupReq{App: m.S[0], File: m.S[1], Size: m.Int(0), Epoch: m.Int(1)}
+	*r = SetupReq{App: m.S[0], File: m.S[1], Size: m.Int(0), Epoch: m.Int(1), Recycle: m.S[2]}
 	return nil
 }
 
@@ -368,8 +371,22 @@ func (pr *Peer) handleRPC(p *simnet.Proc, m simnet.Msg) (simnet.Msg, error) {
 
 // onSetup allocates and registers a region for an ncl file (paper step 3).
 // This is the only heavyweight peer-CPU involvement, and it happens once
-// per file (or per replacement).
+// per file (or per replacement). A set-up that recycles a released file's
+// region frees that region first, so its bytes come back zeroed under a new
+// rkey and, being the same number, leave the free memory the controller was
+// told about as it was: the peer republishes only when the handler changed it.
 func (pr *Peer) onSetup(p *simnet.Proc, r SetupReq) (SetupResp, error) {
+	before := pr.avail
+	defer func() {
+		if pr.avail != before {
+			pr.publishAvail(p)
+		}
+	}()
+	if r.Recycle != "" {
+		if old, ok := pr.regions[regionKey{r.App, r.Recycle}]; ok {
+			pr.freeRegion(p, regionKey{r.App, r.Recycle}, old)
+		}
+	}
 	key := regionKey{r.App, r.File}
 	if old, ok := pr.regions[key]; ok {
 		if r.Epoch < old.epoch {
@@ -394,7 +411,6 @@ func (pr *Peer) onSetup(p *simnet.Proc, r SetupReq) (SetupResp, error) {
 		return SetupResp{}, err
 	}
 	pr.regions[key] = reg
-	pr.publishAvail(p)
 	return SetupResp{RKey: reg.mr.RKey()}, nil
 }
 

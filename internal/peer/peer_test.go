@@ -9,6 +9,7 @@ import (
 	"splitft/internal/controller"
 	"splitft/internal/rdma"
 	"splitft/internal/simnet"
+	"splitft/internal/trace"
 	"splitft/internal/wire"
 )
 
@@ -298,6 +299,124 @@ func TestRegionRecycling(t *testing.T) {
 				}
 			}
 			fx.pr.onRelease(p, ReleaseReq{App: "a1", File: file}) //nolint:errcheck
+		}
+	})
+}
+
+// publishes counts the free-memory republications the peer proposed while fn
+// ran, its background publisher procs given time to start.
+func (fx *fixture) publishes(p *simnet.Proc, fn func()) int {
+	col := trace.New()
+	fx.sim.SetTracer(col)
+	fn()
+	p.Sleep(time.Millisecond)
+	fx.sim.SetTracer(nil)
+	n := 0
+	for _, sp := range trace.Filter(col.Spans(), "controller", "set") {
+		if sp.Node == fx.pNode.Name() {
+			n++
+		}
+	}
+	return n
+}
+
+// setup asks the peer for a region and fails the test if it refuses.
+func (fx *fixture) setup(t *testing.T, p *simnet.Proc, r SetupReq) SetupResp {
+	t.Helper()
+	resp, err := call[SetupResp](fx, p, r)
+	if err != nil {
+		t.Fatalf("setup %+v: %v", r, err)
+	}
+	return resp
+}
+
+// A set-up that recycles a released file's region takes that region's bytes
+// over: the same number of bytes lent, so nothing for the controller to hear,
+// a bind (the bytes are pinned), a new rkey under which the old one writes
+// nothing, and a retry of it finds the region it made.
+func TestRecycleSetupKeepsAvailAndRetiresOldKey(t *testing.T) {
+	fx := newFixture(14, testCfg())
+	fx.run(t, func(p *simnet.Proc) {
+		old := fx.setup(t, p, SetupReq{App: "a1", File: "wal-1", Size: 1 << 20, Epoch: 1})
+		avail := fx.pr.Avail()
+		req := SetupReq{App: "a1", File: "wal-2", Size: 1 << 20, Epoch: 1, Recycle: "wal-1"}
+		var resp SetupResp
+		var took time.Duration
+		if n := fx.publishes(p, func() { took = timed(p, func() { resp = fx.setup(t, p, req) }) }); n != 0 {
+			t.Errorf("recycle set-up published free memory %d times, want none", n)
+		}
+		if fx.pr.Avail() != avail || fx.pr.Regions() != 1 {
+			t.Errorf("avail %d with %d regions after the recycle, want %d with one", fx.pr.Avail(), fx.pr.Regions(), avail)
+		}
+		if _, ok := fx.pr.RegionBytes("a1", "wal-1"); ok {
+			t.Error("the recycled file still has a region")
+		}
+		if rtt := 2 * 5 * time.Microsecond; took > fx.warmSetup()+2*rtt {
+			t.Errorf("recycle set-up took %v, want a bind (%v) and a round trip", took, fx.warmSetup())
+		}
+		write := func(rkey uint64, data string) error {
+			cq := rdma.NewCQ(fx.sim)
+			qp, err := fx.appNIC.Connect(p, "peerA", cq)
+			if err != nil {
+				t.Fatalf("connect: %v", err)
+			}
+			defer qp.Close(p)
+			qp.PostWrite(p, rkey, 0, []byte(data), 0)
+			c, _ := cq.Poll(p)
+			return c.Err
+		}
+		if err := write(old.RKey, "stale"); !errors.Is(err, rdma.ErrRemoteAccess) {
+			t.Errorf("write through the recycled region's old rkey: %v", err)
+		}
+		if err := write(resp.RKey, "fresh"); err != nil {
+			t.Errorf("write through the new rkey: %v", err)
+		}
+		// The same request again — a retry of an ambiguous attempt — is the
+		// duplicate set-up: the region it made, contents and all.
+		if again := fx.setup(t, p, req); again.RKey != resp.RKey || fx.pr.Avail() != avail {
+			t.Errorf("retried recycle set-up: rkey %d (was %d), avail %d (was %d)", again.RKey, resp.RKey, fx.pr.Avail(), avail)
+		}
+		if region, _ := fx.pr.RegionBytes("a1", "wal-2"); string(region[:5]) != "fresh" {
+			t.Errorf("retried recycle set-up lost what was written: %q", region[:5])
+		}
+	})
+}
+
+// A recycle whose region is gone — the GC took it, or the peer restarted — is
+// a plain set-up, and publishes what it took.
+func TestRecycleOfMissingRegionIsPlainSetup(t *testing.T) {
+	fx := newFixture(15, testCfg())
+	fx.run(t, func(p *simnet.Proc) {
+		n := fx.publishes(p, func() {
+			fx.setup(t, p, SetupReq{App: "a1", File: "wal-2", Size: 1 << 20, Epoch: 1, Recycle: "wal-1"})
+		})
+		if n != 1 || fx.pr.Avail() != 7<<20 || fx.pr.Regions() != 1 {
+			t.Errorf("%d publications, avail %d, %d regions: want 1, 7 MiB and the new region", n, fx.pr.Avail(), fx.pr.Regions())
+		}
+	})
+}
+
+// Recycling the file's own name — a truncating re-create of a log the
+// application held — gives a zeroed region under a new rkey, whatever epoch
+// the released one had reached.
+func TestRecycleOwnNameZeroesRegion(t *testing.T) {
+	fx := newFixture(16, testCfg())
+	fx.run(t, func(p *simnet.Proc) {
+		old := fx.setup(t, p, SetupReq{App: "a1", File: "wal", Size: 1 << 20, Epoch: 3})
+		region, _ := fx.pr.RegionBytes("a1", "wal")
+		copy(region, "old tenant")
+		resp := fx.setup(t, p, SetupReq{App: "a1", File: "wal", Size: 1 << 20, Epoch: 1, Recycle: "wal"})
+		if resp.RKey == old.RKey {
+			t.Error("recycled region kept its rkey")
+		}
+		region, _ = fx.pr.RegionBytes("a1", "wal")
+		for i, b := range region[:64] {
+			if b != 0 {
+				t.Fatalf("recycled region holds the old bytes at %d", i)
+			}
+		}
+		if look, err := call[LookupResp](fx, p, LookupReq{App: "a1", File: "wal"}); err != nil || look.Epoch != 1 || look.RKey != resp.RKey {
+			t.Errorf("lookup after the recycle: %+v, %v", look, err)
 		}
 	})
 }
