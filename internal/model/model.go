@@ -177,11 +177,12 @@ type PeerConfig struct {
 	// SetupCPU models the lightweight setup process work besides MR
 	// registration.
 	SetupCPU time.Duration
-	// PublishInterval coalesces available-memory updates to the controller:
-	// at most one republish per interval instead of one per setup/release.
-	// 0 publishes immediately after every change (the small-cluster
-	// behavior); set it when hundreds of clients churn WALs so the peer
-	// pool does not turn every region event into a Raft proposal.
+	// PublishInterval is how long a peer's publisher waits after the first
+	// change to its available memory before it republishes the current
+	// value, so changes inside one interval cost one Raft proposal. 0
+	// publishes at once (the small-cluster behavior); set it when hundreds
+	// of clients churn WALs so the peer pool does not turn every region
+	// event into a Raft proposal.
 	PublishInterval time.Duration
 	// Domain is the peer's failure domain (rack/power unit), advertised in
 	// the registry. Placement spreads a log's peer group across distinct
@@ -240,11 +241,11 @@ type NCLConfig struct {
 	// critical path, so only the library call itself remains.
 	SyncCPU time.Duration
 	// PoolRefresh is how long ncl-lib may reuse its cached copy of the
-	// controller's peer registry. At 0 every allocation wave re-reads it —
-	// the paper's controller query, one round trip per group of slots — and
-	// candidates are tried most-free first; above 0 allocations inside the
-	// interval share one read and candidates are spread over the fleet in
-	// rendezvous order with failure-domain spread.
+	// controller's peer registry. At 0 every allocation wave re-reads it (the
+	// paper's controller query, one round trip per group of slots); above 0
+	// allocations inside the interval share one read. It is a TTL only:
+	// candidates are ranked in rendezvous order with failure-domain spread
+	// either way.
 	PoolRefresh time.Duration
 }
 

@@ -21,17 +21,13 @@ import (
 // failed. The controller's registry is a hint either way: the peer itself
 // accepts or rejects the setup.
 //
-// How often the registry is re-read is the one thing cfg.PoolRefresh
-// sets: the cached copy is used while it is younger than that. At 0 every
-// wave pays one ListPeers round trip — the paper's controller query, once per
-// group rather than per slot; above 0 a thousand logs opened in the same
-// interval share one read.
-//
-// Two candidate orders remain, chosen by the same knob because merging them
-// moves every placement-dependent number (DESIGN.md §14): most-free-first is
-// what the paper's controller answers, and with a shared stale registry it
-// would pile every log of the interval onto the same "most free" peers, which
-// is what rendezvous order with failure-domain spread avoids.
+// Candidates are ranked one way: rendezvous order for the file with
+// failure-domain spread, so files spread over the fleet and one domain's
+// failure takes as few members of a log as the fleet allows. How often the
+// registry is re-read is all cfg.PoolRefresh sets: the cached copy is used
+// while it is younger than that. At 0 every wave pays one ListPeers round
+// trip — the paper's controller query, once per group rather than per slot;
+// above 0 a thousand logs opened in the same interval share one read.
 
 // peerRegistry is the cached controller peer list; peers is nil until the
 // first read and after an invalidation.
@@ -84,17 +80,6 @@ func eligible(peers []controller.PeerInfo, skip []string, minMem int64) []contro
 	return out
 }
 
-// rankMostFree orders cands most-free first with a name tiebreak — the
-// paper's controller hint.
-func rankMostFree(cands []controller.PeerInfo) {
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].AvailMem != cands[j].AvailMem {
-			return cands[i].AvailMem > cands[j].AvailMem
-		}
-		return cands[i].Name < cands[j].Name
-	})
-}
-
 // rdvWeight is FNV-1a over "peer|app/file" — the rendezvous (highest random
 // weight) score of placing this file's slot on this peer.
 func rdvWeight(peerName, key string) uint64 {
@@ -140,16 +125,13 @@ func rankRendezvous(cands []controller.PeerInfo, key string, occupied map[string
 }
 
 // pick orders cands for n slots of lg and returns the first n, one candidate
-// per slot (fewer when cands run out). Most-free takes the top n. Rendezvous
-// ranks slot by slot, each slot counting the domains of the log's members, of
-// held — peers already set up for it — and of the slots picked before it, so
-// the group spreads exactly as n single-slot picks in a row would.
+// per slot (fewer when cands run out). It ranks slot by slot, each slot
+// counting the domains of the log's members that have not failed, of held —
+// peers already set up for it — and of the slots picked before it, so the
+// group spreads exactly as n single-slot picks in a row would. A failed member
+// awaiting its replacement holds no domain: the replacement may take it.
 func (l *Lib) pick(lg *Log, held []*peerConn, cands []controller.PeerInfo, n int) []controller.PeerInfo {
 	n = min(n, len(cands))
-	if l.cfg.PoolRefresh == 0 {
-		rankMostFree(cands)
-		return cands[:n]
-	}
 	occupied := make(map[string]int)
 	occupy := func(domain string) {
 		if domain != "" {
@@ -157,7 +139,7 @@ func (l *Lib) pick(lg *Log, held []*peerConn, cands []controller.PeerInfo, n int
 		}
 	}
 	for _, pc := range lg.peers {
-		if pc != nil {
+		if pc != nil && !pc.failed {
 			occupy(pc.domain)
 		}
 	}

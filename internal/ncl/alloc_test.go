@@ -3,6 +3,7 @@ package ncl
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -20,7 +21,7 @@ func namesOf(cands []controller.PeerInfo) []string {
 	return names
 }
 
-// The filter and the two candidate orders, as pure functions of the registry.
+// The filter and the candidate order, as pure functions of the registry.
 func TestCandidateRanks(t *testing.T) {
 	registry := []controller.PeerInfo{
 		{Name: "p0", AvailMem: 8, Domain: "a"}, {Name: "p1", AvailMem: 9, Domain: "b"},
@@ -33,11 +34,7 @@ func TestCandidateRanks(t *testing.T) {
 	if got, want := namesOf(cands), []string{"p0", "p2", "p4", "p5"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("eligible = %v, want %v", got, want)
 	}
-	// Most free first, ties by name.
-	rankMostFree(cands)
-	if got, want := namesOf(cands), []string{"p2", "p4", "p0", "p5"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("most-free order = %v, want %v", got, want)
-	}
+	rankRendezvous(cands, "app1/wal-7", nil)
 	if registry[0].Name != "p0" || registry[5].Name != "p5" {
 		t.Errorf("ranking reordered the registry: %v", namesOf(registry))
 	}
@@ -50,7 +47,7 @@ func TestCandidateRanks(t *testing.T) {
 		// No member in any candidate's domain: every count is zero and the
 		// order is rendezvous order alone.
 		got := eligible(registry, nil, 0)
-		rankMostFree(got)
+		slices.Reverse(got)
 		rankRendezvous(got, key, occupied)
 		if !reflect.DeepEqual(got, byWeight) {
 			t.Errorf("rendezvous order (occupied %v) = %v, want %v", occupied, namesOf(got), namesOf(byWeight))
@@ -80,8 +77,8 @@ func TestCandidateRanks(t *testing.T) {
 
 // The placement property of the n-slot allocator: on an unchanged registry it
 // names the same peers, in the same slot order, as n one-slot allocations in a
-// row did — each of which excluded the members so far and, in rendezvous
-// order, counted their failure domains.
+// row did — each of which excluded the members so far and counted their
+// failure domains in rendezvous order — whatever the registry's TTL.
 func TestGroupPickMatchesSerialPicks(t *testing.T) {
 	var registry []controller.PeerInfo
 	for i := 0; i < 14; i++ {
@@ -99,11 +96,7 @@ func TestGroupPickMatchesSerialPicks(t *testing.T) {
 			chosen, occupied := []string{member.name}, map[string]int{member.domain: 1}
 			for slot := 0; slot < n; slot++ {
 				cands := eligible(registry, chosen, 9)
-				if ttl == 0 {
-					rankMostFree(cands)
-				} else {
-					rankRendezvous(cands, "app1/wal-7", occupied)
-				}
+				rankRendezvous(cands, "app1/wal-7", occupied)
 				chosen = append(chosen, cands[0].Name)
 				if cands[0].Domain != "" {
 					occupied[cands[0].Domain]++
@@ -123,54 +116,73 @@ func TestGroupPickMatchesSerialPicks(t *testing.T) {
 	}
 }
 
-// With a registry TTL, a live replacement takes the same path an open does:
-// it is served from the cached registry — no controller list inside the TTL —
-// in rendezvous order with failure-domain spread, so the newcomer lands in a
-// domain the log does not occupy.
+// A live replacement ranks as an open does, in rendezvous order with
+// failure-domain spread, so the newcomer lands in the one domain the log's
+// live members do not occupy, at either registry TTL; with a TTL it is also
+// served from the cached registry, with no controller list. The fleet is six
+// peers in three domains (peer i in dom i%3). A large log x makes three peers
+// less free than the rest, and log y lands on the freest — what a most-free
+// rank would do — or wherever rendezvous puts it. Then y's member in dom1
+// dies: a most-free rank would replace it with the freest of x's peers in
+// name order, peer0, a second member in dom0, while dom1 still has a live
+// peer; so would a rank that counted the dead member's domain as taken.
 func TestLiveReplacementUsesCachedRegistry(t *testing.T) {
-	c := newCluster(41, 8, smallPeerCfg())
-	c.domains = 4
-	c.run(t, func(p *simnet.Proc) {
-		libCfg := DefaultConfig()
-		libCfg.PoolRefresh = time.Minute
-		l, err := NewLib(p, c.svc, c.fabric, c.appNode, "app1", 0, libCfg)
-		if err != nil {
-			t.Fatalf("new lib: %v", err)
-		}
-		lg, err := l.Open(p, "wal", 1<<20, false)
-		if err != nil {
-			t.Fatalf("open: %v", err)
-		}
-		occupied := map[string]bool{}
-		for _, pc := range lg.peers {
-			occupied[pc.domain] = true
-		}
-		if len(occupied) != 3 {
-			t.Fatalf("open put 3 members in %d domains", len(occupied))
-		}
-		col := trace.New()
-		c.sim.SetTracer(col)
-		c.pNodes[lg.LivePeers()[0]].Crash()
-		for i := 0; i < 10; i++ {
-			if _, err := lg.Append(p, []byte("during")); err != nil {
-				t.Fatalf("append: %v", err)
+	for _, ttl := range []time.Duration{0, time.Minute} {
+		c := newCluster(41, 6, smallPeerCfg())
+		c.domains = 3
+		c.run(t, func(p *simnet.Proc) {
+			libCfg := DefaultConfig()
+			libCfg.PoolRefresh = ttl
+			l, err := NewLib(p, c.svc, c.fabric, c.appNode, "app1", 0, libCfg)
+			if err != nil {
+				t.Fatalf("ttl %v: new lib: %v", ttl, err)
 			}
-		}
-		p.Sleep(time.Second)
-		c.sim.SetTracer(nil)
-		if lg.Replacements != 1 || len(lg.LivePeers()) != 3 {
-			t.Fatalf("replacements = %d, live = %v", lg.Replacements, lg.LivePeers())
-		}
-		if n := trace.Count(col.Spans(), "controller", "list"); n != 0 {
-			t.Errorf("%d controller list RPCs inside the registry TTL, want 0", n)
-		}
-		if n := trace.Count(col.Spans(), "ncl", "replace.getpeer"); n != 1 {
-			t.Errorf("%d replace.getpeer spans, want 1 (Table 3 is a span query)", n)
-		}
-		if dom := lg.peers[0].domain; occupied[dom] {
-			t.Errorf("replacement landed in %s, which the log already occupied (%v)", dom, occupied)
-		}
-	})
+			if _, err := l.Open(p, "x", 16<<20, false); err != nil {
+				t.Fatalf("ttl %v: open x: %v", ttl, err)
+			}
+			p.Sleep(100 * time.Millisecond) // the peers' free memory republished
+			lg, err := l.Open(p, "y", 1<<20, false)
+			if err != nil {
+				t.Fatalf("ttl %v: open y: %v", ttl, err)
+			}
+			occupied, victim := map[string]bool{}, ""
+			for _, pc := range lg.peers {
+				occupied[pc.domain] = true
+				if pc.domain == "dom1" {
+					victim = pc.name
+				}
+			}
+			if len(occupied) != 3 {
+				t.Fatalf("ttl %v: open put 3 members in %d domains", ttl, len(occupied))
+			}
+			col := trace.New()
+			c.sim.SetTracer(col)
+			c.pNodes[victim].Crash()
+			for i := 0; i < 10; i++ {
+				if _, err := lg.Append(p, []byte("during")); err != nil {
+					t.Fatalf("ttl %v: append: %v", ttl, err)
+				}
+			}
+			p.Sleep(time.Second)
+			c.sim.SetTracer(nil)
+			if lg.Replacements != 1 || len(lg.LivePeers()) != 3 {
+				t.Fatalf("ttl %v: replacements = %d, live = %v", ttl, lg.Replacements, lg.LivePeers())
+			}
+			if n := trace.Count(col.Spans(), "controller", "list"); ttl > 0 && n != 0 {
+				t.Errorf("ttl %v: %d controller list RPCs inside the registry TTL, want 0", ttl, n)
+			}
+			if n := trace.Count(col.Spans(), "ncl", "replace.getpeer"); n != 1 {
+				t.Errorf("ttl %v: %d replace.getpeer spans, want 1 (Table 3 is a span query)", ttl, n)
+			}
+			domains := map[string]int{}
+			for _, pc := range lg.peers {
+				domains[pc.domain]++
+			}
+			if len(domains) != 3 {
+				t.Errorf("ttl %v: after replacing %s members %v span domains %v, want one in each of 3", ttl, victim, lg.LivePeers(), domains)
+			}
+		})
+	}
 }
 
 // Regression: a peer that dies inside the registry's refresh window must be

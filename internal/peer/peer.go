@@ -218,8 +218,11 @@ type Peer struct {
 	avail int64
 	// pinned counts the idle bytes (of avail) that are pinned already; the
 	// rest of avail is cold until the warmer or a set-up pins it.
-	pinned     int64
-	availDirty bool                  // a republish is pending (coalesced mode)
+	pinned int64
+	// availDirty is set from a change of avail until the publisher takes it,
+	// and wakePub is how the change wakes the publisher.
+	availDirty bool
+	wakePub    simnet.Semaphore
 	regions    map[regionKey]*region // the mr-map
 	staging    map[int64]*region
 	nextStage  int64
@@ -260,31 +263,19 @@ func Start(p *simnet.Proc, svc *controller.Service, fabric *rdma.Fabric, node *s
 	if err := pr.ctrl.StartSession(p); err != nil {
 		return nil, fmt.Errorf("peer %s: session: %w", pr.name, err)
 	}
-	if err := pr.ctrl.RegisterPeer(p, controller.PeerInfo{
-		Name: pr.name, Addr: Addr(pr.name), Domain: cfg.Domain, AvailMem: pr.avail,
-	}); err != nil {
+	if err := pr.ctrl.RegisterPeer(p, pr.info()); err != nil {
 		return nil, fmt.Errorf("peer %s: register: %w", pr.name, err)
 	}
 	pr.sim.Net().Register(Addr(pr.name), node, pr.handleRPC)
 	node.Go("peer-gc:"+pr.name, pr.gcLoop)
 	node.Go("peer-warm:"+pr.name, pr.warm)
-	if cfg.PublishInterval > 0 {
-		// Coalesced publication: batch available-memory updates so a churny
-		// region workload costs at most one Raft proposal per interval.
-		node.Go("peer-pub:"+pr.name, func(pp *simnet.Proc) {
-			for {
-				pp.Sleep(cfg.PublishInterval)
-				if !pr.availDirty {
-					continue
-				}
-				pr.availDirty = false
-				pr.ctrl.PublishPeer(pp, controller.PeerInfo{ //nolint:errcheck
-					Name: pr.name, Addr: Addr(pr.name), Domain: pr.cfg.Domain, AvailMem: pr.avail,
-				})
-			}
-		})
-	}
+	node.Go("peer-pub:"+pr.name, pr.publisher)
 	return pr, nil
+}
+
+// info is the peer's registry entry as of now.
+func (pr *Peer) info() controller.PeerInfo {
+	return controller.PeerInfo{Name: pr.name, Addr: Addr(pr.name), Domain: pr.cfg.Domain, AvailMem: pr.avail}
 }
 
 // Name returns the peer's identity.
@@ -535,20 +526,32 @@ func (pr *Peer) reclaim(reg *region) {
 	pr.pinned += reg.size
 }
 
-// publishAvail updates the controller's (hint) view of available memory in
-// the background so data-path RPCs don't wait on a Raft commit. With
-// PublishInterval set the update is only marked dirty and the publisher
-// proc batches it; otherwise it goes out immediately (as one unconditional
-// set — the value is a hint, so no read-modify-write is needed).
+// publishAvail tells the publisher that avail changed, waking it unless a
+// change is pending already.
 func (pr *Peer) publishAvail(p *simnet.Proc) {
-	if pr.cfg.PublishInterval > 0 {
+	if !pr.availDirty {
 		pr.availDirty = true
-		return
+		pr.wakePub.Release(p)
 	}
-	info := controller.PeerInfo{Name: pr.name, Addr: Addr(pr.name), Domain: pr.cfg.Domain, AvailMem: pr.avail}
-	p.GoOn(pr.node, "peer-avail:"+pr.name, func(up *simnet.Proc) {
-		pr.ctrl.PublishPeer(up, info) //nolint:errcheck
-	})
+}
+
+// publisher keeps the controller's (hint) view of the peer's free memory
+// current, in the background so data-path RPCs don't wait on a Raft commit.
+// Woken by a change, it waits PublishInterval so every change inside it
+// shares one proposal (at 0 not even a yield, which would reorder it behind
+// the procs due at the same instant), then publishes the value current at
+// that moment as one unconditional set (a hint needs no read-modify-write). A
+// change during the proposal wakes it once more; an idle peer's publisher
+// sleeps.
+func (pr *Peer) publisher(p *simnet.Proc) {
+	for {
+		pr.wakePub.Acquire(p)
+		if d := pr.cfg.PublishInterval; d > 0 {
+			p.Sleep(d)
+		}
+		pr.availDirty = false
+		pr.ctrl.PublishPeer(p, pr.info()) //nolint:errcheck
+	}
 }
 
 // Revoke reclaims the memory of one region at the peer's will (memory

@@ -421,6 +421,85 @@ func TestRecycleOwnNameZeroesRegion(t *testing.T) {
 	})
 }
 
+// registered reads the free memory the controller's registry holds for the
+// peer.
+func (fx *fixture) registered(t *testing.T, p *simnet.Proc) int64 {
+	t.Helper()
+	info, ok, err := controller.NewClient(fx.svc, fx.app, "reader", 0).GetPeer(p, fx.pNode.Name())
+	if err != nil || !ok {
+		t.Fatalf("registry entry: found %v, %v", ok, err)
+	}
+	return info.AvailMem
+}
+
+// One publisher per peer: a burst of changes costs at most two proposals —
+// the first change's, and one for everything that changed while it was in
+// flight — and what the registry ends up with is the peer's free memory.
+func TestPublisherCoalescesBurstInFlight(t *testing.T) {
+	fx := newFixture(17, testCfg())
+	fx.run(t, func(p *simnet.Proc) {
+		p.Sleep(100 * time.Millisecond) // warm: a set-up is a bind, shorter than a proposal
+		for burst := 0; burst < 2; burst++ {
+			n := fx.publishes(p, func() {
+				for i := 0; i < 3; i++ {
+					file := fmt.Sprintf("b%d-%d", burst, i)
+					if _, err := fx.pr.onSetup(p, SetupReq{App: "a1", File: file, Size: 1 << 20, Epoch: 1}); err != nil {
+						t.Fatalf("setup %s: %v", file, err)
+					}
+					if i > 0 {
+						fx.pr.onRelease(p, ReleaseReq{App: "a1", File: fmt.Sprintf("b%d-%d", burst, i-1)}) //nolint:errcheck
+					}
+				}
+				p.Sleep(100 * time.Millisecond)
+			})
+			if n != 2 {
+				t.Errorf("burst %d of 5 changes cost %d proposals, want 2: the first, and one for the rest", burst, n)
+			}
+			if got := fx.registered(t, p); got != fx.pr.Avail() {
+				t.Errorf("burst %d: the registry says %d bytes free, the peer has %d", burst, got, fx.pr.Avail())
+			}
+		}
+	})
+}
+
+// Above 0 the publisher waits PublishInterval from the first change, so two
+// changes inside it cost one proposal, and that proposal carries the later
+// value. A peer whose free memory then stays put proposes nothing, however
+// many intervals pass.
+func TestPublisherWaitsIntervalAndSendsLatest(t *testing.T) {
+	cfg := testCfg()
+	cfg.PublishInterval = 10 * time.Millisecond
+	fx := newFixture(18, cfg)
+	fx.run(t, func(p *simnet.Proc) {
+		col := trace.New()
+		fx.sim.SetTracer(col)
+		fx.setup(t, p, SetupReq{App: "a1", File: "f1", Size: 1 << 20, Epoch: 1})
+		first := p.Now() // the change, and the reply's one-way trip
+		p.Sleep(cfg.PublishInterval / 2)
+		fx.setup(t, p, SetupReq{App: "a1", File: "f2", Size: 1 << 20, Epoch: 1})
+		p.Sleep(2 * cfg.PublishInterval)
+		fx.sim.SetTracer(nil)
+		var sets []*trace.Span
+		for _, sp := range trace.Filter(col.Spans(), "controller", "set") {
+			if sp.Node == fx.pNode.Name() {
+				sets = append(sets, sp)
+			}
+		}
+		if len(sets) != 1 {
+			t.Fatalf("two changes inside one interval cost %d proposals, want 1", len(sets))
+		}
+		if at := sets[0].Start - first; at > cfg.PublishInterval || at < cfg.PublishInterval-100*time.Microsecond {
+			t.Errorf("published %v after the first set-up returned, want one interval (%v) after its change", at, cfg.PublishInterval)
+		}
+		if got := fx.registered(t, p); got != 6<<20 || got != fx.pr.Avail() {
+			t.Errorf("the registry says %d bytes free, want the later value, %d", got, fx.pr.Avail())
+		}
+		if n := fx.publishes(p, func() { p.Sleep(10 * cfg.PublishInterval) }); n != 0 {
+			t.Errorf("an idle peer proposed %d times over 10 intervals", n)
+		}
+	})
+}
+
 // A set-up that races the warmer takes what is pinned so far and pins the
 // shortfall itself, without waiting; the warmer goes on with what is still
 // cold, so that between them every lendable byte is pinned exactly once.
