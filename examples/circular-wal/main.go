@@ -35,34 +35,26 @@ func main() {
 	cfg.WALBytes = 256 << 10 // ~62 frames: wraps quickly
 
 	err := cluster.Run(func(p *simnet.Proc) error {
-		acked := 0
-		cluster.AppNode.Go("app-v1", func(ap *simnet.Proc) {
-			fs, err := cluster.NewFS(ap, "lite-demo", 0)
-			if err != nil {
-				return
+		fs, err := cluster.NewFS(p, "lite-demo", 0)
+		if err != nil {
+			return err
+		}
+		db, err := litedb.Open(p, fs, cfg)
+		if err != nil {
+			return err
+		}
+		const acked = 400
+		for i := 0; i < acked; i++ {
+			key := fmt.Sprintf("row%04d", i%300)
+			val := []byte(fmt.Sprintf("value-%06d", i))
+			if err := db.Set(p, key, val); err != nil {
+				return fmt.Errorf("txn %d: %w", i, err)
 			}
-			db, err := litedb.Open(ap, fs, cfg)
-			if err != nil {
-				return
+			if i%100 == 99 {
+				fmt.Printf("  %4d txns committed; WAL generation (salt) %d, checkpoints %d\n",
+					i+1, i/100+1, db.Checkpoints)
 			}
-			for i := 0; ; i++ {
-				key := fmt.Sprintf("row%04d", i%300)
-				val := []byte(fmt.Sprintf("value-%06d", i))
-				if err := db.Set(ap, key, val); err != nil {
-					log.Fatalf("txn %d: %v", i, err)
-				}
-				acked = i + 1
-				if i%100 == 99 {
-					fmt.Printf("  %4d txns committed; WAL generation (salt) %d, checkpoints %d\n",
-						i+1, i/100+1, db.Checkpoints)
-				}
-				if i == 399 {
-					break
-				}
-			}
-			ap.Sleep(24 * time.Hour)
-		})
-		p.Sleep(2 * time.Second)
+		}
 
 		fmt.Println("\n*** crashing the application mid-generation ***")
 		cluster.CrashApp()
@@ -85,15 +77,15 @@ func main() {
 		// acknowledged transaction.
 		bad := 0
 		for r := 0; r < 300; r++ {
-			last := -1
-			for i := r; i < acked; i += 300 {
-				last = i
-			}
-			if last < 0 {
-				continue
+			last := r
+			for last+300 < acked {
+				last += 300
 			}
 			want := fmt.Sprintf("value-%06d", last)
-			got, ok, _ := db2.Get(p, fmt.Sprintf("row%04d", r))
+			got, ok, err := db2.Get(p, fmt.Sprintf("row%04d", r))
+			if err != nil {
+				return err
+			}
 			if !ok || string(got) != want {
 				bad++
 			}

@@ -54,32 +54,25 @@ func main() {
 
 func runConfig(d applog.Durability, col *trace.Collector) (kops float64, acked, survived int, err error) {
 	c := harness.New(harness.Options{Seed: 7, NumPeers: 4, Profile: model.Baseline(), Trace: col})
+	cfg := kvstore.DefaultConfig()
+	cfg.KVStoreCosts = c.Profile.Apps.KVStore
+	cfg.Durability = d
+	cfg.MemtableBytes = 1 << 20
+	cfg.WALRegion = 3 << 20
 	err = c.Run(func(p *simnet.Proc) error {
-		var db *kvstore.DB
-		booted := make(chan struct{}, 1)
-		c.AppNode.Go("app-v1", func(ap *simnet.Proc) {
-			fs, err := c.NewFS(ap, "kv-example", 0)
-			if err != nil {
-				return
+		fs, err := c.NewFS(p, "kv-example", 0)
+		if err != nil {
+			return err
+		}
+		db, err := kvstore.Open(p, fs, cfg)
+		if err != nil {
+			return err
+		}
+		val := make([]byte, ycsb.ValueSize)
+		for i := int64(0); i < loadKeys; i++ {
+			if err := db.Put(p, ycsb.Key(i), val); err != nil {
+				return err
 			}
-			cfg := kvstore.DefaultConfig()
-			cfg.KVStoreCosts = c.Profile.Apps.KVStore
-			cfg.Durability = d
-			cfg.MemtableBytes = 1 << 20
-			cfg.WALRegion = 3 << 20
-			db, err = kvstore.Open(ap, fs, cfg)
-			if err != nil {
-				return
-			}
-			val := make([]byte, ycsb.ValueSize)
-			for i := int64(0); i < loadKeys; i++ {
-				db.Put(ap, ycsb.Key(i), val)
-			}
-			booted <- struct{}{}
-			ap.Sleep(24 * time.Hour)
-		})
-		for len(booted) == 0 {
-			p.Sleep(50 * time.Millisecond)
 		}
 
 		// Drive YCSB-A from concurrent worker procs on the app node,
@@ -119,11 +112,6 @@ func runConfig(d applog.Durability, col *trace.Collector) (kops float64, acked, 
 		if err != nil {
 			return err
 		}
-		cfg := kvstore.DefaultConfig()
-		cfg.KVStoreCosts = c.Profile.Apps.KVStore
-		cfg.Durability = d
-		cfg.MemtableBytes = 1 << 20
-		cfg.WALRegion = 3 << 20
 		db2, err := kvstore.Recover(p, fs2, cfg)
 		if err != nil {
 			return err
@@ -131,14 +119,21 @@ func runConfig(d applog.Durability, col *trace.Collector) (kops float64, acked, 
 		// Every loaded key must exist; updated values may be lost in weak.
 		missing := 0
 		for i := int64(0); i < loadKeys; i += 97 {
-			if _, ok, _ := db2.Get(p, ycsb.Key(i)); !ok {
+			_, ok, err := db2.Get(p, ycsb.Key(i))
+			if err != nil {
+				return err
+			}
+			if !ok {
 				missing++
 			}
 		}
 		// An updated key survives if its value is no longer the loaded
 		// zero-value (generator values always start with a non-zero byte).
 		for key := range updated {
-			v, ok, _ := db2.Get(p, key)
+			v, ok, err := db2.Get(p, key)
+			if err != nil {
+				return err
+			}
 			if ok && len(v) == ycsb.ValueSize && !allZero(v[:8]) {
 				survived++
 			}

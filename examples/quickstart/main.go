@@ -31,40 +31,43 @@ func main() {
 
 	err := cluster.Run(func(p *simnet.Proc) error {
 		// --- first application instance ---
+		fs, err := cluster.NewFS(p, "quickstart", 0) // fencing 0: first boot
+		if err != nil {
+			return err
+		}
+		// A write-ahead log: small synchronous writes -> O_NCL routes it
+		// to near-compute logs. Every Write returns only after a
+		// majority of log peers holds it.
+		wal, err := fs.OpenFile(p, "app.wal", core.O_NCL|core.O_CREATE, 1<<20)
+		if err != nil {
+			return err
+		}
+		// A checkpoint: one large background write -> straight to the dfs.
+		ckpt, err := fs.OpenFile(p, "/data/checkpoint", core.O_CREATE, 0)
+		if err != nil {
+			return err
+		}
+
 		var acked int
-		cluster.AppNode.Go("app-v1", func(ap *simnet.Proc) {
-			fs, err := cluster.NewFS(ap, "quickstart", 0) // fencing 0: first boot
-			if err != nil {
-				return
+		start := p.Now()
+		for i := 0; i < 1000; i++ {
+			rec := []byte(fmt.Sprintf("update-%04d;", i))
+			if _, err := wal.Write(p, rec); err != nil {
+				return err
 			}
-			// A write-ahead log: small synchronous writes -> O_NCL routes it
-			// to near-compute logs. Every Write returns only after a
-			// majority of log peers holds it.
-			wal, err := fs.OpenFile(ap, "app.wal", core.O_NCL|core.O_CREATE, 1<<20)
-			if err != nil {
-				return
-			}
-			// A checkpoint: one large background write -> straight to the dfs.
-			ckpt, _ := fs.OpenFile(ap, "/data/checkpoint", core.O_CREATE, 0)
+			acked++
+		}
+		fmt.Printf("1000 NCL log writes acknowledged, avg %v each (majority-replicated)\n",
+			(p.Now()-start)/1000)
 
-			start := ap.Now()
-			for i := 0; i < 1000; i++ {
-				rec := []byte(fmt.Sprintf("update-%04d;", i))
-				if _, err := wal.Write(ap, rec); err != nil {
-					return
-				}
-				acked++
-			}
-			fmt.Printf("1000 NCL log writes acknowledged, avg %v each (majority-replicated)\n",
-				(ap.Now()-start)/1000)
+		if _, err := ckpt.Write(p, make([]byte, 4<<20)); err != nil {
+			return err
+		}
+		if err := ckpt.Sync(p); err != nil {
+			return err
+		}
+		fmt.Println("4MB checkpoint written durably to the dfs")
 
-			ckpt.Write(ap, make([]byte, 4<<20))
-			ckpt.Sync(ap)
-			fmt.Println("4MB checkpoint written durably to the dfs")
-			ap.Sleep(1e18) // hold state until the crash
-		})
-
-		p.Sleep(500 * 1e6) // 500ms
 		fmt.Println("\n*** crashing the application server ***")
 		cluster.CrashApp()
 		p.Sleep(10 * 1e6)
@@ -75,7 +78,10 @@ func main() {
 		if err != nil {
 			return err
 		}
-		names, _ := fs2.ListNCL(p)
+		names, err := fs2.ListNCL(p)
+		if err != nil {
+			return err
+		}
 		fmt.Printf("ncl files recorded in the ap-map: %v\n", names)
 
 		mark := col.Len()
@@ -88,7 +94,9 @@ func main() {
 		// behind which the log is as redundant as before the crash — where a
 		// recovery's spans end.
 		buf := make([]byte, wal2.Size())
-		wal2.Pread(p, buf, 0)
+		if _, err := wal2.Pread(p, buf, 0); err != nil {
+			return err
+		}
 		if err := wal2.Sync(p); err != nil {
 			return err
 		}

@@ -12,7 +12,6 @@ import (
 	"splitft/internal/modelcheck"
 	"splitft/internal/ncl"
 	"splitft/internal/simnet"
-	"splitft/internal/wire"
 )
 
 // The chaos experiment behind `splitft-bench chaos` sweeps adversarial
@@ -20,15 +19,17 @@ import (
 // workload for every replication policy and seed, and checks the fsynced
 // prefix after every injected event: the app is crashed, restarted with a
 // bumped fencing token, recovered from the surviving peers, and every key
-// the workload ever wrote is audited against the client-side history
-// (internal/modelcheck.History). A correct protocol shows violations = 0 on
-// every cell. Two cells follow the sweep: "gray-crash", a correlated
-// gray-members-plus-crash schedule that a commit rule one ack short would not
-// survive (internal/ncl's conformance suite breaks the rule under it and
-// demands a loss), and the same audit over the store under applog.Weak — the
-// paper's weak-app DFT configuration, which does lose acknowledged writes
-// (Table 1) — to prove the checker produces counterexamples when there are
-// any.
+// the workload ever wrote is audited against the writers' history
+// (internal/modelcheck.History). The writers run on the app node and call
+// the store directly, so unavailability is the longest gap with no ack and
+// no client timeout or retry gap quantizes it. A correct protocol shows
+// violations = 0 on every cell. Two cells follow the sweep: "gray-crash", a
+// correlated gray-members-plus-crash schedule that a commit rule one ack
+// short would not survive (internal/ncl's conformance suite breaks the rule
+// under it and demands a loss), and the same audit over the store under
+// applog.Weak — the paper's weak-app DFT configuration, which does lose
+// acknowledged writes (Table 1) — to prove the checker produces
+// counterexamples when there are any.
 // Everything runs on the virtual clock, so the committed BENCH_chaos.json
 // is deterministic and the chaos gate diffs it at ±2%.
 
@@ -37,20 +38,15 @@ import (
 var chaosSeeds = []int64{1, 2}
 
 const (
-	codeChaosPut wire.Code = 0x42 // client->server versioned put
-
-	chaosAddr          = "chaos-kv"
-	chaosClients       = 4
-	chaosKeysPerClient = 4
+	chaosWriters       = 4
+	chaosKeysPerWriter = 4
 	chaosOpGap         = 1 * time.Millisecond // paced, not closed-loop flat out
-	chaosRetryGap      = 5 * time.Millisecond // backoff while the app is down
-	chaosRPCTimeout    = 100 * time.Millisecond
-	chaosWeakCell      = "app-crash/weak" // the one cell that must lose writes
+	chaosWeakCell      = "app-crash/weak"     // the one cell that must lose writes
 )
 
 // chaos runs the scenario x policy x seed sweep plus the two cells that
 // show its teeth, one cell per (scenario, policy, seed): injected fault events,
-// client writes acked durable, post-event crash+recover audits, the slowest
+// writes acked durable, post-event crash+recover audits, the slowest
 // recovery, the longest gap between acks, and history violations. Each
 // policy is first model-checked offline (bounded BFS) so a protocol-level
 // ack-rule bug fails fast, before any simulated hardware is involved.
@@ -83,16 +79,17 @@ func chaos(sc Scale, seed int64) (Report, error) {
 	return rep, nil
 }
 
-// chaosCell is the shared live-workload machinery of one cell: a kvstore
-// behind an RPC server on the app node, paced writer clients on the client
-// machine recording every invoke/ack into a history, and the post-event
-// audit that crashes the app, re-opens it with a higher fencing token,
-// times recovery, and checks every key ever written against the history.
+// chaosCell is the shared live-workload machinery of one cell: a kvstore on
+// the app node, paced writers beside it recording every invoke/ack into a
+// history, and the post-event audit that crashes the app, re-opens it with a
+// higher fencing token, times recovery, and checks every key ever written
+// against the history.
 type chaosCell struct {
 	c     *harness.Cluster
 	hist  *modelcheck.History
 	dbCfg kvstore.Config
 	fence int64
+	vers  [chaosWriters]int64 // each writer's last version, across generations
 
 	stop       bool
 	wg         simnet.WaitGroup
@@ -111,8 +108,7 @@ func newChaosCell(c *harness.Cluster, d applog.Durability) *chaosCell {
 	return &chaosCell{c: c, hist: modelcheck.NewHistory(), dbCfg: dbCfg}
 }
 
-// start creates the generation-zero store, serves it and launches the
-// paced writers.
+// start creates the generation-zero store and launches its writers.
 func (ce *chaosCell) start(p *simnet.Proc) (*kvstore.DB, error) {
 	fs, err := ce.c.NewFS(p, "chaoskv", ce.fence)
 	if err != nil {
@@ -122,59 +118,42 @@ func (ce *chaosCell) start(p *simnet.Proc) (*kvstore.DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	ce.serve(db)
-	ce.startClients(p)
+	ce.lastAck = p.Now()
+	ce.write(p, db)
 	return db, nil
 }
 
-// serve (re-)registers the RPC server wrapping db on the app node. The
-// registration dies with the node's incarnation on every crash, so each
-// recovered generation must call it again — as a restarted process would.
-func (ce *chaosCell) serve(db *kvstore.DB) {
-	ce.c.Sim.Net().Register(chaosAddr, ce.c.AppNode, func(hp *simnet.Proc, req simnet.Msg) (simnet.Msg, error) {
-		val := make([]byte, 16)
-		binary.BigEndian.PutUint64(val, req.U[1])
-		if err := db.Put(hp, req.S[0], val); err != nil {
-			return simnet.Msg{}, err
-		}
-		return simnet.Msg{Code: wire.CodeAck}, nil
-	})
-}
-
-// startClients launches the paced writers. Each client owns its keys and
-// writes strictly increasing versions, so the history's per-key window
-// invariant is exactly linearizability of the acked prefix.
-func (ce *chaosCell) startClients(p *simnet.Proc) {
-	ce.wg.Add(chaosClients)
-	for i := 0; i < chaosClients; i++ {
-		p.GoOn(ce.c.ClientNode, fmt.Sprintf("chaos-client%d", i), func(cp *simnet.Proc) {
-			defer ce.wg.Done(cp)
-			var ver int64
-			for j := 0; !ce.stop; j++ {
-				key := fmt.Sprintf("c%dk%d", i, j%chaosKeysPerClient)
-				ver++
+// write launches one generation of paced writers on the app node, each
+// calling db directly; a crash of the app kills them with it. Each writer
+// owns its keys and writes strictly increasing versions across generations,
+// so the history's per-key window invariant is exactly linearizability of
+// the acked prefix.
+func (ce *chaosCell) write(p *simnet.Proc, db *kvstore.DB) {
+	ce.wg.Add(chaosWriters)
+	for i := range chaosWriters {
+		p.GoOn(ce.c.AppNode, fmt.Sprintf("chaos-writer%d", i), func(wp *simnet.Proc) {
+			defer ce.wg.Done(wp)
+			val := make([]byte, 16)
+			for !ce.stop {
+				ce.vers[i]++
+				ver := ce.vers[i]
+				key := fmt.Sprintf("c%dk%d", i, (ver-1)%chaosKeysPerWriter)
 				ce.hist.Invoke(key, ver)
-				m := simnet.Msg{Code: codeChaosPut, S: [3]string{key}}
-				m.U[1] = uint64(ver)
-				if _, err := ce.c.Sim.Net().CallTimeout(cp, ce.c.ClientNode, chaosAddr, m, chaosRPCTimeout); err != nil {
-					cp.Sleep(chaosRetryGap)
-					continue
+				binary.BigEndian.PutUint64(val, uint64(ver))
+				if err := db.Put(wp, key, val); err == nil {
+					now := wp.Now()
+					ce.hist.Ack(key, ver, now)
+					ce.maxGap = max(ce.maxGap, now-ce.lastAck)
+					ce.lastAck = now
 				}
-				now := cp.Now()
-				ce.hist.Ack(key, ver, now)
-				if gap := now - ce.lastAck; gap > ce.maxGap {
-					ce.maxGap = gap
-				}
-				ce.lastAck = now
-				cp.Sleep(chaosOpGap)
+				wp.Sleep(chaosOpGap)
 			}
 		})
 	}
-	ce.lastAck = p.Now()
 }
 
-// stopClients drains the writers.
-func (ce *chaosCell) stopClients(p *simnet.Proc) {
+// stopWriters drains the writers.
+func (ce *chaosCell) stopWriters(p *simnet.Proc) {
 	ce.stop = true
 	ce.wg.Wait(p)
 }
@@ -183,8 +162,9 @@ func (ce *chaosCell) stopClients(p *simnet.Proc) {
 // app mid-whatever-it-was-doing, restart it, recover the store from the
 // surviving peers under a new fencing token, and compare every key the
 // workload ever wrote against the acked window. Recovery is retried while
-// the fault the scenario injected still blocks it (that wait IS the
-// unavailability being measured); the recovered generation then serves.
+// the fault the scenario injected still blocks it — a failed attempt pays
+// its own timeouts, and that wait IS the unavailability being measured; the
+// recovered generation then gets a new set of writers.
 func (ce *chaosCell) audit(p *simnet.Proc, what string) error {
 	ce.c.CrashApp()
 	ce.c.RestartApp()
@@ -192,9 +172,6 @@ func (ce *chaosCell) audit(p *simnet.Proc, what string) error {
 	var db *kvstore.DB
 	var rerr error
 	for attempt := 0; db == nil; attempt++ {
-		if attempt > 0 {
-			p.Sleep(50 * time.Millisecond)
-		}
 		if attempt > 60 {
 			return fmt.Errorf("bench: recovery stuck after %q: %w", what, rerr)
 		}
@@ -220,7 +197,7 @@ func (ce *chaosCell) audit(p *simnet.Proc, what string) error {
 		}
 		ce.hist.Observe(k, ver, ok, p.Now())
 	}
-	ce.serve(db)
+	ce.write(p, db)
 	return nil
 }
 
@@ -259,7 +236,7 @@ func chaosOnce(rep *Report, sc Scale, seed int64, scenario, policy string) error
 			return err
 		}
 		p.Sleep(200 * time.Millisecond) // post-heal acks close the last gap
-		ce.stopClients(p)
+		ce.stopWriters(p)
 		ce.fill(rep, chaosCellName(scenario, policy, seed), len(in.Events))
 		return nil
 	})
@@ -300,19 +277,17 @@ func chaosCrash(rep *Report, sc Scale, seed int64, d applog.Durability) error {
 				net.SetLinkLatency(c.AppNode, c.Sim.Node(name), 5*time.Millisecond)
 			}
 			p.Sleep(300 * time.Millisecond)
-			// Correlated crash: the only up-to-date member dies with the app.
+			// Correlated crash: the only up-to-date member dies with the app,
+			// which the audit crashes at this same instant.
 			c.Sim.Node(members[0]).Crash()
 			cell, events = "gray-crash/mirror", 3
 		}
-		c.CrashApp()
 		net.HealAll()
-		p.Sleep(10 * time.Millisecond)
-		c.RestartApp()
 		if err := ce.audit(p, cell); err != nil {
 			return err
 		}
 		p.Sleep(100 * time.Millisecond)
-		ce.stopClients(p)
+		ce.stopWriters(p)
 		ce.fill(rep, fmt.Sprintf("%s/seed%d", cell, seed), events)
 		return nil
 	})

@@ -156,30 +156,36 @@ func fig11a(sc Scale, seed int64) (Report, error) {
 	err := c.Run(func(p *simnet.Proc) error {
 		// Build the log content on NCL and on the dfs, then crash the app so
 		// the NCL open below takes the recovery path.
-		c.AppNode.Go("writer", func(wp *simnet.Proc) {
-			fs, err := c.NewFS(wp, "fig11a", 0)
-			if err != nil {
-				return
-			}
-			nf, err := fs.OpenFile(wp, "reclog", core.O_NCL|core.O_CREATE, fileSize+1024)
-			if err != nil {
-				return
-			}
-			chunk := make([]byte, 64<<10)
+		fs, err := c.NewFS(p, "fig11a", 0)
+		if err != nil {
+			return err
+		}
+		chunk := make([]byte, 64<<10)
+		fill := func(f core.File) error {
 			for off := int64(0); off < fileSize; off += int64(len(chunk)) {
-				nf.Write(wp, chunk) //nolint:errcheck
+				if _, err := f.Write(p, chunk); err != nil {
+					return err
+				}
 			}
-			df, err := fs.OpenFile(wp, "/reclog.dfs", core.O_CREATE, 0)
-			if err != nil {
-				return
-			}
-			for off := int64(0); off < fileSize; off += int64(len(chunk)) {
-				df.Write(wp, chunk) //nolint:errcheck
-			}
-			df.Sync(wp) //nolint:errcheck
-			wp.Sleep(time.Hour)
-		})
-		p.Sleep(30 * time.Second) // virtual time; writes complete
+			return nil
+		}
+		nlog, err := fs.OpenFile(p, "reclog", core.O_NCL|core.O_CREATE, fileSize+1024)
+		if err == nil {
+			err = fill(nlog)
+		}
+		if err != nil {
+			return err
+		}
+		dlog, err := fs.OpenFile(p, "/reclog.dfs", core.O_CREATE, 0)
+		if err == nil {
+			err = fill(dlog)
+		}
+		if err == nil {
+			err = dlog.Sync(p)
+		}
+		if err != nil {
+			return err
+		}
 		c.CrashApp()
 		p.Sleep(10 * time.Millisecond)
 		c.RestartApp()

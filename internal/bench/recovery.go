@@ -64,22 +64,14 @@ func recoverOnce(rep *Report, sc Scale, seed int64, port apps.Port, variant stri
 			}
 			return o
 		}
-		// Writer: fill the log to the target size, then park.
-		written := make(chan struct{}, 1)
-		c.AppNode.Go("app-v1", func(wp *simnet.Proc) {
-			fs, err := core.NewFS(wp, fsOpts(0))
-			if err != nil {
-				return
-			}
-			if err := fillLog(wp, c, fs, port, cfg, logBytes); err != nil {
-				return
-			}
-			written <- struct{}{}
-			wp.Sleep(24 * time.Hour)
-		})
-		// Wait for the fill to finish (poll the signal).
-		for len(written) == 0 {
-			p.Sleep(100 * time.Millisecond)
+		// Fill the log to the target size; the app crashes the moment the
+		// fill returns.
+		fs, err := core.NewFS(p, fsOpts(0))
+		if err != nil {
+			return err
+		}
+		if err := fillLog(p, c, fs, port, cfg, logBytes); err != nil {
+			return err
 		}
 		c.CrashApp()
 		p.Sleep(10 * time.Millisecond)

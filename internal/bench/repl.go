@@ -70,29 +70,21 @@ func replOnce(rep *Report, sc Scale, seed int64, policy, profName string) error 
 	})
 	return c.Run(func(p *simnet.Proc) error {
 		var hist metrics.Histogram
-		filled := make(chan struct{}, 1)
-		c.AppNode.Go("app-v1", func(wp *simnet.Proc) {
-			fs, err := core.NewFS(wp, c.FSOptions("repl", 0))
-			if err != nil {
-				return
+		fs, err := core.NewFS(p, c.FSOptions("repl", 0))
+		if err != nil {
+			return err
+		}
+		nf, err := fs.OpenFile(p, "wal-000", core.O_NCL|core.O_CREATE, replCapacity)
+		if err != nil {
+			return err
+		}
+		rec := make([]byte, replRecBytes)
+		for i := 0; i < replRecords; i++ {
+			t0 := p.Now()
+			if _, err := nf.Write(p, rec); err != nil {
+				return err
 			}
-			nf, err := fs.OpenFile(wp, "wal-000", core.O_NCL|core.O_CREATE, replCapacity)
-			if err != nil {
-				return
-			}
-			rec := make([]byte, replRecBytes)
-			for i := 0; i < replRecords; i++ {
-				t0 := wp.Now()
-				if _, err := nf.Write(wp, rec); err != nil {
-					return
-				}
-				hist.Record(wp.Now() - t0)
-			}
-			filled <- struct{}{}
-			wp.Sleep(24 * time.Hour)
-		})
-		for len(filled) == 0 {
-			p.Sleep(10 * time.Millisecond)
+			hist.Record(p.Now() - t0)
 		}
 
 		// The registry's bill for this log: every byte the peers stopped

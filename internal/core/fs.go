@@ -54,11 +54,8 @@ const (
 	O_EXTENT
 )
 
-// Errors.
-var (
-	ErrNotExist = errors.New("splitft: file does not exist")
-	ErrIsNCL    = errors.New("splitft: operation not supported on ncl files")
-)
+// ErrNotExist is returned for a file that does not exist.
+var ErrNotExist = errors.New("splitft: file does not exist")
 
 // File is the interface applications program against; both dfs-backed and
 // ncl-backed files implement it.

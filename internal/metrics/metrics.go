@@ -147,15 +147,6 @@ func (h *Histogram) Summary() string {
 		h.count, h.Mean().Round(10*time.Nanosecond), h.Percentile(0.5), h.Percentile(0.99), h.max)
 }
 
-// Counter is a simple monotonic event counter.
-type Counter struct{ n uint64 }
-
-// Inc adds delta.
-func (c *Counter) Inc(delta uint64) { c.n += delta }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }
-
 // ThroughputSampler accumulates operation-completion timestamps into
 // fixed-width intervals, producing the real-time throughput series of
 // Fig 12 (10 ms samples in the paper).
