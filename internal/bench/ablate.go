@@ -64,10 +64,9 @@ func ablateRepl(sc Scale, seed int64) (Report, error) {
 		for i, id := range ids {
 			nodes[i] = c2.Sim.NewNode(id)
 		}
-		set := raft.NewSet(c2.Sim, "repl-log", c2.Profile.Controller.Raft, ids)
-		cl := set.AddGroup(func() raft.StateMachine { return &appendSM{} })
+		cl := raft.New(c2.Sim, "repl-log", c2.Profile.Controller.Raft, ids, func() raft.StateMachine { return &appendSM{} })
 		for i, id := range ids {
-			set.StartNode(nodes[i], id)
+			cl.StartNode(nodes[i], id)
 		}
 		p.Sleep(time.Second) // election
 		client := raft.NewClient(cl, c2.AppNode)

@@ -40,7 +40,7 @@ type Scale struct {
 	// order.
 	Apps []apps.Port
 	// Smoke makes the scale experiment run its one CI-sized point instead
-	// of the full clients x shards sweep.
+	// of the full client-count sweep.
 	Smoke bool
 	// Profile is the hardware cost model every experiment cluster is built
 	// with. Nil means model.Baseline().
@@ -126,7 +126,7 @@ var Experiments = []Experiment{
 	{"calibrate", "cost-model calibration gate for the selected profile (fails outside the bands)", calibrate},
 	{"sweep", "fig8 128 B latencies across all named profiles", sweep},
 	{"perf", "simulator wall-clock and allocation suite (BENCH_simnet.json)", perf},
-	{"scale", "open-loop clients x controller shards sweep", scale},
+	{"scale", "open-loop client-count sweep on one controller group", scale},
 	{"dfs", "extent data path: flat vs chain, IO sizes, chain shapes, 1M-row load (BENCH_dfs.json)", dfsSweep},
 	{"repl", "NCL replication policies x profiles: memory, write latency, recovery (BENCH_repl.json)", repl},
 	{"chaos", "fault schedules x policies x seeds with per-event durability audits (BENCH_chaos.json)", chaos},

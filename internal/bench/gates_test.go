@@ -211,10 +211,10 @@ var gates = map[string]*gate{
 		c.failIf(tier > 20*asyncM, "ncl-tier (%v) should be near dft-async (%v)", tier, asyncM)
 	}},
 
-	// The smoke point (64 open-loop clients, 4 controller shards) boots every
-	// client and, well below the knee, completes what it is offered.
-	"scale": {first: [2]coord{{"4s/64c", "booted"}, {"4s/64c", "errs"}}, shape: func(c *check) {
-		const cell = "4s/64c"
+	// The smoke point (64 open-loop clients) boots every client and, well
+	// below the knee, completes what it is offered.
+	"scale": {first: [2]coord{{"64c", "booted"}, {"64c", "errs"}}, shape: func(c *check) {
+		const cell = "64c"
 		booted, errs := c.val(cell, "booted"), c.val(cell, "errs")
 		c.failIf(booted != 64, "booted = %v, want 64", booted)
 		c.failIf(errs != 0, "errs = %v, want 0", errs)

@@ -45,13 +45,13 @@ func perf(sc Scale, seed int64) (Report, error) {
 	if err != nil {
 		return rep, err
 	}
-	// The control-plane row: the CI-sized scale point (64 open-loop clients
-	// on a 4-shard controller, see scale.go). It exercises the multi-group
-	// Raft endpoint, the sharded znode tree and the pooled NCL allocation
-	// path, which the YCSB row's single-app cluster barely touches.
+	// The control-plane row: the CI-sized scale point (64 open-loop clients,
+	// see scale.go). It exercises sessions, keep-alives and the pooled NCL
+	// allocation path, which the YCSB row's single-app cluster barely
+	// touches.
 	cfg := smokeScaleConfig()
-	return rep, measure(&rep, "scale-64c-4s", func(sub *Report) error {
-		return runScalePoint(sub, cfg, sc, seed, cfg.Shards[0], cfg.Clients[0])
+	return rep, measure(&rep, "scale-64c", func(sub *Report) error {
+		return runScalePoint(sub, cfg, sc, seed, cfg.Clients[0])
 	})
 }
 

@@ -18,10 +18,9 @@ import (
 // RotateEvery records, all sharing one controller. Every client holds a
 // controller session (keepalives), an ephemeral instance lock, and proposes
 // ap-map updates on each rotation, so the controller's Raft commit rate is
-// the contended resource. Sweeping the client count across shard counts
-// shows where a single Raft group saturates — keepalives and rotations queue
-// behind fsync, sessions expire, rotations fail — and how partitioning the
-// znode tree across data groups moves the knee.
+// the contended resource. Sweeping the client count shows where the one Raft
+// group saturates — keepalives and rotations queue behind fsync, sessions
+// expire, rotations fail.
 //
 // Unlike the closed-loop YCSB drivers in bench.go, arrivals here are open
 // loop (ycsb.Arrivals): an operation's start time is drawn from a Poisson
@@ -32,7 +31,6 @@ import (
 // scaleConfig sizes the sweep.
 type scaleConfig struct {
 	Clients []int // client counts to sweep
-	Shards  []int // controller data-shard counts to compare
 
 	Rate        float64       // per-client offered load, ops/s
 	RotateEvery int           // WAL rotation period in records
@@ -49,22 +47,20 @@ type scaleConfig struct {
 	BootDeadline time.Duration
 }
 
-// defaultScaleConfig is the full sweep (10 .. 1000 clients, 1 vs 8 shards).
-// At 1000 clients the control-plane load (ap-map rotations plus session
-// keepalives) passes a single group's apply-path capacity, so the 1-shard
-// column saturates while the 8-shard column stays flat — the knee the
-// experiment exists to show.
+// defaultScaleConfig is the full sweep (10 .. 1000 clients). At 1000
+// clients the control-plane load (ap-map rotations plus session keepalives)
+// passes the group's apply-path capacity and the sweep saturates — the knee
+// the experiment exists to show.
 func defaultScaleConfig() scaleConfig {
 	return scaleConfig{
 		Clients:     []int{10, 50, 100, 250, 500, 1000},
-		Shards:      []int{1, 8},
 		Rate:        20,
 		RotateEvery: 16,
 		LogBytes:    16 << 10,
 		RecordBytes: 128,
 		Peers:       16,
 		// The window must span several failed-rotation cycles (a rotation
-		// against a saturated shard burns the full 3 s propose deadline
+		// against a saturated controller burns the full 3 s propose deadline
 		// before the client falls back to appending), or a saturated point
 		// collapses to all-errors instead of showing its degraded rate.
 		Window:       8 * time.Second,
@@ -73,11 +69,10 @@ func defaultScaleConfig() scaleConfig {
 	}
 }
 
-// smokeScaleConfig is the CI-sized single point (64 clients, 4 shards).
+// smokeScaleConfig is the CI-sized single point (64 clients).
 func smokeScaleConfig() scaleConfig {
 	return scaleConfig{
 		Clients:      []int{64},
-		Shards:       []int{4},
 		Rate:         20,
 		RotateEvery:  32,
 		LogBytes:     16 << 10,
@@ -90,22 +85,20 @@ func smokeScaleConfig() scaleConfig {
 }
 
 // scale executes the sweep (the smoke point under Scale.Smoke), one cell
-// per (shards, clients) point. Points can take minutes of wall clock at the
-// saturated end, so progress goes to stderr as each one lands.
+// per client count. Points can take minutes of wall clock at the saturated
+// end, so progress goes to stderr as each one lands.
 func scale(sc Scale, seed int64) (Report, error) {
 	rep := Report{Title: fmt.Sprintf("Control-plane scaling (profile %s, open-loop Poisson clients)", sc.profile().Name)}
 	cfg := defaultScaleConfig()
 	if sc.Smoke {
 		cfg = smokeScaleConfig()
 	}
-	for _, shards := range cfg.Shards {
-		for _, clients := range cfg.Clients {
-			t0 := time.Now()
-			if err := runScalePoint(&rep, cfg, sc, seed, shards, clients); err != nil {
-				return rep, fmt.Errorf("scale %d shards %d clients: %w", shards, clients, err)
-			}
-			fmt.Fprintf(os.Stderr, "[scale] shards=%d clients=%d done (%.1fs wall)\n", shards, clients, time.Since(t0).Seconds())
+	for _, clients := range cfg.Clients {
+		t0 := time.Now()
+		if err := runScalePoint(&rep, cfg, sc, seed, clients); err != nil {
+			return rep, fmt.Errorf("scale %d clients: %w", clients, err)
 		}
+		fmt.Fprintf(os.Stderr, "[scale] clients=%d done (%.1fs wall)\n", clients, time.Since(t0).Seconds())
 	}
 	return rep, nil
 }
@@ -127,18 +120,15 @@ type scaleClient struct {
 	hist    metrics.Histogram
 }
 
-// runScalePoint measures one (shards, clients) point into rep. booted counts
+// runScalePoint measures one client count into rep. booted counts
 // clients that completed boot before the deadline — only their operations
 // contribute to the other columns; errs counts operations that failed in
 // the window: rotations or appends that lost to session expiry, ap-map
 // update timeouts, or a full region after repeated rotation failures.
-func runScalePoint(rep *Report, cfg scaleConfig, sc Scale, seed int64, shards, clients int) error {
+func runScalePoint(rep *Report, cfg scaleConfig, sc Scale, seed int64, clients int) error {
 	prof := *sc.profile()
-	// The pooled-controller configuration under test: sharded znode tree,
-	// TTL-cached peer registry with rendezvous placement, coalesced peer
-	// memory publishing. Shards <= 1 keeps the paper's single-group layout
-	// as the baseline curve.
-	prof.Controller.Shards = shards
+	// The pooled-controller configuration under test: TTL-cached peer
+	// registry with rendezvous placement, coalesced peer memory publishing.
 	prof.NCL.PoolRefresh = 10 * time.Second
 	prof.Peer.PublishInterval = 100 * time.Millisecond
 
@@ -187,7 +177,7 @@ func runScalePoint(rep *Report, cfg scaleConfig, sc Scale, seed int64, shards, c
 		errs += r.errs
 		hist.Merge(&r.hist)
 	}
-	cell := fmt.Sprintf("%ds/%dc", shards, clients)
+	cell := fmt.Sprintf("%dc", clients)
 	secs := cfg.Window.Seconds()
 	rep.add(cell, "booted", float64(booted), "count")
 	rep.add(cell, "offered_kops", float64(offered)/secs/1000, "KOps/s")
@@ -253,7 +243,7 @@ func runScaleClient(cp *simnet.Proc, c *harness.Cluster, cfg scaleConfig,
 	// Hold the offered load until every boot attempt has resolved and the
 	// window is published. Early booters would otherwise free-run for the
 	// stragglers' entire boot-retry phase — up to BootDeadline — filling
-	// their fixed-capacity regions (and, on a saturated shard, exhausting
+	// their fixed-capacity regions (and, on a saturated controller, exhausting
 	// their rotation budget) before a single measured arrival fires.
 	startWG.Wait(cp)
 

@@ -42,10 +42,9 @@ var fig8Traced = sync.OnceValues(tracedFig8)
 func tracedFig8() (tracedRun, error) { return traced(experiment("fig8").Run, 1) }
 
 // Two runs with the same profile and seed must produce byte-identical
-// Chrome trace JSON — on the data path (fig8) and on the sharded control
-// plane (the scale smoke point), where any unordered map iteration feeding a
-// decision in the controller, the shard-aware client or the pooled allocator
-// would diverge.
+// Chrome trace JSON — on the data path (fig8) and on the control plane (the
+// scale smoke point), where any unordered map iteration feeding a decision
+// in the controller or the pooled allocator would diverge.
 func TestTraceDeterministic(t *testing.T) {
 	t.Parallel()
 	smoke := func() (tracedRun, error) { return traced(scale, 7) }

@@ -10,30 +10,15 @@ import (
 )
 
 // Client is a typed controller client used by ncl-lib and by log peers.
-// Every operation is a linearizable command through the owning shard's Raft
-// log. On a sharded controller the client caches the shard directory
-// (fetched once from the root group) and routes each path to its group; an
-// ErrWrongShard reply — possible only if the directory was stale — drops
-// the cache and retries. Sessions are lazy and per shard: the client
-// registers on a shard the first time it creates an ephemeral there, and
-// one keep-alive proc services every shard it registered on.
+// Every operation is a linearizable command through the controller's Raft
+// log.
 type Client struct {
 	svc     *Service
 	node    *simnet.Node
 	session string
 	fencing int64
-
-	// rcs[g] is the lazily created proposal client for group g.
-	rcs []*raft.Client
-	// dir is the cached shard directory; nil until fetched (single-group
-	// controllers use the service's static layout immediately).
-	dir []ShardRange
-	// sess[g] records that this client's session is established on group g.
-	sess []bool
-	// wantSession is set by StartSession; until then, ephemeral ops surface
-	// ErrSession exactly like a sessionless ZooKeeper client would.
-	wantSession bool
-	started     bool
+	rc      *raft.Client
+	started bool
 	// owned are the ephemerals this client created, in creation order, each
 	// with the data it last wrote there: what the keep-alive proc re-creates
 	// once it has re-established an expired session.
@@ -54,31 +39,18 @@ type ephemeral struct {
 // fencing tokens, as in ZooKeeper where each client connection is its own
 // session.
 func NewClient(svc *Service, node *simnet.Node, name string, fencing int64) *Client {
-	c := &Client{
+	rc := raft.NewClient(svc.cluster, node)
+	rc.Deadline = svc.cfg.OpTimeout
+	// Fast per-attempt failover: keep-alives must land within a fraction of
+	// the session timeout even right after a partition heals.
+	rc.CallTimeout = svc.cfg.SessionTimeout / 6
+	return &Client{
 		svc:     svc,
 		node:    node,
 		session: fmt.Sprintf("%s@%s#%d", name, node.Name(), fencing),
 		fencing: fencing,
-		rcs:     make([]*raft.Client, len(svc.shards)),
-		sess:    make([]bool, len(svc.shards)),
+		rc:      rc,
 	}
-	if len(svc.shards) == 1 {
-		c.dir = svc.shards
-	}
-	return c
-}
-
-// client returns (creating on first use) the proposal client for group g.
-func (c *Client) client(g int) *raft.Client {
-	if c.rcs[g] == nil {
-		rc := raft.NewClient(c.svc.set.Group(g), c.node)
-		rc.Deadline = c.svc.cfg.OpTimeout
-		// Fast per-attempt failover: keep-alives must land within a fraction
-		// of the session timeout even right after a partition heals.
-		rc.CallTimeout = c.svc.cfg.SessionTimeout / 6
-		c.rcs[g] = rc
-	}
-	return c.rcs[g]
 }
 
 // cmdOp names a znode command for span attribution.
@@ -103,13 +75,13 @@ func cmdOp(code wire.Code) string {
 	}
 }
 
-// proposeAt runs one encoded command on group g and decodes the opResult.
-func (c *Client) proposeAt(p *simnet.Proc, g int, cmd wire.Msg) (opResult, error) {
+// run proposes one encoded command and decodes the opResult.
+func (c *Client) run(p *simnet.Proc, cmd wire.Msg) (opResult, error) {
 	if p.Tracing() {
 		sp := p.StartSpan("controller", cmdOp(cmd.Code))
 		defer p.EndSpan(sp)
 	}
-	res, err := c.client(g).Propose(p, cmd)
+	res, err := c.rc.Propose(p, cmd)
 	if err != nil {
 		return opResult{}, err
 	}
@@ -121,122 +93,40 @@ func (c *Client) proposeAt(p *simnet.Proc, g int, cmd wire.Msg) (opResult, error
 	return r, nil
 }
 
-// ensureDir makes sure the shard directory is cached, fetching /shards from
-// the root group on a sharded controller (retrying briefly: the directory
-// is published by a boot proc and may trail the ensemble by a moment).
-func (c *Client) ensureDir(p *simnet.Proc) error {
-	if c.dir != nil {
-		return nil
-	}
-	var lastErr error
-	deadline := p.Now() + c.svc.cfg.OpTimeout
-	for {
-		r, err := c.proposeAt(p, 0, cmdGet{Path: shardDirPath}.MarshalWire())
-		if err == nil && r.Found {
-			c.dir = parseShardDir(r.Data)
-			return nil
-		}
-		lastErr = err
-		if p.Now() >= deadline {
-			if lastErr == nil {
-				lastErr = ErrNotFound
-			}
-			return fmt.Errorf("controller: shard directory unavailable: %w", lastErr)
-		}
-		p.Sleep(c.svc.cfg.ExpiryScan)
-	}
-}
-
-// groupFor routes a path through the cached directory.
-func (c *Client) groupFor(path string) int {
-	app, meta := routeKey(path)
-	if meta {
-		return 0
-	}
-	h := fnv32(app)
-	for _, sr := range c.dir {
-		if sr.contains(h) {
-			return sr.Group
-		}
-	}
-	return 0
-}
-
 // establishSession registers (or, after an expiry, re-registers) the
-// client's session on group g.
-func (c *Client) establishSession(p *simnet.Proc, g int) error {
-	_, err := c.proposeAt(p, g, cmdNewSession{
+// client's session.
+func (c *Client) establishSession(p *simnet.Proc) error {
+	_, err := c.run(p, cmdNewSession{
 		Session: c.session,
 		At:      p.Now(),
 		Timeout: c.svc.cfg.SessionTimeout,
 	}.MarshalWire())
-	if err == nil {
-		c.sess[g] = true
-	}
 	return err
 }
 
-// run routes one command to the group owning path, lazily establishing the
-// session there when the op needs one, and refreshes the directory on a
-// wrong-shard reply.
-func (c *Client) run(p *simnet.Proc, path string, needSession bool, cmd wire.Msg) (opResult, error) {
-	if err := c.ensureDir(p); err != nil {
-		return opResult{}, err
-	}
-	for attempt := 0; ; attempt++ {
-		g := c.groupFor(path)
-		if needSession && c.wantSession && !c.sess[g] {
-			if err := c.establishSession(p, g); err != nil {
-				return opResult{}, err
-			}
-		}
-		r, err := c.proposeAt(p, g, cmd)
-		if errors.Is(err, ErrWrongShard) && len(c.svc.shards) > 1 && attempt < 2 {
-			c.dir = nil
-			if derr := c.ensureDir(p); derr != nil {
-				return opResult{}, derr
-			}
-			continue
-		}
-		return r, err
-	}
-}
-
-// StartSession arms the client's session and spawns the keep-alive proc
-// (which dies with the node, letting the session expire — exactly the
-// ZooKeeper ephemeral-node behaviour the paper relies on). On a
-// single-group controller the session is registered immediately; on a
-// sharded one it is registered per shard on first ephemeral use, and the
-// keep-alive proc services every shard the session reached.
+// StartSession registers the client's session and spawns the keep-alive
+// proc (which dies with the node, letting the session expire — exactly the
+// ZooKeeper ephemeral-node behaviour the paper relies on). Until it is
+// called, ephemeral ops surface ErrSession exactly like a sessionless
+// ZooKeeper client would.
 func (c *Client) StartSession(p *simnet.Proc) error {
-	if err := c.ensureDir(p); err != nil {
+	if err := c.establishSession(p); err != nil {
 		return err
-	}
-	c.wantSession = true
-	if len(c.dir) == 1 {
-		if err := c.establishSession(p, 0); err != nil {
-			return err
-		}
 	}
 	if !c.started {
 		c.started = true
 		c.node.Go("ctrl-keepalive:"+c.session, func(kp *simnet.Proc) {
 			for {
 				kp.Sleep(c.svc.cfg.KeepAlive)
-				for g := range c.sess {
-					if !c.sess[g] {
-						continue
+				_, err := c.run(kp, cmdKeepAlive{Session: c.session, At: kp.Now()}.MarshalWire())
+				if errors.Is(err, ErrSession) && c.establishSession(kp) == nil {
+					// Expired (e.g. after a partition), and the ephemerals
+					// with it.
+					for _, e := range c.owned {
+						e.lost = true
 					}
-					_, err := c.proposeAt(kp, g, cmdKeepAlive{Session: c.session, At: kp.Now()}.MarshalWire())
-					if errors.Is(err, ErrSession) && c.establishSession(kp, g) == nil {
-						// Expired (e.g. after a partition), and the ephemerals
-						// on this shard with it.
-						for _, e := range c.owned {
-							e.lost = e.lost || c.groupFor(e.path) == g
-						}
-					}
-					c.recreate(kp, g)
 				}
+				c.recreate(kp)
 			}
 		})
 	}
@@ -246,7 +136,7 @@ func (c *Client) StartSession(p *simnet.Proc) error {
 // createEphemeral creates the znode this client's session keeps alive,
 // taking over from an owner with a strictly lower fencing token.
 func (c *Client) createEphemeral(p *simnet.Proc, path string, data wire.Msg) error {
-	_, err := c.run(p, path, true, c.ephemeralCmd(path, data))
+	_, err := c.run(p, c.ephemeralCmd(path, data))
 	if err == nil && c.own(path) == nil {
 		c.owned = append(c.owned, &ephemeral{path: path, data: data})
 	}
@@ -269,17 +159,17 @@ func (c *Client) own(path string) *ephemeral {
 	return nil
 }
 
-// recreate puts back the ephemerals of shard g that an expired session took
-// with it, each with the data last written there, under the fencing rules of
-// the first create: a znode a newer instance took over meanwhile answers
+// recreate puts back the ephemerals that an expired session took with it,
+// each with the data last written there, under the fencing rules of the
+// first create: a znode a newer instance took over meanwhile answers
 // ErrExists and stays that instance's. Anything else is tried again a
 // keep-alive period later. A healthy session has nothing lost.
-func (c *Client) recreate(kp *simnet.Proc, g int) {
+func (c *Client) recreate(kp *simnet.Proc) {
 	for _, e := range c.owned {
-		if !e.lost || c.groupFor(e.path) != g {
+		if !e.lost {
 			continue
 		}
-		_, err := c.proposeAt(kp, g, c.ephemeralCmd(e.path, e.data))
+		_, err := c.run(kp, c.ephemeralCmd(e.path, e.data))
 		e.lost = err != nil && !errors.Is(err, ErrExists)
 	}
 }
@@ -303,7 +193,7 @@ func (c *Client) PublishPeer(p *simnet.Proc, info PeerInfo) error {
 	if e := c.own(path); e != nil {
 		e.data = data
 	}
-	_, err := c.run(p, path, false, cmdSet{Path: path, Data: data, Version: -1}.MarshalWire())
+	_, err := c.run(p, cmdSet{Path: path, Data: data, Version: -1}.MarshalWire())
 	return err
 }
 
@@ -311,7 +201,7 @@ func (c *Client) PublishPeer(p *simnet.Proc, info PeerInfo) error {
 // ranks allocation candidates from. An entry is a hint — a listed peer can
 // still reject the allocation (§4.3).
 func (c *Client) ListPeers(p *simnet.Proc) ([]PeerInfo, error) {
-	res, err := c.run(p, "/peers/", false, cmdList{Prefix: "/peers/"}.MarshalWire())
+	res, err := c.run(p, cmdList{Prefix: "/peers/"}.MarshalWire())
 	if err != nil {
 		return nil, err
 	}
@@ -324,7 +214,7 @@ func (c *Client) ListPeers(p *simnet.Proc) ([]PeerInfo, error) {
 
 // GetPeer returns one peer's registration.
 func (c *Client) GetPeer(p *simnet.Proc, name string) (PeerInfo, bool, error) {
-	res, err := c.run(p, peerPath(name), false, cmdGet{Path: peerPath(name)}.MarshalWire())
+	res, err := c.run(p, cmdGet{Path: peerPath(name)}.MarshalWire())
 	if err != nil {
 		return PeerInfo{}, false, err
 	}
@@ -350,14 +240,14 @@ func (c *Client) SetAppFile(p *simnet.Proc, app, file string, e FileEntry, versi
 	if version == 0 {
 		cmd = cmdCreate{Path: path, Data: data}.MarshalWire()
 	}
-	r, err := c.run(p, path, false, cmd)
+	r, err := c.run(p, cmd)
 	return r.Version, err
 }
 
 // GetAppFile reads the ap-map entry for (app, file).
 func (c *Client) GetAppFile(p *simnet.Proc, app, file string) (FileEntry, int64, bool, error) {
 	path := fileKey(app, file)
-	res, err := c.run(p, path, false, cmdGet{Path: path}.MarshalWire())
+	res, err := c.run(p, cmdGet{Path: path}.MarshalWire())
 	if err != nil {
 		return FileEntry{}, 0, false, err
 	}
@@ -372,7 +262,7 @@ func (c *Client) GetAppFile(p *simnet.Proc, app, file string) (FileEntry, int64,
 // DeleteAppFile removes the ap-map entry (on ncl-file release).
 func (c *Client) DeleteAppFile(p *simnet.Proc, app, file string) error {
 	path := fileKey(app, file)
-	_, err := c.run(p, path, false, cmdDelete{Path: path, Version: -1}.MarshalWire())
+	_, err := c.run(p, cmdDelete{Path: path, Version: -1}.MarshalWire())
 	if errors.Is(err, ErrNotFound) {
 		return nil
 	}
@@ -383,7 +273,7 @@ func (c *Client) DeleteAppFile(p *simnet.Proc, app, file string) error {
 // find what must be restored from peers).
 func (c *Client) ListAppFiles(p *simnet.Proc, app string) (map[string]FileEntry, error) {
 	prefix := "/apps/" + app + "/"
-	res, err := c.run(p, prefix, false, cmdList{Prefix: prefix}.MarshalWire())
+	res, err := c.run(p, cmdList{Prefix: prefix}.MarshalWire())
 	if err != nil {
 		return nil, err
 	}
@@ -401,8 +291,7 @@ func (c *Client) ListAppFiles(p *simnet.Proc, app string) (map[string]FileEntry,
 // AcquireServerLock claims the application's single-instance znode (§4.7).
 // A fresh instance takes over from a crashed predecessor with a lower
 // fencing token; concurrent instances with the same token race and exactly
-// one wins (the paper's ZooKeeper guarantee). The lock lives on the
-// application's shard, next to its ap-map entries.
+// one wins (the paper's ZooKeeper guarantee).
 func (c *Client) AcquireServerLock(p *simnet.Proc, app string) error {
 	err := c.createEphemeral(p, "/servers/"+app, ServerInfo{Node: c.node.Name(), Fencing: c.fencing}.MarshalWire())
 	if errors.Is(err, ErrExists) {

@@ -45,7 +45,6 @@ const (
 	codeDelete     wire.Code = 0x35
 	codeGet        wire.Code = 0x36
 	codeList       wire.Code = 0x37
-	codeShardDir   wire.Code = 0x38
 	codePeerInfo   wire.Code = 0x3b
 	codeFileEntry  wire.Code = 0x3c
 	codeServerInfo wire.Code = 0x3d
@@ -137,9 +136,6 @@ var (
 	ErrBadVersion = errors.New("controller: version mismatch")
 	ErrSession    = errors.New("controller: session expired or unknown")
 	ErrFenced     = errors.New("controller: fenced by a newer instance")
-	// ErrWrongShard rejects a znode op routed to a group that does not own
-	// the path; clients refresh their shard directory and retry.
-	ErrWrongShard = errors.New("controller: wrong shard for path")
 )
 
 // ---- Replicated state machine ----
@@ -160,26 +156,10 @@ type session struct {
 type tree struct {
 	nodes    map[string]*znode
 	sessions map[string]*session
-	// shard is this tree's entry of the layout (shardLayout): its group and
-	// the app-hash range it owns.
-	shard ShardRange
 }
 
-func newShardTree(sr ShardRange) *tree {
-	return &tree{nodes: make(map[string]*znode), sessions: make(map[string]*session), shard: sr}
-}
-
-// owns reports whether this shard's state machine is the home of path: meta
-// state lives on group 0, an application's on the group whose range holds its
-// hash (group 0 itself when it is the only one — its range is then the whole
-// space, otherwise empty). Session commands skip the check — sessions exist
-// per shard.
-func (t *tree) owns(path string) bool {
-	app, meta := routeKey(path)
-	if meta {
-		return t.shard.Group == 0
-	}
-	return t.shard.contains(fnv32(app))
+func newTree() *tree {
+	return &tree{nodes: make(map[string]*znode), sessions: make(map[string]*session)}
 }
 
 // Commands. Every mutation is versioned or idempotent so client retries
@@ -395,9 +375,6 @@ func (t *tree) apply(cmd wire.Msg) opResult {
 	case codeCreate:
 		var c cmdCreate
 		c.UnmarshalWire(cmd) //nolint:errcheck
-		if !t.owns(c.Path) {
-			return opResult{Err: ErrWrongShard}
-		}
 		if c.Ephemeral {
 			if _, ok := t.sessions[c.Session]; !ok {
 				return opResult{Err: ErrSession}
@@ -421,9 +398,6 @@ func (t *tree) apply(cmd wire.Msg) opResult {
 	case codeSet:
 		var c cmdSet
 		c.UnmarshalWire(cmd) //nolint:errcheck
-		if !t.owns(c.Path) {
-			return opResult{Err: ErrWrongShard}
-		}
 		n, ok := t.nodes[c.Path]
 		if !ok {
 			return opResult{Err: ErrNotFound}
@@ -437,9 +411,6 @@ func (t *tree) apply(cmd wire.Msg) opResult {
 	case codeDelete:
 		var c cmdDelete
 		c.UnmarshalWire(cmd) //nolint:errcheck
-		if !t.owns(c.Path) {
-			return opResult{Err: ErrWrongShard}
-		}
 		n, ok := t.nodes[c.Path]
 		if !ok {
 			return opResult{Err: ErrNotFound}
@@ -450,9 +421,6 @@ func (t *tree) apply(cmd wire.Msg) opResult {
 		delete(t.nodes, c.Path)
 		return opResult{}
 	case codeGet:
-		if !t.owns(cmd.S[0]) {
-			return opResult{Err: ErrWrongShard}
-		}
 		n, ok := t.nodes[cmd.S[0]]
 		if !ok {
 			return opResult{Found: false}
@@ -460,9 +428,6 @@ func (t *tree) apply(cmd wire.Msg) opResult {
 		return opResult{Found: true, Data: n.data, Version: n.version}
 	case codeList:
 		prefix := cmd.S[0]
-		if !t.owns(prefix) {
-			return opResult{Err: ErrWrongShard}
-		}
 		var paths []string
 		for p := range t.nodes {
 			if strings.HasPrefix(p, prefix) {
@@ -501,18 +466,13 @@ func DefaultConfig() Config {
 	return model.Baseline().Controller
 }
 
-// Service is a running controller ensemble: one raft.Set whose group 0 is
-// the root shard (peer registry + shard directory) and whose groups 1..N,
-// when cfg.Shards > 1, own hash ranges of the per-application state. With
-// cfg.Shards <= 1 the set has a single group owning everything — the
-// paper's ZooKeeper-equivalent layout.
+// Service is a running controller ensemble: one Raft group holding the
+// whole znode tree, the paper's ZooKeeper-equivalent layout.
 type Service struct {
-	sim      *simnet.Sim
 	cfg      Config
-	set      *raft.Set
-	shards   []ShardRange
+	cluster  *raft.Cluster
 	nodes    []*simnet.Node
-	replicas map[string][]*raft.Replica // node id -> replicas in group order
+	replicas map[string]*raft.Replica // node id -> its running replica
 }
 
 // Start boots a controller ensemble across the given nodes (typically 3).
@@ -521,12 +481,8 @@ func Start(s *simnet.Sim, nodes []*simnet.Node, cfg Config) *Service {
 	for i, n := range nodes {
 		ids[i] = n.Name()
 	}
-	svc := &Service{sim: s, cfg: cfg, nodes: nodes,
-		shards: shardLayout(cfg.Shards), replicas: make(map[string][]*raft.Replica)}
-	svc.set = raft.NewSet(s, "ncl-controller", cfg.Raft, ids)
-	for _, sr := range svc.shards {
-		svc.set.AddGroup(func() raft.StateMachine { return newShardTree(sr) })
-	}
+	svc := &Service{cfg: cfg, nodes: nodes, replicas: make(map[string]*raft.Replica)}
+	svc.cluster = raft.New(s, "ncl-controller", cfg.Raft, ids, func() raft.StateMachine { return newTree() })
 	for i, n := range nodes {
 		svc.startNode(n, ids[i])
 	}
@@ -534,60 +490,37 @@ func Start(s *simnet.Sim, nodes []*simnet.Node, cfg Config) *Service {
 }
 
 func (svc *Service) startNode(n *simnet.Node, id string) {
-	reps := svc.set.StartNode(n, id)
-	svc.replicas[id] = reps
-	if len(svc.shards) > 1 {
-		// Publish the shard directory into the root group so clients can
-		// fetch it. Every node proposes the same create; the first to land
-		// wins and the rest see ErrExists — idempotent by construction.
-		n.Go("ctrl-shard-dir:"+id, func(p *simnet.Proc) {
-			rc := raft.NewClient(svc.set.Group(0), n)
-			rc.Deadline = svc.cfg.OpTimeout
-			for {
-				res, err := rc.Propose(p, cmdCreate{Path: shardDirPath, Data: shardDirMsg(svc.shards)}.MarshalWire())
-				if err == nil {
-					var r opResult
-					r.UnmarshalWire(res) //nolint:errcheck
-					if r.Err == nil || errors.Is(r.Err, ErrExists) {
-						return
-					}
-				}
-				p.Sleep(svc.cfg.ExpiryScan)
-			}
-		})
-	}
-	// Session-expiry monitor: for every group this node currently leads,
-	// propose expirations for sessions whose heartbeats stopped. The state
-	// machine re-checks at apply time, so a stale monitor can never expire
-	// a live session. Groups are scanned in index order and stale names
-	// sorted, keeping the proposal stream deterministic.
+	rep := svc.cluster.StartNode(n, id)
+	svc.replicas[id] = rep
+	// Session-expiry monitor: while this node leads, propose expirations for
+	// sessions whose heartbeats stopped. The state machine re-checks at apply
+	// time, so a stale monitor can never expire a live session. Stale names
+	// are sorted, keeping the proposal stream deterministic.
 	n.Go("ctrl-expiry:"+id, func(p *simnet.Proc) {
-		rcs := make([]*raft.Client, len(reps))
+		var rc *raft.Client
 		var stale []string
 		for {
 			p.Sleep(svc.cfg.ExpiryScan)
-			for g, rep := range reps {
-				if !rep.IsLeader() {
-					continue
+			if !rep.IsLeader() {
+				continue
+			}
+			t := rep.SM().(*tree)
+			stale = stale[:0]
+			for name, sess := range t.sessions {
+				if p.Now()-sess.lastSeen >= sess.timeout {
+					stale = append(stale, name)
 				}
-				t := rep.SM().(*tree)
-				stale = stale[:0]
-				for name, sess := range t.sessions {
-					if p.Now()-sess.lastSeen >= sess.timeout {
-						stale = append(stale, name)
-					}
-				}
-				if len(stale) == 0 {
-					continue
-				}
-				sort.Strings(stale)
-				if rcs[g] == nil {
-					rcs[g] = raft.NewClient(svc.set.Group(g), n)
-					rcs[g].Deadline = svc.cfg.OpTimeout
-				}
-				for _, name := range stale {
-					rcs[g].Propose(p, cmdExpire{Session: name, AsOf: p.Now()}.MarshalWire()) //nolint:errcheck
-				}
+			}
+			if len(stale) == 0 {
+				continue
+			}
+			sort.Strings(stale)
+			if rc == nil {
+				rc = raft.NewClient(svc.cluster, n)
+				rc.Deadline = svc.cfg.OpTimeout
+			}
+			for _, name := range stale {
+				rc.Propose(p, cmdExpire{Session: name, AsOf: p.Now()}.MarshalWire()) //nolint:errcheck
 			}
 		}
 	})
@@ -601,21 +534,17 @@ func (svc *Service) RestartNode(n *simnet.Node) {
 // Nodes returns the ensemble's nodes in start order.
 func (svc *Service) Nodes() []*simnet.Node { return svc.nodes }
 
-// LeaderNode returns the node whose replica currently leads raft group g,
-// or nil when no replica believes it leads (mid-election). Fault injectors
-// use it to aim partitions at the node whose loss actually hurts.
-func (svc *Service) LeaderNode(g int) *simnet.Node {
+// LeaderNode returns the node whose replica currently leads the group, or
+// nil when no replica believes it leads (mid-election). Fault injectors use
+// it to aim partitions at the node whose loss actually hurts.
+func (svc *Service) LeaderNode() *simnet.Node {
 	for _, n := range svc.nodes {
-		reps := svc.replicas[n.Name()]
-		if g < len(reps) && reps[g].IsLeader() {
+		if svc.replicas[n.Name()].IsLeader() {
 			return n
 		}
 	}
 	return nil
 }
-
-// Shards returns the shard layout (group 0 first).
-func (svc *Service) Shards() []ShardRange { return svc.shards }
 
 // Config returns the service timing configuration.
 func (svc *Service) Config() Config { return svc.cfg }

@@ -294,3 +294,142 @@ func TestSessionSurvivesShortPartitionDiesOnLong(t *testing.T) {
 	})
 	fx.run(t, 2*time.Minute)
 }
+
+// TestShardedSessionExpiryEphemeralOnDataShard checks that an instance lock
+// blocks a second instance with the same fencing token while its owner's
+// session lives, and disappears once the expiry scan has expired the
+// crashed owner's session.
+func TestShardedSessionExpiryEphemeralOnDataShard(t *testing.T) {
+	fx := newFixture(11)
+	n1 := fx.sim.NewNode("inst1")
+	n2 := fx.sim.NewNode("inst2")
+	fx.sim.Go("test", func(p *simnet.Proc) {
+		p.Sleep(time.Second)
+		const app = "app1"
+		c1 := NewClient(fx.svc, n1, app+"-server", 0)
+		if err := c1.StartSession(p); err != nil {
+			t.Fatalf("session: %v", err)
+		}
+		if err := c1.AcquireServerLock(p, app); err != nil {
+			t.Fatalf("acquire: %v", err)
+		}
+		n1.Crash()
+		// Same fencing token: blocked while the ephemeral survives.
+		c2 := NewClient(fx.svc, n2, app+"-server", 0)
+		if err := c2.StartSession(p); err != nil {
+			t.Fatalf("session 2: %v", err)
+		}
+		if err := c2.AcquireServerLock(p, app); !errors.Is(err, ErrFenced) {
+			t.Fatalf("lock free before expiry: %v", err)
+		}
+		p.Sleep(3 * fx.svc.cfg.SessionTimeout)
+		if err := c2.AcquireServerLock(p, app); err != nil {
+			t.Fatalf("acquire after expiry: %v", err)
+		}
+		fx.sim.Stop()
+	})
+	fx.run(t, time.Minute)
+}
+
+// TestShardLeaderFailoverMidReplacement crashes the controller's Raft leader
+// while a client is mid-way through a WAL replacement (ap-map update,
+// delete, re-create). The ops must ride out the election and the node must
+// rejoin cleanly.
+func TestShardLeaderFailoverMidReplacement(t *testing.T) {
+	fx := newFixture(12)
+	appNode := fx.sim.NewNode("app")
+	fx.sim.Go("test", func(p *simnet.Proc) {
+		p.Sleep(time.Second)
+		const app = "app1"
+		c := NewClient(fx.svc, appNode, app, 0)
+		v, err := c.SetAppFile(p, app, "wal-0", FileEntry{Peers: []string{"p1", "p2", "p3"}, Epoch: 1}, 0)
+		if err != nil {
+			t.Fatalf("set before failover: %v", err)
+		}
+		crashed := fx.svc.LeaderNode()
+		if crashed == nil {
+			t.Fatal("no controller leader")
+		}
+		crashed.Crash()
+		// The replacement sequence continues against the new leader:
+		// CAS the entry (peer swap), then rotate (delete + re-create).
+		if _, err := c.SetAppFile(p, app, "wal-0", FileEntry{Peers: []string{"p1", "p2", "p4"}, Epoch: 2}, v); err != nil {
+			t.Fatalf("cas during failover: %v", err)
+		}
+		if err := c.DeleteAppFile(p, app, "wal-0"); err != nil {
+			t.Fatalf("delete during failover: %v", err)
+		}
+		if _, err := c.SetAppFile(p, app, "wal-1", FileEntry{Peers: []string{"p1", "p2", "p4"}, Epoch: 2}, 0); err != nil {
+			t.Fatalf("create during failover: %v", err)
+		}
+		crashed.Restart()
+		fx.svc.RestartNode(crashed)
+		p.Sleep(time.Second)
+		files, err := c.ListAppFiles(p, app)
+		if err != nil || len(files) != 1 {
+			t.Fatalf("list after rejoin: %v files=%v", err, files)
+		}
+		if e := files["wal-1"]; e.Epoch != 2 {
+			t.Fatalf("wal-1 entry = %+v", e)
+		}
+		fx.sim.Stop()
+	})
+	fx.run(t, time.Minute)
+}
+
+// TestExtentMetaOnShardedController exercises the /dfs/<vol>/ extent paths:
+// batched ID allocation is a CAS loop that hands out disjoint ranges to
+// competing clients, and seal records round-trip.
+func TestExtentMetaOnShardedController(t *testing.T) {
+	fx := newFixture(21)
+	n1 := fx.sim.NewNode("dfs-client-1")
+	n2 := fx.sim.NewNode("dfs-client-2")
+	fx.sim.Go("test", func(p *simnet.Proc) {
+		p.Sleep(time.Second)
+		c1 := NewClient(fx.svc, n1, "dfs-1", 0)
+		c2 := NewClient(fx.svc, n2, "dfs-2", 0)
+		// Interleaved batch allocations must return disjoint ID ranges.
+		seen := map[uint64]string{}
+		clients := []struct {
+			name string
+			c    *Client
+		}{{"c1", c1}, {"c2", c2}}
+		for i := 0; i < 3; i++ {
+			for _, cc := range clients {
+				name, c := cc.name, cc.c
+				first, err := c.AllocExtentIDs(p, "cephfs", 8)
+				if err != nil {
+					t.Fatalf("%s alloc: %v", name, err)
+				}
+				for id := first; id < first+8; id++ {
+					if owner, dup := seen[id]; dup {
+						t.Fatalf("id %d allocated to both %s and %s", id, owner, name)
+					}
+					seen[id] = name
+				}
+			}
+		}
+		if len(seen) != 48 {
+			t.Fatalf("allocated %d ids, want 48", len(seen))
+		}
+		// Seal records round-trip, including the create-or-set overwrite.
+		if err := c1.SealExtent(p, "cephfs", 7, []string{"sn0", "sn1", "sn2"}, 1<<20); err != nil {
+			t.Fatalf("seal: %v", err)
+		}
+		if err := c2.SealExtent(p, "cephfs", 7, []string{"sn0", "sn1", "sn2"}, 2<<20); err != nil {
+			t.Fatalf("re-seal: %v", err)
+		}
+		e, found, err := c1.GetExtent(p, "cephfs", 7)
+		if err != nil || !found {
+			t.Fatalf("get extent: %v %v", found, err)
+		}
+		if !e.Sealed || e.Length != 2<<20 || len(e.Nodes) != 3 || e.Nodes[0] != "sn0" {
+			t.Fatalf("extent entry = %+v", e)
+		}
+		if _, found, _ := c1.GetExtent(p, "cephfs", 999); found {
+			t.Fatal("absent extent reported found")
+		}
+		fx.sim.Stop()
+	})
+	fx.run(t, time.Minute)
+}

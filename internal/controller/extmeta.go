@@ -8,10 +8,8 @@ import (
 	"splitft/internal/wire"
 )
 
-// Extent metadata for the dfs extent plane, on the shard layout: every
-// volume's state lives under /dfs/<vol>/ and routes by volume hash (see
-// routeKey), so extent allocation scales with the controller exactly like
-// the per-application ap-map does. Two kinds of znode:
+// Extent metadata for the dfs extent plane: every volume's state lives under
+// /dfs/<vol>/, beside the per-application ap-map. Two kinds of znode:
 //
 //   - /dfs/<vol>/next — the volume's extent-ID counter, advanced by a
 //     compare-and-set loop (clients allocate in batches and lease the IDs
@@ -63,17 +61,17 @@ func extEntryPath(vol string, id uint64) string {
 // AllocExtentIDs reserves n consecutive extent IDs for vol and returns the
 // first, via compare-and-set on the volume's counter znode. Conflicts
 // (another client won the CAS) retry; each round trip is one linearizable
-// command on the volume's shard.
+// command.
 func (c *Client) AllocExtentIDs(p *simnet.Proc, vol string, n int) (uint64, error) {
 	path := extCounterPath(vol)
 	for {
-		res, err := c.run(p, path, false, cmdGet{Path: path}.MarshalWire())
+		res, err := c.run(p, cmdGet{Path: path}.MarshalWire())
 		if err != nil {
 			return 0, err
 		}
 		if !res.Found {
 			m := wire.Msg{Code: codeExtCounter, U: [4]uint64{uint64(n)}}
-			_, err := c.run(p, path, false, cmdCreate{Path: path, Data: m}.MarshalWire())
+			_, err := c.run(p, cmdCreate{Path: path, Data: m}.MarshalWire())
 			if errors.Is(err, ErrExists) {
 				continue // lost the creation race; re-read and CAS
 			}
@@ -84,7 +82,7 @@ func (c *Client) AllocExtentIDs(p *simnet.Proc, vol string, n int) (uint64, erro
 		}
 		next := res.Data.U[0]
 		m := wire.Msg{Code: codeExtCounter, U: [4]uint64{next + uint64(n)}}
-		_, err = c.run(p, path, false, cmdSet{Path: path, Data: m, Version: res.Version}.MarshalWire())
+		_, err = c.run(p, cmdSet{Path: path, Data: m, Version: res.Version}.MarshalWire())
 		if errors.Is(err, ErrBadVersion) {
 			continue // lost the CAS race; re-read
 		}
@@ -100,16 +98,16 @@ func (c *Client) AllocExtentIDs(p *simnet.Proc, vol string, n int) (uint64, erro
 func (c *Client) SealExtent(p *simnet.Proc, vol string, id uint64, nodes []string, length int64) error {
 	path := extEntryPath(vol, id)
 	data := ExtentEntry{Nodes: nodes, Length: length, Sealed: true}.MarshalWire()
-	_, err := c.run(p, path, false, cmdCreate{Path: path, Data: data}.MarshalWire())
+	_, err := c.run(p, cmdCreate{Path: path, Data: data}.MarshalWire())
 	if errors.Is(err, ErrExists) {
-		_, err = c.run(p, path, false, cmdSet{Path: path, Data: data, Version: -1}.MarshalWire())
+		_, err = c.run(p, cmdSet{Path: path, Data: data, Version: -1}.MarshalWire())
 	}
 	return err
 }
 
 // GetExtent reads an extent's seal record.
 func (c *Client) GetExtent(p *simnet.Proc, vol string, id uint64) (ExtentEntry, bool, error) {
-	res, err := c.run(p, extEntryPath(vol, id), false, cmdGet{Path: extEntryPath(vol, id)}.MarshalWire())
+	res, err := c.run(p, cmdGet{Path: extEntryPath(vol, id)}.MarshalWire())
 	if err != nil {
 		return ExtentEntry{}, false, err
 	}

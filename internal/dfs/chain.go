@@ -15,7 +15,7 @@ import (
 
 // ExtentMeta is the extent-metadata service a mount allocates and seals
 // extents through. The full stack wires a sessionless controller client
-// (the sharded controller owns /dfs/<vol>/...); standalone dfs tests fall
+// (the controller owns /dfs/<vol>/...); standalone dfs tests fall
 // back to a cluster-local allocator that models only the metadata cost.
 type ExtentMeta interface {
 	// AllocIDs reserves n consecutive extent IDs and returns the first.

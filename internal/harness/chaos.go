@@ -159,7 +159,7 @@ func (in *Injector) Run(p *simnet.Proc, scenario string) error {
 		i := in.pickPeer()
 		step(in.crashPeer(p, i))
 		p.Sleep(20 * time.Millisecond)
-		if leader := in.C.Controller.LeaderNode(0); leader != nil {
+		if leader := in.C.Controller.LeaderNode(); leader != nil {
 			net.Isolate(leader)
 			step(in.event(p, "isolate controller leader %s", leader.Name()))
 			p.Sleep(400 * time.Millisecond)

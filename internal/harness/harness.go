@@ -109,7 +109,7 @@ func New(opts Options) *Cluster {
 		for i := 0; i < dfsParams.ExtentNodes; i++ {
 			c.StorageNodes = append(c.StorageNodes, s.NewNode(fmt.Sprintf("cephfs-sn%d", i)))
 		}
-		// Extent metadata lives under /dfs/cephfs/ on the sharded controller.
+		// Extent metadata lives under /dfs/cephfs/ on the controller.
 		// The per-mount client is sessionless — allocation and seals are not
 		// ephemeral — so it adds no keep-alive traffic.
 		ctrl := c.Controller

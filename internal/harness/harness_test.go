@@ -146,7 +146,7 @@ func TestProfileOverridePlumbing(t *testing.T) {
 	prof.DFS.SyncFixed = 1750 * time.Microsecond
 	prof.NCL.Replication = "mirror:2"
 	prof.NetLatency = 9 * time.Microsecond
-	prof.Controller.Shards = 4
+	prof.Controller.SessionTimeout = 900 * time.Millisecond
 	prof.Peer.PublishInterval = 70 * time.Millisecond
 	c := New(Options{Seed: 5, Profile: prof})
 	// The fabric, dfs and network must be built from the custom profile,
@@ -160,8 +160,8 @@ func TestProfileOverridePlumbing(t *testing.T) {
 	if got := c.Sim.Net().Latency(c.AppNode, c.ClientNode); got != 9*time.Microsecond {
 		t.Errorf("net latency = %v, want the profile's 9us", got)
 	}
-	if got := c.Controller.Config().Shards; got != 4 {
-		t.Errorf("controller shards = %d, want the profile's 4", got)
+	if got := c.Controller.Config().SessionTimeout; got != 900*time.Millisecond {
+		t.Errorf("controller session timeout = %v, want the profile's 900ms", got)
 	}
 	if got := c.FSOptions("app", 0).NCL; got != prof.NCL {
 		t.Errorf("FSOptions NCL = %+v, want the profile's", got)

@@ -156,12 +156,6 @@ type ControllerConfig struct {
 	KeepAlive      time.Duration
 	ExpiryScan     time.Duration
 	OpTimeout      time.Duration
-	// Shards partitions the controller's znode tree across multiple Raft
-	// groups (ChubaoFS-style multi-raft): 0 or 1 keeps everything in one
-	// group (the paper's ZooKeeper-equivalent setup); N > 1 runs a small
-	// root group for the peer registry and shard directory plus N data
-	// groups that own hash ranges of the per-application state.
-	Shards int
 }
 
 // PeerConfig tunes a log-peer daemon (peer.Config is an alias of this

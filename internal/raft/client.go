@@ -41,7 +41,6 @@ func (c *Client) Propose(p *simnet.Proc, cmd wire.Msg) (wire.Msg, error) {
 		defer p.EndSpan(sp)
 	}
 	net := c.cluster.sim.Net()
-	cmd.Meta = c.cluster.groupTag() // route to our group on multi-group endpoints
 	deadline := p.Now() + c.Deadline
 	var lastErr error = ErrTimeout
 	for p.Now() < deadline {

@@ -1,7 +1,6 @@
 package raft
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -9,12 +8,13 @@ import (
 	"splitft/internal/simnet"
 )
 
-// setHarness runs one multi-group Set across n nodes with g groups, each
-// group replicating its own regSM.
-type setHarness struct {
-	sim   *simnet.Sim
-	set   *Set
-	nodes map[string]*simnet.Node
+// groupsHarness runs several independent Raft groups, each a Cluster with
+// its own name, across the same n nodes of one sim: the layout of a
+// benchmark that runs its own Raft group beside the controller's.
+type groupsHarness struct {
+	sim      *simnet.Sim
+	clusters []*Cluster
+	nodes    map[string]*simnet.Node
 	// replicas[id][g] is group g's replica on node id.
 	replicas map[string][]*Replica
 	// sms[g][id] is group g's state machine on node id, filled as factories
@@ -23,47 +23,51 @@ type setHarness struct {
 	pending string
 }
 
-func newSetHarness(seed int64, n, groups int) *setHarness {
+func newGroupsHarness(seed int64, n, groups int) *groupsHarness {
 	s := simnet.New(seed)
 	ids := make([]string, n)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("c%d", i)
 	}
-	h := &setHarness{
+	h := &groupsHarness{
 		sim:      s,
 		nodes:    make(map[string]*simnet.Node),
 		replicas: make(map[string][]*Replica),
 		sms:      make([]map[string]*regSM, groups),
 	}
-	h.set = NewSet(s, "ctrl", DefaultConfig(), ids)
 	for g := 0; g < groups; g++ {
 		g := g
 		h.sms[g] = make(map[string]*regSM)
-		h.set.AddGroup(func() StateMachine {
+		h.clusters = append(h.clusters, New(s, fmt.Sprintf("grp%d", g), DefaultConfig(), ids, func() StateMachine {
 			sm := &regSM{}
 			h.sms[g][h.pending] = sm
 			return sm
-		})
+		}))
 	}
 	for _, id := range ids {
-		node := s.NewNode(id)
-		h.nodes[id] = node
-		h.pending = id
-		h.replicas[id] = h.set.StartNode(node, id)
+		h.nodes[id] = s.NewNode(id)
+		h.startNode(id)
 	}
 	return h
 }
 
-func (h *setHarness) restart(id string) {
-	node := h.nodes[id]
-	node.Restart()
+// startNode boots node id's replica of every group.
+func (h *groupsHarness) startNode(id string) {
 	h.pending = id
-	h.replicas[id] = h.set.StartNode(node, id)
+	h.replicas[id] = h.replicas[id][:0]
+	for _, c := range h.clusters {
+		h.replicas[id] = append(h.replicas[id], c.StartNode(h.nodes[id], id))
+	}
+}
+
+func (h *groupsHarness) restart(id string) {
+	h.nodes[id].Restart()
+	h.startNode(id)
 }
 
 // groupLeaders counts live leaders per group.
-func (h *setHarness) groupLeaders() []int {
-	out := make([]int, h.set.Groups())
+func (h *groupsHarness) groupLeaders() []int {
+	out := make([]int, len(h.clusters))
 	for id, reps := range h.replicas {
 		if !h.nodes[id].Alive() {
 			continue
@@ -77,16 +81,16 @@ func (h *setHarness) groupLeaders() []int {
 	return out
 }
 
-// Every group elects exactly one leader, and proposals to different groups
-// commit independently: each group's state machines see only that group's
-// commands, on every node.
+// Groups that share nodes each elect exactly one leader, and proposals to
+// different groups commit independently: each group's state machines see
+// only that group's commands, on every node.
 func TestSetGroupsCommitIndependently(t *testing.T) {
 	const groups = 4
-	h := newSetHarness(1, 3, groups)
+	h := newGroupsHarness(1, 3, groups)
 	app := h.sim.NewNode("app")
 	clients := make([]*Client, groups)
 	for g := range clients {
-		clients[g] = NewClient(h.set.Group(g), app)
+		clients[g] = NewClient(h.clusters[g], app)
 	}
 	h.sim.Go("driver", func(p *simnet.Proc) {
 		p.Sleep(time.Second) // allow elections
@@ -128,12 +132,12 @@ func TestSetGroupsCommitIndependently(t *testing.T) {
 // catches up in all groups.
 func TestSetFailoverAndCatchUp(t *testing.T) {
 	const groups = 3
-	h := newSetHarness(3, 3, groups)
+	h := newGroupsHarness(3, 3, groups)
 	app := h.sim.NewNode("app")
 	h.sim.Go("driver", func(p *simnet.Proc) {
 		p.Sleep(time.Second)
 		for g := 0; g < groups; g++ {
-			cl := NewClient(h.set.Group(g), app)
+			cl := NewClient(h.clusters[g], app)
 			if _, err := cl.Propose(p, cmdMsg(fmt.Sprintf("pre-g%d", g))); err != nil {
 				t.Errorf("pre propose g%d: %v", g, err)
 			}
@@ -146,7 +150,7 @@ func TestSetFailoverAndCatchUp(t *testing.T) {
 			}
 		}
 		for g := 0; g < groups; g++ {
-			cl := NewClient(h.set.Group(g), app)
+			cl := NewClient(h.clusters[g], app)
 			if _, err := cl.Propose(p, cmdMsg(fmt.Sprintf("post-g%d", g))); err != nil {
 				t.Errorf("post propose g%d: %v", g, err)
 			}
@@ -162,26 +166,6 @@ func TestSetFailoverAndCatchUp(t *testing.T) {
 		h.sim.Stop()
 	})
 	if err := h.sim.RunUntil(60 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// A message tagged with a group the node does not run is rejected with
-// ErrUnknownGroup rather than silently landing in group 0.
-func TestSetRejectsUnknownGroup(t *testing.T) {
-	h := newSetHarness(5, 3, 2)
-	app := h.sim.NewNode("app")
-	h.sim.Go("driver", func(p *simnet.Proc) {
-		p.Sleep(time.Second)
-		m := cmdMsg("stray")
-		m.Meta = 7 // no such group
-		_, err := h.sim.Net().CallTimeout(p, app, h.set.Addr("c0"), m, time.Second)
-		if !errors.Is(err, ErrUnknownGroup) {
-			t.Errorf("got %v, want ErrUnknownGroup", err)
-		}
-		h.sim.Stop()
-	})
-	if err := h.sim.RunUntil(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 }

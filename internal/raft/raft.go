@@ -75,9 +75,9 @@ type disk struct {
 	log      []entry // 1-indexed semantically; log[0] unused sentinel
 }
 
-// Cluster is one Raft group of a Set (group.go): it owns the durable state of
-// the group's replicas and the naming needed to (re)start them. Set.AddGroup
-// is the only constructor.
+// Cluster is one Raft group: it owns the durable state of the group's
+// replicas and the naming needed to (re)start them. Clusters with distinct
+// names run independently in one sim, even on shared nodes.
 type Cluster struct {
 	sim    *simnet.Sim
 	name   string
@@ -85,14 +85,40 @@ type Cluster struct {
 	ids    []string
 	disks  map[string]*disk
 	smFact func() StateMachine
+}
 
-	// group is this cluster's index in its Set: all groups of a set share
-	// one RPC endpoint per node and tag messages with it in Msg.Meta.
-	group int
+// New defines a Raft group named name over the replica ids. smFactory
+// builds a fresh state machine for a (re)starting replica; the log replay
+// rebuilds its contents. Boot each replica with StartNode.
+func New(s *simnet.Sim, name string, cfg Config, ids []string, smFactory func() StateMachine) *Cluster {
+	c := &Cluster{sim: s, name: name, cfg: cfg, ids: ids,
+		disks: make(map[string]*disk), smFact: smFactory}
+	for _, id := range ids {
+		c.disks[id] = &disk{log: make([]entry, 1)}
+	}
+	return c
 }
 
 // Addr returns the RPC address of replica id.
 func (c *Cluster) Addr(id string) string { return c.name + "/raft/" + id }
+
+// StartNode boots (or, after a crash, reboots) replica id on node: its RPC
+// endpoint, its election ticker, and its apply and group-commit persister
+// procs.
+func (c *Cluster) StartNode(node *simnet.Node, id string) *Replica {
+	r := newReplica(c, node, id)
+	c.sim.Net().Register(c.Addr(id), node, r.handleRPC)
+	node.Go("raft-ticker:"+r.tag, func(p *simnet.Proc) {
+		gran := c.cfg.ElectionTimeoutMin / 4
+		for {
+			p.Sleep(gran)
+			r.tick(p)
+		}
+	})
+	node.Go("raft-apply:"+r.tag, r.applyLoop)
+	node.Go("raft-persist:"+r.tag, r.persistLoop)
+	return r
+}
 
 type role int
 
@@ -102,12 +128,12 @@ const (
 	leader
 )
 
-// Replica is one running Raft participant. Set.StartNode starts a node's
-// replicas, and restarts them (fresh volatile state) after the node recovers.
+// Replica is one running Raft participant. Cluster.StartNode starts it, and
+// restarts it (fresh volatile state) after the node recovers.
 type Replica struct {
 	cluster *Cluster
 	id      string
-	tag     string // proc-name tag: id/g<group>
+	tag     string // proc-name tag: <cluster>/<id>
 	node    *simnet.Node
 	d       *disk
 
@@ -141,14 +167,13 @@ type Replica struct {
 }
 
 // newReplica builds replica id on node: persistent state is reloaded from the
-// cluster's disk registry, volatile state starts fresh. Set.StartNode
-// registers the node's RPC endpoint and spawns the ticker, apply and persister
-// procs.
+// cluster's disk registry, volatile state starts fresh. StartNode registers
+// its RPC endpoint and spawns the ticker, apply and persister procs.
 func newReplica(c *Cluster, node *simnet.Node, id string) *Replica {
 	r := &Replica{
 		cluster:     c,
 		id:          id,
-		tag:         fmt.Sprintf("%s/g%d", id, c.group),
+		tag:         c.name + "/" + id,
 		node:        node,
 		d:           c.disks[id],
 		role:        follower,
@@ -165,10 +190,8 @@ func newReplica(c *Cluster, node *simnet.Node, id string) *Replica {
 	return r
 }
 
-// callPeer sends one intra-group RPC, stamping the group id into Meta so the
-// node's shared endpoint can demultiplex.
+// callPeer sends one RPC to another replica of the group.
 func (r *Replica) callPeer(p *simnet.Proc, addr string, req wire.Msg, timeout time.Duration) (wire.Msg, error) {
-	req.Meta = uint64(r.cluster.group)
 	return r.cluster.sim.Net().CallTimeout(p, r.node, addr, req, timeout)
 }
 
@@ -506,10 +529,9 @@ func (r *Replica) persistLoop(p *simnet.Proc) {
 }
 
 // tick checks the election timer once and, when it has expired, runs the
-// candidate round on a dedicated proc. The indirection keeps the node's
-// ticker (Set.StartNode) non-blocking, so one group's election (which holds
-// the round's vote RPCs in flight for up to an election timeout) never
-// delays the timer checks of the other groups sharing the ticker.
+// candidate round on a dedicated proc. The indirection keeps the ticker
+// (StartNode) non-blocking while the round holds its vote RPCs in flight for
+// up to an election timeout.
 func (r *Replica) tick(p *simnet.Proc) {
 	r.mu.Lock(p)
 	if r.electTimeout == 0 {

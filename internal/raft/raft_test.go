@@ -27,10 +27,9 @@ func (m *regSM) Apply(cmd wire.Msg) wire.Msg {
 	return cmdMsg(fmt.Sprintf("ok:%s@%d", s, len(m.applied)))
 }
 
-// harness runs one Raft group — a Set of one — across n nodes.
+// harness runs one Raft group across n nodes.
 type harness struct {
 	sim      *simnet.Sim
-	set      *Set
 	cluster  *Cluster
 	nodes    map[string]*simnet.Node
 	replicas map[string]*Replica
@@ -50,8 +49,7 @@ func newHarness(seed int64, n int) *harness {
 		replicas: make(map[string]*Replica),
 		sms:      make(map[string]*regSM),
 	}
-	h.set = NewSet(s, "ctrl", DefaultConfig(), ids)
-	h.cluster = h.set.AddGroup(func() StateMachine {
+	h.cluster = New(s, "ctrl", DefaultConfig(), ids, func() StateMachine {
 		sm := &regSM{}
 		h.sms[h.pending] = sm
 		return sm
@@ -60,7 +58,7 @@ func newHarness(seed int64, n int) *harness {
 		node := s.NewNode(id)
 		h.nodes[id] = node
 		h.pending = id
-		h.replicas[id] = h.set.StartNode(node, id)[0]
+		h.replicas[id] = h.cluster.StartNode(node, id)
 	}
 	return h
 }
@@ -69,7 +67,7 @@ func (h *harness) restart(id string) {
 	node := h.nodes[id]
 	node.Restart()
 	h.pending = id
-	h.replicas[id] = h.set.StartNode(node, id)[0]
+	h.replicas[id] = h.cluster.StartNode(node, id)
 }
 
 func (h *harness) leaderCount() int {

@@ -19,6 +19,7 @@ rows=(
 	"most-free-at-ttl0.patch|./internal/ncl|^TestLiveReplacementUsesCachedRegistry$"
 	"publish-first-value.patch|./internal/peer|^TestPublisherWaitsIntervalAndSendsLatest$"
 	"recycle-without-drop-rule.patch|./internal/ncl|^TestPolicyConformance$/^spare.s_name_re-created_at_another_size/"
+	"keepalive-forgets-ephemerals.patch|./internal/harness|^TestIsolatedPeerRejoinsRegistry$"
 )
 
 status=0
@@ -44,7 +45,7 @@ for row in "${rows[@]}"; do
 		fi
 	fi
 	rm -rf "$tmp"
-	printf '%-34s %-16s %s\n' "$patch" "$pkg" "$verdict"
+	printf '%-34s %-18s %s\n' "$patch" "$pkg" "$verdict"
 	[ "$verdict" = caught ] || status=1
 done
 exit $status
