@@ -94,24 +94,34 @@ func (c *Client) run(p *simnet.Proc, cmd wire.Msg) (opResult, error) {
 }
 
 // establishSession registers (or, after an expiry, re-registers) the
-// client's session.
-func (c *Client) establishSession(p *simnet.Proc) error {
-	_, err := c.run(p, cmdNewSession{
+// client's session. A non-empty dir asks the reply to list the names under
+// that prefix.
+func (c *Client) establishSession(p *simnet.Proc, dir string) ([]string, error) {
+	r, err := c.run(p, cmdNewSession{
 		Session: c.session,
 		At:      p.Now(),
 		Timeout: c.svc.cfg.SessionTimeout,
+		Dir:     dir,
 	}.MarshalWire())
-	return err
+	return r.Paths, err
 }
 
 // StartSession registers the client's session and spawns the keep-alive
 // proc (which dies with the node, letting the session expire — exactly the
 // ZooKeeper ephemeral-node behaviour the paper relies on). Until it is
 // called, ephemeral ops surface ErrSession exactly like a sessionless
-// ZooKeeper client would.
-func (c *Client) StartSession(p *simnet.Proc) error {
-	if err := c.establishSession(p); err != nil {
-		return err
+// ZooKeeper client would. A non-empty app makes the session's one proposal
+// also return the names of app's ap-map entries, sorted: its directory as
+// of the session start, which costs no extra round trip. A peer passes "".
+// A session the keep-alive re-establishes after an expiry lists nothing.
+func (c *Client) StartSession(p *simnet.Proc, app string) ([]string, error) {
+	dir := ""
+	if app != "" {
+		dir = fileKey(app, "")
+	}
+	names, err := c.establishSession(p, dir)
+	if err != nil {
+		return nil, err
 	}
 	if !c.started {
 		c.started = true
@@ -119,18 +129,21 @@ func (c *Client) StartSession(p *simnet.Proc) error {
 			for {
 				kp.Sleep(c.svc.cfg.KeepAlive)
 				_, err := c.run(kp, cmdKeepAlive{Session: c.session, At: kp.Now()}.MarshalWire())
-				if errors.Is(err, ErrSession) && c.establishSession(kp) == nil {
-					// Expired (e.g. after a partition), and the ephemerals
-					// with it.
-					for _, e := range c.owned {
-						e.lost = true
+				if errors.Is(err, ErrSession) {
+					_, err = c.establishSession(kp, "")
+					if err == nil {
+						// Expired (e.g. after a partition), and the
+						// ephemerals with it.
+						for _, e := range c.owned {
+							e.lost = true
+						}
 					}
 				}
 				c.recreate(kp)
 			}
 		})
 	}
-	return nil
+	return names, nil
 }
 
 // createEphemeral creates the znode this client's session keeps alive,

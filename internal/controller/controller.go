@@ -87,14 +87,20 @@ type FileEntry struct {
 	// per-peer region (policy-dependent: larger than Capacity for mirror,
 	// smaller for ec fragments); 0 falls back to RegionSize-derived sizing.
 	Capacity int64
+	// Fencing is the incarnation of the writer: the application instance
+	// whose ncl-lib published this membership.
+	Fencing int64
 }
 
-// MarshalWire encodes the ap-map entry as a flat message.
+// MarshalWire encodes the ap-map entry as a flat message. The four scalar
+// slots are taken, so the writer's fencing token shares slot 2 with the
+// append-only flag, in its upper bits.
 func (e FileEntry) MarshalWire() wire.Msg {
 	m := wire.Msg{Code: codeFileEntry, Strs: e.Peers, S: [3]string{e.Policy}}
 	m.SetInt(0, e.Epoch)
 	m.SetInt(1, e.RegionSize)
 	m.SetBool(2, e.AppendOnly)
+	m.U[2] |= uint64(e.Fencing) << 1
 	m.SetInt(3, e.Capacity)
 	return m
 }
@@ -105,7 +111,8 @@ func (e *FileEntry) UnmarshalWire(m wire.Msg) error {
 	e.Policy = m.S[0]
 	e.Epoch = m.Int(0)
 	e.RegionSize = m.Int(1)
-	e.AppendOnly = m.Bool(2)
+	e.AppendOnly = m.U[2]&1 != 0
+	e.Fencing = int64(m.U[2] >> 1)
 	e.Capacity = m.Int(3)
 	return nil
 }
@@ -170,17 +177,20 @@ type cmdNewSession struct {
 	Session string
 	At      time.Duration
 	Timeout time.Duration
+	// Dir, when set, is a directory prefix whose names the reply lists,
+	// prefix stripped and sorted: the application's ap-map at session start.
+	Dir string
 }
 
 func (c cmdNewSession) MarshalWire() wire.Msg {
-	m := wire.Msg{Code: codeNewSession, S: [3]string{c.Session}}
+	m := wire.Msg{Code: codeNewSession, S: [3]string{c.Session, c.Dir}}
 	m.SetInt(0, int64(c.At))
 	m.SetInt(1, int64(c.Timeout))
 	return m
 }
 
 func (c *cmdNewSession) UnmarshalWire(m wire.Msg) error {
-	c.Session = m.S[0]
+	c.Session, c.Dir = m.S[0], m.S[1]
 	c.At = time.Duration(m.Int(0))
 	c.Timeout = time.Duration(m.Int(1))
 	return nil
@@ -347,7 +357,17 @@ func (t *tree) apply(cmd wire.Msg) opResult {
 			t.dropEphemerals(c.Session)
 		}
 		t.sessions[c.Session] = &session{lastSeen: c.At, timeout: c.Timeout}
-		return opResult{}
+		if c.Dir == "" {
+			return opResult{}
+		}
+		var names []string
+		for p := range t.nodes {
+			if name, ok := strings.CutPrefix(p, c.Dir); ok {
+				names = append(names, name)
+			}
+		}
+		sort.Strings(names)
+		return opResult{Paths: names}
 	case codeKeepAlive:
 		var c cmdKeepAlive
 		c.UnmarshalWire(cmd) //nolint:errcheck

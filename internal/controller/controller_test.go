@@ -38,7 +38,7 @@ func TestPeerRegistrationAndList(t *testing.T) {
 			name := fmt.Sprintf("peer%d", i)
 			pn := fx.sim.NewNode(name)
 			c := NewClient(fx.svc, pn, name, 0)
-			if err := c.StartSession(p); err != nil {
+			if _, err := c.StartSession(p, ""); err != nil {
 				t.Errorf("session %s: %v", name, err)
 			}
 			if err := c.RegisterPeer(p, PeerInfo{Name: name, Addr: name + "/rpc", AvailMem: int64(i+1) << 30}); err != nil {
@@ -71,7 +71,7 @@ func TestPeerSessionExpiryRemovesRegistration(t *testing.T) {
 	fx.sim.Go("test", func(p *simnet.Proc) {
 		p.Sleep(time.Second)
 		c := NewClient(fx.svc, peerNode, "peerX", 0)
-		c.StartSession(p)
+		c.StartSession(p, "")
 		c.RegisterPeer(p, PeerInfo{Name: "peerX", Addr: "x", AvailMem: 1 << 30})
 		ac := NewClient(fx.svc, app, "app1", 0)
 		if peers, _ := ac.ListPeers(p); len(peers) != 1 {
@@ -81,6 +81,49 @@ func TestPeerSessionExpiryRemovesRegistration(t *testing.T) {
 		p.Sleep(3 * fx.svc.cfg.SessionTimeout)
 		if peers, _ := ac.ListPeers(p); len(peers) != 0 {
 			t.Errorf("dead peer still registered: %v", peers)
+		}
+		fx.sim.Stop()
+	})
+	fx.run(t, time.Minute)
+}
+
+// An application's session starts with its ap-map directory in the same
+// proposal: the names under /apps/<app>/, sorted, prefix stripped, and no
+// other app's. A peer's session lists nothing, and an entry carries its
+// writer's fencing token.
+func TestNewSessionListsAppDirectory(t *testing.T) {
+	fx := newFixture(9)
+	app := fx.sim.NewNode("app")
+	fx.sim.Go("test", func(p *simnet.Proc) {
+		p.Sleep(time.Second)
+		w := NewClient(fx.svc, app, "writer", 0)
+		for _, f := range []struct{ app, name string }{
+			{"app1", "wal-2"}, {"app1", "wal-1"}, {"app1", "sub/wal"}, {"app10", "wal-9"}, {"app", "wal-0"},
+		} {
+			if _, err := w.SetAppFile(p, f.app, f.name, FileEntry{Epoch: 1, Fencing: 7, AppendOnly: true}, 0); err != nil {
+				t.Fatalf("create %s/%s: %v", f.app, f.name, err)
+			}
+		}
+		c := NewClient(fx.svc, app, "app1", 3)
+		names, err := c.StartSession(p, "app1")
+		if want := []string{"sub/wal", "wal-1", "wal-2"}; err != nil || fmt.Sprint(names) != fmt.Sprint(want) {
+			t.Errorf("app1's session listed %q, %v; want %q", names, err, want)
+		}
+		pr := NewClient(fx.svc, fx.sim.NewNode("peer0"), "peer0", 0)
+		if names, err := pr.StartSession(p, ""); err != nil || names != nil {
+			t.Errorf("a peer's session listed %q, %v; want nothing", names, err)
+		}
+		e := FileEntry{Peers: []string{"p1"}, Epoch: 4, RegionSize: 1 << 20, Capacity: 1 << 19, Policy: "quorum", Fencing: 1 << 40}
+		for _, appendOnly := range []bool{false, true} {
+			e.AppendOnly = appendOnly
+			var got FileEntry
+			got.UnmarshalWire(e.MarshalWire()) //nolint:errcheck
+			if fmt.Sprint(got) != fmt.Sprint(e) {
+				t.Errorf("entry round trip: %+v, want %+v", got, e)
+			}
+		}
+		if got, _, _, err := c.GetAppFile(p, "app1", "wal-1"); err != nil || got.Fencing != 7 || !got.AppendOnly {
+			t.Errorf("stored entry: %+v, %v; want fencing 7, append-only", got, err)
 		}
 		fx.sim.Stop()
 	})
@@ -144,13 +187,13 @@ func TestServerLockSingleInstance(t *testing.T) {
 	fx.sim.Go("test", func(p *simnet.Proc) {
 		p.Sleep(time.Second)
 		c1 := NewClient(fx.svc, n1, "app1-server", 0)
-		c1.StartSession(p)
+		c1.StartSession(p, "")
 		if err := c1.AcquireServerLock(p, "app1"); err != nil {
 			t.Fatalf("first acquire: %v", err)
 		}
 		// Same fencing token (a concurrent duplicate instance): must lose.
 		c2 := NewClient(fx.svc, n2, "app1-server", 0)
-		c2.StartSession(p)
+		c2.StartSession(p, "")
 		if err := c2.AcquireServerLock(p, "app1"); !errors.Is(err, ErrFenced) {
 			t.Fatalf("duplicate instance acquired the lock: %v", err)
 		}
@@ -166,13 +209,13 @@ func TestServerLockTakeoverAfterCrash(t *testing.T) {
 	fx.sim.Go("test", func(p *simnet.Proc) {
 		p.Sleep(time.Second)
 		c1 := NewClient(fx.svc, n1, "app1-server", 0)
-		c1.StartSession(p)
+		c1.StartSession(p, "")
 		c1.AcquireServerLock(p, "app1")
 		n1.Crash()
 		// Recovery on another machine with a higher fencing token takes over
 		// immediately — no session-expiry wait.
 		c2 := NewClient(fx.svc, n2, "app1-server", 1)
-		c2.StartSession(p)
+		c2.StartSession(p, "")
 		start := p.Now()
 		if err := c2.AcquireServerLock(p, "app1"); err != nil {
 			t.Fatalf("takeover: %v", err)
@@ -256,7 +299,7 @@ func TestSessionSurvivesShortPartitionDiesOnLong(t *testing.T) {
 	fx.sim.Go("test", func(p *simnet.Proc) {
 		p.Sleep(time.Second)
 		c := NewClient(fx.svc, pn, "peerZ", 0)
-		c.StartSession(p)
+		c.StartSession(p, "")
 		c.RegisterPeer(p, PeerInfo{Name: "peerZ", Addr: "z", AvailMem: 1})
 		ac := NewClient(fx.svc, app, "observer", 0)
 
@@ -307,7 +350,7 @@ func TestShardedSessionExpiryEphemeralOnDataShard(t *testing.T) {
 		p.Sleep(time.Second)
 		const app = "app1"
 		c1 := NewClient(fx.svc, n1, app+"-server", 0)
-		if err := c1.StartSession(p); err != nil {
+		if _, err := c1.StartSession(p, ""); err != nil {
 			t.Fatalf("session: %v", err)
 		}
 		if err := c1.AcquireServerLock(p, app); err != nil {
@@ -316,7 +359,7 @@ func TestShardedSessionExpiryEphemeralOnDataShard(t *testing.T) {
 		n1.Crash()
 		// Same fencing token: blocked while the ephemeral survives.
 		c2 := NewClient(fx.svc, n2, app+"-server", 0)
-		if err := c2.StartSession(p); err != nil {
+		if _, err := c2.StartSession(p, ""); err != nil {
 			t.Fatalf("session 2: %v", err)
 		}
 		if err := c2.AcquireServerLock(p, app); !errors.Is(err, ErrFenced) {

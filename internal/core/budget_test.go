@@ -97,8 +97,9 @@ type ops map[string]int
 
 // TestControlPlaneBudget pins how many controller commands each core.FS flow
 // costs, counted as the "controller" spans the application emits (keep-alives
-// and session set-up aside): the ap-map is asked about a name once per open,
-// reopen or unlink, and written once per membership (DESIGN.md §15). TTL 0,
+// and session set-up aside): the ap-map is asked about a name once per reopen
+// or unlink and not at all by the create of a name the lib does not know, and
+// written once per membership (DESIGN.md §15). TTL 0,
 // so every allocation — a whole group at open, the missing members at
 // recovery — is one registry list.
 func TestControlPlaneBudget(t *testing.T) {
@@ -112,7 +113,40 @@ func TestControlPlaneBudget(t *testing.T) {
 	}{
 		{name: "create absent",
 			call: func(b *budget, p *simnet.Proc) error { _, err := b.create(p, "wal"); return err },
-			want: func(*budget) ops { return ops{"get": 1, "list": 1, "create": 1} }},
+			// The name is not in the directory the session started with, so
+			// the open creates it without asking the ap-map first.
+			want: func(*budget) ops { return ops{"list": 1, "create": 1} }},
+		{name: "O_CREATE of a name the directory missed",
+			prepare: func(b *budget, p *simnet.Proc) error {
+				// Another instance, on another node, creates "wal" after this
+				// one's session started, acknowledges a record and dies.
+				opts := b.c.FSOptions("app", b.fence)
+				opts.Node = b.c.Sim.NewNode("standby")
+				other, err := core.NewFS(p, opts)
+				if err != nil {
+					return err
+				}
+				f, err := other.OpenFile(p, "wal", core.O_NCL|core.O_CREATE, 1<<20)
+				if err == nil {
+					_, err = f.Write(p, []byte("record"))
+				}
+				opts.Node.Crash()
+				return err
+			},
+			call: func(b *budget, p *simnet.Proc) error {
+				f, err := b.fs.OpenFile(p, "wal", core.O_NCL|core.O_CREATE, 1<<20)
+				if err == nil && f.Size() != int64(len("record")) {
+					err = fmt.Errorf("%d bytes, want the record", f.Size())
+				}
+				if err != nil {
+					return err
+				}
+				return f.Sync(p)
+			},
+			// The create's registry list and conditional create, which finds
+			// the other instance's entry, and publish's read-back of it; then
+			// the recovering open's get.
+			want: func(*budget) ops { return ops{"list": 1, "create": 1, "get": 2} }},
 		{name: "reopen existing, full house, mirror",
 			prepare: (*budget).leftBehind,
 			call:    (*budget).reopen,
@@ -161,8 +195,9 @@ func TestControlPlaneBudget(t *testing.T) {
 				return err
 			},
 			// The successor is set up on the group the unlink parked: no
-			// registry list, and its members lend what they lent before.
-			want: func(*budget) ops { return ops{"delete": 1, "get": 1, "create": 1} }},
+			// registry list, and its members lend what they lent before. Its
+			// name is one the lib does not know: no get either.
+			want: func(*budget) ops { return ops{"delete": 1, "create": 1} }},
 		{name: "truncate existing",
 			prepare: (*budget).leftBehind,
 			call: func(b *budget, p *simnet.Proc) error {
@@ -208,7 +243,7 @@ func TestControlPlaneBudget(t *testing.T) {
 			// one delete; then the fresh WAL is a "create absent" on the group
 			// the last reclaim parked, so without a registry list.
 			want: func(b *budget) ops {
-				return ops{"list": 1, "get": b.logs + 1, "delete": b.logs, "create": 1}
+				return ops{"list": 1, "get": b.logs, "delete": b.logs, "create": 1}
 			}},
 	}
 	for _, tc := range cases {
@@ -320,7 +355,8 @@ func TestWarmReplacementRegistersNothing(t *testing.T) {
 // controller: asking about a name then fails, and that failure must reach the
 // caller as such. Read as "no such ncl file", it would send an unlink of a
 // live log to the dfs (ErrNotExist for a file that exists) and let an
-// O_CREATE open start an empty log over one that holds acknowledged writes.
+// O_CREATE open start an empty log over one that holds acknowledged writes —
+// the open of a name the lib knows and of one it does not alike.
 func TestControllerErrorIsNotAbsence(t *testing.T) {
 	b := &budget{c: harness.New(harness.Options{Seed: 4, NumPeers: 5})}
 	err := b.c.Run(func(p *simnet.Proc) error {
@@ -341,6 +377,11 @@ func TestControllerErrorIsNotAbsence(t *testing.T) {
 		}
 		if _, err := b.fs.OpenFile(p, "wal", core.O_NCL|core.O_CREATE, 1<<20); err == nil || errors.Is(err, core.ErrNotExist) {
 			return fmt.Errorf("open without a controller: %v, want the controller's error", err)
+		}
+		// A name the session's directory did not list is created first; the
+		// create fails, and so does the recovery it falls back to.
+		if _, err := b.fs.OpenFile(p, "wal-unlisted", core.O_NCL|core.O_CREATE, 1<<20); err == nil || errors.Is(err, core.ErrNotExist) {
+			return fmt.Errorf("create-first open without a controller: %v, want the controller's error", err)
 		}
 		for _, n := range b.c.Controller.Nodes() {
 			b.c.Sim.Net().Heal(b.c.AppNode, n)

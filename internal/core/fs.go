@@ -143,7 +143,9 @@ func (fs *FS) OpenFile(p *simnet.Proc, path string, flags OpenFlag, regionSize i
 
 // openNCL opens path in near-compute logs. Whatever the flags, the ap-map
 // is asked about the name at most once (DESIGN.md §15): by the Recover that
-// reopens it or, under O_TRUNC, by the release that clears it.
+// reopens it, under O_TRUNC by the release that clears it, and — unless its
+// create fails — not at all when an O_CREATE names a file the lib does not
+// know (createFirst).
 func (fs *FS) openNCL(p *simnet.Proc, path string, flags OpenFlag, regionSize int64) (File, error) {
 	if f, ok := fs.nclOpen[path]; ok {
 		return f, nil
@@ -155,6 +157,8 @@ func (fs *FS) openNCL(p *simnet.Proc, path string, flags OpenFlag, regionSize in
 		} else if !errors.Is(err, ncl.ErrNotFound) {
 			return nil, err
 		}
+	} else if flags&O_CREATE != 0 && !fs.lib.Known(path) {
+		return fs.createFirst(p, path, flags, regionSize)
 	} else if lg, err := fs.lib.Recover(p, path); err == nil {
 		return fs.handle(lg, path), nil
 	} else if !errors.Is(err, ncl.ErrNotFound) {
@@ -166,6 +170,26 @@ func (fs *FS) openNCL(p *simnet.Proc, path string, flags OpenFlag, regionSize in
 	lg, err := fs.lib.Open(p, path, regionSize, flags&O_APPEND != 0)
 	if err != nil {
 		return nil, err
+	}
+	return fs.handle(lg, path), nil
+}
+
+// createFirst opens a name the lib does not know — a rotation's successor, a
+// fresh WAL — by creating it, one controller round trip fewer than asking
+// the ap-map first. The lib can miss a name another instance of the
+// application created after this one's session started, and the create's
+// conditional ap-map write is what catches that: if the create fails for any
+// reason, the file is recovered instead, and the create's error is returned
+// only when the ap-map holds no entry for the name.
+func (fs *FS) createFirst(p *simnet.Proc, path string, flags OpenFlag, regionSize int64) (File, error) {
+	lg, err := fs.lib.Open(p, path, regionSize, flags&O_APPEND != 0)
+	if err != nil {
+		var rerr error
+		if lg, rerr = fs.lib.Recover(p, path); errors.Is(rerr, ncl.ErrNotFound) {
+			return nil, err
+		} else if rerr != nil {
+			return nil, rerr
+		}
 	}
 	return fs.handle(lg, path), nil
 }

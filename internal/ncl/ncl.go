@@ -76,16 +76,23 @@ var (
 // Lib is one application's ncl-lib instance. It owns the RDMA NIC
 // connection state and the controller session for the application.
 type Lib struct {
-	sim    *simnet.Sim
-	node   *simnet.Node
-	fabric *rdma.Fabric
-	nic    *rdma.NIC
-	ctrl   *controller.Client
-	appID  string
-	cfg    Config
-	policy PolicySpec // cfg.Replication, parsed
+	sim     *simnet.Sim
+	node    *simnet.Node
+	fabric  *rdma.Fabric
+	nic     *rdma.NIC
+	ctrl    *controller.Client
+	appID   string
+	fencing int64 // the application's incarnation, stamped on every ap-map entry it writes
+	cfg     Config
+	policy  PolicySpec // cfg.Replication, parsed
 
 	logs map[string]*Log
+
+	// known is the application's ap-map directory as this lib has seen it:
+	// the names listed when its session started, plus the names it created
+	// or found since, minus those it deleted. It only orders an O_CREATE
+	// open's calls (Known); whether a file exists is decided by the ap-map.
+	known map[string]bool
 
 	// suspects are peers that recently failed a data-path operation; they
 	// are excluded from allocation until the cooldown passes, since the
@@ -134,17 +141,31 @@ func NewLib(p *simnet.Proc, svc *controller.Service, fabric *rdma.Fabric, node *
 		fabric:   fabric,
 		nic:      fabric.AttachNIC(node),
 		appID:    appID,
+		fencing:  fencing,
 		cfg:      cfg,
 		policy:   policy,
 		logs:     make(map[string]*Log),
+		known:    make(map[string]bool),
 		suspects: make(map[string]time.Duration),
 	}
 	l.ctrl = controller.NewClient(svc, node, appID, fencing)
-	if err := l.ctrl.StartSession(p); err != nil {
+	names, err := l.ctrl.StartSession(p, appID)
+	if err != nil {
 		return nil, fmt.Errorf("ncl: controller session: %w", err)
+	}
+	for _, name := range names {
+		l.known[name] = true
 	}
 	return l, nil
 }
+
+// Known reports whether name may have an ap-map entry as far as this lib has
+// seen: listed when its session started, or created or found since and not
+// deleted. A name it does not know can still exist — another instance of the
+// application may have created it after this session started — so false
+// only says which call to try first: Open, whose conditional create fails
+// on an existing entry, rather than Recover.
+func (l *Lib) Known(name string) bool { return l.known[name] }
 
 // AcquireInstanceLock claims the application's single-instance znode. Call
 // once at start-up; the paper requires that only one instance of the
@@ -358,6 +379,7 @@ func (l *Lib) Open(p *simnet.Proc, name string, capacity int64, appendOnly bool)
 	}
 	lg.apVersion = ver
 	l.logs[name] = lg
+	l.known[name] = true
 	lg.start(p)
 	return lg, nil
 }
@@ -412,6 +434,7 @@ func (lg *Log) fileEntry(epoch int64) controller.FileEntry {
 		AppendOnly: lg.appendOnly,
 		Policy:     lg.spec.String(),
 		Capacity:   lg.capacity,
+		Fencing:    lg.lib.fencing,
 	}
 }
 
@@ -422,14 +445,16 @@ func (lg *Log) fileEntry(epoch int64) controller.FileEntry {
 // have committed even though its reply was lost (a dropped message, a timeout
 // on a saturated controller), and the re-submission then fails ErrExists or
 // ErrBadVersion for good; so on any error the entry is read back, and if it
-// names this membership at this epoch — which only this submission could
-// have written, the epoch being new — the first submission won.
+// names this membership at this epoch under this lib's fencing token, the
+// first submission won. Membership and epoch alone do not say so: another
+// instance of the application creating the same name ranks the same peers
+// and starts at the same epoch.
 func (lg *Log) publish(p *simnet.Proc, entry controller.FileEntry) (int64, error) {
 	l := lg.lib
 	ver, err := l.ctrl.SetAppFile(p, l.appID, lg.name, entry, lg.apVersion)
 	if err != nil {
 		got, gver, found, gerr := l.ctrl.GetAppFile(p, l.appID, lg.name)
-		if gerr != nil || !found || got.Epoch != entry.Epoch || !slices.Equal(got.Peers, entry.Peers) {
+		if gerr != nil || !found || got.Fencing != entry.Fencing || got.Epoch != entry.Epoch || !slices.Equal(got.Peers, entry.Peers) {
 			return 0, err
 		}
 		ver = gver
@@ -686,15 +711,17 @@ func (l *Lib) ReleaseByName(p *simnet.Proc, name string) error {
 // lookup reads name's ap-map entry and version: the one controller round
 // trip that reopening or unlinking a file this instance does not hold starts
 // with (§4.5.1 "get peer"). An absent name is ErrNotFound; a controller error
-// is returned as such, never as absence.
+// is returned as such, never as absence. Either answer updates Known.
 func (l *Lib) lookup(p *simnet.Proc, name string) (controller.FileEntry, int64, error) {
 	entry, ver, found, err := l.ctrl.GetAppFile(p, l.appID, name)
 	if err != nil {
 		return entry, 0, fmt.Errorf("ncl: ap-map lookup of %s: %w", name, err)
 	}
 	if !found {
+		delete(l.known, name)
 		return entry, 0, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
+	l.known[name] = true
 	return entry, ver, nil
 }
 
@@ -709,6 +736,7 @@ func (l *Lib) release(p *simnet.Proc, name string, peers []string, park *spareGr
 	if err := l.ctrl.DeleteAppFile(p, l.appID, name); err != nil {
 		return fmt.Errorf("ncl: ap-map delete: %w", err)
 	}
+	delete(l.known, name)
 	if park != nil {
 		displaced := l.spare
 		if l.spare = park; displaced == nil {

@@ -14,7 +14,9 @@ import (
 // size — sets its group up on them: allocate's wave 0, with no registry read,
 // each member recycling the released file's region in place (a new rkey over
 // zeroed bytes it has pinned already, and free memory the controller need not
-// hear about again). A rotation is then delete, get, one set-up wave, create.
+// hear about again). A rotation is then delete, one set-up wave, create: the
+// successor's name is one the lib does not know (Lib.Known), so core opens it
+// without asking the ap-map first.
 // The spare costs one group of peer memory per lib until an open takes it, a
 // later release displaces it, or — the application having died — the peers'
 // GC finds no ap-map entry for it.

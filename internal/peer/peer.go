@@ -10,7 +10,9 @@
 //     recovery lookups; a peer that crashed and restarted has lost its
 //     mr-map and correctly rejects recovery requests.
 //   - Epoch validation: each region stores the epoch of the allocation; a
-//     setup request with a stale epoch is rejected.
+//     setup request with a stale epoch is rejected, and so is one at the
+//     epoch of a region of another size that it finds: a region is only
+//     ever replaced by a newer epoch.
 //   - Space-leak GC: regions whose application epoch moved on (or whose
 //     ap-map entry never appeared) are freed per the §4.5.1 rules, and so is
 //     a catch-up staging region that was never switched in.
@@ -260,7 +262,7 @@ func Start(p *simnet.Proc, svc *controller.Service, fabric *rdma.Fabric, node *s
 	}
 	pr.ctrl = controller.NewClient(svc, node, pr.name, int64(node.Incarnation()))
 	node.OnCrash(func() { pr.dead = true })
-	if err := pr.ctrl.StartSession(p); err != nil {
+	if _, err := pr.ctrl.StartSession(p, ""); err != nil {
 		return nil, fmt.Errorf("peer %s: session: %w", pr.name, err)
 	}
 	if err := pr.ctrl.RegisterPeer(p, pr.info()); err != nil {
@@ -383,18 +385,26 @@ func (pr *Peer) onSetup(p *simnet.Proc, r SetupReq) (SetupResp, error) {
 		if r.Epoch < old.epoch {
 			return SetupResp{}, ErrStaleEpoch
 		}
-		if r.Epoch == old.epoch && old.size == r.Size {
-			// Duplicate setup at the same epoch: the retried (or stale,
-			// still-queued) request of an ambiguous earlier attempt. Return
-			// the existing region rather than replacing it — freeing here
-			// would invalidate an MR the application may already be writing
-			// through, turning one late RPC into a poisoned peer. The retry
-			// also re-arms the GC grace clock: the application is clearly
-			// still working on getting this file's ap-map entry committed.
+		if r.Epoch == old.epoch {
+			// A set-up at the epoch of the region it finds never replaces
+			// it: the region may hold another instance's acknowledged
+			// writes — an instance whose directory missed the file creates
+			// it again at epoch 1 — and the ap-map, not this peer, decides
+			// whose file it is. Of another size it is refused. Of the same
+			// size it is a duplicate: the retried (or stale, still-queued)
+			// request of an ambiguous earlier attempt, or that other
+			// instance's, and gets the existing region, contents and all —
+			// freeing here would invalidate an MR the application may
+			// already be writing through. The retry also re-arms the GC
+			// grace clock: the application is clearly still working on
+			// getting this file's ap-map entry committed.
+			if old.size != r.Size {
+				return SetupResp{}, ErrStaleEpoch
+			}
 			old.createdAt = p.Now()
 			return SetupResp{RKey: old.mr.RKey()}, nil
 		}
-		// Strictly newer epoch (or a resize): replace the old region.
+		// Strictly newer epoch: replace the old region.
 		pr.freeRegion(p, key, old)
 	}
 	reg, err := pr.newRegion(p, r.Size, r.Epoch)

@@ -20,6 +20,9 @@ rows=(
 	"publish-first-value.patch|./internal/peer|^TestPublisherWaitsIntervalAndSendsLatest$"
 	"recycle-without-drop-rule.patch|./internal/ncl|^TestPolicyConformance$/^spare.s_name_re-created_at_another_size/"
 	"keepalive-forgets-ephemerals.patch|./internal/harness|^TestIsolatedPeerRejoinsRegistry$"
+	"readback-ignores-writer.patch|./internal/core|^TestDirectoryOlderThanFile$"
+	"setup-replaces-same-epoch.patch|./internal/core|^TestDirectoryOlderThanFile$"
+	"create-first-no-fallback.patch|./internal/core|^TestDirectoryOlderThanFile$"
 )
 
 status=0
