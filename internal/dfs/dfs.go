@@ -136,7 +136,7 @@ type Client struct {
 	dirty int64
 
 	cache     map[blockKey]*blockEnt
-	cacheLRU  uint64
+	lru       blockEnt // sentinel of the cache's recency list
 	cacheUsed int64
 
 	stallCond *simnet.Cond
@@ -177,6 +177,7 @@ func (c *Cluster) Mount(node *simnet.Node) *Client {
 		cache:    make(map[blockKey]*blockEnt),
 		flushNow: simnet.NewChan[struct{}](c.sim),
 	}
+	cl.lru.prev, cl.lru.next = &cl.lru, &cl.lru
 	cl.stallCond = simnet.NewCond(&cl.stallMu)
 	node.OnCrash(func() { cl.dead = true })
 	node.Go("dfs-writeback", cl.writeback)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -490,5 +491,98 @@ func TestLocalExt4Faster(t *testing.T) {
 	ext4 := syncLat(LocalExt4Params())
 	if ext4 >= ceph {
 		t.Errorf("local ext4 sync (%v) should beat CephFS (%v)", ext4, ceph)
+	}
+}
+
+// stampCache is the block cache's reference: every touch and insert stamps
+// its entry, and an eviction scans for the smallest stamp.
+type stampCache struct {
+	stamp        uint64
+	ents         map[blockKey]uint64
+	used         int64
+	hits, misses int64
+}
+
+func (c *stampCache) touch(k blockKey) {
+	if _, ok := c.ents[k]; !ok {
+		c.misses++
+		return
+	}
+	c.hits++
+	c.stamp++
+	c.ents[k] = c.stamp
+}
+
+func (c *stampCache) insert(path string, start, end, bs, capacity int64) {
+	for b := start / bs; b*bs < end; b++ {
+		k := blockKey{path: path, idx: b}
+		if _, ok := c.ents[k]; ok {
+			continue
+		}
+		c.stamp++
+		c.ents[k] = c.stamp
+		c.used += bs
+	}
+	for c.used > capacity {
+		var victim blockKey
+		oldest := ^uint64(0)
+		for k, s := range c.ents {
+			if s < oldest {
+				oldest, victim = s, k
+			}
+		}
+		delete(c.ents, victim)
+		c.used -= bs
+	}
+}
+
+// The mount's block cache evicts exactly what a scan for the least recently
+// stamped block evicts, and counts the same hits and misses, over a seeded
+// mix of lookups, inserts past capacity and path drops.
+func TestBlockCacheMatchesStampScan(t *testing.T) {
+	paths := []string{"/a", "/b", "/c"}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		fx := newFixture(seed)
+		cl := fx.client
+		bs := int64(fx.cluster.params.CacheBlock)
+		fx.cluster.params.CacheCapacity = 12 * bs
+		capacity := fx.cluster.params.CacheCapacity
+		ref := &stampCache{ents: make(map[blockKey]uint64)}
+		for op := 0; op < 500; op++ {
+			path := paths[rng.Intn(len(paths))]
+			switch k := rng.Intn(10); {
+			case k < 6:
+				key := blockKey{path: path, idx: int64(rng.Intn(16))}
+				cl.cachedBlock(key)
+				ref.touch(key)
+			case k < 9:
+				start := int64(rng.Intn(16)) * bs
+				end := start + int64(1+rng.Intn(6))*bs - int64(rng.Intn(int(bs)))
+				cl.insertBlocks(path, start, end)
+				ref.insert(path, start, end, bs, capacity)
+			default:
+				other := paths[rng.Intn(len(paths))]
+				cl.dropBlocks(path, other)
+				for k := range ref.ents {
+					if k.path == path || k.path == other {
+						delete(ref.ents, k)
+						ref.used -= bs
+					}
+				}
+			}
+			if cl.CacheHits != ref.hits || cl.CacheMisses != ref.misses || cl.cacheUsed != ref.used {
+				t.Fatalf("seed %d op %d: hits/misses/used %d/%d/%d, reference %d/%d/%d", seed, op,
+					cl.CacheHits, cl.CacheMisses, cl.cacheUsed, ref.hits, ref.misses, ref.used)
+			}
+			if len(cl.cache) != len(ref.ents) {
+				t.Fatalf("seed %d op %d: %d blocks resident, reference %d", seed, op, len(cl.cache), len(ref.ents))
+			}
+			for k := range ref.ents {
+				if _, ok := cl.cache[k]; !ok {
+					t.Fatalf("seed %d op %d: %v evicted, the reference keeps it", seed, op, k)
+				}
+			}
+		}
 	}
 }

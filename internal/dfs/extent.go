@@ -18,6 +18,7 @@ package dfs
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"splitft/internal/simnet"
@@ -123,8 +124,73 @@ type extNode struct {
 	BytesStored int64
 }
 
+// extReplica is one extent's bytes on one node: the frames appended to it,
+// in offset order and disjoint, plus its length (the largest end written).
+// A frame's bytes are the client's packed copy, shared by every chain
+// member and never written after they leave the client, so storing one
+// costs a reference, not a copy. Ranges no frame covers read as zeros.
 type extReplica struct {
+	frames []extFrame
+	size   int64
+}
+
+type extFrame struct {
+	off  int64
 	data []byte
+}
+
+func (f extFrame) end() int64 { return f.off + int64(len(f.data)) }
+
+// write stores data at off. An append at or past the end adds a reference;
+// any other write replaces [off, end) in the frames it overlaps.
+func (r *extReplica) write(off int64, data []byte) {
+	end := off + int64(len(data))
+	switch {
+	case len(data) == 0:
+	case off >= r.size:
+		r.frames = append(r.frames, extFrame{off: off, data: data})
+	default:
+		r.frames = spliceFrame(r.frames, extFrame{off: off, data: data})
+	}
+	r.size = max(r.size, end)
+}
+
+// spliceFrame inserts nf into the sorted, disjoint frames, trimming the
+// parts of older frames it overlaps (trims are re-slices: no bytes move).
+func spliceFrame(frames []extFrame, nf extFrame) []extFrame {
+	off, end := nf.off, nf.end()
+	out := make([]extFrame, 0, len(frames)+2)
+	for _, old := range frames {
+		oldEnd := old.end()
+		if oldEnd <= off || old.off >= end {
+			out = append(out, old)
+			continue
+		}
+		if old.off < off {
+			out = append(out, extFrame{off: old.off, data: old.data[:off-old.off]})
+		}
+		if oldEnd > end {
+			out = append(out, extFrame{off: end, data: old.data[end-old.off:]})
+		}
+	}
+	i := sort.Search(len(out), func(i int) bool { return out[i].off > off })
+	out = append(out, extFrame{})
+	copy(out[i+1:], out[i:])
+	out[i] = nf
+	return out
+}
+
+// readAt copies the frames' part of [off, off+len(out)) into out and leaves
+// the rest of out as it was: out comes zeroed, so a gap reads as zeros.
+// The caller checks the range is within the replica's length.
+func (r *extReplica) readAt(out []byte, off int64) {
+	end := off + int64(len(out))
+	i := sort.Search(len(r.frames), func(i int) bool { return r.frames[i].end() > off })
+	for ; i < len(r.frames) && r.frames[i].off < end; i++ {
+		f := r.frames[i]
+		lo, hi := max(f.off, off), min(f.end(), end)
+		copy(out[lo-off:hi-off], f.data[lo-f.off:hi-f.off])
+	}
 }
 
 // EnableExtents attaches the extent plane to the cluster, registering one
@@ -191,9 +257,7 @@ func (en *extNode) handleAppend(p *simnet.Proc, m simnet.Msg) (simnet.Msg, error
 		rep = &extReplica{}
 		en.extents[ext] = rep
 	}
-	end := off + int64(len(data))
-	rep.data = grow(rep.data, end)
-	copy(rep.data[off:end], data)
+	rep.write(off, data)
 	en.BytesStored += int64(len(data))
 	// Drain to local disk asynchronously: the reservation advances the disk
 	// pipe (sustained load eventually backs up into ingress stalls in a real
@@ -222,14 +286,14 @@ func (en *extNode) handleRead(p *simnet.Proc, m simnet.Msg) (simnet.Msg, error) 
 	pm := en.store.c.params
 	ext, off, n := m.U[0], int64(m.U[1]), int64(m.U[2])
 	rep := en.extents[ext]
-	if rep == nil || off+n > int64(len(rep.data)) {
+	if rep == nil || off+n > rep.size {
 		return simnet.Msg{}, fmt.Errorf("dfs: extent node %s: extent %d range [%d,%d) not resident",
 			en.addr, ext, off, off+n)
 	}
 	sleepUntil(p, reservePipe(en.store.c.sim, &en.egressBusy, n, pm.LinkBandwidth))
 	p.Sleep(pm.AppendFixed)
 	out := make([]byte, n)
-	copy(out, rep.data[off:off+n])
+	rep.readAt(out, off)
 	en.store.c.BytesRead += n
 	return simnet.Msg{Code: codeExtReadResp, B: out}, nil
 }
@@ -247,10 +311,10 @@ func (es *extentStore) reconstruct(man *extManifest) []byte {
 				continue
 			}
 			rep := en.extents[seg.ext]
-			if rep == nil || seg.extOff+n > int64(len(rep.data)) {
+			if rep == nil || seg.extOff+n > rep.size {
 				continue
 			}
-			copy(out[seg.logStart:seg.logEnd], rep.data[seg.extOff:seg.extOff+n])
+			rep.readAt(out[seg.logStart:seg.logEnd], seg.extOff)
 			break
 		}
 	}

@@ -3,6 +3,7 @@ package dfs
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -298,3 +299,105 @@ func crashMidAppend(t *testing.T, idx int) {
 
 func TestChainHeadCrashMidAppend(t *testing.T) { crashMidAppend(t, 0) }
 func TestChainTailCrashMidAppend(t *testing.T) { crashMidAppend(t, 2) }
+
+// A synced range is immune to later buffered writes: the chain members keep
+// the frames they were sent by reference, so the bytes that leave the
+// client must be a copy of the view, not the view itself. The client
+// overwrites the synced range without syncing and crashes; the durable
+// content and a fresh mount's read are the synced bytes.
+func TestSyncedBytesSurviveLaterPwrite(t *testing.T) {
+	fx := newExtFixture(5, DefaultParams())
+	synced := pattern(1 << 20)
+	written := false
+	fx.node.Go("writer", func(p *simnet.Proc) {
+		h, err := fx.client.OpenFile(p, "/ext/f", true, true)
+		if err != nil {
+			t.Errorf("create: %v", err)
+			return
+		}
+		h.Write(p, synced)
+		if err := h.Sync(p); err != nil {
+			t.Errorf("sync: %v", err)
+		}
+		h.Pwrite(p, bytes.Repeat([]byte{0xEE}, len(synced)), 0)
+		written = true
+	})
+	reader := fx.sim.NewNode("reader")
+	reader.Go("check", func(p *simnet.Proc) {
+		for !written {
+			p.Sleep(100 * time.Microsecond)
+		}
+		fx.node.Crash()
+		if got, ok := fx.cluster.DurableBytes("/ext/f"); !ok || !bytes.Equal(got, synced) {
+			t.Errorf("durable content is not the synced bytes (ok=%v)", ok)
+		}
+		h, err := fx.cluster.Mount(reader).OpenFile(p, "/ext/f", false, false)
+		if err != nil {
+			t.Errorf("reopen: %v", err)
+			return
+		}
+		buf := make([]byte, len(synced))
+		if n, err := h.Pread(p, buf, 0); err != nil || n != len(buf) {
+			t.Errorf("pread = %d, %v", n, err)
+		} else if !bytes.Equal(buf, synced) {
+			t.Error("a fresh mount reads bytes that were never synced")
+		}
+		fx.sim.Stop()
+	})
+	run(t, fx.sim)
+}
+
+// A replica's frame list reads back exactly what a flat buffer with the
+// same writes holds (grow, then copy: a write replaces [off, end), a gap
+// reads as zeros, the length is the largest end), over a seeded mix of
+// appends, appends past a gap, out-of-order frames and overlapping
+// rewrites. No write may touch the bytes of a frame it was handed.
+func TestReplicaMatchesFlatBuffer(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var rep extReplica
+		var flat []byte
+		var handed, kept [][]byte
+		for op := 0; op < 200; op++ {
+			size := int64(len(flat))
+			n := int64(rng.Intn(300))
+			var off int64
+			switch k := rng.Intn(10); {
+			case k < 5: // append at the end
+				off = size
+			case k < 7: // append past a gap
+				off = size + int64(rng.Intn(200))
+			default: // anywhere below the end: out of order or a rewrite
+				off = rng.Int63n(size + 1)
+			}
+			data := make([]byte, n)
+			rng.Read(data)
+			handed = append(handed, data)
+			kept = append(kept, append([]byte(nil), data...))
+			rep.write(off, data)
+			flat = grow(flat, off+n)
+			copy(flat[off:], data)
+
+			if rep.size != int64(len(flat)) {
+				t.Fatalf("seed %d op %d: size %d, flat %d", seed, op, rep.size, len(flat))
+			}
+			lo := rng.Int63n(rep.size + 1)
+			hi := lo + rng.Int63n(rep.size-lo+1)
+			got := make([]byte, hi-lo)
+			rep.readAt(got, lo)
+			if !bytes.Equal(got, flat[lo:hi]) {
+				t.Fatalf("seed %d op %d: [%d,%d) differs from the flat buffer", seed, op, lo, hi)
+			}
+		}
+		got := make([]byte, rep.size)
+		rep.readAt(got, 0)
+		if !bytes.Equal(got, flat) {
+			t.Fatalf("seed %d: whole replica differs from the flat buffer", seed)
+		}
+		for i := range handed {
+			if !bytes.Equal(handed[i], kept[i]) {
+				t.Fatalf("seed %d: write %d's frame was written into", seed, i)
+			}
+		}
+	}
+}

@@ -97,12 +97,16 @@ func (b *extentBackend) admit(p *simnet.Proc, off, n int64) {
 
 // pack cuts the dirty spans into chunks, filling the append tail and
 // allocating fresh extents (from the lease cache) as extents fill. Chunks
-// never cross an extent boundary.
+// never cross an extent boundary. Each span is copied out of the view once,
+// and its chunks are slices of that copy: the chain members keep the frames
+// they receive by reference, so a later Pwrite into the view must not
+// reach them.
 func (b *extentBackend) pack(p *simnet.Proc, spans []span) ([]chunk, error) {
 	cl := b.f.client
 	pm := cl.cluster.params
 	var chunks []chunk
 	for _, s := range spans {
+		data := append([]byte(nil), b.f.view[s.start:s.end]...)
 		cur := s.start
 		for cur < s.end {
 			if !b.tailValid || b.tailOff >= pm.ExtentSize {
@@ -117,7 +121,7 @@ func (b *extentBackend) pack(p *simnet.Proc, spans []span) ([]chunk, error) {
 				take = room
 			}
 			chunks = append(chunks, chunk{ext: b.tailExt, extOff: b.tailOff,
-				logStart: cur, data: b.f.view[cur : cur+take], nodes: b.tailNodes})
+				logStart: cur, data: data[cur-s.start : cur-s.start+take], nodes: b.tailNodes})
 			b.tailOff += take
 			cur += take
 		}

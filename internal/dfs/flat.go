@@ -93,14 +93,9 @@ func (b *flatBackend) load(p *simnet.Proc, off, n int64) error {
 	bs := int64(pm.CacheBlock)
 	var missBytes int64
 	for blk := off / bs; blk*bs < off+n; blk++ {
-		key := blockKey{path: b.f.path, idx: blk}
-		if ent, ok := cl.cache[key]; ok {
-			cl.cacheLRU++
-			ent.lru = cl.cacheLRU
-			cl.CacheHits++
+		if cl.cachedBlock(blockKey{path: b.f.path, idx: blk}) {
 			continue
 		}
-		cl.CacheMisses++
 		// Miss: fetch this block, or a whole readahead window if the access
 		// is sequential.
 		fetchEnd := (blk + 1) * bs
@@ -126,19 +121,44 @@ func (b *flatBackend) load(p *simnet.Proc, off, n int64) error {
 }
 
 // The mount's block cache: which CacheBlock-sized blocks of which path are
-// client-resident, for pricing only (handles hold the content).
+// client-resident, for pricing only (handles hold the content). Entries sit
+// on a doubly linked list in recency order, least recently used first, so
+// a hit and an eviction cost O(1).
 type blockKey struct {
 	path string
 	idx  int64
 }
 
 type blockEnt struct {
-	lru  uint64
-	size int64
+	key        blockKey
+	size       int64
+	prev, next *blockEnt
+}
+
+// pushBack links e in as the most recently used entry.
+func (cl *Client) pushBack(e *blockEnt) {
+	e.prev, e.next = cl.lru.prev, &cl.lru
+	e.prev.next, e.next.prev = e, e
+}
+
+func (e *blockEnt) unlink() { e.prev.next, e.next.prev = e.next, e.prev }
+
+// cachedBlock reports whether key is cache-resident, counting the hit or
+// miss; a hit becomes the most recently used entry.
+func (cl *Client) cachedBlock(key blockKey) bool {
+	e, ok := cl.cache[key]
+	if !ok {
+		cl.CacheMisses++
+		return false
+	}
+	cl.CacheHits++
+	e.unlink()
+	cl.pushBack(e)
+	return true
 }
 
 // insertBlocks marks [start, end) of path cache-resident, evicting LRU
-// blocks if over capacity.
+// blocks if over capacity. Blocks already resident keep their place.
 func (cl *Client) insertBlocks(path string, start, end int64) {
 	pm := cl.cluster.params
 	bs := int64(pm.CacheBlock)
@@ -147,21 +167,16 @@ func (cl *Client) insertBlocks(path string, start, end int64) {
 		if _, ok := cl.cache[key]; ok {
 			continue
 		}
-		cl.cacheLRU++
-		cl.cache[key] = &blockEnt{lru: cl.cacheLRU, size: bs}
+		e := &blockEnt{key: key, size: bs}
+		cl.cache[key] = e
+		cl.pushBack(e)
 		cl.cacheUsed += bs
 	}
 	for cl.cacheUsed > pm.CacheCapacity {
-		var victim blockKey
-		var oldest uint64 = ^uint64(0)
-		for k, e := range cl.cache {
-			if e.lru < oldest {
-				oldest = e.lru
-				victim = k
-			}
-		}
-		cl.cacheUsed -= cl.cache[victim].size
-		delete(cl.cache, victim)
+		victim := cl.lru.next
+		victim.unlink()
+		cl.cacheUsed -= victim.size
+		delete(cl.cache, victim.key)
 	}
 }
 
@@ -169,6 +184,7 @@ func (cl *Client) insertBlocks(path string, start, end int64) {
 func (cl *Client) dropBlocks(a, b string) {
 	for k, e := range cl.cache {
 		if k.path == a || k.path == b {
+			e.unlink()
 			cl.cacheUsed -= e.size
 			delete(cl.cache, k)
 		}

@@ -23,6 +23,8 @@ rows=(
 	"readback-ignores-writer.patch|./internal/core|^TestDirectoryOlderThanFile$"
 	"setup-replaces-same-epoch.patch|./internal/core|^TestDirectoryOlderThanFile$"
 	"create-first-no-fallback.patch|./internal/core|^TestDirectoryOlderThanFile$"
+	"pack-shares-view.patch|./internal/dfs|^TestSyncedBytesSurviveLaterPwrite$"
+	"lru-hit-not-touched.patch|./internal/dfs|^TestBlockCacheMatchesStampScan$"
 )
 
 status=0
