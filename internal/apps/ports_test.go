@@ -14,6 +14,7 @@ import (
 	"splitft/internal/core"
 	"splitft/internal/harness"
 	"splitft/internal/ncl"
+	"splitft/internal/raft"
 	"splitft/internal/simnet"
 	"splitft/internal/trace"
 )
@@ -502,7 +503,7 @@ func (r *run) recoveryPeerCrash(p *simnet.Proc) error {
 
 // controllerOutAtRecovery cuts the application off from the controller just
 // as recovery starts and heals the cut once the first lookup has run out its
-// OpTimeout. A lookup that fails is not a log that is absent: the recovery
+// deadline (raft.DefaultDeadline). A lookup that fails is not a log that is absent: the recovery
 // either fails — and the next one finds everything — or returns every
 // acknowledged write.
 func (r *run) controllerOutAtRecovery(p *simnet.Proc) error {
@@ -518,7 +519,7 @@ func (r *run) controllerOutAtRecovery(p *simnet.Proc) error {
 		net.Partition(r.c.AppNode, n)
 	}
 	r.c.Sim.Go("heal", func(hp *simnet.Proc) {
-		hp.Sleep(ctrl.Config().OpTimeout)
+		hp.Sleep(raft.DefaultDeadline)
 		for _, n := range ctrl.Nodes() {
 			net.Heal(r.c.AppNode, n)
 		}
@@ -528,7 +529,7 @@ func (r *run) controllerOutAtRecovery(p *simnet.Proc) error {
 			return fmt.Errorf("recovery through a controller outage lost %d of %d acknowledged writes (%v)", n, len(r.acked), err)
 		}
 	}
-	p.Sleep(ctrl.Config().OpTimeout) // the cut is healed whichever way that went
+	p.Sleep(raft.DefaultDeadline) // the cut is healed whichever way that went
 	r.crash(p)
 	return r.recoverIntact(p)
 }

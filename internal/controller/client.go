@@ -40,7 +40,6 @@ type ephemeral struct {
 // session.
 func NewClient(svc *Service, node *simnet.Node, name string, fencing int64) *Client {
 	rc := raft.NewClient(svc.cluster, node)
-	rc.Deadline = svc.cfg.OpTimeout
 	// Fast per-attempt failover: keep-alives must land within a fraction of
 	// the session timeout even right after a partition heals.
 	rc.CallTimeout = svc.cfg.SessionTimeout / 6
@@ -127,7 +126,7 @@ func (c *Client) StartSession(p *simnet.Proc, app string) ([]string, error) {
 		c.started = true
 		c.node.Go("ctrl-keepalive:"+c.session, func(kp *simnet.Proc) {
 			for {
-				kp.Sleep(c.svc.cfg.KeepAlive)
+				kp.Sleep(keepAlive(c.svc.cfg))
 				_, err := c.run(kp, cmdKeepAlive{Session: c.session, At: kp.Now()}.MarshalWire())
 				if errors.Is(err, ErrSession) {
 					_, err = c.establishSession(kp, "")

@@ -481,10 +481,17 @@ func (t *tree) dropEphemerals(sess string) {
 type Config = model.ControllerConfig
 
 // DefaultConfig returns the baseline profile's controller timing: sessions
-// expire ~600 ms after a client dies, scanned every 200 ms.
+// expire ~600 ms after a client dies.
 func DefaultConfig() Config {
 	return model.Baseline().Controller
 }
+
+// A client renews its session every keepAlive, four times per session
+// timeout, and the leader scans for expired sessions every expiryScan, so a
+// dead client's ephemerals go at most a third of a timeout after its
+// session expires.
+func keepAlive(cfg Config) time.Duration  { return cfg.SessionTimeout / 4 }
+func expiryScan(cfg Config) time.Duration { return cfg.SessionTimeout / 3 }
 
 // Service is a running controller ensemble: one Raft group holding the
 // whole znode tree, the paper's ZooKeeper-equivalent layout.
@@ -520,7 +527,7 @@ func (svc *Service) startNode(n *simnet.Node, id string) {
 		var rc *raft.Client
 		var stale []string
 		for {
-			p.Sleep(svc.cfg.ExpiryScan)
+			p.Sleep(expiryScan(svc.cfg))
 			if !rep.IsLeader() {
 				continue
 			}
@@ -537,7 +544,6 @@ func (svc *Service) startNode(n *simnet.Node, id string) {
 			sort.Strings(stale)
 			if rc == nil {
 				rc = raft.NewClient(svc.cluster, n)
-				rc.Deadline = svc.cfg.OpTimeout
 			}
 			for _, name := range stale {
 				rc.Propose(p, cmdExpire{Session: name, AsOf: p.Now()}.MarshalWire()) //nolint:errcheck

@@ -311,7 +311,7 @@ func TestSessionSurvivesShortPartitionDiesOnLong(t *testing.T) {
 		for _, n := range fx.cNodes {
 			fx.sim.Net().Heal(pn, n)
 		}
-		p.Sleep(2 * fx.svc.cfg.KeepAlive)
+		p.Sleep(2 * keepAlive(fx.svc.cfg))
 		if peers, _ := ac.ListPeers(p); len(peers) != 1 {
 			t.Errorf("registration lost after short partition")
 		}
@@ -329,7 +329,7 @@ func TestSessionSurvivesShortPartitionDiesOnLong(t *testing.T) {
 		for _, n := range fx.cNodes {
 			fx.sim.Net().Heal(pn, n)
 		}
-		p.Sleep(3 * fx.svc.cfg.KeepAlive)
+		p.Sleep(3 * keepAlive(fx.svc.cfg))
 		if err := c.RegisterPeer(p, PeerInfo{Name: "peerZ", Addr: "z", AvailMem: 1}); err != nil {
 			t.Errorf("re-register after expiry: %v", err)
 		}

@@ -545,7 +545,7 @@ func TestBlockCacheMatchesStampScan(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		fx := newFixture(seed)
 		cl := fx.client
-		bs := int64(fx.cluster.params.CacheBlock)
+		bs := int64(cacheBlock)
 		fx.cluster.params.CacheCapacity = 12 * bs
 		capacity := fx.cluster.params.CacheCapacity
 		ref := &stampCache{ents: make(map[blockKey]uint64)}

@@ -6,6 +6,13 @@ import (
 	"splitft/internal/simnet"
 )
 
+// The flat path's block cache holds cacheBlock-sized blocks, and a miss on
+// a sequential read fetches a readaheadWindow from the missed block on.
+const (
+	cacheBlock      = 64 << 10
+	readaheadWindow = 4 << 20
+)
+
 // flatBackend is the CephFS-like primary-copy path: writes join the mount's
 // writeback plane (dirty total, stalls, throttle), a flush reserves the
 // cluster's shared storage pipe and lands the bytes inline on the inode,
@@ -90,7 +97,7 @@ func (b *flatBackend) load(p *simnet.Proc, off, n int64) error {
 		return nil
 	}
 	// Through the block cache with sequential readahead.
-	bs := int64(pm.CacheBlock)
+	const bs = cacheBlock
 	var missBytes int64
 	for blk := off / bs; blk*bs < off+n; blk++ {
 		if cl.cachedBlock(blockKey{path: b.f.path, idx: blk}) {
@@ -99,8 +106,8 @@ func (b *flatBackend) load(p *simnet.Proc, off, n int64) error {
 		// Miss: fetch this block, or a whole readahead window if the access
 		// is sequential.
 		fetchEnd := (blk + 1) * bs
-		if pm.ReadaheadWindow > 0 && off == b.lastSeqEnd {
-			fetchEnd = blk*bs + int64(pm.ReadaheadWindow)
+		if off == b.lastSeqEnd {
+			fetchEnd = blk*bs + readaheadWindow
 		}
 		if fetchEnd > b.f.size {
 			fetchEnd = b.f.size
@@ -120,7 +127,7 @@ func (b *flatBackend) load(p *simnet.Proc, off, n int64) error {
 	return nil
 }
 
-// The mount's block cache: which CacheBlock-sized blocks of which path are
+// The mount's block cache: which cacheBlock-sized blocks of which path are
 // client-resident, for pricing only (handles hold the content). Entries sit
 // on a doubly linked list in recency order, least recently used first, so
 // a hit and an eviction cost O(1).
@@ -160,8 +167,7 @@ func (cl *Client) cachedBlock(key blockKey) bool {
 // insertBlocks marks [start, end) of path cache-resident, evicting LRU
 // blocks if over capacity. Blocks already resident keep their place.
 func (cl *Client) insertBlocks(path string, start, end int64) {
-	pm := cl.cluster.params
-	bs := int64(pm.CacheBlock)
+	const bs = cacheBlock
 	for b := start / bs; b*bs < end; b++ {
 		key := blockKey{path: path, idx: b}
 		if _, ok := cl.cache[key]; ok {
@@ -172,7 +178,7 @@ func (cl *Client) insertBlocks(path string, start, end int64) {
 		cl.pushBack(e)
 		cl.cacheUsed += bs
 	}
-	for cl.cacheUsed > pm.CacheCapacity {
+	for cl.cacheUsed > cl.cluster.params.CacheCapacity {
 		victim := cl.lru.next
 		victim.unlink()
 		cl.cacheUsed -= victim.size

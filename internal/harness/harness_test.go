@@ -101,7 +101,7 @@ func TestIsolatedPeerRejoinsRegistry(t *testing.T) {
 			t.Fatalf("%d peers listed while %s is cut off (%v), want 3", len(listed), name, err)
 		}
 		net.Unisolate(peer0)
-		p.Sleep(2 * cfg.KeepAlive)
+		p.Sleep(cfg.SessionTimeout / 2) // two keep-alives: the controller renews every SessionTimeout/4
 		info, found, err := observer.GetPeer(p, name)
 		if err != nil || !found || info.AvailMem != c.Peers[name].Avail() {
 			t.Fatalf("%s after the heal: %+v (found %v, %v), want it listed with the %d bytes it lends now",
@@ -109,7 +109,7 @@ func TestIsolatedPeerRejoinsRegistry(t *testing.T) {
 		}
 		// With another peer gone, a mirror log needs all three that are left.
 		c.PeerNodes[1].Crash()
-		p.Sleep(cfg.SessionTimeout + 2*cfg.ExpiryScan)
+		p.Sleep(cfg.SessionTimeout * 5 / 3) // expiry and two scans, one per SessionTimeout/3
 		fs, err := c.NewFS(p, "app", 0)
 		if err != nil {
 			return err

@@ -1,7 +1,9 @@
 package model
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -20,14 +22,22 @@ func (p *Profile) Save(path string) error {
 
 // Load reads a profile previously written by Save (or hand-edited). Fields
 // absent from the file keep the baseline's value, so a custom profile only
-// needs to spell out what it changes.
+// needs to spell out what it changes. A field the profile does not have (a
+// typo, or a knob that has since become a constant) is an error, not a
+// value silently dropped.
 func Load(path string) (*Profile, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("model: load profile: %w", err)
 	}
 	p := Baseline()
-	if err := json.Unmarshal(data, p); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	err = dec.Decode(p)
+	if err == nil && dec.More() {
+		err = errors.New("data after the profile object")
+	}
+	if err != nil {
 		return nil, fmt.Errorf("model: parse profile %s: %w", path, err)
 	}
 	if p.Name == "" {

@@ -2,6 +2,7 @@ package model
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -32,8 +33,8 @@ func TestBaselineConstants(t *testing.T) {
 	if p.Peer.LendableMem != 1<<30 {
 		t.Errorf("Peer.LendableMem = %v, want 1GiB", p.Peer.LendableMem)
 	}
-	if p.NCL.Replication != "mirror" || p.NCL.SuspectCooldown != 2*time.Second {
-		t.Errorf("NCL = %+v, want Replication=mirror, SuspectCooldown=2s", p.NCL)
+	if p.NCL.Replication != "mirror" {
+		t.Errorf("NCL.Replication = %q, want mirror", p.NCL.Replication)
 	}
 	if p.NCL.DefaultRegionSize != 64<<20 {
 		t.Errorf("NCL.DefaultRegionSize = %d, want 64MiB", p.NCL.DefaultRegionSize)
@@ -109,6 +110,33 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 	if *got != *p {
 		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, p)
+	}
+}
+
+// A profile file that names a field Profile does not have — a typo, or a
+// knob that has become a constant beside its protocol — fails to load
+// instead of running the baseline's value under the file's name.
+func TestLoadRejectsUnknownFields(t *testing.T) {
+	dir := t.TempDir()
+	for name, body := range map[string]string{
+		"typo":     `{"NCL":{"SuspectColdown":5}}`,
+		"folded":   `{"NCL":{"SuspectCooldown":5}}`,
+		"trailing": `{"NetLatency":7} {}`,
+	} {
+		path := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(path); err == nil {
+			t.Errorf("%s: Load(%s) succeeded, want an error", name, body)
+		}
+	}
+	path := filepath.Join(dir, "partial.json")
+	if err := os.WriteFile(path, []byte(`{"NetLatency":7}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := Load(path); err != nil || p.NetLatency != 7 || p.RDMA != Baseline().RDMA {
+		t.Errorf("partial profile: %+v, %v; want NetLatency 7 over the baseline", p, err)
 	}
 }
 

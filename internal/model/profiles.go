@@ -39,7 +39,6 @@ var cx4RoCE25 = Profile{
 		RegFixed:     2 * time.Millisecond,
 		RegBandwidth: 1.2e9,
 		ConnectBase:  30 * time.Microsecond,
-		RetryTimeout: 1 * time.Millisecond,
 	},
 	DFS: DFSParams{
 		SyncFixed:            2300 * time.Microsecond,
@@ -50,8 +49,6 @@ var cx4RoCE25 = Profile{
 		MetaFixed:            500 * time.Microsecond,
 		SyscallFixed:         800 * time.Nanosecond,
 		MemBandwidth:         10e9,
-		ReadaheadWindow:      4 << 20,
-		CacheBlock:           64 << 10,
 		CacheCapacity:        256 << 20,
 		DirtyHighWater:       64 << 20,
 		WritebackInterval:    500 * time.Millisecond,
@@ -81,8 +78,6 @@ var cx4RoCE25 = Profile{
 		MetaFixed:            60 * time.Microsecond,
 		SyscallFixed:         800 * time.Nanosecond,
 		MemBandwidth:         10e9,
-		ReadaheadWindow:      4 << 20,
-		CacheBlock:           64 << 10,
 		CacheCapacity:        256 << 20,
 		DirtyHighWater:       64 << 20,
 		WritebackInterval:    500 * time.Millisecond,
@@ -90,20 +85,13 @@ var cx4RoCE25 = Profile{
 	},
 	Controller: ControllerConfig{
 		Raft: RaftConfig{
-			HeartbeatInterval:  20 * time.Millisecond,
-			ElectionTimeoutMin: 100 * time.Millisecond,
-			ElectionTimeoutMax: 200 * time.Millisecond,
-			FsyncCost:          800 * time.Microsecond,
+			FsyncCost: 800 * time.Microsecond,
 			// Single-threaded apply/response path of a ZooKeeper-class
 			// service on the testbed's E5-2640v4 servers: ~8K linearizable
 			// writes/s per ensemble once the log fsyncs are group-committed.
-			ApplyCPU:       120 * time.Microsecond,
-			ProposeTimeout: 2 * time.Second,
+			ApplyCPU: 120 * time.Microsecond,
 		},
 		SessionTimeout: 600 * time.Millisecond,
-		KeepAlive:      150 * time.Millisecond,
-		ExpiryScan:     200 * time.Millisecond,
-		OpTimeout:      3 * time.Second,
 	},
 	Peer: PeerConfig{
 		LendableMem: 1 << 30,
@@ -123,10 +111,7 @@ var cx4RoCE25 = Profile{
 		// SIMD kernels on the testbed's E5-2640v4).
 		EncodeBandwidth: 6e9,
 		RecordCPU:       900 * time.Nanosecond,
-		AckTimeout:      5 * time.Millisecond,
-		SetupRetries:    8,
 		CatchupCopyCPU:  10e9,
-		SuspectCooldown: 2 * time.Second,
 		ReadOverhead:    2 * time.Microsecond,
 		LocalReadCPU:    300 * time.Nanosecond,
 		SyncCPU:         200 * time.Nanosecond,

@@ -154,10 +154,13 @@ func (l *Lib) pick(lg *Log, held []*peerConn, cands []controller.PeerInfo, n int
 	return cands[:n]
 }
 
+// setupRetries bounds how many set-up waves one allocation runs.
+const setupRetries = 8
+
 // allocate finds a peer for each of the given slots of lg, sets up a region
 // under epoch on it and connects a QP: one registry read, one candidate per
 // slot, every set-up at once. A slot whose candidate rejected or died goes
-// into the next wave, at most SetupRetries of them. exclude names peers the
+// into the next wave, at most setupRetries of them. exclude names peers the
 // slots must not land on (the log's other members); recent data-path suspects
 // are excluded too, since the controller's registry only drops them after
 // session expiry. The returned conns know their slots, are registered with
@@ -174,7 +177,7 @@ func (l *Lib) pick(lg *Log, held []*peerConn, cands []controller.PeerInfo, n int
 func (l *Lib) allocate(p *simnet.Proc, lg *Log, slots []int, exclude []string, epoch int64, live bool, spare *spareGroup) ([]*peerConn, error) {
 	tried := append(append([]string(nil), exclude...), l.suspectNames(p.Now())...)
 	var pcs []*peerConn
-	for wave := 0; wave < l.cfg.SetupRetries; wave++ {
+	for wave := 0; wave < setupRetries; wave++ {
 		var cands []controller.PeerInfo
 		var again []int // the slots the next wave gets
 		recycle := ""

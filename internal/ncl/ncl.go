@@ -107,8 +107,12 @@ type Lib struct {
 	spare *spareGroup
 }
 
+// suspectCooldown is how long a peer that failed a data-path operation is
+// excluded from new allocations.
+const suspectCooldown = 2 * time.Second
+
 func (l *Lib) markSuspect(name string, now time.Duration) {
-	l.suspects[name] = now + l.cfg.SuspectCooldown
+	l.suspects[name] = now + suspectCooldown
 }
 
 func (l *Lib) suspectNames(now time.Duration) []string {
@@ -501,6 +505,10 @@ func (lg *Log) pollLoop(p *simnet.Proc) {
 	}
 }
 
+// ackTimeout is how long Record waits without majority progress before it
+// kicks the repair path again.
+const ackTimeout = 5 * time.Millisecond
+
 // Record replicates one application write at the given file offset (§4.4).
 // It assigns the next sequence number, hands the write to the replication
 // policy (mirror: data + header WR per active peer; ec: one coded frame per
@@ -553,7 +561,7 @@ func (lg *Log) Record(p *simnet.Proc, off int64, data []byte) error {
 		if lg.released {
 			return ErrReleased
 		}
-		if timedOut := lg.ackCond.WaitTimeout(p, lg.lib.cfg.AckTimeout); timedOut {
+		if timedOut := lg.ackCond.WaitTimeout(p, ackTimeout); timedOut {
 			// No majority progress: make sure repair is running (it may
 			// already be replacing failed peers).
 			lg.repairCh.Send(p, struct{}{})

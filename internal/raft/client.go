@@ -15,7 +15,7 @@ type Client struct {
 	cluster *Cluster
 	node    *simnet.Node
 	hint    int // index into cluster.ids of the believed leader
-	// Deadline bounds one Propose end to end (default 3s).
+	// Deadline bounds one Propose end to end (default DefaultDeadline).
 	Deadline time.Duration
 	// CallTimeout bounds each RPC attempt (default 500ms). Lower it when
 	// the caller must fail over quickly, e.g. session keep-alives racing an
@@ -23,9 +23,13 @@ type Client struct {
 	CallTimeout time.Duration
 }
 
+// DefaultDeadline is a new Client's Deadline: how long one Propose may
+// take end to end, retries included.
+const DefaultDeadline = 3 * time.Second
+
 // NewClient creates a client that calls from node.
 func NewClient(cluster *Cluster, node *simnet.Node) *Client {
-	return &Client{cluster: cluster, node: node, Deadline: 3 * time.Second, CallTimeout: 500 * time.Millisecond}
+	return &Client{cluster: cluster, node: node, Deadline: DefaultDeadline, CallTimeout: 500 * time.Millisecond}
 }
 
 // Propose submits cmd, blocking until the state machine applied it on the

@@ -24,16 +24,27 @@ import (
 	"splitft/internal/wire"
 )
 
-// Config holds protocol timing. The constants live in internal/model (the
-// unified hardware cost-model layer); this alias keeps the raft API
-// self-contained. Defaults suit the controller's deployment: commit latency
-// ~2 ms, failover within a few hundred milliseconds.
+// Config holds the group's costs. They live in internal/model (the unified
+// hardware cost-model layer); this alias keeps the raft API self-contained.
 type Config = model.RaftConfig
 
-// DefaultConfig returns the baseline profile's Raft timing parameters.
+// DefaultConfig returns the baseline profile's Raft costs.
 func DefaultConfig() Config {
 	return model.Baseline().Controller.Raft
 }
+
+// The protocol's timers suit the controller's deployment: failover within
+// a few hundred milliseconds. A replica that hears no leader for a random
+// draw from [electionTimeoutMin, electionTimeoutMax) stands for election; a
+// leader heartbeats an idle follower every heartbeatInterval; a replica
+// holds a client's proposal at most proposeTimeout while it waits for
+// commit.
+const (
+	heartbeatInterval  = 20 * time.Millisecond
+	electionTimeoutMin = 100 * time.Millisecond
+	electionTimeoutMax = 200 * time.Millisecond
+	proposeTimeout     = 2 * time.Second
+)
 
 // StateMachine is the replicated application. Apply must be deterministic;
 // it runs on every replica in log order. Commands and results are flat wire
@@ -50,7 +61,7 @@ var (
 	ErrTimeout   = errors.New("raft: proposal timed out")
 	// ErrBusy sheds load before it is accepted: the leader's unapplied
 	// backlog is already deeper than ApplyCPU can drain within
-	// ProposeTimeout, so appending another entry would only burn apply
+	// proposeTimeout, so appending another entry would only burn apply
 	// capacity on a command whose proposer is guaranteed to time out.
 	ErrBusy = errors.New("raft: apply backlog full")
 )
@@ -109,7 +120,7 @@ func (c *Cluster) StartNode(node *simnet.Node, id string) *Replica {
 	r := newReplica(c, node, id)
 	c.sim.Net().Register(c.Addr(id), node, r.handleRPC)
 	node.Go("raft-ticker:"+r.tag, func(p *simnet.Proc) {
-		gran := c.cfg.ElectionTimeoutMin / 4
+		gran := electionTimeoutMin / 4
 		for {
 			p.Sleep(gran)
 			r.tick(p)
@@ -440,11 +451,11 @@ func (r *Replica) onPropose(p *simnet.Proc, cmd wire.Msg) (wire.Msg, error) {
 	}
 	if cpu := r.cluster.cfg.ApplyCPU; cpu > 0 {
 		// Admission control: if the unapplied backlog already needs more
-		// than ProposeTimeout of apply CPU, this command cannot possibly
+		// than proposeTimeout of apply CPU, this command cannot possibly
 		// answer in time — reject it now, cheaply, instead of letting it
 		// queue, time out, and still consume apply capacity later (the
 		// retry amplification that melts a saturated group).
-		if backlog := r.lastLogIndex() - r.lastApplied; time.Duration(backlog)*cpu >= r.cluster.cfg.ProposeTimeout {
+		if backlog := r.lastLogIndex() - r.lastApplied; time.Duration(backlog)*cpu >= proposeTimeout {
 			r.mu.Unlock(p)
 			return wire.Msg{}, ErrBusy
 		}
@@ -473,7 +484,7 @@ func (r *Replica) onPropose(p *simnet.Proc, cmd wire.Msg) (wire.Msg, error) {
 	}
 	r.applyWaiters[idx] = waiter
 	defer delete(r.applyWaiters, idx)
-	deadline := p.Now() + r.cluster.cfg.ProposeTimeout
+	deadline := p.Now() + proposeTimeout
 	for r.lastApplied < idx {
 		if r.d.term != term || r.role != leader {
 			r.mu.Unlock(p)
@@ -556,9 +567,8 @@ func (r *Replica) tick(p *simnet.Proc) {
 
 // drawTimeout redraws the randomized election timeout. Caller holds mu.
 func (r *Replica) drawTimeout(p *simnet.Proc) {
-	cfg := r.cluster.cfg
-	span := cfg.ElectionTimeoutMax - cfg.ElectionTimeoutMin
-	r.electTimeout = cfg.ElectionTimeoutMin + time.Duration(p.Rand().Int63n(int64(span)))
+	span := electionTimeoutMax - electionTimeoutMin
+	r.electTimeout = electionTimeoutMin + time.Duration(p.Rand().Int63n(int64(span)))
 }
 
 // startElection runs a candidate round. Caller holds mu; it is released
@@ -587,7 +597,7 @@ func (r *Replica) startElection(p *simnet.Proc) {
 		}
 		addr := r.cluster.Addr(peer)
 		p.Go("raft-vote-req:"+peer, func(vp *simnet.Proc) {
-			m, err := r.callPeer(vp, addr, args.MarshalWire(), r.cluster.cfg.ElectionTimeoutMin)
+			m, err := r.callPeer(vp, addr, args.MarshalWire(), electionTimeoutMin)
 			granted := false
 			if err == nil {
 				var rep requestVoteReply
@@ -652,7 +662,6 @@ func (r *Replica) becomeLeader(p *simnet.Proc) {
 // replicate drives one follower while r leads in `term`.
 func (r *Replica) replicate(p *simnet.Proc, peer string, term int) {
 	addr := r.cluster.Addr(peer)
-	cfg := r.cluster.cfg
 	for {
 		r.mu.Lock(p)
 		if r.role != leader || r.d.term != term {
@@ -674,7 +683,7 @@ func (r *Replica) replicate(p *simnet.Proc, peer string, term int) {
 			args.Entries = append([]entry(nil), r.d.log[ni:]...)
 		}
 		r.mu.Unlock(p)
-		am, err := r.callPeer(p, addr, args.MarshalWire(), cfg.HeartbeatInterval*2)
+		am, err := r.callPeer(p, addr, args.MarshalWire(), heartbeatInterval*2)
 		var rep appendEntriesReply
 		if err == nil {
 			rep.UnmarshalWire(am) //nolint:errcheck
@@ -710,7 +719,7 @@ func (r *Replica) replicate(p *simnet.Proc, peer string, term int) {
 			idle = false
 		}
 		if idle {
-			r.replWake.WaitTimeout(p, cfg.HeartbeatInterval)
+			r.replWake.WaitTimeout(p, heartbeatInterval)
 		}
 		r.mu.Unlock(p)
 	}

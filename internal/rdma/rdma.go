@@ -45,6 +45,10 @@ func DefaultParams() Params {
 	return model.Baseline().RDMA
 }
 
+// retryTimeout is how long a NIC retries a work request to an unreachable
+// remote before it reports a transport error.
+const retryTimeout = time.Millisecond
+
 // Errors surfaced in completions or from Connect.
 var (
 	ErrRemoteDown   = errors.New("rdma: remote unreachable (transport retry exceeded)")
@@ -419,7 +423,7 @@ func (qp *QP) engine(p *simnet.Proc) {
 			}
 		}
 		if errors.Is(err, ErrRemoteDown) {
-			p.Sleep(pm.RetryTimeout) // transport-level retries before giving up
+			p.Sleep(retryTimeout) // transport-level retries before giving up
 		} else {
 			p.Sleep(pm.WRBase / 2) // ack path
 		}

@@ -231,7 +231,7 @@ func TestPartitionCausesTransportError(t *testing.T) {
 		if !errors.Is(c.Err, ErrRemoteDown) {
 			t.Errorf("partitioned write: %v", c.Err)
 		}
-		if p.Now()-start < DefaultParams().RetryTimeout {
+		if p.Now()-start < retryTimeout {
 			t.Errorf("error reported before retry timeout: %v", p.Now()-start)
 		}
 	})

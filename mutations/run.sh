@@ -25,6 +25,7 @@ rows=(
 	"create-first-no-fallback.patch|./internal/core|^TestDirectoryOlderThanFile$"
 	"pack-shares-view.patch|./internal/dfs|^TestSyncedBytesSurviveLaterPwrite$"
 	"lru-hit-not-touched.patch|./internal/dfs|^TestBlockCacheMatchesStampScan$"
+	"profile-field-no-source.patch|./internal/model|^TestEveryProfileFieldNamesItsSource$"
 )
 
 status=0
