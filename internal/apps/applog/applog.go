@@ -25,6 +25,7 @@ package applog
 import (
 	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"slices"
@@ -79,6 +80,19 @@ func (d Durability) LogFlags(appendOnly bool) core.OpenFlag {
 // SplitFT this is the open that runs NCL recovery from the log peers.
 func (d Durability) Reopen(p *simnet.Proc, fs *core.FS, path string) (core.File, error) {
 	return fs.OpenFile(p, path, d.LogFlags(false)&^core.O_CREATE, 0)
+}
+
+// ReopenSurvivor is Reopen of a log Survivors listed, and nil, nil when the
+// log turns out to be gone: under SplitFT, one the crashed instance released
+// whose ap-map delete was lost after the next log recycled its regions —
+// the recovery finishes that release (DESIGN.md §14). A port releases a log
+// only once what it held is durable elsewhere, so there is nothing to replay.
+func (d Durability) ReopenSurvivor(p *simnet.Proc, fs *core.FS, path string) (core.File, error) {
+	f, err := d.Reopen(p, fs, path)
+	if errors.Is(err, core.ErrNotExist) {
+		return nil, nil
+	}
+	return f, err
 }
 
 // Commit makes what was just written to log f as durable as d promises
@@ -189,10 +203,11 @@ func ReadLog(p *simnet.Proc, f core.File) ([]byte, error) {
 	return data, f.Sync(p)
 }
 
-// ReadSurvivor reopens, reads (ReadLog) and closes one surviving log.
+// ReadSurvivor reopens (ReopenSurvivor), reads (ReadLog) and closes one
+// surviving log; a log that turns out to be gone reads as empty.
 func (d Durability) ReadSurvivor(p *simnet.Proc, fs *core.FS, path string) ([]byte, error) {
-	f, err := d.Reopen(p, fs, path)
-	if err != nil {
+	f, err := d.ReopenSurvivor(p, fs, path)
+	if f == nil || err != nil {
 		return nil, err
 	}
 	defer f.Close(p)

@@ -195,3 +195,55 @@ func TestReadLogRejectsShortRead(t *testing.T) {
 		t.Fatalf("ReadLog of a short file returned %d bytes, %v; want an error", len(data), err)
 	}
 }
+
+// A log released right before a crash whose ap-map delete was lost after the
+// next log recycled its regions is still listed when the application comes
+// back; its recovery finishes the release (DESIGN.md §14), and a port reading
+// it as a survivor replays nothing rather than failing its start.
+func TestReleasedSurvivorReplaysNothing(t *testing.T) {
+	c := harness.New(harness.Options{Seed: 6, NumPeers: 4})
+	err := c.Run(func(p *simnet.Proc) error {
+		fs, err := c.NewFS(p, "app", 0)
+		if err != nil {
+			return err
+		}
+		f, err := fs.OpenFile(p, "log-1", SplitFT.LogFlags(true), 1<<20)
+		if err == nil {
+			_, err = f.Write(p, Encode(1, func(int) Op { return Op{Key: "k", Value: []byte("v")} }))
+		}
+		if err != nil {
+			return err
+		}
+		net := c.Sim.Net()
+		for _, n := range c.Controller.Nodes() {
+			net.Partition(c.AppNode, n)
+		}
+		c.AppNode.Go("rotate", func(ap *simnet.Proc) {
+			fs.Unlink(ap, "log-1")                                  //nolint:errcheck
+			fs.OpenFile(ap, "log-2", SplitFT.LogFlags(true), 1<<20) //nolint:errcheck // its create waits out the partition
+		})
+		p.Sleep(5 * time.Millisecond) // the successor's set-up recycles log-1's regions
+		for _, n := range c.Controller.Nodes() {
+			net.Heal(c.AppNode, n)
+		}
+		c.CrashApp()
+		c.RestartApp()
+		if fs, err = c.NewFS(p, "app", 1); err != nil {
+			return err
+		}
+		logs, err := SplitFT.Survivors(p, fs, "log-%d")
+		if err != nil || len(logs) != 1 || logs[0].Path != "log-1" {
+			return fmt.Errorf("survivors %v (%v), want log-1, whose delete was lost", logs, err)
+		}
+		if data, err := SplitFT.ReadSurvivor(p, fs, "log-1"); err != nil || len(data) != 0 {
+			return fmt.Errorf("released survivor read %d bytes (%v), want none", len(data), err)
+		}
+		if files, err := fs.ListNCL(p); err != nil || len(files) != 0 {
+			return fmt.Errorf("ncl files %v (%v) after the survivor was read, want none", files, err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -572,9 +572,12 @@ func Recover(p *simnet.Proc, fs *core.FS, cfg Config) (*DB, error) {
 	// release it and set up another would cost four controller round trips
 	// and a group of regions more.
 	for i, wal := range wals {
-		f, err := cfg.Durability.Reopen(p, fs, wal.Path)
+		f, err := cfg.Durability.ReopenSurvivor(p, fs, wal.Path)
 		if err != nil {
 			return nil, fmt.Errorf("kvstore: replay wal %s: %w", wal.Path, err)
+		}
+		if f == nil {
+			continue // released by the crashed instance: flushed already
 		}
 		data, err := applog.ReadLog(p, f)
 		if err == nil && len(data) == 0 && i == len(wals)-1 {

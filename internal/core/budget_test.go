@@ -88,6 +88,14 @@ func (b *budget) reopen(p *simnet.Proc) error {
 
 func (b *budget) unlink(p *simnet.Proc) error { return b.fs.Unlink(p, "wal") }
 
+// unlinkSettled unlinks "wal" and waits out its ap-map delete, which the
+// unlink of a log the lib holds submits without awaiting it.
+func (b *budget) unlinkSettled(p *simnet.Proc) error {
+	err := b.unlink(p)
+	p.Sleep(5 * time.Millisecond)
+	return err
+}
+
 func (b *budget) recoverStore(p *simnet.Proc) error {
 	_, err := b.port.Recover(p, b.fs, b.c.Profile.Apps, applog.SplitFT, apps.Sizing{})
 	return err
@@ -110,6 +118,8 @@ func TestControlPlaneBudget(t *testing.T) {
 		prepare func(b *budget, p *simnet.Proc) error
 		call    func(b *budget, p *simnet.Proc) error
 		want    func(b *budget) ops
+		// spans, if set, checks the flow's spans as well.
+		spans func(spans []*trace.Span) error
 	}{
 		{name: "create absent",
 			call: func(b *budget, p *simnet.Proc) error { _, err := b.create(p, "wal"); return err },
@@ -173,7 +183,7 @@ func TestControlPlaneBudget(t *testing.T) {
 			want:    func(*budget) ops { return ops{"get": 1, "delete": 1} }},
 		{name: "unlink open handle",
 			prepare: func(b *budget, p *simnet.Proc) error { _, err := b.create(p, "wal"); return err },
-			call:    (*budget).unlink,
+			call:    (*budget).unlinkSettled,
 			want:    func(*budget) ops { return ops{"delete": 1} }},
 		{name: "unlink closed but live",
 			prepare: func(b *budget, p *simnet.Proc) error {
@@ -183,7 +193,7 @@ func TestControlPlaneBudget(t *testing.T) {
 				}
 				return f.Close(p)
 			},
-			call: (*budget).unlink,
+			call: (*budget).unlinkSettled,
 			want: func(*budget) ops { return ops{"delete": 1} }},
 		{name: "rotate", quiet: true,
 			prepare: func(b *budget, p *simnet.Proc) error { _, err := b.create(p, "wal"); return err },
@@ -191,13 +201,26 @@ func TestControlPlaneBudget(t *testing.T) {
 				if err := b.unlink(p); err != nil {
 					return err
 				}
-				_, err := b.create(p, "wal-next")
-				return err
+				if _, err := b.create(p, "wal-next"); err != nil {
+					return err
+				}
+				p.Sleep(5 * time.Millisecond)
+				return nil
 			},
 			// The successor is set up on the group the unlink parked: no
 			// registry list, and its members lend what they lent before. Its
-			// name is one the lib does not know: no get either.
-			want: func(*budget) ops { return ops{"delete": 1, "create": 1} }},
+			// name is one the lib does not know: no get either. The unlink
+			// does not await its delete, which commits beside the successor's
+			// set-up.
+			want: func(*budget) ops { return ops{"delete": 1, "create": 1} },
+			spans: func(spans []*trace.Span) error {
+				del, open := trace.First(spans, "controller", "delete"), trace.First(spans, "ncl", "open")
+				if !del.Done() || !open.Done() || del.Start >= open.End || del.End <= open.Start {
+					return fmt.Errorf("controller/delete [%v, %v] does not overlap the successor's ncl/open [%v, %v]",
+						del.Start, del.End, open.Start, open.End)
+				}
+				return nil
+			}},
 		{name: "truncate existing",
 			prepare: (*budget).leftBehind,
 			call: func(b *budget, p *simnet.Proc) error {
@@ -273,7 +296,8 @@ func TestControlPlaneBudget(t *testing.T) {
 					return err
 				}
 				got, elsewhere := ops{}, ops{}
-				for _, sp := range col.Since(mark) {
+				spans := col.Since(mark)
+				for _, sp := range spans {
 					// The flows run in the harness's own proc, which belongs to
 					// no node, and a recovery's background phase on the
 					// application's; peers and controller replicas run on theirs.
@@ -291,6 +315,9 @@ func TestControlPlaneBudget(t *testing.T) {
 				}
 				if tc.quiet && elsewhere["set"] != 0 {
 					return fmt.Errorf("peers republished their free memory %d times", elsewhere["set"])
+				}
+				if tc.spans != nil {
+					return tc.spans(spans)
 				}
 				return nil
 			})

@@ -172,8 +172,8 @@ const setupRetries = 8
 //
 // A spare group (an open that took one, see spare.go) is wave 0's candidate
 // source instead of the registry: each slot it holds a member for is set up
-// there, recycling that member's region, and the holes wait for wave 1 with
-// the slots whose member failed.
+// there, recycling that member's region under a tombstone, and the holes
+// wait for wave 1 with the slots whose member failed.
 func (l *Lib) allocate(p *simnet.Proc, lg *Log, slots []int, exclude []string, epoch int64, live bool, spare *spareGroup) ([]*peerConn, error) {
 	tried := append(append([]string(nil), exclude...), l.suspectNames(p.Now())...)
 	var pcs []*peerConn

@@ -695,8 +695,8 @@ var confScripts = []struct {
 			}
 			return false
 		})
-		// Regions orphaned by a cut after the commit point go to the peers'
-		// epoch GC.
+		// Regions orphaned by a cut once the delete was submitted go to the
+		// peers' epoch GC.
 		p.Sleep(6 * time.Second) // GC interval + grace
 		for name, pr := range e.c.peers {
 			if pr.Regions() != 0 {
@@ -719,6 +719,121 @@ var confScripts = []struct {
 		p.Sleep(e.c.peerCfg.GCInterval + e.c.peerCfg.GCGrace + time.Millisecond)
 		e.heldByEntries(p, "wal-kept")
 		e.recover(p, "wal-kept", nil)
+	}},
+	{"app crash mid-rotation", func(e *conf, p *simnet.Proc) {
+		// A rotation — the unlink of a full log, its successor's open on the
+		// group it parked, one record — cut short before every dispatch of the
+		// application node. The successor's set-up may recycle the old regions
+		// before the old file's ap-map delete has committed. Whatever the cut,
+		// the next instance finds the old file gone, whole, or released with
+		// only its delete missing — a tombstone, which recovery finishes — and
+		// the successor absent or whole: never an entry whose regions are gone.
+		// That instance releases what it found and runs the next rotation.
+		e.capacity = 64 << 10
+		l := e.lib(p, e.cfg)
+		simnet.CutLadder(e.t.Logf, ladderSeed, rotationDense, func(k int) bool {
+			name, next := fmt.Sprintf("wal-%d", k), fmt.Sprintf("wal-%d-next", k)
+			lg := e.open(p, l, name)
+			e.append(p, lg, 2)
+			var inflight []byte
+			completed := e.c.appNode.RunCut(p, k, func(ap *simnet.Proc) {
+				lg.Release(ap) //nolint:errcheck
+				lg := e.open(ap, l, next)
+				inflight = e.rec(next)
+				e.append(ap, lg, 1)
+				inflight = nil
+			})
+			if e.t.Failed() {
+				return true
+			}
+			e.crashApp(p)
+			l = e.lib(p, e.cfg)
+			for _, f := range []struct {
+				name     string
+				inflight []byte
+			}{{name, nil}, {next, inflight}} {
+				lg, err := l.Recover(p, f.name)
+				if errors.Is(err, ErrNotFound) {
+					if entry, _, err := l.lookup(p, f.name); !errors.Is(err, ErrNotFound) {
+						e.t.Fatalf("cut %d: %s not found by recovery, but the ap-map still holds %+v (%v)", k, f.name, entry, err)
+					}
+					continue
+				}
+				if err != nil {
+					e.t.Fatalf("cut %d: recover %s: %v", k, f.name, err)
+				}
+				got, want := e.readAll(p, lg), e.acked[f.name]
+				if tail := got[min(len(want), len(got)):]; !bytes.HasPrefix(got, want) || (len(tail) > 0 && !bytes.Equal(tail, f.inflight)) {
+					e.t.Fatalf("cut %d: %s holds %d bytes, want the %d acknowledged and at most the record in flight", k, f.name, len(got), len(want))
+				}
+				if err := lg.Release(p); err != nil {
+					e.t.Fatalf("cut %d: release %s after recovery: %v", k, f.name, err)
+				}
+			}
+			return completed
+		})
+		// The orphans — parked or recycled regions, a successor set up but
+		// never created — go to the peers' GC, and so do the tombstones the
+		// recycles left, every delete having committed.
+		p.Sleep(e.c.peerCfg.GCInterval + e.c.peerCfg.GCGrace + time.Millisecond)
+		e.heldByEntries(p)
+		for pn, pr := range e.c.peers {
+			if n := pr.Tombstones(); n != 0 {
+				e.t.Fatalf("peer %s keeps %d tombstones once the GC has swept", pn, n)
+			}
+		}
+	}},
+	{"delete lost after the recycle", func(e *conf, p *simnet.Proc) {
+		// The application loses the controller across the unlink of a log and
+		// its successor's set-up, which recycles the old regions while the old
+		// file's ap-map delete is still being retried, and dies as the link
+		// heals: the delete is lost. The members left tombstones, so the next
+		// instance's recovery of the old file finishes the release instead of
+		// failing ErrUnavailable on regions that are gone — then and at every
+		// later start.
+		l := e.lib(p, e.cfg)
+		lg := e.open(p, l, "wal")
+		e.append(p, lg, 3)
+		members := lg.LivePeers()
+		for _, n := range e.c.svc.Nodes() {
+			e.c.sim.Net().Partition(e.c.appNode, n)
+		}
+		e.c.appNode.Go("rotate", func(ap *simnet.Proc) {
+			lg.Release(ap)                            //nolint:errcheck
+			l.Open(ap, "wal-next", e.capacity, false) //nolint:errcheck // its create waits out the partition
+		})
+		recycled := func() bool {
+			for _, pn := range members {
+				if _, ok := e.c.peers[pn].RegionBytes("app1", "wal-next"); !ok {
+					return false
+				}
+			}
+			return true
+		}
+		for !recycled() {
+			p.Sleep(100 * time.Microsecond)
+		}
+		for _, n := range e.c.svc.Nodes() {
+			e.c.sim.Net().Heal(e.c.appNode, n)
+		}
+		e.crashApp(p)
+		for start := 0; start < 2; start++ {
+			l := e.lib(p, e.cfg)
+			if _, err := l.Recover(p, "wal"); !errors.Is(err, ErrNotFound) {
+				e.t.Fatalf("start %d: recover of the released file: %v, want ErrNotFound", start, err)
+			}
+			if files, err := l.ListFiles(p); err != nil || len(files) != 0 {
+				e.t.Fatalf("start %d: files %v (%v), want none", start, files, err)
+			}
+			e.crashApp(p)
+		}
+		p.Sleep(e.c.peerCfg.GCInterval + e.c.peerCfg.GCGrace + time.Millisecond)
+		e.heldByEntries(p)
+		for _, pn := range members {
+			if n := e.c.peers[pn].Tombstones(); n != 0 {
+				e.t.Fatalf("peer %s keeps %d tombstones once the GC has swept", pn, n)
+			}
+		}
 	}},
 	{"spare member crashed while parked", func(e *conf, p *simnet.Proc) {
 		// The open that takes the spare finds one member dead: its set-up
@@ -847,6 +962,12 @@ const (
 	ladderSeed  = 22
 	ladderDense = 256
 )
+
+// rotationDense is where "app crash mid-rotation" starts to stride: its
+// window is 40 to 70 dispatches — the release is the first few, the
+// successor's set-up wave the next — and every cut pays the recovery of two
+// files, more than the suite's time budget allows for all of them.
+const rotationDense = 12
 
 func TestPolicyConformance(t *testing.T) {
 	peerCfg := smallPeerCfg()

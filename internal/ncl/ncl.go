@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"splitft/internal/controller"
@@ -105,6 +106,9 @@ type Lib struct {
 	// spare is the last released log's group, parked for the next open of
 	// its shape (spare.go); nil when there is none.
 	spare *spareGroup
+	// deletes are the released logs whose ap-map delete has not answered
+	// yet, by name (spare.go).
+	deletes map[string]*spareGroup
 }
 
 // suspectCooldown is how long a peer that failed a data-path operation is
@@ -151,6 +155,7 @@ func NewLib(p *simnet.Proc, svc *controller.Service, fabric *rdma.Fabric, node *
 		logs:     make(map[string]*Log),
 		known:    make(map[string]bool),
 		suspects: make(map[string]time.Duration),
+		deletes:  make(map[string]*spareGroup),
 	}
 	l.ctrl = controller.NewClient(svc, node, appID, fencing)
 	names, err := l.ctrl.StartSession(p, appID)
@@ -179,8 +184,19 @@ func (l *Lib) AcquireInstanceLock(p *simnet.Proc) error {
 }
 
 // ListFiles returns the ncl files recorded for this application in the
-// ap-map — what a recovering instance must restore.
+// ap-map — what a recovering instance must restore. It first waits for the
+// ap-map deletes of this lib's releases, and fails with the first that did.
 func (l *Lib) ListFiles(p *simnet.Proc) ([]string, error) {
+	pending := make([]*spareGroup, 0, len(l.deletes))
+	for _, s := range l.deletes {
+		pending = append(pending, s)
+	}
+	slices.SortFunc(pending, func(a, b *spareGroup) int { return strings.Compare(a.name, b.name) })
+	for _, s := range pending {
+		if err := s.await(p); err != nil {
+			return nil, err
+		}
+	}
 	entries, err := l.ctrl.ListAppFiles(p, l.appID)
 	if err != nil {
 		return nil, err
@@ -360,10 +376,14 @@ func (l *Lib) newLog(name string, spec PolicySpec, capacity int64, appendOnly bo
 // empty. Capacity 0 means the configured default (Config.DefaultRegionSize).
 // appendOnly declares that the file is never overwritten in place, which
 // lets recovery catch lagging peers up by shipping only the missing tail
-// (§4.5.1).
+// (§4.5.1). A name this lib released waits for its ap-map delete first, so a
+// re-create never races the entry it replaces.
 func (l *Lib) Open(p *simnet.Proc, name string, capacity int64, appendOnly bool) (*Log, error) {
 	if capacity == 0 {
 		capacity = l.cfg.DefaultRegionSize
+	}
+	if err := l.awaitDelete(p, name); err != nil {
+		return nil, err
 	}
 	sp := p.StartSpan("ncl", "open", trace.Str("file", name), trace.Int("bytes", capacity))
 	defer p.EndSpan(sp)
@@ -669,9 +689,12 @@ func (lg *Log) ReadAt(p *simnet.Proc, buf []byte, off int64) (int, error) {
 
 // Release frees the log's resources everywhere: the paper's `release` call,
 // invoked when the application deletes the ncl file after a checkpoint or
-// compaction (§4.3). The ap-map entry is removed, the peer regions parked as
-// the lib's spare group for the next open of the log's shape, and the local
-// state reset.
+// compaction (§4.3). It seals the log — appends return ErrReleased — parks
+// its live members as the lib's spare group for the next open of the log's
+// shape, submits the ap-map delete and resets the local state. It returns
+// once the delete is on the wire, without waiting for it to commit
+// (DESIGN.md §14): a ListFiles, or a lookup, Recover or Open of the name,
+// waits for it and returns its error.
 func (lg *Log) Release(p *simnet.Proc) error {
 	sp := p.StartSpan("ncl", "release", trace.Str("file", lg.name))
 	defer p.EndSpan(sp)
@@ -688,14 +711,16 @@ func (lg *Log) Release(p *simnet.Proc) error {
 	spare := lg.spare()
 	lg.mu.Unlock(p)
 
-	err := lg.lib.release(p, lg.name, nil, spare)
-	// Local teardown happens regardless of the ap-map outcome: the poller
-	// and repair procs must die and the lib must forget the log even when
-	// the delete proposal times out on a saturated controller, or every
-	// failed release strands a proc pair. The entry left behind still has
-	// its regions: ReleaseByName can retry it, Recover can reopen it.
+	l := lg.lib
+	delete(l.known, lg.name)
+	displaced := l.spare
+	l.spare = spare
+	l.submitDelete(p, spare)
+	if displaced != nil {
+		l.drop(p, displaced)
+	}
 	lg.teardown(p)
-	return err
+	return nil
 }
 
 // ReleaseByName frees an ncl file by name: the live log if this instance
@@ -713,14 +738,18 @@ func (l *Lib) ReleaseByName(p *simnet.Proc, name string) error {
 	if err != nil {
 		return err
 	}
-	return l.release(p, name, entry.Peers, nil)
+	return l.release(p, name, entry.Peers)
 }
 
 // lookup reads name's ap-map entry and version: the one controller round
 // trip that reopening or unlinking a file this instance does not hold starts
-// with (§4.5.1 "get peer"). An absent name is ErrNotFound; a controller error
-// is returned as such, never as absence. Either answer updates Known.
+// with (§4.5.1 "get peer"). It waits for a pending delete of name first. An
+// absent name is ErrNotFound; a controller error is returned as such, never
+// as absence. Either answer updates Known.
 func (l *Lib) lookup(p *simnet.Proc, name string) (controller.FileEntry, int64, error) {
+	if err := l.awaitDelete(p, name); err != nil {
+		return controller.FileEntry{}, 0, err
+	}
 	entry, ver, found, err := l.ctrl.GetAppFile(p, l.appID, name)
 	if err != nil {
 		return entry, 0, fmt.Errorf("ncl: ap-map lookup of %s: %w", name, err)
@@ -733,25 +762,17 @@ func (l *Lib) lookup(p *simnet.Proc, name string) (controller.FileEntry, int64, 
 	return entry, ver, nil
 }
 
-// release frees an ncl file's remote state — the one place that does. The
-// ap-map delete is the commit point: only once the entry is gone are the
-// regions let go of: a log this lib held parks them as the spare group park,
-// and the spare it displaces is freed instead; the regions of an entry it did
-// not hold are freed. The other order could leave an entry whose regions are gone,
+// release frees the remote state of an ncl file this lib does not hold: an
+// entry it looked up, or one whose release a recovery found half done. The
+// ap-map delete is awaited, and only once the entry is gone are the regions
+// let go of. The other order could leave an entry whose regions are gone,
 // which no later instance can recover or get past. If the delete fails, entry
 // and regions both stay and the file remains recoverable.
-func (l *Lib) release(p *simnet.Proc, name string, peers []string, park *spareGroup) error {
+func (l *Lib) release(p *simnet.Proc, name string, peers []string) error {
 	if err := l.ctrl.DeleteAppFile(p, l.appID, name); err != nil {
 		return fmt.Errorf("ncl: ap-map delete: %w", err)
 	}
 	delete(l.known, name)
-	if park != nil {
-		displaced := l.spare
-		if l.spare = park; displaced == nil {
-			return nil
-		}
-		name, peers = displaced.name, displaced.names()
-	}
 	l.freeRegions(p, name, peers)
 	return nil
 }

@@ -247,6 +247,67 @@ func TestReleaseFreesPeersAndApMap(t *testing.T) {
 	})
 }
 
+// The lib reads its own deletes even when one is slow. A release whose ap-map
+// delete loses its first attempt still returns at once; then a ListFiles, a
+// Recover of the name and an Open of the name each wait for the retry to
+// commit: the list does not name the file, the recovery does not bring back
+// the released regions the spare still holds, and the re-create does not
+// race the entry it replaces.
+func TestReleasedNameWaitsForItsDelete(t *testing.T) {
+	c := newCluster(54, 3, smallPeerCfg())
+	c.run(t, func(p *simnet.Proc) {
+		l := c.newLib(p, t, "app1", 0)
+		probes := []struct {
+			call  string
+			check func(name string) error
+		}{
+			{"ListFiles", func(string) error {
+				if files, err := l.ListFiles(p); err != nil || len(files) != 0 {
+					return fmt.Errorf("files %v (%v), want none", files, err)
+				}
+				return nil
+			}},
+			{"Recover", func(name string) error {
+				if _, err := l.Recover(p, name); !errors.Is(err, ErrNotFound) {
+					return fmt.Errorf("%v, want ErrNotFound", err)
+				}
+				return nil
+			}},
+			{"Open", func(name string) error {
+				lg, err := l.Open(p, name, 1<<20, false)
+				if err != nil {
+					return err
+				}
+				p.Sleep(2 * time.Second) // long past the delete's retry
+				if files, err := l.ListFiles(p); err != nil || !slices.Equal(files, []string{name}) {
+					return fmt.Errorf("files %v (%v) after the re-create, want %s", files, err, name)
+				}
+				return lg.Release(p)
+			}},
+		}
+		for _, probe := range probes {
+			lg, err := l.Open(p, "wal", 1<<20, false)
+			if err != nil {
+				t.Fatalf("open before %s: %v", probe.call, err)
+			}
+			lg.Append(p, []byte("data"))
+			for _, n := range c.svc.Nodes() {
+				c.sim.Net().Partition(c.appNode, n)
+			}
+			start := p.Now()
+			if err := lg.Release(p); err != nil || p.Now() != start {
+				t.Fatalf("release under a lost delete: %v after %v, want nil at once", err, p.Now()-start)
+			}
+			for _, n := range c.svc.Nodes() {
+				c.sim.Net().Heal(c.appNode, n)
+			}
+			if err := probe.check("wal"); err != nil {
+				t.Errorf("%s right after the release: %v", probe.call, err)
+			}
+		}
+	})
+}
+
 // timed runs fn under a fresh collector and returns its virtual duration and
 // the spans it emitted.
 func (c *cluster) timed(p *simnet.Proc, fn func()) (time.Duration, []*trace.Span) {
@@ -327,12 +388,15 @@ func TestRecoverConnectPaysOneTimeout(t *testing.T) {
 	})
 }
 
-// A release that parks is its ap-map delete and nothing else, and the open
-// that takes the spare is one set-up wave on its members: no registry list,
-// and no free-memory republication by a peer. A release that displaces a
-// spare frees it in one awaited wave: a dead member costs its one timeout,
-// beside which the live members' releases run, and the live members have its
-// memory back when Release returns.
+// A release that parks costs its caller nothing: it returns with its ap-map
+// delete on the wire, not committed, and the open that takes the spare is one
+// set-up wave on its members: no registry list, and no free-memory
+// republication by a peer. A release that displaces a spare whose delete has
+// committed frees it in one awaited wave: a dead member costs its one
+// timeout, beside which the live members' releases run, and the live members
+// have its memory back when Release returns. One that displaces a spare whose
+// delete is still pending leaves the freeing to that delete: no member hears
+// of it before the delete has committed.
 func TestReleaseIsOneAwaitedWave(t *testing.T) {
 	c := newCluster(53, 3, smallPeerCfg())
 	c.run(t, func(p *simnet.Proc) {
@@ -344,20 +408,20 @@ func TestReleaseIsOneAwaitedWave(t *testing.T) {
 			}
 			return lg
 		}
-		release := func(lg *Log) (wave time.Duration) {
-			cost, spans := c.timed(p, func() {
+		release := func(lg *Log) (time.Duration, []*trace.Span) {
+			return c.timed(p, func() {
 				if err := lg.Release(p); err != nil {
 					t.Fatalf("release %s: %v", lg.name, err)
 				}
 			})
-			return cost - trace.First(spans, "controller", "delete").Dur()
 		}
 		a, b := open("wal-a"), open("wal-b")
-		if wave := release(a); wave != 0 {
-			t.Errorf("parking release took %v beside its ap-map delete, want nothing", wave)
+		cost, spans := release(a)
+		if del := trace.First(spans, "controller", "delete"); cost != 0 || del == nil || del.Done() {
+			t.Errorf("parking release took %v, delete span %+v; want nothing, with the delete on its way", cost, del)
 		}
 		var c1 *Log
-		_, spans := c.timed(p, func() {
+		_, spans = c.timed(p, func() {
 			c1 = open("wal-c")
 			p.Sleep(time.Millisecond) // a peer's republication starts in the background
 		})
@@ -374,19 +438,45 @@ func TestReleaseIsOneAwaitedWave(t *testing.T) {
 			t.Errorf("open on the spare: %d peer set-ups, controller commands %v; want 3 and one create", setups, ctl)
 		}
 
+		d, e := open("wal-d"), open("wal-e")
+		col := trace.New()
+		c.sim.SetTracer(col)
+		if err := d.Release(p); err != nil {
+			t.Fatalf("release wal-d: %v", err)
+		}
+		if err := e.Release(p); err != nil {
+			t.Fatalf("release wal-e: %v", err)
+		}
+		p.Sleep(5 * time.Millisecond)
+		c.sim.SetTracer(nil)
+		del := trace.First(col.Spans(), "controller", "delete") // wal-d's, submitted first
+		frees := 0
+		for _, sp := range trace.Filter(col.Spans(), "peer", "release") {
+			if sp.StrAttr("file") == "app1/wal-d" {
+				if frees++; !del.Done() || sp.Start < del.End {
+					t.Errorf("a member freed wal-d at %v, its delete %+v", sp.Start, del)
+				}
+			}
+		}
+		if want := len(d.peers); frees != want {
+			t.Errorf("%d members freed wal-d once its delete committed, want %d", frees, want)
+		}
+
 		if release(b); l.spare == nil || l.spare.name != "wal-b" {
 			t.Fatalf("spare %+v, want wal-b's group", l.spare)
 		}
+		p.Sleep(5 * time.Millisecond) // wal-b's delete commits
 		members := b.LivePeers()
 		c.pNodes[members[0]].Crash()
-		if wave := release(c1); wave != 10*time.Millisecond {
-			t.Errorf("displacing release took %v beside its ap-map delete, want the one 10ms timeout", wave)
+		if cost, _ := release(c1); cost != 10*time.Millisecond {
+			t.Errorf("displacing release took %v, want the one 10ms timeout", cost)
 		}
 		for _, pn := range members[1:] {
 			if _, ok := c.peers[pn].RegionBytes("app1", "wal-b"); ok || c.peers[pn].Regions() != 1 {
 				t.Errorf("peer %s still holds the displaced spare's region when Release returns", pn)
 			}
 		}
+
 	})
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"splitft/internal/peer"
@@ -109,9 +110,11 @@ func (lg *Log) Sync(p *simnet.Proc) error {
 // its length and sequence number are fixed: ReadAt blocks until the bytes it
 // was asked for have arrived, and Record, Release and Sync wait for the
 // background phase that restores the log's redundancy. A name the ap-map does
-// not hold is ErrNotFound, and that lookup was no recovery: its spans are
-// relabelled "lookup", so every "recover" span in a trace is a file that was
-// rebuilt.
+// not hold is ErrNotFound, and so is one whose members answer with a
+// tombstone (DESIGN.md §14): its release was cut short after a recycle, and
+// the recovery finishes it — deletes the entry, frees what is left — instead.
+// Neither lookup was a recovery: its spans are relabelled "lookup", so every
+// "recover" span in a trace is a file that was rebuilt.
 func (l *Lib) Recover(p *simnet.Proc, name string) (*Log, error) {
 	if lg, ok := l.logs[name]; ok {
 		return lg, nil
@@ -119,12 +122,12 @@ func (l *Lib) Recover(p *simnet.Proc, name string) (*Log, error) {
 	rsp := p.StartSpan("ncl", "recover", trace.Str("file", name))
 
 	// (1) ap-map fetch.
-	sp := p.StartSpan("ncl", "recover.getpeer")
+	gp := p.StartSpan("ncl", "recover.getpeer")
 	entry, ver, err := l.lookup(p, name)
-	p.EndSpan(sp)
+	p.EndSpan(gp)
 	if err != nil {
 		if rsp != nil {
-			rsp.Op, sp.Op = "lookup", "lookup.getpeer"
+			rsp.Op, gp.Op = "lookup", "lookup.getpeer"
 		}
 		p.EndSpan(rsp)
 		return nil, err
@@ -145,9 +148,9 @@ func (l *Lib) Recover(p *simnet.Proc, name string) (*Log, error) {
 	// slots are positional (for ec, slot i holds fragment i), so lg.peers keeps
 	// the entry's order with nil holes for unreachable members, and the conns
 	// are registered in that order, not in the order the replies came.
-	sp = p.StartSpan("ncl", "recover.connect")
+	sp := p.StartSpan("ncl", "recover.connect")
 	lg.peers = make([]*peerConn, len(entry.Peers))
-	fanOut(p, l, entry.Peers, func(fp *simnet.Proc, i int, pname string) error {
+	errs := fanOut(p, l, entry.Peers, func(fp *simnet.Proc, i int, pname string) error {
 		look, err := wire.CallTimeout[peer.LookupResp](fp, l.sim.Net(), l.node, peer.Addr(pname),
 			peer.LookupReq{App: l.appID, File: name}, 20*time.Millisecond)
 		if err != nil {
@@ -168,6 +171,21 @@ func (l *Lib) Recover(p *simnet.Proc, name string) (*Log, error) {
 		}
 	}
 	p.EndSpan(sp)
+
+	// A member that answers with a tombstone recycled its region for the
+	// application's next file: the file was released and only its ap-map
+	// delete is missing. Finish the release; there is nothing to recover.
+	if slices.ContainsFunc(errs, func(err error) bool { return errors.Is(err, peer.ErrReleased) }) {
+		lg.teardown(p)
+		if err = l.release(p, name, entry.Peers); err == nil {
+			err = fmt.Errorf("%w: %s (released, its delete finished now)", ErrNotFound, name)
+		}
+		if rsp != nil {
+			rsp.Op, gp.Op, sp.Op = "lookup", "lookup.getpeer", "lookup.connect"
+		}
+		p.EndSpan(rsp)
+		return nil, err
+	}
 
 	// (3) Read phase: the policy fixes length and seq from the reachable
 	// members, and leaves the content in the local buffer or on its way.

@@ -70,6 +70,9 @@ func (lg *Log) vacant(p *simnet.Proc) (slots []int) {
 			pc.qp.Close(p)
 			lg.peers[slot] = nil
 		}
+		if slots == nil {
+			slots = make([]int, 0, len(lg.peers)-slot)
+		}
 		slots = append(slots, slot)
 	}
 	return slots

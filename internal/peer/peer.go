@@ -16,6 +16,10 @@
 //   - Space-leak GC: regions whose application epoch moved on (or whose
 //     ap-map entry never appeared) are freed per the §4.5.1 rules, and so is
 //     a catch-up staging region that was never switched in.
+//   - Tombstones: a set-up that recycles a released file's region keeps the
+//     file as released, so that a recovery of an entry the file's ap-map
+//     delete never removed finishes the release instead of finding the
+//     regions gone (DESIGN.md §14).
 //   - Memory revocation: the peer can reclaim a region locally and
 //     instantly; subsequent RDMA writes fail and the application treats it
 //     as a peer failure.
@@ -31,6 +35,7 @@ package peer
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"splitft/internal/controller"
@@ -58,6 +63,10 @@ var (
 	ErrNotFound   = errors.New("peer: no such region (mr-map miss)")
 	ErrStaleEpoch = errors.New("peer: allocation epoch is stale")
 	ErrDead       = errors.New("peer: daemon is down")
+	// ErrReleased answers a lookup of a file whose region a recycle took
+	// while the file's ap-map delete was still pending: the application
+	// released the file, and its entry, if still there, outlived the release.
+	ErrReleased = errors.New("peer: region recycled after a release (tombstone)")
 )
 
 // Wire codes for the peer RPCs (range 0x10–0x1f; see internal/wire).
@@ -81,7 +90,10 @@ type SetupReq struct {
 	Size  int64
 	Epoch int64
 	// Recycle names a released file of the same application whose region
-	// this set-up takes over: it is freed first, if the peer still holds it.
+	// this set-up takes over: it is freed first, if the peer still holds it,
+	// and leaves a tombstone, so that a recovery of an entry the file's ap-map
+	// delete never removed finds the file released rather than its region
+	// gone (DESIGN.md §14).
 	Recycle string
 }
 
@@ -208,6 +220,13 @@ type region struct {
 	createdAt time.Duration
 }
 
+// tomb is what a recycle keeps of a released file's region: its epoch, and
+// when it was recycled.
+type tomb struct {
+	epoch     int64
+	createdAt time.Duration
+}
+
 // Peer is a running log-peer daemon.
 type Peer struct {
 	sim  *simnet.Sim
@@ -226,9 +245,11 @@ type Peer struct {
 	availDirty bool
 	wakePub    simnet.Semaphore
 	regions    map[regionKey]*region // the mr-map
-	staging    map[int64]*region
-	nextStage  int64
-	dead       bool
+	// tombs are the released files whose regions a set-up recycled.
+	tombs     map[regionKey]tomb
+	staging   map[int64]*region
+	nextStage int64
+	dead      bool
 
 	// recycled is the host-side free list of the backing buffers (and their
 	// invalidated MRs) of freed regions, by size, so that a simulated rotation
@@ -257,6 +278,7 @@ func Start(p *simnet.Proc, svc *controller.Service, fabric *rdma.Fabric, node *s
 		cfg:      cfg,
 		avail:    cfg.LendableMem,
 		regions:  make(map[regionKey]*region),
+		tombs:    make(map[regionKey]tomb),
 		staging:  make(map[int64]*region),
 		recycled: make(map[int64][]*rdma.MR),
 	}
@@ -288,6 +310,9 @@ func (pr *Peer) Avail() int64 { return pr.avail }
 
 // Regions returns the number of live regions in the mr-map (tests).
 func (pr *Peer) Regions() int { return len(pr.regions) }
+
+// Tombstones returns the number of tombstones the peer keeps (tests).
+func (pr *Peer) Tombstones() int { return len(pr.tombs) }
 
 // RegionBytes exposes a region's memory for white-box tests.
 func (pr *Peer) RegionBytes(app, file string) ([]byte, bool) {
@@ -368,6 +393,8 @@ func (pr *Peer) handleRPC(p *simnet.Proc, m simnet.Msg) (simnet.Msg, error) {
 // region frees that region first, so its bytes come back zeroed under a new
 // rkey and, being the same number, leave the free memory the controller was
 // told about as it was: the peer republishes only when the handler changed it.
+// The freed region leaves a tombstone, since the released file's ap-map delete
+// may not have committed; a set-up of a file supersedes any tombstone of it.
 func (pr *Peer) onSetup(p *simnet.Proc, r SetupReq) (SetupResp, error) {
 	before := pr.avail
 	defer func() {
@@ -376,11 +403,14 @@ func (pr *Peer) onSetup(p *simnet.Proc, r SetupReq) (SetupResp, error) {
 		}
 	}()
 	if r.Recycle != "" {
-		if old, ok := pr.regions[regionKey{r.App, r.Recycle}]; ok {
-			pr.freeRegion(p, regionKey{r.App, r.Recycle}, old)
+		rkey := regionKey{r.App, r.Recycle}
+		if old, ok := pr.regions[rkey]; ok {
+			pr.freeRegion(p, rkey, old)
+			pr.tombs[rkey] = tomb{epoch: old.epoch, createdAt: p.Now()}
 		}
 	}
 	key := regionKey{r.App, r.File}
+	delete(pr.tombs, key)
 	if old, ok := pr.regions[key]; ok {
 		if r.Epoch < old.epoch {
 			return SetupResp{}, ErrStaleEpoch
@@ -468,19 +498,26 @@ func (pr *Peer) register(p *simnet.Proc, size, cold int64) (*rdma.MR, error) {
 }
 
 // onLookup serves application recovery (§4.5.1): return the region key if
-// the mr-map has it, reject otherwise (e.g. this peer crashed and restarted
-// since the allocation).
+// the mr-map has it; ErrReleased if a recycle left a tombstone in its place;
+// reject otherwise (e.g. this peer crashed and restarted since the
+// allocation).
 func (pr *Peer) onLookup(_ *simnet.Proc, r LookupReq) (LookupResp, error) {
-	reg, ok := pr.regions[regionKey{r.App, r.File}]
+	key := regionKey{r.App, r.File}
+	reg, ok := pr.regions[key]
 	if !ok {
+		if _, ok := pr.tombs[key]; ok {
+			return LookupResp{}, ErrReleased
+		}
 		return LookupResp{}, ErrNotFound
 	}
 	return LookupResp{RKey: reg.mr.RKey(), Size: reg.size, Epoch: reg.epoch}, nil
 }
 
-// onRelease frees the region when the application deletes the ncl file.
+// onRelease frees the region, or drops the tombstone, when the application
+// deletes the ncl file.
 func (pr *Peer) onRelease(p *simnet.Proc, r ReleaseReq) error {
 	key := regionKey{r.App, r.File}
+	delete(pr.tombs, key)
 	reg, ok := pr.regions[key]
 	if !ok {
 		return nil // idempotent
@@ -587,6 +624,7 @@ func (pr *Peer) Revoke(p *simnet.Proc, app, file string) bool {
 // period (the application died between allocation and ap-map update). So is
 // a staging region nobody switched in — the application died mid catch-up —
 // by its age alone: no ap-map entry ever names a staging.
+// Tombstones are swept by the same loop (sweepTombs).
 func (pr *Peer) gcLoop(p *simnet.Proc) {
 	for {
 		p.Sleep(pr.cfg.GCInterval)
@@ -649,8 +687,38 @@ func (pr *Peer) gcLoop(p *simnet.Proc) {
 				freed = true
 			}
 		}
+		pr.sweepTombs(p)
 		if freed {
 			pr.publishAvail(p)
+		}
+	}
+}
+
+// sweepTombs drops the tombstones whose file no ap-map entry names on this
+// peer any more: its delete committed, or a recovery finished the release. A
+// tombstone is a few bytes and a delete commits within a controller round
+// trip, so only those older than the grace period are judged, with one read
+// of their application's directory.
+func (pr *Peer) sweepTombs(p *simnet.Proc) {
+	var keys []regionKey
+	for k, tb := range pr.tombs {
+		if p.Now()-tb.createdAt > pr.cfg.GCGrace {
+			keys = append(keys, k)
+		}
+	}
+	sortRegionKeys(keys)
+	for i, j := 0, 0; i < len(keys); i = j {
+		for j = i + 1; j < len(keys) && keys[j].app == keys[i].app; j++ {
+		}
+		entries, err := pr.ctrl.ListAppFiles(p, keys[i].app)
+		if err != nil {
+			continue // controller unavailable; retry next round
+		}
+		for _, k := range keys[i:j] {
+			e, found := entries[k.file]
+			if tb, ok := pr.tombs[k]; ok && (!found || e.Epoch < tb.epoch || !slices.Contains(e.Peers, pr.name)) {
+				delete(pr.tombs, k)
+			}
 		}
 	}
 }

@@ -333,7 +333,8 @@ func (fx *fixture) setup(t *testing.T, p *simnet.Proc, r SetupReq) SetupResp {
 // A set-up that recycles a released file's region takes that region's bytes
 // over: the same number of bytes lent, so nothing for the controller to hear,
 // a bind (the bytes are pinned), a new rkey under which the old one writes
-// nothing, and a retry of it finds the region it made.
+// nothing, a tombstone that a lookup of the released file answers with, and a
+// retry of it finds the region it made.
 func TestRecycleSetupKeepsAvailAndRetiresOldKey(t *testing.T) {
 	fx := newFixture(14, testCfg())
 	fx.run(t, func(p *simnet.Proc) {
@@ -350,6 +351,9 @@ func TestRecycleSetupKeepsAvailAndRetiresOldKey(t *testing.T) {
 		}
 		if _, ok := fx.pr.RegionBytes("a1", "wal-1"); ok {
 			t.Error("the recycled file still has a region")
+		}
+		if _, err := call[LookupResp](fx, p, LookupReq{App: "a1", File: "wal-1"}); !errors.Is(err, ErrReleased) {
+			t.Errorf("lookup of the recycled file: %v, want its tombstone (%v)", err, ErrReleased)
 		}
 		if rtt := 2 * 5 * time.Microsecond; took > fx.warmSetup()+2*rtt {
 			t.Errorf("recycle set-up took %v, want a bind (%v) and a round trip", took, fx.warmSetup())
