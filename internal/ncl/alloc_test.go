@@ -125,7 +125,9 @@ func TestGroupPickMatchesSerialPicks(t *testing.T) {
 // rank would do — or wherever rendezvous puts it. Then y's member in dom1
 // dies: a most-free rank would replace it with the freest of x's peers in
 // name order, peer0, a second member in dom0, while dom1 still has a live
-// peer; so would a rank that counted the dead member's domain as taken.
+// peer; so would a rank that counted the dead member's domain as taken. The
+// victim is a member of x too, which posts nothing and is repaired all the
+// same, so Table 3's spans are counted per file.
 func TestLiveReplacementUsesCachedRegistry(t *testing.T) {
 	for _, ttl := range []time.Duration{0, time.Minute} {
 		c := newCluster(41, 6, smallPeerCfg())
@@ -137,7 +139,8 @@ func TestLiveReplacementUsesCachedRegistry(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ttl %v: new lib: %v", ttl, err)
 			}
-			if _, err := l.Open(p, "x", 16<<20, false); err != nil {
+			x, err := l.Open(p, "x", 16<<20, false)
+			if err != nil {
 				t.Fatalf("ttl %v: open x: %v", ttl, err)
 			}
 			p.Sleep(100 * time.Millisecond) // the peers' free memory republished
@@ -155,6 +158,7 @@ func TestLiveReplacementUsesCachedRegistry(t *testing.T) {
 			if len(occupied) != 3 {
 				t.Fatalf("ttl %v: open put 3 members in %d domains", ttl, len(occupied))
 			}
+			shared := slices.Contains(x.LivePeers(), victim)
 			col := trace.New()
 			c.sim.SetTracer(col)
 			c.pNodes[victim].Crash()
@@ -168,11 +172,16 @@ func TestLiveReplacementUsesCachedRegistry(t *testing.T) {
 			if lg.Replacements != 1 || len(lg.LivePeers()) != 3 {
 				t.Fatalf("ttl %v: replacements = %d, live = %v", ttl, lg.Replacements, lg.LivePeers())
 			}
+			// x posts nothing, but the peer y lost is down for every log of
+			// the lib: x is repaired too.
+			if !shared || x.Replacements != 1 || len(x.LivePeers()) != 3 || slices.Contains(x.LivePeers(), victim) {
+				t.Fatalf("ttl %v: x (member %s: %v) after it died: replacements = %d, live = %v", ttl, victim, shared, x.Replacements, x.LivePeers())
+			}
 			if n := trace.Count(col.Spans(), "controller", "list"); ttl > 0 && n != 0 {
 				t.Errorf("ttl %v: %d controller list RPCs inside the registry TTL, want 0", ttl, n)
 			}
-			if n := trace.Count(col.Spans(), "ncl", "replace.getpeer"); n != 1 {
-				t.Errorf("ttl %v: %d replace.getpeer spans, want 1 (Table 3 is a span query)", ttl, n)
+			if n := getpeersOf(col.Spans(), "y"); n != 1 {
+				t.Errorf("ttl %v: %d replace.getpeer spans for y, want 1 (Table 3 is a span query)", ttl, n)
 			}
 			domains := map[string]int{}
 			for _, pc := range lg.peers {
@@ -183,6 +192,22 @@ func TestLiveReplacementUsesCachedRegistry(t *testing.T) {
 			}
 		})
 	}
+}
+
+// getpeersOf counts the "replace.getpeer" spans of the live replacements of
+// file.
+func getpeersOf(spans []*trace.Span, file string) int {
+	replaces := map[trace.SpanID]bool{}
+	n := 0
+	for _, sp := range spans {
+		switch {
+		case sp.Layer == "ncl" && sp.Op == "replace" && sp.StrAttr("file") == file:
+			replaces[sp.ID] = true
+		case sp.Layer == "ncl" && sp.Op == "replace.getpeer" && replaces[sp.Parent]:
+			n++
+		}
+	}
+	return n
 }
 
 // Regression: a peer that dies inside the registry's refresh window must be

@@ -915,6 +915,152 @@ var confScripts = []struct {
 			e.t.Fatalf("peers lend %d bytes after the abandoned recoveries, %d before", after, before)
 		}
 	}},
+	{"a quiet log loses members another log sees", func(e *conf, p *simnet.Proc) {
+		// A peer that is down on one log is down on every log of the lib. The
+		// second log is written once and then posts nothing, so only the first
+		// log's work requests find out that the members they share died —
+		// more of them than the policy tolerates. The quiet log is repaired
+		// all the same, and a recovery after the application crashes finds
+		// enough of its members.
+		l := e.lib(p, e.cfg)
+		lg := e.open(p, l, "wal")
+		e.append(p, lg, 5)
+		need := e.spec.Tolerates() + 1
+		registry, err := l.ctrl.ListPeers(p)
+		if err != nil {
+			e.t.Fatalf("list peers: %v", err)
+		}
+		place := e.spec.Place(e.capacity)
+		quiet := ""
+		for i := 0; quiet == "" && i < 1000; i++ {
+			name := fmt.Sprintf("quiet-%d", i)
+			shared := 0
+			for _, cand := range l.pick(&Log{name: name}, nil, eligible(registry, nil, place.SlotRegion), place.Slots) {
+				if slices.Contains(lg.LivePeers(), cand.Name) {
+					shared++
+				}
+			}
+			if shared >= need {
+				quiet = name
+			}
+		}
+		q := e.open(p, l, quiet)
+		e.append(p, q, 3)
+		var victims []string
+		for _, pn := range q.LivePeers() {
+			if len(victims) < need && slices.Contains(lg.LivePeers(), pn) {
+				victims = append(victims, pn)
+			}
+		}
+		if len(victims) != need {
+			e.t.Fatalf("%s on %v shares %v with wal on %v, want %d members", quiet, q.LivePeers(), victims, lg.LivePeers(), need)
+		}
+		e.crashPeers(victims...)
+		e.append(p, lg, 3)
+		for wait := 0; q.Replacements < need && wait < 100; wait++ {
+			p.Sleep(time.Millisecond)
+		}
+		e.crashApp(p)
+		e.recover(p, quiet, nil)
+	}},
+	{"a live replacement sends each byte once", func(e *conf, p *simnet.Proc) {
+		// The catch-up sends the new member its slot's replica up to the cut,
+		// the activation what was recorded since (§4.5.2), and every record
+		// after it goes out as to any member: what the new member is sent adds
+		// up to its replica once. Sending the whole log again at activation
+		// would send the bytes before the cut twice.
+		e.capacity = 1 << 20
+		var l *Lib
+		var lg *Log
+		stop, stopped := false, false
+		e.c.appNode.Go("app-v1", func(ap *simnet.Proc) {
+			l = e.lib(ap, e.cfg)
+			lg = e.open(ap, l, "wal")
+			for !stop {
+				e.append(ap, lg, 1)
+				ap.Sleep(5 * time.Millisecond)
+			}
+			stopped = true
+		})
+		for len(e.acked["wal"]) < 10000 {
+			p.Sleep(time.Millisecond)
+		}
+		col := trace.New()
+		e.c.sim.SetTracer(col)
+		victim := lg.LivePeers()[1]
+		e.crashPeers(victim)
+		for lg.Replacements == 0 {
+			p.Sleep(time.Millisecond)
+		}
+		p.Sleep(20 * time.Millisecond) // a few records after the activation
+		for stop = true; !stopped; {
+			p.Sleep(time.Millisecond)
+		}
+		e.c.sim.SetTracer(nil)
+		e.restored(p, l, lg, 1, victim)
+		newcomer := lg.peers[1]
+		var sent, headers int64
+		for _, sp := range trace.Filter(col.Spans(), "rdma", "write") {
+			if sp.StrAttr("remote") == newcomer.name {
+				sent += sp.IntAttr("bytes")
+				if sp.IntAttr("bytes") == HeaderSize { // mirror's header WRs; records and frames are longer
+					headers++
+				}
+			}
+		}
+		replica := lg.length
+		switch pol := lg.policy.(type) {
+		case *ecPolicy:
+			replica = pol.shardLen
+		case *quorumPolicy:
+			replica = pol.journalLen
+		}
+		if content := sent - headers*HeaderSize; content != replica || newcomer.cut == 0 || newcomer.cut >= replica {
+			e.t.Fatalf("new member %s was sent %d bytes of its %d-byte replica (catch-up cut at %d)", newcomer.name, content, replica, newcomer.cut)
+		}
+		e.crashApp(p)
+		e.recover(p, "wal", nil)
+	}},
+	{"overwrite below the catch-up cut", func(e *conf, p *simnet.Proc) {
+		// A circular log overwrites in place (SQLite's WAL, Fig 7ii). An
+		// overwrite below a live catch-up's cut, made before the activation,
+		// reaches the new member all the same. The member takes the failed
+		// member's slot, 0, which is where recovery reads first once as many
+		// old members as the policy tolerates and the application have died.
+		col := trace.New()
+		e.c.sim.SetTracer(col)
+		l := e.lib(p, e.cfg)
+		lg := e.open(p, l, "wal")
+		e.append(p, lg, 20)
+		victim := lg.LivePeers()[0]
+		mark := col.Len()
+		e.crashPeers(victim)
+		e.c.appNode.Go("detect", func(ap *simnet.Proc) { e.append(ap, lg, 1) })
+		casInFlight := func() bool {
+			for _, sp := range col.Since(mark) {
+				if sp.Layer == "ncl" && sp.Op == "replace.apmap" && !sp.Done() {
+					return true
+				}
+			}
+			return false
+		}
+		for !casInFlight() {
+			p.Sleep(20 * time.Microsecond)
+		}
+		e.c.sim.SetTracer(nil)
+		if lg.Replacements != 0 {
+			e.t.Fatalf("the new member was active before the overwrite")
+		}
+		over := bytes.Repeat([]byte{0xee}, 64)
+		if err := lg.Record(p, 0, over); err != nil {
+			e.t.Fatalf("overwrite: %v", err)
+		}
+		copy(e.acked["wal"], over)
+		e.restored(p, l, lg, 1, victim)
+		e.crashPeers(lg.LivePeers()[1 : 1+e.spec.Tolerates()]...)
+		e.crashApp(p)
+		e.recover(p, "wal", nil)
+	}},
 	{"gray members then correlated crash", func(e *conf, p *simnet.Proc) {
 		// The schedule an acknowledgement one ack short of the commit rule does
 		// not survive: every member but one is gray (+5 ms a work request on an

@@ -32,7 +32,6 @@ import (
 	"sort"
 	"time"
 
-	"splitft/internal/rdma"
 	"splitft/internal/simnet"
 )
 
@@ -222,11 +221,11 @@ func (e *ecPolicy) Recover(p *simnet.Proc, lg *Log, alive []*peerConn) error {
 // because recovery always republishes under a bumped epoch and post-recovery
 // frames outrank them on generation.
 func (e *ecPolicy) Resync(p *simnet.Proc, lg *Log, pc *peerConn) error {
-	return e.Repair(p, lg, pc.qp, pc.rkey, pc.slot, false)
+	return e.Repair(p, lg, pc, false)
 }
 
-func (e *ecPolicy) Repair(p *simnet.Proc, lg *Log, qp *rdma.QP, rkey uint64, slot int, lock bool) error {
-	return lg.repairFrameLog(p, qp, rkey, e.shards[slot], &e.shardLen, lock)
+func (e *ecPolicy) Repair(p *simnet.Proc, lg *Log, pc *peerConn, lock bool) error {
+	return lg.repairFrameLog(p, pc, e.shards[pc.slot], &e.shardLen, lock)
 }
 
 func (e *ecPolicy) Snapshot(p *simnet.Proc, lg *Log, pc *peerConn) {

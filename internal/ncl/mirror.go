@@ -26,6 +26,11 @@ type mirrorPolicy struct {
 	// each survivor's header advertised, and the peer whose region is read.
 	hdrLens      map[*peerConn]int64
 	recoveryPeer *peerConn
+	// catching is the member a live catch-up was last cut for; until its
+	// activation, Append lowers its cut to every offset it writes below it.
+	// A log runs one live replacement at a time (its repair proc), so one
+	// member is enough.
+	catching *peerConn
 }
 
 // putHeader fills h (HeaderSize bytes) with the current seq/length. Callers
@@ -40,6 +45,9 @@ func (lg *Log) putHeader(h []byte) {
 // peer (§4.4). Caller holds lg.mu with lg.buf/length/seq already updated.
 func (m *mirrorPolicy) Append(p *simnet.Proc, lg *Log, off int64, data []byte) error {
 	seq := lg.seq
+	if c := m.catching; c != nil && off < c.cut {
+		c.cut = off // a circular log overwrote what the catch-up sent
+	}
 	var hdr [HeaderSize]byte
 	lg.putHeader(hdr[:])
 	for _, pc := range lg.peers {
@@ -102,18 +110,37 @@ func (m *mirrorPolicy) Resync(p *simnet.Proc, lg *Log, pc *peerConn) error {
 	}
 }
 
-func (m *mirrorPolicy) Repair(p *simnet.Proc, lg *Log, qp *rdma.QP, rkey uint64, slot int, lock bool) error {
-	return lg.bulkTransfer(p, qp, rkey, 0, lock)
+// Repair bulk-writes the whole image to pc and records in pc.cut how much
+// content it sent. A live catch-up (lock) is cut under lg.mu, and pc becomes
+// the catching member until Snapshot sends it what lies beyond the cut.
+func (m *mirrorPolicy) Repair(p *simnet.Proc, lg *Log, pc *peerConn, lock bool) error {
+	id, done := lg.newBulkWaiter(p)
+	defer delete(lg.bulks, id)
+	if lock {
+		lg.mu.Lock(p)
+		m.catching = pc
+	}
+	pc.cut = lg.length
+	n := lg.postImage(p, pc.qp, pc.rkey, 0, id)
+	if lock {
+		lg.mu.Unlock(p)
+	}
+	return awaitBulk(p, done, n)
 }
 
-// Snapshot posts the current region content and header to pc as ordinary
-// record WRs, so the poller advances pc.completedSeq to the current
-// sequence number when they complete. Caller holds lg.mu. The client-side
-// copy briefly occupies the writer — the Fig 12 "blip".
+// Snapshot sends pc what changed since its catch-up cut — the content from
+// the cut, lowered to the lowest offset a circular log overwrote since, to the
+// current end, then the header — as ordinary record WRs, so the poller
+// advances pc.completedSeq to the current sequence number when they land.
+// Caller holds lg.mu. The client-side copy of the delta briefly occupies the
+// writer — the Fig 12 "blip".
 func (m *mirrorPolicy) Snapshot(p *simnet.Proc, lg *Log, pc *peerConn) {
-	if lg.length > 0 {
-		p.Sleep(time.Duration(float64(lg.length) / lg.lib.cfg.CatchupCopyCPU * float64(time.Second)))
-		pc.qp.PostWrite(p, pc.rkey, HeaderSize, lg.buf[HeaderSize:HeaderSize+lg.length],
+	if m.catching == pc {
+		m.catching = nil
+	}
+	if from := pc.cut; from < lg.length {
+		p.Sleep(time.Duration(float64(lg.length-from) / lg.lib.cfg.CatchupCopyCPU * float64(time.Second)))
+		pc.qp.PostWrite(p, pc.rkey, HeaderSize+int(from), lg.buf[HeaderSize+from:HeaderSize+lg.length],
 			recCtx(pc, lg.seq, false))
 	}
 	var hdr [HeaderSize]byte
@@ -133,7 +160,7 @@ func (lg *Log) catchUpViaStaging(p *simnet.Proc, pc *peerConn, epoch int64) erro
 	if err != nil {
 		return err
 	}
-	if err := lg.bulkTransfer(p, pc.qp, stg.RKey, 0, false); err != nil {
+	if err := lg.bulkTransfer(p, pc.qp, stg.RKey, 0); err != nil {
 		return err
 	}
 	if _, err := wire.Call[wire.Ack](p, l.sim.Net(), l.node, peer.Addr(pc.name), peer.CommitSwitchReq{
@@ -156,20 +183,23 @@ func (lg *Log) catchUpTail(p *simnet.Proc, pc *peerConn, peerLen int64) error {
 		// its header is corrupt; fall back to the full copy path.
 		return fmt.Errorf("ncl: peer %s advertises %d > recovered %d", pc.name, peerLen, lg.length)
 	}
-	return lg.bulkTransfer(p, pc.qp, pc.rkey, peerLen, false)
+	return lg.bulkTransfer(p, pc.qp, pc.rkey, peerLen)
 }
 
-// bulkTransfer writes the current log snapshot from content offset from on
-// (data then header) to a remote region and waits for both completions.
-// With lock=true the snapshot is cut under lg.mu; PostWrite copies payloads
-// into staging buffers at post time, so only the posting happens under the
-// lock — the transfer itself proceeds unlocked and writes continue meanwhile.
-func (lg *Log) bulkTransfer(p *simnet.Proc, qp *rdma.QP, rkey uint64, from int64, lock bool) error {
-	id, done := lg.newBulkWaiter()
+// bulkTransfer writes the log image from content offset from on (data then
+// header) to a remote region and waits for both completions.
+func (lg *Log) bulkTransfer(p *simnet.Proc, qp *rdma.QP, rkey uint64, from int64) error {
+	id, done := lg.newBulkWaiter(p)
 	defer delete(lg.bulks, id)
-	if lock {
-		lg.mu.Lock(p)
-	}
+	return awaitBulk(p, done, lg.postImage(p, qp, rkey, from, id))
+}
+
+// postImage posts the log image from content offset from on under bulk id —
+// the data, then the header — and returns how many WRs it posted. PostWrite
+// copies payloads into staging buffers at post time, so a caller that holds
+// lg.mu holds it only for the posting: the transfer proceeds unlocked and
+// writes continue meanwhile.
+func (lg *Log) postImage(p *simnet.Proc, qp *rdma.QP, rkey uint64, from int64, id uint64) int {
 	n := 1
 	if from < lg.length {
 		qp.PostWrite(p, rkey, HeaderSize+int(from), lg.buf[HeaderSize+from:HeaderSize+lg.length], bulkCtx(id))
@@ -178,8 +208,5 @@ func (lg *Log) bulkTransfer(p *simnet.Proc, qp *rdma.QP, rkey uint64, from int64
 	var hdr [HeaderSize]byte
 	lg.putHeader(hdr[:])
 	qp.PostWrite(p, rkey, 0, hdr[:], bulkCtx(id))
-	if lock {
-		lg.mu.Unlock(p)
-	}
-	return awaitBulk(p, done, n)
+	return n
 }

@@ -226,7 +226,12 @@ type peerConn struct {
 	// is durably in this peer's region. Monotonic because the QP completes
 	// WRs in post order.
 	completedSeq uint64
-	failed       bool
+	// cut is how much of its slot's replica content (mirror: the file's
+	// bytes; ec and quorum: the frame log's) a live catch-up sent this peer:
+	// its activation is sent the rest (Snapshot). Under mirror, Append lowers
+	// it to any offset a circular log overwrites before the activation.
+	cut    int64
+	failed bool
 	// active: counted toward the ack majority. A replacement peer becomes
 	// active only after the ap-map names it (§4.5.2).
 	active bool
@@ -318,11 +323,15 @@ func (lg *Log) registerConn(pc *peerConn) {
 }
 
 // newBulkWaiter allocates a bulk id and its completion channel. The caller
-// must delete the id from lg.bulks when done waiting.
-func (lg *Log) newBulkWaiter() (uint64, *simnet.Chan[error]) {
+// must delete the id from lg.bulks when done waiting. A released log's is
+// closed at once, as teardown closes those it finds: no completion reaches it.
+func (lg *Log) newBulkWaiter(p *simnet.Proc) (uint64, *simnet.Chan[error]) {
 	lg.nextBulk++
 	id := lg.nextBulk
 	done := simnet.NewChan[error](lg.lib.sim)
+	if lg.released {
+		done.Close(p)
+	}
 	lg.bulks[id] = done
 	return id, done
 }
@@ -432,6 +441,17 @@ func (lg *Log) teardown(p *simnet.Proc) {
 	}
 	lg.cq.Close(p)
 	lg.repairCh.Close(p)
+	// The closed CQ delivers no more completions: a proc still waiting for
+	// some — a live catch-up the release overtook — gets ErrReleased, its
+	// channel closed in id order.
+	ids := make([]uint64, 0, len(lg.bulks))
+	for id := range lg.bulks {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		lg.bulks[id].Close(p)
+	}
 }
 
 // regionSize is the per-peer region size the policy spec derived — what
@@ -511,17 +531,22 @@ func (lg *Log) pollLoop(p *simnet.Proc) {
 		pc := lg.conns[(ctx>>ctxConnShift)&ctxConnMask]
 		seq := ctx >> ctxSeqShift
 		lg.mu.Lock(p)
+		down := false
 		if c.Err != nil {
 			if !pc.failed {
 				pc.failed = true
 				lg.lib.markSuspect(pc.name, p.Now())
 				lg.repairCh.Send(p, struct{}{})
+				down = errors.Is(c.Err, rdma.ErrRemoteDown)
 			}
 		} else if ctx&ctxHeaderFlag != 0 && seq > pc.completedSeq {
 			pc.completedSeq = seq
 		}
 		lg.ackCond.Broadcast(p)
 		lg.mu.Unlock(p)
+		if down {
+			lg.lib.peerDown(p, pc.name)
+		}
 	}
 }
 

@@ -247,6 +247,50 @@ func TestReleaseFreesPeersAndApMap(t *testing.T) {
 	})
 }
 
+// A release that overtakes a live replacement ends it. The catch-up's
+// completions never come once the log's CQ is closed, so its waiter is closed
+// instead, whether it was registered before the release (the catch-up posted)
+// or after it (the set-up still in flight, as when a peer lost on another log
+// kicks the repair of a log about to rotate). The replacement fails, and the
+// repair proc exits.
+func TestReleaseEndsLiveReplacement(t *testing.T) {
+	for _, at := range []string{"replace.connect", "replace.catchup"} {
+		c := newCluster(5, 5, smallPeerCfg())
+		c.run(t, func(p *simnet.Proc) {
+			col := trace.New()
+			c.sim.SetTracer(col)
+			l := c.newLib(p, t, "app1", 0)
+			lg, err := l.Open(p, "wal", 1<<20, false)
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			rec := make([]byte, 64<<10)
+			for i := 0; i < 12; i++ {
+				lg.Append(p, rec)
+			}
+			c.pNodes[lg.LivePeers()[1]].Crash()
+			lg.Append(p, rec) // acked by the other two; the failed WR starts the repair
+			var step *trace.Span
+			for step == nil {
+				p.Sleep(time.Microsecond)
+				step = trace.First(col.Spans(), "ncl", at)
+			}
+			if step.Done() {
+				t.Fatalf("%s ended before the release", at)
+			}
+			if err := lg.Release(p); err != nil {
+				t.Fatalf("release during %s: %v", at, err)
+			}
+			p.Sleep(100 * time.Millisecond)
+			replaces := trace.Filter(col.Spans(), "ncl", "replace")
+			if len(replaces) != 1 || !replaces[0].Done() || lg.Replacements != 0 {
+				t.Errorf("release during %s: %d replace spans, the first ended %v; %d replacements, want 1 ended and 0",
+					at, len(replaces), len(replaces) > 0 && replaces[0].Done(), lg.Replacements)
+			}
+		})
+	}
+}
+
 // The lib reads its own deletes even when one is slow. A release whose ap-map
 // delete loses its first attempt still returns at once; then a ListFiles, a
 // Recover of the name and an Open of the name each wait for the retry to

@@ -26,7 +26,6 @@ import (
 	"strings"
 	"time"
 
-	"splitft/internal/rdma"
 	"splitft/internal/simnet"
 )
 
@@ -183,7 +182,7 @@ func (s PolicySpec) Place(capacity int64) Placement {
 // updated and lg.seq already assigned; Recover runs on a freshly connected
 // log before it is returned to the application, Resync behind it, once per
 // survivor and for all of them at once; Repair and Snapshot are the §4.5.2
-// catch-up steps.
+// catch-up steps, the second sending only what the first's cut left out.
 type ReplicationPolicy interface {
 	// Append posts the RDMA writes replicating the record just applied at
 	// [off, off+len(data)) as sequence lg.seq. Called under lg.mu. An error
@@ -203,13 +202,14 @@ type ReplicationPolicy interface {
 	// ones it succeeds on and replaces the rest. Runs inside the
 	// "recover.syncpeer" span, with all the content arrived.
 	Resync(p *simnet.Proc, lg *Log, pc *peerConn) error
-	// Repair bulk-writes slot's current replica content to a fresh region
-	// (a replacement peer, or a staging region) and waits for completion.
-	// With lock=true the snapshot is cut under lg.mu.
-	Repair(p *simnet.Proc, lg *Log, qp *rdma.QP, rkey uint64, slot int, lock bool) error
-	// Snapshot posts slot pc's replica content as ordinary record WRs so
-	// the poller advances pc.completedSeq to lg.seq when they land — the
-	// §4.5.2 activation delta. Called under lg.mu.
+	// Repair bulk-writes pc's slot's current replica content to pc's region
+	// (a replacement peer, or a survivor) and waits for completion. With
+	// lock=true — a live catch-up — the content is cut under lg.mu and the
+	// cut recorded in pc.cut.
+	Repair(p *simnet.Proc, lg *Log, pc *peerConn, lock bool) error
+	// Snapshot posts what pc's replica content gained since its catch-up cut
+	// as ordinary record WRs, so the poller advances pc.completedSeq to lg.seq
+	// when they land — the §4.5.2 activation delta. Called under lg.mu.
 	Snapshot(p *simnet.Proc, lg *Log, pc *peerConn)
 }
 
@@ -365,18 +365,20 @@ func (lg *Log) scanFrameLogs(p *simnet.Proc, alive []*peerConn, regionCap, capac
 	return scans
 }
 
-// repairFrameLog bulk-writes the frame log buf[:*used] to a fresh region and
-// waits for completion. With lock=true the length is read and the WR posted
-// under lg.mu, so the snapshot is cut between two appends.
-func (lg *Log) repairFrameLog(p *simnet.Proc, qp *rdma.QP, rkey uint64, buf []byte, used *int64, lock bool) error {
-	id, done := lg.newBulkWaiter()
+// repairFrameLog bulk-writes the frame log buf[:*used] to pc's region and
+// waits for completion, recording in pc.cut how much it sent. With lock=true
+// the length is read and the WR posted under lg.mu, so the snapshot is cut
+// between two appends.
+func (lg *Log) repairFrameLog(p *simnet.Proc, pc *peerConn, buf []byte, used *int64, lock bool) error {
+	id, done := lg.newBulkWaiter(p)
 	defer delete(lg.bulks, id)
 	if lock {
 		lg.mu.Lock(p)
 	}
+	pc.cut = *used
 	n := 0
-	if *used > 0 {
-		qp.PostWrite(p, rkey, 0, buf[:*used], bulkCtx(id))
+	if pc.cut > 0 {
+		pc.qp.PostWrite(p, pc.rkey, 0, buf[:pc.cut], bulkCtx(id))
 		n++
 	}
 	if lock {
@@ -385,13 +387,18 @@ func (lg *Log) repairFrameLog(p *simnet.Proc, qp *rdma.QP, rkey uint64, buf []by
 	return awaitBulk(p, done, n)
 }
 
-// snapshotFrameLog posts the frame log to pc as one ordinary record WR, so
-// the poller advances pc.completedSeq to lg.seq when it lands. Caller holds
-// lg.mu.
+// snapshotFrameLog posts the frames the log gained since pc's catch-up cut as
+// one ordinary record WR, so the poller advances pc.completedSeq to lg.seq
+// when it lands. A frame log only grows until a recovery resets it, so the
+// cut is exact; with nothing gained, the awaited catch-up already holds
+// lg.seq. Caller holds lg.mu.
 func (lg *Log) snapshotFrameLog(p *simnet.Proc, pc *peerConn, log []byte) {
-	if len(log) == 0 {
+	delta := log[pc.cut:]
+	if len(delta) == 0 {
+		pc.completedSeq = lg.seq
+		lg.ackCond.Broadcast(p)
 		return
 	}
-	p.Sleep(time.Duration(float64(len(log)) / lg.lib.cfg.CatchupCopyCPU * float64(time.Second)))
-	pc.qp.PostWrite(p, pc.rkey, 0, log, recCtx(pc, lg.seq, true))
+	p.Sleep(time.Duration(float64(len(delta)) / lg.lib.cfg.CatchupCopyCPU * float64(time.Second)))
+	pc.qp.PostWrite(p, pc.rkey, int(pc.cut), delta, recCtx(pc, lg.seq, true))
 }

@@ -28,7 +28,6 @@ package ncl
 import (
 	"fmt"
 
-	"splitft/internal/rdma"
 	"splitft/internal/simnet"
 )
 
@@ -130,11 +129,11 @@ func (q *quorumPolicy) Resync(p *simnet.Proc, lg *Log, pc *peerConn) error {
 	if q.caughtUp[pc] {
 		return nil
 	}
-	return q.Repair(p, lg, pc.qp, pc.rkey, pc.slot, false)
+	return q.Repair(p, lg, pc, false)
 }
 
-func (q *quorumPolicy) Repair(p *simnet.Proc, lg *Log, qp *rdma.QP, rkey uint64, slot int, lock bool) error {
-	return lg.repairFrameLog(p, qp, rkey, q.journal, &q.journalLen, lock)
+func (q *quorumPolicy) Repair(p *simnet.Proc, lg *Log, pc *peerConn, lock bool) error {
+	return lg.repairFrameLog(p, pc, q.journal, &q.journalLen, lock)
 }
 
 func (q *quorumPolicy) Snapshot(p *simnet.Proc, lg *Log, pc *peerConn) {

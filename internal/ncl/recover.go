@@ -226,7 +226,7 @@ func (l *Lib) Recover(p *simnet.Proc, name string) (*Log, error) {
 // background phase drains their completions into the arrival watermark.
 func (lg *Log) streamFrom(p *simnet.Proc, pc *peerConn) {
 	r := lg.rec
-	r.streamID, r.stream = lg.newBulkWaiter()
+	r.streamID, r.stream = lg.newBulkWaiter(p)
 	for off := int64(0); off < lg.length; off += recoverySegment {
 		end := min(off+recoverySegment, lg.length)
 		pc.qp.PostRead(p, pc.rkey, int(HeaderSize+off), lg.buf[HeaderSize+off:HeaderSize+end], bulkCtx(r.streamID))
@@ -335,7 +335,7 @@ func fanOut[M any](p *simnet.Proc, l *Lib, ms []M, fn func(fp *simnet.Proc, i in
 
 // readInto issues a 1-sided RDMA read from pc's region into buf and waits.
 func (lg *Log) readInto(p *simnet.Proc, pc *peerConn, off int, buf []byte) error {
-	id, done := lg.newBulkWaiter()
+	id, done := lg.newBulkWaiter(p)
 	defer delete(lg.bulks, id)
 	pc.qp.PostRead(p, pc.rkey, off, buf, bulkCtx(id))
 	return awaitBulk(p, done, 1)

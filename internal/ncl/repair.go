@@ -3,6 +3,7 @@ package ncl
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"splitft/internal/simnet"
@@ -23,6 +24,11 @@ import (
 func (lg *Log) repairLoop(p *simnet.Proc) {
 	for {
 		if _, ok := lg.repairCh.Recv(p); !ok {
+			return
+		}
+		// A recovering log replaces what it lost in its own sync phase; what
+		// is failed after it is replaced here.
+		if lg.Sync(p) != nil {
 			return
 		}
 		backoff := 20 * time.Millisecond
@@ -55,6 +61,34 @@ func (lg *Log) repairLoop(p *simnet.Proc) {
 				}
 			}
 		}
+	}
+}
+
+// peerDown is the lib's verdict on a peer one of its logs found unreachable
+// (rdma.ErrRemoteDown): it is down for every log the lib holds. Each log that
+// has it as a member not yet failed marks it failed and kicks its repair. A
+// log that posts nothing — a successor opened ahead of its use — would
+// otherwise never learn that it lost members, and a recovery could then find
+// too few of them. The logs are walked in name order, one log's mu at a time.
+func (l *Lib) peerDown(p *simnet.Proc, name string) {
+	names := make([]string, 0, len(l.logs))
+	for n := range l.logs {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		lg := l.logs[n]
+		if lg == nil {
+			continue // released meanwhile
+		}
+		lg.mu.Lock(p)
+		for _, pc := range lg.peers {
+			if pc != nil && pc.name == name && !pc.failed {
+				pc.failed = true
+				lg.repairCh.Send(p, struct{}{})
+			}
+		}
+		lg.mu.Unlock(p)
 	}
 }
 
@@ -94,7 +128,7 @@ func (lg *Log) fillSlots(p *simnet.Proc, slots []int, exclude []string, epoch in
 	}
 	sp := replaceSpan(p, live, "replace.catchup")
 	errs := fanOut(p, lg.lib, pcs, func(fp *simnet.Proc, _ int, pc *peerConn) error {
-		if err := lg.policy.Repair(fp, lg, pc.qp, pc.rkey, pc.slot, live); err != nil {
+		if err := lg.policy.Repair(fp, lg, pc, live); err != nil {
 			return fmt.Errorf("catch-up of %s: %w", pc.name, err)
 		}
 		return nil
@@ -153,8 +187,14 @@ func (lg *Log) replacePeer(p *simnet.Proc, idx int) bool {
 		return false
 	}
 	pc := pcs[0]
-	// ap-map switch under CAS; the epoch stamps the new membership.
+	// ap-map switch under CAS; the epoch stamps the new membership. A log
+	// released meanwhile has its delete under way: it gets no CAS.
 	lg.mu.Lock(p)
+	if lg.released {
+		lg.mu.Unlock(p)
+		pc.qp.Close(p)
+		return true
+	}
 	entry := lg.fileEntry(newEpoch)
 	entry.Peers[idx] = pc.name
 	lg.mu.Unlock(p)

@@ -28,6 +28,8 @@ rows=(
 	"profile-field-no-source.patch|./internal/model|^TestEveryProfileFieldNamesItsSource$"
 	"recycle-without-tombstone.patch|./internal/ncl|^TestPolicyConformance$/^delete_lost_after_the_recycle/"
 	"list-skips-pending-release.patch|./internal/ncl|^TestReleasedNameWaitsForItsDelete$"
+	"snapshot-ignores-overwrite.patch|./internal/ncl|^TestPolicyConformance$/^overwrite_below_the_catch-up_cut/"
+	"failure-stays-on-its-log.patch|./internal/ncl|^TestPolicyConformance$/^a_quiet_log_loses_members_another_log_sees/"
 )
 
 status=0
