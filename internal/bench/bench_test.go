@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -48,7 +49,7 @@ func gated(name string) *gate {
 		}
 		g.rep, g.shaped = c.rep, c.rep
 		c.schema(name)
-		if g.baseline == "" || !c.reproduces(g.baseline) {
+		if g.baseline == "" || !c.reproduces(g.baseline, name) {
 			second, err := e.Run(sc, 1)
 			a, b := virtualRows(c.rep), virtualRows(second)
 			c.failIf(err != nil || !reflect.DeepEqual(a, b), "virtual rows differ across identical runs (%v):\n  %+v\n  %+v", err, a, b)
@@ -205,19 +206,28 @@ func (c *check) schema(experiment string) {
 
 // reproduces diffs the run row by row against the committed file and
 // reports whether the file is a second identical run. Virtual rows are
-// deterministic: ±2% only absorbs a deliberately regenerated baseline
-// rounding differently on another Go release, and drift means the file must
-// be regenerated on purpose (`splitft-bench -out FILE <experiment>`). Host
-// allocs_per_event may not pass 1.5x the committed value + 0.05 (regressions,
-// not GC-timing noise); host wall-time rows are never gated.
-func (c *check) reproduces(file string) bool {
-	var base struct{ Rows []Row }
+// deterministic: built by the Go release that wrote the file they must match
+// it exactly, and ±2% only absorbs a baseline rounding differently on another
+// release. Drift means the file must be regenerated on purpose, with the
+// command the violation prints. Host allocs_per_event may not pass 1.5x the
+// committed value + 0.05 (regressions, not GC-timing noise); host wall-time
+// rows are never gated.
+func (c *check) reproduces(file, experiment string) bool {
+	var base struct {
+		GoVersion string `json:"go_version"`
+		Rows      []Row
+	}
+	regen := fmt.Sprintf("go run ./cmd/splitft-bench -out %s %s", file, experiment)
 	data, err := os.ReadFile("../../" + file)
 	if err == nil {
 		err = json.Unmarshal(data, &base)
 	}
-	c.failIf(err != nil, "committed baseline (regenerate with `splitft-bench -out %s`): %v", file, err)
+	c.failIf(err != nil, "committed baseline (regenerate with `%s`): %v", regen, err)
 	c.failIf(len(base.Rows) != len(c.rep.Rows), "baseline has %d rows, regenerated %d", len(base.Rows), len(c.rep.Rows))
+	tol, rule := 0.02, "±2% across Go releases: "+base.GoVersion+" wrote it, "+runtime.Version()+" ran it"
+	if base.GoVersion == runtime.Version() {
+		tol, rule = 0, "exact under "+runtime.Version()
+	}
 	exact := true
 	for _, want := range base.Rows {
 		got, ok := c.rep.Value(want.Cell, want.Metric)
@@ -225,8 +235,8 @@ func (c *check) reproduces(file string) bool {
 		switch {
 		case !ok:
 			c.errorf("%s/%s: committed but not regenerated", want.Cell, want.Metric)
-		case want.Clock == Virtual && math.Abs(got-want.Value) > 0.02*math.Abs(want.Value):
-			c.errorf("%s/%s: %v drifted from committed %v (±2%%)", want.Cell, want.Metric, got, want.Value)
+		case want.Clock == Virtual && math.Abs(got-want.Value) > tol*math.Abs(want.Value):
+			c.errorf("%s/%s: %v drifted from committed %v (%s; regenerate with `%s`)", want.Cell, want.Metric, got, want.Value, rule, regen)
 		case want.Clock == Host && want.Metric == "allocs_per_event" && got > want.Value*1.5+0.05:
 			c.errorf("%s: %.4f allocs/event regressed past committed %.4f (limit %.4f)",
 				want.Cell, got, want.Value, want.Value*1.5+0.05)

@@ -90,13 +90,17 @@ type FileEntry struct {
 	// Fencing is the incarnation of the writer: the application instance
 	// whose ncl-lib published this membership.
 	Fencing int64
+	// Recycled names the released file whose regions the members were set
+	// up over, on an entry created beside those set-ups; "" once the
+	// membership is known set up (DESIGN.md §14).
+	Recycled string
 }
 
 // MarshalWire encodes the ap-map entry as a flat message. The four scalar
 // slots are taken, so the writer's fencing token shares slot 2 with the
 // append-only flag, in its upper bits.
 func (e FileEntry) MarshalWire() wire.Msg {
-	m := wire.Msg{Code: codeFileEntry, Strs: e.Peers, S: [3]string{e.Policy}}
+	m := wire.Msg{Code: codeFileEntry, Strs: e.Peers, S: [3]string{e.Policy, e.Recycled}}
 	m.SetInt(0, e.Epoch)
 	m.SetInt(1, e.RegionSize)
 	m.SetBool(2, e.AppendOnly)
@@ -108,7 +112,7 @@ func (e FileEntry) MarshalWire() wire.Msg {
 // UnmarshalWire decodes a codeFileEntry message.
 func (e *FileEntry) UnmarshalWire(m wire.Msg) error {
 	e.Peers = m.Strs
-	e.Policy = m.S[0]
+	e.Policy, e.Recycled = m.S[0], m.S[1]
 	e.Epoch = m.Int(0)
 	e.RegionSize = m.Int(1)
 	e.AppendOnly = m.U[2]&1 != 0

@@ -173,8 +173,18 @@ const setupRetries = 8
 // A spare group (an open that took one, see spare.go) is wave 0's candidate
 // source instead of the registry: each slot it holds a member for is set up
 // there, recycling that member's region under a tombstone, and the holes
-// wait for wave 1 with the slots whose member failed.
-func (l *Lib) allocate(p *simnet.Proc, lg *Log, slots []int, exclude []string, epoch int64, live bool, spare *spareGroup) ([]*peerConn, error) {
+// wait for wave 1 with the slots whose member failed. When the spare holds a
+// member for every slot of the log and is not a group of the log's own name,
+// wave 0 names the whole group before any RPC, and create — an open's ap-map
+// create, if it passes one — runs in a proc of its own beside that wave's
+// set-ups, spawned after them so that every set-up is sent before the create
+// is (DESIGN.md §14); the wave ends once create has answered too. A fresh
+// member's set-up always precedes the create: unlike a recycled one, it
+// leaves nothing behind by which a recovery could tell that it never landed.
+// Nor does a recycle of the log's own name, whose old region the set-up
+// replaces under the same key.
+func (l *Lib) allocate(p *simnet.Proc, lg *Log, slots []int, exclude []string, epoch int64, live bool, spare *spareGroup,
+	create func(cp *simnet.Proc, members []controller.PeerInfo, recycled string)) ([]*peerConn, error) {
 	tried := append(append([]string(nil), exclude...), l.suspectNames(p.Now())...)
 	var pcs []*peerConn
 	for wave := 0; wave < setupRetries; wave++ {
@@ -203,10 +213,18 @@ func (l *Lib) allocate(p *simnet.Proc, lg *Log, slots []int, exclude []string, e
 		}
 		sp := replaceSpan(p, live, "replace.connect")
 		got := make([]*peerConn, len(cands))
-		errs := fanOut(p, l, cands, func(fp *simnet.Proc, i int, cand controller.PeerInfo) (err error) {
+		errs, wg := goEach(p, l, cands, func(fp *simnet.Proc, i int, cand controller.PeerInfo) (err error) {
 			got[i], err = l.connectPeer(fp, lg, cand, slots[i], epoch, recycle)
 			return err
 		})
+		if create != nil && recycle != "" && recycle != lg.name && len(cands) == len(lg.peers) {
+			wg.Add(1)
+			p.GoOn(l.node, "ncl-create", func(cp *simnet.Proc) {
+				defer wg.Done(cp)
+				create(cp, cands, recycle)
+			})
+		}
+		wg.Wait(p)
 		p.EndSpan(sp)
 		for i, cand := range cands {
 			tried = append(tried, cand.Name)

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"time"
 
+	"splitft/internal/controller"
 	"splitft/internal/peer"
 	"splitft/internal/simnet"
 	"splitft/internal/trace"
@@ -188,14 +189,17 @@ func (l *Lib) Recover(p *simnet.Proc, name string) (*Log, error) {
 	}
 
 	// (3) Read phase: the policy fixes length and seq from the reachable
-	// members, and leaves the content in the local buffer or on its way.
+	// members, and leaves the content in the local buffer or on its way. Too
+	// few of them is the end, unless the file is known empty: then there is
+	// nothing to read, and the sync phase fills every slot without a member.
 	var rd *trace.Span
-	if len(alive) < lg.place.MinAlive {
-		err = fmt.Errorf("%w: %d of %d peers reachable (need %d)",
-			ErrUnavailable, len(alive), len(entry.Peers), lg.place.MinAlive)
-	} else {
+	switch {
+	case len(alive) >= lg.place.MinAlive:
 		rd = p.StartSpan("ncl", "recover.rdmaread")
 		err = lg.policy.Recover(p, lg, alive)
+	case !lg.neverSetUp(p, entry, errs) || !lg.heldEmpty(p, alive):
+		err = fmt.Errorf("%w: %d of %d peers reachable (need %d)",
+			ErrUnavailable, len(alive), len(entry.Peers), lg.place.MinAlive)
 	}
 	if err != nil {
 		p.EndSpan(rd)
@@ -219,6 +223,50 @@ func (l *Lib) Recover(p *simnet.Proc, name string) (*Log, error) {
 		p.AdoptSpan(rsp.Prev())
 	}
 	return lg, nil
+}
+
+// neverSetUp reports whether a member of an entry created beside its set-ups
+// provably never got its set-up: asked for the file it answered ErrNotFound
+// (errs holds the answers, by slot), and it still holds the region of the
+// released file the set-up was to recycle. The open that created the entry
+// then never returned — it would have replaced that member and set the entry
+// to the next epoch first — so the file holds no acknowledged byte.
+func (lg *Log) neverSetUp(p *simnet.Proc, entry controller.FileEntry, errs []error) bool {
+	if entry.Recycled == "" {
+		return false
+	}
+	l := lg.lib
+	var missing []string
+	for i, err := range errs {
+		if errors.Is(err, peer.ErrNotFound) {
+			missing = append(missing, entry.Peers[i])
+		}
+	}
+	looks := fanOut(p, l, missing, func(fp *simnet.Proc, _ int, pname string) error {
+		_, err := wire.CallTimeout[peer.LookupResp](fp, l.sim.Net(), l.node, peer.Addr(pname),
+			peer.LookupReq{App: l.appID, File: entry.Recycled}, 20*time.Millisecond)
+		return err
+	})
+	return slices.Contains(looks, nil)
+}
+
+// heldEmpty reports whether every member in alive holds the file empty: the
+// first 8 bytes of its region, mirror's header sequence number and a frame
+// log's first frame's, read zero. A member whose read fails holds nothing
+// readable and is marked failed, for the sync phase to replace.
+func (lg *Log) heldEmpty(p *simnet.Proc, alive []*peerConn) bool {
+	seqs := make([][8]byte, len(alive))
+	errs := fanOut(p, lg.lib, alive, func(fp *simnet.Proc, i int, pc *peerConn) error {
+		return lg.readInto(fp, pc, 0, seqs[i][:])
+	})
+	for i, pc := range alive {
+		if errs[i] != nil {
+			pc.failed = true
+		} else if seqs[i] != [8]byte{} {
+			return false
+		}
+	}
+	return true
 }
 
 // streamFrom posts the read of the recovered content [0, lg.length) from pc's
@@ -320,8 +368,17 @@ func (lg *Log) resync(p *simnet.Proc, alive []*peerConn, oldPeers []string) erro
 // reads and catch-ups, a release. The members are whatever names the peers at
 // that point: registry entries, ap-map names, connections.
 func fanOut[M any](p *simnet.Proc, l *Lib, ms []M, fn func(fp *simnet.Proc, i int, m M) error) []error {
+	errs, wg := goEach(p, l, ms, fn)
+	wg.Wait(p)
+	return errs
+}
+
+// goEach is fanOut's first half: it starts the procs and returns where their
+// results land and the group that is done once all have ended, so the caller
+// can start more work beside them before it waits.
+func goEach[M any](p *simnet.Proc, l *Lib, ms []M, fn func(fp *simnet.Proc, i int, m M) error) ([]error, *simnet.WaitGroup) {
 	errs := make([]error, len(ms))
-	var wg simnet.WaitGroup
+	wg := &simnet.WaitGroup{}
 	wg.Add(len(ms))
 	for i, m := range ms {
 		p.GoOn(l.node, "ncl-fanout", func(fp *simnet.Proc) {
@@ -329,8 +386,7 @@ func fanOut[M any](p *simnet.Proc, l *Lib, ms []M, fn func(fp *simnet.Proc, i in
 			errs[i] = fn(fp, i, m)
 		})
 	}
-	wg.Wait(p)
-	return errs
+	return errs, wg
 }
 
 // readInto issues a 1-sided RDMA read from pc's region into buf and waits.

@@ -122,7 +122,7 @@ func (lg *Log) vacant(p *simnet.Proc) (slots []int) {
 // and the steps are traced as Table 3's "replace.getpeer" / ".connect" /
 // ".catchup".
 func (lg *Log) fillSlots(p *simnet.Proc, slots []int, exclude []string, epoch int64, live bool) ([]*peerConn, error) {
-	pcs, err := lg.lib.allocate(p, lg, slots, exclude, epoch, live, nil)
+	pcs, err := lg.lib.allocate(p, lg, slots, exclude, epoch, live, nil, nil)
 	if err != nil {
 		return nil, err
 	}
