@@ -271,10 +271,11 @@ func (c *Client) GetAppFile(p *simnet.Proc, app, file string) (FileEntry, int64,
 	return e, res.Version, true, nil
 }
 
-// DeleteAppFile removes the ap-map entry (on ncl-file release).
-func (c *Client) DeleteAppFile(p *simnet.Proc, app, file string) error {
+// DeleteAppFile removes the ap-map entry (on ncl-file release): the entry at
+// version, or whatever version it is at if version is -1.
+func (c *Client) DeleteAppFile(p *simnet.Proc, app, file string, version int64) error {
 	path := fileKey(app, file)
-	_, err := c.run(p, cmdDelete{Path: path, Version: -1}.MarshalWire())
+	_, err := c.run(p, cmdDelete{Path: path, Version: version}.MarshalWire())
 	if errors.Is(err, ErrNotFound) {
 		return nil
 	}
