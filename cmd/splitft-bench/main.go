@@ -12,8 +12,6 @@
 //	splitft-bench trace <experiment>   # run + print the per-phase span aggregation
 //	splitft-bench -out rows.json fig8  # also write the rows as JSON
 //	splitft-bench -trace out.json fig8 # also write a Chrome trace-event JSON
-//	splitft-bench -profile CX6RoCE100 fig8
-//	splitft-bench -profile my-hw.json fig8
 //	splitft-bench -cpuprofile cpu.pb.gz perf
 //
 // Running with no arguments lists the experiments. Nothing is written
@@ -26,21 +24,17 @@
 // them. Every report ends with the run's host_ns and events (clock: host).
 // calibrate exits 1 when a probe lands outside its band.
 //
-// The -replicate flag overrides the NCL replication policy for every
-// experiment (mirror, mirror:F, ec:K,M, quorum); the repl experiment sweeps
-// all policies across all named profiles.
-//
-// The -profile flag selects the hardware cost model: a built-in name (see
-// internal/model: CX4RoCE25 is the paper-faithful baseline, CX6RoCE100 a
-// faster fabric, FastDFS NVMe-class storage) or a path to a JSON profile.
+// Every experiment runs on the one cost model, model.Baseline(): the
+// paper's testbed. The -replicate flag overrides its NCL replication policy
+// (mirror, mirror:F, ec:K,M, quorum) for every experiment but repl and
+// chaos, which sweep the policies themselves.
 //
 // Tracing: -trace FILE records every layer's spans (rpc, rdma, dfs, raft,
 // controller, peer, ncl, core, app) on the virtual clock and writes them as
 // Chrome trace-event JSON (load in chrome://tracing or https://ui.perfetto.dev).
 // The trace subcommand runs the named experiments with tracing on and prints
 // the per-(layer, op) aggregation table instead of writing a file. Traces are
-// deterministic: same profile, seed and experiment produce byte-identical
-// output.
+// deterministic: the same seed and experiment produce byte-identical output.
 //
 // Profiling: -cpuprofile FILE and -memprofile FILE write runtime/pprof
 // profiles of the host process (CPU sampled over the whole run; heap at
@@ -80,10 +74,9 @@ func realMain(argv []string, stdout, stderr io.Writer) int {
 		logMB      = fl.Int("logmb", 0, "override recovery-log size in MiB (paper: 60)")
 		seed       = fl.Int64("seed", 1, "simulation seed (also seeds the YCSB workload generators)")
 		appList    = fl.String("apps", "", "comma-separated app list for fig1/fig9/fig10/fig11b (default kvstore,redstore,litedb)")
-		profile    = fl.String("profile", "", "hardware profile: a built-in name or a JSON file path (default: CX4RoCE25)")
 		traceOut   = fl.String("trace", "", "record spans and write a Chrome trace-event JSON to this file")
 		out        = fl.String("out", "", "write every row of the run to this file as JSON (nothing is written without it)")
-		replicate  = fl.String("replicate", "", "NCL replication policy for all experiments: mirror|mirror:F|ec:K,M|quorum")
+		replicate  = fl.String("replicate", "", "NCL replication policy for every experiment but repl and chaos: mirror|mirror:F|ec:K,M|quorum")
 		cpuprofile = fl.String("cpuprofile", "", "write a runtime/pprof CPU profile of the run to this file")
 		memprofile = fl.String("memprofile", "", "write a runtime/pprof heap profile at exit to this file")
 	)
@@ -93,7 +86,6 @@ func realMain(argv []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "  %-13s %s\n", e.Name, e.Help)
 		}
 		fmt.Fprintf(stderr, "  %-13s %s\n", "trace", "runs the experiments that follow with tracing on and prints the span aggregation")
-		fmt.Fprintf(stderr, "profiles (-profile): %v, or a path to a JSON profile file\n", model.Names())
 		fl.PrintDefaults()
 	}
 	if err := fl.Parse(argv); err != nil {
@@ -140,13 +132,6 @@ func realMain(argv []string, stdout, stderr io.Writer) int {
 		}
 	}
 	sc.Profile = model.Baseline()
-	if *profile != "" {
-		prof, err := model.Resolve(*profile)
-		if err != nil {
-			return fail(2, "%v", err)
-		}
-		sc.Profile = prof
-	}
 	if *replicate != "" {
 		if _, err := ncl.ParsePolicy(*replicate); err != nil {
 			return fail(2, "-replicate: %v", err)

@@ -40,7 +40,6 @@ func cli(t *testing.T, args ...string) (code int, stdout string, files []string)
 func TestBadNamesExitBeforeRunning(t *testing.T) {
 	for _, args := range [][]string{
 		{"-quick", "table2", "fig88"},
-		{"-quick", "-profile", "NoSuchNIC", "table2"},
 		{"-quick", "-replicate", "raid5", "table2"},
 		{"-quick", "-apps", "kvstore,mongodb", "table2"},
 		{"-quick", "trace"},

@@ -32,12 +32,9 @@
 // (and the examples' -trace flags) export Chrome trace-event JSON, and
 // `splitft-bench trace <exp>` prints a per-(layer, op) aggregation table.
 //
-// All calibrated hardware constants live in internal/model as named
-// Profiles (CX4RoCE25 — the paper's testbed and the baseline —
-// CX6RoCE100 and FastDFS); pick one with `splitft-bench -profile
-// CX6RoCE100 fig8`, check a profile against live micro-probes with
-// `splitft-bench calibrate`, and compare all profiles with
-// `splitft-bench sweep`.
+// All calibrated hardware constants live in internal/model's one Profile,
+// model.Baseline(): the paper's testbed (CX4RoCE25). `splitft-bench
+// calibrate` checks it against live micro-probes.
 //
 // See README.md for a walkthrough, DESIGN.md for the system inventory and
 // simulation-substitution rationale, and EXPERIMENTS.md for paper-vs-

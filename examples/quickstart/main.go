@@ -23,8 +23,8 @@ import (
 func main() {
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file")
 	flag.Parse()
-	// The hardware cost model comes from a named profile; model.Baseline()
-	// is the paper-faithful CX4RoCE25 testbed (try model.CX6RoCE100()).
+	// The hardware cost model is model.Baseline(), the paper's CX4RoCE25
+	// testbed; change a field of the copy to try other hardware.
 	// The collector records every layer's spans on the virtual clock.
 	col := trace.New()
 	cluster := harness.New(harness.Options{Seed: 42, NumPeers: 4, Profile: model.Baseline(), Trace: col})

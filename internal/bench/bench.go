@@ -123,12 +123,11 @@ var Experiments = []Experiment{
 	{"ablate-repl", "NCL vs consensus replication for small writes (§6)", ablateRepl},
 	{"ablate-split", "fine-granular write splitting (§6)", ablateSplit},
 	{"ablate-nolog", "no-log KVell-style store with NCL as absorber tier (§6)", ablateNoLog},
-	{"calibrate", "cost-model calibration gate for the selected profile (fails outside the bands)", calibrate},
-	{"sweep", "fig8 128 B latencies across all named profiles", sweep},
+	{"calibrate", "cost-model calibration gate (fails outside the bands)", calibrate},
 	{"perf", "simulator wall-clock and allocation suite (BENCH_simnet.json)", perf},
 	{"scale", "open-loop client-count sweep on one controller group", scale},
 	{"dfs", "extent data path: flat vs chain, IO sizes, chain shapes, 1M-row load (BENCH_dfs.json)", dfsSweep},
-	{"repl", "NCL replication policies x profiles: memory, write latency, recovery (BENCH_repl.json)", repl},
+	{"repl", "NCL replication policies: memory, write latency, recovery (BENCH_repl.json)", repl},
 	{"chaos", "fault schedules x policies x seeds with per-event durability audits (BENCH_chaos.json)", chaos},
 }
 

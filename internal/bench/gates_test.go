@@ -55,7 +55,7 @@ func fig12Scale() Scale {
 
 // gates has an entry per name in Experiments (TestGateTableMatchesRegistry).
 var gates = map[string]*gate{
-	"table2": {}, "fig1": {}, "calibrate": {}, "sweep": {},
+	"table2": {}, "fig1": {}, "calibrate": {},
 
 	"table1": {first: [2]coord{{CfgWeak, "kops"}, {CfgStrong, "kops"}}, shape: func(c *check) {
 		weakK, strongK := c.val(CfgWeak, "kops"), c.val(CfgStrong, "kops")
@@ -255,11 +255,11 @@ var gates = map[string]*gate{
 		c.failIf(v <= 0 || v > time.Minute, "1M-row load took %v of virtual time, want bounded (0, 1m]", v)
 	}},
 
-	// On every profile mirror stores ~3x, ec(4,2) <= 1.6x, and quorum's
-	// one-RTT write has the lower p99.
+	// Mirror stores ~3x, ec(4,2) <= 1.6x, and quorum's one-RTT write has the
+	// lower p99.
 	"repl": {baseline: "BENCH_repl.json", floors: func(c *check) {
 		for _, row := range c.rep.Rows {
-			policy, profile, _ := strings.Cut(row.Cell, "/")
+			policy := row.Cell
 			switch {
 			case row.Metric == "mem_factor" && policy == "mirror" && (row.Value < 2.9 || row.Value > 3.1):
 				c.errorf("%s: memory factor %.2f, want ~3x", row.Cell, row.Value)
@@ -268,8 +268,8 @@ var gates = map[string]*gate{
 			case row.Metric == "recovery_ns" && row.Value <= 0:
 				c.errorf("%s: no recovery time measured", row.Cell)
 			case row.Metric == "write_p99_ns" && policy == "quorum":
-				m := c.val("mirror/"+profile, "write_p99_ns")
-				c.failIf(row.Value >= m, "%s: quorum p99 %vns not below mirror p99 %vns", profile, row.Value, m)
+				m := c.val("mirror", "write_p99_ns")
+				c.failIf(row.Value >= m, "quorum p99 %vns not below mirror p99 %vns", row.Value, m)
 			}
 		}
 	}},

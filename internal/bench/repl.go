@@ -13,7 +13,7 @@ import (
 )
 
 // The repl experiment sweeps the NCL replication policies behind
-// `splitft-bench repl`: for each policy x hardware profile it fills one log
+// `splitft-bench repl`: for each policy it fills one log
 // with synchronous records, reads the peer registry's memory bill, then
 // crashes the application and times a full recovery — the recovering open
 // through its barrier (Sync), where the log is as redundant as before. The three columns are
@@ -31,7 +31,7 @@ var replPolicies = []string{"mirror", "ec:4,2", "quorum"}
 
 const (
 	// replRecords x replRecBytes fills ~1 MiB of log — large enough that
-	// recovery moves real bytes, small enough to sweep every profile.
+	// recovery moves real bytes, small enough to run in well under a second.
 	replRecords  = 256
 	replRecBytes = 4096
 	// replCapacity leaves headroom so no policy's frame budget interferes
@@ -42,27 +42,22 @@ const (
 	replPeerMem = 512 << 20
 )
 
-// repl runs the policy x profile sweep: one cell per (policy, profile) with
-// mem_factor in remote bytes per byte of log capacity.
+// repl runs the policy sweep: one cell per policy with mem_factor in remote
+// bytes per byte of log capacity.
 func repl(sc Scale, seed int64) (Report, error) {
 	rep := Report{Title: fmt.Sprintf("NCL replication policies (%d x 4 KiB records, virtual time)", replRecords)}
 	for _, pol := range replPolicies {
-		for _, profName := range model.Names() {
-			if err := replOnce(&rep, sc, seed, pol, profName); err != nil {
-				return rep, fmt.Errorf("repl %s/%s: %w", pol, profName, err)
-			}
+		if err := replOnce(&rep, sc, seed, pol); err != nil {
+			return rep, fmt.Errorf("repl %s: %w", pol, err)
 		}
 	}
 	return rep, nil
 }
 
-// replOnce measures one (policy, profile) cell on a fresh cluster.
-func replOnce(rep *Report, sc Scale, seed int64, policy, profName string) error {
-	cell := policy + "/" + profName
-	prof, err := model.Resolve(profName)
-	if err != nil {
-		return err
-	}
+// replOnce measures one policy's cell on a fresh cluster. The profile is a
+// fresh baseline, not the scale's: -replicate must not move the sweep.
+func replOnce(rep *Report, sc Scale, seed int64, policy string) error {
+	prof := model.Baseline()
 	prof.NCL.Replication = policy
 	c := newTestbed(rep, sc, harness.Options{
 		Seed: seed, NumPeers: 8, PeerMem: replPeerMem, AppCores: 10,
@@ -93,9 +88,9 @@ func replOnce(rep *Report, sc Scale, seed int64, policy, profName string) error 
 		for _, pr := range c.Peers {
 			reserved += replPeerMem - pr.Avail()
 		}
-		rep.add(cell, "mem_factor", float64(reserved)/float64(replCapacity), "x")
-		rep.dur(cell, "write_p50_ns", hist.Percentile(0.50))
-		rep.dur(cell, "write_p99_ns", hist.Percentile(0.99))
+		rep.add(policy, "mem_factor", float64(reserved)/float64(replCapacity), "x")
+		rep.dur(policy, "write_p50_ns", hist.Percentile(0.50))
+		rep.dur(policy, "write_p99_ns", hist.Percentile(0.99))
 
 		c.CrashApp()
 		p.Sleep(10 * time.Millisecond)
@@ -112,7 +107,7 @@ func replOnce(rep *Report, sc Scale, seed int64, policy, profName string) error 
 		if err != nil {
 			return err
 		}
-		rep.dur(cell, "recovery_ns", p.Now()-start)
+		rep.dur(policy, "recovery_ns", p.Now()-start)
 		if nf2.Size() != int64(replRecords*replRecBytes) {
 			return fmt.Errorf("recovered %d bytes, want %d", nf2.Size(), replRecords*replRecBytes)
 		}

@@ -62,7 +62,7 @@ func (r *Report) track(s *simnet.Sim) {
 }
 
 // count adds the simulations of a report filled on the side (one of perf's
-// workloads, one of sweep's fig8 runs) to the run's.
+// workloads) to the run's.
 func (r *Report) count(side *Report) { r.events += side.simEvents() }
 
 // simEvents is the number of simulator events the run has dispatched so far.

@@ -41,7 +41,7 @@ var fig8Traced = sync.OnceValues(tracedFig8)
 
 func tracedFig8() (tracedRun, error) { return traced(experiment("fig8").Run, 1) }
 
-// Two runs with the same profile and seed must produce byte-identical
+// Two runs with the same seed must produce byte-identical
 // Chrome trace JSON — on the data path (fig8) and on the control plane (the
 // scale smoke point), where any unordered map iteration feeding a decision
 // in the controller or the pooled allocator would diverge.
@@ -95,41 +95,33 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 	}
 }
 
-// The Table 3 breakdown is now computed from "ncl"/"replace.*" spans; for
-// every named hardware profile the controller-bound steps and the
-// MR-registration-bound step must land inside the same bands the
-// calibration gate derives from the profile (the replacement region is the
-// paper's 60 MB log, matching the MR probe size).
+// The Table 3 breakdown is now computed from "ncl"/"replace.*" spans; the
+// controller-bound steps and the MR-registration-bound step must land inside
+// the same bands the calibration gate derives from the profile (the
+// replacement region is the paper's 60 MB log, matching the MR probe size).
 func TestTable3WithinCalibrationBands(t *testing.T) {
 	t.Parallel()
-	for _, name := range model.Names() {
-		prof, err := model.Resolve(name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		sc := tiny()
-		sc.LogSizeMB = 60
-		sc.Profile = prof
-		rep, err := table3(sc, 1)
-		if err != nil {
-			t.Fatalf("%s: table3: %v", name, err)
-		}
-		targets := map[string]model.Target{}
-		for _, tg := range model.Targets(prof) {
-			targets[tg.Probe] = tg
-		}
-		c := &check{rep: rep}
-		band := func(step string, tg model.Target) {
-			got := c.dur(step, "time")
-			c.failIf(got < tg.Lo || got > tg.Hi, "%s = %v outside band [%v, %v] (%s)", step, got, tg.Lo, tg.Hi, tg.Formula)
-		}
-		ctrl := targets[model.ProbeControllerOp]
-		band("getpeer", ctrl)
-		band("apmap", ctrl)
-		band("connect", targets[model.ProbeMRRegister60MB])
-		c.failIf(c.dur("catchup", "time") <= 0, "catch-up phase span missing")
-		for _, v := range c.bad {
-			t.Errorf("%s: %s", name, v)
-		}
+	sc := tiny()
+	sc.LogSizeMB = 60
+	rep, err := table3(sc, 1)
+	if err != nil {
+		t.Fatalf("table3: %v", err)
+	}
+	targets := map[string]model.Target{}
+	for _, tg := range model.Targets(sc.profile()) {
+		targets[tg.Probe] = tg
+	}
+	c := &check{rep: rep}
+	band := func(step string, tg model.Target) {
+		got := c.dur(step, "time")
+		c.failIf(got < tg.Lo || got > tg.Hi, "%s = %v outside band [%v, %v] (%s)", step, got, tg.Lo, tg.Hi, tg.Formula)
+	}
+	ctrl := targets[model.ProbeControllerOp]
+	band("getpeer", ctrl)
+	band("apmap", ctrl)
+	band("connect", targets[model.ProbeMRRegister60MB])
+	c.failIf(c.dur("catchup", "time") <= 0, "catch-up phase span missing")
+	for _, v := range c.bad {
+		t.Error(v)
 	}
 }

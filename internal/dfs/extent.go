@@ -2,16 +2,16 @@
 // on a set of storage nodes, replicated by chain replication (client ->
 // head -> mid -> tail, ack riding the nested RPC returns back up). Each
 // storage node keeps its extent replicas in an in-memory append log
-// (DXRAM-style backup logging) and drains them to its local disk
-// asynchronously, off the ack path — an acked append is resident in
-// ChainLength memories, which is the durability the flat path buys with
-// its 3-replica sync round trip, minus the disk from the critical path.
+// (DXRAM-style backup logging), to be drained to its local disk off the
+// ack path — an acked append is resident in ChainLength memories, which is
+// the durability the flat path buys with its 3-replica sync round trip,
+// minus the disk from the critical path. The drain itself is not modeled:
+// nothing waits on it.
 //
-// Cost model: three per-node virtual-time pipes (ingress link, egress
-// link, disk drain) plus a per-frame fixed cost. A frame occupies the
-// sender's egress link and the receiver's ingress link for size/
-// LinkBandwidth each, so a windowed stream of frames pipelines at
-// per-link bandwidth; the disk pipe is reserved but never slept on.
+// Cost model: two per-node virtual-time pipes (ingress link, egress link)
+// plus a per-frame fixed cost. A frame occupies the sender's egress link
+// and the receiver's ingress link for size/LinkBandwidth each, so a
+// windowed stream of frames pipelines at per-link bandwidth.
 
 package dfs
 
@@ -108,7 +108,7 @@ type extentStore struct {
 }
 
 // extNode is one storage node's extent service: replicas in an in-memory
-// append log, three virtual-time pipes for the cost model.
+// append log, two virtual-time pipes for the cost model.
 type extNode struct {
 	store *extentStore
 	node  *simnet.Node
@@ -118,7 +118,6 @@ type extNode struct {
 
 	ingressBusy time.Duration
 	egressBusy  time.Duration
-	diskBusy    time.Duration
 
 	// BytesStored counts bytes this node appended (all chain positions).
 	BytesStored int64
@@ -259,10 +258,6 @@ func (en *extNode) handleAppend(p *simnet.Proc, m simnet.Msg) (simnet.Msg, error
 	}
 	rep.write(off, data)
 	en.BytesStored += int64(len(data))
-	// Drain to local disk asynchronously: the reservation advances the disk
-	// pipe (sustained load eventually backs up into ingress stalls in a real
-	// system; the model keeps it off the ack path, DXRAM-style).
-	reservePipe(en.store.c.sim, &en.diskBusy, int64(len(data)), pm.NodeWriteBandwidth)
 	if len(rest) > 0 {
 		next := rest[0]
 		sleepUntil(p, reservePipe(en.store.c.sim, &en.egressBusy, int64(len(data)), pm.LinkBandwidth))

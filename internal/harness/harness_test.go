@@ -142,7 +142,9 @@ func TestDefaultsApplied(t *testing.T) {
 }
 
 func TestProfileOverridePlumbing(t *testing.T) {
-	prof := model.CX6RoCE100()
+	// A copy of the baseline that differs in every field asserted below.
+	prof := model.Baseline()
+	prof.RDMA.WRBase = 800 * time.Nanosecond
 	prof.DFS.SyncFixed = 1750 * time.Microsecond
 	prof.NCL.Replication = "mirror:2"
 	prof.NetLatency = 9 * time.Microsecond
@@ -151,8 +153,8 @@ func TestProfileOverridePlumbing(t *testing.T) {
 	c := New(Options{Seed: 5, Profile: prof})
 	// The fabric, dfs and network must be built from the custom profile,
 	// not the baseline.
-	if got := c.Fabric.Params().WRBase; got != prof.RDMA.WRBase {
-		t.Errorf("fabric WRBase = %v, want %v", got, prof.RDMA.WRBase)
+	if got := c.Fabric.Params().WRBase; got != 800*time.Nanosecond {
+		t.Errorf("fabric WRBase = %v, want the profile's 800ns", got)
 	}
 	if got := c.DFS.Params().SyncFixed; got != 1750*time.Microsecond {
 		t.Errorf("dfs SyncFixed = %v, want the override", got)

@@ -12,24 +12,18 @@ import (
 // derived band. A change that shifts the cost model (deliberately or not)
 // must update internal/model, not slip through.
 func TestCalibrationGate(t *testing.T) {
-	for _, name := range model.Names() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			prof, ok := model.ByName(name)
-			if !ok {
-				t.Fatalf("unknown profile %q", name)
-			}
-			sc := bench.QuickScale()
-			sc.Profile = prof
-			meas, err := bench.Probes(sc, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep := model.Calibrate(prof, meas)
-			t.Log("\n" + rep.Render())
-			if !rep.Pass() {
-				t.Errorf("calibration failed for %s", name)
-			}
-		})
-	}
+	prof := model.Baseline()
+	t.Run(prof.Name, func(t *testing.T) {
+		sc := bench.QuickScale()
+		sc.Profile = prof
+		meas, err := bench.Probes(sc, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := model.Calibrate(prof, meas)
+		t.Log("\n" + rep.Render())
+		if !rep.Pass() {
+			t.Error("calibration failed")
+		}
+	})
 }

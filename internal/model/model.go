@@ -12,7 +12,6 @@
 //     dfs.DefaultParams, raft.DefaultConfig, controller.DefaultConfig,
 //     peer.DefaultConfig, ncl.DefaultConfig, the app DefaultConfigs) are
 //     thin wrappers over Baseline();
-//   - cmd/splitft-bench selects a profile with -profile <name|file.json>.
 //
 // The substrate packages do not duplicate the parameter types: rdma.Params
 // is an alias for RDMAParams, dfs.Params for DFSParams, raft.Config for
@@ -24,14 +23,11 @@
 //
 // Every leaf field declares where its value comes from in a src struct tag:
 // paper:<ref> (a row of DESIGN.md §4's table), calib:<probe> (a term of that
-// probe's calibration target), or axis:<profile or file.go> (the variant
-// profile, experiment or test that varies it). The census test in this
-// package checks each one.
+// probe's calibration target), or axis:<file.go> (the experiment or test
+// that varies it). The census test in this package checks each one.
 //
-// Named profiles (CX4RoCE25 — the paper-faithful baseline — plus the
-// CX6RoCE100 faster-fabric and FastDFS NVMe-class variants) are defined in
-// profiles.go with their provenance; custom profiles round-trip through
-// JSON (Load/Save). Calibrate checks probe measurements against targets
+// There is one cost model, Baseline (profiles.go): the paper's testbed, with
+// its provenance. Calibrate checks probe measurements against targets
 // derived from a profile (calibrate.go), giving every future performance
 // change a regression gate.
 package model
@@ -53,9 +49,6 @@ type RDMAParams struct {
 	// pages and programming the NIC): RegFixed + size/RegBandwidth.
 	RegFixed     time.Duration `src:"calib:mr-register-60MB"`
 	RegBandwidth float64       `src:"calib:mr-register-60MB"`
-	// ConnectBase is the fixed QP handshake cost in addition to 3 network
-	// round trips.
-	ConnectBase time.Duration `src:"axis:CX6RoCE100"`
 }
 
 // DFSParams is the storage cost model (dfs.Params is an alias of this
@@ -67,13 +60,13 @@ type DFSParams struct {
 	// -> replicas -> ack), paid even for tiny payloads.
 	SyncFixed time.Duration `src:"calib:dfs-sync-write-128B"`
 	// SyncCleanFixed is the cost of an fsync with nothing dirty.
-	SyncCleanFixed time.Duration `src:"axis:FastDFS"`
+	SyncCleanFixed time.Duration `src:"paper:§5 testbed"`
 	// WriteBandwidth is the shared durable-write bandwidth (bytes/sec).
 	WriteBandwidth float64 `src:"calib:dfs-sync-write-128B"`
 	// ReadFixed is the fixed cost of one storage fetch (cache miss).
-	ReadFixed time.Duration `src:"axis:FastDFS"`
+	ReadFixed time.Duration `src:"paper:Fig 11(a)"`
 	// ReadBandwidth is the shared fetch bandwidth (bytes/sec).
-	ReadBandwidth float64 `src:"axis:FastDFS"`
+	ReadBandwidth float64 `src:"paper:Fig 11(b)"`
 	// MetaFixed is the cost of a metadata op (create/unlink/rename/open).
 	MetaFixed time.Duration `src:"calib:dfs-chain-append-64MB"`
 	// SyscallFixed is the client-local cost of a buffered read/write call.
@@ -120,9 +113,6 @@ type DFSParams struct {
 	// hop on a chain: client egress, storage-node ingress and egress each
 	// serialize at this rate.
 	LinkBandwidth float64 `src:"calib:dfs-chain-append-64MB"`
-	// NodeWriteBandwidth is one storage node's local drain-to-disk
-	// bandwidth (bytes/sec); drained asynchronously, off the ack path.
-	NodeWriteBandwidth float64 `src:"axis:FastDFS"`
 	// AppendFixed is the fixed per-frame cost at each storage node
 	// (request handling, log-index update, memory commit).
 	AppendFixed time.Duration `src:"calib:dfs-chain-append-64MB"`
@@ -276,15 +266,11 @@ type AppCosts struct {
 
 // Profile is one coherent set of hardware assumptions: everything the
 // simulated testbed needs to price an operation, and the deployment it
-// runs. Callers get a fresh copy
-// from the named constructors (profiles.go) or Load, and may mutate it
-// freely before handing it to harness.Options / bench.Scale.
+// runs. Callers get a fresh copy from Baseline (profiles.go) and may mutate
+// it freely before handing it to harness.Options / bench.Scale.
 type Profile struct {
-	// Name identifies the profile in reports and the -profile flag.
-	Name string `src:"axis:CX6RoCE100"`
-	// Provenance records where the constants come from (paper section,
-	// hardware datasheet, scaling rule).
-	Provenance string `src:"axis:CX6RoCE100"`
+	// Name identifies the profile in reports and -out files.
+	Name string `src:"paper:§5 testbed"`
 
 	// RDMA is the fabric cost model.
 	RDMA RDMAParams

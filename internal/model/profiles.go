@@ -1,13 +1,9 @@
 package model
 
-import (
-	"fmt"
-	"sort"
-	"time"
-)
+import "time"
 
-// cx4RoCE25 is the paper-faithful baseline, built once and cloned on every
-// request so callers can mutate their copy freely.
+// cx4RoCE25 is the paper-faithful baseline and the only cost model, built
+// once and cloned on every request so callers can mutate their copy freely.
 //
 // Provenance (DESIGN.md §4, all targets from the paper's §5 testbed —
 // 8-node CloudLab cluster, Mellanox CX-4 NICs on 25 Gb RoCE, CephFS on
@@ -31,14 +27,11 @@ import (
 //   - NetLatency: 5 µs one-way, RDMA-class datacenter fabric.
 var cx4RoCE25 = Profile{
 	Name: "CX4RoCE25",
-	Provenance: "Paper-faithful baseline: Mellanox CX-4 / 25 Gb RoCE, CephFS on " +
-		"3-replica SATA SSDs, ZooKeeper-class controller (DESIGN.md §4).",
 	RDMA: RDMAParams{
 		WRBase:       1500 * time.Nanosecond,
 		Bandwidth:    3e9, // ~25 Gb/s RoCE
 		RegFixed:     2 * time.Millisecond,
 		RegBandwidth: 1.2e9,
-		ConnectBase:  30 * time.Microsecond,
 	},
 	DFS: DFSParams{
 		SyncFixed:            2300 * time.Microsecond,
@@ -57,17 +50,17 @@ var cx4RoCE25 = Profile{
 		// (CephFS-class replication factor), 512 KB frames with an 8-frame
 		// window. Links run at the fabric's 3 GB/s; each node drains its
 		// append log to a SATA SSD at the same 500 MB/s the flat path
-		// models, but off the ack path (DXRAM-style backup logging), so a
+		// models (dfs's nodeWriteBandwidth), but off the ack path
+		// (DXRAM-style backup logging), so a
 		// 64 MB append is bounded by client egress (~21 ms) instead of the
 		// shared 500 MB/s pipe plus sync round trip (~137 ms).
-		ExtentNodes:        16,
-		ExtentSize:         4 << 20,
-		ChainLength:        3,
-		ChainFrame:         512 << 10,
-		ChainWindow:        8,
-		LinkBandwidth:      3e9,
-		NodeWriteBandwidth: 500e6,
-		AppendFixed:        20 * time.Microsecond,
+		ExtentNodes:   16,
+		ExtentSize:    4 << 20,
+		ChainLength:   3,
+		ChainFrame:    512 << 10,
+		ChainWindow:   8,
+		LinkBandwidth: 3e9,
+		AppendFixed:   20 * time.Microsecond,
 	},
 	LocalFS: DFSParams{
 		SyncFixed:            900 * time.Microsecond,
@@ -140,101 +133,7 @@ var cx4RoCE25 = Profile{
 	NetLatency: 5 * time.Microsecond,
 }
 
-// CX4RoCE25 returns the paper-faithful baseline profile: Mellanox CX-4
-// NICs on 25 Gb RoCE with CephFS on SATA SSDs, calibrated to the paper's
-// measurements (see the provenance comment on the definition).
-func CX4RoCE25() *Profile { return cx4RoCE25.clone() }
-
-// Baseline is the profile every Default*() wrapper and nil-profile option
-// resolves to: CX4RoCE25.
-func Baseline() *Profile { return CX4RoCE25() }
-
-// CX6RoCE100 is the faster-fabric variant: Mellanox CX-6 class NICs on
-// 100 Gb RoCE. Storage and applications are unchanged so sweeps isolate
-// the fabric axis (the performance-efficiency axis Hydra explores for
-// resilient remote memory).
-//
-// Provenance: CX-6 Dx datasheets and published microbenchmarks — ~0.8 µs
-// small-write latency (vs 1.5 µs on CX-4), ~4x line rate (100 Gb/s ⇒
-// ~12 GB/s per QP), faster rkey programming on registration, and a
-// lower-latency switch generation (2 µs one-way).
-func CX6RoCE100() *Profile {
-	p := CX4RoCE25()
-	p.Name = "CX6RoCE100"
-	p.Provenance = "Faster fabric: Mellanox CX-6 class / 100 Gb RoCE " +
-		"(~0.8 us WR base, ~12 GB/s line rate); storage and apps unchanged."
-	p.RDMA.WRBase = 800 * time.Nanosecond
-	p.RDMA.Bandwidth = 12e9 // ~100 Gb/s
-	p.RDMA.RegFixed = 1500 * time.Microsecond
-	p.RDMA.RegBandwidth = 2.4e9
-	p.RDMA.ConnectBase = 20 * time.Microsecond
-	// Chain links ride the same fabric: a faster NIC raises per-link
-	// bandwidth for extent appends even though the disks are unchanged.
-	p.DFS.LinkBandwidth = 12e9
-	p.NetLatency = 2 * time.Microsecond
-	return p
-}
-
-// FastDFS is the NVMe-class storage variant: the disaggregated file
-// system's replicas sit on NVMe flash instead of SATA SSDs (and the local
-// comparison disk is NVMe too). The fabric is unchanged so sweeps isolate
-// the storage axis.
-//
-// Provenance: datacenter NVMe-over-fabrics deployments — small replicated
-// sync writes in the 300-500 µs range (vs 2.3 ms), ~2 GB/s shared write
-// bandwidth, ~100 µs fetch latency.
-func FastDFS() *Profile {
-	p := CX4RoCE25()
-	p.Name = "FastDFS"
-	p.Provenance = "NVMe-class storage: dfs sync ~0.4 ms / 2 GB/s, " +
-		"reads ~120 us / 3 GB/s; fabric and apps unchanged."
-	p.DFS.SyncFixed = 400 * time.Microsecond
-	p.DFS.SyncCleanFixed = 80 * time.Microsecond
-	p.DFS.WriteBandwidth = 2e9
-	p.DFS.ReadFixed = 120 * time.Microsecond
-	p.DFS.ReadBandwidth = 3e9
-	p.DFS.MetaFixed = 150 * time.Microsecond
-	// NVMe storage nodes drain their append logs ~4x faster; the ack path
-	// (links + memory commit) is fabric-bound and unchanged.
-	p.DFS.NodeWriteBandwidth = 2e9
-	p.LocalFS.SyncFixed = 150 * time.Microsecond
-	p.LocalFS.SyncCleanFixed = 20 * time.Microsecond
-	p.LocalFS.WriteBandwidth = 1.8e9
-	p.LocalFS.ReadFixed = 40 * time.Microsecond
-	p.LocalFS.ReadBandwidth = 2.5e9
-	p.LocalFS.MetaFixed = 30 * time.Microsecond
-	return p
-}
-
-// named maps profile names to constructors. Registration happens here so
-// Names/ByName stay in sync with the constructors above.
-var named = map[string]func() *Profile{
-	"CX4RoCE25":  CX4RoCE25,
-	"CX6RoCE100": CX6RoCE100,
-	"FastDFS":    FastDFS,
-}
-
-// Names lists the built-in profile names, baseline first, rest sorted.
-func Names() []string {
-	out := []string{"CX4RoCE25"}
-	var rest []string
-	for name := range named {
-		if name != "CX4RoCE25" {
-			rest = append(rest, name)
-		}
-	}
-	sort.Strings(rest)
-	return append(out, rest...)
-}
-
-// ByName returns a fresh copy of the named built-in profile.
-func ByName(name string) (*Profile, bool) {
-	mk, ok := named[name]
-	if !ok {
-		return nil, false
-	}
-	return mk(), true
-}
-
-// ErrUnknownProfile is wrapped by Resolve for unrecognized names.
-var ErrUnknownProfile = fmt.Errorf("model: unknown profile")
+// Baseline returns a fresh copy of the one cost model, the paper's testbed.
+// Every Default*() wrapper, and every option whose Profile is nil, resolves
+// to it; a test or experiment that varies a field changes its own copy.
+func Baseline() *Profile { return cx4RoCE25.clone() }

@@ -49,6 +49,10 @@ func DefaultParams() Params {
 // remote before it reports a transport error.
 const retryTimeout = time.Millisecond
 
+// connectBase is the fixed QP handshake cost in addition to Connect's three
+// network round trips.
+const connectBase = 30 * time.Microsecond
+
 // Errors surfaced in completions or from Connect.
 var (
 	ErrRemoteDown   = errors.New("rdma: remote unreachable (transport retry exceeded)")
@@ -304,7 +308,7 @@ func (n *NIC) Connect(p *simnet.Proc, remote string, cq *CQ) (*QP, error) {
 	sp := p.StartSpan("rdma", "connect", trace.Str("remote", remote))
 	defer p.EndSpan(sp)
 	net := n.fabric.sim.Net()
-	p.Sleep(n.fabric.params.ConnectBase + 6*net.Latency(n.node, rn.node))
+	p.Sleep(connectBase + 6*net.Latency(n.node, rn.node))
 	if !n.up {
 		return nil, ErrNICDown
 	}
