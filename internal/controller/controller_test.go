@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"splitft/internal/simnet"
+	"splitft/internal/trace"
 )
 
 type fixture struct {
@@ -533,6 +534,41 @@ func TestCommandsSentTogetherShareOneRound(t *testing.T) {
 		}
 		if behind[1] < second {
 			t.Errorf("a command sent behind another's round took %v, want a second round: at least %v (alone %v)", behind[1], second, lone)
+		}
+	})
+	fx.run(t, time.Minute)
+}
+
+// One leader hint per node (DESIGN.md §15): once one controller client on a
+// node has found the leader that replaced an isolated one, another client on
+// the same node sends its first call straight there, not to the ex-leader.
+func TestClientsOnOneNodeShareTheLeaderHint(t *testing.T) {
+	fx := newFixture(12)
+	app := fx.sim.NewNode("app")
+	col := trace.New()
+	fx.sim.SetTracer(col)
+	fx.sim.Go("test", func(p *simnet.Proc) {
+		defer fx.sim.Stop()
+		p.Sleep(time.Second)
+		first, second := NewClient(fx.svc, app, "app1", 0), NewClient(fx.svc, app, "app2", 0)
+		for _, c := range []*Client{first, second} {
+			if _, err := c.ListPeers(p); err != nil {
+				t.Fatalf("list before the isolation: %v", err)
+			}
+		}
+		ex := fx.svc.LeaderNode()
+		fx.sim.Net().Isolate(ex)
+		if _, err := first.ListPeers(p); err != nil {
+			t.Fatalf("first client across the election: %v", err)
+		}
+		mark := col.Len()
+		if _, err := second.ListPeers(p); err != nil {
+			t.Fatalf("second client after the election: %v", err)
+		}
+		for _, sp := range col.Since(mark) {
+			if sp.Op == "call:"+fx.svc.cluster.Addr(ex.Name()) && sp.StrAttr("from") == app.Name() {
+				t.Errorf("the second client called the isolated ex-leader %s at %v", ex.Name(), sp.Start)
+			}
 		}
 	})
 	fx.run(t, time.Minute)

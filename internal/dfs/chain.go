@@ -3,7 +3,6 @@ package dfs
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"splitft/internal/simnet"
 	"splitft/internal/wire"
@@ -35,13 +34,7 @@ const extAllocBatch = 32
 // extMaxRetries bounds chain re-forms per chunk before the flush fails.
 const extMaxRetries = 3
 
-// chainProbation is how long a blamed chain member stays out of chain
-// selection. Depth-scaled timeouts blame slow-but-alive members exactly
-// like crashed ones, so blame must expire: a gray node re-enters the pick
-// set after the window instead of being excluded for the mount's lifetime.
-const chainProbation = 2 * time.Second
-
-// chainReformAmnesty caps consecutive chain re-forms before the suspect set
+// chainReformAmnesty caps consecutive chain re-forms before the blame set
 // is cleared wholesale. Under a widespread gray failure every node ends up
 // blamed; without amnesty the client re-forms onto an ever-shrinking pool
 // until chainFor starves even though the fabric has recovered.
@@ -75,12 +68,12 @@ func (cl *Client) allocExtent(p *simnet.Proc) (uint64, []string, error) {
 }
 
 // chainFor picks extent id's chain deterministically: ChainLength distinct
-// nodes scanning from (id*ChainLength) mod N, skipping unexpired suspects.
-// The stride spreads consecutive extents' chain slots evenly over the
-// nodes, so a multi-extent flush loads every link equally. When suspects
-// leave fewer than ChainLength candidates, the whole suspect set is
-// re-admitted — capacity beats blame: a chain over recently-blamed nodes
-// can still make progress, a starved allocator cannot.
+// nodes scanning from (id*ChainLength) mod N, skipping the members this
+// mount has blamed for failed appends. The stride spreads consecutive
+// extents' chain slots evenly over the nodes, so a multi-extent flush loads
+// every link equally. When blame leaves fewer than ChainLength candidates,
+// the whole blame set is re-admitted — capacity beats blame: a chain over
+// recently-blamed nodes can still make progress, a starved allocator cannot.
 func (cl *Client) chainFor(id uint64) ([]string, error) {
 	es := cl.cluster.extents
 	k := cl.cluster.params.ChainLength
@@ -93,7 +86,7 @@ func (cl *Client) chainFor(id uint64) ([]string, error) {
 		out := make([]string, 0, k)
 		for i := 0; i < n && len(out) < k; i++ {
 			en := es.nodes[(start+i)%n]
-			if cl.isSuspect(en.addr) {
+			if cl.blame.Blamed(en.addr) {
 				continue
 			}
 			out = append(out, en.addr)
@@ -101,44 +94,14 @@ func (cl *Client) chainFor(id uint64) ([]string, error) {
 		return out
 	}
 	out := pick()
-	if len(out) < k && len(cl.suspects) > 0 {
-		cl.suspects = nil
+	if len(out) < k {
+		cl.blame.Readmit()
 		out = pick()
 	}
 	if len(out) < k {
 		return nil, fmt.Errorf("dfs: extent chain needs %d nodes, have %d", k, n)
 	}
 	return out, nil
-}
-
-// suspect excludes a chain member from chain picks on this mount until the
-// probation window expires. Like NCL's suspect cooldown this trades
-// capacity for not re-forming onto a flapping node — but the blame is
-// timeout-based and cannot distinguish crashed from merely slow, so it must
-// not be permanent. Mounts are as long-lived as their node, so the set
-// dies with a client crash.
-func (cl *Client) suspect(addr string) {
-	if addr == "" {
-		return
-	}
-	if cl.suspects == nil {
-		cl.suspects = make(map[string]time.Duration)
-	}
-	cl.suspects[addr] = cl.cluster.sim.Now() + chainProbation
-}
-
-// isSuspect reports whether addr is inside its probation window, lazily
-// expiring stale entries.
-func (cl *Client) isSuspect(addr string) bool {
-	until, ok := cl.suspects[addr]
-	if !ok {
-		return false
-	}
-	if cl.cluster.sim.Now() >= until {
-		delete(cl.suspects, addr)
-		return false
-	}
-	return true
 }
 
 // chunk is one contiguous append stream: a logical range of the file
@@ -242,7 +205,7 @@ func (cl *Client) pumpFrames(p *simnet.Proc, ch chunk) (acked int64, suspect str
 }
 
 // writeChunk pumps one chunk to durability, re-forming onto a fresh chain
-// when a member fails mid-append: the suspect is excluded, the broken
+// when a member fails mid-append: the suspect is blamed, the broken
 // extent sealed at the acked watermark, and the remainder retried on a new
 // extent. Returns the manifest segments covering ch's logical range (more
 // than one after a re-form).
@@ -263,12 +226,12 @@ func (cl *Client) writeChunk(p *simnet.Proc, ch chunk) ([]extSeg, error) {
 		if cl.dead {
 			return segs, err
 		}
-		cl.suspect(suspect)
+		cl.blame.Blame(suspect)
 		// Consecutive re-forms without a completed chunk mean the blame is
 		// not converging (gray fabric, not one bad node): amnesty the whole
-		// suspect set so healthy nodes blamed by slow hops come back.
+		// blame set so healthy nodes blamed by slow hops come back.
 		if cl.reforms++; cl.reforms > chainReformAmnesty {
-			cl.suspects = nil
+			cl.blame.Readmit()
 			cl.reforms = 0
 		}
 		if serr := cl.extMeta().Seal(p, ch.ext, ch.nodes, ch.extOff+acked); serr != nil {

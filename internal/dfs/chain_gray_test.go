@@ -11,7 +11,7 @@ import (
 // Regression: a gray (slow-but-alive) mid chain member is blamed by the
 // depth-scaled hop timeout exactly like a crashed one. The write must
 // succeed by re-forming — but the blame must expire: after the link heals
-// and the probation window passes, the node re-enters chain selection
+// and the blame window passes, the node re-enters chain selection
 // instead of being excluded for the mount's lifetime.
 func TestGrayMidNodeProbationAndReadmission(t *testing.T) {
 	fx := newExtFixture(6, failParams())
@@ -34,15 +34,15 @@ func TestGrayMidNodeProbationAndReadmission(t *testing.T) {
 		if got, ok := fx.cluster.DurableBytes("/ext/g"); !ok || !bytes.Equal(got, payload) {
 			t.Errorf("durable mismatch after gray re-form (ok=%v)", ok)
 		}
-		if !fx.client.isSuspect(mid.Name()) {
-			t.Errorf("%s not under probation after the blamed timeout", mid.Name())
+		if !fx.client.blame.Blamed(mid.Name()) {
+			t.Errorf("%s not blamed after the timeout", mid.Name())
 		}
 
-		// Heal the link and wait out the probation window: the blame expires.
+		// Heal the link and wait out the blame window: the blame expires.
 		fx.sim.Net().SetLinkLatency(head, mid, 0)
-		p.Sleep(chainProbation + 100*time.Millisecond)
-		if fx.client.isSuspect(mid.Name()) {
-			t.Errorf("%s still suspect after the probation window", mid.Name())
+		p.Sleep(simnet.BlameWindow + 100*time.Millisecond)
+		if fx.client.blame.Blamed(mid.Name()) {
+			t.Errorf("%s still blamed after the blame window", mid.Name())
 		}
 
 		// And the healed node actually serves chains again: the next extents
@@ -71,14 +71,14 @@ func TestGrayMidNodeProbationAndReadmission(t *testing.T) {
 }
 
 // When blame piles up until fewer than ChainLength candidates remain,
-// chainFor re-admits the whole suspect set instead of starving: capacity
+// chainFor re-admits the whole blame set instead of starving: capacity
 // beats blame. (Before the fix this returned an error forever, even after
 // every blamed node recovered.)
 func TestChainForReadmitsWhenSuspectsStarveSelection(t *testing.T) {
 	fx := newExtFixture(7, failParams()) // 8 nodes, ChainLength 3
 	fx.node.Go("test", func(p *simnet.Proc) {
 		for i := 0; i < 6; i++ {
-			fx.client.suspect(fx.sns[i].Name())
+			fx.client.blame.Blame(fx.sns[i].Name())
 		}
 		nodes, err := fx.client.chainFor(0)
 		if err != nil {
@@ -87,8 +87,8 @@ func TestChainForReadmitsWhenSuspectsStarveSelection(t *testing.T) {
 		if len(nodes) != 3 {
 			t.Errorf("chainFor returned %d nodes, want 3", len(nodes))
 		}
-		if len(fx.client.suspects) != 0 {
-			t.Errorf("suspect set not cleared by re-admission: %v", fx.client.suspects)
+		if blamed := fx.client.blame.Names(); len(blamed) != 0 {
+			t.Errorf("blame set not cleared by re-admission: %v", blamed)
 		}
 		fx.sim.Stop()
 	})

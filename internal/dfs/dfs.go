@@ -151,7 +151,7 @@ type Client struct {
 	meta          ExtentMeta
 	allocNext     uint64
 	allocEnd      uint64
-	suspects      map[string]time.Duration
+	blame         *simnet.BlameSet
 	reforms       int
 	extEgressBusy time.Duration
 	pumpSeq       uint64
@@ -176,6 +176,7 @@ func (c *Cluster) Mount(node *simnet.Node) *Client {
 		open:     make(map[*File]struct{}),
 		cache:    make(map[blockKey]*blockEnt),
 		flushNow: simnet.NewChan[struct{}](c.sim),
+		blame:    simnet.NewBlameSet(c.sim),
 	}
 	cl.lru.prev, cl.lru.next = &cl.lru, &cl.lru
 	cl.stallCond = simnet.NewCond(&cl.stallMu)

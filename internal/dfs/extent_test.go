@@ -240,7 +240,7 @@ func crashMidAppend(t *testing.T, idx int) {
 		if err := h.Sync(p); err != nil {
 			t.Errorf("sync across the crash: %v", err)
 		}
-		if !fx.client.isSuspect(victim.Name()) {
+		if !fx.client.blame.Blamed(victim.Name()) {
 			t.Errorf("%s not marked suspect after the failure", victim.Name())
 		}
 		// Everything acked must reconstruct from the surviving replicas.

@@ -131,7 +131,8 @@ func (in *Injector) Run(p *simnet.Proc, scenario string) error {
 	case "gray-chain":
 		// Slow-but-alive storage node: incoming hops exceed the chain's
 		// depth-scaled timeout, so healthy-looking appends blame it and
-		// chains re-form around it (the probation-window path).
+		// chains re-form around it until the dfs client's blame expires
+		// (simnet.BlameWindow).
 		if len(in.C.StorageNodes) == 0 {
 			return fmt.Errorf("harness: gray-chain needs an extent plane")
 		}

@@ -50,20 +50,6 @@ func (l *Lib) registry(p *simnet.Proc) (peers []controller.PeerInfo, fresh bool,
 	return peers, true, nil
 }
 
-// dropFromRegistry removes one entry of the cached list in place. Without
-// this, a peer that died inside the refresh window keeps its rank and every
-// allocation until the TTL lapses re-pays the full setup timeout against it.
-// The peer re-enters at the next refresh: a rejection is not a death
-// sentence.
-func (l *Lib) dropFromRegistry(name string) {
-	for i, info := range l.reg.peers {
-		if info.Name == name {
-			l.reg.peers = append(l.reg.peers[:i], l.reg.peers[i+1:]...)
-			return
-		}
-	}
-}
-
 // eligible returns the peers not named in skip that advertise at least
 // minMem.
 func eligible(peers []controller.PeerInfo, skip []string, minMem int64) []controller.PeerInfo {
@@ -161,12 +147,16 @@ const setupRetries = 8
 // under epoch on it and connects a QP: one registry read, one candidate per
 // slot, every set-up at once. A slot whose candidate rejected or died goes
 // into the next wave, at most setupRetries of them. exclude names peers the
-// slots must not land on (the log's other members); recent data-path suspects
-// are excluded too, since the controller's registry only drops them after
-// session expiry. The returned conns know their slots, are registered with
-// the log — wave by wave, in slot order, not in the order the replies came —
-// and are not yet active; when a later wave fails, the conns of the earlier
-// ones stay registered for the caller's teardown to close. With live set — a replacement under running writes —
+// slots must not land on (the log's other members). The lib's blamed peers
+// — a failed data-path operation or set-up, within BlameWindow — are skipped
+// too, since the controller's registry only drops them after session expiry,
+// unless skipping them leaves fewer candidates than slots: then they are
+// re-admitted, as a peer blamed for a lost set-up reply may be alive and a
+// starved allocation is not (DESIGN.md §14). The returned conns know their
+// slots, are registered with the log — wave by wave, in slot order, not in
+// the order the replies came — and are not yet active; when a later wave
+// fails, the conns of the earlier ones stay registered for the caller's
+// teardown to close. With live set — a replacement under running writes —
 // the registry read and the set-up are bracketed by Table 3's
 // "replace.getpeer" and "replace.connect" spans.
 //
@@ -185,14 +175,16 @@ const setupRetries = 8
 // replaces under the same key.
 func (l *Lib) allocate(p *simnet.Proc, lg *Log, slots []int, exclude []string, epoch int64, live bool, spare *spareGroup,
 	create func(cp *simnet.Proc, members []controller.PeerInfo, recycled string)) ([]*peerConn, error) {
-	tried := append(append([]string(nil), exclude...), l.suspectNames(p.Now())...)
+	tried := slices.Clone(exclude) // and every candidate set up so far
+	blamed := slices.DeleteFunc(l.blame.Names(), func(name string) bool { return slices.Contains(exclude, name) })
 	var pcs []*peerConn
 	for wave := 0; wave < setupRetries; wave++ {
 		var cands []controller.PeerInfo
 		var again []int // the slots the next wave gets
 		recycle := ""
+		skip := append(slices.Clip(tried), blamed...)
 		if wave == 0 && spare != nil {
-			cands, slots, again = spare.candidates(slots, tried)
+			cands, slots, again = spare.candidates(slots, skip)
 			recycle = spare.name
 		} else {
 			sp := replaceSpan(p, live, "replace.getpeer")
@@ -201,13 +193,18 @@ func (l *Lib) allocate(p *simnet.Proc, lg *Log, slots []int, exclude []string, e
 			if err != nil {
 				return nil, fmt.Errorf("ncl: list peers: %w", err)
 			}
-			cands = l.pick(lg, pcs, eligible(peers, tried, lg.regionSize()), len(slots))
+			cands = l.pick(lg, pcs, eligible(peers, skip, lg.regionSize()), len(slots))
 			if len(cands) < len(slots) {
-				if fresh {
+				switch {
+				case !fresh:
+					// Newly registered capacity may be hidden by a stale cache.
+					l.reg.peers = nil
+				case len(blamed) > 0:
+					l.blame.Readmit()
+					blamed = nil
+				default:
 					return nil, ErrNoPeers
 				}
-				// Newly registered capacity may be hidden by a stale cache.
-				l.reg.peers = nil
 				continue
 			}
 		}
@@ -229,8 +226,9 @@ func (l *Lib) allocate(p *simnet.Proc, lg *Log, slots []int, exclude []string, e
 		for i, cand := range cands {
 			tried = append(tried, cand.Name)
 			if errs[i] != nil {
-				// Rejected or dead: the slot gets the next candidate.
-				l.dropFromRegistry(cand.Name)
+				// Rejected or dead: the slot gets the next candidate, and the
+				// lib's next allocations skip this one while it is blamed.
+				l.blame.Blame(cand.Name)
 				again = append(again, slots[i])
 				continue
 			}

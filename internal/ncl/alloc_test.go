@@ -210,96 +210,122 @@ func getpeersOf(spans []*trace.Span, file string) int {
 	return n
 }
 
-// Regression: a peer that dies inside the registry's refresh window must be
-// dropped from the cached registry on the first failed setup, not retried
-// (at a full setup timeout each) by every allocation until the TTL lapses.
+// Regression: a peer that dies inside the registry's refresh window is
+// blamed on the first failed set-up, so the next allocation that ranks it
+// first skips it instead of re-paying a set-up timeout — at every TTL: at 0
+// each wave re-reads the registry, which still lists the peer until its
+// session expires.
 func TestPoolDropsDeadPeerInsideRefreshWindow(t *testing.T) {
-	c := newCluster(31, 5, smallPeerCfg())
-	c.run(t, func(p *simnet.Proc) {
-		libCfg := DefaultConfig()
-		libCfg.PoolRefresh = time.Minute // far longer than the test
-		l, err := NewLib(p, c.svc, c.fabric, c.appNode, "app1", 0, libCfg)
-		if err != nil {
-			t.Fatalf("new lib: %v", err)
-		}
-		lg, err := l.Open(p, "warm", 1<<20, false) // warms the registry cache
-		if err != nil {
-			t.Fatalf("open warm: %v", err)
-		}
-		member := map[string]bool{}
-		for _, n := range lg.LivePeers() {
-			member[n] = true
-		}
-		// Crash a spare (non-member), so no repair traffic interferes and
-		// the only way the death is noticed is a failed allocation.
-		victim := ""
-		names := make([]string, 0, len(c.pNodes))
-		for name := range c.pNodes {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			if !member[name] {
-				victim = name
-				break
-			}
-		}
-		c.pNodes[victim].Crash()
-		fetchedAt := l.reg.fetchedAt
-
-		// File names whose rendezvous ranking puts the dead peer first, so
-		// an allocation must try (and fail against) it.
-		victimRanked := func(from int) string {
-			for i := from; i < from+10000; i++ {
-				cand := fmt.Sprintf("w%d", i)
-				key := "app1/" + cand
-				best, bw := "", uint64(0)
-				for _, pn := range names {
-					if w := rdvWeight(pn, key); w > bw {
-						bw, best = w, pn
+	for _, ttl := range []time.Duration{0, time.Minute} {
+		t.Run(fmt.Sprintf("ttl=%v", ttl), func(t *testing.T) {
+			c := newCluster(31, 5, smallPeerCfg())
+			c.run(t, func(p *simnet.Proc) {
+				libCfg := DefaultConfig()
+				libCfg.PoolRefresh = ttl
+				l, err := NewLib(p, c.svc, c.fabric, c.appNode, "app1", 0, libCfg)
+				if err != nil {
+					t.Fatalf("new lib: %v", err)
+				}
+				lg, err := l.Open(p, "warm", 1<<20, false) // warms the registry cache
+				if err != nil {
+					t.Fatalf("open warm: %v", err)
+				}
+				member := map[string]bool{}
+				for _, n := range lg.LivePeers() {
+					member[n] = true
+				}
+				// Crash a spare (non-member), so no repair traffic interferes and
+				// the only way the death is noticed is a failed allocation.
+				victim := ""
+				names := make([]string, 0, len(c.pNodes))
+				for name := range c.pNodes {
+					names = append(names, name)
+				}
+				sort.Strings(names)
+				for _, name := range names {
+					if !member[name] {
+						victim = name
+						break
 					}
 				}
-				if best == victim {
-					return cand
+				c.pNodes[victim].Crash()
+
+				// File names whose rendezvous ranking puts the dead peer first, so
+				// an allocation must try (and fail against) it.
+				victimRanked := func(from int) string {
+					for i := from; i < from+10000; i++ {
+						cand := fmt.Sprintf("w%d", i)
+						key := "app1/" + cand
+						best, bw := "", uint64(0)
+						for _, pn := range names {
+							if w := rdvWeight(pn, key); w > bw {
+								bw, best = w, pn
+							}
+						}
+						if best == victim {
+							return cand
+						}
+					}
+					t.Fatal("no victim-ranked file name found")
+					return ""
 				}
-			}
-			t.Fatal("no victim-ranked file name found")
-			return ""
-		}
 
-		first := victimRanked(0)
-		start := p.Now()
-		lg2, err := l.Open(p, first, 1<<20, false)
+				first := victimRanked(0)
+				start := p.Now()
+				lg2, err := l.Open(p, first, 1<<20, false)
+				if err != nil {
+					t.Fatalf("open %s: %v", first, err)
+				}
+				firstCost := p.Now() - start
+				if firstCost < 200*time.Millisecond {
+					t.Fatalf("first open took %v; expected it to pay one setup timeout against the dead peer", firstCost)
+				}
+				for _, n := range lg2.LivePeers() {
+					if n == victim {
+						t.Fatalf("dead peer %s became a member", victim)
+					}
+				}
+
+				// A later allocation inside the blame window that would again
+				// rank the dead peer first must not re-pay the setup timeout.
+				second := victimRanked(10000)
+				start = p.Now()
+				if _, err := l.Open(p, second, 1<<20, false); err != nil {
+					t.Fatalf("open %s: %v", second, err)
+				}
+				if cost := p.Now() - start; cost >= 100*time.Millisecond {
+					t.Fatalf("second open took %v; the dead peer is blamed, no timeout should be paid", cost)
+				}
+			})
+		})
+	}
+}
+
+// Capacity beats blame: when the lib's blamed peers are all that stands
+// between an allocation and enough candidates, they are re-admitted instead
+// of the open failing ErrNoPeers — the peer blamed here lost one write to a
+// partition that has healed since.
+func TestAllocationReadmitsBlamedPeersWhenShort(t *testing.T) {
+	c := newCluster(32, 3, smallPeerCfg())
+	c.run(t, func(p *simnet.Proc) {
+		l := c.newLib(p, t, "app1", 0)
+		lg, err := l.Open(p, "a", 1<<20, false)
 		if err != nil {
-			t.Fatalf("open %s: %v", first, err)
+			t.Fatalf("open a: %v", err)
 		}
-		firstCost := p.Now() - start
-		if firstCost < 200*time.Millisecond {
-			t.Fatalf("first open took %v; expected it to pay one setup timeout against the dead peer", firstCost)
+		if members := lg.LivePeers(); len(members) != len(c.pNodes) {
+			t.Fatalf("log a has members %v; the test needs every peer in it", members)
 		}
-		for _, n := range lg2.LivePeers() {
-			if n == victim {
-				t.Fatalf("dead peer %s became a member", victim)
-			}
+		victim := c.pNodes[lg.LivePeers()[0]]
+		net := c.sim.Net()
+		net.Partition(c.appNode, victim)
+		if _, err := lg.Append(p, []byte("lost on one member")); err != nil {
+			t.Fatalf("append: %v", err)
 		}
-		for _, info := range l.reg.peers {
-			if info.Name == victim {
-				t.Fatalf("dead peer %s still in the cached registry after a failed setup", victim)
-			}
-		}
-		if l.reg.peers == nil || l.reg.fetchedAt != fetchedAt {
-			t.Fatal("dropping one dead entry must not invalidate or refresh the whole cache")
-		}
-
-		// A later allocation inside the same TTL that would again rank the
-		// dead peer first must not re-pay the setup timeout.
-		second := victimRanked(10000)
-		start = p.Now()
-		if _, err := l.Open(p, second, 1<<20, false); err != nil {
-			t.Fatalf("open %s: %v", second, err)
-		}
-		if cost := p.Now() - start; cost >= 100*time.Millisecond {
-			t.Fatalf("second open took %v; the dead peer was dropped, no timeout should be paid", cost)
+		p.Sleep(10 * time.Millisecond) // the write to the victim fails, blaming it
+		net.Heal(c.appNode, victim)
+		if _, err := l.Open(p, "b", 1<<20, false); err != nil {
+			t.Fatalf("open b with %s blamed and back: %v", victim.Name(), err)
 		}
 	})
 }

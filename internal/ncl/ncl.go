@@ -95,10 +95,10 @@ type Lib struct {
 	// open's calls (Known); whether a file exists is decided by the ap-map.
 	known map[string]bool
 
-	// suspects are peers that recently failed a data-path operation; they
-	// are excluded from allocation until the cooldown passes, since the
-	// controller's registry only drops them after session expiry.
-	suspects map[string]time.Duration
+	// blame holds the peers that recently failed a data-path operation or a
+	// set-up; allocation skips them while blamed, since the controller's
+	// registry only drops a peer after its session expires (alloc.go).
+	blame *simnet.BlameSet
 
 	// reg is the cached controller peer list (see alloc.go).
 	reg peerRegistry
@@ -109,27 +109,6 @@ type Lib struct {
 	// deletes are the released logs whose ap-map delete has not answered
 	// yet, by name (spare.go).
 	deletes map[string]*spareGroup
-}
-
-// suspectCooldown is how long a peer that failed a data-path operation is
-// excluded from new allocations.
-const suspectCooldown = 2 * time.Second
-
-func (l *Lib) markSuspect(name string, now time.Duration) {
-	l.suspects[name] = now + suspectCooldown
-}
-
-func (l *Lib) suspectNames(now time.Duration) []string {
-	var out []string
-	for name, until := range l.suspects {
-		if now < until {
-			out = append(out, name)
-		} else {
-			delete(l.suspects, name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // NewLib initializes ncl-lib for application appID running on node. fencing
@@ -144,18 +123,18 @@ func NewLib(p *simnet.Proc, svc *controller.Service, fabric *rdma.Fabric, node *
 		cfg.DefaultRegionSize = 64 << 20
 	}
 	l := &Lib{
-		sim:      node.Sim(),
-		node:     node,
-		fabric:   fabric,
-		nic:      fabric.AttachNIC(node),
-		appID:    appID,
-		fencing:  fencing,
-		cfg:      cfg,
-		policy:   policy,
-		logs:     make(map[string]*Log),
-		known:    make(map[string]bool),
-		suspects: make(map[string]time.Duration),
-		deletes:  make(map[string]*spareGroup),
+		sim:     node.Sim(),
+		node:    node,
+		fabric:  fabric,
+		nic:     fabric.AttachNIC(node),
+		appID:   appID,
+		fencing: fencing,
+		cfg:     cfg,
+		policy:  policy,
+		logs:    make(map[string]*Log),
+		known:   make(map[string]bool),
+		blame:   simnet.NewBlameSet(node.Sim()),
+		deletes: make(map[string]*spareGroup),
 	}
 	l.ctrl = controller.NewClient(svc, node, appID, fencing)
 	names, err := l.ctrl.StartSession(p, appID)
@@ -576,7 +555,7 @@ func (lg *Log) pollLoop(p *simnet.Proc) {
 		if c.Err != nil {
 			if !pc.failed {
 				pc.failed = true
-				lg.lib.markSuspect(pc.name, p.Now())
+				lg.lib.blame.Blame(pc.name)
 				lg.repairCh.Send(p, struct{}{})
 				down = errors.Is(c.Err, rdma.ErrRemoteDown)
 			}

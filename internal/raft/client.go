@@ -2,6 +2,7 @@ package raft
 
 import (
 	"errors"
+	"slices"
 	"time"
 
 	"splitft/internal/simnet"
@@ -10,11 +11,12 @@ import (
 )
 
 // Client submits commands to a Raft group from some node, following leader
-// hints and retrying around elections and failures.
+// hints and retrying around elections and failures. The hint is the node's,
+// not the client's: every Client on one node sends its next call to the
+// leader any of them last found (DESIGN.md §15).
 type Client struct {
 	cluster *Cluster
 	node    *simnet.Node
-	hint    int // index into cluster.ids of the believed leader
 	// Deadline bounds one Propose end to end (default DefaultDeadline).
 	Deadline time.Duration
 	// CallTimeout bounds each RPC attempt (default 500ms). Lower it when
@@ -47,35 +49,38 @@ func (c *Client) Propose(p *simnet.Proc, cmd wire.Msg) (wire.Msg, error) {
 	net := c.cluster.sim.Net()
 	deadline := p.Now() + c.Deadline
 	var lastErr error = ErrTimeout
+	key := hintKey{c.node.Name(), c.node.Incarnation()}
 	for p.Now() < deadline {
-		id := c.cluster.ids[c.hint%len(c.cluster.ids)]
-		resp, err := net.CallTimeout(p, c.node, c.cluster.Addr(id), cmd, c.CallTimeout)
-		switch {
-		case err == nil:
+		at := c.cluster.hints[key]
+		resp, err := net.CallTimeout(p, c.node, c.cluster.Addr(c.cluster.ids[at]), cmd, c.CallTimeout)
+		if err == nil {
 			return resp, nil
-		case errors.Is(err, ErrNotLeader):
-			var nle NotLeaderError
-			if errors.As(err, &nle) && nle.Hint != "" {
-				c.hint = c.indexOf(nle.Hint)
-			} else {
-				c.hint++
-				p.Sleep(10 * time.Millisecond) // election likely in progress
-			}
-			lastErr = err
-		default:
-			c.hint++
+		}
+		lastErr = err
+		var nle NotLeaderError
+		if errors.As(err, &nle) && nle.Hint != "" {
+			c.cluster.hints[key] = max(slices.Index(c.cluster.ids, nle.Hint), 0)
+			continue
+		}
+		// Move past the replica that failed, unless another client on this
+		// node has moved the hint already: two clients timing out on one
+		// replica together advance it once.
+		if c.cluster.hints[key] == at {
+			c.cluster.hints[key] = (at + 1) % len(c.cluster.ids)
+		}
+		if errors.Is(err, ErrNotLeader) {
+			p.Sleep(10 * time.Millisecond) // election likely in progress
+		} else {
 			p.Sleep(20 * time.Millisecond)
-			lastErr = err
 		}
 	}
 	return wire.Msg{}, lastErr
 }
 
-func (c *Client) indexOf(id string) int {
-	for i, x := range c.cluster.ids {
-		if x == id {
-			return i
-		}
-	}
-	return 0
+// hintKey names one incarnation of a client node: the key of its believed
+// leader, an index into Cluster.ids, in Cluster.hints. A restarted node
+// starts from the first replica, as a new client does.
+type hintKey struct {
+	node string
+	inc  int
 }

@@ -96,6 +96,9 @@ type Cluster struct {
 	ids    []string
 	disks  map[string]*disk
 	smFact func() StateMachine
+	// hints is each client node's believed leader (client.go), shared by
+	// every Client on that node's incarnation.
+	hints map[hintKey]int
 }
 
 // New defines a Raft group named name over the replica ids. smFactory
@@ -103,7 +106,7 @@ type Cluster struct {
 // rebuilds its contents. Boot each replica with StartNode.
 func New(s *simnet.Sim, name string, cfg Config, ids []string, smFactory func() StateMachine) *Cluster {
 	c := &Cluster{sim: s, name: name, cfg: cfg, ids: ids,
-		disks: make(map[string]*disk), smFact: smFactory}
+		disks: make(map[string]*disk), smFact: smFactory, hints: make(map[hintKey]int)}
 	for _, id := range ids {
 		c.disks[id] = &disk{log: make([]entry, 1)}
 	}

@@ -288,7 +288,8 @@ func TestLogsConvergeAfterPartitionHeals(t *testing.T) {
 				h.sim.Net().Partition(ldr.node, n)
 			}
 		}
-		client.hint++
+		key := hintKey{client.node.Name(), 0}
+		h.cluster.hints[key] = (h.cluster.hints[key] + 1) % len(h.cluster.ids)
 		client.Propose(p, cmdMsg("b"))
 		client.Propose(p, cmdMsg("c"))
 		// Heal; the old leader must adopt the majority log.
@@ -371,7 +372,7 @@ func TestClientNotLeaderRedirect(t *testing.T) {
 		ldr := h.leader()
 		for i, id := range h.cluster.ids {
 			if ldr != nil && id != ldr.id {
-				client.hint = i
+				h.cluster.hints[hintKey{client.node.Name(), 0}] = i
 				break
 			}
 		}

@@ -33,6 +33,8 @@ rows=(
 	"recovery-ignores-recycle-marker.patch|./internal/ncl|^TestPolicyConformance$/^set-ups_lost_beside_the_create/"
 	"create-beside-fresh-setup.patch|./internal/ncl|^TestPolicyConformance$/^app_crash_in_a_fresh_open/"
 	"failed-open-keeps-entry.patch|./internal/ncl|^TestPolicyConformance$/^spare_members_down_beside_the_create/"
+	"hint-per-client.patch|./internal/controller|^TestClientsOnOneNodeShareTheLeaderHint$"
+	"setup-failure-not-blamed.patch|./internal/ncl|^TestPoolDropsDeadPeerInsideRefreshWindow$/^ttl=0s$"
 )
 
 status=0
