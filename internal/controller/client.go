@@ -93,16 +93,23 @@ func (c *Client) run(p *simnet.Proc, cmd wire.Msg) (opResult, error) {
 }
 
 // establishSession registers (or, after an expiry, re-registers) the
-// client's session. A non-empty dir asks the reply to list the names under
-// that prefix.
-func (c *Client) establishSession(p *simnet.Proc, dir string) ([]string, error) {
-	r, err := c.run(p, cmdNewSession{
+// client's session. A non-empty dir asks the reply to list the nodes under
+// that prefix and fences the directory at the client's token.
+func (c *Client) establishSession(p *simnet.Proc, dir string) (opResult, error) {
+	return c.run(p, cmdNewSession{
 		Session: c.session,
 		At:      p.Now(),
 		Timeout: c.svc.cfg.SessionTimeout,
 		Dir:     dir,
+		Fencing: c.fencing,
 	}.MarshalWire())
-	return r.Paths, err
+}
+
+// AppFile is one ap-map entry as a session start listed it.
+type AppFile struct {
+	Name    string // the file, under the application's directory
+	Entry   FileEntry
+	Version int64
 }
 
 // StartSession registers the client's session and spawns the keep-alive
@@ -110,17 +117,25 @@ func (c *Client) establishSession(p *simnet.Proc, dir string) ([]string, error) 
 // ZooKeeper ephemeral-node behaviour the paper relies on). Until it is
 // called, ephemeral ops surface ErrSession exactly like a sessionless
 // ZooKeeper client would. A non-empty app makes the session's one proposal
-// also return the names of app's ap-map entries, sorted: its directory as
-// of the session start, which costs no extra round trip. A peer passes "".
-// A session the keep-alive re-establishes after an expiry lists nothing.
-func (c *Client) StartSession(p *simnet.Proc, app string) ([]string, error) {
+// also fence app's ap-map at the client's token and return its entries,
+// sorted by name, with their versions: the directory as of the session
+// start, which costs no extra round trip and which, fenced, only this
+// instance or a newer one changes from then on. A peer passes "". A session
+// the keep-alive re-establishes after an expiry lists nothing.
+func (c *Client) StartSession(p *simnet.Proc, app string) ([]AppFile, error) {
 	dir := ""
 	if app != "" {
 		dir = fileKey(app, "")
 	}
-	names, err := c.establishSession(p, dir)
+	r, err := c.establishSession(p, dir)
 	if err != nil {
 		return nil, err
+	}
+	var files []AppFile
+	for i, path := range r.Paths {
+		f := AppFile{Name: path[len(dir):], Version: r.Versions[i]}
+		f.Entry.UnmarshalWire(r.Datas[i]) //nolint:errcheck
+		files = append(files, f)
 	}
 	if !c.started {
 		c.started = true
@@ -142,7 +157,7 @@ func (c *Client) StartSession(p *simnet.Proc, app string) ([]string, error) {
 			}
 		})
 	}
-	return names, nil
+	return files, nil
 }
 
 // createEphemeral creates the znode this client's session keeps alive,
@@ -245,12 +260,14 @@ func fileKey(app, file string) string { return "/apps/" + app + "/" + file }
 // SetAppFile publishes the ap-map entry for (app, file) in one proposal,
 // conditional on the znode version the caller last saw: 0 — it saw no entry —
 // creates it (ErrExists if there is one), anything else is a compare-and-set
-// (ErrBadVersion). It returns the entry's new version.
+// (ErrBadVersion). It returns the entry's new version. Like every ap-map
+// write it carries the client's fencing token: ErrFenced once a newer
+// instance's session has listed app's directory.
 func (c *Client) SetAppFile(p *simnet.Proc, app, file string, e FileEntry, version int64) (int64, error) {
 	path, data := fileKey(app, file), e.MarshalWire()
-	cmd := cmdSet{Path: path, Data: data, Version: version}.MarshalWire()
+	cmd := cmdSet{Path: path, Data: data, Version: version, Fencing: c.fencing}.MarshalWire()
 	if version == 0 {
-		cmd = cmdCreate{Path: path, Data: data}.MarshalWire()
+		cmd = cmdCreate{Path: path, Data: data, Fencing: c.fencing}.MarshalWire()
 	}
 	r, err := c.run(p, cmd)
 	return r.Version, err
@@ -272,10 +289,11 @@ func (c *Client) GetAppFile(p *simnet.Proc, app, file string) (FileEntry, int64,
 }
 
 // DeleteAppFile removes the ap-map entry (on ncl-file release): the entry at
-// version, or whatever version it is at if version is -1.
+// version, or whatever version it is at if version is -1. An absent entry is
+// no error; a fenced client's delete is ErrFenced.
 func (c *Client) DeleteAppFile(p *simnet.Proc, app, file string, version int64) error {
 	path := fileKey(app, file)
-	_, err := c.run(p, cmdDelete{Path: path, Version: version}.MarshalWire())
+	_, err := c.run(p, cmdDelete{Path: path, Version: version, Fencing: c.fencing}.MarshalWire())
 	if errors.Is(err, ErrNotFound) {
 		return nil
 	}

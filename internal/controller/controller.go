@@ -11,15 +11,23 @@
 //	/apps/<app>/<file>     -> FileEntry  (the ap-map: peers + epoch per ncl file)
 //	/servers/<app>         -> ServerInfo (ephemeral: single-instance lock)
 //
-// One deviation from stock ZooKeeper, documented in DESIGN.md: ephemeral
-// creates carry a fencing token (the application incarnation). A recovering
-// instance with a higher token takes over the /servers znode immediately
-// instead of waiting out the dead session, keeping recovery at the paper's
-// sub-second scale while preserving the only-one-instance guarantee (two
-// instances with the same token still race, and exactly one wins).
+// Two deviations from stock ZooKeeper, documented in DESIGN.md, both keyed
+// on a fencing token (the application incarnation). First, ephemeral creates
+// carry it: a recovering instance with a higher token takes over the
+// /servers znode immediately instead of waiting out the dead session,
+// keeping recovery at the paper's sub-second scale while preserving the
+// only-one-instance guarantee (two instances with the same token still race,
+// and exactly one wins). Second, the ap-map is fenced: an application's
+// session start lists its /apps/<app>/ directory — every entry's value and
+// version — in the same proposal and raises that directory's fence to the
+// session's token, and a create, set or delete there carrying a lower token
+// answers ErrFenced. From that commit on, only the listing instance (or a
+// newer one, which fences it in turn) writes the directory, so the listing
+// stays exact until the instance writes it itself.
 package controller
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -167,10 +175,42 @@ type session struct {
 type tree struct {
 	nodes    map[string]*znode
 	sessions map[string]*session
+	// fences holds, per directory a session listed, the highest fencing
+	// token such a session carried: a write there carrying a lower one is
+	// ErrFenced. It only rises.
+	fences map[string]int64
 }
 
 func newTree() *tree {
-	return &tree{nodes: make(map[string]*znode), sessions: make(map[string]*session)}
+	return &tree{nodes: make(map[string]*znode), sessions: make(map[string]*session), fences: make(map[string]int64)}
+}
+
+// fenced reports whether a write to path carrying token fencing comes from an
+// instance older than the newest whose session listed a directory holding
+// path — at any depth: an ncl file's name may itself contain slashes.
+func (t *tree) fenced(path string, fencing int64) bool {
+	for dir, fence := range t.fences {
+		if fencing < fence && strings.HasPrefix(path, dir) {
+			return true
+		}
+	}
+	return false
+}
+
+// list returns the nodes under prefix, sorted by path.
+func (t *tree) list(prefix string) opResult {
+	var r opResult
+	for p := range t.nodes {
+		if strings.HasPrefix(p, prefix) {
+			r.Paths = append(r.Paths, p)
+		}
+	}
+	sort.Strings(r.Paths)
+	r.Datas = make([]wire.Msg, len(r.Paths))
+	for i, p := range r.Paths {
+		r.Datas[i] = t.nodes[p].data
+	}
+	return r
 }
 
 // Commands. Every mutation is versioned or idempotent so client retries
@@ -181,15 +221,18 @@ type cmdNewSession struct {
 	Session string
 	At      time.Duration
 	Timeout time.Duration
-	// Dir, when set, is a directory prefix whose names the reply lists,
-	// prefix stripped and sorted: the application's ap-map at session start.
-	Dir string
+	// Dir, when set, is a directory whose nodes the reply lists, sorted, with
+	// their values and versions — the application's ap-map at session start —
+	// and whose fence the session raises to Fencing.
+	Dir     string
+	Fencing int64
 }
 
 func (c cmdNewSession) MarshalWire() wire.Msg {
 	m := wire.Msg{Code: codeNewSession, S: [3]string{c.Session, c.Dir}}
 	m.SetInt(0, int64(c.At))
 	m.SetInt(1, int64(c.Timeout))
+	m.SetInt(2, c.Fencing)
 	return m
 }
 
@@ -197,6 +240,7 @@ func (c *cmdNewSession) UnmarshalWire(m wire.Msg) error {
 	c.Session, c.Dir = m.S[0], m.S[1]
 	c.At = time.Duration(m.Int(0))
 	c.Timeout = time.Duration(m.Int(1))
+	c.Fencing = m.Int(2)
 	return nil
 }
 
@@ -264,11 +308,13 @@ type cmdSet struct {
 	Path    string
 	Data    wire.Msg
 	Version int64 // -1: unconditional
+	Fencing int64
 }
 
 func (c cmdSet) MarshalWire() wire.Msg {
 	m := wire.Msg{Code: codeSet, S: [3]string{c.Path}, Sub: []wire.Msg{c.Data}}
 	m.SetInt(0, c.Version)
+	m.SetInt(1, c.Fencing)
 	return m
 }
 
@@ -276,23 +322,27 @@ func (c *cmdSet) UnmarshalWire(m wire.Msg) error {
 	c.Path = m.S[0]
 	c.Data = m.Sub[0]
 	c.Version = m.Int(0)
+	c.Fencing = m.Int(1)
 	return nil
 }
 
 type cmdDelete struct {
 	Path    string
 	Version int64 // -1: unconditional
+	Fencing int64
 }
 
 func (c cmdDelete) MarshalWire() wire.Msg {
 	m := wire.Msg{Code: codeDelete, S: [3]string{c.Path}}
 	m.SetInt(0, c.Version)
+	m.SetInt(1, c.Fencing)
 	return m
 }
 
 func (c *cmdDelete) UnmarshalWire(m wire.Msg) error {
 	c.Path = m.S[0]
 	c.Version = m.Int(0)
+	c.Fencing = m.Int(1)
 	return nil
 }
 
@@ -310,14 +360,16 @@ func (c cmdList) MarshalWire() wire.Msg {
 
 // opResult is the decoded view of a codeResult message, the reply to every
 // command. Found results carry the znode value in Sub[0]; List results carry
-// paths in Strs and the matching values in Sub.
+// paths in Strs and the matching values in Sub, and a session's listing the
+// matching versions too, little-endian in B.
 type opResult struct {
-	Err     error
-	Version int64
-	Found   bool
-	Data    wire.Msg
-	Paths   []string
-	Datas   []wire.Msg
+	Err      error
+	Version  int64
+	Found    bool
+	Data     wire.Msg
+	Paths    []string
+	Datas    []wire.Msg
+	Versions []int64
 }
 
 func (r opResult) MarshalWire() wire.Msg {
@@ -326,6 +378,9 @@ func (r opResult) MarshalWire() wire.Msg {
 	m.SetBool(1, r.Found)
 	if r.Found {
 		m.Sub = []wire.Msg{r.Data}
+	}
+	for _, v := range r.Versions {
+		m.B = binary.LittleEndian.AppendUint64(m.B, uint64(v))
 	}
 	return m
 }
@@ -341,6 +396,9 @@ func (r *opResult) UnmarshalWire(m wire.Msg) error {
 		}
 	} else {
 		r.Datas = m.Sub
+	}
+	for b := m.B; len(b) >= 8; b = b[8:] {
+		r.Versions = append(r.Versions, int64(binary.LittleEndian.Uint64(b)))
 	}
 	return nil
 }
@@ -364,14 +422,13 @@ func (t *tree) apply(cmd wire.Msg) opResult {
 		if c.Dir == "" {
 			return opResult{}
 		}
-		var names []string
-		for p := range t.nodes {
-			if name, ok := strings.CutPrefix(p, c.Dir); ok {
-				names = append(names, name)
-			}
+		t.fences[c.Dir] = max(t.fences[c.Dir], c.Fencing)
+		r := t.list(c.Dir)
+		r.Versions = make([]int64, len(r.Paths))
+		for i, p := range r.Paths {
+			r.Versions[i] = t.nodes[p].version
 		}
-		sort.Strings(names)
-		return opResult{Paths: names}
+		return r
 	case codeKeepAlive:
 		var c cmdKeepAlive
 		c.UnmarshalWire(cmd) //nolint:errcheck
@@ -399,6 +456,9 @@ func (t *tree) apply(cmd wire.Msg) opResult {
 	case codeCreate:
 		var c cmdCreate
 		c.UnmarshalWire(cmd) //nolint:errcheck
+		if t.fenced(c.Path, c.Fencing) {
+			return opResult{Err: ErrFenced}
+		}
 		if c.Ephemeral {
 			if _, ok := t.sessions[c.Session]; !ok {
 				return opResult{Err: ErrSession}
@@ -422,6 +482,9 @@ func (t *tree) apply(cmd wire.Msg) opResult {
 	case codeSet:
 		var c cmdSet
 		c.UnmarshalWire(cmd) //nolint:errcheck
+		if t.fenced(c.Path, c.Fencing) {
+			return opResult{Err: ErrFenced}
+		}
 		n, ok := t.nodes[c.Path]
 		if !ok {
 			return opResult{Err: ErrNotFound}
@@ -435,6 +498,9 @@ func (t *tree) apply(cmd wire.Msg) opResult {
 	case codeDelete:
 		var c cmdDelete
 		c.UnmarshalWire(cmd) //nolint:errcheck
+		if t.fenced(c.Path, c.Fencing) {
+			return opResult{Err: ErrFenced}
+		}
 		n, ok := t.nodes[c.Path]
 		if !ok {
 			return opResult{Err: ErrNotFound}
@@ -451,19 +517,7 @@ func (t *tree) apply(cmd wire.Msg) opResult {
 		}
 		return opResult{Found: true, Data: n.data, Version: n.version}
 	case codeList:
-		prefix := cmd.S[0]
-		var paths []string
-		for p := range t.nodes {
-			if strings.HasPrefix(p, prefix) {
-				paths = append(paths, p)
-			}
-		}
-		sort.Strings(paths)
-		datas := make([]wire.Msg, len(paths))
-		for i, p := range paths {
-			datas[i] = t.nodes[p].data
-		}
-		return opResult{Paths: paths, Datas: datas}
+		return t.list(cmd.S[0])
 	default:
 		return opResult{Err: fmt.Errorf("controller: unknown command %#x", uint16(cmd.Code))}
 	}

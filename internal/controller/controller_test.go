@@ -89,9 +89,9 @@ func TestPeerSessionExpiryRemovesRegistration(t *testing.T) {
 }
 
 // An application's session starts with its ap-map directory in the same
-// proposal: the names under /apps/<app>/, sorted, prefix stripped, and no
-// other app's. A peer's session lists nothing, and an entry carries its
-// writer's fencing token.
+// proposal: the entries under /apps/<app>/, sorted by name, prefix stripped,
+// each with its value and version, and no other app's. A peer's session lists
+// nothing, and an entry carries its writer's fencing token.
 func TestNewSessionListsAppDirectory(t *testing.T) {
 	fx := newFixture(9)
 	app := fx.sim.NewNode("app")
@@ -105,14 +105,30 @@ func TestNewSessionListsAppDirectory(t *testing.T) {
 				t.Fatalf("create %s/%s: %v", f.app, f.name, err)
 			}
 		}
+		if _, err := w.SetAppFile(p, "app1", "wal-1", FileEntry{Epoch: 2, Fencing: 7, AppendOnly: true}, 1); err != nil {
+			t.Fatalf("set app1/wal-1: %v", err)
+		}
 		c := NewClient(fx.svc, app, "app1", 3)
-		names, err := c.StartSession(p, "app1")
+		files, err := c.StartSession(p, "app1")
+		var names []string
+		for _, f := range files {
+			names = append(names, f.Name)
+		}
 		if want := []string{"sub/wal", "wal-1", "wal-2"}; err != nil || fmt.Sprint(names) != fmt.Sprint(want) {
 			t.Errorf("app1's session listed %q, %v; want %q", names, err, want)
 		}
+		for _, f := range files {
+			want := AppFile{Name: f.Name, Entry: FileEntry{Epoch: 1, Fencing: 7, AppendOnly: true}, Version: 1}
+			if f.Name == "wal-1" {
+				want.Entry.Epoch, want.Version = 2, 2
+			}
+			if fmt.Sprint(f) != fmt.Sprint(want) {
+				t.Errorf("listed %+v, want %+v", f, want)
+			}
+		}
 		pr := NewClient(fx.svc, fx.sim.NewNode("peer0"), "peer0", 0)
-		if names, err := pr.StartSession(p, ""); err != nil || names != nil {
-			t.Errorf("a peer's session listed %q, %v; want nothing", names, err)
+		if files, err := pr.StartSession(p, ""); err != nil || files != nil {
+			t.Errorf("a peer's session listed %v, %v; want nothing", files, err)
 		}
 		e := FileEntry{Peers: []string{"p1"}, Epoch: 4, RegionSize: 1 << 20, Capacity: 1 << 19, Policy: "quorum", Fencing: 1 << 40, Recycled: "wal-0"}
 		for _, appendOnly := range []bool{false, true} {
@@ -125,6 +141,94 @@ func TestNewSessionListsAppDirectory(t *testing.T) {
 		}
 		if got, _, _, err := c.GetAppFile(p, "app1", "wal-1"); err != nil || got.Fencing != 7 || !got.AppendOnly {
 			t.Errorf("stored entry: %+v, %v; want fencing 7, append-only", got, err)
+		}
+		fx.sim.Stop()
+	})
+	fx.run(t, time.Minute)
+}
+
+// The ap-map is fenced by the session that lists it: once a token-2 session
+// has listed /apps/a/, a token-1 create, set or delete there answers
+// ErrFenced, whatever the entry's state, while the same commands at token 2
+// or 3 commit. Other applications' directories and the peer registry are
+// not fenced.
+func TestSessionFencesItsAppDirectory(t *testing.T) {
+	fx := newFixture(10)
+	fx.sim.Go("test", func(p *simnet.Proc) {
+		p.Sleep(time.Second)
+		client := func(name string, fencing int64) *Client {
+			return NewClient(fx.svc, fx.sim.NewNode(fmt.Sprintf("%s-%d", name, fencing)), name, fencing)
+		}
+		old, cur, next := client("a", 1), client("a", 2), client("a", 3)
+		if _, err := old.SetAppFile(p, "a", "f", FileEntry{Epoch: 1}, 0); err != nil {
+			t.Fatalf("token-1 create before any session: %v", err)
+		}
+		if _, err := old.SetAppFile(p, "b", "f", FileEntry{Epoch: 1}, 0); err != nil {
+			t.Fatalf("token-1 create in b: %v", err)
+		}
+		if _, err := cur.StartSession(p, "a"); err != nil {
+			t.Fatalf("token-2 session: %v", err)
+		}
+		fenced := map[string]func() error{
+			"create": func() error { _, err := old.SetAppFile(p, "a", "g", FileEntry{Epoch: 1}, 0); return err },
+			// An ncl file's name may hold slashes of its own.
+			"create nested": func() error { _, err := old.SetAppFile(p, "a", "/kv/wal", FileEntry{Epoch: 1}, 0); return err },
+			"set":           func() error { _, err := old.SetAppFile(p, "a", "f", FileEntry{Epoch: 2}, 1); return err },
+			"delete":        func() error { return old.DeleteAppFile(p, "a", "f", -1) },
+			// A delete of an absent entry is no error unless fenced.
+			"delete absent": func() error { return old.DeleteAppFile(p, "a", "absent", -1) },
+		}
+		for _, op := range []string{"create", "create nested", "set", "delete", "delete absent"} {
+			if err := fenced[op](); !errors.Is(err, ErrFenced) {
+				t.Errorf("token-1 %s after the token-2 session: %v, want ErrFenced", op, err)
+			}
+		}
+		if e, v, found, err := cur.GetAppFile(p, "a", "f"); err != nil || !found || e.Epoch != 1 || v != 1 {
+			t.Errorf("a/f after the fenced writes: %+v v%d found=%v %v; want epoch 1 at v1", e, v, found, err)
+		}
+		for _, name := range []string{"g", "/kv/wal"} {
+			if _, _, found, _ := cur.GetAppFile(p, "a", name); found {
+				t.Errorf("the fenced create of %s committed", name)
+			}
+		}
+		// The fence never falls: a later token-1 session leaves it at 2.
+		if _, err := old.StartSession(p, "a"); err != nil {
+			t.Fatalf("token-1 session: %v", err)
+		}
+		for i, c := range []*Client{cur, next} {
+			name := fmt.Sprintf("/kv/g%d", i)
+			v, err := c.SetAppFile(p, "a", name, FileEntry{Epoch: 1}, 0)
+			if err == nil {
+				v, err = c.SetAppFile(p, "a", name, FileEntry{Epoch: 2}, v)
+			}
+			if err == nil {
+				err = c.DeleteAppFile(p, "a", name, v)
+			}
+			if err != nil {
+				t.Errorf("token-%d create, set and delete: %v", c.fencing, err)
+			}
+		}
+		if err := fenced["set"](); !errors.Is(err, ErrFenced) {
+			t.Errorf("token-1 set after its own later session: %v, want ErrFenced", err)
+		}
+		// b's directory and the peer registry are not a's.
+		if v, err := old.SetAppFile(p, "b", "f", FileEntry{Epoch: 2}, 1); err != nil {
+			t.Errorf("token-1 set in b: %v", err)
+		} else if err := old.DeleteAppFile(p, "b", "f", v); err != nil {
+			t.Errorf("token-1 delete in b: %v", err)
+		}
+		pn := fx.sim.NewNode("peer0")
+		pc := NewClient(fx.svc, pn, "peer0", 0)
+		if _, err := pc.StartSession(p, ""); err != nil {
+			t.Fatalf("peer session: %v", err)
+		}
+		info := PeerInfo{Name: "peer0", Addr: "peer0/rpc", AvailMem: 1 << 30}
+		if err := pc.RegisterPeer(p, info); err != nil {
+			t.Errorf("peer registration: %v", err)
+		}
+		info.AvailMem = 1 << 29
+		if err := pc.PublishPeer(p, info); err != nil {
+			t.Errorf("peer republish: %v", err)
 		}
 		fx.sim.Stop()
 	})

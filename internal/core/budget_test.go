@@ -105,9 +105,11 @@ type ops map[string]int
 
 // TestControlPlaneBudget pins how many controller commands each core.FS flow
 // costs, counted as the "controller" spans the application emits (keep-alives
-// and session set-up aside): the ap-map is asked about a name once per reopen
-// or unlink and not at all by the create of a name the lib does not know, and
-// written once per membership (DESIGN.md §15). TTL 0,
+// and session set-up aside): the ap-map is not asked about a name the lib's
+// directory holds — the session listed it, fenced, or the lib wrote it since —
+// nor by the create of a name the lib does not know, only about a name the
+// directory lacks (a dfs file's unlink, a file a newer instance created); it
+// is written once per membership (DESIGN.md §15). TTL 0,
 // so every allocation — a whole group at open, the missing members at
 // recovery — is one registry list.
 func TestControlPlaneBudget(t *testing.T) {
@@ -153,14 +155,16 @@ func TestControlPlaneBudget(t *testing.T) {
 				}
 				return f.Sync(p)
 			},
-			// The create's registry list and conditional create, which finds
-			// the other instance's entry, and publish's read-back of it; then
-			// the recovering open's get.
-			want: func(*budget) ops { return ops{"list": 1, "create": 1, "get": 2} }},
+			// The create's registry list and conditional create, which the
+			// other, newer instance's session fenced, and publish's read-back
+			// of that instance's entry, which the recovering open then finds
+			// in the directory.
+			want: func(*budget) ops { return ops{"list": 1, "create": 1, "get": 1} }},
 		{name: "reopen existing, full house, mirror",
 			prepare: (*budget).leftBehind,
 			call:    (*budget).reopen,
-			want:    func(*budget) ops { return ops{"get": 1} }},
+			// The session listed the entry: the reopen asks nothing.
+			want: func(*budget) ops { return ops{} }},
 		{name: "reopen with a replacement",
 			prepare: func(b *budget, p *simnet.Proc) error {
 				f, err := b.create(p, "wal")
@@ -172,15 +176,15 @@ func TestControlPlaneBudget(t *testing.T) {
 				return b.crash(p)
 			},
 			call: (*budget).reopen,
-			want: func(*budget) ops { return ops{"get": 1, "list": 1, "set": 1} }},
+			want: func(*budget) ops { return ops{"list": 1, "set": 1} }},
 		{name: "reopen a frame log", policy: "quorum",
 			prepare: (*budget).leftBehind,
 			call:    (*budget).reopen,
-			want:    func(*budget) ops { return ops{"get": 1, "set": 1} }},
+			want:    func(*budget) ops { return ops{"set": 1} }},
 		{name: "unlink unopened",
 			prepare: (*budget).leftBehind,
 			call:    (*budget).unlink,
-			want:    func(*budget) ops { return ops{"get": 1, "delete": 1} }},
+			want:    func(*budget) ops { return ops{"delete": 1} }},
 		{name: "unlink open handle",
 			prepare: func(b *budget, p *simnet.Proc) error { _, err := b.create(p, "wal"); return err },
 			call:    (*budget).unlinkSettled,
@@ -227,13 +231,14 @@ func TestControlPlaneBudget(t *testing.T) {
 				_, err := b.fs.OpenFile(p, "wal", core.O_NCL|core.O_TRUNC, 1<<20)
 				return err
 			},
-			want: func(*budget) ops { return ops{"get": 1, "delete": 1, "list": 1, "create": 1} }},
+			want: func(*budget) ops { return ops{"delete": 1, "list": 1, "create": 1} }},
 		{name: "unlink a dfs file",
 			prepare: func(b *budget, p *simnet.Proc) error {
 				_, err := b.fs.OpenFile(p, "/table.sst", core.O_CREATE, 0)
 				return err
 			},
 			call: func(b *budget, p *simnet.Proc) error { return b.fs.Unlink(p, "/table.sst") },
+			// A name the directory lacks is still asked about.
 			want: func(*budget) ops { return ops{"get": 1} }},
 		{name: "OpenSplit of an existing file",
 			prepare: func(b *budget, p *simnet.Proc) error {
@@ -253,21 +258,19 @@ func TestControlPlaneBudget(t *testing.T) {
 				}
 				return err
 			},
-			want: func(*budget) ops { return ops{"get": 1} }},
+			want: func(*budget) ops { return ops{} }},
 		{name: "litedb.Recover", port: "litedb",
 			prepare: (*budget).store,
 			call:    (*budget).recoverStore,
-			want:    func(*budget) ops { return ops{"get": 1} }},
+			want:    func(*budget) ops { return ops{} }},
 		{name: "kvstore.Recover", port: "kvstore",
 			prepare: (*budget).store,
 			call:    (*budget).recoverStore,
-			// One list finds the survivors; each is reopened with one get and
-			// reclaimed — still live in the lib, so without a lookup — with
-			// one delete; then the fresh WAL is a "create absent" on the group
-			// the last reclaim parked, so without a registry list.
-			want: func(b *budget) ops {
-				return ops{"list": 1, "get": b.logs, "delete": b.logs, "create": 1}
-			}},
+			// The directory names the survivors; each is reopened from it and
+			// reclaimed — still live in the lib — with one delete; then the
+			// fresh WAL is a "create absent" on the group the last reclaim
+			// parked, so without a registry list.
+			want: func(b *budget) ops { return ops{"delete": b.logs, "create": 1} }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -142,10 +142,10 @@ func (fs *FS) OpenFile(p *simnet.Proc, path string, flags OpenFlag, regionSize i
 }
 
 // openNCL opens path in near-compute logs. Whatever the flags, the ap-map
-// is asked about the name at most once (DESIGN.md §15): by the Recover that
-// reopens it, under O_TRUNC by the release that clears it, and — unless its
-// create fails — not at all when an O_CREATE names a file the lib does not
-// know (createFirst).
+// is asked about the name at most once (DESIGN.md §15), and not at all for a
+// name the lib's fenced directory holds: the Recover that reopens it and,
+// under O_TRUNC, the release that clears it read the entry from there, and
+// an O_CREATE of a name the lib does not know creates it (createFirst).
 func (fs *FS) openNCL(p *simnet.Proc, path string, flags OpenFlag, regionSize int64) (File, error) {
 	if f, ok := fs.nclOpen[path]; ok {
 		return f, nil
@@ -176,11 +176,11 @@ func (fs *FS) openNCL(p *simnet.Proc, path string, flags OpenFlag, regionSize in
 
 // createFirst opens a name the lib does not know — a rotation's successor, a
 // fresh WAL — by creating it, one controller round trip fewer than asking
-// the ap-map first. The lib can miss a name another instance of the
-// application created after this one's session started, and the create's
-// conditional ap-map write is what catches that: if the create fails for any
-// reason, the file is recovered instead, and the create's error is returned
-// only when the ap-map holds no entry for the name.
+// the ap-map first. The lib can miss only a name a newer instance of the
+// application created after this one's session started, and that instance's
+// session fenced this one: the create's ap-map write fails (ErrFenced), the
+// file is recovered instead, and the create's error is returned only when
+// the ap-map holds no entry for the name.
 func (fs *FS) createFirst(p *simnet.Proc, path string, flags OpenFlag, regionSize int64) (File, error) {
 	lg, err := fs.lib.Open(p, path, regionSize, flags&O_APPEND != 0)
 	if err != nil {
@@ -205,8 +205,9 @@ func (fs *FS) handle(lg *ncl.Log, path string) *nclFile {
 // Unlink removes a file from whichever layer holds it. Deleting an ncl file
 // releases its peer regions and ap-map entry — the delete-to-reclaim
 // pattern of RocksDB/Redis logs. Only when the ap-map answers that it does
-// not hold the name is the file looked for in the dfs: a controller error is
-// returned, never read as "not an ncl file".
+// not hold the name — asked, since the lib's directory lacks it — is the
+// file looked for in the dfs: a controller error is returned, never read as
+// "not an ncl file".
 func (fs *FS) Unlink(p *simnet.Proc, path string) error {
 	delete(fs.nclOpen, path)
 	err := fs.lib.ReleaseByName(p, path)

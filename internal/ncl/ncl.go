@@ -89,11 +89,13 @@ type Lib struct {
 
 	logs map[string]*Log
 
-	// known is the application's ap-map directory as this lib has seen it:
-	// the names listed when its session started, plus the names it created
-	// or found since, minus those it deleted. It only orders an O_CREATE
-	// open's calls (Known); whether a file exists is decided by the ap-map.
-	known map[string]bool
+	// dir is the application's ap-map directory as this lib knows it: each
+	// entry and version as its session listed, or it since created,
+	// published, looked up or deleted them (DESIGN.md §15). The session
+	// fenced the ap-map at the lib's token, so an entry here is exact until
+	// a newer instance fences this one; a write of the lib's own that neither
+	// answered nor was read back leaves its name unsure.
+	dir map[string]apEntry
 
 	// blame holds the peers that recently failed a data-path operation or a
 	// set-up; allocation skips them while blamed, since the controller's
@@ -132,28 +134,63 @@ func NewLib(p *simnet.Proc, svc *controller.Service, fabric *rdma.Fabric, node *
 		cfg:     cfg,
 		policy:  policy,
 		logs:    make(map[string]*Log),
-		known:   make(map[string]bool),
+		dir:     make(map[string]apEntry),
 		blame:   simnet.NewBlameSet(node.Sim()),
 		deletes: make(map[string]*spareGroup),
 	}
 	l.ctrl = controller.NewClient(svc, node, appID, fencing)
-	names, err := l.ctrl.StartSession(p, appID)
+	files, err := l.ctrl.StartSession(p, appID)
 	if err != nil {
 		return nil, fmt.Errorf("ncl: controller session: %w", err)
 	}
-	for _, name := range names {
-		l.known[name] = true
+	for _, f := range files {
+		l.dir[f.Name] = apEntry{entry: f.Entry, version: f.Version}
 	}
 	return l, nil
 }
 
-// Known reports whether name may have an ap-map entry as far as this lib has
-// seen: listed when its session started, or created or found since and not
-// deleted. A name it does not know can still exist — another instance of the
-// application may have created it after this session started — so false
-// only says which call to try first: Open, whose conditional create fails
-// on an existing entry, rather than Recover.
-func (l *Lib) Known(name string) bool { return l.known[name] }
+// apEntry is the lib's view of one ap-map entry: its value and version, or,
+// unsure, neither — a write of the lib's own to it neither answered nor was
+// resolved by reading the entry back, so it may or may not exist.
+type apEntry struct {
+	entry   controller.FileEntry
+	version int64
+	unsure  bool
+}
+
+// Known reports whether name may have an ap-map entry as far as this lib
+// knows: its directory holds the name, sure or unsure. A name it does not know
+// can still exist only if a newer instance of the application created it
+// after this session started — and that instance's session fenced this one
+// — so false only says which call to try first: Open, whose conditional
+// create fails on an existing entry, rather than Recover.
+func (l *Lib) Known(name string) bool {
+	_, ok := l.dir[name]
+	return ok
+}
+
+// written records the outcome of one of the lib's ap-map writes to name: the
+// entry at version, or, found is false, no entry.
+func (l *Lib) written(name string, entry controller.FileEntry, version int64, found bool) {
+	if found {
+		l.dir[name] = apEntry{entry: entry, version: version}
+	} else {
+		delete(l.dir, name)
+	}
+}
+
+// deleteEntry deletes name's ap-map entry at version (-1: whatever version it
+// is at). A delete that fails leaves the name unsure: its reply may be what
+// was lost.
+func (l *Lib) deleteEntry(p *simnet.Proc, name string, version int64) error {
+	err := l.ctrl.DeleteAppFile(p, l.appID, name, version)
+	if err != nil {
+		l.dir[name] = apEntry{unsure: true}
+	} else {
+		delete(l.dir, name)
+	}
+	return err
+}
 
 // AcquireInstanceLock claims the application's single-instance znode. Call
 // once at start-up; the paper requires that only one instance of the
@@ -163,8 +200,11 @@ func (l *Lib) AcquireInstanceLock(p *simnet.Proc) error {
 }
 
 // ListFiles returns the ncl files recorded for this application in the
-// ap-map — what a recovering instance must restore. It first waits for the
-// ap-map deletes of this lib's releases, and fails with the first that did.
+// ap-map — what a recovering instance must restore — as the lib's directory
+// holds them, without asking the controller: the names its session listed
+// and it created since, minus those it deleted, plus every unsure name. It
+// first waits for the ap-map deletes of this lib's releases, and fails with
+// the first that did.
 func (l *Lib) ListFiles(p *simnet.Proc) ([]string, error) {
 	pending := make([]*spareGroup, 0, len(l.deletes))
 	for _, s := range l.deletes {
@@ -176,12 +216,8 @@ func (l *Lib) ListFiles(p *simnet.Proc) ([]string, error) {
 			return nil, err
 		}
 	}
-	entries, err := l.ctrl.ListAppFiles(p, l.appID)
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, 0, len(entries))
-	for name := range entries {
+	names := make([]string, 0, len(l.dir))
+	for name := range l.dir {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -405,7 +441,7 @@ func (l *Lib) Open(p *simnet.Proc, name string, capacity int64, appendOnly bool)
 	// fails too, the entry stays, as it would had the application died here.
 	fail := func(err error) (*Log, error) {
 		if created != nil && createErr == nil {
-			l.ctrl.DeleteAppFile(p, l.appID, name, lg.apVersion) //nolint:errcheck
+			l.deleteEntry(p, name, lg.apVersion) //nolint:errcheck
 		}
 		lg.teardown(p)
 		return nil, err
@@ -432,7 +468,6 @@ func (l *Lib) Open(p *simnet.Proc, name string, capacity int64, appendOnly bool)
 		lg.apVersion, lg.epoch = ver, epoch
 	}
 	l.logs[name] = lg
-	l.known[name] = true
 	lg.start(p)
 	return lg, nil
 }
@@ -503,7 +538,7 @@ func (lg *Log) fileEntry(epoch int64) controller.FileEntry {
 }
 
 // publish writes entry — lg's membership under a new epoch — into the ap-map
-// and returns the entry's new version: the one place the ap-map is written.
+// and returns the entry's new version: the one place an entry is written.
 // Open creates the entry (no version seen yet); recovery and live replacement
 // compare-and-set the version they read. It is one proposal. The proposal may
 // have committed even though its reply was lost (a dropped message, a timeout
@@ -512,18 +547,26 @@ func (lg *Log) fileEntry(epoch int64) controller.FileEntry {
 // names this membership at this epoch under this lib's fencing token, the
 // first submission won. Membership and epoch alone do not say so: another
 // instance of the application creating the same name ranks the same peers
-// and starts at the same epoch.
+// and starts at the same epoch. The lib's directory takes what the write
+// answered or the read-back found; a read-back that fails too leaves the
+// name unsure.
 func (lg *Log) publish(p *simnet.Proc, entry controller.FileEntry) (int64, error) {
 	l := lg.lib
 	ver, err := l.ctrl.SetAppFile(p, l.appID, lg.name, entry, lg.apVersion)
-	if err != nil {
-		got, gver, found, gerr := l.ctrl.GetAppFile(p, l.appID, lg.name)
-		if gerr != nil || !found || got.Fencing != entry.Fencing || got.Epoch != entry.Epoch || !slices.Equal(got.Peers, entry.Peers) {
-			return 0, err
-		}
-		ver = gver
+	if err == nil {
+		l.written(lg.name, entry, ver, true)
+		return ver, nil
 	}
-	return ver, nil
+	got, gver, found, gerr := l.ctrl.GetAppFile(p, l.appID, lg.name)
+	if gerr != nil {
+		l.dir[lg.name] = apEntry{unsure: true}
+		return 0, err
+	}
+	l.written(lg.name, got, gver, found)
+	if !found || got.Fencing != entry.Fencing || got.Epoch != entry.Epoch || !slices.Equal(got.Peers, entry.Peers) {
+		return 0, err
+	}
+	return gver, nil
 }
 
 // start spawns the completion poller and the repair proc. Both die with the
@@ -757,7 +800,7 @@ func (lg *Log) Release(p *simnet.Proc) error {
 	lg.mu.Unlock(p)
 
 	l := lg.lib
-	delete(l.known, lg.name)
+	delete(l.dir, lg.name)
 	displaced := l.spare
 	l.spare = spare
 	l.submitDelete(p, spare)
@@ -786,24 +829,28 @@ func (l *Lib) ReleaseByName(p *simnet.Proc, name string) error {
 	return l.release(p, name, entry.Peers)
 }
 
-// lookup reads name's ap-map entry and version: the one controller round
-// trip that reopening or unlinking a file this instance does not hold starts
-// with (§4.5.1 "get peer"). It waits for a pending delete of name first. An
-// absent name is ErrNotFound; a controller error is returned as such, never
-// as absence. Either answer updates Known.
+// lookup returns name's ap-map entry and version, which reopening or
+// unlinking a file this instance does not hold starts with (§4.5.1 "get
+// peer"). It waits for a pending delete of name first. A name the lib's
+// directory holds, sure, is answered from it, without a controller round
+// trip; an unsure name, or one the directory lacks, is read from the ap-map
+// and the answer kept. An absent name is ErrNotFound; a controller error is
+// returned as such, never as absence.
 func (l *Lib) lookup(p *simnet.Proc, name string) (controller.FileEntry, int64, error) {
 	if err := l.awaitDelete(p, name); err != nil {
 		return controller.FileEntry{}, 0, err
+	}
+	if e, ok := l.dir[name]; ok && !e.unsure {
+		return e.entry, e.version, nil
 	}
 	entry, ver, found, err := l.ctrl.GetAppFile(p, l.appID, name)
 	if err != nil {
 		return entry, 0, fmt.Errorf("ncl: ap-map lookup of %s: %w", name, err)
 	}
+	l.written(name, entry, ver, found)
 	if !found {
-		delete(l.known, name)
 		return entry, 0, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
-	l.known[name] = true
 	return entry, ver, nil
 }
 
@@ -814,10 +861,9 @@ func (l *Lib) lookup(p *simnet.Proc, name string) (controller.FileEntry, int64, 
 // which no later instance can recover or get past. If the delete fails, entry
 // and regions both stay and the file remains recoverable.
 func (l *Lib) release(p *simnet.Proc, name string, peers []string) error {
-	if err := l.ctrl.DeleteAppFile(p, l.appID, name, -1); err != nil {
+	if err := l.deleteEntry(p, name, -1); err != nil {
 		return fmt.Errorf("ncl: ap-map delete: %w", err)
 	}
-	delete(l.known, name)
 	l.freeRegions(p, name, peers)
 	return nil
 }

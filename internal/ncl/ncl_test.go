@@ -294,7 +294,8 @@ func TestReleaseEndsLiveReplacement(t *testing.T) {
 // The lib reads its own deletes even when one is slow. A release whose ap-map
 // delete loses its first attempt still returns at once; then a ListFiles, a
 // Recover of the name and an Open of the name each wait for the retry to
-// commit: the list does not name the file, the recovery does not bring back
+// commit: the list does not name the file, nor returns before its entry is
+// gone, the recovery does not bring back
 // the released regions the spare still holds, and the re-create does not
 // race the entry it replaces.
 func TestReleasedNameWaitsForItsDelete(t *testing.T) {
@@ -305,9 +306,14 @@ func TestReleasedNameWaitsForItsDelete(t *testing.T) {
 			call  string
 			check func(name string) error
 		}{
-			{"ListFiles", func(string) error {
+			{"ListFiles", func(name string) error {
 				if files, err := l.ListFiles(p); err != nil || len(files) != 0 {
 					return fmt.Errorf("files %v (%v), want none", files, err)
+				}
+				// The list is the ap-map's once it returns: the entry it
+				// leaves out is gone.
+				if _, _, found, err := l.ctrl.GetAppFile(p, "app1", name); err != nil || found {
+					return fmt.Errorf("the ap-map still holds %s (%v) after the list left it out", name, err)
 				}
 				return nil
 			}},
@@ -350,6 +356,64 @@ func TestReleasedNameWaitsForItsDelete(t *testing.T) {
 			}
 		}
 	})
+}
+
+// The lib's directory is exact only for the ap-map writes that answered. A
+// release whose delete never answers — its request cut, or its reply — leaves
+// the name unsure: a ListFiles that waits for the delete fails with its
+// error, the next one names the file, and the next Recover asks the
+// controller whether the entry survived. A lost request left it (the file is
+// recovered whole from the regions the un-parked spare still holds); a lost
+// reply did not (ErrNotFound, though the same regions are there to recover a
+// stale copy from).
+func TestLostDeleteLeavesNameUnsure(t *testing.T) {
+	for _, lost := range []string{"request", "reply"} {
+		t.Run(lost, func(t *testing.T) {
+			c := newCluster(55, 3, smallPeerCfg())
+			c.run(t, func(p *simnet.Proc) {
+				l := c.newLib(p, t, "app1", 0)
+				lg, err := l.Open(p, "wal", 1<<20, false)
+				if err == nil {
+					_, err = lg.Append(p, []byte("data"))
+				}
+				if err != nil {
+					t.Fatalf("open: %v", err)
+				}
+				for _, n := range c.svc.Nodes() {
+					if lost == "request" {
+						c.sim.Net().PartitionOneWay(c.appNode, n)
+					} else {
+						c.sim.Net().PartitionOneWay(n, c.appNode)
+					}
+				}
+				if err := lg.Release(p); err != nil {
+					t.Fatalf("release: %v", err)
+				}
+				if files, err := l.ListFiles(p); err == nil {
+					t.Errorf("ListFiles behind the lost delete: %v, want the delete's error", files)
+				}
+				for _, n := range c.svc.Nodes() {
+					c.sim.Net().Heal(c.appNode, n)
+				}
+				if files, err := l.ListFiles(p); err != nil || !slices.Equal(files, []string{"wal"}) {
+					t.Errorf("ListFiles after the lost delete: %v (%v), want wal", files, err)
+				}
+				col := trace.New()
+				c.sim.SetTracer(col)
+				got, err := l.Recover(p, "wal")
+				c.sim.SetTracer(nil)
+				if gets := trace.Filter(col.Spans(), "controller", "get"); len(gets) != 1 {
+					t.Errorf("Recover after the lost delete sent %d ap-map gets, want 1", len(gets))
+				}
+				switch {
+				case lost == "reply" && !errors.Is(err, ErrNotFound):
+					t.Errorf("Recover after the lost reply: %v, want ErrNotFound", err)
+				case lost == "request" && (err != nil || got.Sync(p) != nil || string(got.Bytes()) != "data"):
+					t.Errorf("Recover after the lost request: %v, want the file", err)
+				}
+			})
+		})
+	}
 }
 
 // timed runs fn under a fresh collector and returns its virtual duration and

@@ -19,10 +19,12 @@ import (
 // different machine) reconstructs each ncl file's most up-to-date content
 // from the log peers recorded in the ap-map:
 //
-//  1. Fetch the ap-map entry from the controller ("get peer"). The entry
-//     carries the replication policy the file was written under, so a
-//     recovering instance — even one configured with a different default —
-//     rebuilds the file correctly.
+//  1. Look the ap-map entry up ("get peer"): in the lib's directory, which
+//     the session's one proposal listed and fenced, so a listed file costs
+//     no controller round trip (Lib.lookup). The entry carries the
+//     replication policy the file was written under, so a recovering
+//     instance — even one configured with a different default — rebuilds
+//     the file correctly.
 //  2. Contact every peer at once; a peer that crashed since the allocation
 //     has lost its mr-map and rejects the lookup ("connect").
 //  3. Read phase ("rdma read"): the policy fixes the cut — the log's length
@@ -45,8 +47,8 @@ import (
 // returns its error.
 
 // Recovery time breaks down as Fig 11(b) does via trace spans: Recover emits
-// an "ncl"/"recover" span with child spans "recover.getpeer" (controller
-// ap-map fetch), "recover.connect" (peer lookups + QP connects),
+// an "ncl"/"recover" span with child spans "recover.getpeer" (the ap-map
+// lookup; 0 for a file the session listed), "recover.connect" (peer lookups + QP connects),
 // "recover.rdmaread" (the policy's read phase, to the arrival of the last
 // segment) and "recover.syncpeer" (the policy's sync phase + replacements).
 // The parent ends when the background phase does. Attach a trace.Collector to
@@ -122,7 +124,7 @@ func (l *Lib) Recover(p *simnet.Proc, name string) (*Log, error) {
 	}
 	rsp := p.StartSpan("ncl", "recover", trace.Str("file", name))
 
-	// (1) ap-map fetch.
+	// (1) ap-map lookup.
 	gp := p.StartSpan("ncl", "recover.getpeer")
 	entry, ver, err := l.lookup(p, name)
 	p.EndSpan(gp)

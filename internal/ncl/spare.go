@@ -21,13 +21,14 @@ import (
 // be lost, the recovery that finds the tombstone finishes the release. A
 // rotation is then one set-up wave with the successor's create proposed
 // beside it (allocate), and the create joins the delete's raft round: the
-// successor's name is one the lib does not know (Lib.Known), so core opens it
-// without asking the ap-map first.
+// successor's name is one the lib's directory lacks (Lib.Known), so core
+// opens it without asking the ap-map first.
 //
 // The lib reads its own deletes: ListFiles, and a lookup, Recover or Open of
 // the released name, wait for its pending delete and return its error.
 // Nothing else does. A delete that fails un-parks the spare it has not lost
-// yet — its entry still names the regions — and leaves the name Known.
+// yet — its entry may still name the regions — and leaves the name Known,
+// unsure: the next lookup asks the controller whether the entry survived.
 //
 // The spare costs one group of peer memory per lib until an open takes it, a
 // later release displaces it — it is then freed once its own delete has
@@ -113,23 +114,22 @@ func (l *Lib) submitDelete(p *simnet.Proc, s *spareGroup) {
 	l.deletes[s.name] = s
 	p.GoOn(l.node, "ncl-delete", func(dp *simnet.Proc) {
 		s.sent.Release(dp) // dp runs on into the send before the releaser wakes
-		err := l.ctrl.DeleteAppFile(dp, l.appID, s.name, -1)
-		l.settle(dp, s, err)
+		l.settle(dp, s, l.deleteEntry(dp, s.name, -1))
 	})
 	s.sent.Acquire(p)
 }
 
 // settle records the outcome of s's delete and wakes its waiters. A failed
-// delete leaves the entry, so the name is Known again and the spare, unless an
-// open took it already, no longer spare. A committed one frees the group if a
-// later release displaced it meanwhile.
+// delete may have left the entry, so the name is Known again, unsure
+// (deleteEntry), and the spare, unless an open took it already, no longer
+// spare. A committed one frees the group if a later release displaced it
+// meanwhile.
 func (l *Lib) settle(p *simnet.Proc, s *spareGroup, err error) {
 	if l.deletes[s.name] == s {
 		delete(l.deletes, s.name)
 	}
 	if err != nil {
 		s.err = fmt.Errorf("ncl: ap-map delete of %s: %w", s.name, err)
-		l.known[s.name] = true
 		if l.spare == s {
 			l.spare = nil
 		}

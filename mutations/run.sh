@@ -35,6 +35,8 @@ rows=(
 	"failed-open-keeps-entry.patch|./internal/ncl|^TestPolicyConformance$/^spare_members_down_beside_the_create/"
 	"hint-per-client.patch|./internal/controller|^TestClientsOnOneNodeShareTheLeaderHint$"
 	"setup-failure-not-blamed.patch|./internal/ncl|^TestPoolDropsDeadPeerInsideRefreshWindow$/^ttl=0s$"
+	"apmap-write-ignores-fence.patch|./internal/controller|^TestSessionFencesItsAppDirectory$"
+	"lost-delete-trusts-cache.patch|./internal/ncl|^TestLostDeleteLeavesNameUnsure$"
 )
 
 status=0
