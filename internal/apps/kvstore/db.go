@@ -40,6 +40,11 @@ const (
 	l0CompactTrigger = 4
 	// maxImmutables stalls writers when this many unflushed memtables pile up.
 	maxImmutables = 4
+	// retryDelay is how long a failed flush or compaction waits before it
+	// tries again. It waits out a dfs fault (storage nodes down, no chain
+	// can form): the memtables stay in memory meanwhile, and writers stall
+	// at maxImmutables until a flush lands.
+	retryDelay = 10 * time.Millisecond
 )
 
 // Config tunes the store.
@@ -301,7 +306,7 @@ func (db *DB) commitBatch(p *simnet.Proc, batch []*writeReq) error {
 	}
 	for len(db.imm) >= maxImmutables && !db.closed {
 		start := p.Now()
-		db.flush.WaitTimeout(p, 20*time.Millisecond)
+		db.flush.Wait(p)
 		db.StallTime += p.Now() - start
 	}
 	// Prepare the next WAL off the critical path once half full.
@@ -393,7 +398,7 @@ func (db *DB) flusherLoop(p *simnet.Proc) {
 	for {
 		db.mu.Lock(p)
 		for len(db.imm) == 0 && !db.closed {
-			db.flush.WaitTimeout(p, 50*time.Millisecond)
+			db.flush.Wait(p)
 		}
 		if db.closed {
 			db.mu.Unlock(p)
@@ -406,7 +411,7 @@ func (db *DB) flusherLoop(p *simnet.Proc) {
 
 		t, err := writeSSTable(p, db.fs, path, sortedEntries(m.data))
 		if err != nil {
-			p.Sleep(10 * time.Millisecond)
+			p.Sleep(retryDelay)
 			continue
 		}
 		db.mu.Lock(p)
@@ -430,7 +435,7 @@ func (db *DB) compactorLoop(p *simnet.Proc) {
 	for {
 		db.mu.Lock(p)
 		for len(db.l0) < l0CompactTrigger && !db.closed {
-			db.compact.WaitTimeout(p, 100*time.Millisecond)
+			db.compact.Wait(p)
 		}
 		if db.closed {
 			db.mu.Unlock(p)
@@ -442,14 +447,14 @@ func (db *DB) compactorLoop(p *simnet.Proc) {
 
 		merged, err := db.mergeTables(p, inputsL0, inputsL1)
 		if err != nil {
-			p.Sleep(10 * time.Millisecond)
+			p.Sleep(retryDelay)
 			continue
 		}
 		db.fileSeq++
 		path := db.sstPath(1, db.fileSeq)
 		t, err := writeSSTable(p, db.fs, path, merged)
 		if err != nil {
-			p.Sleep(10 * time.Millisecond)
+			p.Sleep(retryDelay)
 			continue
 		}
 		db.mu.Lock(p)

@@ -20,9 +20,20 @@ func testConfig(d Durability) Config {
 	return cfg
 }
 
+// horizon bounds every store script in virtual time. The store's writer,
+// flusher and compactor wait on their conds alone, so a lost wake-up leaves
+// the body blocked: the horizon fails it at once, where harness.Run's 24 h
+// would carry the background timers on for minutes of host time.
+const horizon = 30 * time.Second
+
 func withDB(t *testing.T, seed int64, d Durability, fn func(p *simnet.Proc, c *harness.Cluster, db *DB)) {
 	t.Helper()
 	c := harness.New(harness.Options{Seed: seed, NumPeers: 4})
+	c.Sim.Go("horizon", func(p *simnet.Proc) {
+		p.Sleep(horizon)
+		c.Sim.Stop()
+	})
+	done := false
 	err := c.Run(func(p *simnet.Proc) error {
 		fs, err := c.NewFS(p, "kvapp", 0)
 		if err != nil {
@@ -33,10 +44,14 @@ func withDB(t *testing.T, seed int64, d Durability, fn func(p *simnet.Proc, c *h
 			return err
 		}
 		fn(p, c, db)
+		done = true
 		return nil
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
+	}
+	if !done && !t.Failed() {
+		t.Fatalf("store script still blocked at the %v horizon", horizon)
 	}
 }
 
@@ -139,6 +154,91 @@ func TestDeleteTombstones(t *testing.T) {
 		if _, ok, _ := db.Get(p, "doomed"); ok {
 			t.Fatal("deleted key resurrected by compaction")
 		}
+	})
+}
+
+// A writer stalled at maxImmutables resumes when the flusher pops a
+// memtable: the stall waits on the flush cond, and nothing else wakes it.
+func TestStalledWriterResumesAfterFlush(t *testing.T) {
+	withDB(t, 6, SplitFT, func(p *simnet.Proc, c *harness.Cluster, db *DB) {
+		// Sixteen writers group-commit 4 KB values, and every storage node
+		// sits 2 ms further from the app: memtables fill faster than the
+		// flusher writes tables.
+		for _, sn := range c.StorageNodes {
+			c.Sim.Net().SetLinkLatency(c.AppNode, sn, 2*time.Millisecond)
+		}
+		val := bytes.Repeat([]byte("s"), 4<<10)
+		const writers, each = 16, 40 // ~2.6 MB, 40 memtables
+		var wg simnet.WaitGroup
+		wg.Add(writers)
+		for w := 0; w < writers; w++ {
+			p.GoOn(c.AppNode, fmt.Sprintf("writer%d", w), func(wp *simnet.Proc) {
+				defer wg.Done(wp)
+				for i := 0; i < each; i++ {
+					if err := db.Put(wp, fmt.Sprintf("k%02d-%03d", w, i), val); err != nil {
+						t.Errorf("put: %v", err)
+						return
+					}
+				}
+			})
+		}
+		wg.Wait(p)
+		if db.StallTime == 0 {
+			t.Fatal("no writer stalled at maxImmutables")
+		}
+		for _, k := range []string{"k00-000", "k07-020", "k15-039"} {
+			if v, ok, err := db.Get(p, k); err != nil || !ok || !bytes.Equal(v, val) {
+				t.Fatalf("get %s: %v %v", k, ok, err)
+			}
+		}
+	})
+}
+
+// A flush that fails is retried after retryDelay until it lands. With every
+// storage node isolated no extent chain can form: writers fill the
+// immutable memtables and stall. Once the nodes are back, the retried
+// flushes land, the store accepts writes again and its tables hold them.
+func TestFlushRetriesUntilStorageReturns(t *testing.T) {
+	withDB(t, 7, SplitFT, func(p *simnet.Proc, c *harness.Cluster, db *DB) {
+		net := c.Sim.Net()
+		for _, sn := range c.StorageNodes {
+			net.Isolate(sn)
+		}
+		val := bytes.Repeat([]byte("r"), 1000)
+		const n = 1000 // ~1 MB, 15 memtables
+		var wg simnet.WaitGroup
+		wg.Add(1)
+		p.GoOn(c.AppNode, "writer", func(wp *simnet.Proc) {
+			defer wg.Done(wp)
+			for i := 0; i < n; i++ {
+				if err := db.Put(wp, fmt.Sprintf("user%06d", i), val); err != nil {
+					t.Errorf("put %d: %v", i, err)
+					return
+				}
+			}
+		})
+		p.Sleep(2 * time.Second)
+		if db.Flushes != 0 || len(db.imm) < maxImmutables || db.Ops >= n {
+			t.Fatalf("with storage cut off: %d flushes, %d immutables, %d of %d ops", db.Flushes, len(db.imm), db.Ops, n)
+		}
+		for _, sn := range c.StorageNodes {
+			net.Unisolate(sn)
+		}
+		wg.Wait(p)
+		for i := 0; i < n; i++ {
+			if v, ok, err := db.Get(p, fmt.Sprintf("user%06d", i)); err != nil || !ok || !bytes.Equal(v, val) {
+				t.Fatalf("get user%06d: %v %v", i, ok, err)
+			}
+		}
+		// The first memtable filled while storage was cut off is a table now.
+		for _, tb := range db.tables {
+			if _, found, _, err := tb.get(p, "user000000"); err != nil {
+				t.Fatalf("table %s: %v", tb.path, err)
+			} else if found {
+				return
+			}
+		}
+		t.Fatal("no table holds a key written while storage was cut off")
 	})
 }
 

@@ -227,8 +227,24 @@ func TestReadaheadAmortizesSequentialReads(t *testing.T) {
 	}
 }
 
+// runFor runs the simulation to horizon and fails the test if the body has
+// not finished by then: the waits under test are on events alone, so a lost
+// wake-up blocks the body rather than slowing it.
+func runFor(t *testing.T, s *simnet.Sim, horizon time.Duration, done *bool) {
+	t.Helper()
+	if err := s.RunUntil(horizon); err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+	if !*done {
+		t.Fatalf("test body still blocked at the %v horizon", horizon)
+	}
+}
+
+// A writer stalled past the dirty high watermark resumes when a writeback
+// pass ends, and nothing else wakes it.
 func TestDirtyHighWaterStallsWriter(t *testing.T) {
 	fx := newFixture(1)
+	done := false
 	fx.node.Go("test", func(p *simnet.Proc) {
 		f, _ := fx.client.OpenFile(p, "/log", true, false)
 		// Write far past the high watermark without syncing.
@@ -239,9 +255,37 @@ func TestDirtyHighWaterStallsWriter(t *testing.T) {
 		if fx.client.StallTime == 0 {
 			t.Error("expected writer stalls past the dirty high watermark")
 		}
+		done = true
 		fx.sim.Stop()
 	})
-	run(t, fx.sim)
+	runFor(t, fx.sim, 10*time.Second, &done)
+}
+
+// An fsync that overlaps an in-flight writeback of the same file returns
+// only once that flush has landed. The writeback took the dirty spans, so
+// the fsync has nothing of its own to push: it waits its turn on the file.
+func TestFsyncWaitsForInflightWriteback(t *testing.T) {
+	fx := newFixture(1)
+	done := false
+	fx.node.Go("test", func(p *simnet.Proc) {
+		f, _ := fx.client.OpenFile(p, "/log", true, false)
+		data := bytes.Repeat([]byte("w"), 16<<20) // ~32 ms on the storage pipe
+		f.Write(p, data)
+		fx.client.flushNow.Send(p, struct{}{})
+		p.Sleep(time.Millisecond)
+		if f.DirtyBytes() != 0 {
+			t.Fatalf("writeback has not taken the spans: %d dirty bytes", f.DirtyBytes())
+		}
+		if err := f.Sync(p); err != nil {
+			t.Fatalf("sync: %v", err)
+		}
+		if got, _ := fx.cluster.DurableBytes("/log"); !bytes.Equal(got, data) {
+			t.Errorf("fsync returned with %d of %d bytes durable", len(got), len(data))
+		}
+		done = true
+		fx.sim.Stop()
+	})
+	runFor(t, fx.sim, 10*time.Second, &done)
 }
 
 func TestAddSpanMerging(t *testing.T) {

@@ -52,12 +52,14 @@ type File struct {
 	// syncs is the cluster's fsync counter for this file's backend.
 	syncs *int64
 
-	view     []byte
-	size     int64 // buffered length; an extent file's view may be shorter
-	dirty    []span
-	offset   int64 // cursor for Write/Read
-	flushing bool
-	closed   bool
+	view   []byte
+	size   int64 // buffered length; an extent file's view may be shorter
+	dirty  []span
+	offset int64 // cursor for Write/Read
+	closed bool
+	// flushMu is held across a flush: an fsync must not return before an
+	// earlier in-flight flush of this file has landed durably.
+	flushMu simnet.Mutex
 }
 
 // OpenFile opens path, creating it if create is set and it doesn't exist —
@@ -157,16 +159,8 @@ func (f *File) flush(p *simnet.Proc, foreground bool) error {
 	}
 	tsp := p.StartSpan("dfs", op, trace.Str("path", f.path))
 	defer p.EndSpan(tsp)
-	// An fsync must not return before an earlier in-flight flush of this
-	// file has landed durably.
-	for f.flushing {
-		p.Sleep(100 * time.Microsecond)
-		if err := cl.checkAlive(); err != nil {
-			return err
-		}
-	}
-	f.flushing = true
-	defer func() { f.flushing = false }()
+	f.flushMu.Lock(p)
+	defer f.flushMu.Unlock(p)
 	n := spanBytes(f.dirty)
 	tsp.SetAttr(trace.Int("bytes", n))
 	if n == 0 {

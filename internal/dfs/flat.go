@@ -32,7 +32,7 @@ func (b *flatBackend) admit(p *simnet.Proc, off, n int64) {
 		start := p.Now()
 		cl.flushNow.Send(p, struct{}{})
 		cl.stallMu.Lock(p)
-		cl.stallCond.WaitTimeout(p, 20*time.Millisecond)
+		cl.stallCond.Wait(p)
 		cl.stallMu.Unlock(p)
 		cl.StallTime += p.Now() - start
 	}

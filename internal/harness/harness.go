@@ -147,10 +147,10 @@ func (c *Cluster) peerCfgFor(i int) peer.Config {
 	return cfg
 }
 
-// Boot waits out controller election and starts the peer daemons. Call it
-// from a proc before using NCL.
+// Boot starts the peer daemons. Call it from a proc before using NCL. The
+// first peer's session rides the raft client through the controller's
+// election, so Boot returns once a leader has registered every peer.
 func (c *Cluster) Boot(p *simnet.Proc) error {
-	p.Sleep(time.Second)
 	for i, n := range c.PeerNodes {
 		pr, err := peer.Start(p, c.Controller, c.Fabric, n, c.peerCfgFor(i))
 		if err != nil {

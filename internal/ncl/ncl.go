@@ -613,10 +613,6 @@ func (lg *Log) pollLoop(p *simnet.Proc) {
 	}
 }
 
-// ackTimeout is how long Record waits without majority progress before it
-// kicks the repair path again.
-const ackTimeout = 5 * time.Millisecond
-
 // Record replicates one application write at the given file offset (§4.4).
 // It assigns the next sequence number, hands the write to the replication
 // policy (mirror: data + header WR per active peer; ec: one coded frame per
@@ -665,15 +661,14 @@ func (lg *Log) Record(p *simnet.Proc, off int64, data []byte) error {
 	}
 	p.Sleep(lg.lib.cfg.RecordCPU)
 	lg.Records++
+	// Every completion broadcasts ackCond. A member found failed is kicked
+	// to repair where it is marked (pollLoop, Lib.peerDown), and its
+	// replacement's delta lands as completions too.
 	for lg.ackCount(seq) < lg.place.AckNeed {
 		if lg.released {
 			return ErrReleased
 		}
-		if timedOut := lg.ackCond.WaitTimeout(p, ackTimeout); timedOut {
-			// No majority progress: make sure repair is running (it may
-			// already be replacing failed peers).
-			lg.repairCh.Send(p, struct{}{})
-		}
+		lg.ackCond.Wait(p)
 	}
 	return nil
 }

@@ -31,6 +31,10 @@ type cluster struct {
 	// domains > 0 spreads the peers over that many failure domains,
 	// round-robin by index.
 	domains int
+	// horizon ends the simulation (10 minutes when zero). A script whose
+	// body would block on a lost wake-up sets a short one, so it fails at
+	// once rather than riding the background timers to the default.
+	horizon time.Duration
 }
 
 func newCluster(seed int64, nPeers int, peerCfg peer.Config) *cluster {
@@ -82,7 +86,11 @@ func (c *cluster) run(t *testing.T, fn func(p *simnet.Proc)) {
 		fn(p)
 		finished = true
 	})
-	if err := c.sim.RunUntil(10 * time.Minute); err != nil {
+	horizon := c.horizon
+	if horizon == 0 {
+		horizon = 10 * time.Minute
+	}
+	if err := c.sim.RunUntil(horizon); err != nil {
 		t.Fatalf("sim: %v", err)
 	}
 	if !finished && !t.Failed() {
@@ -212,6 +220,41 @@ func TestSlowPeerDoesNotBlockMajority(t *testing.T) {
 			t.Errorf("record waited for the slow peer: %v", lat)
 		}
 	})
+}
+
+// A write beyond the failure budget returns once a replacement is caught
+// up. Record waits on completions alone, so it rests on every failure the
+// poller marks kicking repair: a kick lost stalls the write for good, and
+// the horizon fails the test.
+func TestStalledRecordWaitsForItsReplacement(t *testing.T) {
+	for _, pol := range allPolicies {
+		t.Run(pol, func(t *testing.T) {
+			c := newCluster(1, 12, smallPeerCfg())
+			c.horizon = 5 * time.Second
+			c.run(t, func(p *simnet.Proc) {
+				l, err := NewLib(p, c.svc, c.fabric, c.appNode, "app1", 0, policyCfg(t, pol))
+				if err != nil {
+					t.Fatalf("new lib: %v", err)
+				}
+				lg, err := l.Open(p, "wal", 256<<10, false)
+				if err != nil {
+					t.Fatalf("open: %v", err)
+				}
+				if _, err := lg.Append(p, []byte("before")); err != nil {
+					t.Fatalf("append: %v", err)
+				}
+				for _, v := range lg.LivePeers()[:lg.Policy().Tolerates()+1] {
+					c.pNodes[v].Crash()
+				}
+				if _, err := lg.Append(p, []byte("beyond f")); err != nil {
+					t.Fatalf("append beyond f: %v", err)
+				}
+				if lg.Replacements == 0 {
+					t.Fatal("the write beyond f returned before any replacement")
+				}
+			})
+		})
+	}
 }
 
 // Release removes the ap-map entry and parks the regions: every member keeps

@@ -20,7 +20,8 @@ import (
 // until a replacement is caught up (the ~100 ms stall of Fig 12).
 
 // repairLoop waits for failure notifications and replaces failed peers one
-// at a time.
+// at a time. repairCh buffers a kick sent during a replacement, so a member
+// failed meanwhile gets one more pass.
 func (lg *Log) repairLoop(p *simnet.Proc) {
 	for {
 		if _, ok := lg.repairCh.Recv(p); !ok {

@@ -17,21 +17,22 @@ import (
 type Client struct {
 	cluster *Cluster
 	node    *simnet.Node
-	// Deadline bounds one Propose end to end (default DefaultDeadline).
-	Deadline time.Duration
+	// deadline bounds one Propose end to end: DefaultDeadline, lowered
+	// only by raft's own tests.
+	deadline time.Duration
 	// CallTimeout bounds each RPC attempt (default 500ms). Lower it when
 	// the caller must fail over quickly, e.g. session keep-alives racing an
 	// expiry clock.
 	CallTimeout time.Duration
 }
 
-// DefaultDeadline is a new Client's Deadline: how long one Propose may
-// take end to end, retries included.
+// DefaultDeadline is how long one Propose may take end to end, retries
+// included.
 const DefaultDeadline = 3 * time.Second
 
 // NewClient creates a client that calls from node.
 func NewClient(cluster *Cluster, node *simnet.Node) *Client {
-	return &Client{cluster: cluster, node: node, Deadline: DefaultDeadline, CallTimeout: 500 * time.Millisecond}
+	return &Client{cluster: cluster, node: node, deadline: DefaultDeadline, CallTimeout: 500 * time.Millisecond}
 }
 
 // Propose submits cmd, blocking until the state machine applied it on the
@@ -47,7 +48,7 @@ func (c *Client) Propose(p *simnet.Proc, cmd wire.Msg) (wire.Msg, error) {
 		defer p.EndSpan(sp)
 	}
 	net := c.cluster.sim.Net()
-	deadline := p.Now() + c.Deadline
+	deadline := p.Now() + c.deadline
 	var lastErr error = ErrTimeout
 	key := hintKey{c.node.Name(), c.node.Incarnation()}
 	for p.Now() < deadline {
@@ -68,10 +69,11 @@ func (c *Client) Propose(p *simnet.Proc, cmd wire.Msg) (wire.Msg, error) {
 		if c.cluster.hints[key] == at {
 			c.cluster.hints[key] = (at + 1) % len(c.cluster.ids)
 		}
-		if errors.Is(err, ErrNotLeader) {
-			p.Sleep(10 * time.Millisecond) // election likely in progress
-		} else {
-			p.Sleep(20 * time.Millisecond)
+		// A timed-out attempt has waited its CallTimeout already. One
+		// answered at once (no leader known, ErrBusy) waits the time a new
+		// leader takes to announce itself.
+		if !errors.Is(err, simnet.ErrTimeout) {
+			p.Sleep(heartbeatInterval)
 		}
 	}
 	return wire.Msg{}, lastErr

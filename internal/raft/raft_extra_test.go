@@ -93,7 +93,7 @@ func TestLogMatchingUnderChaos(t *testing.T) {
 	// directly on the persistent logs after a chaotic run.
 	h := newHarness(22, 3)
 	client := NewClient(h.cluster, h.sim.NewNode("app"))
-	client.Deadline = 700 * time.Millisecond
+	client.deadline = 700 * time.Millisecond
 	h.sim.Go("chaos", func(p *simnet.Proc) {
 		ids := h.cluster.ids
 		for round := 0; round < 5; round++ {
@@ -151,7 +151,7 @@ func TestLogMatchingUnderChaos(t *testing.T) {
 func TestClientDeadlineExpires(t *testing.T) {
 	h := newHarness(23, 3)
 	client := NewClient(h.cluster, h.sim.NewNode("app"))
-	client.Deadline = 300 * time.Millisecond
+	client.deadline = 300 * time.Millisecond
 	h.sim.Go("client", func(p *simnet.Proc) {
 		p.Sleep(time.Second)
 		// Kill the entire ensemble: proposals must fail within the deadline.

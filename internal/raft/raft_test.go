@@ -237,7 +237,7 @@ func TestCrashedReplicaCatchesUpAfterRestart(t *testing.T) {
 func TestMinorityPartitionBlocksCommit(t *testing.T) {
 	h := newHarness(6, 3)
 	client := NewClient(h.cluster, h.sim.NewNode("app"))
-	client.Deadline = time.Second
+	client.deadline = time.Second
 	h.sim.Go("client", func(p *simnet.Proc) {
 		p.Sleep(time.Second)
 		ldr := h.leader()
@@ -317,7 +317,7 @@ func TestSafetyNoDivergentApply(t *testing.T) {
 	for seed := int64(10); seed < 16; seed++ {
 		h := newHarness(seed, 3)
 		client := NewClient(h.cluster, h.sim.NewNode("app"))
-		client.Deadline = 800 * time.Millisecond
+		client.deadline = 800 * time.Millisecond
 		h.sim.Go("chaos", func(p *simnet.Proc) {
 			ids := h.cluster.ids
 			for round := 0; round < 4; round++ {

@@ -37,6 +37,10 @@ rows=(
 	"setup-failure-not-blamed.patch|./internal/ncl|^TestPoolDropsDeadPeerInsideRefreshWindow$/^ttl=0s$"
 	"apmap-write-ignores-fence.patch|./internal/controller|^TestSessionFencesItsAppDirectory$"
 	"lost-delete-trusts-cache.patch|./internal/ncl|^TestLostDeleteLeavesNameUnsure$"
+	"repair-kick-lost.patch|./internal/ncl|^TestStalledRecordWaitsForItsReplacement$"
+	"flush-wakes-no-writer.patch|./internal/apps/kvstore|^TestStalledWriterResumesAfterFlush$"
+	"writeback-wakes-no-staller.patch|./internal/dfs|^TestDirtyHighWaterStallsWriter$"
+	"fsync-skips-inflight-flush.patch|./internal/dfs|^TestFsyncWaitsForInflightWriteback$"
 )
 
 status=0
@@ -62,7 +66,7 @@ for row in "${rows[@]}"; do
 		fi
 	fi
 	rm -rf "$tmp"
-	printf '%-38s %-18s %s\n' "$patch" "$pkg" "$verdict"
+	printf '%-38s %-24s %s\n' "$patch" "$pkg" "$verdict"
 	[ "$verdict" = caught ] || status=1
 done
 exit $status
