@@ -132,7 +132,9 @@ type Client struct {
 	node    *simnet.Node
 	dead    bool
 
-	open  map[*File]struct{}
+	open map[*File]struct{}
+	// dirty is the mount's dirty total: the bytes of the open flat files'
+	// dirty spans, each byte once however often it was rewritten.
 	dirty int64
 
 	cache     map[blockKey]*blockEnt

@@ -261,6 +261,28 @@ func TestDirtyHighWaterStallsWriter(t *testing.T) {
 	runFor(t, fx.sim, 10*time.Second, &done)
 }
 
+// The mount's dirty total counts a rewritten byte once: a writer that keeps
+// rewriting one range holds that range dirty, not a high watermark's worth,
+// and never stalls.
+func TestRewriteCountsDirtyOnce(t *testing.T) {
+	fx := newFixture(1)
+	done := false
+	fx.node.Go("test", func(p *simnet.Proc) {
+		f, _ := fx.client.OpenFile(p, "/db", true, false)
+		chunk := make([]byte, 1<<20)
+		for i := 0; i < 100; i++ {
+			f.Pwrite(p, chunk, 0)
+		}
+		if fx.client.dirty != 1<<20 || f.DirtyBytes() != 1<<20 || fx.client.StallTime != 0 {
+			t.Errorf("100 rewrites of 1 MiB: mount dirty total %d, file dirty %d, writers stalled %v; want 1 MiB, 1 MiB, 0",
+				fx.client.dirty, f.DirtyBytes(), fx.client.StallTime)
+		}
+		done = true
+		fx.sim.Stop()
+	})
+	runFor(t, fx.sim, 10*time.Second, &done)
+}
+
 // An fsync that overlaps an in-flight writeback of the same file returns
 // only once that flush has landed. The writeback took the dirty spans, so
 // the fsync has nothing of its own to push: it waits its turn on the file.

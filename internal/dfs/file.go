@@ -16,7 +16,8 @@ import (
 type backend interface {
 	// admit sleeps p for what buffering n bytes at off costs the writer and
 	// does the engine's bookkeeping for them: the flat path stalls and
-	// throttles against the mount's dirty total (the writeback plane); an
+	// throttles against the mount's dirty total (the writeback plane, which
+	// Pwrite grows by what the write adds to the file's dirty spans); an
 	// extent file pays the local copy only and marks the range resident.
 	admit(p *simnet.Proc, off, n int64)
 	// commit makes spans (n bytes, already detached from the file's dirty
@@ -131,7 +132,13 @@ func (f *File) Pwrite(p *simnet.Proc, data []byte, off int64) (int, error) {
 	f.b.admit(p, off, end-off)
 	f.view = grow(f.view, end)
 	copy(f.view[off:end], data)
+	before := spanBytes(f.dirty)
 	f.dirty = addSpan(f.dirty, span{start: off, end: end})
+	if _, flat := f.b.(*flatBackend); flat {
+		// The mount's dirty total is what its flushes will push: a rewrite
+		// of bytes already dirty adds nothing to it.
+		f.client.dirty += spanBytes(f.dirty) - before
+	}
 	if end > f.size {
 		f.size = end
 	}

@@ -45,7 +45,6 @@ func (b *flatBackend) admit(p *simnet.Proc, off, n int64) {
 		cost += time.Duration(ratio * float64(pm.WritebackThrottleMax))
 	}
 	p.Sleep(cost)
-	cl.dirty += n
 }
 
 // commit pays bandwidth on the storage pipe, plus the replication round

@@ -2,7 +2,6 @@ package ncl
 
 import (
 	"errors"
-	"runtime"
 	"testing"
 	"time"
 
@@ -106,7 +105,8 @@ func TestAppendOnlyTailCatchup(t *testing.T) {
 // takes its procs, QPs and buffer with it and is forgotten by the lib, so a
 // client that retries while the fault lasts does not pile them up. Before
 // the one teardown, every failed Recover stranded a poller, a repair proc
-// and a QP engine per reachable member.
+// and a QP engine per reachable member. The procs are counted by name in the
+// sim's census: QP engines are inline procs, which no goroutine count sees.
 func TestFailedRecoveryStrandsNothing(t *testing.T) {
 	const attempts = 20
 	c := newCluster(27, 3, smallPeerCfg())
@@ -123,7 +123,11 @@ func TestFailedRecoveryStrandsNothing(t *testing.T) {
 		c.appNode.Restart()
 		l := c.newLib(p, t, "app1", 1)
 		// settled lets closed procs run to their end before they are counted.
-		settled := func() int { p.Sleep(time.Millisecond); return runtime.NumGoroutine() }
+		settled := func() int {
+			p.Sleep(time.Millisecond)
+			s := p.Sim()
+			return s.LiveProcs("ncl-poller:") + s.LiveProcs("ncl-repair:") + s.LiveProcs("rdma-qp-engine:")
+		}
 
 		c.pNodes[members[0]].Crash()
 		before := settled()
@@ -144,7 +148,7 @@ func TestFailedRecoveryStrandsNothing(t *testing.T) {
 			}
 		}
 		if got := settled(); got-before >= attempts || len(l.logs) != 0 {
-			t.Fatalf("%d recoveries that failed behind the application: goroutines %d -> %d, lib still holds %d logs",
+			t.Fatalf("%d recoveries that failed behind the application: pollers, repair procs and QP engines %d -> %d, lib still holds %d logs",
 				attempts, before, got, len(l.logs))
 		}
 
@@ -156,7 +160,7 @@ func TestFailedRecoveryStrandsNothing(t *testing.T) {
 			}
 		}
 		if got := settled(); got-before >= attempts || len(l.logs) != 0 {
-			t.Fatalf("%d recoveries beyond the failure budget: goroutines %d -> %d, lib still holds %d logs",
+			t.Fatalf("%d recoveries beyond the failure budget: pollers, repair procs and QP engines %d -> %d, lib still holds %d logs",
 				attempts, before, got, len(l.logs))
 		}
 	})

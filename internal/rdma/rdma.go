@@ -278,20 +278,72 @@ type workRequest struct {
 	span   *trace.Span // post→completion async span, finished by the engine
 }
 
-// QP is a reliable-connected queue pair. One engine proc per QP drains the
-// send queue in order, giving verbs' SQ-ordering guarantee. Once any WR
-// fails, the QP enters the error state and flushes everything after it.
+func (wr *workRequest) size() int {
+	if wr.kind == wrRead {
+		return len(wr.into)
+	}
+	return len(wr.data)
+}
+
+// sendQueue is a QP's FIFO of posted WRs the engine has not started: a ring
+// whose backing array is reused, so steady-state posting allocates nothing.
+type sendQueue struct {
+	buf     []workRequest
+	head, n int
+}
+
+func (q *sendQueue) push(wr workRequest) {
+	if q.n == len(q.buf) {
+		nb := make([]workRequest, max(8, 2*len(q.buf)))
+		for i := 0; i < q.n; i++ {
+			nb[i] = q.buf[(q.head+i)%len(q.buf)]
+		}
+		q.buf, q.head = nb, 0
+	}
+	q.buf[(q.head+q.n)%len(q.buf)] = wr
+	q.n++
+}
+
+// pop moves the oldest WR into wr, or reports that the queue is empty.
+func (q *sendQueue) pop(wr *workRequest) bool {
+	if q.n == 0 {
+		return false
+	}
+	*wr = q.buf[q.head]
+	q.buf[q.head] = workRequest{} // release the payload and span
+	q.head = (q.head + 1) % len(q.buf)
+	q.n--
+	return true
+}
+
+// What the QP engine's next dispatch does.
+const (
+	engineStart = iota // take the next WR off the send queue
+	engineIdle         // nothing queued: no dispatch pending until a post
+	enginePlace        // cur's request arrives: place it or fail it
+	engineAck          // cur's ack arrives: complete it, then start the next
+)
+
+// QP is a reliable-connected queue pair. Its engine, an inline proc on the
+// local node (simnet.Node.GoInline), drains the send queue in order, giving
+// verbs' SQ-ordering guarantee; it dies with the node. Once any WR fails,
+// the QP enters the error state and flushes everything after it.
 type QP struct {
 	fabric     *Fabric
 	local      *NIC
 	remote     *NIC
 	remoteName string
 	remoteInc  int
-	sq         *simnet.Chan[workRequest]
 	cq         *CQ
 	nextWR     uint64
 	errState   bool
 	closed     bool
+
+	engine *simnet.Proc
+	phase  int         // the engine's next dispatch: engineStart, …
+	sq     sendQueue   // posted, not yet started
+	cur    workRequest // the WR in flight (or being flushed)
+	curErr error       // cur's outcome, decided when it is placed
 }
 
 // Connect establishes a QP from this NIC to the named remote node,
@@ -321,23 +373,31 @@ func (n *NIC) Connect(p *simnet.Proc, remote string, cq *CQ) (*QP, error) {
 		remote:     rn,
 		remoteName: remote,
 		remoteInc:  rn.node.Incarnation(),
-		sq:         simnet.NewChan[workRequest](n.fabric.sim),
 		cq:         cq,
 	}
-	n.node.Go("rdma-qp-engine:"+remote, qp.engine)
+	qp.engine = n.node.GoInline("rdma-qp-engine:"+remote, qp.step)
 	return qp, nil
 }
 
 // Errored reports whether the QP is in the error state.
 func (qp *QP) Errored() bool { return qp.errState }
 
-// Close tears the QP down; in-flight WRs are abandoned.
+// Close tears the QP down: later posts are dropped, and the WRs already
+// queued still drain and complete in order before the engine ends.
 func (qp *QP) Close(p *simnet.Proc) {
 	if qp.closed {
 		return
 	}
 	qp.closed = true
-	qp.sq.Close(p)
+	qp.wake()
+}
+
+// wake schedules the engine's next dispatch if it is idle.
+func (qp *QP) wake() {
+	if qp.phase == engineIdle {
+		qp.phase = engineStart
+		qp.engine.WakeAfter(0)
+	}
 }
 
 // PostWrite posts a 1-sided RDMA write of data to [offset, offset+len) of
@@ -366,77 +426,103 @@ func (qp *QP) post(p *simnet.Proc, wr workRequest) uint64 {
 	}
 	if p.Tracing() {
 		op := "write"
-		size := len(wr.data)
 		if wr.kind == wrRead {
 			op = "read"
-			size = len(wr.into)
 		}
 		// A WR's lifetime crosses procs: posted here, completed by the QP
 		// engine. Detached async span, finished when the completion is
 		// delivered.
 		wr.span = p.StartDetachedSpan("rdma", op,
-			trace.Str("remote", qp.remoteName), trace.Int("bytes", int64(size)))
+			trace.Str("remote", qp.remoteName), trace.Int("bytes", int64(wr.size())))
 	}
-	qp.sq.Send(p, wr)
+	qp.sq.push(wr)
+	qp.wake()
 	return wr.id
 }
 
-// engine drains the send queue in order, applying the cost model and the
-// failure semantics. It runs on the local node and dies with it.
-func (qp *QP) engine(p *simnet.Proc) {
-	pm := qp.fabric.params
-	net := qp.fabric.sim.Net()
+// step is one dispatch of the engine, applying the cost model and the
+// failure semantics. A WR takes two dispatches after the one that starts
+// it: its request arrives and is placed (or fails) at the remote, then its
+// ack returns, it completes, and the next queued WR starts in the same
+// dispatch. A closed QP's engine ends once its queue is drained.
+func (qp *QP) step(p *simnet.Proc) (done bool) {
+	switch qp.phase {
+	case enginePlace:
+		qp.place(p)
+		return false
+	case engineAck:
+		qp.complete(p)
+	}
+	pm, wr := &qp.fabric.params, &qp.cur
 	for {
-		wr, ok := qp.sq.Recv(p)
-		if !ok {
-			return
+		if !qp.sq.pop(wr) {
+			qp.phase = engineIdle
+			return qp.closed
 		}
 		if qp.errState {
 			wr.span.SetAttr(trace.Str("err", "flushed"))
-			p.FinishSpan(wr.span)
-			qp.fabric.bufs.put(wr.data)
-			qp.cq.ch.Send(p, Completion{QP: qp, WRID: wr.id, Ctx: wr.ctx, Err: ErrQPError})
+			qp.finish(p, ErrQPError)
 			continue
 		}
-		size := len(wr.data)
-		if wr.kind == wrRead {
-			size = len(wr.into)
-		}
-		xfer := pm.WRBase/2 + time.Duration(float64(size)/pm.Bandwidth*float64(time.Second))
+		qp.phase = enginePlace
+		xfer := pm.WRBase/2 + time.Duration(float64(wr.size())/pm.Bandwidth*float64(time.Second))
 		// A gray (slow-but-alive) link toward the remote delays every WR; the
 		// in-order engine turns that into a growing completion backlog, which
 		// is exactly how a slow NCL peer starves an ack quorum.
-		xfer += net.GrayLatency(qp.local.node, qp.remote.node)
-		p.Sleep(xfer) // request propagation + serialization
-		var err error
-		switch {
-		case !net.Reachable(qp.local.node, qp.remote.node),
-			!qp.remote.up,
-			qp.remote.node.Incarnation() != qp.remoteInc:
-			err = ErrRemoteDown
-		default:
-			mr := qp.remote.mrs[wr.rkey]
-			if mr == nil || !mr.valid {
-				err = ErrRemoteAccess
-			} else if wr.offset < 0 || wr.offset+size > len(mr.buf) {
-				err = ErrRemoteAccess
-			} else if wr.kind == wrWrite {
-				copy(mr.buf[wr.offset:], wr.data) // the 1-sided write: no peer CPU
-			} else {
-				copy(wr.into, mr.buf[wr.offset:wr.offset+size])
-			}
-		}
-		if errors.Is(err, ErrRemoteDown) {
-			p.Sleep(retryTimeout) // transport-level retries before giving up
-		} else {
-			p.Sleep(pm.WRBase / 2) // ack path
-		}
-		if err != nil {
-			qp.errState = true
-			wr.span.SetAttr(trace.Str("err", err.Error()))
-		}
-		p.FinishSpan(wr.span)
-		qp.fabric.bufs.put(wr.data) // write applied (or failed); recycle the staging buffer
-		qp.cq.ch.Send(p, Completion{QP: qp, WRID: wr.id, Ctx: wr.ctx, Err: err})
+		xfer += qp.fabric.sim.Net().GrayLatency(qp.local.node, qp.remote.node)
+		p.WakeAfter(xfer) // request propagation + serialization
+		return false
 	}
+}
+
+// place lands cur's request at the remote, or decides its error, and sleeps
+// the engine through the ack path (or the transport's retries).
+func (qp *QP) place(p *simnet.Proc) {
+	wr, net := &qp.cur, qp.fabric.sim.Net()
+	size := wr.size()
+	var err error
+	switch {
+	case !net.Reachable(qp.local.node, qp.remote.node),
+		!qp.remote.up,
+		qp.remote.node.Incarnation() != qp.remoteInc:
+		err = ErrRemoteDown
+	default:
+		mr := qp.remote.mrs[wr.rkey]
+		if mr == nil || !mr.valid {
+			err = ErrRemoteAccess
+		} else if wr.offset < 0 || wr.offset+size > len(mr.buf) {
+			err = ErrRemoteAccess
+		} else if wr.kind == wrWrite {
+			copy(mr.buf[wr.offset:], wr.data) // the 1-sided write: no peer CPU
+		} else {
+			copy(wr.into, mr.buf[wr.offset:wr.offset+size])
+		}
+	}
+	qp.curErr, qp.phase = err, engineAck
+	if errors.Is(err, ErrRemoteDown) {
+		p.WakeAfter(retryTimeout) // transport-level retries before giving up
+	} else {
+		p.WakeAfter(qp.fabric.params.WRBase / 2) // ack path
+	}
+}
+
+// complete delivers cur's completion.
+func (qp *QP) complete(p *simnet.Proc) {
+	err := qp.curErr
+	qp.curErr = nil
+	if err != nil {
+		qp.errState = true
+		qp.cur.span.SetAttr(trace.Str("err", err.Error()))
+	}
+	qp.finish(p, err)
+}
+
+// finish ends cur with err: its span, its staging buffer (the write was
+// applied, failed or flushed) and its completion.
+func (qp *QP) finish(p *simnet.Proc, err error) {
+	wr := &qp.cur
+	p.FinishSpan(wr.span)
+	qp.fabric.bufs.put(wr.data)
+	qp.cq.ch.Send(p, Completion{QP: qp, WRID: wr.id, Ctx: wr.ctx, Err: err})
+	*wr = workRequest{}
 }

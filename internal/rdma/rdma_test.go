@@ -154,6 +154,40 @@ func TestRemoteCrashErrorsAndFlushesQP(t *testing.T) {
 	run(t, fx.sim)
 }
 
+// A WR's request is placed at its transfer time, by the QP's engine on the
+// posting node; a crash of that node before then loses the WR, even when
+// the node is back up by the time the transfer would have ended. Nothing
+// lands in the remote region, no completion arrives, and the engine is gone.
+func TestLocalCrashBeforeTransferPlacesNothing(t *testing.T) {
+	fx := newFixture(t)
+	region := make([]byte, 1<<20)
+	var mr *MR
+	fx.peer.Go("setup", func(p *simnet.Proc) { mr, _ = fx.prNIC.RegisterMR(p, region, int64(len(region))) })
+	fx.sim.Go("driver", func(p *simnet.Proc) {
+		p.Sleep(10 * time.Millisecond)
+		cq := NewCQ(fx.sim)
+		qp, err := fx.appNIC.Connect(p, "peer", cq)
+		if err != nil {
+			t.Fatalf("connect: %v", err)
+		}
+		qp.PostWrite(p, mr.RKey(), 0, bytes.Repeat([]byte{0xab}, 512<<10), 1) // ~170 us in transfer
+		p.Sleep(50 * time.Microsecond)
+		fx.app.Crash()
+		fx.app.Restart()
+		p.Sleep(time.Second)
+		if i := bytes.IndexByte(region, 0xab); i >= 0 {
+			t.Errorf("the write of a crashed node was placed at offset %d", i)
+		}
+		if c, ok := cq.ch.TryRecv(p); ok {
+			t.Errorf("a completion arrived for the lost write: %+v", c)
+		}
+		if n := fx.sim.LiveProcs("rdma-qp-engine:"); n != 0 {
+			t.Errorf("%d QP engines live after their node crashed", n)
+		}
+	})
+	run(t, fx.sim)
+}
+
 func TestCrashedPeerLosesRegistrations(t *testing.T) {
 	fx := newFixture(t)
 	region := make([]byte, 64)

@@ -84,6 +84,20 @@ func (n *Node) Go(name string, fn func(*Proc)) *Proc {
 	return n.sim.spawn(n, name, fn)
 }
 
+// GoInline spawns an inline proc bound to this node: a proc like Go's, with
+// the same id sequence, first wake-up, crash kill and counted-cut
+// accounting, but no goroutine. Each dispatch runs step on whichever
+// goroutine holds the execution token, and the scheduler moves on to the
+// next event itself, so a dispatch costs no goroutine hand-off. step may
+// not block (Sleep or any park panics); it sleeps with p.WakeAfter, other
+// procs wake it with WakeAfter too, and it reports done to end the proc.
+func (n *Node) GoInline(name string, step func(p *Proc) (done bool)) *Proc {
+	if !n.alive {
+		panic(fmt.Sprintf("simnet: spawn on dead node %q", n.name))
+	}
+	return n.sim.newProc(n, name, step)
+}
+
 // OnCrash registers a hook invoked synchronously when the node crashes.
 // Hooks run in the crasher's context and must not block.
 func (n *Node) OnCrash(fn func()) { n.onCrash = append(n.onCrash, fn) }

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"math/rand"
 	"time"
 
@@ -15,6 +16,10 @@ import (
 // call unwinds the goroutine. Procs must therefore not hold external
 // resources across blocking calls without a recovery story — exactly the
 // discipline crash-safe systems code needs anyway.
+//
+// An inline proc (Node.GoInline) has no goroutine: each of its dispatches
+// runs its step function on whichever goroutine holds the execution token.
+// A step may not block; WakeAfter is its only way to sleep.
 type Proc struct {
 	sim  *Sim
 	node *Node
@@ -23,6 +28,9 @@ type Proc struct {
 
 	wake chan struct{}
 	gen  uint64
+	// step is an inline proc's dispatch; nil for a goroutine proc. It
+	// reports done to end the proc, as a goroutine proc ends by returning.
+	step func(*Proc) (done bool)
 
 	killed bool
 	done   bool
@@ -66,16 +74,28 @@ func (p *Proc) Rand() *rand.Rand { return p.sim.rng }
 // Yield and zero-length sleeps); if it targets another proc the token is
 // handed over directly; only when nothing is dispatchable does the driver
 // get involved. On resume the proc bumps its generation (invalidating stale
-// wake events) and unwinds if it was killed in the meantime.
+// wake events) and unwinds if it was killed in the meantime. Inline procs'
+// steps run right here, on the parking proc's goroutine, until the next
+// event belongs to a goroutine proc or nothing is dispatchable; an inline
+// proc itself may not park.
 func (p *Proc) park() {
+	if p.step != nil {
+		panic(fmt.Sprintf("simnet: inline proc %q blocked; a step sleeps with WakeAfter", p.name))
+	}
 	s := p.sim
-	if ev, ok := s.nextLive(); ok {
-		if s.dispatch(ev, p) {
+	for {
+		ev, ok := s.nextLive()
+		if !ok {
+			s.parked <- struct{}{} // quiescent / stopped / horizon: driver decides
+			break
+		}
+		if !s.dispatch(ev, p) {
+			break // the token went to ev.p's goroutine
+		}
+		if ev.p == p {
 			p.resume() // self-continuation
 			return
 		}
-	} else {
-		s.parked <- struct{}{} // quiescent / stopped / horizon: driver decides
 	}
 	<-p.wake
 	p.resume()
@@ -114,6 +134,23 @@ func (p *Proc) Sleep(d time.Duration) {
 
 // Yield lets other procs scheduled at the current instant run.
 func (p *Proc) Yield() { p.Sleep(0) }
+
+// WakeAfter schedules inline proc p's next dispatch d of virtual time from
+// now (a negative d is now). It is how a step sleeps and how other procs
+// wake an idle inline proc. A killed or finished proc is not woken: its
+// kill already queued the dispatch that unlinks it.
+func (p *Proc) WakeAfter(d time.Duration) {
+	if p.step == nil {
+		panic(fmt.Sprintf("simnet: WakeAfter on goroutine proc %q", p.name))
+	}
+	if p.done || p.killed {
+		return
+	}
+	if d < 0 {
+		d = 0
+	}
+	p.sim.schedule(p.sim.now+d, p, p.gen)
+}
 
 // Go spawns a proc on the same node as p (or detached if p is detached).
 // The child inherits p's current span so its work nests under it.

@@ -197,18 +197,23 @@ func (s *Sim) nextLive() (event, bool) {
 	return event{}, false
 }
 
-// dispatch advances the clock to e and transfers the execution token to
-// e.p. The caller must immediately yield the token (block on its own wake
-// channel or return to the driver loop) — except for the self-continuation
-// case, which dispatch reports by returning true without touching any
-// channel.
+// dispatch advances the clock to e and runs e.p. It reports whether the
+// caller still holds the execution token: true when e.p is self (a
+// self-continuation) or an inline proc (its step ran right here), neither
+// touching a channel; false when the token went to e.p's goroutine, and the
+// caller must immediately yield (block on its own wake channel or return to
+// the driver loop).
 func (s *Sim) dispatch(e event, self *Proc) bool {
 	s.now = e.at
 	s.events++
 	if s.cutNode != nil && e.p.node == s.cutNode {
 		s.countCut()
 	}
-	if e.p == self {
+	switch {
+	case e.p == self:
+		return true
+	case e.p.step != nil:
+		s.step(e.p)
 		return true
 	}
 	e.p.wake <- struct{}{}

@@ -16,16 +16,19 @@
 // token moves between the driver (Sim.Run) and the proc goroutines. On the
 // hot path the token is handed directly from the parking proc to the next
 // event's proc — or kept, when the next event is the parking proc's own
-// wake-up — so the driver is only involved when the simulation quiesces,
-// stops, hits the horizon, or a proc finishes. Because there is no true
-// parallelism, simulated state needs no locking, every run is deterministic
-// for a given seed, and failure schedules are exactly reproducible.
+// wake-up or belongs to an inline proc, whose step runs on the token
+// holder's goroutine — so the driver is only involved when the simulation
+// quiesces, stops, hits the horizon, or a proc finishes. Because there is no
+// true parallelism, simulated state needs no locking, every run is
+// deterministic for a given seed, and failure schedules are exactly
+// reproducible.
 package simnet
 
 import (
 	"fmt"
 	"math/rand"
 	"runtime/debug"
+	"strings"
 	"time"
 
 	"splitft/internal/trace"
@@ -137,8 +140,9 @@ func (s *Sim) Run() error {
 			}
 			break
 		}
-		s.dispatch(ev, nil)
-		<-s.parked
+		if !s.dispatch(ev, nil) {
+			<-s.parked
+		}
 	}
 	return s.fatal
 }
@@ -154,14 +158,31 @@ func (s *Sim) RunUntil(t time.Duration) error {
 // drain unwinds every remaining proc goroutine so a finished Sim leaks
 // nothing. Procs are woken in spawn order with the killed flag set and panic
 // out through their recover wrapper (which unlinks them from the list), so
-// teardown order is deterministic.
+// teardown order is deterministic. An inline proc has no goroutine to
+// unwind: it is unlinked in its turn.
 func (s *Sim) drain() {
 	for s.procsHead != nil {
 		p := s.procsHead
 		p.killed = true
+		if p.step != nil {
+			s.unlink(p)
+			continue
+		}
 		p.wake <- struct{}{}
 		<-s.parked
 	}
+}
+
+// LiveProcs counts the live procs, goroutine and inline alike, whose name
+// begins with prefix: a census a leak check bounds.
+func (s *Sim) LiveProcs(prefix string) int {
+	n := 0
+	for p := s.procsHead; p != nil; p = p.nextAll {
+		if strings.HasPrefix(p.name, prefix) {
+			n++
+		}
+	}
+	return n
 }
 
 // addProc / removeProc maintain the sim-wide intrusive proc list.
@@ -189,33 +210,42 @@ func (s *Sim) removeProc(p *Proc) {
 	p.prevAll, p.nextAll = nil, nil
 }
 
-// spawn creates a proc goroutine parked at its start and schedules its first
-// wake-up at the current virtual time.
-func (s *Sim) spawn(n *Node, name string, fn func(*Proc)) *Proc {
-	s.procSeq++
-	p := &Proc{
-		sim:  s,
-		node: n,
-		name: name,
-		id:   s.procSeq,
-		wake: make(chan struct{}, 1),
+// unlink ends p: it leaves the sim's and its node's proc lists and every
+// event still queued for it is stale.
+func (s *Sim) unlink(p *Proc) {
+	p.done = true
+	if p.node != nil {
+		p.node.removeProc(p)
 	}
+	s.removeProc(p)
+}
+
+// newProc links a proc into the sim's and n's proc lists and schedules its
+// first wake-up at the current virtual time.
+func (s *Sim) newProc(n *Node, name string, step func(*Proc) bool) *Proc {
+	s.procSeq++
+	p := &Proc{sim: s, node: n, name: name, id: s.procSeq, step: step}
 	s.addProc(p)
 	if n != nil {
 		n.addProc(p)
 	}
+	s.schedule(s.now, p, 0)
+	return p
+}
+
+// spawn creates a proc goroutine parked at its start and schedules its first
+// wake-up at the current virtual time.
+func (s *Sim) spawn(n *Node, name string, fn func(*Proc)) *Proc {
+	p := s.newProc(n, name, nil)
+	p.wake = make(chan struct{}, 1)
 	go func() {
 		<-p.wake
 		p.gen++
 		defer func() {
-			p.done = true
-			if p.node != nil {
-				p.node.removeProc(p)
-			}
-			s.removeProc(p)
+			s.unlink(p)
 			if r := recover(); r != nil {
-				if _, ok := r.(killedPanic); !ok && s.fatal == nil {
-					s.fatal = fmt.Errorf("simnet: proc %q panicked: %v\n%s", p.name, r, debug.Stack())
+				if _, ok := r.(killedPanic); !ok {
+					s.procPanicked(p, r)
 				}
 			}
 			s.parked <- struct{}{}
@@ -225,8 +255,35 @@ func (s *Sim) spawn(n *Node, name string, fn func(*Proc)) *Proc {
 		}
 		fn(p)
 	}()
-	s.schedule(s.now, p, 0)
 	return p
+}
+
+// procPanicked records p's panic as Run's error, unless one came first.
+func (s *Sim) procPanicked(p *Proc, r any) {
+	if s.fatal == nil {
+		s.fatal = fmt.Errorf("simnet: proc %q panicked: %v\n%s", p.name, r, debug.Stack())
+	}
+}
+
+// step runs one dispatch of inline proc p on the caller's goroutine. A
+// killed p is unlinked without stepping again; a step that panics ends p
+// and the panic becomes Run's error; a step that reports done ends p, as a
+// goroutine proc ends by returning.
+func (s *Sim) step(p *Proc) {
+	p.gen++
+	if p.killed {
+		s.unlink(p)
+		return
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			s.unlink(p)
+			s.procPanicked(p, r)
+		}
+	}()
+	if p.step(p) {
+		s.unlink(p)
+	}
 }
 
 // Go starts a detached root proc (bound to no node; it survives node

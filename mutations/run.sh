@@ -41,6 +41,9 @@ rows=(
 	"flush-wakes-no-writer.patch|./internal/apps/kvstore|^TestStalledWriterResumesAfterFlush$"
 	"writeback-wakes-no-staller.patch|./internal/dfs|^TestDirtyHighWaterStallsWriter$"
 	"fsync-skips-inflight-flush.patch|./internal/dfs|^TestFsyncWaitsForInflightWriteback$"
+	"inline-steps-after-kill.patch|./internal/rdma|^TestLocalCrashBeforeTransferPlacesNothing$"
+	"cut-skips-inline.patch|./internal/simnet|^TestCutCountsInlineDispatches$"
+	"admit-counts-every-write.patch|./internal/dfs|^TestRewriteCountsDirtyOnce$"
 )
 
 status=0
