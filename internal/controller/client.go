@@ -11,7 +11,7 @@ import (
 
 // Client is a typed controller client used by ncl-lib and by log peers.
 // Every operation is a linearizable command through the controller's Raft
-// log.
+// log, except the session keep-alive, which the leader answers from memory.
 type Client struct {
 	svc     *Service
 	node    *simnet.Node
@@ -142,7 +142,7 @@ func (c *Client) StartSession(p *simnet.Proc, app string) ([]AppFile, error) {
 		c.node.Go("ctrl-keepalive:"+c.session, func(kp *simnet.Proc) {
 			for {
 				kp.Sleep(keepAlive(c.svc.cfg))
-				_, err := c.run(kp, cmdKeepAlive{Session: c.session, At: kp.Now()}.MarshalWire())
+				_, err := c.run(kp, wire.Msg{Code: codeKeepAlive, S: [3]string{c.session}})
 				if errors.Is(err, ErrSession) {
 					_, err = c.establishSession(kp, "")
 					if err == nil {

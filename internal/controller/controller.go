@@ -3,7 +3,10 @@
 // provides the same facilities — a hierarchical key space with versioned
 // compare-and-set, ephemeral nodes bound to client sessions, and a
 // single-instance lock per application — as a state machine replicated by
-// the internal/raft package across three controller nodes.
+// the internal/raft package across three controller nodes. As in
+// ZooKeeper, the log holds only state changes: the leader answers a session
+// keep-alive from memory (tree.Local), a new leader restarts every
+// session's clock, and only an expiry is logged (DESIGN.md §15).
 //
 // Directory layout mirrors §4.7:
 //
@@ -43,7 +46,8 @@ import (
 // Wire codes for the controller's commands, results and znode values
 // (0x30–0x3f range, see internal/wire). Commands travel unwrapped through
 // the Raft log; any of these codes is outside raft's own range and hence
-// treated as a proposal by the replicas.
+// treated as a proposal by the replicas, except a keep-alive, which the
+// leader answers from memory.
 const (
 	codeNewSession wire.Code = 0x30
 	codeKeepAlive  wire.Code = 0x31
@@ -168,8 +172,11 @@ type znode struct {
 }
 
 type session struct {
-	lastSeen time.Duration
-	timeout  time.Duration
+	created time.Duration // when the session (re)started: replicated
+	timeout time.Duration
+	// renewed is when this replica, as leader, last answered the session's
+	// keep-alive (tree.Local). It is the leader's alone; Apply never reads it.
+	renewed time.Duration
 }
 
 type tree struct {
@@ -241,23 +248,6 @@ func (c *cmdNewSession) UnmarshalWire(m wire.Msg) error {
 	c.At = time.Duration(m.Int(0))
 	c.Timeout = time.Duration(m.Int(1))
 	c.Fencing = m.Int(2)
-	return nil
-}
-
-type cmdKeepAlive struct {
-	Session string
-	At      time.Duration
-}
-
-func (c cmdKeepAlive) MarshalWire() wire.Msg {
-	m := wire.Msg{Code: codeKeepAlive, S: [3]string{c.Session}}
-	m.SetInt(0, int64(c.At))
-	return m
-}
-
-func (c *cmdKeepAlive) UnmarshalWire(m wire.Msg) error {
-	c.Session = m.S[0]
-	c.At = time.Duration(m.Int(0))
 	return nil
 }
 
@@ -403,6 +393,22 @@ func (r *opResult) UnmarshalWire(m wire.Msg) error {
 	return nil
 }
 
+// Local implements raft.LocalStateMachine: the leader answers a keep-alive
+// from memory, as ZooKeeper's leader tracks session expiry, and records the
+// renewal for its expiry monitor alone. Every other command goes through the
+// log.
+func (t *tree) Local(p *simnet.Proc, cmd wire.Msg) (wire.Msg, bool) {
+	if cmd.Code != codeKeepAlive {
+		return wire.Msg{}, false
+	}
+	s, ok := t.sessions[cmd.S[0]]
+	if !ok {
+		return opResult{Err: ErrSession}.MarshalWire(), true
+	}
+	s.renewed = p.Now()
+	return opResult{}.MarshalWire(), true
+}
+
 // Apply implements raft.StateMachine. It must not block.
 func (t *tree) Apply(cmd wire.Msg) wire.Msg {
 	return t.apply(cmd).MarshalWire()
@@ -418,7 +424,7 @@ func (t *tree) apply(cmd wire.Msg) opResult {
 		if _, ok := t.sessions[c.Session]; ok {
 			t.dropEphemerals(c.Session)
 		}
-		t.sessions[c.Session] = &session{lastSeen: c.At, timeout: c.Timeout}
+		t.sessions[c.Session] = &session{created: c.At, timeout: c.Timeout}
 		if c.Dir == "" {
 			return opResult{}
 		}
@@ -429,26 +435,12 @@ func (t *tree) apply(cmd wire.Msg) opResult {
 			r.Versions[i] = t.nodes[p].version
 		}
 		return r
-	case codeKeepAlive:
-		var c cmdKeepAlive
-		c.UnmarshalWire(cmd) //nolint:errcheck
-		s, ok := t.sessions[c.Session]
-		if !ok {
-			return opResult{Err: ErrSession}
-		}
-		if c.At > s.lastSeen {
-			s.lastSeen = c.At
-		}
-		return opResult{}
 	case codeExpire:
 		var c cmdExpire
 		c.UnmarshalWire(cmd) //nolint:errcheck
 		s, ok := t.sessions[c.Session]
-		if !ok {
-			return opResult{}
-		}
-		if c.AsOf-s.lastSeen < s.timeout {
-			return opResult{} // heartbeat arrived in the meantime
+		if !ok || c.AsOf-s.created < s.timeout {
+			return opResult{} // gone, or re-created since the expire was decided
 		}
 		delete(t.sessions, c.Session)
 		t.dropEphemerals(c.Session)
@@ -578,21 +570,30 @@ func (svc *Service) startNode(n *simnet.Node, id string) {
 	rep := svc.cluster.StartNode(n, id)
 	svc.replicas[id] = rep
 	// Session-expiry monitor: while this node leads, propose expirations for
-	// sessions whose heartbeats stopped. The state machine re-checks at apply
-	// time, so a stale monitor can never expire a live session. Stale names
-	// are sorted, keeping the proposal stream deterministic.
+	// sessions it has not renewed within their timeout. A new leader starts
+	// every session's clock when its first scan sees the new term (since), as
+	// ZooKeeper's does: the renewals its predecessor answered are not in the
+	// log. The state machine re-checks each expire against the session's
+	// replicated creation stamp, so one decided before the session was
+	// re-created does not drop the new one. Stale names are sorted, keeping
+	// the proposal stream deterministic.
 	n.Go("ctrl-expiry:"+id, func(p *simnet.Proc) {
 		var rc *raft.Client
 		var stale []string
+		var term int
+		var since time.Duration
 		for {
 			p.Sleep(expiryScan(svc.cfg))
 			if !rep.IsLeader() {
 				continue
 			}
+			if rep.Term() != term {
+				term, since = rep.Term(), p.Now()
+			}
 			t := rep.SM().(*tree)
 			stale = stale[:0]
 			for name, sess := range t.sessions {
-				if p.Now()-sess.lastSeen >= sess.timeout {
+				if p.Now()-max(sess.created, sess.renewed, since) >= sess.timeout {
 					stale = append(stale, name)
 				}
 			}

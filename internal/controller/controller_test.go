@@ -6,8 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"splitft/internal/raft"
 	"splitft/internal/simnet"
 	"splitft/internal/trace"
+	"splitft/internal/wire"
 )
 
 type fixture struct {
@@ -646,6 +648,9 @@ func TestCommandsSentTogetherShareOneRound(t *testing.T) {
 // One leader hint per node (DESIGN.md §15): once one controller client on a
 // node has found the leader that replaced an isolated one, another client on
 // the same node sends its first call straight there, not to the ex-leader.
+// The first client tries the ex-leader once: a follower names only a leader
+// it heard from within two heartbeats, and the client then skips the replica
+// it just timed out on, instead of going back on a follower's stale word.
 func TestClientsOnOneNodeShareTheLeaderHint(t *testing.T) {
 	fx := newFixture(12)
 	app := fx.sim.NewNode("app")
@@ -662,17 +667,223 @@ func TestClientsOnOneNodeShareTheLeaderHint(t *testing.T) {
 		}
 		ex := fx.svc.LeaderNode()
 		fx.sim.Net().Isolate(ex)
+		callsToEx := func(mark int) (at []time.Duration) {
+			for _, sp := range col.Since(mark) {
+				if sp.Op == "call:"+fx.svc.cluster.Addr(ex.Name()) && sp.StrAttr("from") == app.Name() {
+					at = append(at, sp.Start)
+				}
+			}
+			return at
+		}
+		mark := col.Len()
 		if _, err := first.ListPeers(p); err != nil {
 			t.Fatalf("first client across the election: %v", err)
 		}
-		mark := col.Len()
+		if at := callsToEx(mark); len(at) > 1 {
+			t.Errorf("the first client called the isolated ex-leader %s %d times, at %v; want once", ex.Name(), len(at), at)
+		}
+		mark = col.Len()
 		if _, err := second.ListPeers(p); err != nil {
 			t.Fatalf("second client after the election: %v", err)
 		}
-		for _, sp := range col.Since(mark) {
-			if sp.Op == "call:"+fx.svc.cluster.Addr(ex.Name()) && sp.StrAttr("from") == app.Name() {
-				t.Errorf("the second client called the isolated ex-leader %s at %v", ex.Name(), sp.Start)
+		if at := callsToEx(mark); len(at) > 0 {
+			t.Errorf("the second client called the isolated ex-leader %s at %v", ex.Name(), at)
+		}
+	})
+	fx.run(t, time.Minute)
+}
+
+// A keep-alive is answered by the leader from memory: sessions that only stay
+// alive add nothing to the replicated log.
+func TestIdleSessionsAddNoLogEntries(t *testing.T) {
+	fx := newFixture(13)
+	fx.sim.Go("test", func(p *simnet.Proc) {
+		defer fx.sim.Stop()
+		p.Sleep(time.Second)
+		var clients []*Client
+		for i := 0; i < 8; i++ {
+			name := fmt.Sprintf("peer%d", i)
+			c := NewClient(fx.svc, fx.sim.NewNode(name), name, 0)
+			if _, err := c.StartSession(p, ""); err != nil {
+				t.Errorf("session %s: %v", name, err)
+				return
 			}
+			clients = append(clients, c)
+		}
+		ldr := fx.svc.replicas[fx.svc.LeaderNode().Name()]
+		before := ldr.CommitIndex()
+		p.Sleep(10 * keepAlive(fx.svc.cfg))
+		if !ldr.IsLeader() {
+			t.Error("the leader changed while the sessions idled")
+			return
+		}
+		if grew := ldr.CommitIndex() - before; grew != 0 {
+			t.Errorf("the log grew by %d entries over ten keep-alive periods of %d idle sessions; want 0", grew, len(clients))
+		}
+		tr := ldr.SM().(*tree)
+		for _, c := range clients {
+			if s := tr.sessions[c.session]; s == nil || p.Now()-s.renewed > keepAlive(fx.svc.cfg) {
+				t.Errorf("session %s: %+v at %v; want renewed within the last keep-alive period", c.session, s, p.Now())
+			}
+		}
+	})
+	fx.run(t, time.Minute)
+}
+
+// leaderOf returns the node whose replica leads among nodes, and that
+// replica, or nils.
+func (fx *fixture) leaderOf(nodes ...*simnet.Node) (*simnet.Node, *raft.Replica) {
+	for _, n := range nodes {
+		if r := fx.svc.replicas[n.Name()]; r.IsLeader() {
+			return n, r
+		}
+	}
+	return nil, nil
+}
+
+// holdsLock reports whether r's tree holds c's session as c created it and
+// app's instance lock under that session.
+func holdsLock(r *raft.Replica, c *Client, app string, created time.Duration) bool {
+	tr := r.SM().(*tree)
+	s, lock := tr.sessions[c.session], tr.nodes["/servers/"+app]
+	return s != nil && s.created == created && lock != nil && lock.session == c.session
+}
+
+// lockedSession starts c's session, takes app's instance lock and returns the
+// session's creation stamp.
+func (fx *fixture) lockedSession(p *simnet.Proc, c *Client, app string) (time.Duration, error) {
+	if _, err := c.StartSession(p, ""); err != nil {
+		return 0, fmt.Errorf("session: %w", err)
+	}
+	if err := c.AcquireServerLock(p, app); err != nil {
+		return 0, fmt.Errorf("lock: %w", err)
+	}
+	return fx.svc.replicas[fx.svc.LeaderNode().Name()].SM().(*tree).sessions[c.session].created, nil
+}
+
+// A new leader restarts every session's clock, as ZooKeeper's does: the
+// renewals its predecessor answered are in no log. The leader is isolated
+// when the application's session is SessionTimeout − ε old, and the
+// application reaches no controller until the new leader has scanned its
+// sessions once; the session and its lock survive the failover.
+func TestNewLeaderRestartsSessionClocks(t *testing.T) {
+	fx := newFixture(14)
+	app := fx.sim.NewNode("app")
+	fx.sim.Go("test", func(p *simnet.Proc) {
+		defer fx.sim.Stop()
+		p.Sleep(time.Second)
+		c := NewClient(fx.svc, app, "app1-server", 1)
+		created, err := fx.lockedSession(p, c, "app1")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		p.Sleep(created + fx.svc.cfg.SessionTimeout - 50*time.Millisecond - p.Now())
+		ex := fx.svc.LeaderNode()
+		fx.sim.Net().Isolate(ex)
+		var rest []*simnet.Node
+		for _, n := range fx.cNodes {
+			if n != ex {
+				rest = append(rest, n)
+				fx.sim.Net().Partition(app, n)
+			}
+		}
+		for n, _ := fx.leaderOf(rest...); n == nil; n, _ = fx.leaderOf(rest...) {
+			p.Sleep(time.Millisecond)
+		}
+		p.Sleep(expiryScan(fx.svc.cfg) + time.Millisecond) // its first scan is behind it
+		for _, n := range rest {
+			fx.sim.Net().Heal(app, n)
+		}
+		p.Sleep(3 * fx.svc.cfg.SessionTimeout)
+		if _, r := fx.leaderOf(rest...); r == nil || !holdsLock(r, c, "app1", created) {
+			t.Errorf("after the failover the new leader holds session %+v and lock %+v; want the session created at %v and its lock",
+				fx.svc.replicas[rest[0].Name()].SM().(*tree).sessions[c.session], fx.svc.replicas[rest[0].Name()].SM().(*tree).nodes["/servers/app1"], created)
+		}
+	})
+	fx.run(t, time.Minute)
+}
+
+// Check-quorum: a leader cut off from both followers, but not from the
+// application, steps down instead of answering the application's keep-alives
+// while the majority elects a leader that has never heard them. The
+// application's keep-alives move to the new leader, and its instance lock
+// survives there.
+func TestLeaderWithoutMajorityStopsAnsweringKeepAlives(t *testing.T) {
+	fx := newFixture(15)
+	app := fx.sim.NewNode("app")
+	fx.sim.Go("test", func(p *simnet.Proc) {
+		defer fx.sim.Stop()
+		p.Sleep(time.Second)
+		c := NewClient(fx.svc, app, "app1-server", 1)
+		created, err := fx.lockedSession(p, c, "app1")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		ex := fx.svc.LeaderNode()
+		var rest []*simnet.Node
+		for _, n := range fx.cNodes {
+			if n != ex {
+				rest = append(rest, n)
+				fx.sim.Net().Partition(ex, n)
+			}
+		}
+		p.Sleep(3 * fx.svc.cfg.SessionTimeout)
+		_, r := fx.leaderOf(rest...)
+		if r == nil {
+			t.Error("the majority elected no leader")
+			return
+		}
+		if !holdsLock(r, c, "app1", created) {
+			t.Errorf("the majority's leader holds session %+v and lock %+v; want the session created at %v and its lock",
+				r.SM().(*tree).sessions[c.session], r.SM().(*tree).nodes["/servers/app1"], created)
+		}
+	})
+	fx.run(t, time.Minute)
+}
+
+// A new leader answers a keep-alive only once it has applied an entry of its
+// own term. The session below commits just before its leader is isolated, so
+// no follower has applied it; a keep-alive that reaches the new leader before
+// its first entry applies answers ErrBusy, not ErrSession (on which the
+// client would re-establish the session and drop its ephemerals), and the
+// session is never re-established.
+func TestNewLeaderAnswersKeepAliveAfterItsFirstApply(t *testing.T) {
+	fx := newFixture(16)
+	app, probe := fx.sim.NewNode("app"), fx.sim.NewNode("probe")
+	fx.sim.Go("test", func(p *simnet.Proc) {
+		defer fx.sim.Stop()
+		p.Sleep(time.Second)
+		ex := fx.svc.LeaderNode()
+		c := NewClient(fx.svc, app, "app1-server", 1)
+		if _, err := c.StartSession(p, ""); err != nil {
+			t.Errorf("session: %v", err)
+			return
+		}
+		fx.sim.Net().Isolate(ex)
+		created := fx.svc.replicas[ex.Name()].SM().(*tree).sessions[c.session].created
+		var rest []*simnet.Node
+		for _, n := range fx.cNodes {
+			if n != ex {
+				rest = append(rest, n)
+			}
+		}
+		var n *simnet.Node
+		var r *raft.Replica
+		for n == nil {
+			p.Sleep(100 * time.Microsecond)
+			n, r = fx.leaderOf(rest...)
+		}
+		m, err := fx.sim.Net().CallTimeout(p, probe, fx.svc.cluster.Addr(n.Name()), wire.Msg{Code: codeKeepAlive, S: [3]string{c.session}}, 50*time.Millisecond)
+		var res opResult
+		res.UnmarshalWire(m) //nolint:errcheck
+		if !errors.Is(err, raft.ErrBusy) {
+			t.Errorf("a keep-alive before the new leader's first apply answered %v, %v; want ErrBusy", res.Err, err)
+		}
+		p.Sleep(3 * fx.svc.cfg.SessionTimeout)
+		if s := r.SM().(*tree).sessions[c.session]; s == nil || s.created != created {
+			t.Errorf("session after the failover: %+v; want the one created at %v", s, created)
 		}
 	})
 	fx.run(t, time.Minute)

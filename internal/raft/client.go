@@ -36,7 +36,8 @@ func NewClient(cluster *Cluster, node *simnet.Node) *Client {
 }
 
 // Propose submits cmd, blocking until the state machine applied it on the
-// leader, and returns the Apply result. The command travels unwrapped: any
+// leader (or the leader answered it locally, LocalStateMachine), and returns
+// the result. The command travels unwrapped: any
 // message whose code is outside raft's own range is treated by replicas as
 // a proposal. Commands may be re-submitted after ambiguous failures
 // (timeouts), so state-machine operations should be idempotent or
@@ -51,6 +52,7 @@ func (c *Client) Propose(p *simnet.Proc, cmd wire.Msg) (wire.Msg, error) {
 	deadline := p.Now() + c.deadline
 	var lastErr error = ErrTimeout
 	key := hintKey{c.node.Name(), c.node.Incarnation()}
+	skip := -1 // the replica whose attempt last timed out
 	for p.Now() < deadline {
 		at := c.cluster.hints[key]
 		resp, err := net.CallTimeout(p, c.node, c.cluster.Addr(c.cluster.ids[at]), cmd, c.CallTimeout)
@@ -63,11 +65,19 @@ func (c *Client) Propose(p *simnet.Proc, cmd wire.Msg) (wire.Msg, error) {
 			c.cluster.hints[key] = max(slices.Index(c.cluster.ids, nle.Hint), 0)
 			continue
 		}
-		// Move past the replica that failed, unless another client on this
-		// node has moved the hint already: two clients timing out on one
-		// replica together advance it once.
+		if errors.Is(err, simnet.ErrTimeout) {
+			skip = at
+		}
+		// Move past the replica that failed, and past the one that last timed
+		// out (a follower that names no leader has stopped hearing from it),
+		// unless another client on this node has moved the hint already: two
+		// clients timing out on one replica together advance it once.
 		if c.cluster.hints[key] == at {
-			c.cluster.hints[key] = (at + 1) % len(c.cluster.ids)
+			next := (at + 1) % len(c.cluster.ids)
+			if next == skip {
+				next = (next + 1) % len(c.cluster.ids)
+			}
+			c.cluster.hints[key] = next
 		}
 		// A timed-out attempt has waited its CallTimeout already. One
 		// answered at once (no leader known, ErrBusy) waits the time a new

@@ -8,14 +8,19 @@
 // The implementation covers leader election with randomized timeouts, log
 // replication with conflict rollback, the commit rule restricted to
 // current-term entries, crash-restart with persistent term/vote/log, and
-// linearizable reads (as no-op commands through the log). Log compaction is
-// intentionally omitted: controller logs in every experiment stay far below
-// the point where snapshotting matters.
+// linearizable reads (as no-op commands through the log), check-quorum (a
+// leader that stops hearing from a majority steps down), and commands a state
+// machine answers on the leader from memory (LocalStateMachine). Log
+// compaction is intentionally omitted: the log holds only commands that change
+// replicated state — the controller's session renewals are answered from
+// memory — and it stays far below the point where snapshotting matters in
+// every experiment.
 package raft
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -36,9 +41,10 @@ func DefaultConfig() Config {
 // The protocol's timers suit the controller's deployment: failover within
 // a few hundred milliseconds. A replica that hears no leader for a random
 // draw from [electionTimeoutMin, electionTimeoutMax) stands for election; a
-// leader heartbeats an idle follower every heartbeatInterval; a replica
-// holds a client's proposal at most proposeTimeout while it waits for
-// commit.
+// leader heartbeats an idle follower every heartbeatInterval, and steps down
+// once fewer than a majority answered an append it sent within
+// electionTimeoutMin; a replica holds a client's proposal at most
+// proposeTimeout while it waits for commit.
 const (
 	heartbeatInterval  = 20 * time.Millisecond
 	electionTimeoutMin = 100 * time.Millisecond
@@ -54,6 +60,18 @@ type StateMachine interface {
 	Apply(cmd wire.Msg) wire.Msg
 }
 
+// LocalStateMachine is a StateMachine that answers some commands on the
+// leader from memory, with no log entry: Local reports whether it answered
+// cmd, and with what. It runs under the replica's lock and must not block.
+// What it records is the leader's alone: no other replica sees it, and Apply
+// must not read it. A leader uses its answer only once it has applied an entry
+// of its own term, and answers ErrBusy before that, so the answer reflects
+// every command committed before its election.
+type LocalStateMachine interface {
+	StateMachine
+	Local(p *simnet.Proc, cmd wire.Msg) (wire.Msg, bool)
+}
+
 // Errors returned to clients.
 var (
 	// ErrNotLeader carries a leader hint in its message ("" if unknown).
@@ -62,7 +80,9 @@ var (
 	// ErrBusy sheds load before it is accepted: the leader's unapplied
 	// backlog is already deeper than ApplyCPU can drain within
 	// proposeTimeout, so appending another entry would only burn apply
-	// capacity on a command whose proposer is guaranteed to time out.
+	// capacity on a command whose proposer is guaranteed to time out. A new
+	// leader also answers it to a local command until it has applied an
+	// entry of its own term.
 	ErrBusy = errors.New("raft: apply backlog full")
 )
 
@@ -117,18 +137,12 @@ func New(s *simnet.Sim, name string, cfg Config, ids []string, smFactory func() 
 func (c *Cluster) Addr(id string) string { return c.name + "/raft/" + id }
 
 // StartNode boots (or, after a crash, reboots) replica id on node: its RPC
-// endpoint, its election ticker, and its apply and group-commit persister
+// endpoint, its election timer, and its apply and group-commit persister
 // procs.
 func (c *Cluster) StartNode(node *simnet.Node, id string) *Replica {
 	r := newReplica(c, node, id)
 	c.sim.Net().Register(c.Addr(id), node, r.handleRPC)
-	node.Go("raft-ticker:"+r.tag, func(p *simnet.Proc) {
-		gran := electionTimeoutMin / 4
-		for {
-			p.Sleep(gran)
-			r.tick(p)
-		}
-	})
+	node.Go("raft-timer:"+r.tag, r.timer)
 	node.Go("raft-apply:"+r.tag, r.applyLoop)
 	node.Go("raft-persist:"+r.tag, r.persistLoop)
 	return r
@@ -147,6 +161,7 @@ const (
 type Replica struct {
 	cluster *Cluster
 	id      string
+	self    int    // id's index in cluster.ids
 	tag     string // proc-name tag: <cluster>/<id>
 	node    *simnet.Node
 	d       *disk
@@ -159,13 +174,13 @@ type Replica struct {
 	lastApplied int
 	sm          StateMachine
 
-	// Leader volatile state.
-	nextIndex  map[string]int
-	matchIndex map[string]int
+	// Leader volatile state: one progress per replica, in cluster.ids order,
+	// and the index of this term's first entry.
+	prog      []progress
+	termStart int
 
 	lastHeard    time.Duration
 	electTimeout time.Duration // randomized; redrawn after every candidate round
-	electing     bool          // an election proc is in flight
 	applyCond    *simnet.Cond  // signalled when commitIndex advances
 	replWake     *simnet.Cond  // kicks replicators on new entries
 	persistWake  *simnet.Cond  // kicks the group-commit persister on appends
@@ -180,13 +195,22 @@ type Replica struct {
 	applyWaiters map[int]*simnet.Cond
 }
 
+// progress is what a leader knows of one replica: the next entry to send
+// it, the highest entry it is known to hold, and when the newest append it
+// answered in this term was sent (check-quorum).
+type progress struct {
+	next, match int
+	acked       time.Duration
+}
+
 // newReplica builds replica id on node: persistent state is reloaded from the
 // cluster's disk registry, volatile state starts fresh. StartNode registers
-// its RPC endpoint and spawns the ticker, apply and persister procs.
+// its RPC endpoint and spawns the timer, apply and persister procs.
 func newReplica(c *Cluster, node *simnet.Node, id string) *Replica {
 	r := &Replica{
 		cluster:     c,
 		id:          id,
+		self:        slices.Index(c.ids, id),
 		tag:         c.name + "/" + id,
 		node:        node,
 		d:           c.disks[id],
@@ -337,10 +361,15 @@ func (r *Replica) handleRPC(p *simnet.Proc, m simnet.Msg) (simnet.Msg, error) {
 	}
 }
 
-// stepDown transitions to follower in a newer term. Caller holds mu.
+// stepDown transitions to follower in term: a newer one, or the current one
+// when a leader loses its majority (checkQuorum), whose vote stands. Caller
+// holds mu.
 func (r *Replica) stepDown(p *simnet.Proc, term int) {
-	r.d.term = term
-	r.d.votedFor = ""
+	newer := term > r.d.term
+	if newer {
+		r.d.term = term
+		r.d.votedFor = ""
+	}
 	r.role = follower
 	r.leaderID = ""
 	// Parked proposers wait on per-entry conds; losing leadership is the
@@ -355,7 +384,9 @@ func (r *Replica) stepDown(p *simnet.Proc, term int) {
 	for _, idx := range parked {
 		r.applyWaiters[idx].Signal(p)
 	}
-	r.persist(p)
+	if newer {
+		r.persist(p)
+	}
 }
 
 func (r *Replica) onRequestVote(p *simnet.Proc, a requestVoteArgs) requestVoteReply {
@@ -443,14 +474,35 @@ func (r *Replica) onAppendEntries(p *simnet.Proc, a appendEntriesArgs) appendEnt
 	return reply
 }
 
-// onPropose appends the command (if leader) and waits for it to commit and
-// apply, returning the state machine's result.
+// hint names the leader for a NotLeaderError: the one this replica heard
+// from within two heartbeats, or nobody. A leader it has stopped hearing
+// from may be the very replica the client just timed out on. Caller holds mu.
+func (r *Replica) hint(p *simnet.Proc) string {
+	if p.Now()-r.lastHeard >= 2*heartbeatInterval {
+		return ""
+	}
+	return r.leaderID
+}
+
+// onPropose answers the command from the state machine's memory if it is a
+// local one, or appends it (if leader) and waits for it to commit and apply,
+// returning the state machine's result.
 func (r *Replica) onPropose(p *simnet.Proc, cmd wire.Msg) (wire.Msg, error) {
 	r.mu.Lock(p)
 	if r.role != leader {
-		hint := r.leaderID
+		hint := r.hint(p)
 		r.mu.Unlock(p)
 		return wire.Msg{}, NotLeaderError{Hint: hint}
+	}
+	if l, ok := r.sm.(LocalStateMachine); ok {
+		if res, ok := l.Local(p, cmd); ok {
+			applied := r.lastApplied >= r.termStart
+			r.mu.Unlock(p)
+			if !applied {
+				return wire.Msg{}, ErrBusy
+			}
+			return res, nil
+		}
 	}
 	if cpu := r.cluster.cfg.ApplyCPU; cpu > 0 {
 		// Admission control: if the unapplied backlog already needs more
@@ -490,8 +542,9 @@ func (r *Replica) onPropose(p *simnet.Proc, cmd wire.Msg) (wire.Msg, error) {
 	deadline := p.Now() + proposeTimeout
 	for r.lastApplied < idx {
 		if r.d.term != term || r.role != leader {
+			hint := r.hint(p)
 			r.mu.Unlock(p)
-			return wire.Msg{}, NotLeaderError{Hint: r.leaderID}
+			return wire.Msg{}, NotLeaderError{Hint: hint}
 		}
 		now := p.Now()
 		if now >= deadline {
@@ -535,37 +588,55 @@ func (r *Replica) persistLoop(p *simnet.Proc) {
 		if target > r.persisted {
 			r.persisted = target
 		}
-		if r.role == leader && r.persisted > r.matchIndex[r.id] {
-			r.matchIndex[r.id] = r.persisted
+		if r.role == leader && r.persisted > r.prog[r.self].match {
+			r.prog[r.self].match = r.persisted
 			r.advanceCommit(p)
 		}
 	}
 }
 
-// tick checks the election timer once and, when it has expired, runs the
-// candidate round on a dedicated proc. The indirection keeps the ticker
-// (StartNode) non-blocking while the round holds its vote RPCs in flight for
-// up to an election timeout.
-func (r *Replica) tick(p *simnet.Proc) {
+// timer is the replica's election timer. A follower or candidate sleeps
+// until lastHeard + electTimeout and, if it heard nothing meanwhile, runs the
+// candidate round itself, then redraws. Every replica's deadline is its own
+// (Raft §5.2): two followers whose draws differ stand apart, not on a shared
+// tick. A leader wakes every electionTimeoutMin/4 to check its quorum.
+func (r *Replica) timer(p *simnet.Proc) {
 	r.mu.Lock(p)
-	if r.electTimeout == 0 {
-		r.drawTimeout(p)
-	}
-	if r.role == leader || r.electing || p.Now()-r.lastHeard < r.electTimeout {
-		r.mu.Unlock(p)
-		return
-	}
-	r.electing = true
-	r.mu.Unlock(p)
-	p.GoOn(r.node, "raft-elect:"+r.tag, func(ep *simnet.Proc) {
-		r.mu.Lock(ep)
-		if r.role != leader && ep.Now()-r.lastHeard >= r.electTimeout {
-			r.startElection(ep)
+	r.drawTimeout(p)
+	for {
+		if r.role == leader {
+			r.checkQuorum(p)
 		}
-		r.drawTimeout(ep)
-		r.electing = false
-		r.mu.Unlock(ep)
-	})
+		wait := electionTimeoutMin / 4
+		if r.role != leader {
+			if p.Now()-r.lastHeard >= r.electTimeout {
+				r.startElection(p)
+				r.drawTimeout(p)
+				continue
+			}
+			wait = r.lastHeard + r.electTimeout - p.Now()
+		}
+		r.mu.Unlock(p)
+		p.Sleep(wait)
+		r.mu.Lock(p)
+	}
+}
+
+// checkQuorum steps a leader down once fewer than a majority of the group,
+// itself included, answered an append it sent within electionTimeoutMin: by
+// then the others may have elected a leader, and this one must stop answering
+// local commands. Caller holds mu.
+func (r *Replica) checkQuorum(p *simnet.Proc) {
+	n := 0
+	for i, pr := range r.prog {
+		if i == r.self || p.Now()-pr.acked <= electionTimeoutMin {
+			n++
+		}
+	}
+	if n <= len(r.prog)/2 {
+		r.stepDown(p, r.d.term)
+		r.lastHeard = p.Now()
+	}
 }
 
 // drawTimeout redraws the randomized election timeout. Caller holds mu.
@@ -639,42 +710,38 @@ func (r *Replica) startElection(p *simnet.Proc) {
 func (r *Replica) becomeLeader(p *simnet.Proc) {
 	r.role = leader
 	r.leaderID = r.id
-	r.nextIndex = make(map[string]int)
-	r.matchIndex = make(map[string]int)
-	for _, id := range r.cluster.ids {
-		r.nextIndex[id] = r.lastLogIndex() + 1
-		r.matchIndex[id] = 0
+	r.prog = make([]progress, len(r.cluster.ids))
+	for i := range r.prog {
+		r.prog[i] = progress{next: r.lastLogIndex() + 1, acked: p.Now()}
 	}
-	r.matchIndex[r.id] = r.lastLogIndex()
 	term := r.d.term
-	for _, peer := range r.cluster.ids {
-		if peer == r.id {
+	for i, peer := range r.cluster.ids {
+		if i == r.self {
 			continue
 		}
-		peer := peer
-		p.GoOn(r.node, "raft-repl:"+r.tag+">"+peer, func(rp *simnet.Proc) { r.replicate(rp, peer, term) })
+		p.GoOn(r.node, "raft-repl:"+r.tag+">"+peer, func(rp *simnet.Proc) { r.replicate(rp, i, term) })
 	}
 	// Commit a no-op to establish commitment in the new term promptly.
 	r.d.log = append(r.d.log, entry{Term: term, Cmd: wire.Msg{Code: codeNop}})
-	r.matchIndex[r.id] = r.lastLogIndex()
+	r.termStart = r.lastLogIndex()
+	r.prog[r.self].match = r.termStart
 	r.persist(p)
 	r.persisted = r.lastLogIndex()
 	r.replWake.Broadcast(p)
 }
 
-// replicate drives one follower while r leads in `term`.
-func (r *Replica) replicate(p *simnet.Proc, peer string, term int) {
-	addr := r.cluster.Addr(peer)
+// replicate drives follower i (an index into cluster.ids) while r leads in
+// `term`.
+func (r *Replica) replicate(p *simnet.Proc, i, term int) {
+	addr := r.cluster.Addr(r.cluster.ids[i])
+	pr := &r.prog[i]
 	for {
 		r.mu.Lock(p)
 		if r.role != leader || r.d.term != term {
 			r.mu.Unlock(p)
 			return
 		}
-		ni := r.nextIndex[peer]
-		if ni < 1 {
-			ni = 1
-		}
+		ni := max(pr.next, 1)
 		args := appendEntriesArgs{
 			Term:         term,
 			LeaderID:     r.id,
@@ -686,6 +753,7 @@ func (r *Replica) replicate(p *simnet.Proc, peer string, term int) {
 			args.Entries = append([]entry(nil), r.d.log[ni:]...)
 		}
 		r.mu.Unlock(p)
+		sent := p.Now()
 		am, err := r.callPeer(p, addr, args.MarshalWire(), heartbeatInterval*2)
 		var rep appendEntriesReply
 		if err == nil {
@@ -704,21 +772,19 @@ func (r *Replica) replicate(p *simnet.Proc, peer string, term int) {
 				r.mu.Unlock(p)
 				return
 			case rep.Success:
-				r.nextIndex[peer] = ni + len(args.Entries)
-				if m := ni + len(args.Entries) - 1; m > r.matchIndex[peer] {
-					r.matchIndex[peer] = m
+				pr.acked = sent
+				pr.next = ni + len(args.Entries)
+				if m := ni + len(args.Entries) - 1; m > pr.match {
+					pr.match = m
 					r.advanceCommit(p)
 				}
 			default:
-				ci := rep.ConflictIndex
-				if ci < 1 {
-					ci = 1
-				}
-				r.nextIndex[peer] = ci
+				pr.acked = sent
+				pr.next = max(rep.ConflictIndex, 1)
 				idle = false // retry immediately
 			}
 		}
-		if idle && r.lastLogIndex() >= r.nextIndex[peer] {
+		if idle && r.lastLogIndex() >= pr.next {
 			idle = false
 		}
 		if idle {
@@ -735,12 +801,12 @@ func (r *Replica) advanceCommit(p *simnet.Proc) {
 			continue // only current-term entries commit by counting
 		}
 		count := 0
-		for _, id := range r.cluster.ids {
-			if r.matchIndex[id] >= n {
+		for _, pr := range r.prog {
+			if pr.match >= n {
 				count++
 			}
 		}
-		if count > len(r.cluster.ids)/2 {
+		if count > len(r.prog)/2 {
 			r.commitIndex = n
 			r.applyCond.Broadcast(p)
 			break

@@ -412,3 +412,40 @@ func TestProposeToFollowerDirectly(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Every replica keeps its own election deadline (Raft §5.2): two followers
+// whose drawn timeouts fall inside one electionTimeoutMin/4 window stand
+// apart, and the first to stand wins in one round. On a timer shared by
+// every replica's phase they stood on the same tick and split the vote.
+func TestCloseTimeoutsElectInOneRound(t *testing.T) {
+	h := newHarness(1, 3)
+	h.sim.Go("driver", func(p *simnet.Proc) {
+		defer h.sim.Stop()
+		p.Sleep(time.Second)
+		ldr := h.leader()
+		if ldr == nil {
+			t.Error("no leader")
+			return
+		}
+		draw := 110 * time.Millisecond
+		for _, id := range h.cluster.ids {
+			if r := h.replicas[id]; r != ldr {
+				r.electTimeout = draw
+				draw += 4 * time.Millisecond
+			}
+		}
+		p.Sleep(electionTimeoutMax) // every timer has slept on its new draw once
+		term := ldr.Term()
+		ldr.node.Crash()
+		p.Sleep(electionTimeoutMax + 2*electionTimeoutMin)
+		nl := h.leader()
+		if nl == nil {
+			t.Errorf("no leader elected after the leader's crash in term %d", term)
+		} else if nl.Term() != term+1 {
+			t.Errorf("after the leader's crash in term %d, %s leads term %d; want one elected in term %d", term, nl.id, nl.Term(), term+1)
+		}
+	})
+	if err := h.sim.RunUntil(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+}

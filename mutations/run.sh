@@ -44,6 +44,11 @@ rows=(
 	"inline-steps-after-kill.patch|./internal/rdma|^TestLocalCrashBeforeTransferPlacesNothing$"
 	"cut-skips-inline.patch|./internal/simnet|^TestCutCountsInlineDispatches$"
 	"admit-counts-every-write.patch|./internal/dfs|^TestRewriteCountsDirtyOnce$"
+	"timer-on-shared-phase.patch|./internal/raft|^TestCloseTimeoutsElectInOneRound$"
+	"hint-names-unheard-leader.patch|./internal/controller|^TestClientsOnOneNodeShareTheLeaderHint$"
+	"new-leader-keeps-clocks.patch|./internal/controller|^TestNewLeaderRestartsSessionClocks$"
+	"leader-without-majority-answers.patch|./internal/controller|^TestLeaderWithoutMajorityStopsAnsweringKeepAlives$"
+	"local-before-apply.patch|./internal/controller|^TestNewLeaderAnswersKeepAliveAfterItsFirstApply$"
 )
 
 status=0
