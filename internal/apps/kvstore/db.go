@@ -90,7 +90,7 @@ func (m *memtable) put(e entry) {
 	m.bytes += int64(len(e.key) + len(e.value) + 16)
 }
 
-// sortedEntries is a memtable's (or a merge's) content in table order.
+// sortedEntries is a memtable's content in table order.
 func sortedEntries(data map[string]entry) []entry {
 	out := make([]entry, 0, len(data))
 	for _, k := range applog.SortedKeys(data) {
@@ -470,18 +470,18 @@ func (db *DB) compactorLoop(p *simnet.Proc) {
 }
 
 // mergeTables produces the sorted union with newest-wins semantics.
-// inputsL0 is newest-first; L1 is oldest.
+// inputsL0 is newest-first; L1 is oldest. Tables are scanned oldest first,
+// and each L0 table's scan is charged its merge CPU.
 func (db *DB) mergeTables(p *simnet.Proc, inputsL0, inputsL1 []*ssTable) ([]entry, error) {
-	result := make(map[string]entry)
-	// Oldest first so newer entries overwrite.
-	for _, t := range inputsL1 {
+	// runs in merge order, newest first: L0, then L1 (of which a later
+	// table is the newer).
+	runs := make([][]entry, len(inputsL0)+len(inputsL1))
+	for i, t := range inputsL1 {
 		ents, err := t.scanAll(p)
 		if err != nil {
 			return nil, err
 		}
-		for _, e := range ents {
-			result[e.key] = e
-		}
+		runs[len(runs)-1-i] = ents
 	}
 	for i := len(inputsL0) - 1; i >= 0; i-- {
 		ents, err := inputsL0[i].scanAll(p)
@@ -490,16 +490,40 @@ func (db *DB) mergeTables(p *simnet.Proc, inputsL0, inputsL1 []*ssTable) ([]entr
 		}
 		// Charge merge CPU coarsely per table.
 		p.Sleep(time.Duration(len(ents)) * db.cfg.MergeCPU)
-		for _, e := range ents {
-			result[e.key] = e
+		runs[i] = ents
+	}
+	return mergeRuns(runs), nil
+}
+
+// mergeRuns merges sorted runs of unique keys, given newest first, into one
+// sorted run: of the entries for one key the newest run's wins, and a
+// winning tombstone is dropped (a full merge has nothing older to shadow).
+func mergeRuns(runs [][]entry) []entry {
+	n := 0
+	for _, r := range runs {
+		n += len(r)
+	}
+	out := make([]entry, 0, n)
+	for {
+		var win *entry
+		for i := range runs {
+			if len(runs[i]) > 0 && (win == nil || runs[i][0].key < win.key) {
+				win = &runs[i][0]
+			}
+		}
+		if win == nil {
+			return out
+		}
+		e := *win
+		for i := range runs {
+			if len(runs[i]) > 0 && runs[i][0].key == e.key {
+				runs[i] = runs[i][1:]
+			}
+		}
+		if !e.del {
+			out = append(out, e)
 		}
 	}
-	for k, e := range result {
-		if e.del {
-			delete(result, k) // full-merge drops tombstones
-		}
-	}
-	return sortedEntries(result), nil
 }
 
 // Close stops background work (the store remains recoverable).

@@ -1,11 +1,9 @@
 package kvstore
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 
 	"splitft/internal/core"
 	"splitft/internal/simnet"
@@ -48,10 +46,14 @@ func newBloom(n int) *bloom {
 	return &bloom{bits: make([]byte, (m+7)/8), m: m}
 }
 
+// bloomHash is FNV-1a over key, computed inline (no hash.Hash64 object),
+// and a second hash derived from it for double hashing.
 func bloomHash(key string) (uint64, uint64) {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	h1 := h.Sum64()
+	h1 := uint64(14695981039346656037) // FNV-1a 64-bit offset basis
+	for i := 0; i < len(key); i++ {
+		h1 ^= uint64(key[i])
+		h1 *= 1099511628211 // FNV 64-bit prime
+	}
 	h2 := h1>>33 | h1<<31
 	return h1, h2 | 1
 }
@@ -88,8 +90,6 @@ type ssTable struct {
 	filter  *bloom
 	entries int64
 	dataEnd int64
-	minKey  string
-	maxKey  string
 }
 
 // writeSSTable serializes sorted entries to path on the dfs and syncs it.
@@ -101,70 +101,89 @@ func writeSSTable(p *simnet.Proc, fs *core.FS, path string, entries []entry) (*s
 	if err != nil {
 		return nil, err
 	}
-	var data bytes.Buffer
-	filter := newBloom(len(entries))
-	var index []indexEntry
-	for i, e := range entries {
-		if i%indexInterval == 0 {
-			index = append(index, indexEntry{key: e.key, off: int64(data.Len())})
-		}
-		filter.add(e.key)
-		var lenBuf [8]byte
-		binary.LittleEndian.PutUint32(lenBuf[0:4], uint32(len(e.key)))
-		vlen := uint32(len(e.value))
-		if e.del {
-			vlen = tombstoneLen
-		}
-		binary.LittleEndian.PutUint32(lenBuf[4:8], vlen)
-		data.Write(lenBuf[:])
-		data.WriteString(e.key)
-		if !e.del {
-			data.Write(e.value)
-		}
-	}
-	dataEnd := int64(data.Len())
-
-	bloomOff := dataEnd
-	var bm [4]byte
-	binary.LittleEndian.PutUint32(bm[:], uint32(filter.m))
-	data.Write(bm[:])
-	data.Write(filter.bits)
-
-	indexOff := int64(data.Len())
-	var cnt [4]byte
-	binary.LittleEndian.PutUint32(cnt[:], uint32(len(index)))
-	data.Write(cnt[:])
-	for _, ie := range index {
-		var klen [4]byte
-		binary.LittleEndian.PutUint32(klen[:], uint32(len(ie.key)))
-		data.Write(klen[:])
-		data.WriteString(ie.key)
-		var off [8]byte
-		binary.LittleEndian.PutUint64(off[:], uint64(ie.off))
-		data.Write(off[:])
-	}
-	var trailer [trailerLen]byte
-	binary.LittleEndian.PutUint64(trailer[0:8], uint64(bloomOff))
-	binary.LittleEndian.PutUint64(trailer[8:16], uint64(indexOff))
-	binary.LittleEndian.PutUint64(trailer[16:24], uint64(len(entries)))
-	binary.LittleEndian.PutUint64(trailer[24:32], ssMagic)
-	data.Write(trailer[:])
-
-	if _, err := f.Write(p, data.Bytes()); err != nil {
+	data, t := encodeSSTable(entries)
+	if _, err := f.Write(p, data); err != nil {
 		return nil, err
 	}
 	if err := f.Sync(p); err != nil {
 		return nil, err
 	}
-	t := &ssTable{
-		path: path, file: f, index: index, filter: filter,
-		entries: int64(len(entries)), dataEnd: dataEnd,
-	}
-	if len(entries) > 0 {
-		t.minKey = entries[0].key
-		t.maxKey = entries[len(entries)-1].key
-	}
+	t.path, t.file = path, f
 	return t, nil
+}
+
+// encodeSSTable lays sorted entries out as one table file, in a buffer
+// sized once, and returns it with the table's in-memory metadata.
+func encodeSSTable(entries []entry) ([]byte, *ssTable) {
+	filter := newBloom(len(entries))
+	size := 4 + len(filter.bits) + 4 + trailerLen
+	for i, e := range entries {
+		size += 8 + len(e.key) + len(e.value)
+		if i%indexInterval == 0 {
+			size += 4 + len(e.key) + 8
+		}
+	}
+	data := make([]byte, 0, size)
+	offs := make([]uint64, 0, (len(entries)+indexInterval-1)/indexInterval)
+	le := binary.LittleEndian
+	for i, e := range entries {
+		if i%indexInterval == 0 {
+			offs = append(offs, uint64(len(data)))
+		}
+		filter.add(e.key)
+		vlen := uint32(len(e.value))
+		if e.del {
+			vlen = tombstoneLen
+		}
+		data = le.AppendUint32(data, uint32(len(e.key)))
+		data = le.AppendUint32(data, vlen)
+		data = append(data, e.key...)
+		if !e.del {
+			data = append(data, e.value...)
+		}
+	}
+	dataEnd := int64(len(data))
+
+	bloomOff := dataEnd
+	data = le.AppendUint32(data, uint32(filter.m))
+	data = append(data, filter.bits...)
+
+	indexOff := len(data)
+	data = le.AppendUint32(data, uint32(len(offs)))
+	for i, off := range offs {
+		key := entries[i*indexInterval].key
+		data = le.AppendUint32(data, uint32(len(key)))
+		data = append(data, key...)
+		data = le.AppendUint64(data, off)
+	}
+	index := parseIndex(data[indexOff:])
+
+	data = le.AppendUint64(data, uint64(bloomOff))
+	data = le.AppendUint64(data, uint64(indexOff))
+	data = le.AppendUint64(data, uint64(len(entries)))
+	data = le.AppendUint64(data, ssMagic)
+	return data, &ssTable{index: index, filter: filter, entries: int64(len(entries)), dataEnd: dataEnd}
+}
+
+// parseIndex decodes a sparse index section. Its keys are substrings of one
+// copy of the section: a table's index costs one string, and it pins no
+// memory of its writer's (a compaction's entry keys are substrings of its
+// inputs' scans).
+func parseIndex(sec []byte) []indexEntry {
+	str := string(sec)
+	count := binary.LittleEndian.Uint32(sec[0:4])
+	pos := 4
+	index := make([]indexEntry, 0, count)
+	for i := uint32(0); i < count; i++ {
+		klen := int(binary.LittleEndian.Uint32(sec[pos : pos+4]))
+		pos += 4
+		key := str[pos : pos+klen]
+		pos += klen
+		off := int64(binary.LittleEndian.Uint64(sec[pos : pos+8]))
+		pos += 8
+		index = append(index, indexEntry{key: key, off: off})
+	}
+	return index
 }
 
 // openSSTable opens an existing table, reading its trailer, bloom filter
@@ -198,28 +217,10 @@ func openSSTable(p *simnet.Proc, fs *core.FS, path string) (*ssTable, error) {
 	// Bloom.
 	m := binary.LittleEndian.Uint32(meta[0:4])
 	filter := &bloom{m: uint64(m), bits: meta[4 : 4+(m+7)/8]}
-	// Index.
-	idx := meta[indexOff-bloomOff:]
-	count := binary.LittleEndian.Uint32(idx[0:4])
-	pos := 4
-	index := make([]indexEntry, 0, count)
-	for i := uint32(0); i < count; i++ {
-		klen := int(binary.LittleEndian.Uint32(idx[pos : pos+4]))
-		pos += 4
-		key := string(idx[pos : pos+klen])
-		pos += klen
-		off := int64(binary.LittleEndian.Uint64(idx[pos : pos+8]))
-		pos += 8
-		index = append(index, indexEntry{key: key, off: off})
-	}
-	t := &ssTable{
-		path: path, file: f, index: index, filter: filter,
+	return &ssTable{
+		path: path, file: f, index: parseIndex(meta[indexOff-bloomOff:]), filter: filter,
 		entries: numEntries, dataEnd: bloomOff,
-	}
-	if len(index) > 0 {
-		t.minKey = index[0].key
-	}
-	return t, nil
+	}, nil
 }
 
 // get looks key up in the table, reading only the indexed data slice.
@@ -257,22 +258,23 @@ func (t *ssTable) get(p *simnet.Proc, key string) (value []byte, found, deleted 
 		klen := int(binary.LittleEndian.Uint32(block[pos : pos+4]))
 		vlen := binary.LittleEndian.Uint32(block[pos+4 : pos+8])
 		pos += 8
-		k := string(block[pos : pos+klen])
+		// string(k) in a comparison converts without allocating.
+		k := block[pos : pos+klen]
 		pos += klen
 		if vlen == tombstoneLen {
-			if k == key {
+			if string(k) == key {
 				return nil, true, true, nil
 			}
 			continue
 		}
 		v := block[pos : pos+int(vlen)]
 		pos += int(vlen)
-		if k == key {
+		if string(k) == key {
 			out := make([]byte, len(v))
 			copy(out, v)
 			return out, true, false, nil
 		}
-		if k > key {
+		if string(k) > key {
 			return nil, false, false, nil
 		}
 	}
@@ -280,21 +282,23 @@ func (t *ssTable) get(p *simnet.Proc, key string) (value []byte, found, deleted 
 }
 
 // scanAll reads the full table sequentially (compaction input). Returned
-// values alias one backing buffer (they are never mutated downstream), so a
-// scan costs one read buffer plus a key string per entry, not a value copy —
-// compaction runs often enough that the copies showed in the alloc gate.
+// values alias the read buffer (they are never mutated downstream) and keys
+// are substrings of one string copy of it, so a scan costs one read buffer
+// and one string, not a value copy or a string per key — compaction runs
+// often enough that either showed in the alloc gate.
 func (t *ssTable) scanAll(p *simnet.Proc) ([]entry, error) {
 	data := make([]byte, t.dataEnd)
 	if _, err := t.file.Pread(p, data, 0); err != nil {
 		return nil, err
 	}
+	str := string(data)
 	out := make([]entry, 0, t.entries)
 	pos := 0
 	for pos+8 <= len(data) {
 		klen := int(binary.LittleEndian.Uint32(data[pos : pos+4]))
 		vlen := binary.LittleEndian.Uint32(data[pos+4 : pos+8])
 		pos += 8
-		key := string(data[pos : pos+klen])
+		key := str[pos : pos+klen]
 		pos += klen
 		if vlen == tombstoneLen {
 			out = append(out, entry{key: key, del: true})

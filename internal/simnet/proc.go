@@ -28,6 +28,9 @@ type Proc struct {
 
 	wake chan struct{}
 	gen  uint64
+	// queued counts p's live events in the sim's heap: scheduled under the
+	// current gen. When gen moves on they become the sim's stale count.
+	queued int
 	// step is an inline proc's dispatch; nil for a goroutine proc. It
 	// reports done to end the proc, as a goroutine proc ends by returning.
 	step func(*Proc) (done bool)
@@ -104,13 +107,22 @@ func (p *Proc) park() {
 // resume is the post-wake bookkeeping shared by every way a proc regains
 // the token.
 func (p *Proc) resume() {
-	p.gen++
+	p.nextGen()
 	if p.killed {
 		if w := p.waiter; w != nil {
 			p.waiter = nil
 			p.sim.releaseWaiter(w)
 		}
 		panic(killedPanic{})
+	}
+}
+
+// nextGen starts p's next episode: every event still queued for the last one
+// is stale.
+func (p *Proc) nextGen() {
+	p.gen++
+	if p.queued > 0 {
+		p.sim.retire(p)
 	}
 }
 

@@ -1,6 +1,10 @@
 package simnet
 
-import "time"
+import (
+	"cmp"
+	"slices"
+	"time"
+)
 
 // The scheduler's event storage. Two structures share the work:
 //
@@ -26,6 +30,10 @@ type event struct {
 	p   *Proc
 	gen uint64
 }
+
+// stale reports whether e will never dispatch: its proc ended, or resumed
+// since e was scheduled.
+func (e event) stale() bool { return e.p.done || e.gen != e.p.gen }
 
 // eventLess orders events by (at, seq): virtual time first, scheduling
 // order as the deterministic tie-break.
@@ -153,14 +161,14 @@ func (s *Sim) minAt() time.Duration {
 // popMin removes and returns the globally earliest event by (at, seq),
 // merging the run queue and the heap. Call only when pending().
 func (s *Sim) popMin() event {
-	if s.runq.n == 0 {
-		return s.heap.pop()
-	}
-	if len(s.heap.a) == 0 {
-		return s.runq.pop()
-	}
-	if eventLess(s.heap.peek(), s.runq.peek()) {
-		return s.heap.pop()
+	if s.runq.n == 0 || len(s.heap.a) > 0 && eventLess(s.heap.peek(), s.runq.peek()) {
+		e := s.heap.pop()
+		if e.stale() {
+			s.stale--
+		} else {
+			e.p.queued--
+		}
+		return e
 	}
 	return s.runq.pop()
 }
@@ -173,7 +181,54 @@ func (s *Sim) schedule(at time.Duration, p *Proc, gen uint64) {
 		s.runq.push(event{at: s.now, seq: s.seq, p: p, gen: gen})
 		return
 	}
+	p.queued++ // every caller schedules a live p under its current gen
 	s.heap.push(event{at: at, seq: s.seq, p: p, gen: gen})
+}
+
+// compactFloor is the heap size below which stale events are left to be
+// popped in their turn: filtering a small heap saves nothing.
+const compactFloor = 64
+
+// retire counts p's queued heap events as stale: p resumed or ended, so
+// none of them will dispatch. A wait that ends before its deadline (an RPC
+// answered in microseconds under a 10 s timeout) leaves its deadline event
+// behind, and those pile up; once stale events are the majority of a heap
+// above compactFloor they are filtered out in place and the heap rebuilt,
+// the Go runtime's lazy timer deletion. (at, seq) is a total order, so the
+// dispatch order does not depend on the heap's shape.
+// Call only when p.queued > 0.
+func (s *Sim) retire(p *Proc) {
+	s.stale += p.queued
+	p.queued = 0
+	if n := len(s.heap.a); 2*s.stale > n && n > compactFloor {
+		s.compact()
+	}
+}
+
+// compact drops every stale event from the heap and rebuilds it.
+// droppedAt keeps the latest time dropped, which Run's horizon exit reads
+// in place of the events themselves.
+func (s *Sim) compact() {
+	a := s.heap.a
+	n := 0
+	for _, e := range a {
+		if e.stale() {
+			s.droppedAt = max(s.droppedAt, e.at)
+			continue
+		}
+		a[n] = e
+		n++
+	}
+	clear(a[n:]) // drop the *Procs so the slab doesn't pin finished procs
+	// A sorted array is a heap.
+	slices.SortFunc(a[:n], func(x, y event) int {
+		if c := cmp.Compare(x.at, y.at); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.seq, y.seq)
+	})
+	s.heap.a = a[:n]
+	s.stale = 0
 }
 
 // nextLive pops the next dispatchable event in global (at, seq) order,
@@ -188,11 +243,9 @@ func (s *Sim) nextLive() (event, bool) {
 		if s.horizon > 0 && s.minAt() > s.horizon {
 			break
 		}
-		e := s.popMin()
-		if e.p.done || e.gen != e.p.gen {
-			continue // stale wake-up
+		if e := s.popMin(); !e.stale() {
+			return e, true
 		}
-		return e, true
 	}
 	return event{}, false
 }

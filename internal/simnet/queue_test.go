@@ -186,3 +186,158 @@ func TestEventHeapSortsRandomInput(t *testing.T) {
 		t.Fatalf("heap not empty after draining: %d left", h.len())
 	}
 }
+
+// The same property with stale events mixed in: procs are woken early at
+// random (their generation moves on, as when a reply beats a deadline), so
+// compaction drops their queued events mid-schedule. The reference is still
+// the stable sort of everything scheduled: walking it, an event dispatches
+// exactly when its proc's generation, after every bump that preceded that
+// dispatch, is the one it was scheduled under.
+func TestDispatchOrderWithEarlyWakeupsMatchesStableSortReference(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		s := New(seed)
+		rng := rand.New(rand.NewSource(seed))
+		procs := make([]*Proc, 8)
+		for i := range procs {
+			procs[i] = &Proc{sim: s, id: uint64(i)}
+		}
+
+		type ref struct {
+			at  time.Duration
+			seq uint64
+			p   int
+			gen uint64
+		}
+		var scheduled []ref // appended in seq order
+		var dispatched []ref
+		// bumps[i] holds, per generation bump of proc i, how many events had
+		// dispatched when it happened.
+		bumps := make([][]int, len(procs))
+		compactions := 0
+		bump := func(i int) {
+			before := len(s.heap.a)
+			procs[i].nextGen()
+			bumps[i] = append(bumps[i], len(dispatched))
+			if len(s.heap.a) < before {
+				compactions++
+			}
+		}
+		schedule := func() {
+			i := rng.Intn(len(procs))
+			var d time.Duration
+			switch rng.Intn(4) {
+			case 0: // same-instant: run-queue fast path
+			case 1:
+				d = time.Duration(rng.Intn(5)) * time.Microsecond
+			default:
+				d = time.Duration(rng.Intn(1000)) * time.Microsecond
+			}
+			at := s.now + d
+			s.schedule(at, procs[i], procs[i].gen)
+			scheduled = append(scheduled, ref{at: at, seq: s.seq, p: i, gen: procs[i].gen})
+		}
+		dispatch := func() bool {
+			e, ok := s.nextLive()
+			if !ok {
+				return false
+			}
+			if e.at < s.now {
+				t.Fatalf("seed %d: event at %v dispatched after clock reached %v", seed, e.at, s.now)
+			}
+			s.now = e.at
+			dispatched = append(dispatched, ref{at: e.at, seq: e.seq, p: int(e.p.id), gen: e.gen})
+			bump(int(e.p.id)) // the dispatched proc resumes
+			return true
+		}
+
+		for i := 0; i < 3000; i++ {
+			switch r := rng.Intn(8); {
+			case r < 2:
+				dispatch()
+			case r < 3:
+				bump(rng.Intn(len(procs))) // an early wake-up
+			default:
+				schedule()
+			}
+		}
+		for dispatch() {
+		}
+		if compactions == 0 {
+			t.Fatalf("seed %d: no compaction ran; the schedule does not exercise it", seed)
+		}
+
+		expect := append([]ref(nil), scheduled...)
+		sort.SliceStable(expect, func(i, j int) bool { return expect[i].at < expect[j].at })
+		var live []ref
+		for _, e := range expect {
+			gen := uint64(0)
+			for _, at := range bumps[e.p] {
+				if at <= len(live) {
+					gen++
+				}
+			}
+			if gen == e.gen {
+				live = append(live, e)
+			}
+		}
+		if len(dispatched) != len(live) {
+			t.Fatalf("seed %d: dispatched %d events, reference %d", seed, len(dispatched), len(live))
+		}
+		for i := range live {
+			if dispatched[i] != live[i] {
+				t.Fatalf("seed %d: dispatch[%d] = %+v, reference %+v", seed, i, dispatched[i], live[i])
+			}
+		}
+	}
+}
+
+// A wait answered long before its deadline abandons the deadline event. An
+// RPC client calling with a 10 s timeout against a server that answers in
+// microseconds must not keep every call's deadline queued: the heap stays
+// within twice its live events plus compactFloor.
+func TestAbandonedDeadlinesLeaveTheHeap(t *testing.T) {
+	s := New(1)
+	srv, cli := s.NewNode("srv"), s.NewNode("cli")
+	s.Net().Register("echo", srv, func(p *Proc, req Msg) (Msg, error) { return req, nil })
+	s.Go("caller", func(p *Proc) {
+		for i := 0; i < 100000; i++ {
+			if _, err := s.Net().CallTimeout(p, cli, "echo", Msg{}, 10*time.Second); err != nil {
+				t.Errorf("call %d: %v", i, err)
+				return
+			}
+			live := 0
+			for _, e := range s.heap.a {
+				if !e.p.done && e.gen == e.p.gen {
+					live++
+				}
+			}
+			if n := len(s.heap.a); n > 2*live+compactFloor {
+				t.Errorf("after call %d the heap holds %d events, %d of them live", i, n, live)
+				return
+			}
+		}
+	})
+	run(t, s)
+}
+
+// RunUntil moves the clock to its horizon when events lie past it, stale
+// ones included. Compaction may drop every such event from the heap; the
+// horizon exit must still end at the horizon, as when they stayed queued.
+func TestRunUntilEndsAtHorizonPastDroppedEvents(t *testing.T) {
+	s := New(1)
+	s.NewNode("n").GoInline("waker", func(p *Proc) bool {
+		for i := 0; i < 2*compactFloor; i++ {
+			p.WakeAfter(time.Hour)
+		}
+		return true // ends: every wake-up it queued is stale
+	})
+	if err := s.RunUntil(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.heap.a) != 0 {
+		t.Fatalf("%d stale events still queued; compaction did not drop them", len(s.heap.a))
+	}
+	if s.Now() != time.Minute {
+		t.Fatalf("now = %v, want the horizon %v", s.Now(), time.Minute)
+	}
+}

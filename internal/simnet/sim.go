@@ -46,6 +46,12 @@ type Sim struct {
 	procSeq uint64
 	events  uint64 // dispatched events, for perf accounting
 
+	// stale counts the heap's events that will never dispatch (queue.go,
+	// retire); droppedAt is the latest time of any stale event compaction
+	// removed from the heap.
+	stale     int
+	droppedAt time.Duration
+
 	// parked is signalled when the execution token returns to the driver:
 	// a proc finished, or a parking proc found nothing dispatchable.
 	parked chan struct{}
@@ -135,8 +141,11 @@ func (s *Sim) Run() error {
 	for {
 		ev, ok := s.nextLive()
 		if !ok {
-			if !s.stopped && s.fatal == nil && s.horizon > 0 && s.pending() {
-				s.now = s.horizon // next event lies past the horizon
+			// The next event lies past the horizon, even a stale one that
+			// compaction dropped: the clock moves to the horizon exactly as
+			// when stale events stayed queued.
+			if !s.stopped && s.fatal == nil && s.horizon > 0 && (s.pending() || s.droppedAt > s.horizon) {
+				s.now = s.horizon
 			}
 			break
 		}
@@ -214,6 +223,9 @@ func (s *Sim) removeProc(p *Proc) {
 // event still queued for it is stale.
 func (s *Sim) unlink(p *Proc) {
 	p.done = true
+	if p.queued > 0 {
+		s.retire(p)
+	}
 	if p.node != nil {
 		p.node.removeProc(p)
 	}
@@ -240,7 +252,7 @@ func (s *Sim) spawn(n *Node, name string, fn func(*Proc)) *Proc {
 	p.wake = make(chan struct{}, 1)
 	go func() {
 		<-p.wake
-		p.gen++
+		p.nextGen()
 		defer func() {
 			s.unlink(p)
 			if r := recover(); r != nil {
@@ -270,7 +282,7 @@ func (s *Sim) procPanicked(p *Proc, r any) {
 // and the panic becomes Run's error; a step that reports done ends p, as a
 // goroutine proc ends by returning.
 func (s *Sim) step(p *Proc) {
-	p.gen++
+	p.nextGen()
 	if p.killed {
 		s.unlink(p)
 		return

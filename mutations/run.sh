@@ -49,6 +49,8 @@ rows=(
 	"new-leader-keeps-clocks.patch|./internal/controller|^TestNewLeaderRestartsSessionClocks$"
 	"leader-without-majority-answers.patch|./internal/controller|^TestLeaderWithoutMajorityStopsAnsweringKeepAlives$"
 	"local-before-apply.patch|./internal/controller|^TestNewLeaderAnswersKeepAliveAfterItsFirstApply$"
+	"compact-ignores-gen.patch|./internal/simnet|^TestAbandonedDeadlinesLeaveTheHeap$"
+	"merge-older-wins.patch|./internal/apps/kvstore|^TestMergeMatchesMapReference$"
 )
 
 status=0
