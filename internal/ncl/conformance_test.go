@@ -229,6 +229,40 @@ func (e *conf) losePublishReply(col *trace.Collector) (fired *bool) {
 	return fired
 }
 
+// nameSharing returns the first name prefix<i> whose group the lib would pick
+// now holds at least need of the peers in members.
+func nameSharing(t *testing.T, p *simnet.Proc, l *Lib, spec PolicySpec, capacity int64, prefix string, members []string, need int) string {
+	registry, err := l.ctrl.ListPeers(p)
+	if err != nil {
+		t.Fatalf("list peers: %v", err)
+	}
+	place := spec.Place(capacity)
+	for i := 0; i < 1000; i++ {
+		name := fmt.Sprintf("%s%d", prefix, i)
+		n := 0
+		for _, cand := range l.pick(&Log{name: name}, nil, eligible(registry, nil, place.SlotRegion), place.Slots) {
+			if slices.Contains(members, cand.Name) {
+				n++
+			}
+		}
+		if n >= need {
+			return name
+		}
+	}
+	t.Fatalf("no name %s<i> shares %d of %v", prefix, need, members)
+	return ""
+}
+
+// shared returns need live members of a that are live members of b too, in
+// a's slot order.
+func (e *conf) shared(a, b *Log, need int) []string {
+	both := slices.DeleteFunc(a.LivePeers(), func(pn string) bool { return !slices.Contains(b.LivePeers(), pn) })
+	if len(both) < need {
+		e.t.Fatalf("%s on %v shares %v with %s on %v, want %d members", a.name, a.LivePeers(), both, b.name, b.LivePeers(), need)
+	}
+	return both[:need]
+}
+
 var confScripts = []struct {
 	name string
 	run  func(e *conf, p *simnet.Proc)
@@ -1113,42 +1147,54 @@ var confScripts = []struct {
 		lg := e.open(p, l, "wal")
 		e.append(p, lg, 5)
 		need := e.spec.Tolerates() + 1
-		registry, err := l.ctrl.ListPeers(p)
-		if err != nil {
-			e.t.Fatalf("list peers: %v", err)
-		}
-		place := e.spec.Place(e.capacity)
-		quiet := ""
-		for i := 0; quiet == "" && i < 1000; i++ {
-			name := fmt.Sprintf("quiet-%d", i)
-			shared := 0
-			for _, cand := range l.pick(&Log{name: name}, nil, eligible(registry, nil, place.SlotRegion), place.Slots) {
-				if slices.Contains(lg.LivePeers(), cand.Name) {
-					shared++
-				}
-			}
-			if shared >= need {
-				quiet = name
-			}
-		}
-		q := e.open(p, l, quiet)
+		q := e.open(p, l, nameSharing(e.t, p, l, e.spec, e.capacity, "quiet-", lg.LivePeers(), need))
 		e.append(p, q, 3)
-		var victims []string
-		for _, pn := range q.LivePeers() {
-			if len(victims) < need && slices.Contains(lg.LivePeers(), pn) {
-				victims = append(victims, pn)
-			}
-		}
-		if len(victims) != need {
-			e.t.Fatalf("%s on %v shares %v with wal on %v, want %d members", quiet, q.LivePeers(), victims, lg.LivePeers(), need)
-		}
+		victims := e.shared(q, lg, need)
 		e.crashPeers(victims...)
 		e.append(p, lg, 3)
 		for wait := 0; q.Replacements < need && wait < 100; wait++ {
 			p.Sleep(time.Millisecond)
 		}
 		e.crashApp(p)
-		e.recover(p, quiet, nil)
+		e.recover(p, q.name, nil)
+	}},
+	{"a stalled log that sorts after a quiet log is repaired first", func(e *conf, p *simnet.Proc) {
+		// The lib replaces one member at a time, a stalled log's first. Two
+		// logs lose the same members, more than the policy tolerates: the one
+		// that sorts first is quiet, the other has a Record waiting on its
+		// acks. The stalled log's replacement is active before the quiet
+		// log's starts.
+		l := e.lib(p, e.cfg)
+		q := e.open(p, l, "a-quiet")
+		e.append(p, q, 3)
+		need := e.spec.Tolerates() + 1
+		st := e.open(p, l, nameSharing(e.t, p, l, e.spec, e.capacity, "b-stalled-", q.LivePeers(), need))
+		e.append(p, st, 3)
+		victims := e.shared(st, q, need)
+		col := trace.New()
+		e.c.sim.SetTracer(col)
+		e.crashPeers(victims...)
+		e.c.appNode.Go("stalled", func(ap *simnet.Proc) { e.append(ap, st, 1) })
+		for wait := 0; q.Replacements == 0 && wait < 1000; wait++ {
+			p.Sleep(time.Millisecond)
+		}
+		e.c.sim.SetTracer(nil)
+		active, start := time.Duration(-1), time.Duration(-1)
+		for _, sp := range trace.Filter(col.Spans(), "ncl", "replace") {
+			if sp.StrAttr("file") == st.name && sp.Done() && active < 0 {
+				active = sp.End
+			} else if sp.StrAttr("file") == q.name && start < 0 {
+				start = sp.Start
+			}
+		}
+		if active < 0 || start < active {
+			e.t.Fatalf("the quiet log's replacement started at %v, the stalled log's first was active at %v", start, active)
+		}
+		e.restored(p, l, q, 1, victims...)
+		e.restored(p, l, st, 1, victims...)
+		e.crashApp(p)
+		e.recover(p, q.name, nil)
+		e.recover(p, st.name, nil)
 	}},
 	{"a live replacement sends each byte once", func(e *conf, p *simnet.Proc) {
 		// The catch-up sends the new member its slot's replica up to the cut,

@@ -28,7 +28,7 @@ type mirrorPolicy struct {
 	recoveryPeer *peerConn
 	// catching is the member a live catch-up was last cut for; until its
 	// activation, Append lowers its cut to every offset it writes below it.
-	// A log runs one live replacement at a time (its repair proc), so one
+	// A lib runs one live replacement at a time (its repair proc), so one
 	// member is enough.
 	catching *peerConn
 }

@@ -111,11 +111,15 @@ type Lib struct {
 	// deletes are the released logs whose ap-map delete has not answered
 	// yet, by name (spare.go).
 	deletes map[string]*spareGroup
+
+	// repairCh kicks the lib's repair proc (repair.go).
+	repairCh *simnet.Chan[string]
 }
 
-// NewLib initializes ncl-lib for application appID running on node. fencing
-// is the application's incarnation (bump it on every restart). A
-// cfg.Replication that does not parse is an error.
+// NewLib initializes ncl-lib for application appID running on node and starts
+// its repair proc there, which dies with the node. fencing is the
+// application's incarnation (bump it on every restart). A cfg.Replication that
+// does not parse is an error.
 func NewLib(p *simnet.Proc, svc *controller.Service, fabric *rdma.Fabric, node *simnet.Node, appID string, fencing int64, cfg Config) (*Lib, error) {
 	policy, err := ParsePolicy(cfg.Replication)
 	if err != nil {
@@ -125,18 +129,19 @@ func NewLib(p *simnet.Proc, svc *controller.Service, fabric *rdma.Fabric, node *
 		cfg.DefaultRegionSize = 64 << 20
 	}
 	l := &Lib{
-		sim:     node.Sim(),
-		node:    node,
-		fabric:  fabric,
-		nic:     fabric.AttachNIC(node),
-		appID:   appID,
-		fencing: fencing,
-		cfg:     cfg,
-		policy:  policy,
-		logs:    make(map[string]*Log),
-		dir:     make(map[string]apEntry),
-		blame:   simnet.NewBlameSet(node.Sim()),
-		deletes: make(map[string]*spareGroup),
+		sim:      node.Sim(),
+		node:     node,
+		fabric:   fabric,
+		nic:      fabric.AttachNIC(node),
+		appID:    appID,
+		fencing:  fencing,
+		cfg:      cfg,
+		policy:   policy,
+		logs:     make(map[string]*Log),
+		dir:      make(map[string]apEntry),
+		blame:    simnet.NewBlameSet(node.Sim()),
+		deletes:  make(map[string]*spareGroup),
+		repairCh: simnet.NewChan[string](node.Sim()),
 	}
 	l.ctrl = controller.NewClient(svc, node, appID, fencing)
 	files, err := l.ctrl.StartSession(p, appID)
@@ -146,6 +151,7 @@ func NewLib(p *simnet.Proc, svc *controller.Service, fabric *rdma.Fabric, node *
 	for _, f := range files {
 		l.dir[f.Name] = apEntry{entry: f.Entry, version: f.Version}
 	}
+	p.GoOn(node, "ncl-repair:"+appID, l.repairLoop)
 	return l, nil
 }
 
@@ -291,9 +297,8 @@ type Log struct {
 	bulks    map[uint64]*simnet.Chan[error]
 	nextBulk uint64
 
-	mu       simnet.Mutex
-	ackCond  *simnet.Cond
-	repairCh *simnet.Chan[struct{}]
+	mu      simnet.Mutex
+	ackCond *simnet.Cond
 
 	released bool
 
@@ -383,7 +388,6 @@ func (l *Lib) newLog(name string, spec PolicySpec, capacity int64, appendOnly bo
 		apVersion:  apVersion,
 		appendOnly: appendOnly,
 		cq:         rdma.NewCQ(l.sim),
-		repairCh:   simnet.NewChan[struct{}](l.sim),
 		bulks:      make(map[uint64]*simnet.Chan[error]),
 	}
 	lg.ackCond = simnet.NewCond(&lg.mu)
@@ -468,18 +472,17 @@ func (l *Lib) Open(p *simnet.Proc, name string, capacity int64, appendOnly bool)
 		lg.apVersion, lg.epoch = ver, epoch
 	}
 	l.logs[name] = lg
-	lg.start(p)
+	p.GoOn(l.node, "ncl-poller:"+name, lg.pollLoop)
 	return lg, nil
 }
 
 // teardown stops everything a log runs on the application node — the one
 // place that does, for a release, a failed Open and a failed Recover alike:
-// every QP it ever connected is closed so the engine procs exit, the CQ and
-// the repair channel are closed so the poller and the repair proc do, and the
-// lib forgets the log, so that a retry starts clean. Without this, every
-// failed open or recovery under a saturated controller or beyond the failure
-// budget strands its procs and its buffer, and a retrying client turns the
-// fault into an unbounded pile-up.
+// every QP it ever connected is closed so the engine procs exit, the CQ is
+// closed so the poller does, and the lib forgets the log, so that a retry
+// starts clean. Without this, every failed open or recovery under a saturated
+// controller or beyond the failure budget strands its procs and its buffer,
+// and a retrying client turns the fault into an unbounded pile-up.
 //
 // The allocated regions are deliberately NOT released here. A release RPC
 // fired during an abort can outlive its timeout in a busy peer's queue, and a
@@ -495,7 +498,6 @@ func (lg *Log) teardown(p *simnet.Proc) {
 		delete(lg.lib.logs, lg.name)
 	}
 	lg.cq.Close(p)
-	lg.repairCh.Close(p)
 	// The closed CQ delivers no more completions: a proc still waiting for
 	// some — a live catch-up the release overtook — gets ErrReleased, its
 	// channel closed in id order.
@@ -569,15 +571,11 @@ func (lg *Log) publish(p *simnet.Proc, entry controller.FileEntry) (int64, error
 	return gver, nil
 }
 
-// start spawns the completion poller and the repair proc. Both die with the
-// application node.
-func (lg *Log) start(p *simnet.Proc) {
-	p.GoOn(lg.lib.node, "ncl-poller:"+lg.name, lg.pollLoop)
-	p.GoOn(lg.lib.node, "ncl-repair:"+lg.name, lg.repairLoop)
-}
-
 // pollLoop drains the shared CQ, advancing per-peer completed sequence
-// numbers and routing bulk-transfer completions to their waiters.
+// numbers and routing bulk-transfer completions to their waiters. It runs on
+// the application node, one per log, and dies with it. A member it marks
+// failed kicks the lib's repair proc, with the member's name when the peer is
+// down (rdma.ErrRemoteDown), which the lib takes as down for every log.
 func (lg *Log) pollLoop(p *simnet.Proc) {
 	for {
 		c, ok := lg.cq.Poll(p)
@@ -594,22 +592,21 @@ func (lg *Log) pollLoop(p *simnet.Proc) {
 		pc := lg.conns[(ctx>>ctxConnShift)&ctxConnMask]
 		seq := ctx >> ctxSeqShift
 		lg.mu.Lock(p)
-		down := false
 		if c.Err != nil {
 			if !pc.failed {
 				pc.failed = true
 				lg.lib.blame.Blame(pc.name)
-				lg.repairCh.Send(p, struct{}{})
-				down = errors.Is(c.Err, rdma.ErrRemoteDown)
+				down := ""
+				if errors.Is(c.Err, rdma.ErrRemoteDown) {
+					down = pc.name
+				}
+				lg.lib.repairCh.Send(p, down)
 			}
 		} else if ctx&ctxHeaderFlag != 0 && seq > pc.completedSeq {
 			pc.completedSeq = seq
 		}
 		lg.ackCond.Broadcast(p)
 		lg.mu.Unlock(p)
-		if down {
-			lg.lib.peerDown(p, pc.name)
-		}
 	}
 }
 
@@ -662,8 +659,9 @@ func (lg *Log) Record(p *simnet.Proc, off int64, data []byte) error {
 	p.Sleep(lg.lib.cfg.RecordCPU)
 	lg.Records++
 	// Every completion broadcasts ackCond. A member found failed is kicked
-	// to repair where it is marked (pollLoop, Lib.peerDown), and its
-	// replacement's delta lands as completions too.
+	// to the lib's repair proc where it is marked (pollLoop), which replaces
+	// a stalled log's first, and its replacement's delta lands as
+	// completions too.
 	for lg.ackCount(seq) < lg.place.AckNeed {
 		if lg.released {
 			return ErrReleased

@@ -107,6 +107,8 @@ func TestAppendOnlyTailCatchup(t *testing.T) {
 // the one teardown, every failed Recover stranded a poller, a repair proc
 // and a QP engine per reachable member. The procs are counted by name in the
 // sim's census: QP engines are inline procs, which no goroutine count sees.
+// The census holds one "ncl-repair:" proc per lib, the lib's, which no
+// recovery starts or stops; a poller and the QP engines are per log.
 func TestFailedRecoveryStrandsNothing(t *testing.T) {
 	const attempts = 20
 	c := newCluster(27, 3, smallPeerCfg())

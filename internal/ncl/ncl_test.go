@@ -257,6 +257,56 @@ func TestStalledRecordWaitsForItsReplacement(t *testing.T) {
 	}
 }
 
+// The lib runs one repair proc, whatever number of logs it holds, and so one
+// replacement at a time: three logs that lose one shared peer are caught up
+// one after the other, never at once.
+func TestOneCatchUpPerLib(t *testing.T) {
+	c := newCluster(5, 12, smallPeerCfg())
+	c.run(t, func(p *simnet.Proc) {
+		l := c.newLib(p, t, "app1", 0)
+		first, err := l.Open(p, "wal-0", 256<<10, false)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		victim := first.LivePeers()[0]
+		logs := []*Log{first}
+		for i := 1; i < 3; i++ {
+			lg, err := l.Open(p, nameSharing(t, p, l, first.Policy(), first.Capacity(), fmt.Sprintf("wal-%d-", i), []string{victim}, 1), 256<<10, false)
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			logs = append(logs, lg)
+		}
+		for _, lg := range logs {
+			if _, err := lg.Append(p, []byte("before")); err != nil {
+				t.Fatalf("append to %s: %v", lg.name, err)
+			}
+		}
+		if n := p.Sim().LiveProcs("ncl-repair:"); n != 1 {
+			t.Fatalf("%d repair procs for a lib of %d logs, want 1", n, len(logs))
+		}
+		col := trace.New()
+		c.sim.SetTracer(col)
+		c.pNodes[victim].Crash()
+		if _, err := first.Append(p, []byte("detect")); err != nil {
+			t.Fatalf("append: %v", err)
+		}
+		for wait := 0; slices.ContainsFunc(logs, func(lg *Log) bool { return lg.Replacements == 0 }) && wait < 1000; wait++ {
+			p.Sleep(time.Millisecond)
+		}
+		c.sim.SetTracer(nil)
+		catchups := trace.Filter(col.Spans(), "ncl", "replace.catchup")
+		if len(catchups) != len(logs) {
+			t.Fatalf("%d catch-ups for %d logs that lost %s", len(catchups), len(logs), victim)
+		}
+		for i := 1; i < len(catchups); i++ {
+			if prev := catchups[i-1]; !prev.Done() || catchups[i].Start < prev.End {
+				t.Fatalf("catch-up %d started at %v, before catch-up %d ended at %v", i, catchups[i].Start, i-1, prev.End)
+			}
+		}
+	})
+}
+
 // Release removes the ap-map entry and parks the regions: every member keeps
 // its region as the lib's spare group, in slot order, and the log is gone.
 func TestReleaseFreesPeersAndApMap(t *testing.T) {
@@ -295,7 +345,7 @@ func TestReleaseFreesPeersAndApMap(t *testing.T) {
 // instead, whether it was registered before the release (the catch-up posted)
 // or after it (the set-up still in flight, as when a peer lost on another log
 // kicks the repair of a log about to rotate). The replacement fails, and the
-// repair proc exits.
+// lib's repair proc finds nothing left to replace.
 func TestReleaseEndsLiveReplacement(t *testing.T) {
 	for _, at := range []string{"replace.connect", "replace.catchup"} {
 		c := newCluster(5, 5, smallPeerCfg())
@@ -332,6 +382,64 @@ func TestReleaseEndsLiveReplacement(t *testing.T) {
 			}
 		})
 	}
+}
+
+// A replacement that a release overtook costs the lib no repair backoff, which
+// is for want of a peer: the lib's one repair proc goes straight on to the
+// next log's failed member.
+func TestOvertakenReplacementHoldsBackNoOtherLog(t *testing.T) {
+	c := newCluster(5, 12, smallPeerCfg())
+	c.run(t, func(p *simnet.Proc) {
+		col := trace.New()
+		c.sim.SetTracer(col)
+		l := c.newLib(p, t, "app1", 0)
+		var logs [2]*Log
+		for i, name := range []string{"wal", "aux"} {
+			lg, err := l.Open(p, name, 1<<20, false)
+			if err != nil {
+				t.Fatalf("open %s: %v", name, err)
+			}
+			logs[i] = lg
+		}
+		lg, other := logs[0], logs[1]
+		victims := [2]string{}
+		for i, lg := range logs {
+			for _, pn := range lg.LivePeers() {
+				if !slices.Contains(logs[1-i].LivePeers(), pn) {
+					victims[i] = pn
+				}
+			}
+		}
+		if victims[0] == "" || victims[1] == "" {
+			t.Fatalf("wal on %v and aux on %v: each needs a member of its own", lg.LivePeers(), other.LivePeers())
+		}
+		rec := make([]byte, 64<<10)
+		for i := 0; i < 12; i++ {
+			lg.Append(p, rec)
+		}
+		c.pNodes[victims[0]].Crash()
+		lg.Append(p, rec) // the failed WR starts wal's repair
+		for trace.First(col.Spans(), "ncl", "replace.catchup") == nil {
+			p.Sleep(time.Microsecond)
+		}
+		c.pNodes[victims[1]].Crash()
+		other.Append(p, []byte("x")) // aux's failure waits behind wal's catch-up
+		released := p.Now()
+		if err := lg.Release(p); err != nil {
+			t.Fatalf("release: %v", err)
+		}
+		for wait := 0; other.Replacements == 0 && wait < 1000; wait++ {
+			p.Sleep(time.Millisecond)
+		}
+		for _, sp := range trace.Filter(col.Spans(), "ncl", "replace") {
+			if sp.StrAttr("file") == "aux" && sp.Start-released > time.Millisecond {
+				t.Fatalf("aux's replacement started %v after wal's release", sp.Start-released)
+			}
+		}
+		if other.Replacements != 1 {
+			t.Fatalf("aux: %d replacements, want 1", other.Replacements)
+		}
+	})
 }
 
 // The lib reads its own deletes even when one is slow. A release whose ap-map

@@ -145,7 +145,7 @@ func (l *Lib) Recover(p *simnet.Proc, name string) (*Log, error) {
 	lg := l.newLog(name, spec, entry.Capacity, entry.AppendOnly, entry.Epoch, ver)
 	lg.rec = newRecovery()
 	// The poller runs from here so completion routing works during recovery.
-	lg.start(p)
+	p.GoOn(l.node, "ncl-poller:"+name, lg.pollLoop)
 
 	// (2) Contact peers, all at once: mr-map lookup + QP connect. Membership
 	// slots are positional (for ec, slot i holds fragment i), so lg.peers keeps
@@ -301,6 +301,7 @@ func (lg *Log) finishRecovery(p *simnet.Proc, rsp, rd *trace.Span, alive []*peer
 		lg.teardown(p)
 	} else {
 		lg.rec = nil
+		lg.lib.repairCh.Send(p, "") // what failed since the sync phase
 	}
 	r.done = true
 	r.cond.Broadcast(p)

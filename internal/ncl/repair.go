@@ -19,78 +19,82 @@ import (
 // f peers gone for mirror/quorum, any peer gone for ec), Record blocks
 // until a replacement is caught up (the ~100 ms stall of Fig 12).
 
-// repairLoop waits for failure notifications and replaces failed peers one
-// at a time. repairCh buffers a kick sent during a replacement, so a member
-// failed meanwhile gets one more pass.
-func (lg *Log) repairLoop(p *simnet.Proc) {
+// repairLoop is the lib's one repair proc: it replaces the failed members of
+// all its logs, one at a time, so that at most one catch-up runs per new peer
+// and the lib backs off as one when no peer is to be had. A kick is a member's
+// name when a log found it down (rdma.ErrRemoteDown), "" for any other
+// failure and for a recovery that ended; a kick sent during a replacement is
+// picked up before the next walk.
+func (l *Lib) repairLoop(p *simnet.Proc) {
 	for {
-		if _, ok := lg.repairCh.Recv(p); !ok {
-			return
-		}
-		// A recovering log replaces what it lost in its own sync phase; what
-		// is failed after it is replaced here.
-		if lg.Sync(p) != nil {
-			return
-		}
+		down, _ := l.repairCh.Recv(p)
 		backoff := 20 * time.Millisecond
 		for {
-			lg.mu.Lock(p)
-			if lg.released {
-				lg.mu.Unlock(p)
-				return
-			}
-			idx := -1
-			for i, pc := range lg.peers {
-				if pc != nil && pc.failed {
-					idx = i
-					break
-				}
-			}
-			lg.mu.Unlock(p)
-			if idx < 0 {
+			lg, idx := l.nextRepair(p, down)
+			if lg == nil {
 				break
 			}
 			if lg.replacePeer(p, idx) {
 				backoff = 20 * time.Millisecond
 			} else {
 				// No peer available (or the controller timed out): back off
-				// so a saturated control plane is not hammered by every
-				// degraded log at once.
+				// so a saturated control plane is not hammered.
 				p.Sleep(backoff)
 				if backoff < 2*time.Second {
 					backoff *= 2
 				}
 			}
+			down, _ = l.repairCh.TryRecv(p)
 		}
 	}
 }
 
-// peerDown is the lib's verdict on a peer one of its logs found unreachable
-// (rdma.ErrRemoteDown): it is down for every log the lib holds. Each log that
-// has it as a member not yet failed marks it failed and kicks its repair. A
-// log that posts nothing — a successor opened ahead of its use — would
-// otherwise never learn that it lost members, and a recovery could then find
-// too few of them. The logs are walked in name order, one log's mu at a time.
-func (l *Lib) peerDown(p *simnet.Proc, name string) {
+// nextRepair walks the lib's logs in name order, one log's mu at a time, and
+// returns the failed slot to replace next, or nil. A peer named down is down
+// for every log: each log marks it failed, since a log that posts nothing — a
+// successor opened ahead of its use — would otherwise never learn that it
+// lost members, and a recovery could then find too few of them. A log whose
+// recovery has not ended is passed over: its sync phase replaces its own
+// members. The first failed slot of the first stalled log wins — one with a
+// record fewer than AckNeed members ever completed, so a Record waits on the
+// replacement — and otherwise the first failed slot in name order.
+func (l *Lib) nextRepair(p *simnet.Proc, down string) (*Log, int) {
 	names := make([]string, 0, len(l.logs))
 	for n := range l.logs {
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	var next *Log
+	nextIdx, nextStalled := -1, false
 	for _, n := range names {
 		lg := l.logs[n]
 		if lg == nil {
 			continue // released meanwhile
 		}
 		lg.mu.Lock(p)
-		for _, pc := range lg.peers {
-			if pc != nil && pc.name == name && !pc.failed {
+		idx, acks := -1, 0
+		for i, pc := range lg.peers {
+			if pc == nil {
+				continue
+			}
+			if pc.name == down {
 				pc.failed = true
-				lg.repairCh.Send(p, struct{}{})
+			}
+			if pc.failed && idx < 0 {
+				idx = i
+			}
+			if pc.active && pc.completedSeq >= lg.seq {
+				acks++
 			}
 		}
+		stalled := acks < lg.place.AckNeed
+		skip := idx < 0 || lg.released || lg.rec != nil || next != nil && (nextStalled || !stalled)
 		lg.mu.Unlock(p)
+		if !skip {
+			next, nextIdx, nextStalled = lg, idx, stalled
+		}
 	}
+	return next, nextIdx
 }
 
 // vacant closes what is left of the failed members and returns the slots that
@@ -185,7 +189,7 @@ func (lg *Log) replacePeer(p *simnet.Proc, idx int) bool {
 	defer p.EndSpan(rsp)
 	pcs, err := lg.fillSlots(p, []int{idx}, members, newEpoch, true)
 	if err != nil {
-		return false
+		return lg.released // a release overtook it: no peer is wanted
 	}
 	pc := pcs[0]
 	// ap-map switch under CAS; the epoch stamps the new membership. A log

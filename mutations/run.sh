@@ -38,6 +38,8 @@ rows=(
 	"apmap-write-ignores-fence.patch|./internal/controller|^TestSessionFencesItsAppDirectory$"
 	"lost-delete-trusts-cache.patch|./internal/ncl|^TestLostDeleteLeavesNameUnsure$"
 	"repair-kick-lost.patch|./internal/ncl|^TestStalledRecordWaitsForItsReplacement$"
+	"repair-ignores-stall.patch|./internal/ncl|^TestPolicyConformance$/^a_stalled_log_that_sorts_after_a_quiet_log_is_repaired_first/"
+	"overtaken-replacement-backs-off.patch|./internal/ncl|^TestOvertakenReplacementHoldsBackNoOtherLog$"
 	"flush-wakes-no-writer.patch|./internal/apps/kvstore|^TestStalledWriterResumesAfterFlush$"
 	"writeback-wakes-no-staller.patch|./internal/dfs|^TestDirtyHighWaterStallsWriter$"
 	"fsync-skips-inflight-flush.patch|./internal/dfs|^TestFsyncWaitsForInflightWriteback$"
